@@ -160,19 +160,18 @@ pub struct ChaosMeasurement {
 
 /// One counting-pushdown workload (`experiments bench --count`).
 ///
-/// Rows come in before/after pairs on the same workload: `enumerate` vs
-/// `count` time one sequential query execution through enumeration and
-/// through `PreparedQuery::count` (threshold early-exit); `mine-enumerate`
-/// vs `mine-count` time the Exp-3 QGAR mining workload at 4 threads with
-/// support/confidence counting enumerating vs pushed down.  The harness
-/// asserts the counting run's accepted foci (resp. mined rules) equal the
-/// enumerating run's before recording a row, so `matches` is the shared
-/// correctness fingerprint of each pair.
+/// Query rows come in before/after pairs on the same workload: `enumerate`
+/// vs `count` time one sequential query execution through enumeration and
+/// through `PreparedQuery::count` (threshold early-exit).  The harness
+/// asserts the counting run's accepted foci equal the enumerating run's
+/// before recording a row, so `matches` is the shared correctness
+/// fingerprint of each pair.  The single `mine-count` row times the Exp-3
+/// QGAR mining workload at 4 threads.
 #[derive(Debug, Clone)]
 pub struct CountMeasurement {
     /// Workload name (e.g. `pokec-like/Q3(p=2)`).
     pub workload: String,
-    /// `enumerate`, `count`, `mine-enumerate`, or `mine-count`.
+    /// `enumerate`, `count`, or `mine-count`.
     pub mode: String,
     /// Best-of-N wall-clock time.
     pub seconds: f64,

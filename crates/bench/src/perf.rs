@@ -5,8 +5,8 @@
 //! Workloads are deliberately identical between invocations (all generators
 //! are seeded; the seeds live in the generator defaults), so two runs on the
 //! same machine — e.g. one from the commit before a performance PR and one
-//! from the PR — are directly comparable.  The matching section mirrors the
-//! `bench_qmatch` criterion bench (Fig. 8(a)'s sequential comparison).
+//! from the PR — are directly comparable.  The matching section is
+//! Fig. 8(a)'s sequential comparison.
 
 use qgp_core::engine::{Engine, ExecOptions, QueryRegistry, ServeRequest};
 use qgp_core::matching::{MatchConfig, QueryAnswer};
@@ -160,7 +160,7 @@ fn parallel_qmatch_case(
 
     let d = pattern.radius().max(2);
     let partition = dpar_with(graph, &PartitionConfig::new(4, d), &Runtime::new(4));
-    let mut prepared = Engine::new(graph)
+    let prepared = Engine::new(graph)
         .prepare(pattern)
         .expect("library patterns validate");
     for &threads in PARALLEL_THREADS {
@@ -306,7 +306,7 @@ fn engine_case(
     let full = ans;
 
     // The prepared path: compilation and candidate analysis amortized away.
-    let mut prepared = Engine::new(graph)
+    let prepared = Engine::new(graph)
         .prepare(pattern)
         .expect("library patterns validate");
     prepared
@@ -475,7 +475,7 @@ fn chaos_case(
     use qgp_runtime::faults::{self, FaultPlan};
 
     let runtime = Runtime::new(4);
-    let mut prepared = Engine::new(graph)
+    let prepared = Engine::new(graph)
         .prepare(pattern)
         .expect("library patterns validate");
     // Fault-free timing through the isolation layer (catch_unwind per task
@@ -580,7 +580,7 @@ fn count_case(
     pattern: &Pattern,
     iters: usize,
 ) {
-    let mut prepared = Engine::new(graph)
+    let prepared = Engine::new(graph)
         .prepare(pattern)
         .expect("library patterns validate");
     prepared
@@ -620,9 +620,8 @@ fn count_case(
     });
 }
 
-/// The Exp-3 mining workload at 4 executor threads, with support and
-/// confidence counting enumerating child matches vs pushed down to the
-/// counting path.  Panics when the two mined rule sets differ.
+/// The Exp-3 mining workload at 4 executor threads (support and confidence
+/// counting run through the counting path).
 fn count_mining_case(
     runs: &mut Vec<CountMeasurement>,
     workload: &str,
@@ -631,37 +630,22 @@ fn count_mining_case(
     iters: usize,
 ) {
     let runtime = Runtime::new(4);
-    let mut fingerprint: Option<Vec<String>> = None;
-    for (mode, count_pushdown) in [("mine-enumerate", false), ("mine-count", true)] {
-        let config = MiningConfig {
-            count_pushdown,
-            ..config.clone()
-        };
-        let ((rules, _report), elapsed) = best_of(iters, || {
-            mine_qgars_with_report(graph, &config, &runtime).expect("mining succeeds")
-        });
-        let names: Vec<String> = rules.iter().map(|r| r.rule.name().to_string()).collect();
-        match &fingerprint {
-            None => fingerprint = Some(names),
-            Some(expected) => assert_eq!(
-                &names, expected,
-                "count-pushdown mining disagrees with enumerating mining on {workload}"
-            ),
-        }
-        runs.push(CountMeasurement {
-            workload: workload.to_string(),
-            mode: mode.to_string(),
-            seconds: elapsed.as_secs_f64(),
-            matches: rules.len(),
-            threshold_exits: 0,
-            children_counted: 0,
-        });
-    }
+    let ((rules, _report), elapsed) = best_of(iters, || {
+        mine_qgars_with_report(graph, config, &runtime).expect("mining succeeds")
+    });
+    runs.push(CountMeasurement {
+        workload: workload.to_string(),
+        mode: "mine-count".to_string(),
+        seconds: elapsed.as_secs_f64(),
+        matches: rules.len(),
+        threshold_exits: 0,
+        children_counted: 0,
+    });
 }
 
 /// The counting-pushdown section (`--count`): count-vs-enumerate pairs on
 /// the sequential matching workloads, plus the Exp-3 mining workload at 4
-/// threads with and without support counting pushed down.
+/// threads.
 pub fn run_count_section(run: &mut BenchRun, scale: &BenchScale) {
     let pokec = pokec_like(&SocialConfig::with_persons(scale.matching_persons));
     let yago = yago_like(&KnowledgeConfig::with_persons(scale.matching_persons));
@@ -738,7 +722,7 @@ pub fn run_bench(label: &str, commit: &str, scale: &BenchScale) -> BenchRun {
         || synthetic_graph(scale.construction_synthetic_nodes),
     );
 
-    // --- Sequential quantified matching (the bench_qmatch workloads) -------
+    // --- Sequential quantified matching (the Fig. 8(a) workloads) -------
     let pokec = pokec_like(&SocialConfig::with_persons(scale.matching_persons));
     let yago = yago_like(&KnowledgeConfig::with_persons(scale.matching_persons));
     qmatch_case(
@@ -998,11 +982,12 @@ mod tests {
         };
         let mut run = BenchRun::default();
         run_count_section(&mut run, &scale);
-        // 3 matching workloads × 2 modes + 2 mining rows.  The count-equals-
-        // enumeration and identical-rules asserts live inside the harness;
-        // reaching here means they held for every pair.
-        assert_eq!(run.count.len(), 3 * 2 + 2);
-        for pair in run.count.chunks(2) {
+        // 3 matching workloads × 2 modes + the mining row.  The count-equals-
+        // enumeration asserts live inside the harness; reaching here means
+        // they held for every pair.
+        assert_eq!(run.count.len(), 3 * 2 + 1);
+        assert_eq!(run.count[6].mode, "mine-count");
+        for pair in run.count[..6].chunks(2) {
             assert_eq!(pair[0].workload, pair[1].workload);
             assert_eq!(
                 pair[0].matches, pair[1].matches,

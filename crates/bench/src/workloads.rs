@@ -1,5 +1,5 @@
-//! Standard datasets and pattern workloads shared by the experiment harness,
-//! the criterion benches and the integration tests.
+//! Standard datasets and pattern workloads shared by the experiment harness
+//! and the integration tests.
 
 use qgp_core::pattern::Pattern;
 use qgp_datasets::{

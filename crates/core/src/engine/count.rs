@@ -1,40 +1,31 @@
-//! Counting executions: cardinality and threshold answers without
-//! enumerating witnesses.
+//! The answer types of counting executions: cardinality and threshold
+//! answers without enumerating witnesses.
 //!
 //! [`PreparedQuery::count`](super::PreparedQuery::count) is the aggregate
-//! face of the engine: instead of streaming matched foci, it returns a
-//! [`CountAnswer`] — one [`FocusCount`] per accepted focus plus the total —
-//! while the matcher decides each candidate through the counting path
-//! (`SessionCore::decide_count_cancellable`).
-//! Per-quantifier work stops at the verdict under
-//! [`CountMode::ThresholdOnly`]; [`CountMode::Exact`] scans each child list
-//! to the end so witness counts are exact cardinalities.
-//!
-//! All three [`ExecMode`]s are supported with the same `limit` / `restrict`
-//! / cancellation / budget semantics as [`PreparedQuery::execute`]; the
-//! accepted focus set is identical to the enumerating execution's by
-//! construction (the counting path computes the same boolean decision).
+//! face of the engine: the same driver as
+//! [`PreparedQuery::execute`](super::PreparedQuery::execute) — same modes,
+//! same `limit` / `restrict` / cancellation / budget semantics, the same
+//! accepted focus set by construction — with every decision taking the
+//! kernel's counting work profile, folded into a [`CountAnswer`]: one
+//! [`FocusCount`] per accepted focus plus the total.  Per-quantifier work
+//! stops at the verdict under [`CountMode::ThresholdOnly`](super::CountMode);
+//! [`CountMode::Exact`](super::CountMode) scans each child list to the end
+//! so witness counts are exact cardinalities.
 
-use std::sync::Arc;
+use qgp_graph::NodeId;
 
-use qgp_graph::{Fragment, GraphSnapshot, NodeId};
-use qgp_runtime::ExecBudget;
-
-use super::exec::{candidate_list, resolve_runtime, ExecControl};
-use super::options::{BudgetPolicy, ExecMode, ExecOptions, Parallelism};
-use super::PreparedQuery;
-use crate::error::MatchError;
-use crate::matching::{CountMode, MatchStats, SessionCore};
+use crate::matching::MatchStats;
 
 /// Per-focus result of a counting execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FocusCount {
     /// The accepted focus node (a global id under
-    /// [`ExecMode::Partitioned`]).
+    /// [`ExecMode::Partitioned`](super::ExecMode::Partitioned)).
     pub focus: NodeId,
     /// Witness count of the focus's first out-edge (the number of distinct
-    /// children matched by it): exact under [`CountMode::Exact`], a
-    /// sufficient lower bound under [`CountMode::ThresholdOnly`].  For a
+    /// children matched by it): exact under
+    /// [`CountMode::Exact`](super::CountMode), a sufficient lower bound
+    /// under [`CountMode::ThresholdOnly`](super::CountMode).  For a
     /// pattern whose focus has no out-edge in `Π(Q)` this is `1`.
     pub witnesses: usize,
 }
@@ -50,7 +41,8 @@ pub struct CountAnswer {
     pub total: usize,
     /// Stopped early by budget exhaustion or cancellation: `per_focus` is
     /// an exact prefix (sequential) or subset (parallel modes) of the full
-    /// answer.  Reaching an [`ExecOptions::limit`] is a complete answer to
+    /// answer.  Reaching an
+    /// [`ExecOptions::limit`](super::ExecOptions::limit) is a complete answer to
     /// the limited query and does *not* set this.
     pub truncated: bool,
     /// Work counters of this execution.
@@ -66,249 +58,4 @@ impl CountAnswer {
     pub fn matches(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.per_focus.iter().map(|f| f.focus)
     }
-}
-
-/// Dispatches one counting execution against `snapshot`.
-pub(super) fn count(
-    pq: &mut PreparedQuery,
-    snapshot: Arc<GraphSnapshot>,
-    opts: ExecOptions<'_>,
-) -> Result<CountAnswer, MatchError> {
-    let mode = opts.count.unwrap_or_default();
-    match opts.mode {
-        ExecMode::Sequential => count_sequential(pq, snapshot, &opts, mode),
-        ExecMode::Parallel(parallelism) => count_parallel(pq, snapshot, &opts, mode, parallelism),
-        // Partitioned counting matches inside the fragments' own graphs.
-        ExecMode::Partitioned {
-            fragments,
-            d,
-            parallelism,
-        } => count_partitioned(pq, &opts, mode, fragments, d, parallelism),
-    }
-}
-
-fn count_sequential(
-    pq: &mut PreparedQuery,
-    snapshot: Arc<GraphSnapshot>,
-    opts: &ExecOptions<'_>,
-    mode: CountMode,
-) -> Result<CountAnswer, MatchError> {
-    let (session, baseline) = pq.session_for(&snapshot, &opts.config);
-    let candidates = candidate_list(session, opts.restrict);
-    let mut per_focus = Vec::new();
-    let mut truncated = false;
-    let mut cancelled = false;
-    for vx in candidates {
-        if opts.limit.is_some_and(|k| per_focus.len() >= k) {
-            break;
-        }
-        if let Some(budget) = &opts.budget {
-            if !budget.charge(1) {
-                truncated = true;
-                break;
-            }
-        }
-        let token = opts
-            .cancel
-            .as_ref()
-            .or_else(|| opts.budget.as_ref().map(ExecBudget::token));
-        match session.decide_count_cancellable(snapshot.graph(), vx, mode, token) {
-            None => {
-                // Stopped mid-decision: by the user's token when one is
-                // attached, else by the budget's deadline.
-                if opts.cancel.is_some() {
-                    cancelled = true;
-                } else {
-                    truncated = true;
-                }
-                break;
-            }
-            Some((true, witnesses)) => per_focus.push(FocusCount {
-                focus: vx,
-                witnesses,
-            }),
-            Some((false, _)) => {}
-        }
-    }
-    if truncated && opts.on_budget == BudgetPolicy::Fail {
-        return Err(MatchError::BudgetExceeded);
-    }
-    let stats = session.stats() - baseline;
-    Ok(CountAnswer {
-        total: per_focus.len(),
-        per_focus,
-        truncated: truncated || cancelled,
-        stats,
-    })
-}
-
-fn count_parallel(
-    pq: &mut PreparedQuery,
-    snapshot: Arc<GraphSnapshot>,
-    opts: &ExecOptions<'_>,
-    mode: CountMode,
-    parallelism: Parallelism<'_>,
-) -> Result<CountAnswer, MatchError> {
-    let compiled = Arc::clone(pq.compiled());
-    let config = opts.config;
-    let (session, baseline) = pq.session_for(&snapshot, &config);
-    let candidates = candidate_list(session, opts.restrict);
-    let planning = session.stats() - baseline;
-    let graph = snapshot.graph();
-
-    let mut owned = None;
-    let runtime = resolve_runtime(parallelism, &mut owned);
-    let ctl = ExecControl::new(opts.limit, opts.cancel.clone(), opts.budget.clone());
-    let outcome = runtime
-        .try_map_with_cancel(
-            candidates.len(),
-            ctl.runtime_token(),
-            || SessionCore::new(graph, Arc::clone(&compiled), &config),
-            |session, i| {
-                if ctl.should_stop() || !ctl.charge() {
-                    return None;
-                }
-                match session.decide_count_cancellable(graph, candidates[i], mode, ctl.decide_token())
-                {
-                    Some((true, witnesses)) if ctl.try_accept() => Some(FocusCount {
-                        focus: candidates[i],
-                        witnesses,
-                    }),
-                    _ => None,
-                }
-            },
-        )
-        .map_err(MatchError::TaskPanicked)?;
-
-    let truncated = ctl.budget_exhausted();
-    if truncated && opts.on_budget == BudgetPolicy::Fail {
-        return Err(MatchError::BudgetExceeded);
-    }
-    let mut per_focus: Vec<FocusCount> = outcome.outputs.into_iter().flatten().flatten().collect();
-    per_focus.sort_unstable_by_key(|f| f.focus);
-    let mut stats = planning;
-    for worker in outcome.states {
-        stats += worker.stats();
-    }
-    Ok(CountAnswer {
-        total: per_focus.len(),
-        per_focus,
-        truncated: truncated || ctl.was_cancelled(),
-        stats,
-    })
-}
-
-fn count_partitioned(
-    pq: &mut PreparedQuery,
-    opts: &ExecOptions<'_>,
-    mode: CountMode,
-    fragments: &[Fragment],
-    d: usize,
-    parallelism: Parallelism<'_>,
-) -> Result<CountAnswer, MatchError> {
-    if fragments.is_empty() {
-        return Err(MatchError::EmptyPartition);
-    }
-    let radius = pq.radius();
-    if radius > d {
-        return Err(MatchError::RadiusExceedsPartition {
-            radius,
-            partition_d: d,
-        });
-    }
-    let compiled = Arc::clone(pq.compiled());
-    let config = opts.config;
-    let n = fragments.len();
-
-    // Restriction is in global node ids; normalize once for binary search.
-    let restrict: Option<Vec<NodeId>> = opts.restrict.map(|r| {
-        let mut v = r.to_vec();
-        v.sort_unstable();
-        v.dedup();
-        v
-    });
-
-    // Same (fragment, covered local candidate) task list as the enumerating
-    // partitioned execution, deduplicated across overlapping coverage so a
-    // focus is counted exactly once.
-    let mut tasks: Vec<(u32, NodeId)> = Vec::new();
-    let mut seen: std::collections::HashSet<NodeId> = std::collections::HashSet::new();
-    for (f, fragment) in fragments.iter().enumerate() {
-        for global in fragment.covered_nodes() {
-            if restrict
-                .as_ref()
-                .is_some_and(|r| r.binary_search(&global).is_err())
-            {
-                continue;
-            }
-            if let Some(local) = fragment.to_local(global) {
-                if seen.insert(global) {
-                    tasks.push((f as u32, local));
-                }
-            }
-        }
-    }
-
-    let mut owned = None;
-    let runtime = resolve_runtime(parallelism, &mut owned);
-    let ctl = ExecControl::new(opts.limit, opts.cancel.clone(), opts.budget.clone());
-    let outcome = runtime
-        .try_map_with_cancel(
-            tasks.len(),
-            ctl.runtime_token(),
-            || CountScratch {
-                sessions: (0..n).map(|_| None).collect(),
-            },
-            |scratch, i| {
-                if ctl.should_stop() {
-                    return None;
-                }
-                let (f, local) = tasks[i];
-                let f = f as usize;
-                let session = scratch.sessions[f].get_or_insert_with(|| {
-                    SessionCore::new(fragments[f].graph(), Arc::clone(&compiled), &config)
-                });
-                if !session.is_focus_candidate(local) {
-                    return None;
-                }
-                if !ctl.charge() {
-                    return None;
-                }
-                let fgraph = fragments[f].graph();
-                match session.decide_count_cancellable(fgraph, local, mode, ctl.decide_token()) {
-                    Some((true, witnesses)) if ctl.try_accept() => Some(FocusCount {
-                        focus: fragments[f].to_global(local),
-                        witnesses,
-                    }),
-                    _ => None,
-                }
-            },
-        )
-        .map_err(MatchError::TaskPanicked)?;
-
-    let truncated = ctl.budget_exhausted();
-    if truncated && opts.on_budget == BudgetPolicy::Fail {
-        return Err(MatchError::BudgetExceeded);
-    }
-    let mut per_focus: Vec<FocusCount> = outcome.outputs.into_iter().flatten().flatten().collect();
-    per_focus.sort_unstable_by_key(|f| f.focus);
-    per_focus.dedup_by_key(|f| f.focus);
-    let mut stats = MatchStats::default();
-    for scratch in outcome.states {
-        for session in scratch.sessions.into_iter().flatten() {
-            stats += session.stats();
-        }
-    }
-    Ok(CountAnswer {
-        total: per_focus.len(),
-        per_focus,
-        truncated: truncated || ctl.was_cancelled(),
-        stats,
-    })
-}
-
-/// Per-executor-thread scratch of a partitioned counting execution: one
-/// lazily built matcher session per fragment.
-struct CountScratch {
-    sessions: Vec<Option<SessionCore>>,
 }

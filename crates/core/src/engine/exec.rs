@@ -1,7 +1,10 @@
-//! Execution of prepared queries: the streaming sequential path, the
-//! whole-graph parallel path, and the partitioned (`PQMatch`-style) path,
-//! all driving the same `SessionCore::decide_cancellable` semantics
-//! against a pinned [`GraphSnapshot`].
+//! Execution of prepared queries: one driver turns [`ExecOptions`] into a
+//! list of `(site, focus)` tasks — the pinned snapshot is one site, each
+//! fragment of a partition is one — and folds the verdicts of the one
+//! decision kernel, `SessionCore::decide`, into per-focus counts.  The
+//! modes differ only in the schedule: a sequential execution decides its
+//! tasks lazily as [`Matches`] is iterated, the others on the
+//! work-stealing runtime before `execute` returns.
 
 use qgp_runtime::sync::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -10,10 +13,11 @@ use std::time::{Duration, Instant};
 use qgp_graph::{Fragment, GraphSnapshot, NodeId};
 use qgp_runtime::{CancelToken, ExecBudget, Runtime};
 
+use super::count::{CountAnswer, FocusCount};
 use super::options::{BudgetPolicy, ExecMode, ExecOptions, Parallelism};
-use super::PreparedQuery;
+use super::{Lease, PreparedQuery};
 use crate::error::MatchError;
-use crate::matching::{CountMode, MatchStats, QueryAnswer, SessionCore};
+use crate::matching::{CandidateSets, CountMode, MatchStats, QueryAnswer, SessionCore};
 
 /// Scheduling telemetry of a parallel or partitioned execution, preserved
 /// so `ParallelAnswer`-style reporting keeps working through the engine.
@@ -35,7 +39,7 @@ pub struct ParallelTelemetry {
 /// execution budget, the internal stop flag the runtime polls (set on user
 /// cancellation, budget exhaustion, *or* when the answer limit is
 /// reached), and the accepted-answer counter.
-pub(super) struct ExecControl {
+struct ExecControl {
     user: Option<CancelToken>,
     budget: Option<ExecBudget>,
     stop: CancelToken,
@@ -44,11 +48,7 @@ pub(super) struct ExecControl {
 }
 
 impl ExecControl {
-    pub(super) fn new(
-        limit: Option<usize>,
-        user: Option<CancelToken>,
-        budget: Option<ExecBudget>,
-    ) -> Self {
+    fn new(limit: Option<usize>, user: Option<CancelToken>, budget: Option<ExecBudget>) -> Self {
         ExecControl {
             user,
             budget,
@@ -59,14 +59,14 @@ impl ExecControl {
     }
 
     /// The token the work-stealing runtime polls between tasks.
-    pub(super) fn runtime_token(&self) -> &CancelToken {
+    fn runtime_token(&self) -> &CancelToken {
         &self.stop
     }
 
-    /// The token polled inside `SessionCore::decide_cancellable`: the
+    /// The token polled inside `SessionCore::decide`: the
     /// user's when present, else the budget's (so a deadline is observed
     /// between verification phases too).
-    pub(super) fn decide_token(&self) -> Option<&CancelToken> {
+    fn decide_token(&self) -> Option<&CancelToken> {
         self.user
             .as_ref()
             .or_else(|| self.budget.as_ref().map(ExecBudget::token))
@@ -75,7 +75,7 @@ impl ExecControl {
     /// Charges one decision against the budget.  `false` means the budget
     /// is out: the stop flag is raised and the candidate must not be
     /// verified.
-    pub(super) fn charge(&self) -> bool {
+    fn charge(&self) -> bool {
         match &self.budget {
             Some(budget) if !budget.charge(1) => {
                 self.stop.cancel();
@@ -87,7 +87,7 @@ impl ExecControl {
 
     /// Should this execution stop scheduling new candidates?  Propagates a
     /// fired user token or exhausted budget into the runtime stop flag.
-    pub(super) fn should_stop(&self) -> bool {
+    fn should_stop(&self) -> bool {
         if self.user.as_ref().is_some_and(CancelToken::is_cancelled)
             || self.budget.as_ref().is_some_and(ExecBudget::is_exhausted)
         {
@@ -98,7 +98,7 @@ impl ExecControl {
     }
 
     /// Was the execution truncated by budget exhaustion?
-    pub(super) fn budget_exhausted(&self) -> bool {
+    fn budget_exhausted(&self) -> bool {
         self.budget.as_ref().is_some_and(ExecBudget::is_exhausted)
     }
 
@@ -106,7 +106,7 @@ impl ExecControl {
     /// first `k` claims succeed (the `fetch_add` arbitrates races) and the
     /// `k`-th claim raises the stop flag so no further candidate is
     /// verified.
-    pub(super) fn try_accept(&self) -> bool {
+    fn try_accept(&self) -> bool {
         match self.limit {
             None => true,
             Some(k) => {
@@ -120,7 +120,7 @@ impl ExecControl {
     }
 
     /// Tokens are latched, so observing the user token directly is exact.
-    pub(super) fn was_cancelled(&self) -> bool {
+    fn was_cancelled(&self) -> bool {
         self.user.as_ref().is_some_and(CancelToken::is_cancelled)
     }
 }
@@ -135,163 +135,146 @@ impl ExecControl {
 /// is called (their answers come back through a barrier) and iterate a
 /// buffered, sorted result.
 ///
+/// A sequential stream owns the matcher session it checked out of its
+/// query's pool and returns it when dropped.
+///
 /// [`Matches::into_answer`] drains whatever is still pending and returns
 /// the complete [`QueryAnswer`] of the execution, including the matches
 /// already yielded.
-pub struct Matches<'q> {
-    inner: Inner<'q>,
+pub struct Matches {
+    /// The accepted foci so far, each with its witness count.
+    accepted: Vec<FocusCount>,
+    /// How many of `accepted` the iterator has yielded.
+    yielded: usize,
+    truncated: bool,
+    cancelled: bool,
+    fail_on_budget: bool,
+    schedule: Schedule,
 }
 
-impl std::fmt::Debug for Matches<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.inner {
-            Inner::Streaming {
-                candidates, pos, ..
-            } => f
-                .debug_struct("Matches")
-                .field("mode", &"streaming")
-                .field("candidates", &candidates.len())
-                .field("decided", pos)
-                .finish_non_exhaustive(),
-            Inner::Buffered { results, pos, .. } => f
-                .debug_struct("Matches")
-                .field("mode", &"buffered")
-                .field("results", &results.len())
-                .field("yielded", pos)
-                .finish_non_exhaustive(),
-        }
-    }
-}
-
-enum Inner<'q> {
+enum Schedule {
+    /// Tasks still to decide, lazily, on the checked-out session.
     Streaming {
         /// The pinned snapshot every decision reads.
         snapshot: Arc<GraphSnapshot>,
-        session: &'q mut SessionCore,
-        /// Session counters at execution start; reported stats are the
-        /// delta, so a reused prepared query reports per-execution work.
-        baseline: MatchStats,
+        lease: Lease,
         candidates: Vec<NodeId>,
         pos: usize,
-        emitted: Vec<NodeId>,
-        limit: Option<usize>,
-        cancel: Option<CancelToken>,
-        budget: Option<ExecBudget>,
-        fail_on_budget: bool,
-        /// When set, decisions run through the counting path (identical
-        /// accepted set, aggregate-pushdown work profile).
+        ctl: ExecControl,
+        /// When set, decisions take the counting work profile (identical
+        /// accepted set).
         count: Option<CountMode>,
-        truncated: bool,
-        cancelled: bool,
         done: bool,
     },
+    /// Every task was decided before `execute` returned.
     Buffered {
-        results: Vec<NodeId>,
-        pos: usize,
         stats: MatchStats,
         telemetry: ParallelTelemetry,
-        truncated: bool,
-        cancelled: bool,
     },
 }
 
-impl Iterator for Matches<'_> {
-    type Item = NodeId;
-
-    fn next(&mut self) -> Option<NodeId> {
-        match &mut self.inner {
-            Inner::Streaming {
-                snapshot,
-                session,
-                candidates,
-                pos,
-                emitted,
-                limit,
-                cancel,
-                budget,
-                count,
-                truncated,
-                cancelled,
-                done,
-                ..
-            } => {
-                if *done || limit.is_some_and(|k| emitted.len() >= k) {
-                    return None;
-                }
-                while *pos < candidates.len() {
-                    // Per-candidate budget polling: the charge that finds
-                    // the budget empty (deadline or decision cap) stops the
-                    // stream before the candidate is verified.
-                    if let Some(budget) = budget {
-                        if !budget.charge(1) {
-                            *truncated = true;
-                            *done = true;
-                            return None;
-                        }
-                    }
-                    let vx = candidates[*pos];
-                    *pos += 1;
-                    let token = cancel
-                        .as_ref()
-                        .or_else(|| budget.as_ref().map(ExecBudget::token));
-                    let decision = match *count {
-                        None => session.decide_cancellable(snapshot.graph(), vx, token),
-                        Some(mode) => session
-                            .decide_count_cancellable(snapshot.graph(), vx, mode, token)
-                            .map(|(d, _)| d),
-                    };
-                    match decision {
-                        None => {
-                            // Stopped mid-verification: by the user's token
-                            // when one is attached, else by the budget's.
-                            if cancel.is_some() {
-                                *cancelled = true;
-                            } else {
-                                *truncated = true;
-                            }
-                            *done = true;
-                            return None;
-                        }
-                        Some(true) => {
-                            emitted.push(vx);
-                            if limit.is_some_and(|k| emitted.len() >= k) {
-                                *done = true;
-                            }
-                            return Some(vx);
-                        }
-                        Some(false) => {}
-                    }
-                }
-                *done = true;
-                None
-            }
-            Inner::Buffered { results, pos, .. } => {
-                let v = results.get(*pos).copied();
-                *pos += 1;
-                v
-            }
-        }
+impl std::fmt::Debug for Matches {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mode = match &self.schedule {
+            Schedule::Streaming { .. } => "streaming",
+            Schedule::Buffered { .. } => "buffered",
+        };
+        f.debug_struct("Matches")
+            .field("mode", &mode)
+            .field("accepted", &self.accepted.len())
+            .field("yielded", &self.yielded)
+            .finish_non_exhaustive()
     }
 }
 
-impl Matches<'_> {
+impl Iterator for Matches {
+    type Item = NodeId;
+
+    fn next(&mut self) -> Option<NodeId> {
+        if self.yielded == self.accepted.len() {
+            self.advance(true);
+        }
+        let v = self.accepted.get(self.yielded)?.focus;
+        self.yielded += 1;
+        Some(v)
+    }
+}
+
+impl Matches {
+    /// Streaming schedule: decides candidates, pushing the accepted ones
+    /// onto `accepted`, until the stream ends — or, with `one_answer`, until
+    /// the next accepted one.
+    fn advance(&mut self, one_answer: bool) {
+        let Schedule::Streaming {
+            snapshot,
+            lease,
+            candidates,
+            pos,
+            ctl,
+            count,
+            done,
+        } = &mut self.schedule
+        else {
+            return;
+        };
+        if *done || ctl.limit.is_some_and(|k| self.accepted.len() >= k) {
+            return;
+        }
+        let (session, graph, token) = (lease.core(), snapshot.graph(), ctl.decide_token());
+        while *pos < candidates.len() {
+            // Per-candidate budget polling: the charge that finds the
+            // budget empty (deadline or decision cap) stops the stream
+            // before the candidate is verified.
+            if !ctl.charge() {
+                self.truncated = true;
+                break;
+            }
+            let vx = candidates[*pos];
+            *pos += 1;
+            match session.decide(graph, vx, *count, token) {
+                None => {
+                    // Stopped mid-verification: by the user's token when
+                    // one is attached, else by the budget's.
+                    if ctl.user.is_some() {
+                        self.cancelled = true;
+                    } else {
+                        self.truncated = true;
+                    }
+                    break;
+                }
+                Some(verdict) if verdict.matched => {
+                    self.accepted.push(FocusCount {
+                        focus: vx,
+                        witnesses: verdict.witnesses,
+                    });
+                    if ctl.limit.is_some_and(|k| self.accepted.len() >= k) {
+                        break;
+                    }
+                    if one_answer {
+                        return;
+                    }
+                }
+                Some(_) => {}
+            }
+        }
+        *done = true;
+    }
+
     /// Work counters of this execution so far (final once the iterator is
     /// exhausted; parallel and partitioned executions are complete as soon
     /// as `execute` returns).
     pub fn stats(&self) -> MatchStats {
-        match &self.inner {
-            Inner::Streaming {
-                session, baseline, ..
-            } => session.stats() - *baseline,
-            Inner::Buffered { stats, .. } => *stats,
+        match &self.schedule {
+            Schedule::Streaming { lease, .. } => lease.stats(),
+            Schedule::Buffered { stats, .. } => *stats,
         }
     }
 
     /// Scheduling telemetry (parallel and partitioned executions only).
     pub fn telemetry(&self) -> Option<&ParallelTelemetry> {
-        match &self.inner {
-            Inner::Streaming { .. } => None,
-            Inner::Buffered { telemetry, .. } => Some(telemetry),
+        match &self.schedule {
+            Schedule::Streaming { .. } => None,
+            Schedule::Buffered { telemetry, .. } => Some(telemetry),
         }
     }
 
@@ -299,19 +282,11 @@ impl Matches<'_> {
     /// rather than by exhausting the candidates or reaching the limit?  A
     /// cancelled execution's answer is a *partial* answer.
     pub fn cancelled(&self) -> bool {
-        match &self.inner {
-            Inner::Streaming {
-                cancelled,
-                done,
-                cancel,
-                ..
-            } => {
-                // A fired token counts even before iteration observes it —
-                // unless the stream already finished on its own.
-                *cancelled || (!done && cancel.as_ref().is_some_and(CancelToken::is_cancelled))
-            }
-            Inner::Buffered { cancelled, .. } => *cancelled,
-        }
+        // A fired token counts even before iteration observes it — unless
+        // the stream already finished on its own.
+        self.cancelled
+            || matches!(&self.schedule, Schedule::Streaming { ctl, done, .. }
+                if !done && ctl.was_cancelled())
     }
 
     /// Was (or will) the execution be stopped by its [`ExecBudget`] running
@@ -319,41 +294,36 @@ impl Matches<'_> {
     /// explicit cancellation?  A truncated execution's answer is a prefix
     /// (sequential mode) or subset (parallel modes) of the full answer.
     pub fn truncated(&self) -> bool {
-        match &self.inner {
-            Inner::Streaming {
-                truncated,
-                done,
-                budget,
-                ..
-            } => {
-                *truncated || (!done && budget.as_ref().is_some_and(ExecBudget::is_exhausted))
-            }
-            Inner::Buffered { truncated, .. } => *truncated,
-        }
+        self.truncated
+            || matches!(&self.schedule, Schedule::Streaming { ctl, done, .. }
+                if !done && ctl.budget_exhausted())
     }
 
     /// Runs the execution to completion (respecting limit, budget and
-    /// cancellation) and returns the full answer — matches already yielded
-    /// included.  Budget exhaustion comes back as a partial answer with
-    /// [`QueryAnswer::truncated`] set regardless of the
+    /// cancellation): every accepted focus — those already yielded
+    /// included — the execution's counters, and whether it stopped early.
+    fn finish(mut self) -> (Vec<FocusCount>, MatchStats, bool) {
+        self.advance(false);
+        let stopped = self.truncated() || self.cancelled();
+        (std::mem::take(&mut self.accepted), self.stats(), stopped)
+    }
+
+    /// [`Matches::finish`] under the execution's budget policy.
+    fn try_finish(mut self) -> Result<(Vec<FocusCount>, MatchStats, bool), MatchError> {
+        self.advance(false);
+        if self.fail_on_budget && self.truncated() {
+            return Err(MatchError::BudgetExceeded);
+        }
+        Ok(self.finish())
+    }
+
+    /// Runs the execution to completion and returns the full answer —
+    /// matches already yielded included.  Budget exhaustion comes back as a
+    /// partial answer with [`QueryAnswer::truncated`] set regardless of the
     /// [`BudgetPolicy`](super::BudgetPolicy); use
     /// [`Matches::try_into_answer`] to honor [`BudgetPolicy::Fail`].
-    pub fn into_answer(mut self) -> QueryAnswer {
-        while self.next().is_some() {}
-        let stats = self.stats();
-        let truncated = self.truncated() || self.cancelled();
-        match self.inner {
-            Inner::Streaming { emitted, .. } => QueryAnswer {
-                matches: emitted,
-                stats,
-                truncated,
-            },
-            Inner::Buffered { results, .. } => QueryAnswer {
-                matches: results,
-                stats,
-                truncated,
-            },
-        }
+    pub fn into_answer(self) -> QueryAnswer {
+        project(self.finish())
     }
 
     /// [`Matches::into_answer`] under the execution's budget policy: with
@@ -361,87 +331,34 @@ impl Matches<'_> {
     /// budget ran out returns [`MatchError::BudgetExceeded`] instead of a
     /// partial answer.  (Buffered executions under `Fail` already failed at
     /// `execute`; this is where the streaming sequential path fails.)
-    pub fn try_into_answer(mut self) -> Result<QueryAnswer, MatchError> {
-        while self.next().is_some() {}
-        let fail = match &self.inner {
-            Inner::Streaming { fail_on_budget, .. } => *fail_on_budget,
-            // Buffered Fail-policy runs error before a `Matches` exists.
-            Inner::Buffered { .. } => false,
-        };
-        if fail && self.truncated() {
-            return Err(MatchError::BudgetExceeded);
-        }
-        Ok(self.into_answer())
+    pub fn try_into_answer(self) -> Result<QueryAnswer, MatchError> {
+        self.try_finish().map(project)
+    }
+
+    /// [`Matches::try_into_answer`], keeping the witness counts.
+    pub(super) fn try_into_count(self) -> Result<CountAnswer, MatchError> {
+        let (per_focus, stats, truncated) = self.try_finish()?;
+        Ok(CountAnswer {
+            total: per_focus.len(),
+            per_focus,
+            truncated,
+            stats,
+        })
     }
 }
 
-/// The deterministic candidate list of one execution: the session's sorted
-/// focus candidates, optionally intersected with a restriction set.
-pub(super) fn candidate_list(session: &SessionCore, restrict: Option<&[NodeId]>) -> Vec<NodeId> {
-    match restrict {
-        None => session.focus_candidates().to_vec(),
-        Some(r) => {
-            let mut v: Vec<NodeId> = r
-                .iter()
-                .copied()
-                .filter(|&vx| session.is_focus_candidate(vx))
-                .collect();
-            v.sort_unstable();
-            v.dedup();
-            v
-        }
-    }
-}
-
-/// Dispatches one execution against `snapshot`.
-pub(super) fn execute<'q>(
-    pq: &'q mut PreparedQuery,
-    snapshot: Arc<GraphSnapshot>,
-    opts: ExecOptions<'q>,
-) -> Result<Matches<'q>, MatchError> {
-    match opts.mode {
-        ExecMode::Sequential => Ok(execute_sequential(pq, snapshot, &opts)),
-        ExecMode::Parallel(parallelism) => execute_parallel(pq, snapshot, &opts, parallelism),
-        // Partitioned execution matches inside the fragments' own graphs;
-        // the snapshot only pins the candidate universe via the fragments.
-        ExecMode::Partitioned {
-            fragments,
-            d,
-            parallelism,
-        } => execute_partitioned(pq, &opts, fragments, d, parallelism),
-    }
-}
-
-fn execute_sequential<'q>(
-    pq: &'q mut PreparedQuery,
-    snapshot: Arc<GraphSnapshot>,
-    opts: &ExecOptions<'_>,
-) -> Matches<'q> {
-    let (session, baseline) = pq.session_for(&snapshot, &opts.config);
-    let candidates = candidate_list(session, opts.restrict);
-    Matches {
-        inner: Inner::Streaming {
-            snapshot,
-            session,
-            baseline,
-            candidates,
-            pos: 0,
-            emitted: Vec::new(),
-            limit: opts.limit,
-            cancel: opts.cancel.clone(),
-            budget: opts.budget.clone(),
-            fail_on_budget: opts.on_budget == BudgetPolicy::Fail,
-            count: opts.count,
-            truncated: false,
-            cancelled: false,
-            done: false,
-        },
+/// Projects finished per-focus counts to the foci.
+fn project((accepted, stats, truncated): (Vec<FocusCount>, MatchStats, bool)) -> QueryAnswer {
+    QueryAnswer {
+        matches: accepted.into_iter().map(|f| f.focus).collect(),
+        stats,
+        truncated,
     }
 }
 
 /// Resolves a [`Parallelism`] into a usable executor (owning a dedicated
 /// one when asked for explicit thread counts).
-pub(super) fn resolve_runtime<'a>(
+fn resolve_runtime<'a>(
     parallelism: Parallelism<'a>,
     owned: &'a mut Option<Runtime>,
 ) -> &'a Runtime {
@@ -452,211 +369,212 @@ pub(super) fn resolve_runtime<'a>(
     }
 }
 
-fn execute_parallel<'q>(
-    pq: &'q mut PreparedQuery,
-    snapshot: Arc<GraphSnapshot>,
-    opts: &ExecOptions<'_>,
-    parallelism: Parallelism<'_>,
-) -> Result<Matches<'q>, MatchError> {
-    let compiled = Arc::clone(pq.compiled());
-    let config = opts.config;
-    let count = opts.count;
-    // The cached session provides the (deterministic, sorted) candidate
-    // list; its build cost — if this execution triggered it — lands in this
-    // execution's stats.
-    let (session, baseline) = pq.session_for(&snapshot, &config);
-    let candidates = candidate_list(session, opts.restrict);
-    let planning = session.stats() - baseline;
-    let graph = snapshot.graph();
-
-    let mut owned = None;
-    let runtime = resolve_runtime(parallelism, &mut owned);
-    let ctl = ExecControl::new(opts.limit, opts.cancel.clone(), opts.budget.clone());
-    let start = Instant::now();
-    let outcome = runtime
-        .try_map_with_cancel(
-            candidates.len(),
-            ctl.runtime_token(),
-            || SessionCore::new(graph, Arc::clone(&compiled), &config),
-            |session, i| {
-                if ctl.should_stop() || !ctl.charge() {
-                    return None;
-                }
-                let decision = match count {
-                    None => session.decide_cancellable(graph, candidates[i], ctl.decide_token()),
-                    Some(mode) => session
-                        .decide_count_cancellable(graph, candidates[i], mode, ctl.decide_token())
-                        .map(|(d, _)| d),
-                };
-                match decision {
-                    Some(true) if ctl.try_accept() => Some(candidates[i]),
-                    _ => None,
-                }
-            },
-        )
-        .map_err(MatchError::TaskPanicked)?;
-
-    let truncated = ctl.budget_exhausted();
-    if truncated && opts.on_budget == BudgetPolicy::Fail {
-        return Err(MatchError::BudgetExceeded);
-    }
-    let mut matches: Vec<NodeId> = outcome.outputs.into_iter().flatten().flatten().collect();
-    matches.sort_unstable();
-    let mut stats = planning;
-    for worker in outcome.states {
-        stats += worker.stats();
-    }
-    let telemetry = ParallelTelemetry {
-        worker_times: Vec::new(),
-        thread_busy: outcome.worker_busy,
-        steals: outcome.steals,
-        elapsed: start.elapsed(),
-    };
-    Ok(Matches {
-        inner: Inner::Buffered {
-            results: matches,
-            pos: 0,
-            stats,
-            telemetry,
-            truncated,
-            cancelled: ctl.was_cancelled(),
-        },
-    })
+/// Sorted, duplicate-free copy of a focus restriction.
+fn normalized(restrict: &[NodeId]) -> Vec<NodeId> {
+    let mut v = restrict.to_vec();
+    v.sort_unstable();
+    v.dedup();
+    v
 }
 
-/// Per-executor-thread scratch of a partitioned execution: one lazily built
-/// matcher session per fragment (all sharing the compiled pattern), plus
-/// per-fragment busy accounting.
-struct FragmentScratch {
+/// Per-executor-thread scratch: one matcher session per site (all sharing
+/// the compiled pattern), the foci this thread accepted, and per-fragment
+/// busy accounting.
+struct SiteScratch {
     sessions: Vec<Option<SessionCore>>,
+    accepted: Vec<FocusCount>,
     fragment_busy: Vec<Duration>,
 }
 
-fn execute_partitioned<'q>(
-    pq: &'q mut PreparedQuery,
+/// The driver: one execution of `pq` against `snapshot` under `opts`.  A
+/// session this execution checks out and has to build takes its candidate
+/// analysis from `seed`.
+pub(super) fn execute(
+    pq: &PreparedQuery,
+    snapshot: &Arc<GraphSnapshot>,
     opts: &ExecOptions<'_>,
-    fragments: &'q [Fragment],
-    d: usize,
-    parallelism: Parallelism<'_>,
-) -> Result<Matches<'q>, MatchError> {
-    if fragments.is_empty() {
-        return Err(MatchError::EmptyPartition);
-    }
-    let radius = pq.radius();
-    if radius > d {
-        return Err(MatchError::RadiusExceedsPartition {
-            radius,
-            partition_d: d,
-        });
-    }
-    let compiled = Arc::clone(pq.compiled());
+    seed: Option<&CandidateSets>,
+) -> Result<Matches, MatchError> {
+    let ctl = ExecControl::new(opts.limit, opts.cancel.clone(), opts.budget.clone());
     let config = opts.config;
     let count = opts.count;
-    let n = fragments.len();
+    let mut matches = Matches {
+        accepted: Vec::new(),
+        yielded: 0,
+        truncated: false,
+        cancelled: false,
+        fail_on_budget: opts.on_budget == BudgetPolicy::Fail,
+        schedule: Schedule::Buffered {
+            stats: MatchStats::default(),
+            telemetry: ParallelTelemetry::default(),
+        },
+    };
 
-    // Restriction is in global node ids; normalize once for binary search.
-    let restrict: Option<Vec<NodeId>> = opts.restrict.map(|r| {
-        let mut v = r.to_vec();
-        v.sort_unstable();
-        v.dedup();
-        v
-    });
-
-    // The flat task list: (fragment, covered local candidate),
-    // fragment-major so a worker's initial contiguous range mostly stays
-    // within one fragment (one session) and cross-fragment sessions only
-    // appear when work is stolen.  A node covered by several fragments
-    // (legal for hand-built fragments; DPar coverage is disjoint) is
-    // scheduled exactly once — otherwise each duplicate accept would
-    // consume a `limit` slot that dedup later takes back, shorting the
-    // answer below min(k, |answer|).
+    // The task list: (site, focus in the site's node ids).  The sites are
+    // the fragments of a partition, or — `fragments` empty — the snapshot's
+    // whole graph as the one site 0.
+    let mut planning = MatchStats::default();
     let mut tasks: Vec<(u32, NodeId)> = Vec::new();
-    let mut seen: std::collections::HashSet<NodeId> = std::collections::HashSet::new();
-    for (f, fragment) in fragments.iter().enumerate() {
-        for global in fragment.covered_nodes() {
-            if restrict
-                .as_ref()
-                .is_some_and(|r| r.binary_search(&global).is_err())
-            {
-                continue;
+    let (fragments, parallelism): (&[Fragment], _) = match opts.mode {
+        // Partitioned execution matches inside the fragments' own graphs;
+        // the snapshot only pins the candidate universe via the fragments.
+        ExecMode::Partitioned {
+            fragments,
+            d,
+            parallelism,
+        } => {
+            if fragments.is_empty() {
+                return Err(MatchError::EmptyPartition);
             }
-            if let Some(local) = fragment.to_local(global) {
-                if seen.insert(global) {
-                    tasks.push((f as u32, local));
+            let radius = pq.radius();
+            if radius > d {
+                return Err(MatchError::RadiusExceedsPartition {
+                    radius,
+                    partition_d: d,
+                });
+            }
+            // Fragment-major, so a worker's initial contiguous range mostly
+            // stays within one fragment (one session) and cross-fragment
+            // sessions only appear when work is stolen.  A node covered by
+            // several fragments (legal for hand-built fragments; DPar
+            // coverage is disjoint) is scheduled exactly once — otherwise
+            // each duplicate accept would consume a `limit` slot that dedup
+            // later takes back, shorting the answer below min(k, |answer|).
+            let restrict = opts.restrict.map(normalized);
+            let mut seen = std::collections::HashSet::new();
+            for (f, fragment) in fragments.iter().enumerate() {
+                for global in fragment.covered_nodes() {
+                    if restrict
+                        .as_ref()
+                        .is_some_and(|r| r.binary_search(&global).is_err())
+                    {
+                        continue;
+                    }
+                    if let Some(local) = fragment.to_local(global) {
+                        if seen.insert(global) {
+                            tasks.push((f as u32, local));
+                        }
+                    }
                 }
             }
+            (fragments, parallelism)
         }
-    }
+        mode => {
+            // The pooled session provides the (deterministic, sorted)
+            // candidate list; its build cost — if this execution triggered
+            // it — lands in this execution's stats.
+            let mut lease = pq.checkout(snapshot, &config, seed);
+            let session = lease.core();
+            let candidates = match opts.restrict {
+                None => session.focus_candidates().to_vec(),
+                Some(r) => {
+                    let mut v = normalized(r);
+                    v.retain(|&vx| session.is_focus_candidate(vx));
+                    v
+                }
+            };
+            let ExecMode::Parallel(parallelism) = mode else {
+                // Sequential: the same tasks, decided lazily on the pooled
+                // session as the stream is iterated.
+                matches.schedule = Schedule::Streaming {
+                    snapshot: Arc::clone(snapshot),
+                    lease,
+                    candidates,
+                    pos: 0,
+                    ctl,
+                    count,
+                    done: false,
+                };
+                return Ok(matches);
+            };
+            planning = lease.stats();
+            tasks.extend(candidates.into_iter().map(|v| (0, v)));
+            (&[], parallelism)
+        }
+    };
+    let site = |s: usize| match fragments.get(s) {
+        Some(fragment) => (fragment.graph(), Some(fragment)),
+        None => (snapshot.graph(), None),
+    };
 
+    let compiled = pq.compiled();
     let mut owned = None;
     let runtime = resolve_runtime(parallelism, &mut owned);
-    let ctl = ExecControl::new(opts.limit, opts.cancel.clone(), opts.budget.clone());
     let start = Instant::now();
     let outcome = runtime
         .try_map_with_cancel(
             tasks.len(),
             ctl.runtime_token(),
-            || FragmentScratch {
-                sessions: (0..n).map(|_| None).collect(),
-                fragment_busy: vec![Duration::ZERO; n],
+            || {
+                let mut sessions: Vec<Option<SessionCore>> =
+                    (0..fragments.len().max(1)).map(|_| None).collect();
+                // Every worker decides on the whole graph; a fragment's
+                // session waits for the first task that lands there.
+                if fragments.is_empty() {
+                    sessions[0] = Some(SessionCore::new(
+                        site(0).0,
+                        Arc::clone(compiled),
+                        &config,
+                        None,
+                    ));
+                }
+                SiteScratch {
+                    sessions,
+                    accepted: Vec::new(),
+                    fragment_busy: vec![Duration::ZERO; fragments.len()],
+                }
             },
             |scratch, i| {
                 if ctl.should_stop() {
-                    return None;
+                    return;
                 }
-                let (f, local) = tasks[i];
-                let f = f as usize;
-                let FragmentScratch {
+                let (s, focus) = tasks[i];
+                let s = s as usize;
+                let (graph, fragment) = site(s);
+                let SiteScratch {
                     sessions,
+                    accepted,
                     fragment_busy,
                 } = scratch;
-                let session = sessions[f].get_or_insert_with(|| {
+                let session = sessions[s].get_or_insert_with(|| {
                     let t0 = Instant::now();
-                    let session =
-                        SessionCore::new(fragments[f].graph(), Arc::clone(&compiled), &config);
-                    fragment_busy[f] += t0.elapsed();
+                    let session = SessionCore::new(graph, Arc::clone(compiled), &config, None);
+                    fragment_busy[s] += t0.elapsed();
                     session
                 });
                 // Pruned candidates exit through one bitmap probe with no
                 // clock reads — per-item timing only wraps real
                 // verifications, so the balance accounting does not tax the
                 // (common) cheap path.
-                if !session.is_focus_candidate(local) {
-                    return None;
+                if !session.is_focus_candidate(focus) || !ctl.charge() {
+                    return;
                 }
-                if !ctl.charge() {
-                    return None;
+                let t0 = fragment.map(|_| Instant::now());
+                let verdict = session.decide(graph, focus, count, ctl.decide_token());
+                if let Some(t0) = t0 {
+                    fragment_busy[s] += t0.elapsed();
                 }
-                let t0 = Instant::now();
-                let fgraph = fragments[f].graph();
-                let decision = match count {
-                    None => session.decide_cancellable(fgraph, local, ctl.decide_token()),
-                    Some(mode) => session
-                        .decide_count_cancellable(fgraph, local, mode, ctl.decide_token())
-                        .map(|(d, _)| d),
-                };
-                fragment_busy[f] += t0.elapsed();
-                match decision {
-                    Some(true) if ctl.try_accept() => Some(fragments[f].to_global(local)),
-                    _ => None,
+                if let Some(v) = verdict.filter(|v| v.matched && ctl.try_accept()) {
+                    accepted.push(FocusCount {
+                        focus: fragment.map_or(focus, |f| f.to_global(focus)),
+                        witnesses: v.witnesses,
+                    });
                 }
             },
         )
         .map_err(MatchError::TaskPanicked)?;
 
-    let truncated = ctl.budget_exhausted();
-    if truncated && opts.on_budget == BudgetPolicy::Fail {
+    matches.truncated = ctl.budget_exhausted();
+    if matches.truncated && matches.fail_on_budget {
         return Err(MatchError::BudgetExceeded);
     }
+    matches.cancelled = ctl.was_cancelled();
 
     // Coordinator: union of the partial answers.
-    let mut matches: Vec<NodeId> = outcome.outputs.into_iter().flatten().flatten().collect();
-    matches.sort_unstable();
-    matches.dedup();
-
-    let mut stats = MatchStats::default();
-    let mut worker_times = vec![Duration::ZERO; n];
+    let mut stats = planning;
+    let mut worker_times = vec![Duration::ZERO; fragments.len()];
     for scratch in outcome.states {
+        matches.accepted.extend(scratch.accepted);
         for session in scratch.sessions.into_iter().flatten() {
             stats += session.stats();
         }
@@ -664,20 +582,16 @@ fn execute_partitioned<'q>(
             worker_times[f] += *busy;
         }
     }
-    let telemetry = ParallelTelemetry {
-        worker_times,
-        thread_busy: outcome.worker_busy,
-        steals: outcome.steals,
-        elapsed: start.elapsed(),
-    };
-    Ok(Matches {
-        inner: Inner::Buffered {
-            results: matches,
-            pos: 0,
-            stats,
-            telemetry,
-            truncated,
-            cancelled: ctl.was_cancelled(),
+    matches.accepted.sort_unstable_by_key(|f| f.focus);
+    matches.accepted.dedup_by_key(|f| f.focus);
+    matches.schedule = Schedule::Buffered {
+        stats,
+        telemetry: ParallelTelemetry {
+            worker_times,
+            thread_busy: outcome.worker_busy,
+            steals: outcome.steals,
+            elapsed: start.elapsed(),
         },
-    })
+    };
+    Ok(matches)
 }

@@ -1,10 +1,9 @@
 //! The prepared-query engine: compile a pattern once, execute it many
 //! times, stream the answers.
 //!
-//! This module is the **one execution surface** of the QGP stack.  The
-//! historical free functions (`quantified_match*`, `pqmatch*`) survive as
-//! deprecated thin wrappers, so sequential, parallel and partitioned
-//! matching provably share the implementation that lives here.
+//! This module is the **one execution surface** of the QGP stack:
+//! sequential, parallel, partitioned and counting executions, view repair
+//! and registry serving all schedule the same per-focus decision kernel.
 //!
 //! The flow mirrors a database client:
 //!
@@ -13,7 +12,7 @@
 //!    [`PreparedQuery`] — the resolved positive projection, the positified
 //!    negation patterns and the pattern radius are derived exactly once,
 //!    and per-[`MatchConfig`] matcher sessions (candidate analysis, search
-//!    order, counter scratch) are cached across executions,
+//!    order, counter scratch) are pooled across executions,
 //! 3. [`PreparedQuery::execute`] runs it under [`ExecOptions`]: sequential
 //!    streaming, whole-graph parallel, or partitioned (`PQMatch`-style)
 //!    execution, with an answer limit, a focus-candidate restriction and a
@@ -46,7 +45,7 @@
 //! let pattern = b.build().unwrap();
 //!
 //! let engine = Engine::new(&graph);
-//! let mut prepared = engine.prepare(&pattern).unwrap();
+//! let prepared = engine.prepare(&pattern).unwrap();
 //! // Stream the answers; `prepared` is reusable for the next execution.
 //! let matches: Vec<_> = prepared.execute(ExecOptions::sequential()).unwrap().collect();
 //! assert_eq!(matches, vec![ann]);
@@ -72,7 +71,7 @@ pub use view::{MatchView, ViewDelta, ViewError};
 
 pub use crate::matching::CountMode;
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use qgp_graph::{Graph, GraphSnapshot, GraphStore};
 
@@ -81,10 +80,10 @@ use crate::matching::compiled::CompiledPattern;
 use crate::matching::{CandidateSets, MatchConfig, MatchStats, QueryAnswer, SessionCore};
 use crate::pattern::Pattern;
 
-/// Upper bound on the per-config matcher sessions a [`PreparedQuery`]
-/// caches.  When full, sessions pinned to *other* snapshots are evicted
-/// first (serving moves forward through epochs, so old-epoch sessions are
-/// dead weight), then the oldest entry.
+/// Upper bound on the idle matcher sessions a [`PreparedQuery`] pools.
+/// When full, sessions pinned to *other* snapshots are evicted first
+/// (serving moves forward through epochs, so old-epoch sessions are dead
+/// weight), then the oldest entry.
 const MAX_CACHED_SESSIONS: usize = 8;
 
 /// The entry point of the prepared-query engine: an owned handle on one
@@ -137,39 +136,117 @@ impl Engine {
     ///
     /// Compilation derives everything graph-independent once — the positive
     /// projection `Π(Q)`, the positified patterns `Π(Q^{+e})` for every
-    /// negated edge, the radius — and the prepared query lazily caches one
+    /// negated edge, the radius — and the prepared query lazily pools one
     /// matcher session per ([`GraphSnapshot`], [`MatchConfig`]) pair it is
     /// executed with, so executing the same prepared query repeatedly
     /// re-uses candidate analysis and counter scratch instead of rebuilding
     /// them per call.
     pub fn prepare(&self, pattern: &Pattern) -> Result<PreparedQuery, MatchError> {
         pattern.validate().map_err(MatchError::InvalidPattern)?;
-        Ok(self.prepare_unvalidated(pattern))
-    }
-
-    /// [`Engine::prepare`] without the validation step, for callers that
-    /// already validated (or deliberately run unchecked patterns).
-    pub(crate) fn prepare_unvalidated(&self, pattern: &Pattern) -> PreparedQuery {
-        PreparedQuery {
+        Ok(PreparedQuery {
             snapshot: Arc::clone(&self.snapshot),
             compiled: Arc::new(CompiledPattern::compile(pattern)),
-            sessions: Vec::new(),
+            pool: Arc::default(),
+        })
+    }
+}
+
+/// One pooled matcher session: the snapshot and config it was built for,
+/// its build order within the pool, and the graph-independent session
+/// state itself.
+struct SessionEntry {
+    snapshot: Arc<GraphSnapshot>,
+    config: MatchConfig,
+    seq: u64,
+    /// Boxed: check-out and check-in move a pointer, not a session.
+    core: Box<SessionCore>,
+}
+
+impl SessionEntry {
+    fn serves(&self, snapshot: &Arc<GraphSnapshot>, config: &MatchConfig) -> bool {
+        Arc::ptr_eq(&self.snapshot, snapshot) && self.config == *config
+    }
+}
+
+/// The idle matcher sessions of one [`PreparedQuery`], in build order.  An
+/// execution checks the session for its (snapshot, config) out — building
+/// it when none is idle — and checks it back in when done; the lock is held
+/// only for those two list operations, never while matching, so any number
+/// of executions of one query run side by side, each on its own session.
+#[derive(Default)]
+struct SessionPool {
+    idle: Mutex<IdleSessions>,
+}
+
+#[derive(Default)]
+struct IdleSessions {
+    entries: Vec<SessionEntry>,
+    next_seq: u64,
+}
+
+impl SessionPool {
+    fn lock(&self) -> MutexGuard<'_, IdleSessions> {
+        // Every critical section leaves the list valid at every step.
+        self.idle.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl IdleSessions {
+    /// Makes room for one more session on `snapshot`: sessions pinned to
+    /// other snapshots go first, then the oldest.
+    fn evict_for(&mut self, snapshot: &Arc<GraphSnapshot>) {
+        if self.entries.len() >= MAX_CACHED_SESSIONS {
+            let victim = self
+                .entries
+                .iter()
+                .position(|e| !Arc::ptr_eq(&e.snapshot, snapshot))
+                .unwrap_or(0);
+            self.entries.remove(victim);
         }
     }
 }
 
-/// One cached matcher session: the snapshot and config it was built for,
-/// plus the graph-independent session state itself.
-struct SessionEntry {
-    snapshot: Arc<GraphSnapshot>,
-    config: MatchConfig,
-    core: SessionCore,
+/// A checked-out matcher session.  Dropping the lease returns the session
+/// to its pool — unless the thread is unwinding from a panic, in which case
+/// the session's scratch is suspect and dies with the lease.
+pub(crate) struct Lease {
+    pool: Arc<SessionPool>,
+    entry: Option<SessionEntry>,
+    /// Session counters at check-out (zero for a session this lease built),
+    /// so an execution reports only the work attributable to itself.
+    pub(crate) baseline: MatchStats,
+}
+
+impl Lease {
+    pub(crate) fn core(&mut self) -> &mut SessionCore {
+        &mut self.entry.as_mut().expect("held until drop").core
+    }
+
+    /// Work done through this lease so far (a build it triggered included).
+    pub(crate) fn stats(&self) -> MatchStats {
+        self.entry.as_ref().expect("held until drop").core.stats() - self.baseline
+    }
+}
+
+impl Drop for Lease {
+    fn drop(&mut self) {
+        let Some(entry) = self.entry.take() else {
+            return;
+        };
+        if std::thread::panicking() {
+            return;
+        }
+        let mut idle = self.pool.lock();
+        idle.evict_for(&entry.snapshot);
+        let at = idle.entries.partition_point(|e| e.seq < entry.seq);
+        idle.entries.insert(at, entry);
+    }
 }
 
 /// A compiled pattern pinned to a default [`GraphSnapshot`], reusable
 /// across any number of executions — and, because it is fully owned
-/// (`'static`), storable in long-lived registries and movable across
-/// threads.
+/// (`'static`) and `Sync`, storable in long-lived registries and executable
+/// from several threads at once through `&self`.
 ///
 /// Executions go through [`PreparedQuery::execute`] (streaming
 /// [`Matches`]) or the [`PreparedQuery::run`] convenience (collected
@@ -179,15 +256,16 @@ struct SessionEntry {
 /// epoch of the same [`GraphStore`] — without recompiling.  The first
 /// execution against a given (snapshot, [`MatchConfig`]) pair builds that
 /// pair's matcher session (visible as [`MatchStats::sessions_built`] in
-/// that execution's stats); later executions reuse it, which is the
-/// engine's compile-once payoff for serving one pattern thousands of
-/// times.
+/// that execution's stats); later executions check it out of the query's
+/// pool and back in, which is the engine's compile-once payoff for serving
+/// one pattern thousands of times.  An execution that finds the pair's
+/// session checked out by a concurrent one builds its own.
 pub struct PreparedQuery {
     snapshot: Arc<GraphSnapshot>,
     compiled: Arc<CompiledPattern>,
-    /// Lazily built matcher sessions, one per distinct (snapshot, config)
-    /// executed, capped at [`MAX_CACHED_SESSIONS`].
-    sessions: Vec<SessionEntry>,
+    /// Idle matcher sessions, at most [`MAX_CACHED_SESSIONS`]; shared with
+    /// the [`Matches`] streams that hold a checked-out one.
+    pool: Arc<SessionPool>,
 }
 
 impl PreparedQuery {
@@ -209,7 +287,7 @@ impl PreparedQuery {
 
     /// Re-pins the query's *default* snapshot (what [`PreparedQuery::execute`]
     /// and friends run against) without touching the compiled pattern.
-    /// Cached sessions for the old snapshot are kept until evicted, so
+    /// Pooled sessions for the old snapshot are kept until evicted, so
     /// briefly flipping back is cheap.
     pub fn pin(&mut self, snapshot: Arc<GraphSnapshot>) {
         self.snapshot = snapshot;
@@ -220,22 +298,22 @@ impl PreparedQuery {
     ///
     /// Errors are limited to partitioned-mode misconfiguration
     /// ([`MatchError::RadiusExceedsPartition`],
-    /// [`MatchError::EmptyPartition`]); sequential and whole-graph parallel
-    /// executions always succeed.
-    pub fn execute<'q>(&'q mut self, opts: ExecOptions<'q>) -> Result<Matches<'q>, MatchError> {
-        let snapshot = Arc::clone(&self.snapshot);
-        exec::execute(self, snapshot, opts)
+    /// [`MatchError::EmptyPartition`]), a panicking parallel task
+    /// ([`MatchError::TaskPanicked`]) and [`BudgetPolicy::Fail`];
+    /// sequential executions always succeed.
+    pub fn execute(&self, opts: ExecOptions<'_>) -> Result<Matches, MatchError> {
+        self.execute_on(&self.snapshot, opts)
     }
 
     /// [`PreparedQuery::execute`] against an explicit snapshot — the
     /// serve-under-updates form: prepare once, then execute against each
     /// fresh epoch a [`GraphStore`] publishes.
-    pub fn execute_on<'q>(
-        &'q mut self,
+    pub fn execute_on(
+        &self,
         snapshot: &Arc<GraphSnapshot>,
-        opts: ExecOptions<'q>,
-    ) -> Result<Matches<'q>, MatchError> {
-        exec::execute(self, Arc::clone(snapshot), opts)
+        opts: ExecOptions<'_>,
+    ) -> Result<Matches, MatchError> {
+        exec::execute(self, snapshot, &opts, None)
     }
 
     /// [`PreparedQuery::execute`] run to completion: the collected
@@ -246,17 +324,28 @@ impl PreparedQuery {
     /// returns [`MatchError::BudgetExceeded`]; under the default
     /// [`BudgetPolicy::Partial`] it returns the matches found so far with
     /// [`QueryAnswer::truncated`] set.
-    pub fn run(&mut self, opts: ExecOptions<'_>) -> Result<QueryAnswer, MatchError> {
-        self.execute(opts)?.try_into_answer()
+    pub fn run(&self, opts: ExecOptions<'_>) -> Result<QueryAnswer, MatchError> {
+        self.run_on(&self.snapshot, opts)
     }
 
     /// [`PreparedQuery::run`] against an explicit snapshot.
     pub fn run_on(
-        &mut self,
+        &self,
         snapshot: &Arc<GraphSnapshot>,
         opts: ExecOptions<'_>,
     ) -> Result<QueryAnswer, MatchError> {
-        self.execute_on(snapshot, opts)?.try_into_answer()
+        self.run_seeded(snapshot, &opts, None)
+    }
+
+    /// [`PreparedQuery::run_on`] for the registry: a session this run has
+    /// to build takes its candidate analysis from `seed`.
+    pub(crate) fn run_seeded(
+        &self,
+        snapshot: &Arc<GraphSnapshot>,
+        opts: &ExecOptions<'_>,
+        seed: Option<&CandidateSets>,
+    ) -> Result<QueryAnswer, MatchError> {
+        exec::execute(self, snapshot, opts, seed)?.try_into_answer()
     }
 
     /// Executes the prepared query as a *counting* query: which foci match,
@@ -271,18 +360,18 @@ impl PreparedQuery {
     /// [`ExecOptions::count_exact`] for exact witness cardinalities).
     /// `limit`, `restrict_to`, cancellation and budgets compose exactly as
     /// they do for [`PreparedQuery::execute`], in all three [`ExecMode`]s.
-    pub fn count(&mut self, opts: ExecOptions<'_>) -> Result<CountAnswer, MatchError> {
-        let snapshot = Arc::clone(&self.snapshot);
-        count::count(self, snapshot, opts)
+    pub fn count(&self, opts: ExecOptions<'_>) -> Result<CountAnswer, MatchError> {
+        self.count_on(&self.snapshot, opts)
     }
 
     /// [`PreparedQuery::count`] against an explicit snapshot.
     pub fn count_on(
-        &mut self,
+        &self,
         snapshot: &Arc<GraphSnapshot>,
-        opts: ExecOptions<'_>,
+        mut opts: ExecOptions<'_>,
     ) -> Result<CountAnswer, MatchError> {
-        count::count(self, Arc::clone(snapshot), opts)
+        opts.count = Some(opts.count.unwrap_or_default());
+        exec::execute(self, snapshot, &opts, None)?.try_into_count()
     }
 
     /// Materializes the current answer as a live [`MatchView`] that
@@ -303,70 +392,126 @@ impl PreparedQuery {
         &self.compiled
     }
 
-    /// Is a session for `(snapshot, config)` already cached?  (Registry
+    /// Is a session for `(snapshot, config)` idle in the pool?  (Registry
     /// pre-prime uses this to count cache hits honestly.)
     pub(crate) fn has_session(&self, snapshot: &Arc<GraphSnapshot>, config: &MatchConfig) -> bool {
-        self.sessions
+        self.pool
+            .lock()
+            .entries
             .iter()
-            .any(|e| Arc::ptr_eq(&e.snapshot, snapshot) && e.config == *config)
+            .any(|e| e.serves(snapshot, config))
     }
 
-    /// The cached session for `(snapshot, config)`, building it on first
-    /// use, plus the stats baseline from before any build (so callers can
-    /// report the delta attributable to the current execution).
-    pub(crate) fn session_for(
-        &mut self,
-        snapshot: &Arc<GraphSnapshot>,
-        config: &MatchConfig,
-    ) -> (&mut SessionCore, MatchStats) {
-        self.session_for_seeded(snapshot, config, None)
-    }
-
-    /// [`PreparedQuery::session_for`], seeding a freshly built session's
-    /// candidate sets from the registry's per-epoch Π(Q) cache when given.
-    pub(crate) fn session_for_seeded(
-        &mut self,
+    /// Checks the session for `(snapshot, config)` out of the pool,
+    /// building it — seeded from the registry's per-epoch Π(Q) cache when
+    /// `seed` is given — if none is idle.
+    pub(crate) fn checkout(
+        &self,
         snapshot: &Arc<GraphSnapshot>,
         config: &MatchConfig,
         seed: Option<&CandidateSets>,
-    ) -> (&mut SessionCore, MatchStats) {
-        if let Some(idx) = self
-            .sessions
-            .iter()
-            .position(|e| Arc::ptr_eq(&e.snapshot, snapshot) && e.config == *config)
-        {
-            let baseline = self.sessions[idx].core.stats();
-            (&mut self.sessions[idx].core, baseline)
-        } else {
-            if self.sessions.len() >= MAX_CACHED_SESSIONS {
-                // Prefer evicting sessions pinned to other snapshots;
-                // fall back to the oldest entry.
-                match self
-                    .sessions
-                    .iter()
-                    .position(|e| !Arc::ptr_eq(&e.snapshot, snapshot))
-                {
-                    Some(idx) => {
-                        self.sessions.remove(idx);
-                    }
-                    None => {
-                        self.sessions.remove(0);
-                    }
-                }
+    ) -> Lease {
+        let mut idle = self.pool.lock();
+        let (entry, baseline) = match idle.entries.iter().position(|e| e.serves(snapshot, config)) {
+            Some(idx) => {
+                let entry = idle.entries.remove(idx);
+                let baseline = entry.core.stats();
+                (entry, baseline)
             }
-            let core = SessionCore::new_seeded(
-                snapshot.graph(),
-                Arc::clone(&self.compiled),
-                config,
-                seed,
-            );
-            self.sessions.push(SessionEntry {
-                snapshot: Arc::clone(snapshot),
-                config: *config,
-                core,
-            });
-            let idx = self.sessions.len() - 1;
-            (&mut self.sessions[idx].core, MatchStats::default())
+            None => {
+                idle.evict_for(snapshot);
+                let seq = idle.next_seq;
+                idle.next_seq += 1;
+                // Built outside the lock: other executions of this query
+                // keep checking sessions in and out meanwhile.
+                drop(idle);
+                let core =
+                    SessionCore::new(snapshot.graph(), Arc::clone(&self.compiled), config, seed);
+                let entry = SessionEntry {
+                    snapshot: Arc::clone(snapshot),
+                    config: *config,
+                    seq,
+                    core: Box::new(core),
+                };
+                (entry, MatchStats::default())
+            }
+        };
+        Lease {
+            pool: Arc::clone(&self.pool),
+            entry: Some(entry),
+            baseline,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pattern::library;
+    use qgp_graph::GraphBuilder;
+
+    fn prepared() -> PreparedQuery {
+        let mut b = GraphBuilder::new();
+        let ann = b.add_node("person");
+        let bob = b.add_node("person");
+        b.add_edge(ann, bob, "follow").unwrap();
+        Engine::new(&b.build())
+            .prepare(&library::q2_redmi_universal())
+            .unwrap()
+    }
+
+    #[test]
+    fn a_lease_returns_its_session_unless_its_holder_panicked() {
+        let pq = prepared();
+        let snapshot = Arc::clone(pq.snapshot());
+        let config = MatchConfig::qmatch();
+
+        drop(pq.checkout(&snapshot, &config, None));
+        assert!(pq.has_session(&snapshot, &config));
+        // Checked out, the session is nobody else's to take.
+        let lease = pq.checkout(&snapshot, &config, None);
+        assert_eq!(lease.baseline.sessions_built, 1, "the pooled one");
+        assert!(!pq.has_session(&snapshot, &config));
+        drop(lease);
+
+        let unwound = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _lease = pq.checkout(&snapshot, &config, None);
+                panic!("the task holding the lease dies");
+            })
+            .join()
+        });
+        assert!(unwound.is_err());
+        // A suspect session is dropped, not pooled.
+        assert!(!pq.has_session(&snapshot, &config));
+        let rebuilt = pq.run(ExecOptions::sequential()).unwrap();
+        assert_eq!(rebuilt.stats.sessions_built, 1);
+    }
+
+    #[test]
+    fn the_pool_is_capped_and_evicts_other_snapshots_first() {
+        let pq = prepared();
+        let here = Arc::clone(pq.snapshot());
+        let elsewhere = Arc::new(GraphSnapshot::new(here.graph().clone()));
+        let config = MatchConfig::qmatch();
+        let idle = |snapshot| {
+            let pool = pq.pool.lock();
+            let serving = pool.entries.iter().filter(|e| e.serves(snapshot, &config));
+            serving.count()
+        };
+
+        // Executions side by side each hold (and return) their own session.
+        let held: Vec<Lease> = (0..3)
+            .map(|_| pq.checkout(&elsewhere, &config, None))
+            .collect();
+        drop(held);
+        assert_eq!(idle(&elsewhere), 3);
+        let held: Vec<Lease> = (0..MAX_CACHED_SESSIONS)
+            .map(|_| pq.checkout(&here, &config, None))
+            .collect();
+        drop(held);
+        assert_eq!(pq.pool.lock().entries.len(), MAX_CACHED_SESSIONS);
+        assert_eq!(idle(&elsewhere), 0, "other snapshots go first");
+        assert_eq!(idle(&here), MAX_CACHED_SESSIONS);
     }
 }

@@ -1,8 +1,6 @@
 //! Execution options: the one description of *how* a prepared query runs.
 //!
-//! [`ExecOptions`] unifies what used to be three disjoint entry styles —
-//! sequential free functions, `pqmatch`-style partitioned calls, and
-//! explicit-runtime variants — into a single value handed to
+//! [`ExecOptions`] is the single value handed to
 //! [`PreparedQuery::execute`](super::PreparedQuery::execute): the execution
 //! [mode](ExecMode), the [`MatchConfig`], an optional answer
 //! [limit](ExecOptions::limit), an optional focus-candidate
@@ -107,8 +105,7 @@ pub struct ExecOptions<'a> {
     /// remaining candidates are never verified).
     pub limit: Option<usize>,
     /// Restrict the focus candidates to this node set (global ids under
-    /// [`ExecMode::Partitioned`]).  Subsumes the old
-    /// `quantified_match_restricted`.
+    /// [`ExecMode::Partitioned`]).
     pub restrict: Option<&'a [NodeId]>,
     /// Cooperative cancellation/deadline token, polled between candidates
     /// and between verification phases.
@@ -120,10 +117,11 @@ pub struct ExecOptions<'a> {
     pub budget: Option<ExecBudget>,
     /// Policy applied when [`ExecOptions::budget`] is exhausted.
     pub on_budget: BudgetPolicy,
-    /// Aggregate pushdown: when set, per-candidate decisions run through
-    /// the counting path ([`MatchSession::decide_count`](crate::matching::MatchSession::decide_count))
-    /// instead of enumerating child matches — the accepted set is identical,
-    /// only the work differs.  [`PreparedQuery::count`](super::PreparedQuery::count)
+    /// Aggregate pushdown: when set, per-candidate decisions take the
+    /// kernel's counting work profile (what
+    /// [`MatchSession::decide_count`](crate::matching::MatchSession::decide_count)
+    /// runs) instead of enumerating child matches — the accepted set is
+    /// identical, only the work differs.  [`PreparedQuery::count`](super::PreparedQuery::count)
     /// uses this as its [`CountMode`] (defaulting to
     /// [`CountMode::ThresholdOnly`] when unset).
     pub count: Option<CountMode>,

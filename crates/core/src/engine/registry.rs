@@ -16,10 +16,12 @@
 //!    reports the hits.
 //! 2. **Fan-out** (parallel): the requests execute concurrently on the
 //!    work-stealing runtime, one task per request, each honoring its own
-//!    [`ServeRequest::limit`], [`ExecBudget`] and [`CancelToken`].  Two
-//!    requests naming the *same* query serialize on that query's lock (a
-//!    prepared query's session scratch is single-writer by design);
-//!    requests for different queries run fully in parallel.
+//!    [`ServeRequest::limit`], [`ExecBudget`] and [`CancelToken`].
+//!    Nothing is locked while a request runs: each checks a matcher
+//!    session out of its query's pool, so two requests naming the *same*
+//!    query run side by side — the first on the primed session, the second
+//!    on one of its own, seeded read-only from the batch's Π(Q) cache
+//!    entry.
 //!
 //! The registry never blocks writers: it executes against the snapshot it
 //! is handed, and a [`qgp_graph::GraphStore`] writer publishing new epochs
@@ -27,7 +29,7 @@
 //! batch.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 use qgp_graph::GraphSnapshot;
 use qgp_runtime::{CancelToken, ExecBudget, Runtime};
@@ -151,7 +153,7 @@ pub struct CacheStats {
 /// Cache key: the `Display` rendering of the positive projection `Π(Q)`
 /// plus the two config bits that shape the analysis (candidate filter
 /// choice and simulation refinement).
-type CacheKey = (String, bool, bool);
+type CacheKey = (Arc<str>, bool, bool);
 
 /// The per-epoch candidate-analysis cache: valid for exactly one snapshot
 /// identity, cleared whenever `serve` is handed a different one.
@@ -165,12 +167,22 @@ struct CandidateCache {
     misses: u64,
 }
 
-/// One registered query: the prepared query behind its serve lock, plus
-/// the projection fingerprint the candidate cache shares analyses by.
+/// One registered query, plus the projection fingerprint the candidate
+/// cache shares analyses by.
 struct Entry {
     id: QueryId,
-    fingerprint: String,
-    query: Mutex<PreparedQuery>,
+    fingerprint: Arc<str>,
+    query: PreparedQuery,
+}
+
+impl Entry {
+    fn cache_key(&self, config: &MatchConfig) -> CacheKey {
+        (
+            Arc::clone(&self.fingerprint),
+            config.use_upper_bound_pruning,
+            config.use_simulation_filter,
+        )
+    }
 }
 
 /// A set of registered [`PreparedQuery`]s served in batches against epoch
@@ -229,23 +241,17 @@ impl QueryRegistry {
         self.next_id += 1;
         self.entries.push(Entry {
             id,
-            fingerprint: query.compiled().pi.to_string(),
-            query: Mutex::new(query),
+            fingerprint: query.compiled().pi.to_string().into(),
+            query,
         });
         id
     }
 
-    /// Removes a registered query, returning it (its cached sessions
+    /// Removes a registered query, returning it (its pooled sessions
     /// intact) — `None` if the id was never registered or already removed.
     pub fn unregister(&mut self, id: QueryId) -> Option<PreparedQuery> {
         let idx = self.entries.iter().position(|e| e.id == id)?;
-        let entry = self.entries.remove(idx);
-        Some(
-            entry
-                .query
-                .into_inner()
-                .unwrap_or_else(PoisonError::into_inner),
-        )
+        Some(self.entries.remove(idx).query)
     }
 
     /// Number of registered queries.
@@ -310,6 +316,7 @@ impl QueryRegistry {
         // Phase 2 (parallel): fan the requests out, one task per request.
         let never = CancelToken::new();
         let entries = &self.entries;
+        let cache = &self.cache.entries;
         let outcome = runtime.try_map_with_cancel(
             requests.len(),
             &never,
@@ -321,16 +328,17 @@ impl QueryRegistry {
                         id: req.query().raw(),
                     });
                 };
-                let mut q = entries[idx]
-                    .query
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
+                let entry = &entries[idx];
                 let mut opts = ExecOptions::sequential().with_config(req.config);
                 opts.limit = req.limit;
                 opts.budget = req.budget.clone();
                 opts.cancel = req.cancel.clone();
                 opts.count = req.count;
-                q.run_on(snapshot, opts)
+                // The primed session is checked out unless a request for
+                // the same query holds it; the analysis is in the cache
+                // either way.
+                let seed = cache.get(&entry.cache_key(&req.config));
+                entry.query.run_seeded(snapshot, &opts, seed)
             },
         );
         match outcome {
@@ -365,23 +373,18 @@ impl QueryRegistry {
     /// config)`, seeding (or populating) the shared candidate cache.
     fn prime(&mut self, idx: usize, snapshot: &Arc<GraphSnapshot>, config: &MatchConfig) {
         let entry = &self.entries[idx];
-        let mut q = entry.query.lock().unwrap_or_else(PoisonError::into_inner);
-        if q.has_session(snapshot, config) {
+        if entry.query.has_session(snapshot, config) {
             return;
         }
-        let key = (
-            entry.fingerprint.clone(),
-            config.use_upper_bound_pruning,
-            config.use_simulation_filter,
-        );
-        let seed = self.cache.entries.get(&key).cloned();
+        let key = entry.cache_key(config);
+        let seed = self.cache.entries.get(&key);
         let hit = seed.is_some();
-        let (session, _) = q.session_for_seeded(snapshot, config, seed.as_ref());
+        let mut session = entry.query.checkout(snapshot, config, seed);
         if hit {
             self.cache.hits += 1;
         } else {
             self.cache.misses += 1;
-            if let Some(sets) = session.candidate_sets() {
+            if let Some(sets) = session.core().candidate_sets() {
                 self.cache.entries.insert(key, sets.clone());
             }
         }

@@ -279,7 +279,7 @@ impl MatchView {
         let candidates = core.focus_candidates().to_vec();
         let matches = candidates
             .into_iter()
-            .filter(|&v| core.decide(&graph, v))
+            .filter(|&v| core.accepts(&graph, v))
             .collect();
         MatchView {
             scratch: BfsScratch::for_graph(&graph),
@@ -363,7 +363,7 @@ impl MatchView {
             .focus_candidates()
             .to_vec()
             .into_iter()
-            .filter(|&v| core.decide(graph, v))
+            .filter(|&v| core.accepts(graph, v))
             .collect();
         self.core = core;
         self.matches = matches;
@@ -515,7 +515,7 @@ impl MatchView {
                     }
                     let run = catch_unwind(AssertUnwindSafe(|| {
                         faults::fault_point("view-redecide", idx);
-                        core.decide(graph, v)
+                        core.accepts(graph, v)
                     }));
                     match run {
                         Ok(d) => decisions.push(d),
@@ -560,7 +560,7 @@ impl MatchView {
                         if budget.is_some_and(|b| !b.charge(1)) {
                             return None;
                         }
-                        Some(core.decide(graph, affected[i]))
+                        Some(core.accepts(graph, affected[i]))
                     },
                 );
                 match result {

@@ -42,7 +42,7 @@
 //!
 //! // Prepare once, execute as often as needed.
 //! let engine = Engine::new(&graph);
-//! let mut prepared = engine.prepare(&pattern).unwrap();
+//! let prepared = engine.prepare(&pattern).unwrap();
 //! let answer = prepared.run(ExecOptions::sequential()).unwrap();
 //! assert_eq!(answer.matches, vec![ann]);
 //! ```
@@ -55,12 +55,17 @@ pub mod error;
 pub mod matching;
 pub mod pattern;
 
+// The shared test helper names this crate the way integration tests do.
+#[cfg(test)]
+extern crate self as qgp_core;
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+pub(crate) mod test_support;
+
 pub use engine::{
     CancelToken, CountAnswer, Engine, ExecMode, ExecOptions, FocusCount, Matches,
     ParallelTelemetry, Parallelism, PreparedQuery,
 };
 pub use error::{MatchError, PatternError};
 pub use matching::{conventional_match, CountMode, MatchConfig, MatchStats, QueryAnswer};
-#[allow(deprecated)]
-pub use matching::{quantified_match, quantified_match_restricted, quantified_match_with};
 pub use pattern::{CountingQuantifier, Pattern, PatternBuilder, PatternEdgeId, PatternNodeId};

@@ -23,6 +23,7 @@
 
 use qgp_graph::{DenseBitSet, Graph, NodeId};
 
+use super::config::MatchConfig;
 use super::resolved::ResolvedPattern;
 use super::stats::MatchStats;
 
@@ -163,6 +164,18 @@ pub(crate) enum CandidateFilter {
     LabelOnly,
     /// Additionally require `U(v, e) = |Mₑ(v)|` to satisfy each quantifier.
     QuantifierAware,
+}
+
+impl CandidateFilter {
+    /// The filter a matcher configuration implies: quantifier-aware degree
+    /// pruning when upper bounds are on, label-only otherwise.
+    pub(crate) fn implied_by(config: &MatchConfig) -> Self {
+        if config.use_upper_bound_pruning {
+            CandidateFilter::QuantifierAware
+        } else {
+            CandidateFilter::LabelOnly
+        }
+    }
 }
 
 /// Builds the candidate sets for a resolved (positive) pattern.

@@ -1,12 +1,11 @@
 //! Quantified matching algorithms (Sections 4 of the paper).
 //!
-//! * [`quantified_match`] / [`quantified_match_with`] — the `QMatch`
-//!   algorithm (and, through [`MatchConfig`], the `QMatchn` and `Enum`
-//!   variants evaluated in Section 7),
+//! * [`MatchSession`] — the resumable per-candidate session around the one
+//!   decision kernel of `QMatch` (and, through [`MatchConfig`], of the
+//!   `QMatchn` and `Enum` variants evaluated in Section 7) that every
+//!   execution mode of [`crate::engine`] schedules,
 //! * [`conventional_match`] — traditional subgraph-isomorphism matching of
 //!   the stratified pattern,
-//! * [`MatchSession`] — the resumable per-candidate session API the batch
-//!   matchers and the parallel runtime both schedule through,
 //! * [`reference::evaluate_reference`] — a naive, brute-force oracle used for
 //!   testing.
 
@@ -27,9 +26,5 @@ pub(crate) use session::SessionCore;
 
 pub use config::MatchConfig;
 pub use qmatch::{conventional_match, QueryAnswer};
-// The deprecated one-shot entry points stay re-exported for compatibility;
-// new code goes through `crate::engine`.
-#[allow(deprecated)]
-pub use qmatch::{quantified_match, quantified_match_restricted, quantified_match_with};
 pub use session::{CountMode, MatchSession};
 pub use stats::MatchStats;

@@ -9,15 +9,12 @@
 //!    from scratch (`QMatchn`),
 //! 3. return `Q(x_o, G) = Π(Q)(x_o, G) \ ⋃_e Π(Q^{+e})(x_o, G)`.
 //!
-//! The free functions here are the stack's *historical* entry points; they
-//! are deprecated thin wrappers over the prepared-query engine
-//! ([`crate::engine::Engine`]), kept so one implementation provably serves
-//! both the old one-shot calls and the new prepare-once/execute-many flow.
+//! The algorithm itself runs in [`crate::engine`] (one decision kernel,
+//! `SessionCore::decide`, under one execution driver); this module keeps its
+//! answer type and the conventional-matching baseline.
 
 use qgp_graph::{Graph, NodeId};
 
-use super::config::MatchConfig;
-use super::quantified::match_positive;
 use super::stats::MatchStats;
 use crate::engine::{Engine, ExecOptions};
 use crate::error::MatchError;
@@ -57,87 +54,25 @@ impl QueryAnswer {
     }
 }
 
-/// Quantified matching with the default (`QMatch`) configuration.
-#[deprecated(
-    note = "prepare the pattern once with `Engine::prepare` and stream answers \
-            from `PreparedQuery::execute` (see `qgp_core::engine`)"
-)]
-pub fn quantified_match(graph: &Graph, pattern: &Pattern) -> Result<QueryAnswer, MatchError> {
-    quantified_match_impl(graph, pattern, &MatchConfig::qmatch())
-}
-
-/// Quantified matching with an explicit configuration.
-#[deprecated(
-    note = "prepare the pattern once with `Engine::prepare` and execute with \
-            `ExecOptions::sequential().with_config(..)` (see `qgp_core::engine`)"
-)]
-pub fn quantified_match_with(
-    graph: &Graph,
-    pattern: &Pattern,
-    config: &MatchConfig,
-) -> Result<QueryAnswer, MatchError> {
-    quantified_match_impl(graph, pattern, config)
-}
-
-/// The shared wrapper body: one sequential engine execution.
-fn quantified_match_impl(
-    graph: &Graph,
-    pattern: &Pattern,
-    config: &MatchConfig,
-) -> Result<QueryAnswer, MatchError> {
-    Engine::new(graph)
-        .prepare(pattern)?
-        .run(ExecOptions::sequential().with_config(*config))
-}
-
-/// Quantified matching with the focus candidates restricted to a given node
-/// set.  The pattern is assumed valid; an invalid pattern yields an empty
-/// answer.
-#[deprecated(
-    note = "use `ExecOptions::restrict_to` on a prepared query \
-            (see `qgp_core::engine::ExecOptions`)"
-)]
-pub fn quantified_match_restricted(
-    graph: &Graph,
-    pattern: &Pattern,
-    config: &MatchConfig,
-    focus_restriction: Option<&[NodeId]>,
-) -> QueryAnswer {
-    let mut prepared = Engine::new(graph).prepare_unvalidated(pattern);
-    let mut opts = ExecOptions::sequential().with_config(*config);
-    if let Some(restriction) = focus_restriction {
-        opts = opts.restrict_to(restriction);
-    }
-    prepared
-        .run(opts)
-        .expect("sequential executions cannot fail")
-}
-
 /// Conventional graph pattern matching: the pattern is interpreted as a
 /// traditional pattern (every quantifier replaced by `σ(e) ≥ 1`) and the
 /// matches of the focus are returned.  This is the baseline semantics QGPs
 /// extend, and is also used to evaluate stratified patterns `Q_π`.
 pub fn conventional_match(graph: &Graph, pattern: &Pattern) -> Result<QueryAnswer, MatchError> {
     pattern.validate().map_err(MatchError::InvalidPattern)?;
-    let stratified = pattern.stratified();
     // With every quantifier existential, the projected pattern is the whole
     // pattern and early acceptance stops at the first isomorphism per focus.
-    let out = match_positive(graph, &stratified, &MatchConfig::qmatch(), None);
-    Ok(QueryAnswer {
-        matches: out.focus_matches,
-        stats: out.stats,
-        truncated: false,
-    })
+    Engine::new(graph)
+        .prepare(&pattern.stratified())?
+        .run(ExecOptions::sequential())
 }
 
 #[cfg(test)]
-// Intentional call sites: these tests pin the behavior of the deprecated
-// wrappers themselves (which must keep matching the engine they delegate
-// to).
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::matching::MatchConfig;
     use crate::pattern::{library, CountingQuantifier, PatternBuilder};
+    use crate::test_support::{engine_match, run};
     use qgp_graph::GraphBuilder;
 
     /// Graph G1 of Fig. 2.
@@ -198,7 +133,7 @@ mod tests {
             MatchConfig::qmatch_n(),
             MatchConfig::enumerate(),
         ] {
-            let ans = quantified_match_with(&g, &q3, &config).unwrap();
+            let ans = engine_match(&g, &q3, &config);
             assert_eq!(ans.matches, vec![xs[1]], "{config:?}");
             assert!(ans.contains(xs[1]));
             assert!(!ans.contains(xs[2]));
@@ -210,8 +145,8 @@ mod tests {
     fn incremental_negation_reuses_cached_matches() {
         let (g, _, _) = g1();
         let q3 = library::q3_redmi_negation(2);
-        let inc = quantified_match_with(&g, &q3, &MatchConfig::qmatch()).unwrap();
-        let scratch = quantified_match_with(&g, &q3, &MatchConfig::qmatch_n()).unwrap();
+        let inc = engine_match(&g, &q3, &MatchConfig::qmatch());
+        let scratch = engine_match(&g, &q3, &MatchConfig::qmatch_n());
         assert_eq!(inc.matches, scratch.matches);
         assert!(inc.stats.reused_from_cache > 0);
         assert_eq!(scratch.stats.reused_from_cache, 0);
@@ -227,7 +162,7 @@ mod tests {
         // negated edge), x6 has only one student: answer = {x5}.
         let (g, xs) = g2();
         let q4 = library::q4_uk_professors(2);
-        let ans = quantified_match(&g, &q4).unwrap();
+        let ans = engine_match(&g, &q4, &MatchConfig::qmatch());
         assert_eq!(ans.matches, vec![xs[1]]);
     }
 
@@ -242,7 +177,7 @@ mod tests {
     }
 
     #[test]
-    fn conventional_pattern_agrees_between_conventional_and_quantified_matching() {
+    fn conventional_pattern_agrees_between_conventional_and_quantified_runs() {
         let (g, _, _) = g1();
         let mut b = PatternBuilder::new();
         let xo = b.node("person");
@@ -253,7 +188,7 @@ mod tests {
         b.focus(xo);
         let p = b.build().unwrap();
         let a = conventional_match(&g, &p).unwrap();
-        let b_ = quantified_match(&g, &p).unwrap();
+        let b_ = engine_match(&g, &p, &MatchConfig::qmatch());
         assert_eq!(a.matches, b_.matches);
     }
 
@@ -266,7 +201,7 @@ mod tests {
         b.quantified_edge(xo, y, "follow", CountingQuantifier::at_least_percent(200.0));
         b.focus(xo);
         let p = b.build_unchecked();
-        assert!(quantified_match(&g, &p).is_err());
+        assert!(run(&g, &p, ExecOptions::sequential()).is_err());
         assert!(conventional_match(&g, &p).is_err());
     }
 
@@ -289,7 +224,7 @@ mod tests {
         // Q5: non-UK professors with students who are professors without PhDs.
         let (g, _xs) = g2();
         let q5 = library::q5_non_uk_professors();
-        let ans = quantified_match(&g, &q5).unwrap();
+        let ans = engine_match(&g, &q5, &MatchConfig::qmatch());
         // Everyone in G2 lives in the UK, so the negated `in UK` edge
         // excludes every candidate: the answer is empty.
         assert!(ans.matches.is_empty());

@@ -44,46 +44,6 @@ use super::simulation::refine_by_simulation;
 use super::stats::MatchStats;
 use crate::pattern::{CmpOp, CountingQuantifier, Pattern};
 
-/// Result of matching a positive pattern.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct PositiveMatchOutput {
-    /// Matches of the query focus, sorted.
-    pub focus_matches: Vec<NodeId>,
-    /// Work counters.
-    pub stats: MatchStats,
-}
-
-/// Matches a *positive* pattern (no negated edges) against a graph.
-///
-/// `focus_restriction`, when given, limits the focus candidates to the listed
-/// nodes; this is how `IncQMatch` reuses cached matches and how the parallel
-/// workers restrict matching to the nodes their fragment covers.
-pub(crate) fn match_positive(
-    graph: &Graph,
-    pattern: &Pattern,
-    config: &MatchConfig,
-    focus_restriction: Option<&[NodeId]>,
-) -> PositiveMatchOutput {
-    let mut out = PositiveMatchOutput::default();
-    let mut session = PositiveSession::new(graph, pattern, config, &mut out.stats);
-    let focus_list: Vec<NodeId> = match focus_restriction {
-        Some(restriction) => restriction
-            .iter()
-            .copied()
-            .filter(|&v| session.is_focus_candidate(v))
-            .collect(),
-        None => session.focus_candidates().to_vec(),
-    };
-    out.stats.focus_candidates += focus_list.len();
-    for vx in focus_list {
-        if session.verify(graph, vx, &mut out.stats) {
-            out.focus_matches.push(vx);
-        }
-    }
-    out.focus_matches.sort_unstable();
-    out
-}
-
 /// A reusable matching session for one *positive* pattern on one graph: the
 /// resolved pattern, candidate sets, search order and counter scratch are
 /// built once and reused to verify any number of focus candidates, one at a
@@ -91,7 +51,7 @@ pub(crate) fn match_positive(
 ///
 /// This is the per-worker unit of state behind the `qgp-runtime` executor:
 /// a steal victim's remaining focus candidates are plain indices, so a thief
-/// resumes matching by calling [`PositiveSession::verify`] on its own
+/// resumes matching by calling [`PositiveSession::decide`] on its own
 /// session — nothing per-chunk is ever rebuilt.
 pub(crate) struct PositiveSession {
     config: MatchConfig,
@@ -117,59 +77,21 @@ struct SessionInner {
 }
 
 impl PositiveSession {
-    /// Builds the session: label resolution, candidate initialization with
-    /// quantifier-aware pruning, optional simulation refinement, search
-    /// order, and the counter accumulator.
-    pub fn new(
-        graph: &Graph,
-        pattern: &Pattern,
-        config: &MatchConfig,
-        stats: &mut MatchStats,
-    ) -> Self {
-        let filter = if config.use_upper_bound_pruning {
-            CandidateFilter::QuantifierAware
-        } else {
-            CandidateFilter::LabelOnly
-        };
-        Self::with_filter(graph, pattern, config, filter, stats)
-    }
-
-    /// [`PositiveSession::new`] with an explicit candidate filter instead of
-    /// the one the config implies.  Incremental match views pass
-    /// [`CandidateFilter::LabelUniverse`] so the candidate sets stay valid
-    /// across edge updates (per-focus checks still read the live graph).
+    /// Builds the session: label resolution, candidate initialization
+    /// under `filter` (quantifier-aware degree pruning, label-only, or the
+    /// update-stable [`CandidateFilter::LabelUniverse`] incremental match
+    /// views pass), optional simulation refinement, search order, and the
+    /// counter accumulator.
+    ///
+    /// When `seed` is given the candidate initialization (and any
+    /// simulation refinement baked into the seed) is skipped entirely: the
+    /// seeded sets are cloned instead of recomputed.  This is the
+    /// Π(Q)-sharing hook of the query registry: queries with equal
+    /// projections on the same snapshot reuse one candidate analysis.  The
+    /// seed **must** have been produced by an identical construction (same
+    /// graph, same resolved projection, same filter and simulation
+    /// setting) — the registry's cache key guarantees this.
     pub fn with_filter(
-        graph: &Graph,
-        pattern: &Pattern,
-        config: &MatchConfig,
-        filter: CandidateFilter,
-        stats: &mut MatchStats,
-    ) -> Self {
-        Self::build(graph, pattern, config, stats, |graph, rp, stats| {
-            let mut candidates = build_candidates(graph, rp, filter, stats);
-            if candidates.any_empty() {
-                return None;
-            }
-            if config.use_simulation_filter {
-                refine_by_simulation(graph, rp, &mut candidates, stats);
-                if candidates.any_empty() {
-                    return None;
-                }
-            }
-            Some(candidates)
-        })
-    }
-
-    /// [`PositiveSession::with_filter`], but when `seed` is given the
-    /// candidate initialization (and any simulation refinement baked into
-    /// the seed) is skipped entirely: the seeded sets are cloned instead of
-    /// recomputed.  This is the Π(Q)-sharing hook of the query registry:
-    /// queries with equal projections on the same snapshot reuse one
-    /// candidate analysis.  The seed **must** have been produced by an
-    /// identical construction (same graph, same resolved projection, same
-    /// filter and simulation setting) — the registry's cache key guarantees
-    /// this.
-    pub fn with_filter_seeded(
         graph: &Graph,
         pattern: &Pattern,
         config: &MatchConfig,
@@ -177,39 +99,25 @@ impl PositiveSession {
         seed: Option<&CandidateSets>,
         stats: &mut MatchStats,
     ) -> Self {
-        match seed {
-            Some(seed) => Self::build(graph, pattern, config, stats, |_, _, stats| {
-                if seed.any_empty() {
-                    return None;
-                }
-                stats.initial_candidates += seed.total();
-                Some(seed.clone())
-            }),
-            None => Self::with_filter(graph, pattern, config, filter, stats),
-        }
-    }
-
-    /// The candidate sets of a successfully built session — what the query
-    /// registry harvests into its per-epoch Π(Q) cache.  `None` when the
-    /// pattern cannot match on this graph.
-    pub fn candidate_sets(&self) -> Option<&CandidateSets> {
-        self.inner.as_ref().map(|i| &i.candidates)
-    }
-
-    /// Shared construction tail: label resolution, then `init` produces the
-    /// candidate sets (fresh build or seeded clone), then search order and
-    /// counter scratch.
-    fn build(
-        graph: &Graph,
-        pattern: &Pattern,
-        config: &MatchConfig,
-        stats: &mut MatchStats,
-        init: impl FnOnce(&Graph, &ResolvedPattern, &mut MatchStats) -> Option<CandidateSets>,
-    ) -> Self {
         debug_assert!(pattern.is_positive(), "PositiveSession requires Π(Q)");
         let inner = (|| {
             let rp = ResolvedPattern::resolve(pattern, graph)?;
-            let candidates = init(graph, &rp, stats)?;
+            let candidates = match seed {
+                Some(seed) => {
+                    stats.initial_candidates += seed.total();
+                    seed.clone()
+                }
+                None => {
+                    let mut candidates = build_candidates(graph, &rp, filter, stats);
+                    if config.use_simulation_filter && !candidates.any_empty() {
+                        refine_by_simulation(graph, &rp, &mut candidates, stats);
+                    }
+                    candidates
+                }
+            };
+            if candidates.any_empty() {
+                return None;
+            }
             let order = SearchOrder::new(&rp);
             let acc = CounterAccumulator::new(&rp, &candidates);
             let single_focus_edge = rp.node_count() == 2
@@ -231,6 +139,13 @@ impl PositiveSession {
         }
     }
 
+    /// The candidate sets of a successfully built session — what the query
+    /// registry harvests into its per-epoch Π(Q) cache.  `None` when the
+    /// pattern cannot match on this graph.
+    pub fn candidate_sets(&self) -> Option<&CandidateSets> {
+        self.inner.as_ref().map(|i| &i.candidates)
+    }
+
     /// The focus candidate set `C(x_o)`, sorted ascending (empty when the
     /// pattern cannot match).
     pub fn focus_candidates(&self) -> &[NodeId] {
@@ -247,43 +162,31 @@ impl PositiveSession {
             .is_some_and(|i| v.index() < i.universe && i.candidates.contains(i.rp.focus, v))
     }
 
-    /// Decides whether `vx ∈ Π(Q)(x_o, G)`, reusing the session's scratch.
-    pub fn verify(&mut self, graph: &Graph, vx: NodeId, stats: &mut MatchStats) -> bool {
-        let Some(inner) = &mut self.inner else {
-            return false;
-        };
-        let verifier = CandidateVerifier {
-            graph,
-            rp: &inner.rp,
-            order: &inner.order,
-            candidates: &inner.candidates,
-            config: &self.config,
-        };
-        verifier.decide(vx, &mut inner.acc, stats, None).0
-    }
-
-    /// The counting decision for `vx`: `(vx ∈ Π(Q)(x_o, G), witnesses)`,
-    /// where `witnesses` is the distinct-children counter of the focus's
-    /// first out-edge (`1`/`0` when the focus has none).  Under
-    /// [`CountMode::ThresholdOnly`] the count stops at the verdict and is a
-    /// sufficient lower bound; under [`CountMode::Exact`] it is the exact
-    /// cardinality.
+    /// Decides `vx ∈ Π(Q)(x_o, G)`, reusing the session's scratch, and
+    /// reports the witness count of the focus's first out-edge (`1`/`0`
+    /// when the focus has none).
     ///
-    /// Single-quantified-edge patterns are decided by a ranked intersection
-    /// over the focus's CSR child slice — no isomorphism enumeration, no
-    /// counter accumulation, no good-set construction.  Other shapes fall
-    /// back to the enumerating verifier with counting-specific early exits.
-    pub fn count(
+    /// `counting = None` enumerates: isomorphisms are accumulated into the
+    /// counters with dynamic early acceptance, and only the boolean of the
+    /// pair is meaningful.  `counting = Some(mode)` is the aggregate
+    /// pushdown: single-quantified-edge patterns are decided by a ranked
+    /// intersection over the focus's CSR child slice — no isomorphism
+    /// enumeration, no counter accumulation, no good-set construction —
+    /// and other shapes run the enumerating verifier with
+    /// counting-specific early exits.  Under [`CountMode::ThresholdOnly`]
+    /// the count stops at the verdict and is a sufficient lower bound;
+    /// under [`CountMode::Exact`] it is the exact cardinality.
+    pub fn decide(
         &mut self,
         graph: &Graph,
         vx: NodeId,
-        mode: CountMode,
+        counting: Option<CountMode>,
         stats: &mut MatchStats,
     ) -> (bool, usize) {
         let Some(inner) = &mut self.inner else {
             return (false, 0);
         };
-        if inner.single_focus_edge {
+        if let (Some(mode), true) = (counting, inner.single_focus_edge) {
             return count_single_edge(graph, inner, vx, mode, stats);
         }
         let verifier = CandidateVerifier {
@@ -293,7 +196,7 @@ impl PositiveSession {
             candidates: &inner.candidates,
             config: &self.config,
         };
-        verifier.decide(vx, &mut inner.acc, stats, Some(mode))
+        verifier.decide(vx, &mut inner.acc, stats, counting)
     }
 }
 
@@ -413,10 +316,10 @@ struct CandidateVerifier<'a> {
 impl<'a> CandidateVerifier<'a> {
     /// Decides whether `vx ∈ Π(Q)(x_o, G)`, optionally in counting mode.
     ///
-    /// With `counting = None` this is the historical `verify` semantics and
-    /// only the boolean of the returned pair is meaningful.  With
+    /// With `counting = None` only the boolean of the returned pair is
+    /// meaningful.  With
     /// `counting = Some(mode)` the second component is the witness count of
-    /// the focus's first out-edge (see [`PositiveSession::count`]), early
+    /// the focus's first out-edge (see [`PositiveSession::decide`]), early
     /// acceptance is disabled under [`CountMode::Exact`] so the counters are
     /// complete, and `Count`-equality quantifiers on focus out-edges reject
     /// as soon as their counter overshoots the target (sound: distinct
@@ -770,6 +673,31 @@ mod tests {
         (b.build(), xs, vs)
     }
 
+    /// `Π(Q)(x_o, G)` decided one focus candidate at a time on a single
+    /// session — every candidate, or only those of `restriction`.
+    fn positive_matches(
+        graph: &Graph,
+        pattern: &Pattern,
+        config: &MatchConfig,
+        restriction: Option<&[NodeId]>,
+    ) -> (Vec<NodeId>, MatchStats) {
+        let filter = CandidateFilter::implied_by(config);
+        let mut stats = MatchStats::default();
+        let mut session =
+            PositiveSession::with_filter(graph, pattern, config, filter, None, &mut stats);
+        let foci: Vec<NodeId> = match restriction {
+            Some(r) => r.to_vec(),
+            None => session.focus_candidates().to_vec(),
+        };
+        let matches = foci
+            .into_iter()
+            .filter(|&v| {
+                session.is_focus_candidate(v) && session.decide(graph, v, None, &mut stats).0
+            })
+            .collect();
+        (matches, stats)
+    }
+
     #[test]
     fn universal_quantifier_matches_example_3() {
         // Q2(xo, G1) = {x1, x2}: all people x1/x2 follow recommend Redmi 2A,
@@ -777,8 +705,8 @@ mod tests {
         let (g, xs, _) = g1();
         let pi = library::q2_redmi_universal().pi();
         for config in [MatchConfig::qmatch(), MatchConfig::enumerate()] {
-            let out = match_positive(&g, &pi.pattern, &config, None);
-            assert_eq!(out.focus_matches, vec![xs[0], xs[1]], "{config:?}");
+            let (out, _) = positive_matches(&g, &pi.pattern, &config, None);
+            assert_eq!(out, vec![xs[0], xs[1]], "{config:?}");
         }
     }
 
@@ -788,8 +716,8 @@ mod tests {
         let (g, xs, _) = g1();
         let pi = library::q3_redmi_negation(2).pi();
         for config in [MatchConfig::qmatch(), MatchConfig::enumerate()] {
-            let out = match_positive(&g, &pi.pattern, &config, None);
-            assert_eq!(out.focus_matches, vec![xs[1], xs[2]], "{config:?}");
+            let (out, _) = positive_matches(&g, &pi.pattern, &config, None);
+            assert_eq!(out, vec![xs[1], xs[2]], "{config:?}");
         }
     }
 
@@ -809,30 +737,30 @@ mod tests {
             b.focus(xo);
             b.build().unwrap()
         };
-        let out60 = match_positive(&g, &make(60.0), &MatchConfig::qmatch(), None);
-        assert_eq!(out60.focus_matches, vec![xs[0], xs[1], xs[2]]);
-        let out80 = match_positive(&g, &make(80.0), &MatchConfig::qmatch(), None);
-        assert_eq!(out80.focus_matches, vec![xs[0], xs[1]]);
+        let (out60, _) = positive_matches(&g, &make(60.0), &MatchConfig::qmatch(), None);
+        assert_eq!(out60, vec![xs[0], xs[1], xs[2]]);
+        let (out80, _) = positive_matches(&g, &make(80.0), &MatchConfig::qmatch(), None);
+        assert_eq!(out80, vec![xs[0], xs[1]]);
     }
 
     #[test]
     fn focus_restriction_limits_the_answer() {
         let (g, xs, _) = g1();
         let pi = library::q3_redmi_negation(2).pi();
-        let out = match_positive(&g, &pi.pattern, &MatchConfig::qmatch(), Some(&[xs[2]]));
-        assert_eq!(out.focus_matches, vec![xs[2]]);
-        let out = match_positive(&g, &pi.pattern, &MatchConfig::qmatch(), Some(&[xs[0]]));
-        assert!(out.focus_matches.is_empty());
+        let (out, _) = positive_matches(&g, &pi.pattern, &MatchConfig::qmatch(), Some(&[xs[2]]));
+        assert_eq!(out, vec![xs[2]]);
+        let (out, _) = positive_matches(&g, &pi.pattern, &MatchConfig::qmatch(), Some(&[xs[0]]));
+        assert!(out.is_empty());
     }
 
     #[test]
     fn upper_bound_pruning_avoids_search_for_hopeless_candidates() {
         let (g, _, _) = g1();
         let pi = library::q3_redmi_negation(2).pi();
-        let out = match_positive(&g, &pi.pattern, &MatchConfig::qmatch(), None);
+        let (_, stats) = positive_matches(&g, &pi.pattern, &MatchConfig::qmatch(), None);
         // x1 must have been pruned by the upper-bound rule (U = 1 < 2) —
         // either at candidate initialization or at focus verification.
-        assert!(out.stats.pruned_by_upper_bound >= 1 || out.stats.initial_candidates < 9);
+        assert!(stats.pruned_by_upper_bound >= 1 || stats.initial_candidates < 9);
     }
 
     #[test]
@@ -844,8 +772,8 @@ mod tests {
         b.edge(xo, z, "follow");
         b.focus(xo);
         let p = b.build().unwrap();
-        let out = match_positive(&g, &p, &MatchConfig::qmatch(), None);
-        assert!(out.focus_matches.is_empty());
+        let (out, _) = positive_matches(&g, &p, &MatchConfig::qmatch(), None);
+        assert!(out.is_empty());
     }
 
     #[test]
@@ -861,10 +789,10 @@ mod tests {
         b.focus(xo);
         let p = b.build().unwrap();
         for config in [MatchConfig::qmatch(), MatchConfig::enumerate()] {
-            let out = match_positive(&g, &p, &config, None);
+            let (out, _) = positive_matches(&g, &p, &config, None);
             // x2 follows exactly v1, v2 (both recommend): count 2. x3 follows
             // v2, v3 (recommend) and v4 (not): count 2 as well. x1: count 1.
-            assert_eq!(out.focus_matches, vec![xs[1], xs[2]], "{config:?}");
+            assert_eq!(out, vec![xs[1], xs[2]], "{config:?}");
         }
     }
 
@@ -875,13 +803,10 @@ mod tests {
         // reallocation).
         let (g, xs, _) = g1();
         let pi = library::q3_redmi_negation(2).pi();
-        let out = match_positive(&g, &pi.pattern, &MatchConfig::qmatch(), None);
+        let (out, _) = positive_matches(&g, &pi.pattern, &MatchConfig::qmatch(), None);
         for &x in &xs[1..] {
-            let solo = match_positive(&g, &pi.pattern, &MatchConfig::qmatch(), Some(&[x]));
-            assert_eq!(
-                solo.focus_matches.contains(&x),
-                out.focus_matches.contains(&x)
-            );
+            let (solo, _) = positive_matches(&g, &pi.pattern, &MatchConfig::qmatch(), Some(&[x]));
+            assert_eq!(solo.contains(&x), out.contains(&x));
         }
     }
 }

@@ -22,16 +22,17 @@
 //! incremental `MatchView` owns its graph and drives the core directly, so
 //! it can mutate the graph between decisions without rebuilding state.
 //!
-//! Batch matching ([`crate::matching::quantified_match_restricted`]) is a
-//! thin loop over this same session, so the sequential and parallel paths
-//! cannot drift apart semantically.
+//! Every execution surface of [`crate::engine`] — sequential streaming,
+//! parallel, partitioned, counting, view repair, registry serving — reaches
+//! the one deciding body, `SessionCore::decide`, so the paths cannot drift
+//! apart semantically.
 
 use std::sync::Arc;
 
 use qgp_graph::{Graph, NodeId};
 use qgp_runtime::CancelToken;
 
-use super::candidates::CandidateFilter;
+use super::candidates::{CandidateFilter, CandidateSets};
 use super::compiled::{CompiledPattern, TrivialShape};
 use super::config::MatchConfig;
 use super::quantified::PositiveSession;
@@ -57,6 +58,15 @@ pub enum CountMode {
     /// (`|Mₑ(v_x, v, Q)|` of the focus's first out-edge), at the cost of
     /// scanning each child list to the end.
     Exact,
+}
+
+/// One per-focus decision of the kernel: whether `vx ∈ Q(x_o, G)`, and the
+/// witness count of the focus's first out-edge (`1`/`0` when the focus has
+/// none; meaningful for counting decisions only).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Verdict {
+    pub matched: bool,
+    pub witnesses: usize,
 }
 
 /// The graph-independent state of one matching session: candidate sets,
@@ -88,38 +98,48 @@ pub(crate) struct SessionCore {
 impl SessionCore {
     /// Builds a core with the candidate filter the config implies
     /// (quantifier-aware degree pruning when upper bounds are on).
-    pub fn new(graph: &Graph, compiled: Arc<CompiledPattern>, config: &MatchConfig) -> Self {
-        let filter = if config.use_upper_bound_pruning {
-            CandidateFilter::QuantifierAware
-        } else {
-            CandidateFilter::LabelOnly
-        };
-        Self::with_filter(graph, compiled, config, filter)
-    }
-
-    /// As [`SessionCore::new`], but seeds the positive pattern's candidate
-    /// sets from a previously harvested analysis instead of rebuilding them
-    /// — the Π(Q)-sharing path of the query registry.  The seed must come
-    /// from [`SessionCore::candidate_sets`] of a core built on the *same*
-    /// graph with an equal projection, the same implied filter and the same
-    /// simulation setting (the registry's cache key enforces this).
-    pub fn new_seeded(
+    ///
+    /// A `seed` replaces the positive pattern's candidate analysis with a
+    /// previously harvested one — the Π(Q)-sharing path of the query
+    /// registry.  It must come from [`SessionCore::candidate_sets`] of a
+    /// core built on the *same* graph with an equal projection, the same
+    /// implied filter and the same simulation setting (the registry's cache
+    /// key enforces this).
+    pub fn new(
         graph: &Graph,
         compiled: Arc<CompiledPattern>,
         config: &MatchConfig,
-        seed: Option<&super::candidates::CandidateSets>,
+        seed: Option<&CandidateSets>,
     ) -> Self {
-        let filter = if config.use_upper_bound_pruning {
-            CandidateFilter::QuantifierAware
-        } else {
-            CandidateFilter::LabelOnly
-        };
+        let filter = CandidateFilter::implied_by(config);
+        Self::build(graph, compiled, config, filter, seed)
+    }
+
+    /// Builds a core with an explicit candidate filter.  The incremental
+    /// `MatchView` passes [`CandidateFilter::LabelUniverse`] so the sets
+    /// survive edge updates.
+    pub fn with_filter(
+        graph: &Graph,
+        compiled: Arc<CompiledPattern>,
+        config: &MatchConfig,
+        filter: CandidateFilter,
+    ) -> Self {
+        Self::build(graph, compiled, config, filter, None)
+    }
+
+    fn build(
+        graph: &Graph,
+        compiled: Arc<CompiledPattern>,
+        config: &MatchConfig,
+        filter: CandidateFilter,
+        seed: Option<&CandidateSets>,
+    ) -> Self {
         let mut stats = MatchStats {
             sessions_built: 1,
             ..MatchStats::default()
         };
         let positive =
-            PositiveSession::with_filter_seeded(graph, &compiled.pi, config, filter, seed, &mut stats);
+            PositiveSession::with_filter(graph, &compiled.pi, config, filter, seed, &mut stats);
         let negated = (0..compiled.positified.len()).map(|_| None).collect();
         SessionCore {
             config: *config,
@@ -134,33 +154,8 @@ impl SessionCore {
     /// The positive pattern's candidate sets, for harvesting into the query
     /// registry's per-epoch Π(Q) cache (`None` when the pattern cannot
     /// match on this graph).
-    pub fn candidate_sets(&self) -> Option<&super::candidates::CandidateSets> {
+    pub fn candidate_sets(&self) -> Option<&CandidateSets> {
         self.positive.candidate_sets()
-    }
-
-    /// Builds a core with an explicit candidate filter.  The incremental
-    /// `MatchView` passes [`CandidateFilter::LabelUniverse`] so the sets
-    /// survive edge updates.
-    pub fn with_filter(
-        graph: &Graph,
-        compiled: Arc<CompiledPattern>,
-        config: &MatchConfig,
-        filter: CandidateFilter,
-    ) -> Self {
-        let mut stats = MatchStats {
-            sessions_built: 1,
-            ..MatchStats::default()
-        };
-        let positive = PositiveSession::with_filter(graph, &compiled.pi, config, filter, &mut stats);
-        let negated = (0..compiled.positified.len()).map(|_| None).collect();
-        SessionCore {
-            config: *config,
-            filter,
-            compiled,
-            positive,
-            negated,
-            stats,
-        }
     }
 
     /// The focus candidates of `Π(Q)`, sorted ascending.
@@ -173,148 +168,109 @@ impl SessionCore {
         self.positive.is_focus_candidate(v)
     }
 
-    /// Decides whether `vx ∈ Q(x_o, G)` against `graph`.  See
-    /// [`MatchSession::decide`] for semantics.
-    pub fn decide(&mut self, graph: &Graph, vx: NodeId) -> bool {
-        self.decide_cancellable(graph, vx, None).unwrap_or(false)
-    }
-
-    /// [`SessionCore::decide`] with cooperative cancellation.
-    pub fn decide_cancellable(
+    /// The decision kernel — the one body every execution surface reaches:
+    /// decides `vx ∈ Q(x_o, G)` against `graph` as positive verification of
+    /// `Π(Q)` minus exclusion by each positified pattern `Π(Q^{+e})` (the
+    /// set-difference semantics of negation).  `None` means the
+    /// cancellation token fired first; it is polled on entry and once per
+    /// positified pattern.
+    ///
+    /// `counting` selects the work profile, never the decision.  `None`
+    /// enumerates child matches.  `Some(mode)` is the aggregate pushdown:
+    /// the positive phase counts instead of enumerating (see
+    /// [`PositiveSession::decide`]), negated edges are decided as set
+    /// membership in `Π(Q^{+e})` — existence short-circuits at the first
+    /// witness — and trivial two-node positified patterns are answered
+    /// from the adjacency lists without building a child session at all.
+    ///
+    /// The two negation strategies of the paper keep their distinct costs:
+    ///
+    /// * `IncQMatch` (`incremental_negation = true`) verifies the positified
+    ///   patterns only for candidates that already passed the positive
+    ///   phase — `Π(Q^{+e})(x_o, G) ⊆ Π(Q)(x_o, G)`, so nothing else can be
+    ///   excluded and the work is skipped (counted in `reused_from_cache`),
+    ///   and it stops at the first excluding pattern.
+    /// * `QMatchn` (`incremental_negation = false`) recomputes each
+    ///   positified pattern from scratch: every focus candidate pays every
+    ///   negation verification whether or not the positive phase accepted
+    ///   it — the extra work Exp-1 measures.
+    pub fn decide(
         &mut self,
         graph: &Graph,
         vx: NodeId,
+        counting: Option<CountMode>,
         cancel: Option<&CancelToken>,
-    ) -> Option<bool> {
+    ) -> Option<Verdict> {
         if cancel.is_some_and(CancelToken::is_cancelled) {
             return None;
         }
         if !self.positive.is_focus_candidate(vx) {
-            return Some(false);
+            return Some(Verdict::default());
         }
         self.stats.focus_candidates += 1;
-        let positive = self.positive.verify(graph, vx, &mut self.stats);
-        if positive && self.config.incremental_negation {
+        let (positive, witnesses) = self.positive.decide(graph, vx, counting, &mut self.stats);
+        let incremental = self.config.incremental_negation;
+        if positive && incremental {
             self.stats.reused_from_cache += self.compiled.positified.len();
         }
-        if !positive && self.config.incremental_negation {
-            return Some(false);
+        if !positive && incremental {
+            return Some(Verdict {
+                matched: false,
+                witnesses,
+            });
         }
         let mut excluded = false;
         for k in 0..self.compiled.positified.len() {
             if cancel.is_some_and(CancelToken::is_cancelled) {
                 return None;
             }
-            let pattern = &self.compiled.positified[k];
-            let config = &self.config;
-            let filter = self.filter;
             let stats = &mut self.stats;
-            let neg = match &mut self.negated[k] {
-                Some(session) => session,
-                slot => {
-                    *slot = Some(PositiveSession::with_filter(
-                        graph, pattern, config, filter, stats,
-                    ));
-                    slot.as_mut().expect("just inserted")
+            let hit = match (&self.compiled.trivial_positified[k], &mut self.negated[k]) {
+                (Some(shape), None) if counting.is_some() => {
+                    trivial_positified_hit(graph, shape, vx)
+                }
+                (_, slot) => {
+                    let neg = slot.get_or_insert_with(|| {
+                        PositiveSession::with_filter(
+                            graph,
+                            &self.compiled.positified[k],
+                            &self.config,
+                            self.filter,
+                            None,
+                            stats,
+                        )
+                    });
+                    neg.is_focus_candidate(vx) && {
+                        stats.focus_candidates += 1;
+                        // Membership is all the set difference needs, so a
+                        // counting decision stops at the first witness.
+                        let membership = counting.map(|_| CountMode::ThresholdOnly);
+                        neg.decide(graph, vx, membership, stats).0
+                    }
                 }
             };
-            if neg.is_focus_candidate(vx) {
-                stats.focus_candidates += 1;
-                if neg.verify(graph, vx, stats) {
-                    excluded = true;
-                    if self.config.incremental_negation {
-                        // Certainly excluded — the incremental variant
-                        // stops; the from-scratch variant keeps paying for
-                        // the remaining positified patterns, preserving the
-                        // cost profile Exp-1 compares.
-                        break;
-                    }
+            if hit {
+                excluded = true;
+                if incremental {
+                    break;
                 }
             }
         }
-        Some(positive && !excluded)
+        Some(Verdict {
+            matched: positive && !excluded,
+            witnesses,
+        })
     }
 
-    /// The counting decision for `vx`: `(vx ∈ Q(x_o, G), witnesses)` without
-    /// materializing child matches.  See [`MatchSession::decide_count`] for
-    /// semantics; `None` means the cancellation token fired first.
-    pub fn decide_count_cancellable(
-        &mut self,
-        graph: &Graph,
-        vx: NodeId,
-        mode: CountMode,
-        cancel: Option<&CancelToken>,
-    ) -> Option<(bool, usize)> {
-        if cancel.is_some_and(CancelToken::is_cancelled) {
-            return None;
-        }
-        if !self.positive.is_focus_candidate(vx) {
-            return Some((false, 0));
-        }
-        self.stats.focus_candidates += 1;
-        let (positive, witnesses) = self.positive.count(graph, vx, mode, &mut self.stats);
-        if positive && self.config.incremental_negation {
-            self.stats.reused_from_cache += self.compiled.positified.len();
-        }
-        if !positive && self.config.incremental_negation {
-            return Some((false, witnesses));
-        }
-        let mut excluded = false;
-        for k in 0..self.compiled.positified.len() {
-            if cancel.is_some_and(CancelToken::is_cancelled) {
-                return None;
-            }
-            // Short-circuit trivial positified patterns straight off the
-            // graph adjacency — no child session is ever built for them.
-            if self.negated[k].is_none() {
-                if let Some(shape) = &self.compiled.trivial_positified[k] {
-                    if trivial_positified_hit(graph, shape, vx) {
-                        excluded = true;
-                        if self.config.incremental_negation {
-                            break;
-                        }
-                    }
-                    continue;
-                }
-            }
-            let pattern = &self.compiled.positified[k];
-            let config = &self.config;
-            let filter = self.filter;
-            let stats = &mut self.stats;
-            let neg = match &mut self.negated[k] {
-                Some(session) => session,
-                slot => {
-                    *slot = Some(PositiveSession::with_filter(
-                        graph, pattern, config, filter, stats,
-                    ));
-                    slot.as_mut().expect("just inserted")
-                }
-            };
-            if neg.is_focus_candidate(vx) {
-                stats.focus_candidates += 1;
-                // Membership in `Π(Q^{+e})` is all the set-difference
-                // semantics needs — decide it through the counting path
-                // (threshold-only: existence short-circuits at the first
-                // witness) instead of enumerating child matches.
-                if neg.count(graph, vx, CountMode::ThresholdOnly, stats).0 {
-                    excluded = true;
-                    if self.config.incremental_negation {
-                        break;
-                    }
-                }
-            }
-        }
-        Some((positive && !excluded, witnesses))
+    /// [`SessionCore::decide`] as a plain enumerating membership test.
+    pub fn accepts(&mut self, graph: &Graph, vx: NodeId) -> bool {
+        self.decide(graph, vx, None, None)
+            .is_some_and(|v| v.matched)
     }
 
     /// Work counters accumulated so far (including session construction).
     pub fn stats(&self) -> MatchStats {
         self.stats
-    }
-
-    /// Takes the accumulated counters, resetting them to zero.
-    pub fn take_stats(&mut self) -> MatchStats {
-        std::mem::take(&mut self.stats)
     }
 }
 
@@ -341,11 +297,12 @@ fn trivial_positified_hit(graph: &Graph, shape: &TrivialShape, vx: NodeId) -> bo
 }
 
 /// A reusable matching session for one (pattern, graph) pair, deciding
-/// membership in `Q(x_o, G)` one focus candidate at a time.
+/// membership in `Q(x_o, G)` one focus candidate at a time — the kernel
+/// behind [`crate::engine`], paired with a borrowed graph.
 ///
 /// The pattern is assumed validated (see [`crate::pattern::Pattern::validate`]);
-/// the public entry points of [`crate::matching`] and [`crate::engine`]
-/// validate before constructing sessions.
+/// [`crate::engine::Engine::prepare`] validates before constructing
+/// sessions, and shares one compilation across every session it builds.
 pub struct MatchSession<'g> {
     graph: &'g Graph,
     core: SessionCore,
@@ -353,27 +310,11 @@ pub struct MatchSession<'g> {
 
 impl<'g> MatchSession<'g> {
     /// Builds a session for a validated pattern, compiling it on the spot.
-    ///
-    /// Callers that execute one pattern repeatedly (or across fragments and
-    /// worker threads) should compile once through
-    /// [`crate::engine::Engine::prepare`] instead, which shares the
-    /// compilation across every session it builds.
     pub fn new(graph: &'g Graph, pattern: &Pattern, config: &MatchConfig) -> Self {
-        Self::from_compiled(graph, Arc::new(CompiledPattern::compile(pattern)), config)
-    }
-
-    /// Builds a session from an already-compiled pattern (the engine path:
-    /// the projection and positified patterns are shared, only the
-    /// graph-dependent state — candidate sets, search order, counter
-    /// scratch — is constructed here).
-    pub(crate) fn from_compiled(
-        graph: &'g Graph,
-        compiled: Arc<CompiledPattern>,
-        config: &MatchConfig,
-    ) -> Self {
+        let compiled = Arc::new(CompiledPattern::compile(pattern));
         MatchSession {
             graph,
-            core: SessionCore::new(graph, compiled, config),
+            core: SessionCore::new(graph, compiled, config, None),
         }
     }
 
@@ -389,33 +330,12 @@ impl<'g> MatchSession<'g> {
         self.core.is_focus_candidate(v)
     }
 
-    /// Decides whether `vx ∈ Q(x_o, G)`: positive verification via the
-    /// quantifier-aware matcher, plus exclusion by each positified pattern
-    /// `Π(Q^{+e})` (the set-difference semantics of negation).
-    ///
-    /// The two negation strategies of the paper keep their distinct costs:
-    ///
-    /// * `IncQMatch` (`incremental_negation = true`) verifies the positified
-    ///   patterns only for candidates that already passed the positive
-    ///   phase — `Π(Q^{+e})(x_o, G) ⊆ Π(Q)(x_o, G)`, so nothing else can be
-    ///   excluded and the work is skipped (counted in `reused_from_cache`).
-    /// * `QMatchn` (`incremental_negation = false`) recomputes each
-    ///   positified pattern from scratch: every focus candidate pays the
-    ///   negation verification whether or not the positive phase accepted
-    ///   it — the extra work Exp-1 measures.
+    /// Decides whether `vx ∈ Q(x_o, G)` by enumeration: positive
+    /// verification via the quantifier-aware matcher, plus exclusion by
+    /// each positified pattern `Π(Q^{+e})`, under the negation strategy
+    /// (`IncQMatch` / `QMatchn`) the session's [`MatchConfig`] selects.
     pub fn decide(&mut self, vx: NodeId) -> bool {
-        self.core.decide(self.graph, vx)
-    }
-
-    /// [`MatchSession::decide`] with cooperative cancellation: the token is
-    /// polled on entry and between verification phases (once per positified
-    /// pattern), and `None` is returned as soon as it fires — the decision
-    /// for `vx` is then unknown and no counter for it has been committed
-    /// beyond the phases that actually ran.  The session itself stays fully
-    /// usable; a later call with the same candidate re-verifies it from the
-    /// session's (immutable) candidate state.
-    pub fn decide_cancellable(&mut self, vx: NodeId, cancel: Option<&CancelToken>) -> Option<bool> {
-        self.core.decide_cancellable(self.graph, vx, cancel)
+        self.core.accepts(self.graph, vx)
     }
 
     /// The counting decision for `vx`: the same boolean
@@ -425,46 +345,24 @@ impl<'g> MatchSession<'g> {
     /// Under [`CountMode::ThresholdOnly`] every quantifier stops at its
     /// verdict (the witness count is a sufficient lower bound); under
     /// [`CountMode::Exact`] the count is the exact number of distinct
-    /// children matched by that edge.  Negated edges are decided as set
-    /// membership in `Π(Q^{+e})` — existence short-circuits at the first
-    /// witness, and trivial two-node positified patterns are answered from
-    /// the adjacency lists without building a child session at all.
+    /// children matched by that edge.
     pub fn decide_count(&mut self, vx: NodeId, mode: CountMode) -> (bool, usize) {
-        self.core
-            .decide_count_cancellable(self.graph, vx, mode, None)
-            .unwrap_or((false, 0))
-    }
-
-    /// [`MatchSession::decide_count`] with cooperative cancellation; `None`
-    /// means the token fired before the decision was reached.
-    pub fn decide_count_cancellable(
-        &mut self,
-        vx: NodeId,
-        mode: CountMode,
-        cancel: Option<&CancelToken>,
-    ) -> Option<(bool, usize)> {
-        self.core.decide_count_cancellable(self.graph, vx, mode, cancel)
+        let verdict = self.core.decide(self.graph, vx, Some(mode), None);
+        verdict.map_or((false, 0), |v| (v.matched, v.witnesses))
     }
 
     /// Work counters accumulated so far (including session construction).
     pub fn stats(&self) -> MatchStats {
         self.core.stats()
     }
-
-    /// Takes the accumulated counters, resetting them to zero.
-    pub fn take_stats(&mut self) -> MatchStats {
-        self.core.take_stats()
-    }
 }
 
 #[cfg(test)]
-// Intentional call sites: the deprecated batch wrappers serve as the
-// reference the per-candidate session is compared against.
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use crate::matching::{quantified_match, quantified_match_with};
+    use crate::matching::reference::evaluate_reference;
     use crate::pattern::library;
+    use crate::test_support::engine_match;
     use qgp_graph::GraphBuilder;
 
     /// Graph G1 of Fig. 2.
@@ -499,7 +397,8 @@ mod tests {
                 MatchConfig::qmatch_n(),
                 MatchConfig::enumerate(),
             ] {
-                let batch = quantified_match_with(&g, &pattern, &config).unwrap();
+                let batch = engine_match(&g, &pattern, &config);
+                assert_eq!(batch.matches, evaluate_reference(&g, &pattern));
                 let mut session = MatchSession::new(&g, &pattern, &config);
                 let decided: Vec<NodeId> = g
                     .nodes()
@@ -514,7 +413,7 @@ mod tests {
     fn decisions_are_order_independent() {
         let (g, _) = g1();
         let pattern = library::q3_redmi_negation(2);
-        let expected = quantified_match(&g, &pattern).unwrap().matches;
+        let expected = evaluate_reference(&g, &pattern);
         let mut session = MatchSession::new(&g, &pattern, &MatchConfig::qmatch());
         // Reverse order, with repeats interleaved.
         let mut decided: Vec<NodeId> = Vec::new();
@@ -540,9 +439,9 @@ mod tests {
         for v in session.focus_candidates().to_vec() {
             session.decide(v);
         }
-        let stats = session.take_stats();
+        let stats = session.stats();
+        assert_eq!(stats.sessions_built, 1);
         assert!(stats.focus_candidates > 0);
-        assert_eq!(session.stats(), MatchStats::default());
     }
 
     #[test]
@@ -563,7 +462,7 @@ mod tests {
         ] {
             let compiled = Arc::new(CompiledPattern::compile(&pattern));
             let config = MatchConfig::qmatch();
-            let mut default_core = SessionCore::new(&g, Arc::clone(&compiled), &config);
+            let mut default_core = SessionCore::new(&g, Arc::clone(&compiled), &config, None);
             let mut universe_core = SessionCore::with_filter(
                 &g,
                 Arc::clone(&compiled),
@@ -572,8 +471,8 @@ mod tests {
             );
             for v in g.nodes() {
                 assert_eq!(
-                    default_core.decide(&g, v),
-                    universe_core.decide(&g, v),
+                    default_core.accepts(&g, v),
+                    universe_core.accepts(&g, v),
                     "{pattern} at {v:?}"
                 );
             }

@@ -45,7 +45,7 @@ fn follow_label(g: &Graph) -> LabelId {
 }
 
 fn run_head(store: &GraphStore, pattern: &Pattern) -> Vec<NodeId> {
-    let mut pq = Engine::from_store(store).prepare(pattern).unwrap();
+    let pq = Engine::from_store(store).prepare(pattern).unwrap();
     pq.run(ExecOptions::sequential()).unwrap().matches
 }
 
@@ -55,7 +55,7 @@ fn pinned_reader_is_stable_while_writer_advances() {
     let store = GraphStore::new(graph);
     let pinned = store.snapshot();
     let pattern = all_follow_recom();
-    let mut pq = Engine::on(Arc::clone(&pinned)).prepare(&pattern).unwrap();
+    let pq = Engine::on(Arc::clone(&pinned)).prepare(&pattern).unwrap();
 
     let at_zero = pq.run(ExecOptions::sequential()).unwrap().matches;
     assert_eq!(at_zero, vec![fans[0], fans[1]]);
@@ -79,7 +79,7 @@ fn pinned_reader_is_stable_while_writer_advances() {
     assert_eq!(run_head(&store, &pattern), vec![fans[0]]);
     // And a from-scratch engine pinned to the old snapshot agrees with the
     // cached-session answer exactly.
-    let mut fresh = Engine::on(Arc::clone(&pinned)).prepare(&pattern).unwrap();
+    let fresh = Engine::on(Arc::clone(&pinned)).prepare(&pattern).unwrap();
     assert_eq!(fresh.run(ExecOptions::sequential()).unwrap().matches, at_zero);
 }
 
@@ -94,7 +94,7 @@ fn writers_never_block_readers() {
 
     std::thread::scope(|s| {
         let reader = s.spawn(|| {
-            let mut pq = Engine::on(Arc::clone(&pinned)).prepare(&pattern).unwrap();
+            let pq = Engine::on(Arc::clone(&pinned)).prepare(&pattern).unwrap();
             for _ in 0..50 {
                 let got = pq.run(ExecOptions::sequential()).unwrap().matches;
                 assert_eq!(got, expected, "pinned reader must never see writer progress");
@@ -121,7 +121,7 @@ fn prepared_query_reuses_sessions_per_snapshot() {
     let (graph, _, _, _) = social();
     let store = GraphStore::new(graph);
     let pattern = all_follow_recom();
-    let mut pq = Engine::from_store(&store).prepare(&pattern).unwrap();
+    let pq = Engine::from_store(&store).prepare(&pattern).unwrap();
 
     let first = pq.run(ExecOptions::sequential()).unwrap();
     assert_eq!(first.stats.sessions_built, 1);

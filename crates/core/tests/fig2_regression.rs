@@ -1,5 +1,5 @@
-//! Regression tests pinning the `quantified_match` answers on the Fig. 2
-//! graphs of the paper, across every matcher configuration.
+//! Regression tests pinning the engine's answers on the Fig. 2 graphs of
+//! the paper, across every matcher configuration.
 //!
 //! These are the exact running examples the paper works through (Examples
 //! 3–5), so their answers are known in closed form.  The test exists to
@@ -8,8 +8,11 @@
 //! negation), `QMatchn` (negation from scratch) and `Enum`
 //! (enumerate-then-verify) — must return the same, correct answers.
 
-use qgp_core::engine::{Engine, ExecOptions};
-use qgp_core::matching::{conventional_match, MatchConfig, QueryAnswer};
+mod common;
+
+use common::engine_match;
+use qgp_core::matching::reference::evaluate_reference;
+use qgp_core::matching::{conventional_match, MatchConfig};
 use qgp_core::pattern::{library, Pattern};
 use qgp_graph::{Graph, GraphBuilder, NodeId};
 
@@ -64,15 +67,9 @@ fn g2() -> (Graph, Vec<NodeId>) {
     (b.build(), xs)
 }
 
-fn engine_match(graph: &Graph, pattern: &Pattern, config: &MatchConfig) -> QueryAnswer {
-    Engine::new(graph)
-        .prepare(pattern)
-        .expect("library patterns validate")
-        .run(ExecOptions::sequential().with_config(*config))
-        .expect("sequential runs succeed")
-}
-
 fn assert_answer(graph: &Graph, pattern: &Pattern, expected: &[NodeId], what: &str) {
+    let oracle = evaluate_reference(graph, pattern);
+    assert_eq!(oracle, expected, "{what}: oracle");
     for (name, config) in configs() {
         let ans = engine_match(graph, pattern, &config);
         assert_eq!(ans.matches, expected, "{what} under {name}");

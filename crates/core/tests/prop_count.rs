@@ -169,7 +169,7 @@ proptest! {
     ) {
         let graph = build_graph(&gspec);
         let pattern = pattern(kind);
-        let mut prepared = Engine::new(&graph).prepare(&pattern).unwrap();
+        let prepared = Engine::new(&graph).prepare(&pattern).unwrap();
         let fragments = whole_graph_fragment(&graph);
         for config in all_configs() {
             let enumerated = prepared
@@ -231,7 +231,7 @@ proptest! {
         let kind = [0u8, 1, 4][kind_ix];
         let graph = build_graph(&gspec);
         let pattern = pattern(kind);
-        let mut prepared = Engine::new(&graph).prepare(&pattern).unwrap();
+        let prepared = Engine::new(&graph).prepare(&pattern).unwrap();
         for config in all_configs() {
             let exact = prepared
                 .count(ExecOptions::sequential().with_config(config).count_exact())
@@ -271,7 +271,7 @@ proptest! {
     ) {
         let graph = build_graph(&gspec);
         let pattern = pattern(kind);
-        let mut prepared = Engine::new(&graph).prepare(&pattern).unwrap();
+        let prepared = Engine::new(&graph).prepare(&pattern).unwrap();
 
         let restriction: Vec<NodeId> = graph.nodes().take(take).collect();
         let enumerated = prepared
@@ -318,7 +318,7 @@ proptest! {
     ) {
         let graph = build_graph(&gspec);
         let pattern = pattern(kind);
-        let mut prepared = Engine::new(&graph).prepare(&pattern).unwrap();
+        let prepared = Engine::new(&graph).prepare(&pattern).unwrap();
         let full = prepared
             .count(ExecOptions::sequential().count_exact())
             .unwrap();
@@ -380,7 +380,7 @@ proptest! {
     ) {
         let graph = build_graph(&gspec);
         let pattern = pattern(kind);
-        let mut prepared = Engine::new(&graph).prepare(&pattern).unwrap();
+        let prepared = Engine::new(&graph).prepare(&pattern).unwrap();
         let runtime = Runtime::new(2);
         let baseline = prepared
             .count(ExecOptions::parallel_on(&runtime).count_exact())
@@ -420,7 +420,7 @@ fn cancelled_counting_is_empty_and_leaves_no_poisoned_state() {
         })
         .collect();
     let graph = b.build();
-    let mut prepared = Engine::new(&graph).prepare(&pattern(0)).unwrap();
+    let prepared = Engine::new(&graph).prepare(&pattern(0)).unwrap();
 
     let dead = qgp_core::engine::CancelToken::new();
     dead.cancel();
@@ -449,7 +449,7 @@ fn pure_negation_counts_report_unit_witnesses() {
     let bad = b.add_node("B");
     b.add_edge(dirty, bad, "s").unwrap();
     let graph = b.build();
-    let mut prepared = Engine::new(&graph).prepare(&pattern(6)).unwrap();
+    let prepared = Engine::new(&graph).prepare(&pattern(6)).unwrap();
     let counted = prepared
         .count(ExecOptions::sequential().count_exact())
         .unwrap();

@@ -5,11 +5,14 @@
 //! incremental `Graph::add_edge` calls (an `O(V·L + E)` splice per edge).
 //! Both must produce byte-for-byte identical adjacency — same edge list,
 //! same degrees, same per-label neighbor ranges — and, downstream, identical
-//! `quantified_match` answers for every matcher configuration.
+//! answers — the reference oracle's — for every matcher configuration.
 
 use proptest::prelude::*;
 
-use qgp_core::engine::{Engine, ExecOptions};
+mod common;
+
+use common::engine_match;
+use qgp_core::matching::reference::evaluate_reference;
 use qgp_core::matching::MatchConfig;
 use qgp_core::pattern::{CountingQuantifier, PatternBuilder};
 use qgp_graph::{Graph, GraphBuilder, NodeId};
@@ -169,31 +172,25 @@ proptest! {
         assert_same_adjacency(&batch, &incremental)?;
     }
 
-    /// ... and therefore identical quantified matching answers, for every
-    /// matcher configuration.
+    /// ... and therefore the same quantified matching answers — the
+    /// oracle's — for every matcher configuration.
     #[test]
     fn batch_and_incremental_graphs_match_identically(spec in graph_spec()) {
         let batch = build_batch(&spec);
         let incremental = build_incremental(&spec);
         for pattern in probe_patterns() {
+            let oracle = evaluate_reference(&batch, &pattern);
             for config in [
                 MatchConfig::qmatch(),
                 MatchConfig::qmatch_n(),
                 MatchConfig::enumerate(),
             ] {
-                let run = |g| {
-                    Engine::new(g)
-                        .prepare(&pattern)
-                        .unwrap()
-                        .run(ExecOptions::sequential().with_config(config))
-                        .unwrap()
-                };
-                let a = run(&batch);
-                let b = run(&incremental);
-                prop_assert_eq!(
-                    &a.matches, &b.matches,
-                    "pattern {} config {:?}", pattern, config
-                );
+                for (how, graph) in [("batch", &batch), ("incremental", &incremental)] {
+                    prop_assert_eq!(
+                        &engine_match(graph, &pattern, &config).matches, &oracle,
+                        "{} graph, pattern {} config {:?}", how, pattern, config
+                    );
+                }
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Property-based contracts of the prepared-query engine:
 //!
-//! * engine output ≡ the legacy `quantified_match*` wrappers, for every
-//!   matcher configuration × execution mode × executor thread count,
+//! * engine output ≡ the brute-force reference oracle, for every matcher
+//!   configuration × execution mode × executor thread count,
 //! * `limit(k)` yields a prefix of the unlimited answer while verifying
 //!   strictly fewer candidates (genuine early termination),
 //! * cancellation mid-run stops the execution without poisoning the
@@ -9,7 +9,10 @@
 
 use proptest::prelude::*;
 
+mod common;
+
 use qgp_core::engine::{CancelToken, Engine, ExecOptions};
+use qgp_core::matching::reference::evaluate_reference;
 use qgp_core::matching::MatchConfig;
 use qgp_core::pattern::{CountingQuantifier, Pattern, PatternBuilder};
 use qgp_graph::{Fragment, FragmentId, Graph, GraphBuilder, NodeId};
@@ -104,26 +107,6 @@ fn all_configs() -> [MatchConfig; 4] {
     ]
 }
 
-/// The legacy wrappers, called deliberately: these proptests pin
-/// engine ≡ legacy equivalence.
-#[allow(deprecated)]
-fn legacy_match(graph: &Graph, pattern: &Pattern, config: &MatchConfig) -> Vec<NodeId> {
-    qgp_core::matching::quantified_match_with(graph, pattern, config)
-        .unwrap()
-        .matches
-}
-
-#[allow(deprecated)]
-fn legacy_restricted(
-    graph: &Graph,
-    pattern: &Pattern,
-    config: &MatchConfig,
-    restriction: &[NodeId],
-) -> Vec<NodeId> {
-    qgp_core::matching::quantified_match_restricted(graph, pattern, config, Some(restriction))
-        .matches
-}
-
 /// One single-fragment partition covering the whole graph — trivially d-hop
 /// preserving for any d, so the engine's partitioned mode can be exercised
 /// without depending on the partitioning crate.
@@ -140,30 +123,32 @@ fn whole_graph_fragment(graph: &Graph) -> Vec<Fragment> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Engine output ≡ legacy `quantified_match_with` for every matcher
+    /// Engine output ≡ the reference oracle for every matcher
     /// configuration, execution mode, and executor thread count.
     #[test]
-    fn engine_equals_legacy_across_configs_modes_and_threads(
+    fn engine_equals_reference_across_configs_modes_and_threads(
         gspec in graph_spec(),
         kind in 0u8..6,
     ) {
         let graph = build_graph(&gspec);
         let pattern = pattern(kind);
         let engine = Engine::new(&graph);
-        let mut prepared = engine.prepare(&pattern).unwrap();
+        let prepared = engine.prepare(&pattern).unwrap();
         let fragments = whole_graph_fragment(&graph);
+        let oracle = evaluate_reference(&graph, &pattern);
         for config in all_configs() {
-            let legacy = legacy_match(&graph, &pattern, &config);
+            let one_shot = common::engine_match(&graph, &pattern, &config);
+            prop_assert_eq!(&one_shot.matches, &oracle, "one-shot, {:?}", config);
             let seq = prepared
                 .run(ExecOptions::sequential().with_config(config))
                 .unwrap();
-            prop_assert_eq!(&seq.matches, &legacy, "sequential, {:?}", config);
+            prop_assert_eq!(&seq.matches, &oracle, "sequential, {:?}", config);
             for threads in [1usize, 2, 4] {
                 let par = prepared
                     .run(ExecOptions::parallel_threads(threads).with_config(config))
                     .unwrap();
                 prop_assert_eq!(
-                    &par.matches, &legacy,
+                    &par.matches, &oracle,
                     "parallel({} threads), {:?}", threads, config
                 );
                 let runtime = Runtime::new(threads);
@@ -174,7 +159,7 @@ proptest! {
                     )
                     .unwrap();
                 prop_assert_eq!(
-                    &part.matches, &legacy,
+                    &part.matches, &oracle,
                     "partitioned({} threads), {:?}", threads, config
                 );
             }
@@ -182,8 +167,8 @@ proptest! {
     }
 
     /// The streaming iterator yields the same answers as the collected run,
-    /// in the same order, and a restriction behaves like the legacy
-    /// restricted entry point.
+    /// in the same order, and a restriction yields exactly the oracle's
+    /// answers inside it.
     #[test]
     fn streaming_and_restriction_match_the_batch_answer(
         gspec in graph_spec(),
@@ -193,7 +178,7 @@ proptest! {
         let graph = build_graph(&gspec);
         let pattern = pattern(kind);
         let engine = Engine::new(&graph);
-        let mut prepared = engine.prepare(&pattern).unwrap();
+        let prepared = engine.prepare(&pattern).unwrap();
         let full = prepared.run(ExecOptions::sequential()).unwrap();
         let streamed: Vec<NodeId> = prepared
             .execute(ExecOptions::sequential())
@@ -206,11 +191,10 @@ proptest! {
         let restricted = prepared
             .run(ExecOptions::sequential().restrict_to(&restriction))
             .unwrap();
-        let legacy = legacy_restricted(&graph, &pattern, &MatchConfig::qmatch(), &restriction);
-        prop_assert_eq!(&restricted.matches, &legacy);
-        for v in &restricted.matches {
-            prop_assert!(full.matches.contains(v));
-        }
+        let mut oracle = evaluate_reference(&graph, &pattern);
+        prop_assert_eq!(&full.matches, &oracle);
+        oracle.retain(|v| restriction.contains(v));
+        prop_assert_eq!(&restricted.matches, &oracle);
     }
 
     /// `limit(k)` yields exactly the k smallest members of the full answer
@@ -226,7 +210,7 @@ proptest! {
         let graph = build_graph(&gspec);
         let pattern = pattern(kind);
         let engine = Engine::new(&graph);
-        let mut prepared = engine.prepare(&pattern).unwrap();
+        let prepared = engine.prepare(&pattern).unwrap();
         let full = prepared.run(ExecOptions::sequential()).unwrap();
         let limited = prepared
             .run(ExecOptions::sequential().limit(k))
@@ -263,7 +247,7 @@ proptest! {
         let graph = build_graph(&gspec);
         let pattern = pattern(kind);
         let engine = Engine::new(&graph);
-        let mut prepared = engine.prepare(&pattern).unwrap();
+        let prepared = engine.prepare(&pattern).unwrap();
         let full = prepared.run(ExecOptions::sequential()).unwrap();
 
         // Pre-cancelled token: nothing is decided, in any mode.
@@ -318,7 +302,7 @@ fn second_execution_reuses_the_cached_session() {
     b.add_edge(ann, bob, "r").unwrap();
     let graph = b.build();
     let engine = Engine::new(&graph);
-    let mut prepared = engine.prepare(&pattern(0)).unwrap();
+    let prepared = engine.prepare(&pattern(0)).unwrap();
     let first = prepared.run(ExecOptions::sequential()).unwrap();
     assert_eq!(first.stats.sessions_built, 1, "first execution builds");
     let second = prepared.run(ExecOptions::sequential()).unwrap();
@@ -339,7 +323,7 @@ fn deadline_tokens_cancel_by_themselves() {
     b.add_edge(ann, bob, "r").unwrap();
     let graph = b.build();
     let engine = Engine::new(&graph);
-    let mut prepared = engine.prepare(&pattern(0)).unwrap();
+    let prepared = engine.prepare(&pattern(0)).unwrap();
     let expired = CancelToken::with_timeout(std::time::Duration::ZERO);
     let m = prepared
         .execute(ExecOptions::sequential().cancel_with(expired))
@@ -371,7 +355,7 @@ fn overlapping_fragment_coverage_does_not_short_the_limit() {
         Fragment::build(FragmentId(1), &graph, &nodes, nodes.iter().copied()),
     ];
     let engine = Engine::new(&graph);
-    let mut prepared = engine.prepare(&pattern(0)).unwrap();
+    let prepared = engine.prepare(&pattern(0)).unwrap();
     let full = prepared
         .run(ExecOptions::partitioned(&fragments, 2))
         .unwrap();
@@ -395,7 +379,7 @@ fn partitioned_mode_rejects_bad_partitions() {
         edges: vec![(0, 1, 0), (1, 2, 1)],
     });
     let engine = Engine::new(&graph);
-    let mut prepared = engine.prepare(&pattern(2)).unwrap(); // radius 2
+    let prepared = engine.prepare(&pattern(2)).unwrap(); // radius 2
     let fragments = whole_graph_fragment(&graph);
     // d smaller than the radius.
     let err = prepared

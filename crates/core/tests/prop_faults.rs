@@ -9,6 +9,9 @@
 //!   `BudgetPolicy::Partial` yields a prefix of the full answer flagged
 //!   [`QueryAnswer::truncated`], `BudgetPolicy::Fail` surfaces
 //!   [`MatchError::BudgetExceeded`],
+//! * a [`QueryRegistry::serve`] batch under injected faults answers each
+//!   request exactly or with a typed error, and loses or corrupts no pooled
+//!   session: the next, fault-free batch answers every request exactly,
 //! * a [`MatchView`] under mid-apply faults equals its pre-apply state
 //!   (rolled back) or its fully-applied state — never anything in between —
 //!   and a poisoned view rebuilds to the recompute-from-scratch answer.
@@ -17,12 +20,15 @@
 //! [`QueryAnswer::truncated`]: qgp_core::matching::QueryAnswer
 //! [`MatchError::BudgetExceeded`]: qgp_core::MatchError
 //! [`MatchView`]: qgp_core::engine::MatchView
+//! [`QueryRegistry::serve`]: qgp_core::engine::QueryRegistry::serve
 
 use proptest::prelude::*;
 
 use qgp_core::engine::{
-    BudgetPolicy, Engine, ExecBudget, ExecOptions, ViewError,
+    BudgetPolicy, CountMode, Engine, ExecBudget, ExecOptions, PreparedQuery, QueryRegistry,
+    ServeOutcome, ServeRequest, ViewError,
 };
+use qgp_core::matching::reference::evaluate_reference;
 use qgp_core::pattern::{CountingQuantifier, Pattern, PatternBuilder};
 use qgp_core::MatchError;
 use qgp_graph::{EdgeOp, Graph, GraphBuilder, NodeId};
@@ -99,6 +105,14 @@ fn pattern(kind: u8) -> Pattern {
     b.build().expect("fixed pattern family validates")
 }
 
+/// Serving shares prepared queries and the registry across worker threads
+/// by reference, with no lock around either.
+const _: fn() = || {
+    fn shared_across_threads<T: Send + Sync>() {}
+    shared_across_threads::<PreparedQuery>();
+    shared_across_threads::<QueryRegistry>();
+};
+
 /// The armed plan for one proptest case: the `QGP_FAULTS` env plan when
 /// the CI fault-injection job pins one (its seed xor-folded with the case
 /// seed so cases still explore distinct fault schedules), else `fallback`.
@@ -143,7 +157,7 @@ proptest! {
     ) {
         let graph = build_graph(&gspec);
         let pattern = pattern(kind);
-        let mut prepared = Engine::new(&graph).prepare(&pattern).unwrap();
+        let prepared = Engine::new(&graph).prepare(&pattern).unwrap();
         let runtime = Runtime::new(2);
         let baseline = prepared
             .run(ExecOptions::parallel_on(&runtime))
@@ -168,6 +182,57 @@ proptest! {
         prop_assert!(!again.truncated);
     }
 
+    /// A `serve` batch naming one query twice (plus a counting request for
+    /// another) under injected faults: each request comes back with the
+    /// oracle's exact answer or a typed `TaskPanicked`, on one thread and on
+    /// four — and the same registry, disarmed, then answers every request
+    /// exactly, so no pooled session was lost or corrupted.
+    #[test]
+    fn serve_under_faults_is_exact_or_typed_and_recovers(
+        gspec in graph_spec(),
+        kinds in (0u8..4, 0u8..4),
+        seed in 0u64..1_000,
+    ) {
+        let graph = build_graph(&gspec);
+        let engine = Engine::new(&graph);
+        let patterns = [pattern(kinds.0), pattern(kinds.1)];
+        let mut registry = QueryRegistry::new();
+        let ids = patterns
+            .each_ref()
+            .map(|p| registry.register(engine.prepare(p).unwrap()));
+        let batch = [
+            ServeRequest::new(ids[0]),
+            ServeRequest::new(ids[0]),
+            ServeRequest::new(ids[1]).count(CountMode::ThresholdOnly),
+        ];
+        let oracle = [0, 0, 1].map(|q| evaluate_reference(&graph, &patterns[q]));
+        let exact = |outcome: &ServeOutcome, expected: &Vec<NodeId>| {
+            matches!(&outcome.result, Ok(a) if !a.truncated && &a.matches == expected)
+        };
+
+        for threads in [1usize, 4] {
+            let runtime = Runtime::new(threads);
+            let outcomes = {
+                let plan = plan_for_case(seed, FaultPlan::new(seed, 0.2).with_delay_rate(0.1));
+                let _armed = faults::install(plan);
+                registry.serve(engine.snapshot(), &batch, &runtime)
+            };
+            for (outcome, expected) in outcomes.iter().zip(&oracle) {
+                match &outcome.result {
+                    Err(MatchError::TaskPanicked(e)) => {
+                        prop_assert!(e.payload.contains("injected fault"), "{}", e);
+                    }
+                    _ => prop_assert!(exact(outcome, expected), "{:?}", outcome),
+                }
+            }
+
+            let outcomes = registry.serve(engine.snapshot(), &batch, &runtime);
+            for (outcome, expected) in outcomes.iter().zip(&oracle) {
+                prop_assert!(exact(outcome, expected), "disarmed: {:?}", outcome);
+            }
+        }
+    }
+
     /// A decision-capped budget under `Partial` yields a prefix of the
     /// fault-free sequential answer, flagged truncated iff it stopped
     /// early.
@@ -179,7 +244,7 @@ proptest! {
     ) {
         let graph = build_graph(&gspec);
         let pattern = pattern(kind);
-        let mut prepared = Engine::new(&graph).prepare(&pattern).unwrap();
+        let prepared = Engine::new(&graph).prepare(&pattern).unwrap();
         let full = prepared.run(ExecOptions::sequential()).unwrap();
 
         let budget = ExecBudget::unlimited().max_decisions(cap);
@@ -319,7 +384,7 @@ proptest! {
 #[test]
 fn global_runtime_serves_queries_after_an_injected_panic() {
     let (graph, pattern) = star_graph(64);
-    let mut prepared = Engine::new(&graph).prepare(&pattern).unwrap();
+    let prepared = Engine::new(&graph).prepare(&pattern).unwrap();
     let full = prepared.run(ExecOptions::parallel()).unwrap();
     assert_eq!(full.matches.len(), 64);
 
@@ -339,12 +404,34 @@ fn global_runtime_serves_queries_after_an_injected_panic() {
     assert_eq!(again.matches, full.matches);
 }
 
+/// Two requests for the same query in one batch need no turn-taking: on two
+/// workers both come back exact.
+#[test]
+fn identical_requests_in_one_batch_both_answer_exactly() {
+    let (graph, pattern) = star_graph(64);
+    let engine = Engine::new(&graph);
+    let mut registry = QueryRegistry::new();
+    let q = registry.register(engine.prepare(&pattern).unwrap());
+    let batch = [ServeRequest::new(q), ServeRequest::new(q)];
+    let oracle = evaluate_reference(&graph, &pattern);
+    let runtime = Runtime::new(2);
+    for _ in 0..8 {
+        let outcomes = registry.serve(engine.snapshot(), &batch, &runtime);
+        assert_eq!(outcomes.len(), 2);
+        for outcome in outcomes {
+            let answer = outcome.result.unwrap();
+            assert_eq!(answer.matches, oracle);
+            assert!(!answer.truncated);
+        }
+    }
+}
+
 /// A zero-duration deadline budget truncates immediately under `Partial`
 /// and fails under `Fail`, in sequential and parallel mode alike.
 #[test]
 fn expired_deadline_budget_truncates_or_fails() {
     let (graph, pattern) = star_graph(32);
-    let mut prepared = Engine::new(&graph).prepare(&pattern).unwrap();
+    let prepared = Engine::new(&graph).prepare(&pattern).unwrap();
 
     let expired = ExecBudget::with_timeout(std::time::Duration::ZERO);
     let answer = prepared

@@ -7,20 +7,13 @@
 
 use proptest::prelude::*;
 
-use qgp_core::engine::{Engine, ExecOptions};
+mod common;
+
+use common::engine_match;
 use qgp_core::matching::reference::evaluate_reference;
-use qgp_core::matching::{conventional_match, MatchConfig, QueryAnswer};
+use qgp_core::matching::{conventional_match, MatchConfig};
 use qgp_core::pattern::{CountingQuantifier, Pattern, PatternBuilder};
 use qgp_graph::{Graph, GraphBuilder, NodeId};
-
-/// One sequential engine execution (the ported `quantified_match_with`).
-fn engine_match(graph: &Graph, pattern: &Pattern, config: &MatchConfig) -> QueryAnswer {
-    Engine::new(graph)
-        .prepare(pattern)
-        .expect("generated patterns validate")
-        .run(ExecOptions::sequential().with_config(*config))
-        .expect("sequential runs succeed")
-}
 
 const NODE_LABELS: &[&str] = &["A", "B", "C"];
 const EDGE_LABELS: &[&str] = &["r", "s"];

@@ -102,9 +102,8 @@ fn unwrap_scoped(rel: &str) -> bool {
 /// `PreparedQuery`, `MatchView` and the registry own `Arc<GraphSnapshot>`
 /// pins, which is what makes registered queries and cross-epoch serving
 /// possible at all.  These are the grandfathered exceptions: the
-/// options/execution-mode family borrows a `Runtime`, and `Matches`
-/// borrows its prepared query for exactly one streamed execution.
-const ENGINE_LIFETIME_ALLOWED: &[&str] = &["ExecOptions", "ExecMode", "Parallelism", "Matches"];
+/// options/execution-mode family borrows a `Runtime` and fragments.
+const ENGINE_LIFETIME_ALLOWED: &[&str] = &["ExecOptions", "ExecMode", "Parallelism"];
 
 /// Returns the name of a lifetime-parameterized public type declared on
 /// this (stripped) line of an engine module, unless allowlisted.
@@ -510,7 +509,7 @@ fn scan_file(rel: &str, source: &str, findings: &mut Vec<Finding>) {
                     message: format!(
                         "lifetime-parameterized public type `{name}` on the engine \
                          surface; pin an Arc<GraphSnapshot> instead (grandfathered: \
-                         ExecOptions/ExecMode/Parallelism/Matches)"
+                         ExecOptions/ExecMode/Parallelism)"
                     ),
                 });
             }
@@ -608,11 +607,15 @@ mod tests {
             scan("crates/core/src/engine/x.rs", bad),
             vec!["engine-lifetime"]
         );
+        // `Matches` owns its session; it must not grow a borrow back.
+        assert_eq!(
+            scan("crates/core/src/engine/x.rs", "pub struct Matches<'q> {\n"),
+            vec!["engine-lifetime"]
+        );
         // The same declaration outside the engine surface is fine.
         assert!(scan("crates/core/src/matching/x.rs", bad).is_empty());
         // Grandfathered types and lifetime-free types are clean.
         for ok in [
-            "pub struct Matches<'q> {\n",
             "pub enum ExecMode<'a> {\n",
             "pub struct ExecOptions<'a> {\n",
             "pub enum Parallelism<'a> {\n",

@@ -6,8 +6,9 @@
 //! * [`partition::dpar`] — `DPar`, the d-hop preserving, balanced graph
 //!   partition built once per graph and reused for every pattern of radius
 //!   ≤ d,
-//! * [`pqmatch::pqmatch`] — `PQMatch`, which evaluates a QGP over all
-//!   fragments and unions the partial answers,
+//! * [`pqmatch::pqmatch_on`] — `PQMatch`, which evaluates a QGP over all
+//!   fragments and unions the partial answers (the engine's partitioned
+//!   mode, compiled and run in one call),
 //! * [`pqmatch::ParallelConfig`] — the `PQMatch` / `PQMatchs` / `PQMatchn` /
 //!   `PEnum` variants compared in the paper's evaluation.
 //!
@@ -57,8 +58,8 @@ pub mod pqmatch;
 
 pub use error::ParallelError;
 pub use partition::{dpar, dpar_with, DHopPartition, PartitionConfig, PartitionStats};
-pub use pqmatch::{partition_and_match, ParallelAnswer, ParallelConfig};
-// The deprecated one-shot entry points stay re-exported for compatibility;
-// new code goes through `qgp_core::engine` with `ExecOptions::partitioned`.
-#[allow(deprecated)]
-pub use pqmatch::{pqmatch, pqmatch_on};
+pub use pqmatch::{pqmatch_on, ParallelAnswer, ParallelConfig};
+
+#[cfg(test)]
+#[path = "../../core/tests/common/mod.rs"]
+mod test_support;

@@ -233,7 +233,7 @@ pub fn dpar_with(graph: &Graph, config: &PartitionConfig, runtime: &Runtime) -> 
 
     // ---- Step 4: completion ---------------------------------------------
     // Remaining nodes are assigned to the fragment that keeps the estimated
-    // sizes most even (the |F_max| − |F_min| criterion of the paper),
+    // sizes most even (the |F_max| − |F_min| balance measure of the paper),
     // ignoring the capacity so every node ends up covered somewhere.
     for (v, nd) in uncovered {
         let f = (0..n)

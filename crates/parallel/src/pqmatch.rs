@@ -11,21 +11,20 @@
 //! mode ([`qgp_core::engine::ExecMode::Partitioned`]): one task per covered
 //! focus candidate on the shared work-stealing [`qgp_runtime::Runtime`],
 //! each worker thread lazily holding one matcher session per fragment, all
-//! sessions sharing one compiled pattern.  The [`pqmatch`] / [`pqmatch_on`]
-//! free functions survive as deprecated thin wrappers over that mode, so
-//! the parallel path provably shares the engine's semantics.
+//! sessions sharing one compiled pattern.  [`pqmatch_on`] is this crate's
+//! one compile-and-run convenience over that mode.
 
 use std::time::Duration;
 
-use qgp_core::engine::{Engine, ExecOptions, Parallelism};
+use qgp_core::engine::{Engine, ExecOptions};
 use qgp_core::matching::{MatchConfig, MatchStats};
 use qgp_core::pattern::Pattern;
 use qgp_core::MatchError;
-use qgp_graph::{Graph, NodeId};
+use qgp_graph::NodeId;
 use qgp_runtime::Runtime;
 
 use crate::error::ParallelError;
-use crate::partition::{dpar, DHopPartition, PartitionConfig};
+use crate::partition::DHopPartition;
 
 /// Configuration of a parallel matching run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -113,45 +112,36 @@ fn to_parallel_error(e: MatchError) -> ParallelError {
     }
 }
 
-/// The shared wrapper body: one partitioned engine execution.
-fn pqmatch_impl(
+/// Runs `PQMatch` over an existing d-hop preserving partition on an
+/// explicit executor: prepares `pattern` and executes it once in
+/// [`ExecMode::Partitioned`](qgp_core::engine::ExecMode::Partitioned),
+/// reporting the scheduling telemetry next to the answer.  To run one
+/// pattern many times, prepare it once with [`Engine::prepare`] instead.
+///
+/// Returns an error when the pattern is invalid, when its radius exceeds
+/// the partition's `d` — the covering guarantee would no longer imply that
+/// local evaluation is complete — or when the partition has no fragments.
+pub fn pqmatch_on(
     pattern: &Pattern,
     partition: &DHopPartition,
     config: &ParallelConfig,
-    parallelism: Parallelism<'_>,
+    runtime: &Runtime,
 ) -> Result<ParallelAnswer, ParallelError> {
-    // Preserve the historical error precedence of these wrappers:
-    // validation first, then the radius check, then worker availability.
-    pattern
-        .validate()
-        .map_err(|e| ParallelError::InvalidPattern(e.to_string()))?;
-    let radius = pattern.radius();
-    if radius > partition.d() {
-        return Err(ParallelError::RadiusExceedsPartition {
-            radius,
-            partition_d: partition.d(),
-        });
-    }
     let fragments = partition.fragments();
-    if fragments.is_empty() {
-        return Err(ParallelError::NoWorkers);
-    }
     // The engine graph is not consulted in partitioned mode (sessions run
     // on the fragment subgraphs); bind it to the first fragment's.
-    let engine = Engine::new(fragments[0].graph());
-    let mut prepared = engine.prepare(pattern).map_err(to_parallel_error)?;
-    let opts = ExecOptions::partitioned_with(fragments, partition.d(), parallelism)
+    let first = fragments.first().ok_or(ParallelError::NoWorkers)?;
+    let prepared = Engine::new(first.graph())
+        .prepare(pattern)
+        .map_err(to_parallel_error)?;
+    let opts = ExecOptions::partitioned_on(fragments, partition.d(), runtime)
         .with_config(config.match_config);
     let matches = prepared.execute(opts).map_err(to_parallel_error)?;
-    let stats = matches.stats();
-    let telemetry = matches
-        .telemetry()
-        .cloned()
-        .expect("partitioned executions report telemetry");
+    let telemetry = matches.telemetry().cloned().unwrap_or_default();
     let answer = matches.into_answer();
     Ok(ParallelAnswer {
         matches: answer.matches,
-        stats,
+        stats: answer.stats,
         worker_times: telemetry.worker_times,
         thread_busy: telemetry.thread_busy,
         steals: telemetry.steals,
@@ -159,72 +149,14 @@ fn pqmatch_impl(
     })
 }
 
-/// Runs `PQMatch` over an existing d-hop preserving partition.
-///
-/// Returns an error when the pattern radius exceeds the partition's `d` —
-/// the covering guarantee would no longer imply that local evaluation is
-/// complete.
-#[deprecated(
-    note = "prepare the pattern once with `Engine::prepare` and execute with \
-            `ExecOptions::partitioned` (see `qgp_core::engine`)"
-)]
-pub fn pqmatch(
-    pattern: &Pattern,
-    partition: &DHopPartition,
-    config: &ParallelConfig,
-) -> Result<ParallelAnswer, ParallelError> {
-    pqmatch_impl(
-        pattern,
-        partition,
-        config,
-        Parallelism::threads_or_global(config.threads),
-    )
-}
-
-/// [`pqmatch`] on an explicit executor (used by benchmarks to measure
-/// thread-count curves without touching the global runtime).
-#[deprecated(
-    note = "prepare the pattern once with `Engine::prepare` and execute with \
-            `ExecOptions::partitioned_on` (see `qgp_core::engine`)"
-)]
-pub fn pqmatch_on(
-    pattern: &Pattern,
-    partition: &DHopPartition,
-    config: &ParallelConfig,
-    runtime: &Runtime,
-) -> Result<ParallelAnswer, ParallelError> {
-    pqmatch_impl(pattern, partition, config, Parallelism::On(runtime))
-}
-
-/// Partitions the graph with `DPar` and runs a partitioned engine execution
-/// on the result.
-pub fn partition_and_match(
-    graph: &Graph,
-    pattern: &Pattern,
-    partition_config: &PartitionConfig,
-    config: &ParallelConfig,
-) -> Result<(DHopPartition, ParallelAnswer), ParallelError> {
-    let partition = dpar(graph, partition_config);
-    let answer = pqmatch_impl(
-        pattern,
-        &partition,
-        config,
-        Parallelism::threads_or_global(config.threads),
-    )?;
-    Ok((partition, answer))
-}
-
 #[cfg(test)]
-// Intentional call sites: these tests pin the behavior of the deprecated
-// `pqmatch`/`pqmatch_on` wrappers (and compare them against the equally
-// deprecated sequential wrapper), guarding the wrapper layer itself.  New
-// code — and the equivalence proptests — go through the engine.
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use qgp_core::matching::quantified_match;
+    use crate::partition::{dpar, PartitionConfig};
+    use crate::test_support::engine_match;
+    use qgp_core::matching::reference::evaluate_reference;
     use qgp_core::pattern::{library, CountingQuantifier, PatternBuilder};
-    use qgp_graph::GraphBuilder;
+    use qgp_graph::{Graph, GraphBuilder};
 
     /// A small social graph with enough structure for Q2/Q3-style patterns.
     fn social_graph(groups: usize) -> Graph {
@@ -254,21 +186,21 @@ mod tests {
             library::q3_redmi_negation(3),
         ];
         for pattern in patterns {
-            let sequential = quantified_match(&g, &pattern).unwrap();
+            let expected = evaluate_reference(&g, &pattern);
+            let sequential = engine_match(&g, &pattern, &MatchConfig::qmatch());
+            assert_eq!(sequential.matches, expected, "pattern={pattern}");
             for n in [1, 2, 4] {
                 for threads in [1, 2] {
                     let partition = dpar(&g, &PartitionConfig::new(n, 2));
-                    let parallel = pqmatch(
+                    let parallel = pqmatch_on(
                         &pattern,
                         &partition,
-                        &ParallelConfig {
-                            threads: Some(threads),
-                            match_config: MatchConfig::qmatch(),
-                        },
+                        &ParallelConfig::pqmatch(threads),
+                        &Runtime::new(threads),
                     )
                     .unwrap();
                     assert_eq!(
-                        parallel.matches, sequential.matches,
+                        parallel.matches, expected,
                         "n={n} threads={threads} pattern={pattern}"
                     );
                     assert_eq!(parallel.worker_times.len(), n);
@@ -282,7 +214,8 @@ mod tests {
         let g = social_graph(8);
         let pattern = library::q3_redmi_negation(2);
         let partition = dpar(&g, &PartitionConfig::new(3, 2));
-        let expected = quantified_match(&g, &pattern).unwrap().matches;
+        let expected = evaluate_reference(&g, &pattern);
+        let runtime = Runtime::new(2);
         for config in [
             ParallelConfig::pqmatch(2),
             ParallelConfig::pqmatch_s(),
@@ -290,7 +223,7 @@ mod tests {
             ParallelConfig::penum(2),
             ParallelConfig::default(),
         ] {
-            let ans = pqmatch(&pattern, &partition, &config).unwrap();
+            let ans = pqmatch_on(&pattern, &partition, &config, &runtime).unwrap();
             assert_eq!(ans.matches, expected, "{config:?}");
         }
     }
@@ -299,8 +232,7 @@ mod tests {
     fn sessions_are_reused_per_worker_not_per_chunk() {
         // With a grain far below the candidate count the executor claims
         // many blocks, but sessions must only be built once per
-        // (executor thread, fragment) pair — the satellite regression guard
-        // for the old per-chunk scratch rebuild in `run_chunk`.
+        // (executor thread, fragment) pair.
         let g = social_graph(40);
         let pattern = library::q3_redmi_negation(2);
         let n = 3;
@@ -310,10 +242,7 @@ mod tests {
         let answer = pqmatch_on(
             &pattern,
             &partition,
-            &ParallelConfig {
-                threads: Some(threads),
-                match_config: MatchConfig::qmatch(),
-            },
+            &ParallelConfig::pqmatch(threads),
             &runtime,
         )
         .unwrap();
@@ -336,7 +265,13 @@ mod tests {
         // A radius-2 pattern cannot be answered on a 1-hop partition.
         let pattern = library::q2_redmi_universal();
         assert_eq!(pattern.radius(), 2);
-        let err = pqmatch(&pattern, &partition, &ParallelConfig::default()).unwrap_err();
+        let err = pqmatch_on(
+            &pattern,
+            &partition,
+            &ParallelConfig::default(),
+            &Runtime::new(1),
+        )
+        .unwrap_err();
         assert!(matches!(
             err,
             ParallelError::RadiusExceedsPartition {
@@ -357,25 +292,8 @@ mod tests {
         b.focus(xo);
         let p = b.build_unchecked();
         assert!(matches!(
-            pqmatch(&p, &partition, &ParallelConfig::default()),
+            pqmatch_on(&p, &partition, &ParallelConfig::default(), &Runtime::new(1)),
             Err(ParallelError::InvalidPattern(_))
         ));
-    }
-
-    #[test]
-    fn partition_and_match_convenience_roundtrip() {
-        let g = social_graph(6);
-        let pattern = library::q2_redmi_universal();
-        let (partition, answer) = partition_and_match(
-            &g,
-            &pattern,
-            &PartitionConfig::new(3, 2),
-            &ParallelConfig::pqmatch(2),
-        )
-        .unwrap();
-        assert_eq!(partition.len(), 3);
-        let sequential = quantified_match(&g, &pattern).unwrap();
-        assert_eq!(answer.matches, sequential.matches);
-        assert!(answer.elapsed >= Duration::ZERO);
     }
 }

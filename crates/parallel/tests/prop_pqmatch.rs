@@ -1,32 +1,22 @@
 //! Property-based parity tests for the runtime-scheduled parallel path:
 //! on random graphs — including pathologically skewed ones where a single
 //! hub owns most edges — the engine's partitioned mode over a `DPar`
-//! partition must compute exactly the sequential answer for every partition
-//! size, executor thread count, and matcher configuration, and the
-//! deprecated `pqmatch_on` wrapper must agree with it verbatim.
+//! partition must compute exactly the reference oracle's answer for every
+//! partition size, executor thread count, and matcher configuration — as
+//! must the sequential mode and the `pqmatch_on` convenience.
 
 use proptest::prelude::*;
 
+#[path = "../../core/tests/common/mod.rs"]
+mod common;
+
 use qgp_core::engine::{Engine, ExecOptions};
+use qgp_core::matching::reference::evaluate_reference;
 use qgp_core::matching::MatchConfig;
 use qgp_core::pattern::{CountingQuantifier, Pattern, PatternBuilder};
-use qgp_graph::{Graph, GraphBuilder, NodeId};
-use qgp_parallel::{dpar_with, DHopPartition, ParallelConfig, PartitionConfig};
+use qgp_graph::{Graph, GraphBuilder};
+use qgp_parallel::{dpar_with, pqmatch_on, ParallelConfig, PartitionConfig};
 use qgp_runtime::Runtime;
-
-/// The legacy wrapper, called deliberately: the proptests pin
-/// engine ≡ `pqmatch_on` equivalence.
-#[allow(deprecated)]
-fn legacy_pqmatch(
-    pattern: &Pattern,
-    partition: &DHopPartition,
-    config: &ParallelConfig,
-    runtime: &Runtime,
-) -> Vec<NodeId> {
-    qgp_parallel::pqmatch_on(pattern, partition, config, runtime)
-        .unwrap()
-        .matches
-}
 
 const NODE_LABELS: &[&str] = &["A", "B", "C"];
 const EDGE_LABELS: &[&str] = &["r", "s"];
@@ -131,7 +121,7 @@ fn pattern(kind: u8) -> Pattern {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// PQMatch-on-runtime ≡ sequential quantified_match for every partition
+    /// PQMatch-on-runtime ≡ sequential ≡ the oracle for every partition
     /// size, executor thread count and matcher configuration.
     #[test]
     fn pqmatch_equals_sequential_everywhere(
@@ -141,15 +131,15 @@ proptest! {
         let graph = build_graph(&gspec);
         let pattern = pattern(kind);
         let engine = Engine::new(&graph);
-        let mut prepared = engine.prepare(&pattern).unwrap();
+        let prepared = engine.prepare(&pattern).unwrap();
+        let oracle = evaluate_reference(&graph, &pattern);
         for match_config in [
             MatchConfig::qmatch(),
             MatchConfig::qmatch_n(),
             MatchConfig::enumerate(),
         ] {
-            let sequential = prepared
-                .run(ExecOptions::sequential().with_config(match_config))
-                .unwrap();
+            let sequential = common::engine_match(&graph, &pattern, &match_config);
+            prop_assert_eq!(&sequential.matches, &oracle, "sequential {:?}", match_config);
             for n in [1usize, 2, 4] {
                 let partition = dpar_with(
                     &graph,
@@ -170,7 +160,7 @@ proptest! {
                         .unwrap();
                     prop_assert_eq!(
                         &parallel.matches,
-                        &sequential.matches,
+                        &oracle,
                         "n={} threads={} config={:?} hub={} pattern={}",
                         n,
                         threads,
@@ -178,21 +168,19 @@ proptest! {
                         gspec.hub,
                         pattern
                     );
-                    // The deprecated wrapper is a thin adapter over the same
-                    // execution: identical answers, verbatim.
                     let config = ParallelConfig {
                         threads: None,
                         match_config,
                     };
-                    let legacy = legacy_pqmatch(&pattern, &partition, &config, &runtime);
-                    prop_assert_eq!(&legacy, &parallel.matches);
+                    let one_call = pqmatch_on(&pattern, &partition, &config, &runtime).unwrap();
+                    prop_assert_eq!(&one_call.matches, &oracle);
                 }
             }
         }
     }
 
     /// A guaranteed-skewed instance: the hub graph partitioned across 4
-    /// fragments with multi-threaded stealing still matches sequentially.
+    /// fragments with multi-threaded stealing still matches the oracle.
     #[test]
     fn hub_skew_never_loses_or_duplicates_matches(seed_edges in proptest::collection::vec((0u8..8, 0u8..8, 0u8..2), 0..20)) {
         let spec = GraphSpec {
@@ -204,8 +192,8 @@ proptest! {
         for kind in 0u8..6 {
             let pattern = pattern(kind);
             let engine = Engine::new(&graph);
-            let mut prepared = engine.prepare(&pattern).unwrap();
-            let sequential = prepared.run(ExecOptions::sequential()).unwrap();
+            let prepared = engine.prepare(&pattern).unwrap();
+            let oracle = evaluate_reference(&graph, &pattern);
             let partition = dpar_with(&graph, &PartitionConfig::new(4, 2), &Runtime::new(4));
             let runtime = Runtime::new(4);
             let parallel = prepared
@@ -215,7 +203,7 @@ proptest! {
                     &runtime,
                 ))
                 .unwrap();
-            prop_assert_eq!(&parallel.matches, &sequential.matches, "kind={}", kind);
+            prop_assert_eq!(&parallel.matches, &oracle, "kind={}", kind);
         }
     }
 }

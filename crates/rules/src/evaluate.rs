@@ -39,41 +39,31 @@ pub struct RuleEvaluation {
     pub stats: MatchStats,
 }
 
-/// Runs one pattern sequentially through the engine.  With `counting` the
-/// decision for every focus candidate runs through the aggregate-pushdown
-/// path ([`PreparedQuery::count`](qgp_core::engine::PreparedQuery::count)):
-/// the matched foci are identical, but no child match is ever materialized —
-/// the per-candidate saving Exp-3 support counting lives on.
+/// Runs one pattern sequentially through the engine.  Support and
+/// confidence are *counting* aggregates, so every focus candidate is
+/// decided through the aggregate-pushdown work profile
+/// ([`ExecOptions::count_only`]): the matched foci are those of an
+/// enumerating run, but no child match is ever materialized — the
+/// per-candidate saving Exp-3 support counting lives on.
 fn run_sequential(
     graph: &Graph,
     pattern: &Pattern,
     config: &MatchConfig,
-    counting: bool,
 ) -> Result<QueryAnswer, RuleError> {
-    let opts = ExecOptions::sequential().with_config(*config);
     Engine::new(graph)
         .prepare(pattern)
-        .and_then(|mut prepared| {
-            if counting {
-                prepared.count(opts.count_only()).map(|answer| QueryAnswer {
-                    matches: answer.matches().collect(),
-                    stats: answer.stats,
-                    truncated: answer.truncated,
-                })
-            } else {
-                prepared.run(opts)
-            }
+        .and_then(|prepared| {
+            prepared.run(ExecOptions::sequential().with_config(*config).count_only())
         })
         .map_err(|e| RuleError::InvalidPattern(e.to_string()))
 }
 
 /// Runs one pattern over a d-hop partition through the engine (counting
-/// path when `counting` — see [`run_sequential`]).
+/// work profile — see [`run_sequential`]).
 fn run_partitioned(
     pattern: &Pattern,
     partition: &DHopPartition,
     config: &ParallelConfig,
-    counting: bool,
 ) -> Result<QueryAnswer, RuleError> {
     let fragments = partition.fragments();
     let engine = Engine::new(
@@ -87,20 +77,11 @@ fn run_partitioned(
         partition.d(),
         Parallelism::threads_or_global(config.threads),
     )
-    .with_config(config.match_config);
+    .with_config(config.match_config)
+    .count_only();
     engine
         .prepare(pattern)
-        .and_then(|mut prepared| {
-            if counting {
-                prepared.count(opts.count_only()).map(|answer| QueryAnswer {
-                    matches: answer.matches().collect(),
-                    stats: answer.stats,
-                    truncated: answer.truncated,
-                })
-            } else {
-                prepared.run(opts)
-            }
-        })
+        .and_then(|prepared| prepared.run(opts))
         .map_err(|e| RuleError::Parallel(e.to_string()))
 }
 
@@ -115,15 +96,13 @@ pub(crate) struct ConsequentEval {
 }
 
 /// Evaluates a consequent pattern once (engine-backed), capturing
-/// everything rule evaluation needs from it.  `counting` routes the match
-/// through the aggregate-pushdown path.
+/// everything rule evaluation needs from it.
 pub(crate) fn evaluate_consequent(
     graph: &Graph,
     consequent: &Pattern,
     config: &MatchConfig,
-    counting: bool,
 ) -> Result<ConsequentEval, RuleError> {
-    let answer = run_sequential(graph, consequent, config, counting)?;
+    let answer = run_sequential(graph, consequent, config)?;
     Ok(ConsequentEval {
         lcwa: lcwa_candidates(graph, consequent),
         answer,
@@ -131,15 +110,14 @@ pub(crate) fn evaluate_consequent(
 }
 
 /// Evaluates a rule against an already-evaluated consequent: only the
-/// antecedent is matched (through the counting path when `counting`).
+/// antecedent is matched.
 pub(crate) fn evaluate_with_consequent(
     graph: &Graph,
     rule: &Qgar,
     consequent: &ConsequentEval,
     config: &MatchConfig,
-    counting: bool,
 ) -> Result<RuleEvaluation, RuleError> {
-    let q1 = run_sequential(graph, rule.antecedent(), config, counting)?;
+    let q1 = run_sequential(graph, rule.antecedent(), config)?;
     let mut stats = q1.stats;
     stats += consequent.answer.stats;
     Ok(combine(
@@ -161,8 +139,8 @@ pub fn evaluate_rule(
     rule: &Qgar,
     config: &MatchConfig,
 ) -> Result<RuleEvaluation, RuleError> {
-    let consequent = evaluate_consequent(graph, rule.consequent(), config, true)?;
-    evaluate_with_consequent(graph, rule, &consequent, config, true)
+    let consequent = evaluate_consequent(graph, rule.consequent(), config)?;
+    evaluate_with_consequent(graph, rule, &consequent, config)
 }
 
 /// `dgarMatch`: parallel evaluation of a QGAR over a d-hop preserving
@@ -175,8 +153,8 @@ pub fn evaluate_rule_parallel(
     partition: &DHopPartition,
     config: &ParallelConfig,
 ) -> Result<RuleEvaluation, RuleError> {
-    let q1 = run_partitioned(rule.antecedent(), partition, config, true)?;
-    let q2 = run_partitioned(rule.consequent(), partition, config, true)?;
+    let q1 = run_partitioned(rule.antecedent(), partition, config)?;
+    let q2 = run_partitioned(rule.consequent(), partition, config)?;
     let mut stats = q1.stats;
     stats += q2.stats;
     let lcwa = lcwa_candidates(graph, rule.consequent());

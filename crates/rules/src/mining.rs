@@ -22,7 +22,7 @@ use crate::evaluate::{
 use crate::rule::Qgar;
 
 /// Configuration of the miner.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct MiningConfig {
     /// Node label of the query focus (e.g. `"person"` in a social graph).
     pub focus_label: String,
@@ -39,14 +39,26 @@ pub struct MiningConfig {
     pub ratio_step: f64,
     /// Matcher configuration used for rule evaluation.
     pub match_config: MatchConfig,
-    /// Route support/confidence counting through the engine's aggregate
-    /// pushdown ([`qgp_core::engine::PreparedQuery::count`]): every seed
-    /// pair and strengthening-ladder rung decides candidates by early-exit
-    /// counting instead of materializing child matches.  The mined rules are
-    /// identical either way (the decision per focus is the same boolean);
-    /// `false` restores the enumerating evaluation, which `experiments
-    /// bench --count` uses as its before/after baseline.
-    pub count_pushdown: bool,
+}
+
+// Hand-written only to keep the rendering byte-identical to the one the
+// repository benchmark hashes into its pinned input fingerprint
+// (`benchmark/fingerprints.txt`, mine_rules): the last line is what the
+// removed always-`true` pushdown switch used to print.  Replace with
+// `#[derive(Debug)]` when the benchmark is next re-pinned.
+impl std::fmt::Debug for MiningConfig {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MiningConfig")
+            .field("focus_label", &self.focus_label)
+            .field("min_support", &self.min_support)
+            .field("confidence_threshold", &self.confidence_threshold)
+            .field("max_seed_features", &self.max_seed_features)
+            .field("max_rules", &self.max_rules)
+            .field("ratio_step", &self.ratio_step)
+            .field("match_config", &self.match_config)
+            .field("count_pushdown", &true)
+            .finish()
+    }
 }
 
 impl Default for MiningConfig {
@@ -59,7 +71,6 @@ impl Default for MiningConfig {
             max_rules: 20,
             ratio_step: 10.0,
             match_config: MatchConfig::qmatch(),
-            count_pushdown: true,
         }
     }
 }
@@ -147,7 +158,7 @@ pub fn mine_qgars_with_report(
         .iter()
         .map(|seed| {
             let pattern = consequent_pattern(config, seed)?;
-            evaluate_consequent(graph, &pattern, &config.match_config, config.count_pushdown).ok()
+            evaluate_consequent(graph, &pattern, &config.match_config).ok()
         })
         .collect();
 
@@ -161,14 +172,7 @@ pub fn mine_qgars_with_report(
         let consequent_seed = &seeds[j];
         let rule = seed_rule(config, antecedent_seed, consequent_seed)?;
         let consequent = consequents[j].as_ref()?;
-        let eval = evaluate_with_consequent(
-            graph,
-            &rule,
-            consequent,
-            &config.match_config,
-            config.count_pushdown,
-        )
-        .ok()?;
+        let eval = evaluate_with_consequent(graph, &rule, consequent, &config.match_config).ok()?;
         if eval.support < config.min_support || eval.confidence < config.confidence_threshold {
             return None;
         }
@@ -325,13 +329,8 @@ fn strengthen(
         let Ok(rule) = Qgar::new(name, antecedent, consequent_p) else {
             break;
         };
-        let Ok(eval) = evaluate_with_consequent(
-            graph,
-            &rule,
-            consequent,
-            &config.match_config,
-            config.count_pushdown,
-        ) else {
+        let Ok(eval) = evaluate_with_consequent(graph, &rule, consequent, &config.match_config)
+        else {
             break;
         };
         if eval.support < config.min_support || eval.confidence < config.confidence_threshold {
@@ -349,6 +348,7 @@ fn strengthen(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qgp_core::engine::{Engine, ExecOptions};
     use qgp_graph::GraphBuilder;
 
     /// A graph with a built-in regularity: users who follow fans of an album
@@ -472,26 +472,32 @@ mod tests {
     }
 
     #[test]
-    fn count_pushdown_mines_identical_rules() {
+    fn mined_support_and_confidence_match_enumerating_runs() {
+        // The miner decides every candidate by counting; an enumerating
+        // engine run of each rule's two patterns must see the same foci.
         let g = regular_graph(15);
-        let pushed_config = MiningConfig {
+        let config = MiningConfig {
             min_support: 2,
             confidence_threshold: 0.3,
             ..MiningConfig::default()
         };
-        let enumerating_config = MiningConfig {
-            count_pushdown: false,
-            ..pushed_config.clone()
+        let rules = mine_qgars(&g, &config).unwrap();
+        assert!(!rules.is_empty());
+        let engine = Engine::new(&g);
+        let enumerate = |pattern| {
+            let prepared = engine.prepare(pattern).unwrap();
+            prepared.run(ExecOptions::sequential()).unwrap().matches
         };
-        let pushed = mine_qgars(&g, &pushed_config).unwrap();
-        let enumerated = mine_qgars(&g, &enumerating_config).unwrap();
-        assert!(!pushed.is_empty());
-        assert_eq!(pushed.len(), enumerated.len());
-        for (a, b) in pushed.iter().zip(&enumerated) {
-            assert_eq!(a.rule.name(), b.rule.name());
-            assert_eq!(a.evaluation.support, b.evaluation.support);
-            assert!((a.evaluation.confidence - b.evaluation.confidence).abs() < 1e-12);
-            assert_eq!(a.strengthened_to, b.strengthened_to);
+        for mined in &rules {
+            let eval = &mined.evaluation;
+            let q1 = enumerate(mined.rule.antecedent());
+            let q2 = enumerate(mined.rule.consequent());
+            assert_eq!(eval.antecedent_matches, q1, "{}", mined.rule.name());
+            assert_eq!(eval.consequent_matches, q2, "{}", mined.rule.name());
+            let support = q1.iter().filter(|v| q2.contains(v)).count();
+            assert_eq!(eval.support, support, "{}", mined.rule.name());
+            let confidence = support as f64 / eval.lcwa_candidates as f64;
+            assert!((eval.confidence - confidence).abs() < 1e-12);
         }
     }
 

@@ -58,7 +58,7 @@ fn main() {
 
     // Stream a few example entities for Q4 with p = 2: `limit(5)` stops
     // verifying candidates as soon as 5 answers are found.
-    let mut q4 = engine.prepare(&library::q4_uk_professors(2)).unwrap();
+    let q4 = engine.prepare(&library::q4_uk_professors(2)).unwrap();
     let preview: Vec<_> = q4
         .execute(ExecOptions::sequential().limit(5))
         .unwrap()

@@ -16,7 +16,7 @@ use quantified_graph_patterns::{Engine, ExecOptions};
 fn main() {
     let graph = pokec_like(&SocialConfig::with_persons(6_000));
     let engine = Engine::new(&graph);
-    let mut prepared = engine
+    let prepared = engine
         .prepare(&library::q3_redmi_negation(2))
         .expect("library patterns validate");
     println!(

@@ -48,7 +48,7 @@ fn main() {
     // each thread lazily keeps one matcher session per fragment — all
     // sessions sharing the one compiled pattern.
     let engine = Engine::new(&graph);
-    let mut prepared = engine
+    let prepared = engine
         .prepare(&library::q3_redmi_negation(2))
         .expect("library patterns validate");
     let t = Instant::now();

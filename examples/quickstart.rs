@@ -66,7 +66,7 @@ fn main() {
     // Prepare once: the pattern is validated and compiled (projection,
     // positified negation patterns, radius) exactly here.
     let engine = Engine::new(&graph);
-    let mut prepared = engine.prepare(&pattern).expect("pattern validates");
+    let prepared = engine.prepare(&pattern).expect("pattern validates");
 
     // Execute, streaming the matches as they are decided.
     let matches = prepared.execute(ExecOptions::sequential()).unwrap();

@@ -43,7 +43,7 @@ fn main() {
         println!("\n--- {description}");
         // One prepared query per pattern; the three algorithm variants are
         // executions of it with different configs.
-        let mut prepared = engine.prepare(&pattern).expect("library patterns validate");
+        let prepared = engine.prepare(&pattern).expect("library patterns validate");
         for (name, config) in [
             ("QMatch", MatchConfig::qmatch()),
             ("QMatchn", MatchConfig::qmatch_n()),
@@ -64,7 +64,7 @@ fn main() {
     }
 
     // The three algorithms must agree; QMatch just gets there with less work.
-    let mut q3 = engine.prepare(&library::q3_redmi_negation(2)).unwrap();
+    let q3 = engine.prepare(&library::q3_redmi_negation(2)).unwrap();
     let a = q3
         .run(ExecOptions::sequential().with_config(MatchConfig::qmatch()))
         .unwrap();

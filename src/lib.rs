@@ -64,7 +64,7 @@
 //!
 //! // Compile once; execute as often as needed (streaming the answers).
 //! let engine = Engine::new(&graph);
-//! let mut prepared = engine.prepare(&pattern).expect("pattern validates");
+//! let prepared = engine.prepare(&pattern).expect("pattern validates");
 //! let answer = prepared.run(ExecOptions::sequential()).unwrap();
 //!
 //! // ann qualifies (2 recommenders, no bad rating among her followees);

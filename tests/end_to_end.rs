@@ -47,7 +47,7 @@ fn parallel_matching_agrees_with_sequential_on_generated_graphs() {
     let graph = pokec_like(&SocialConfig::with_persons(700));
     let pattern = library::q3_redmi_negation(2);
     let engine = Engine::new(&graph);
-    let mut prepared = engine.prepare(&pattern).unwrap();
+    let prepared = engine.prepare(&pattern).unwrap();
     let sequential = prepared.run(ExecOptions::sequential()).unwrap();
     for n in [2usize, 3, 5] {
         let partition = dpar(&graph, &PartitionConfig::new(n, prepared.radius()));

@@ -197,7 +197,7 @@ proptest! {
         // Snapshots share the frozen storage lineage: pinning never copied
         // the CSR (the final compaction state may differ per epoch, but
         // each snapshot's graph equals its mirror exactly).
-        let mut prepared = Engine::on(Arc::clone(&pinned[0].0))
+        let prepared = Engine::on(Arc::clone(&pinned[0].0))
             .prepare(&pattern)
             .unwrap();
         for (epoch, (snapshot, mirror)) in pinned.iter().enumerate() {
