@@ -13,6 +13,14 @@ use qgp_core::pattern::Pattern;
 use qgp_datasets::PatternSize;
 use qgp_graph::Graph;
 use qgp_parallel::{dpar, dpar_with, DHopPartition, ParallelConfig, PartitionConfig};
+use qgp_rules::{mine_qgars, MiningConfig};
+use qgp_runtime::Runtime;
+
+use crate::report::{secs, Table};
+use crate::workloads::{
+    dataset_graph, pokec_graph, synthetic_graph, workload_pattern, yago_graph, Dataset,
+    ExperimentScale,
+};
 
 /// One sequential engine execution (prepare + run, the unit the sequential
 /// experiment tables time).
@@ -44,14 +52,6 @@ fn partitioned_match(
         .run(opts)
         .expect("pattern radius fits the partition")
 }
-use qgp_rules::{mine_qgars, MiningConfig};
-use qgp_runtime::Runtime;
-
-use crate::report::{secs, Table};
-use crate::workloads::{
-    dataset_graph, pokec_graph, synthetic_graph, workload_pattern, yago_graph, Dataset,
-    ExperimentScale,
-};
 
 /// Default pattern seed so every run of the harness sees the same workload.
 const PATTERN_SEED: u64 = 3;
@@ -147,32 +147,67 @@ pub fn exp1_qmatch(scale: &ExperimentScale) -> Table {
     table
 }
 
-/// Exp-2 / Fig. 8(b)(c): parallel matching time while varying the number of
-/// workers `n` (PEnum vs PQMatchs vs PQMatchn vs PQMatch).
-pub fn exp2_vary_n(dataset: Dataset, scale: &ExperimentScale) -> Table {
-    let mut table = Table::new(
-        format!(
-            "Fig. 8(b)/(c) — varying n on {}, |Q|=(6,8,30%,1), d=2, b={}",
-            dataset.name(),
-            scale.threads_per_worker
-        ),
-        &["n", "PEnum (s)", "PQMatchs (s)", "PQMatchn (s)", "PQMatch (s)", "matches"],
-    );
-    let graph = dataset_graph(dataset, scale);
-    let pattern = pattern_or_fallback(&graph, Some(dataset), PatternSize::new(6, 8, 30.0, 1));
-    let d = pattern.radius().max(2);
+/// An empty table for one parallel-matching figure: the figure's own first
+/// column followed by the four parallel variants and the match count.
+fn parallel_table(title: impl Into<String>, first_column: &str) -> Table {
+    Table::new(
+        title,
+        &[first_column, "PEnum (s)", "PQMatchs (s)", "PQMatchn (s)", "PQMatch (s)", "matches"],
+    )
+}
 
-    for &n in &scale.workers {
-        let partition = dpar(&graph, &PartitionConfig::new(n, d));
-        let mut row = vec![n.to_string()];
+/// Appends one row per `(label, pattern)` to a [`parallel_table`]: the time
+/// of each parallel variant at `n` workers, then the match count.  As in the
+/// paper, the graph is partitioned once and the same partition serves every
+/// pattern of the figure, so `d` is the largest pattern radius (at least 2).
+fn push_parallel_rows(
+    table: &mut Table,
+    graph: &Graph,
+    n: usize,
+    scale: &ExperimentScale,
+    patterns: Vec<(String, Pattern)>,
+) {
+    let d = patterns
+        .iter()
+        .map(|(_, p)| p.radius())
+        .max()
+        .unwrap_or(2)
+        .max(2);
+    let partition = dpar(graph, &PartitionConfig::new(n, d));
+    for (label, pattern) in patterns {
+        let mut row = vec![label];
         let mut matches = 0usize;
         for (_, config) in parallel_configs(n, scale.threads_per_worker) {
-            let (ans, elapsed) = time(|| partitioned_match(&graph, &pattern, &partition, &config));
+            let (ans, elapsed) = time(|| partitioned_match(graph, &pattern, &partition, &config));
             matches = ans.matches.len();
             row.push(secs(elapsed));
         }
         row.push(matches.to_string());
         table.push_row(row);
+    }
+}
+
+/// The worker count of the figures that fix `n`: the largest swept, at most 8.
+fn fixed_workers(scale: &ExperimentScale) -> usize {
+    scale.workers.iter().copied().max().unwrap_or(4).min(8)
+}
+
+/// Exp-2 / Fig. 8(b)(c): parallel matching time while varying the number of
+/// workers `n` (PEnum vs PQMatchs vs PQMatchn vs PQMatch).
+pub fn exp2_vary_n(dataset: Dataset, scale: &ExperimentScale) -> Table {
+    let mut table = parallel_table(
+        format!(
+            "Fig. 8(b)/(c) — varying n on {}, |Q|=(6,8,30%,1), d=2, b={}",
+            dataset.name(),
+            scale.threads_per_worker
+        ),
+        "n",
+    );
+    let graph = dataset_graph(dataset, scale);
+    let pattern = pattern_or_fallback(&graph, Some(dataset), PatternSize::new(6, 8, 30.0, 1));
+    for &n in &scale.workers {
+        let row = vec![(n.to_string(), pattern.clone())];
+        push_parallel_rows(&mut table, &graph, n, scale, row);
     }
     table
 }
@@ -206,46 +241,27 @@ pub fn exp2_dpar(dataset: Dataset, scale: &ExperimentScale) -> Table {
 /// Exp-2 / Fig. 8(f)(g): parallel matching time while varying the pattern
 /// size `(|V_Q|, |E_Q|)`.
 pub fn exp2_vary_q(dataset: Dataset, scale: &ExperimentScale) -> Table {
-    let sizes: Vec<(usize, usize)> = match dataset {
-        Dataset::PokecLike => vec![(4, 6), (5, 7), (6, 8), (7, 9), (8, 10)],
-        Dataset::YagoLike => vec![(3, 5), (4, 6), (5, 7), (6, 8), (7, 9)],
+    let sizes: [(usize, usize); 5] = match dataset {
+        Dataset::PokecLike => [(4, 6), (5, 7), (6, 8), (7, 9), (8, 10)],
+        Dataset::YagoLike => [(3, 5), (4, 6), (5, 7), (6, 8), (7, 9)],
     };
-    let n = scale.workers.iter().copied().max().unwrap_or(4).min(8);
-    let mut table = Table::new(
+    let n = fixed_workers(scale);
+    let mut table = parallel_table(
         format!(
             "Fig. 8(f)/(g) — varying |Q| on {}, n={n}, pa=30%, |E-Q|=1",
             dataset.name()
         ),
-        &["|Q|", "PEnum (s)", "PQMatchs (s)", "PQMatchn (s)", "PQMatch (s)", "matches"],
+        "|Q|",
     );
     let graph = dataset_graph(dataset, scale);
-    // As in the paper, the graph is partitioned once and the same partition
-    // serves every pattern whose radius stays within d.
-    let patterns: Vec<(usize, usize, Pattern)> = sizes
+    let patterns = sizes
         .into_iter()
         .map(|(vq, eq)| {
             let p = pattern_or_fallback(&graph, Some(dataset), PatternSize::new(vq, eq, 30.0, 1));
-            (vq, eq, p)
+            (format!("({vq},{eq})"), p)
         })
         .collect();
-    let d = patterns
-        .iter()
-        .map(|(_, _, p)| p.radius())
-        .max()
-        .unwrap_or(2)
-        .max(2);
-    let partition = dpar(&graph, &PartitionConfig::new(n, d));
-    for (vq, eq, pattern) in patterns {
-        let mut row = vec![format!("({vq},{eq})")];
-        let mut matches = 0usize;
-        for (_, config) in parallel_configs(n, scale.threads_per_worker) {
-            let (ans, elapsed) = time(|| partitioned_match(&graph, &pattern, &partition, &config));
-            matches = ans.matches.len();
-            row.push(secs(elapsed));
-        }
-        row.push(matches.to_string());
-        table.push_row(row);
-    }
+    push_parallel_rows(&mut table, &graph, n, scale, patterns);
     table
 }
 
@@ -253,109 +269,67 @@ pub fn exp2_vary_q(dataset: Dataset, scale: &ExperimentScale) -> Table {
 /// negated edges `|E⁻_Q|` (the experiment that isolates the benefit of
 /// incremental evaluation, IncQMatch).
 pub fn exp2_vary_negated(dataset: Dataset, scale: &ExperimentScale) -> Table {
-    let n = scale.workers.iter().copied().max().unwrap_or(4).min(8);
-    let mut table = Table::new(
+    let n = fixed_workers(scale);
+    let mut table = parallel_table(
         format!(
             "Fig. 8(h)/(i) — varying |E-Q| on {}, n={n}, (|V_Q|,|E_Q|)=(6,8), pa=30%",
             dataset.name()
         ),
-        &["|E-Q|", "PEnum (s)", "PQMatchs (s)", "PQMatchn (s)", "PQMatch (s)", "matches"],
+        "|E-Q|",
     );
     let graph = dataset_graph(dataset, scale);
-    let patterns: Vec<(usize, Pattern)> = (0..=4usize)
+    let patterns = (0..=4usize)
         .map(|neg| {
             let p = pattern_or_fallback(&graph, Some(dataset), PatternSize::new(6, 8, 30.0, neg));
-            (neg, p)
+            (neg.to_string(), p)
         })
         .collect();
-    let d = patterns
-        .iter()
-        .map(|(_, p)| p.radius())
-        .max()
-        .unwrap_or(2)
-        .max(2);
-    let partition = dpar(&graph, &PartitionConfig::new(n, d));
-    for (neg, pattern) in patterns {
-        let mut row = vec![neg.to_string()];
-        let mut matches = 0usize;
-        for (_, config) in parallel_configs(n, scale.threads_per_worker) {
-            let (ans, elapsed) = time(|| partitioned_match(&graph, &pattern, &partition, &config));
-            matches = ans.matches.len();
-            row.push(secs(elapsed));
-        }
-        row.push(matches.to_string());
-        table.push_row(row);
-    }
+    push_parallel_rows(&mut table, &graph, n, scale, patterns);
     table
 }
 
 /// Exp-2 / Fig. 8(j)(k): parallel matching time while varying the ratio
 /// aggregate `p_a` (larger thresholds prune more candidates).
 pub fn exp2_vary_ratio(dataset: Dataset, scale: &ExperimentScale) -> Table {
-    let n = scale.workers.iter().copied().max().unwrap_or(4).min(8);
+    let n = fixed_workers(scale);
     let (vq, eq) = match dataset {
         Dataset::PokecLike => (6, 8),
         Dataset::YagoLike => (5, 7),
     };
-    let mut table = Table::new(
+    let mut table = parallel_table(
         format!(
             "Fig. 8(j)/(k) — varying pa on {}, n={n}, (|V_Q|,|E_Q|)=({vq},{eq}), |E-Q|=1",
             dataset.name()
         ),
-        &["pa", "PEnum (s)", "PQMatchs (s)", "PQMatchn (s)", "PQMatch (s)", "matches"],
+        "pa",
     );
     let graph = dataset_graph(dataset, scale);
-    let patterns: Vec<(f64, Pattern)> = [10.0, 30.0, 50.0, 70.0, 90.0]
+    let patterns = [10.0, 30.0, 50.0, 70.0, 90.0]
         .into_iter()
         .map(|pa| {
             let p = pattern_or_fallback(&graph, Some(dataset), PatternSize::new(vq, eq, pa, 1));
-            (pa, p)
+            (format!("{pa}%"), p)
         })
         .collect();
-    let d = patterns
-        .iter()
-        .map(|(_, p)| p.radius())
-        .max()
-        .unwrap_or(2)
-        .max(2);
-    let partition = dpar(&graph, &PartitionConfig::new(n, d));
-    for (pa, pattern) in patterns {
-        let mut row = vec![format!("{pa}%")];
-        let mut matches = 0usize;
-        for (_, config) in parallel_configs(n, scale.threads_per_worker) {
-            let (ans, elapsed) = time(|| partitioned_match(&graph, &pattern, &partition, &config));
-            matches = ans.matches.len();
-            row.push(secs(elapsed));
-        }
-        row.push(matches.to_string());
-        table.push_row(row);
-    }
+    push_parallel_rows(&mut table, &graph, n, scale, patterns);
     table
 }
 
 /// Exp-2 / Fig. 8(l): parallel matching time on synthetic graphs of growing
 /// size `(|V|, |E|)`, n = 4.
 pub fn exp2_vary_graph_size(scale: &ExperimentScale) -> Table {
-    let n = 4usize;
-    let mut table = Table::new(
+    let mut table = parallel_table(
         "Fig. 8(l) — varying |G| (synthetic), n=4, |Q|=(5,7,30%,1)",
-        &["|V|,|E|", "PEnum (s)", "PQMatchs (s)", "PQMatchn (s)", "PQMatch (s)", "matches"],
+        "|V|,|E|",
     );
     for factor in [1usize, 2, 3, 4, 5] {
-        let nodes = scale.synthetic_nodes * factor / 2;
-        let graph = synthetic_graph(nodes);
+        let graph = synthetic_graph(scale.synthetic_nodes * factor / 2);
         let pattern = pattern_or_fallback(&graph, None, PatternSize::new(5, 7, 30.0, 1));
-        let d = pattern.radius().max(2);
-        let partition = dpar(&graph, &PartitionConfig::new(n, d));
-        let mut row = vec![format!("({}, {})", graph.node_count(), graph.edge_count())];
-        let mut matches = 0usize;
-        for (_, config) in parallel_configs(n, scale.threads_per_worker) {
-            let (ans, elapsed) = time(|| partitioned_match(&graph, &pattern, &partition, &config));
-            matches = ans.matches.len();
-            row.push(secs(elapsed));
-        }
-        row.push(matches.to_string());
-        table.push_row(row);
+        let row = vec![(
+            format!("({}, {})", graph.node_count(), graph.edge_count()),
+            pattern,
+        )];
+        push_parallel_rows(&mut table, &graph, 4, scale, row);
     }
     table
 }

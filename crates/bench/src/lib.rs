@@ -9,43 +9,27 @@
 //!   pattern workloads,
 //! * [`experiments`] — one function per figure: Fig. 8(a) through Fig. 8(l)
 //!   and the Exp-3 QGAR study,
-//! * [`perf`] + [`json`] — the fixed-seed perf harness behind
-//!   `experiments bench` and the `BENCH_*.json` report format it emits,
-//! * [`stream`] — seeded edge-update stream generation shared between the
-//!   differential tests and the `--incremental` maintenance section,
+//! * [`stream`] — seeded edge-update stream generation for the differential
+//!   tests,
 //! * [`report`] — plain-text / markdown tables.
 //!
 //! Run the whole experiment suite with:
 //!
 //! ```text
-//! cargo run --release -p qgp-bench --bin experiments -- all
+//! cargo run --release --bin experiments -- all
 //! ```
 //!
-//! and the perf harness (appending a labeled run to `BENCH_qmatch.json`-style
-//! documents) with:
-//!
-//! ```text
-//! cargo run --release -p qgp-bench --bin experiments -- bench --label current --out BENCH_qmatch.json
-//! ```
+//! This crate regenerates figures; it does not measure performance.  The
+//! repository's one benchmark is `benchmark/` (`bash benchmark/run.sh`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod json;
-pub mod perf;
 pub mod report;
 pub mod stream;
 pub mod workloads;
 
-pub use json::{
-    BenchReport, BenchRun, ChaosMeasurement, CountMeasurement, EngineMeasurement,
-    IncrementalMeasurement, ParallelMeasurement, ServingMeasurement,
-};
-pub use perf::{
-    run_bench, run_chaos_section, run_count_section, run_engine_section,
-    run_incremental_section, run_parallel_section, run_serving_section, BenchScale,
-};
 pub use report::Table;
 pub use stream::{StreamConfig, UpdateStreamGen};
 pub use workloads::{Dataset, ExperimentScale};

@@ -2,7 +2,7 @@
 //! evaluation section.
 //!
 //! ```text
-//! experiments <exp> [--scale F] [--dataset pokec|yago]
+//! experiments [<exp>] [--scale F] [--dataset pokec|yago]
 //!
 //!   exp1       Fig. 8(a)  sequential QMatch vs QMatchn vs Enum
 //!   exp2-n     Fig. 8(b,c) varying number of workers
@@ -12,34 +12,10 @@
 //!   exp2-p     Fig. 8(j,k) varying ratio aggregate pa
 //!   exp2-g     Fig. 8(l)   varying synthetic graph size
 //!   exp3       Exp-3       QGAR discovery
-//!   all        everything above
-//!
-//! experiments bench [--smoke] [--parallel] [--engine] [--incremental]
-//!                   [--chaos] [--count] [--serving] [--label NAME]
-//!                   [--commit SHA] [--out PATH] [--append]
-//!
-//!   Runs the fixed-seed perf harness (graph construction + sequential
-//!   QMatch workloads) and writes a BENCH_*.json document with one run.
-//!   --smoke shrinks the workloads to CI size.  --parallel adds the
-//!   speedup section (PQMatch and QGAR mining at 1/2/4 executor threads,
-//!   with wall/busy/critical-path accounting and identical-match checks).
-//!   --engine adds the prepared-query section (one-shot vs prepared vs
-//!   limit(10) on the sequential matching workloads, with prefix and
-//!   identical-answer checks).  --incremental adds the live match view
-//!   section (per-batch MatchView::apply latency vs full recompute across
-//!   update-batch sizes 1/10/100/1000, with view-equals-recompute checks).
-//!   --chaos adds the fault-injection section (seeded panic injection at
-//!   task boundaries: isolation-overhead timing plus completed/faulted
-//!   trial counts, with exact-answer checks on every fault-free run).
-//!   --count adds the counting-pushdown section (count-vs-enumerate pairs
-//!   on the sequential matching workloads plus Exp-3 mining at 4 threads
-//!   with and without support counting pushed down, with identical-foci
-//!   and identical-rules checks).  --serving adds the registered-query
-//!   section (QueryRegistry QPS with p50/p99 serve latency under a mixed
-//!   read/update stream over a GraphStore, with served-equals-recompute
-//!   checks on the final epoch).  --append splices the run into an
-//!   existing --out document instead of overwriting it.
+//!   all        everything above (the default)
 //! ```
+//!
+//! Performance is measured elsewhere: `bash benchmark/run.sh`.
 
 #![forbid(unsafe_code)]
 
@@ -50,260 +26,184 @@ use qgp_bench::experiments::{
     exp1_qmatch, exp2_dpar, exp2_vary_graph_size, exp2_vary_n, exp2_vary_negated,
     exp2_vary_q, exp2_vary_ratio, exp3_qgar,
 };
-use qgp_bench::{
-    run_bench, run_chaos_section, run_count_section, run_engine_section,
-    run_incremental_section, run_parallel_section, run_serving_section, BenchReport,
-    BenchScale, Dataset, ExperimentScale,
-};
+use qgp_bench::{Dataset, ExperimentScale, Table};
 
-fn bench_main(args: &[String]) -> ExitCode {
-    let mut scale = BenchScale::full();
-    let mut label = "current".to_string();
-    let mut commit = "worktree".to_string();
-    let mut out: Option<String> = None;
-    let mut parallel = false;
-    let mut engine = false;
-    let mut incremental = false;
-    let mut chaos = false;
-    let mut count = false;
-    let mut serving = false;
-    let mut append = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => scale = BenchScale::smoke(),
-            "--parallel" => parallel = true,
-            "--engine" => engine = true,
-            "--incremental" => incremental = true,
-            "--chaos" => chaos = true,
-            "--count" => count = true,
-            "--serving" => serving = true,
-            "--append" => append = true,
-            "--label" => {
-                i += 1;
-                label = args.get(i).cloned().unwrap_or(label);
-            }
-            "--commit" => {
-                i += 1;
-                commit = args.get(i).cloned().unwrap_or(commit);
-            }
-            "--out" => {
-                i += 1;
-                out = args.get(i).cloned();
-            }
-            other => {
-                eprintln!("unexpected bench argument {other}");
-                return ExitCode::FAILURE;
-            }
-        }
-        i += 1;
-    }
-    if append && out.is_none() {
-        eprintln!("--append requires --out PATH (there is no document to append to)");
-        return ExitCode::FAILURE;
-    }
+/// The experiment names the command line accepts.
+const EXPERIMENTS: [&str; 9] = [
+    "exp1", "exp2-n", "exp2-dpar", "exp2-q", "exp2-neg", "exp2-p", "exp2-g", "exp3", "all",
+];
 
-    let mut run = run_bench(&label, &commit, &scale);
-    if parallel {
-        run_parallel_section(&mut run, &scale);
-    }
-    if engine {
-        run_engine_section(&mut run, &scale);
-    }
-    if incremental {
-        run_incremental_section(&mut run, &scale);
-    }
-    if chaos {
-        run_chaos_section(&mut run, &scale);
-    }
-    if count {
-        run_count_section(&mut run, &scale);
-    }
-    if serving {
-        run_serving_section(&mut run, &scale);
-    }
-    for m in &run.graph_construction {
-        println!(
-            "construct {:<28} {:>9} nodes {:>9} edges  {:.3}s",
-            m.workload, m.nodes, m.edges, m.seconds
-        );
-    }
-    for m in &run.qmatch {
-        println!(
-            "qmatch    {:<28} {:<8} {:.3}s  ({} matches)",
-            m.workload, m.algorithm, m.seconds, m.matches
-        );
-    }
-    for m in &run.parallel {
-        println!(
-            "parallel  {:<28} {:<9} n={} wall {:.3}s busy {:.3}s critical {:.3}s  ({} matches)",
-            m.workload,
-            m.mode,
-            m.threads,
-            m.wall_seconds,
-            m.busy_seconds,
-            m.critical_path_seconds,
-            m.matches
-        );
-    }
-    for m in &run.engine {
-        println!(
-            "engine    {:<28} {:<9} {:.3}s  ({} matches, {} candidates decided)",
-            m.workload, m.mode, m.seconds, m.matches, m.candidates_decided
-        );
-    }
-    for m in &run.incremental {
-        println!(
-            "increment {:<28} batch={:<5} apply {:.6}s vs recompute {:.3}s \
-             ({:.1}x, {:.1} rechecked, {} matches)",
-            m.workload,
-            m.batch_size,
-            m.apply_seconds,
-            m.recompute_seconds,
-            m.recompute_seconds / m.apply_seconds.max(1e-12),
-            m.rechecked,
-            m.matches
-        );
-    }
-    for m in &run.chaos {
-        println!(
-            "chaos     {:<28} seed={:#x} rate={:.6} {}/{} faulted  isolated {:.3}s  ({} matches)",
-            m.workload, m.seed, m.panic_rate, m.faulted, m.trials, m.isolation_seconds, m.matches
-        );
-    }
-    for m in &run.count {
-        println!(
-            "count     {:<28} {:<14} {:.3}s  ({} matches, {} threshold exits, {} children counted)",
-            m.workload, m.mode, m.seconds, m.matches, m.threshold_exits, m.children_counted
-        );
-    }
-    for m in &run.serving {
-        println!(
-            "serving   {:<28} q={} rounds={} batch={} {:.0} req/s p50 {:.3}ms p99 {:.3}ms \
-             ({} cache hits, {} matches)",
-            m.workload,
-            m.queries,
-            m.rounds,
-            m.update_batch,
-            m.qps,
-            m.p50_ms,
-            m.p99_ms,
-            m.cache_hits,
-            m.matches
-        );
-    }
-    let document = match &out {
-        Some(path) if append => match std::fs::read_to_string(path) {
-            Ok(existing) => match BenchReport::append_run(&existing, &run) {
-                Some(doc) => doc,
-                None => {
-                    eprintln!("{path} is not a BENCH_*.json document; cannot --append");
-                    return ExitCode::FAILURE;
+/// A parsed command line.
+#[derive(Debug, PartialEq)]
+struct Args {
+    /// One of [`EXPERIMENTS`].
+    experiment: String,
+    /// The `--scale` factor.
+    scale: f64,
+    /// The datasets the per-dataset figures run on.
+    datasets: Vec<Dataset>,
+}
+
+/// Parses the arguments after the program name.  Anything that is not a
+/// complete, well-formed command line is an error (a one-line message): a
+/// typo must not start minutes of work at the default scale.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut experiment = None;
+    let mut scale = 1.0f64;
+    let mut datasets = vec![Dataset::PokecLike, Dataset::YagoLike];
+
+    let mut args = args.iter().map(String::as_str);
+    while let Some(arg) = args.next() {
+        match arg {
+            "--scale" => {
+                scale = args
+                    .next()
+                    .and_then(|s| s.parse().ok())
+                    .filter(|f: &f64| f.is_finite() && *f > 0.0)
+                    .ok_or("--scale expects a positive number")?;
+            }
+            "--dataset" => {
+                datasets = match args.next() {
+                    Some("pokec") => vec![Dataset::PokecLike],
+                    Some("yago") => vec![Dataset::YagoLike],
+                    other => {
+                        return Err(format!("unknown dataset {other:?}; expected pokec or yago"))
+                    }
+                };
+            }
+            "bench" => {
+                return Err(
+                    "the `bench` subcommand was removed; measure with `bash benchmark/run.sh`"
+                        .to_string(),
+                )
+            }
+            name if experiment.is_none() => {
+                if !EXPERIMENTS.contains(&name) {
+                    return Err(format!(
+                        "unknown experiment `{name}`; expected one of {}",
+                        EXPERIMENTS.join(", ")
+                    ));
                 }
-            },
-            Err(e) => {
-                eprintln!("cannot read {path} for --append: {e}");
-                return ExitCode::FAILURE;
+                experiment = Some(name.to_string());
             }
-        },
-        _ => BenchReport { runs: vec![run] }.to_json(),
-    };
-    if let Some(path) = out {
-        if let Err(e) = std::fs::write(&path, document) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
+            other => return Err(format!("unexpected argument {other}")),
         }
-        println!("wrote {path}");
-    } else {
-        println!("{document}");
     }
-    ExitCode::SUCCESS
+    Ok(Args {
+        experiment: experiment.unwrap_or_else(|| "all".to_string()),
+        scale,
+        datasets,
+    })
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("bench") {
-        return bench_main(&args[1..]);
-    }
-    let mut exp = None;
-    let mut scale_factor = 1.0f64;
-    let mut datasets = vec![Dataset::PokecLike, Dataset::YagoLike];
-
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                i += 1;
-                scale_factor = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--scale expects a number");
-                        1.0
-                    });
-            }
-            "--dataset" => {
-                i += 1;
-                datasets = match args.get(i).map(String::as_str) {
-                    Some("pokec") => vec![Dataset::PokecLike],
-                    Some("yago") => vec![Dataset::YagoLike],
-                    other => {
-                        eprintln!("unknown dataset {other:?}; expected pokec or yago");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            name if exp.is_none() => exp = Some(name.to_string()),
-            other => {
-                eprintln!("unexpected argument {other}");
-                return ExitCode::FAILURE;
-            }
+    let args = match parse_args(&args) {
+        Ok(args) => args,
+        Err(message) => {
+            eprintln!("{message}");
+            return ExitCode::FAILURE;
         }
-        i += 1;
-    }
-
-    let exp = exp.unwrap_or_else(|| "all".to_string());
-    let scale = ExperimentScale::scaled(scale_factor);
+    };
+    let scale = ExperimentScale::scaled(args.scale);
     println!(
-        "# experiment `{exp}` at scale {scale_factor} (pokec {} persons, yago {} persons, synthetic {} nodes)\n",
-        scale.pokec_persons, scale.yago_persons, scale.synthetic_nodes
+        "# experiment `{}` at scale {} (pokec {} persons, yago {} persons, synthetic {} nodes)\n",
+        args.experiment,
+        args.scale,
+        scale.pokec_persons,
+        scale.yago_persons,
+        scale.synthetic_nodes
     );
 
-    let run_for_datasets = |f: &dyn Fn(Dataset, &ExperimentScale) -> qgp_bench::Table| {
-        for &d in &datasets {
+    let wanted = |name: &str| args.experiment == name || args.experiment == "all";
+    let run_for_datasets = |f: &dyn Fn(Dataset, &ExperimentScale) -> Table| {
+        for &d in &args.datasets {
             println!("{}", f(d, &scale));
         }
     };
-
-    match exp.as_str() {
-        "exp1" => println!("{}", exp1_qmatch(&scale)),
-        "exp2-n" => run_for_datasets(&exp2_vary_n),
-        "exp2-dpar" => run_for_datasets(&exp2_dpar),
-        "exp2-q" => run_for_datasets(&exp2_vary_q),
-        "exp2-neg" => run_for_datasets(&exp2_vary_negated),
-        "exp2-p" => run_for_datasets(&exp2_vary_ratio),
-        "exp2-g" => println!("{}", exp2_vary_graph_size(&scale)),
-        "exp3" => {
-            for table in exp3_qgar(&scale) {
-                println!("{table}");
-            }
-        }
-        "all" => {
-            println!("{}", exp1_qmatch(&scale));
-            run_for_datasets(&exp2_vary_n);
-            run_for_datasets(&exp2_dpar);
-            run_for_datasets(&exp2_vary_q);
-            run_for_datasets(&exp2_vary_negated);
-            run_for_datasets(&exp2_vary_ratio);
-            println!("{}", exp2_vary_graph_size(&scale));
-            for table in exp3_qgar(&scale) {
-                println!("{table}");
-            }
-        }
-        other => {
-            eprintln!("unknown experiment `{other}`; see --help in the module docs");
-            return ExitCode::FAILURE;
+    if wanted("exp1") {
+        println!("{}", exp1_qmatch(&scale));
+    }
+    if wanted("exp2-n") {
+        run_for_datasets(&exp2_vary_n);
+    }
+    if wanted("exp2-dpar") {
+        run_for_datasets(&exp2_dpar);
+    }
+    if wanted("exp2-q") {
+        run_for_datasets(&exp2_vary_q);
+    }
+    if wanted("exp2-neg") {
+        run_for_datasets(&exp2_vary_negated);
+    }
+    if wanted("exp2-p") {
+        run_for_datasets(&exp2_vary_ratio);
+    }
+    if wanted("exp2-g") {
+        println!("{}", exp2_vary_graph_size(&scale));
+    }
+    if wanted("exp3") {
+        for table in exp3_qgar(&scale) {
+            println!("{table}");
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        let args: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn a_good_line_parses_and_the_defaults_are_everything_at_scale_one() {
+        assert_eq!(
+            parse("exp2-n --scale 0.05 --dataset pokec"),
+            Ok(Args {
+                experiment: "exp2-n".to_string(),
+                scale: 0.05,
+                datasets: vec![Dataset::PokecLike],
+            })
+        );
+        assert_eq!(
+            parse(""),
+            Ok(Args {
+                experiment: "all".to_string(),
+                scale: 1.0,
+                datasets: vec![Dataset::PokecLike, Dataset::YagoLike],
+            })
+        );
+    }
+
+    #[test]
+    fn a_bad_or_missing_option_value_is_an_error() {
+        for line in [
+            "exp1 --scale abc",
+            "exp1 --scale",
+            "exp1 --scale 0",
+            "exp1 --scale nan",
+            "exp2-n --dataset",
+            "exp2-n --dataset freebase",
+        ] {
+            assert!(parse(line).is_err(), "{line}");
+        }
+    }
+
+    #[test]
+    fn unknown_and_surplus_experiments_are_errors() {
+        assert!(parse("exp4").unwrap_err().contains("unknown experiment `exp4`"));
+        assert!(parse("--help").is_err());
+        assert!(parse("exp1 exp3").unwrap_err().contains("unexpected argument exp3"));
+    }
+
+    #[test]
+    fn the_removed_bench_subcommand_points_at_the_benchmark() {
+        for line in ["bench", "bench exp1", "--scale 0.1 bench"] {
+            assert!(parse(line).unwrap_err().contains("benchmark/run.sh"), "{line}");
+        }
+    }
 }

@@ -16,9 +16,8 @@
 //! The generator maintains an exact mirror of the live edge set under its
 //! own ops (in batch order, counting no-ops as no-ops), so tests can check
 //! a graph that applied the stream against [`UpdateStreamGen::live_count`].
-//! The same generator feeds the differential proptests and the
-//! `experiments bench --incremental` section, so the perf numbers are
-//! measured on the distribution the correctness tests pin down.
+//! The differential proptests (`tests/prop_{epochs,incremental}.rs`) draw
+//! their streams from this generator.
 
 use std::collections::HashSet;
 

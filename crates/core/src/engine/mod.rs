@@ -285,14 +285,6 @@ impl PreparedQuery {
         &self.snapshot
     }
 
-    /// Re-pins the query's *default* snapshot (what [`PreparedQuery::execute`]
-    /// and friends run against) without touching the compiled pattern.
-    /// Pooled sessions for the old snapshot are kept until evicted, so
-    /// briefly flipping back is cheap.
-    pub fn pin(&mut self, snapshot: Arc<GraphSnapshot>) {
-        self.snapshot = snapshot;
-    }
-
     /// Executes the prepared query against its pinned snapshot, returning
     /// the lazy [`Matches`] stream.
     ///

@@ -269,11 +269,6 @@ impl QueryRegistry {
         self.entries.iter().any(|e| e.id == id)
     }
 
-    /// The registered query ids, in registration order.
-    pub fn ids(&self) -> impl Iterator<Item = QueryId> + '_ {
-        self.entries.iter().map(|e| e.id)
-    }
-
     /// Cumulative hit/miss counters of the shared Π(Q) candidate cache.
     pub fn cache_stats(&self) -> CacheStats {
         CacheStats {

@@ -11,7 +11,7 @@
 //! touched again.
 //!
 //! The store also keeps a bounded per-epoch log of the applied `EdgeOp`
-//! batches ([`GraphStore::ops_since`]), which lets incremental consumers —
+//! batches ([`GraphStore::replay_from`]), which lets incremental consumers —
 //! `MatchView::advance` in qgp-core — re-anchor from an older epoch to the
 //! head by replaying the missed ops instead of recomputing from scratch.
 //!
@@ -33,7 +33,7 @@ use crate::graph::Graph;
 use crate::snapshot::GraphSnapshot;
 
 /// Default number of recent epochs whose [`EdgeOp`] batches the store
-/// retains for [`GraphStore::ops_since`] replay.
+/// retains for [`GraphStore::replay_from`].
 pub const DEFAULT_LOG_RETENTION: usize = 64;
 
 /// Memory ordering used for the epoch-counter publish.
@@ -106,10 +106,10 @@ impl GraphStore {
         Self::with_log_retention(graph, DEFAULT_LOG_RETENTION)
     }
 
-    /// As [`GraphStore::new`], with a custom [`ops_since`] log retention
+    /// As [`GraphStore::new`], with a custom [`replay_from`] log retention
     /// (epochs of batches kept; `0` disables replay entirely).
     ///
-    /// [`ops_since`]: GraphStore::ops_since
+    /// [`replay_from`]: GraphStore::replay_from
     pub fn with_log_retention(graph: Graph, retention: usize) -> Self {
         let head = Arc::new(GraphSnapshot::at_epoch(graph.clone(), 0));
         GraphStore {
@@ -170,16 +170,13 @@ impl GraphStore {
     }
 
     /// The [`EdgeOp`]s that advance epoch `since` to the current head, in
-    /// application order, concatenated across the intervening batches.
-    /// Returns `None` when the bounded log no longer reaches back to
-    /// `since` (the caller must rebuild from the head snapshot instead),
-    /// and `Some(vec![])` when `since` is already the head epoch.
-    pub fn ops_since(&self, since: u64) -> Option<Vec<EdgeOp>> {
-        self.replay_from(since).map(|(ops, _)| ops)
-    }
-
-    /// As [`GraphStore::ops_since`], but also returns the head epoch the
-    /// replay reaches, captured under the writer lock — since publishes
+    /// application order, concatenated across the intervening batches,
+    /// together with the head epoch the replay reaches.  Returns `None`
+    /// when the bounded log no longer reaches back to `since` (the caller
+    /// must rebuild from the head snapshot instead), and no ops when `since`
+    /// is already the head epoch.
+    ///
+    /// The head epoch is captured under the writer lock — since publishes
     /// happen under that same lock, the pair is exact: applying the returned
     /// ops to a rebuild of epoch `since` yields precisely the returned
     /// epoch, with no window for a concurrent publish in between.  This is
@@ -287,7 +284,7 @@ mod tests {
         assert!(err.is_err());
         assert_eq!(store.epoch(), 0);
         assert_eq!(store.snapshot().edge_count(), 1);
-        assert_eq!(store.ops_since(0), Some(Vec::new()));
+        assert_eq!(store.replay_from(0), Some((Vec::new(), 0)));
     }
 
     #[test]
@@ -302,19 +299,19 @@ mod tests {
                 EdgeOp::delete(n[0], n[1], follows),
             ])
             .unwrap();
+        // The ops come paired with the exact head epoch they reach.
         assert_eq!(
-            store.ops_since(mid),
-            Some(vec![
-                EdgeOp::insert(n[2], n[3], follows),
-                EdgeOp::delete(n[0], n[1], follows),
-            ])
+            store.replay_from(mid),
+            Some((
+                vec![
+                    EdgeOp::insert(n[2], n[3], follows),
+                    EdgeOp::delete(n[0], n[1], follows),
+                ],
+                store.epoch()
+            ))
         );
-        let all = store.ops_since(0).unwrap();
+        let (all, _) = store.replay_from(0).unwrap();
         assert_eq!(all.len(), 3);
-        // replay_from pairs the ops with the exact head epoch they reach.
-        let (ops, head_epoch) = store.replay_from(mid).unwrap();
-        assert_eq!(ops.len(), 2);
-        assert_eq!(head_epoch, store.epoch());
         // Replaying onto a rebuild of epoch 0 reproduces the head.
         let (mut replay, _, _) = seed();
         replay.apply_edge_ops(&all).unwrap();
@@ -339,12 +336,13 @@ mod tests {
         }
         assert_eq!(store.epoch(), 5);
         assert_eq!(store.log_retention(), 2);
-        assert!(store.ops_since(0).is_none(), "epochs 1..=3 were dropped");
-        assert!(store.ops_since(2).is_none());
-        assert_eq!(store.ops_since(3).map(|ops| ops.len()), Some(2));
-        assert_eq!(store.ops_since(5), Some(Vec::new()));
+        assert!(store.replay_from(0).is_none(), "epochs 1..=3 were dropped");
+        assert!(store.replay_from(2).is_none());
+        let (ops, head) = store.replay_from(3).unwrap();
+        assert_eq!((ops.len(), head), (2, 5));
+        assert_eq!(store.replay_from(5), Some((Vec::new(), 5)));
         // A future epoch (reader from another store) degrades to empty.
-        assert_eq!(store.ops_since(9), Some(Vec::new()));
+        assert_eq!(store.replay_from(9), Some((Vec::new(), 5)));
     }
 
     #[test]

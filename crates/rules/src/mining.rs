@@ -133,7 +133,7 @@ pub fn mine_qgars_with(
 }
 
 /// [`mine_qgars`] on an explicit executor, also returning scheduling
-/// telemetry (used by the `experiments bench --parallel` speedup harness).
+/// telemetry (what the `mine_rules` benchmark workload records).
 pub fn mine_qgars_with_report(
     graph: &Graph,
     config: &MiningConfig,

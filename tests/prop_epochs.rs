@@ -7,12 +7,15 @@
 //! * `MatchView::advance` (replaying the store's inter-epoch log) leaves
 //!   the view equal to a recompute on the latest snapshot, with the view's
 //!   anchor tracking the store head,
+//! * `QueryRegistry::serve` on each freshly published epoch answers every
+//!   request of a mixed batch (plain, `limit(k)`, `count`, two requests for
+//!   one query) like the brute-force oracle on a from-scratch rebuild,
 //! * snapshots COW-share the frozen storage of the graph they were
 //!   published from — pinning is O(1), not a copy.
 //!
-//! Streams come from the same seeded [`UpdateStreamGen`] the
-//! `experiments bench --serving` section measures, so the perf numbers and
-//! the correctness pins cover one distribution.
+//! Streams come from the seeded [`UpdateStreamGen`], and every property
+//! draws the overlay compaction threshold from `{1, 3, 8, default}`, so the
+//! store's working graph (and a view's own overlay) compacts mid-stream.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -20,10 +23,12 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use qgp_bench::{StreamConfig, UpdateStreamGen};
+use quantified_graph_patterns::core::matching::reference::evaluate_reference;
 use quantified_graph_patterns::graph::LabelId;
 use quantified_graph_patterns::{
-    CountingQuantifier, Engine, ExecOptions, Graph, GraphBuilder, GraphSnapshot, GraphStore,
-    MatchConfig, NodeId, Pattern, PatternBuilder,
+    CountMode, CountingQuantifier, EdgeOp, Engine, ExecOptions, Graph, GraphBuilder,
+    GraphSnapshot, GraphStore, MatchConfig, NodeId, Pattern, PatternBuilder, QueryRegistry,
+    Runtime, ServeRequest,
 };
 
 const NODE_LABELS: &[&str] = &["A", "B", "C"];
@@ -44,6 +49,13 @@ fn graph_spec() -> impl Strategy<Value = GraphSpec> {
         );
         (nodes, edges).prop_map(|(node_labels, edges)| GraphSpec { node_labels, edges })
     })
+}
+
+/// Overlay compaction thresholds: the tiny ones make every stream below
+/// cross the threshold several times; `0` is the default (1024), which
+/// these streams never reach.
+fn compaction_threshold() -> impl Strategy<Value = usize> {
+    (0usize..4).prop_map(|i| [1, 3, 8, 0][i])
 }
 
 fn build_graph(spec: &GraphSpec) -> Graph {
@@ -127,17 +139,35 @@ fn edge_set(graph: &Graph) -> BTreeSet<Edge> {
     graph.edges().map(|e| (e.from, e.to, e.label)).collect()
 }
 
-/// From-scratch rebuild with the same nodes/labels as `template` but
-/// exactly `edges` — the first-principles reference a pinned snapshot is
-/// compared against.
-fn rebuild(template: &Graph, edges: &BTreeSet<Edge>) -> Graph {
-    let mut g = Graph::with_labels(template.labels().clone());
-    for v in template.nodes() {
-        g.add_node(template.node_label(v));
+/// From-scratch `GraphBuilder` rebuild of `edges` over `spec`'s nodes — the
+/// first-principles reference a pinned snapshot is compared against.  It
+/// shares nothing with the store, not even the label table (`template` only
+/// names the mirrored edge labels).
+fn rebuild(spec: &GraphSpec, template: &Graph, edges: &BTreeSet<Edge>) -> Graph {
+    let mut b = GraphBuilder::new();
+    for &l in &spec.node_labels {
+        b.add_node(NODE_LABELS[l as usize]);
     }
-    g.add_edges_bulk(edges.iter().copied())
-        .expect("mirror endpoints are in range");
-    g
+    for &(from, to, label) in edges {
+        let name = template
+            .labels()
+            .edge_label_name(label)
+            .expect("mirrored labels come from the template");
+        b.add_edge(from, to, name).expect("mirrored edges are distinct");
+    }
+    b.build()
+}
+
+/// Applies `ops` to the mirrored edge set.
+fn apply_to_mirror(edges: &mut BTreeSet<Edge>, ops: &[EdgeOp]) {
+    for op in ops {
+        let key = (op.from(), op.to(), op.label());
+        if op.is_insert() {
+            edges.insert(key);
+        } else {
+            edges.remove(&key);
+        }
+    }
 }
 
 fn recompute(graph: &Graph, pattern: &Pattern, config: &MatchConfig) -> Vec<NodeId> {
@@ -168,8 +198,10 @@ proptest! {
         gspec in graph_spec(),
         kind in 0u8..6,
         seed in 0u64..1_000_000,
+        threshold in compaction_threshold(),
     ) {
-        let graph = build_graph(&gspec);
+        let mut graph = build_graph(&gspec);
+        graph.set_compaction_threshold(threshold);
         let pattern = pattern(kind);
         let store = GraphStore::new(graph.clone());
         let mut gen = UpdateStreamGen::new(&graph, stream_config(seed));
@@ -181,15 +213,12 @@ proptest! {
         let mut edges = edge_set(&graph);
         for batch_size in [1usize, 4, 12, 30] {
             let ops = gen.next_batch(batch_size);
-            for op in &ops {
-                let key = (op.from(), op.to(), op.label());
-                if op.is_insert() {
-                    edges.insert(key);
-                } else {
-                    edges.remove(&key);
-                }
-            }
-            store.apply(&ops).unwrap();
+            let before = edges.clone();
+            apply_to_mirror(&mut edges, &ops);
+            let (report, _) = store.apply(&ops).unwrap();
+            // Threshold 1 really does compact the writer's overlay under
+            // the pinned readers, on every batch with a net change.
+            prop_assert!(threshold != 1 || edges == before || report.compacted);
             pinned.push((store.snapshot(), edges.clone()));
         }
         prop_assert_eq!(store.epoch(), 4);
@@ -203,7 +232,7 @@ proptest! {
         for (epoch, (snapshot, mirror)) in pinned.iter().enumerate() {
             prop_assert_eq!(snapshot.epoch(), epoch as u64);
             prop_assert_eq!(edge_set(snapshot.graph()), mirror.clone());
-            let rebuilt = rebuild(&graph, mirror);
+            let rebuilt = rebuild(&gspec, &graph, mirror);
             for config in all_configs() {
                 let got = prepared
                     .run_on(snapshot, ExecOptions::sequential().with_config(config))
@@ -225,7 +254,7 @@ proptest! {
                 .run_on(zero, ExecOptions::sequential())
                 .unwrap()
                 .matches,
-            recompute(&rebuild(&graph, mirror), &pattern, &MatchConfig::qmatch())
+            recompute(&rebuild(&gspec, &graph, mirror), &pattern, &MatchConfig::qmatch())
         );
     }
 
@@ -237,8 +266,10 @@ proptest! {
         gspec in graph_spec(),
         kind in 0u8..6,
         seed in 0u64..1_000_000,
+        threshold in compaction_threshold(),
     ) {
-        let graph = build_graph(&gspec);
+        let mut graph = build_graph(&gspec);
+        graph.set_compaction_threshold(threshold);
         let pattern = pattern(kind);
         let store = GraphStore::new(graph.clone());
         let mut gen = UpdateStreamGen::new(&graph, stream_config(seed));
@@ -275,5 +306,68 @@ proptest! {
         let delta = view.advance(&store).unwrap();
         prop_assert!(delta.is_empty());
         prop_assert_eq!(view.anchor_epoch(), store.epoch());
+    }
+
+    /// Serving under updates: all six pattern kinds are registered once;
+    /// after every published batch a mixed request batch — every query,
+    /// rotating through plain / `limit(k)` / `count`, plus a second request
+    /// for one of them — is served on the head snapshot, alternately on one
+    /// thread and on four.  Every outcome must equal the brute-force oracle
+    /// on a from-scratch rebuild of the mirrored edge set: a limited request
+    /// the first `k` of the sorted answer, a counting request the same foci.
+    #[test]
+    fn served_answers_match_the_oracle_under_an_update_stream(
+        gspec in graph_spec(),
+        seed in 0u64..1_000_000,
+        threshold in compaction_threshold(),
+        k in 0usize..4,
+    ) {
+        let mut graph = build_graph(&gspec);
+        graph.set_compaction_threshold(threshold);
+        let store = GraphStore::new(graph.clone());
+        let engine = Engine::from_store(&store);
+        let patterns: Vec<Pattern> = (0..6).map(pattern).collect();
+        let mut registry = QueryRegistry::new();
+        let ids: Vec<_> = patterns
+            .iter()
+            .map(|p| registry.register(engine.prepare(p).unwrap()))
+            .collect();
+        let runtimes = [Runtime::new(1), Runtime::new(4)];
+        let mut gen = UpdateStreamGen::new(&graph, stream_config(seed));
+        let mut edges = edge_set(&graph);
+
+        for (round, batch_size) in [1usize, 4, 12, 30].into_iter().enumerate() {
+            let ops = gen.next_batch(batch_size);
+            apply_to_mirror(&mut edges, &ops);
+            store.apply(&ops).unwrap();
+
+            // (pattern index, request kind): kind 0 plain, 1 limit(k), 2 count.
+            let mut plan: Vec<(usize, usize)> = (0..6).map(|q| (q, (q + round) % 3)).collect();
+            plan.push((round % 6, 0));
+            let batch: Vec<ServeRequest> = plan
+                .iter()
+                .map(|&(q, kind)| match kind {
+                    0 => ServeRequest::new(ids[q]),
+                    1 => ServeRequest::new(ids[q]).limit(k),
+                    _ => ServeRequest::new(ids[q]).count(CountMode::ThresholdOnly),
+                })
+                .collect();
+            let outcomes = registry.serve(&store.snapshot(), &batch, &runtimes[round % 2]);
+            prop_assert_eq!(outcomes.len(), batch.len());
+
+            let rebuilt = rebuild(&gspec, &graph, &edges);
+            let oracles: Vec<Vec<NodeId>> =
+                patterns.iter().map(|p| evaluate_reference(&rebuilt, p)).collect();
+            for (&(q, kind), outcome) in plan.iter().zip(&outcomes) {
+                prop_assert_eq!(outcome.query, ids[q]);
+                let answer = outcome.result.as_ref().expect("fault-free serving succeeds");
+                let oracle = &oracles[q];
+                let expected = if kind == 1 { &oracle[..oracle.len().min(k)] } else { &oracle[..] };
+                prop_assert_eq!(
+                    &answer.matches[..], expected,
+                    "round {}, pattern {}, request kind {}", round, q, kind
+                );
+            }
+        }
     }
 }

@@ -12,9 +12,9 @@
 //! * a single-edge update on the pokec-like generator's graph patches two
 //!   adjacency rows instead of rebuilding the CSR (counter-pinned).
 //!
-//! Streams come from the same seeded [`UpdateStreamGen`] the
-//! `experiments bench --incremental` section measures, so the perf numbers
-//! and the correctness pins cover one distribution.
+//! Streams come from the seeded [`UpdateStreamGen`]; the view properties
+//! draw the overlay compaction threshold from `{1, 3, 8, default}`, so the
+//! view's own overlay compacts mid-stream.
 
 use std::collections::BTreeSet;
 
@@ -45,6 +45,13 @@ fn graph_spec() -> impl Strategy<Value = GraphSpec> {
         );
         (nodes, edges).prop_map(|(node_labels, edges)| GraphSpec { node_labels, edges })
     })
+}
+
+/// Overlay compaction thresholds: the tiny ones make every stream below
+/// cross the threshold several times; `0` is the default (1024), which
+/// these streams never reach.
+fn compaction_threshold() -> impl Strategy<Value = usize> {
+    (0usize..4).prop_map(|i| [1, 3, 8, 0][i])
 }
 
 fn build_graph(spec: &GraphSpec) -> Graph {
@@ -171,8 +178,10 @@ proptest! {
         gspec in graph_spec(),
         kind in 0u8..6,
         seed in 0u64..1_000_000,
+        threshold in compaction_threshold(),
     ) {
-        let graph = build_graph(&gspec);
+        let mut graph = build_graph(&gspec);
+        graph.set_compaction_threshold(threshold);
         let pattern = pattern(kind);
         let engine = Engine::new(&graph);
         let prepared = engine.prepare(&pattern).unwrap();
@@ -190,6 +199,7 @@ proptest! {
 
         for batch_size in [1usize, 4, 12, 30] {
             let ops = gen.next_batch(batch_size);
+            let before = edges.clone();
             for op in &ops {
                 let key = (op.from(), op.to(), op.label());
                 if op.is_insert() {
@@ -201,6 +211,9 @@ proptest! {
             let d_seq = view_seq.apply_with(&ops, &rt1).unwrap();
             let d_par = view_par.apply_with(&ops, &rt4).unwrap();
             prop_assert_eq!(&d_seq, &d_par, "thread counts disagree");
+            // Threshold 1 really does compact the view's own overlay, on
+            // every batch with a net change.
+            prop_assert!(threshold != 1 || edges == before || d_seq.report.compacted);
             d_seq.apply_to(&mut replayed);
 
             let rebuilt = rebuild(&graph, &edges);
@@ -224,8 +237,10 @@ proptest! {
         gspec in graph_spec(),
         kind in 0u8..6,
         seed in 0u64..1_000_000,
+        threshold in compaction_threshold(),
     ) {
-        let graph = build_graph(&gspec);
+        let mut graph = build_graph(&gspec);
+        graph.set_compaction_threshold(threshold);
         let pattern = pattern(kind);
         let engine = Engine::new(&graph);
         let prepared = engine.prepare(&pattern).unwrap();
