@@ -217,7 +217,16 @@ pub fn exp2_vary_n(dataset: Dataset, scale: &ExperimentScale) -> Table {
 pub fn exp2_dpar(dataset: Dataset, scale: &ExperimentScale) -> Table {
     let mut table = Table::new(
         format!("Fig. 8(d)/(e) — DPar on {}", dataset.name()),
-        &["n", "d", "partition (s)", "skew", "border nodes", "covered pre-completion"],
+        &[
+            "n",
+            "d",
+            "partition (s)",
+            "skew",
+            "border nodes",
+            "covered pre-completion",
+            "balls sized",
+            "balls weighed",
+        ],
     );
     let graph = dataset_graph(dataset, scale);
     for &d in &[2usize, 3] {
@@ -232,6 +241,8 @@ pub fn exp2_dpar(dataset: Dataset, scale: &ExperimentScale) -> Table {
                 format!("{:.2}", stats.skew),
                 stats.border_nodes.to_string(),
                 stats.covered_before_completion.to_string(),
+                stats.balls_sized.to_string(),
+                stats.balls_weighed.to_string(),
             ]);
         }
     }

@@ -3,30 +3,28 @@
 //! Section 5 of the paper relies on the *d-hop neighborhood* `N_d(v)` of a
 //! node: the subgraph induced by all nodes within `d` hops of `v`, where hops
 //! ignore edge direction (a neighbor is reachable "from or to" the node).
-//! The d-hop preserving partition `DPar` ships `N_d(v)` of border nodes
-//! between fragments, and the radius of a pattern bounds how much of the
-//! graph a single focus candidate can ever touch.
+//! The d-hop preserving partition `DPar` sizes and weighs `N_d(v)` of border
+//! nodes, and the radius of a pattern bounds how much of the graph a single
+//! focus candidate can ever touch.
 //!
-//! `DPar` runs one bounded BFS *per node*; allocating a visited map per call
-//! dominates at that rate.  [`BfsScratch`] is an epoch-marked visited array
-//! that is allocated once and reused: marking a node is one store, and
-//! "clearing" between calls is a single counter increment.
-
-use std::collections::VecDeque;
+//! Every traversal here is one ball visitor, [`BfsScratch::visit_ball`]: an
+//! epoch-marked visited array (marking a node is one store, "clearing"
+//! between calls is a counter increment) and a level-synchronous frontier in
+//! one reusable vector.  Both are allocated once and reused, so a caller
+//! that runs one bounded BFS per node allocates nothing per run.
 
 use crate::graph::{Graph, NodeId};
 
 /// Reusable scratch state for repeated bounded BFS runs over one graph.
 ///
 /// `mark[v] == epoch` means `v` was visited during the current run; bumping
-/// `epoch` invalidates all marks at once.  `dist[v]` is only meaningful when
-/// the mark is current.
+/// `epoch` invalidates all marks at once.  `frontier` holds the stored nodes
+/// of the current run in visit order, one contiguous range per level.
 #[derive(Debug, Clone, Default)]
 pub struct BfsScratch {
     mark: Vec<u32>,
-    dist: Vec<u32>,
     epoch: u32,
-    queue: VecDeque<NodeId>,
+    frontier: Vec<NodeId>,
 }
 
 impl BfsScratch {
@@ -34,18 +32,16 @@ impl BfsScratch {
     pub fn for_graph(graph: &Graph) -> Self {
         BfsScratch {
             mark: vec![0; graph.node_count()],
-            dist: vec![0; graph.node_count()],
             epoch: 0,
-            queue: VecDeque::new(),
+            frontier: Vec::new(),
         }
     }
 
-    /// Starts a new run: grows the arrays if the graph did, and invalidates
-    /// every mark.
+    /// Starts a new run: grows the mark array if the graph did, and
+    /// invalidates every mark.
     fn begin(&mut self, node_count: usize) {
         if self.mark.len() < node_count {
             self.mark.resize(node_count, self.epoch);
-            self.dist.resize(node_count, 0);
         }
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
@@ -53,7 +49,67 @@ impl BfsScratch {
             self.mark.fill(u32::MAX);
             self.epoch = 1;
         }
-        self.queue.clear();
+        self.frontier.clear();
+    }
+
+    /// Bounded undirected BFS from every node of `starts` at once: calls
+    /// `visit(node, dist)` the first time a node within `d` hops of a start
+    /// is reached, in BFS order, `dist` being the hop distance to the
+    /// nearest start.  Duplicate starts are visited once.
+    ///
+    /// The visited nodes stay readable through [`BfsScratch::visited`] until
+    /// the next run; with `keep_last == false` the outermost level (distance
+    /// `d`, never expanded) is reported to `visit` but not stored, which is
+    /// all a caller that only counts or collects through `visit` needs.
+    pub fn visit_ball(
+        &mut self,
+        graph: &Graph,
+        starts: &[NodeId],
+        d: usize,
+        keep_last: bool,
+        mut visit: impl FnMut(NodeId, usize),
+    ) {
+        self.begin(graph.node_count());
+        let epoch = self.epoch;
+        for &start in starts {
+            if self.mark[start.index()] != epoch {
+                self.mark[start.index()] = epoch;
+                visit(start, 0);
+                if keep_last || d > 0 {
+                    self.frontier.push(start);
+                }
+            }
+        }
+        let mut level = 0..self.frontier.len();
+        for dist in 1..=d {
+            let store = keep_last || dist < d;
+            for i in level.clone() {
+                let v = self.frontier[i];
+                for &w in graph
+                    .out_neighbors_slice(v)
+                    .iter()
+                    .chain(graph.in_neighbors_slice(v))
+                {
+                    if self.mark[w.index()] != epoch {
+                        self.mark[w.index()] = epoch;
+                        visit(w, dist);
+                        if store {
+                            self.frontier.push(w);
+                        }
+                    }
+                }
+            }
+            level = level.end..self.frontier.len();
+            if level.is_empty() {
+                break;
+            }
+        }
+    }
+
+    /// The nodes the last [`BfsScratch::visit_ball`] run stored, in visit
+    /// order.
+    pub fn visited(&self) -> &[NodeId] {
+        &self.frontier
     }
 }
 
@@ -67,30 +123,7 @@ pub fn bfs_within_with(
     scratch: &mut BfsScratch,
     out: &mut Vec<(NodeId, usize)>,
 ) {
-    scratch.begin(graph.node_count());
-    let epoch = scratch.epoch;
-    scratch.mark[start.index()] = epoch;
-    scratch.dist[start.index()] = 0;
-    scratch.queue.push_back(start);
-    out.push((start, 0));
-    while let Some(v) = scratch.queue.pop_front() {
-        let dist = scratch.dist[v.index()] as usize;
-        if dist == d {
-            continue;
-        }
-        for &w in graph
-            .out_neighbors_slice(v)
-            .iter()
-            .chain(graph.in_neighbors_slice(v))
-        {
-            if scratch.mark[w.index()] != epoch {
-                scratch.mark[w.index()] = epoch;
-                scratch.dist[w.index()] = (dist + 1) as u32;
-                out.push((w, dist + 1));
-                scratch.queue.push_back(w);
-            }
-        }
-    }
+    bfs_within_multi_with(graph, &[start], d, scratch, out);
 }
 
 /// Bounded undirected BFS from *several* start nodes at once: appends every
@@ -108,79 +141,22 @@ pub fn bfs_within_multi_with(
     scratch: &mut BfsScratch,
     out: &mut Vec<(NodeId, usize)>,
 ) {
-    scratch.begin(graph.node_count());
-    let epoch = scratch.epoch;
-    for &start in starts {
-        if scratch.mark[start.index()] == epoch {
-            continue;
-        }
-        scratch.mark[start.index()] = epoch;
-        scratch.dist[start.index()] = 0;
-        scratch.queue.push_back(start);
-        out.push((start, 0));
-    }
-    while let Some(v) = scratch.queue.pop_front() {
-        let dist = scratch.dist[v.index()] as usize;
-        if dist == d {
-            continue;
-        }
-        for &w in graph
-            .out_neighbors_slice(v)
-            .iter()
-            .chain(graph.in_neighbors_slice(v))
-        {
-            if scratch.mark[w.index()] != epoch {
-                scratch.mark[w.index()] = epoch;
-                scratch.dist[w.index()] = (dist + 1) as u32;
-                out.push((w, dist + 1));
-                scratch.queue.push_back(w);
-            }
-        }
-    }
-}
-
-/// The node set of `N_d(v)` computed with reusable scratch state — the form
-/// `DPar` calls in its per-node loop.
-pub fn d_hop_nodes_with(
-    graph: &Graph,
-    v: NodeId,
-    d: usize,
-    scratch: &mut BfsScratch,
-) -> Vec<NodeId> {
-    let mut order = Vec::new();
-    bfs_within_with(graph, v, d, scratch, &mut order);
-    order.into_iter().map(|(n, _)| n).collect()
+    scratch.visit_ball(graph, starts, d, false, |v, dist| out.push((v, dist)));
 }
 
 /// Returns every node within `d` undirected hops of `start` (including
 /// `start` itself), each paired with its hop distance, in BFS order.
 pub fn bfs_within(graph: &Graph, start: NodeId, d: usize) -> Vec<(NodeId, usize)> {
-    let mut scratch = BfsScratch::for_graph(graph);
     let mut order = Vec::new();
-    bfs_within_with(graph, start, d, &mut scratch, &mut order);
+    bfs_within_with(graph, start, d, &mut BfsScratch::for_graph(graph), &mut order);
     order
 }
 
 /// The node set of `N_d(v)`: all nodes within `d` undirected hops of `v`.
 pub fn d_hop_nodes(graph: &Graph, v: NodeId, d: usize) -> Vec<NodeId> {
-    bfs_within(graph, v, d).into_iter().map(|(n, _)| n).collect()
-}
-
-/// The d-hop neighborhood `N_d(v)`: the subgraph of `G` induced by the nodes
-/// within `d` hops of `v`, returned together with the local → global node id
-/// mapping.
-pub fn d_hop_neighborhood(graph: &Graph, v: NodeId, d: usize) -> (Graph, Vec<NodeId>) {
-    let nodes = d_hop_nodes(graph, v, d);
-    graph.induced_subgraph(&nodes)
-}
-
-/// Size `|N_d(v)|` measured as nodes + edges of the induced subgraph.  This
-/// is the weight used by the Multiple-Knapsack assignment inside `DPar`
-/// (Section 5.2) and by the parallel-scalability condition
-/// `Σ_v |N_d(v)| ≤ C_d · |G| / n` of Theorem 7.
-pub fn d_hop_size(graph: &Graph, v: NodeId, d: usize) -> usize {
-    let (sub, _) = d_hop_neighborhood(graph, v, d);
-    sub.size()
+    let mut nodes = Vec::new();
+    BfsScratch::for_graph(graph).visit_ball(graph, &[v], d, false, |w, _| nodes.push(w));
+    nodes
 }
 
 #[cfg(test)]
@@ -236,12 +212,30 @@ mod tests {
         let mut scratch = BfsScratch::for_graph(&g);
         for &start in &n {
             for d in 0..3 {
-                assert_eq!(
-                    d_hop_nodes_with(&g, start, d, &mut scratch),
-                    d_hop_nodes(&g, start, d),
-                    "start {start:?} d {d}"
-                );
+                let mut reused = Vec::new();
+                bfs_within_with(&g, start, d, &mut scratch, &mut reused);
+                assert_eq!(reused, bfs_within(&g, start, d), "start {start:?} d {d}");
             }
+        }
+    }
+
+    #[test]
+    fn visitor_stores_the_ball_with_or_without_its_last_level() {
+        let (g, n) = path_graph();
+        let mut scratch = BfsScratch::for_graph(&g);
+        for d in 0..4 {
+            let ball = bfs_within(&g, n[0], d);
+            let mut seen = Vec::new();
+            scratch.visit_ball(&g, &[n[0]], d, true, |v, dist| seen.push((v, dist)));
+            assert_eq!(seen, ball);
+            let all: Vec<_> = ball.iter().map(|&(v, _)| v).collect();
+            assert_eq!(scratch.visited(), all);
+
+            let mut count = 0;
+            scratch.visit_ball(&g, &[n[0]], d, false, |_, _| count += 1);
+            assert_eq!(count, ball.len());
+            let inner: Vec<_> = ball.iter().filter(|&&(_, k)| k < d).map(|&(v, _)| v).collect();
+            assert_eq!(scratch.visited(), inner);
         }
     }
 
@@ -251,26 +245,23 @@ mod tests {
         let mut scratch = BfsScratch::for_graph(&g);
         scratch.epoch = u32::MAX - 1;
         for _ in 0..4 {
-            assert_eq!(
-                d_hop_nodes_with(&g, n[1], 1, &mut scratch).len(),
-                3,
-                "epoch {}",
-                scratch.epoch
-            );
+            let mut ball = Vec::new();
+            bfs_within_with(&g, n[1], 1, &mut scratch, &mut ball);
+            assert_eq!(ball.len(), 3, "epoch {}", scratch.epoch);
         }
     }
 
     #[test]
     fn neighborhood_subgraph_contains_internal_edges() {
         let (g, n) = path_graph();
-        let (sub, mapping) = d_hop_neighborhood(&g, n[1], 1);
+        let (sub, mapping) = g.induced_subgraph(&d_hop_nodes(&g, n[1], 1));
         assert_eq!(sub.node_count(), 3);
         // Edges a->b and b->c are internal to the 1-hop neighborhood of b.
         assert_eq!(sub.edge_count(), 2);
         assert!(mapping.contains(&n[0]));
         assert!(mapping.contains(&n[1]));
         assert!(mapping.contains(&n[2]));
-        assert_eq!(d_hop_size(&g, n[1], 1), 5);
+        assert_eq!(sub.size(), 5);
     }
 
     #[test]
@@ -300,6 +291,5 @@ mod tests {
     fn isolated_node_has_singleton_neighborhood() {
         let (g, n) = path_graph();
         assert_eq!(d_hop_nodes(&g, n[4], 3), vec![n[4]]);
-        assert_eq!(d_hop_size(&g, n[4], 3), 1);
     }
 }

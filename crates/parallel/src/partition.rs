@@ -15,17 +15,31 @@
 //! assignment of their neighborhoods to fragments via a Multiple-Knapsack
 //! style packing, and a completion step that covers the remaining nodes while
 //! minimizing the size imbalance.  The Multiple-Knapsack step substitutes the
-//! PTAS of Chekuri–Khanna with a greedy value/weight packing (documented in
-//! DESIGN.md); the balance it achieves is measured and reported as the *skew*
-//! statistic, mirroring the paper's Exp-2.
+//! PTAS of Chekuri–Khanna with a greedy light-first packing; the balance it
+//! achieves is measured and reported as the *skew* statistic, mirroring the
+//! paper's Exp-2.
 //!
-//! All bookkeeping is flat and `NodeId`-indexed: the node → fragment
-//! assignment is a dense vector, each fragment's replicated-node set is a
-//! bitmap, and the per-node neighborhood scans run on the shared
-//! [`qgp_runtime::Runtime`] executor with one epoch-marked BFS scratch per
-//! worker thread — no hash maps anywhere on the partitioning path.
+//! No ball `N_d(v)` is ever stored.  Each fragment keeps its node set
+//! `have = base ∪ replicated` with the **d-fold erosion** of that set
+//! (`Erosion` below): level 0 is `have`, level `k` the nodes whose closed
+//! neighborhood lies inside level `k − 1`, so `N_d(v) ⊆ have` exactly when
+//! level `d` holds `v` — one array read, kept current under insertion in time
+//! linear in the edges.  A bounded BFS therefore runs only
+//!
+//! * once per **border node**, counting, for the `|N_d(v)|` packing key —
+//!   stealable tasks on the shared [`qgp_runtime::Runtime`] executor, one
+//!   [`BfsScratch`] per worker; a node whose ball is inside its base chunk is
+//!   never visited, so a 1-fragment or d-hop-closed partition runs no BFS;
+//! * once more for a border node that fits the capacity but is inside no
+//!   fragment's erosion at its turn: the visit counts what each fragment
+//!   would replicate and the chosen one takes the ball from the visitor;
+//! * once per node of the completion phase, which needs every exact count —
+//!   unless a fragment that already holds the ball is the smallest by bounds.
+//!
+//! All bookkeeping is flat and `NodeId`-indexed — no hash maps anywhere on
+//! the partitioning path.
 
-use qgp_graph::{d_hop_nodes_with, BfsScratch, DenseBitSet, Fragment, FragmentId, Graph, NodeId};
+use qgp_graph::{BfsScratch, Fragment, FragmentId, Graph, NodeId};
 use qgp_runtime::Runtime;
 
 /// Configuration of the partitioner.
@@ -77,6 +91,11 @@ pub struct PartitionStats {
     /// Number of border nodes whose d-hop neighborhood crossed the base
     /// partition.
     pub border_nodes: usize,
+    /// Bounded BFS runs that sized a ball (one per border node).
+    pub balls_sized: usize,
+    /// Bounded BFS runs that weighed a ball against every fragment (in the
+    /// knapsack and the completion phase; at most two per border node).
+    pub balls_weighed: usize,
 }
 
 /// A d-hop preserving partition of a graph.
@@ -114,6 +133,92 @@ impl DHopPartition {
     }
 }
 
+/// The node sets `have_f` of all `n` fragments of one graph, each with its
+/// d-fold erosion, kept current under insertion.
+///
+/// `cnt` holds `d + 1` levels of one counter per (node, fragment), the `n`
+/// counters of a node adjacent; a node is *in* a level of `f` when its
+/// counter there is 0.  Level 0 is 1 outside `have_f`; level `k ≥ 1` counts
+/// the closed-neighborhood slots of `x` — `x` itself plus every entry of its
+/// out- and in-neighbor slices, with multiplicity — outside level `k − 1`,
+/// so by induction level `k` of `f` is `{x : N_k(x) ⊆ have_f}`.  A node
+/// joins each level of a fragment once and then decrements one counter per
+/// slot: all insertions together cost `O(n · d · |E|)`.
+struct Erosion {
+    cnt: Vec<u32>,
+    n: usize,
+    nodes: usize,
+    d: usize,
+    work: Vec<(NodeId, usize)>,
+}
+
+impl Erosion {
+    /// The erosions of `n` empty sets over `graph`.
+    fn new(graph: &Graph, n: usize, d: usize) -> Self {
+        let nodes = graph.node_count();
+        let mut cnt = vec![1; nodes * n];
+        for _ in 0..d {
+            cnt.extend(graph.nodes().flat_map(|x| {
+                let slots = 1 + graph.out_degree(x) + graph.in_degree(x);
+                std::iter::repeat_n(slots as u32, n)
+            }));
+        }
+        Erosion {
+            cnt,
+            n,
+            nodes,
+            d,
+            work: Vec::new(),
+        }
+    }
+
+    /// One counter per fragment, 0 where level `k` of that fragment holds `x`.
+    #[inline]
+    fn level(&self, k: usize, x: NodeId) -> &[u32] {
+        &self.cnt[(k * self.nodes + x.index()) * self.n..][..self.n]
+    }
+
+    /// Is `w` in `have_f`?
+    #[inline]
+    fn contains(&self, f: usize, w: NodeId) -> bool {
+        self.level(0, w)[f] == 0
+    }
+
+    /// The lowest fragment with `N_d(v) ⊆ have_f`, if any.
+    #[inline]
+    fn first_inside(&self, v: NodeId) -> Option<usize> {
+        self.level(self.d, v).iter().position(|&c| c == 0)
+    }
+
+    /// Adds `w` to `have_f`, cascading it through the levels; false if it
+    /// was already there.
+    fn insert(&mut self, graph: &Graph, f: usize, w: NodeId) -> bool {
+        if self.contains(f, w) {
+            return false;
+        }
+        self.cnt[w.index() * self.n + f] = 0;
+        self.work.push((w, 0));
+        // Invariant: `(x, k)` on the worklist means x just joined level k.
+        while let Some((x, k)) = self.work.pop() {
+            if k == self.d {
+                continue;
+            }
+            let next = &mut self.cnt[(k + 1) * self.nodes * self.n..];
+            for &y in std::iter::once(&x)
+                .chain(graph.out_neighbors_slice(x))
+                .chain(graph.in_neighbors_slice(x))
+            {
+                let c = &mut next[y.index() * self.n + f];
+                *c -= 1;
+                if *c == 0 {
+                    self.work.push((y, k + 1));
+                }
+            }
+        }
+        true
+    }
+}
+
 /// Builds a d-hop preserving partition of `graph` (`DPar`) on the global
 /// runtime (`QGP_THREADS`).
 pub fn dpar(graph: &Graph, config: &PartitionConfig) -> DHopPartition {
@@ -123,11 +228,10 @@ pub fn dpar(graph: &Graph, config: &PartitionConfig) -> DHopPartition {
 /// Builds a d-hop preserving partition of `graph` (`DPar`) on an explicit
 /// executor.
 ///
-/// The per-node neighborhood expansion — the dominant cost — is scheduled as
+/// Sizing the border nodes' neighborhoods — the dominant cost — runs as
 /// stealable node-range tasks on the runtime (the parallel scalability claim
 /// of Lemma 8): a worker that finishes its nodes steals from whichever range
-/// still holds expensive hub neighborhoods, and every worker reuses one
-/// [`BfsScratch`] across all nodes it executes.
+/// still holds expensive hub neighborhoods.
 pub fn dpar_with(graph: &Graph, config: &PartitionConfig, runtime: &Runtime) -> DHopPartition {
     let n = config.num_fragments.max(1);
     let d = config.d;
@@ -144,89 +248,82 @@ pub fn dpar_with(graph: &Graph, config: &PartitionConfig, runtime: &Runtime) -> 
     let mut base_of_fragment: Vec<Vec<NodeId>> = vec![Vec::new(); n];
     // Dense node → base-fragment assignment (every node gets one).
     let mut fragment_of_node: Vec<u32> = vec![0; total_nodes];
+    let mut have = Erosion::new(graph, n, d);
     for (i, &v) in visit_order.iter().enumerate() {
         let f = (i / chunk).min(n - 1);
         base_of_fragment[f].push(v);
         fragment_of_node[v.index()] = f as u32;
+        have.insert(graph, f, v);
     }
 
-    // ---- Step 2: border-node discovery + neighborhood computation ------
-    // For each node, determine whether its d-hop neighborhood stays within
-    // its base fragment; if not it is a border node and its neighborhood
-    // must be shipped somewhere.  Scheduled as stealable node tasks on the
-    // shared executor (fragment-major, so initial ranges align with
-    // fragments), each worker reusing one BFS scratch across every node it
-    // executes.  Outputs come back in index order, keeping the partition
-    // deterministic for any thread count.
-    let mut home_covered: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-    let mut border: Vec<(NodeId, Vec<NodeId>)> = Vec::new();
-    {
-        let flat: Vec<(u32, NodeId)> = base_of_fragment
-            .iter()
-            .enumerate()
-            .flat_map(|(f, base)| base.iter().map(move |&v| (f as u32, v)))
-            .collect();
-        let fragment_of_node = &fragment_of_node;
-        let outcome = runtime.map_with(
-            flat.len(),
-            || BfsScratch::for_graph(graph),
-            |scratch, i| {
-                let (f, v) = flat[i];
-                let nd = d_hop_nodes_with(graph, v, d, scratch);
-                let local = nd.iter().all(|w| fragment_of_node[w.index()] == f);
-                if local {
-                    None
-                } else {
-                    Some(nd)
-                }
-            },
-        );
-        for (i, scan) in outcome.outputs.into_iter().enumerate() {
-            let (f, v) = flat[i];
-            match scan {
-                None => home_covered[f as usize].push(v),
-                Some(nd) => border.push((v, nd)),
+    // ---- Step 2: border-node discovery + neighborhood sizing -----------
+    // A node whose d-hop neighborhood stays within its base fragment is
+    // covered at home — read off the erosion of the base chunk.  Every other
+    // node is a border node whose neighborhood must be shipped somewhere;
+    // only those are sized, as stealable tasks on the shared executor whose
+    // outputs come back in index order (fragment-major), keeping the
+    // partition deterministic for any thread count.
+    let mut covered_by: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+    let mut border: Vec<NodeId> = Vec::new();
+    for (f, base) in base_of_fragment.iter().enumerate() {
+        for &v in base {
+            if have.level(d, v)[f] == 0 {
+                covered_by[f].push(v);
+            } else {
+                border.push(v);
             }
         }
     }
+    let sized = runtime.map_with(
+        border.len(),
+        || BfsScratch::for_graph(graph),
+        |scratch, i| {
+            let mut size = 0;
+            scratch.visit_ball(graph, &[border[i]], d, false, |_, _| size += 1);
+            size
+        },
+    );
+    let mut border: Vec<(NodeId, usize)> = border.into_iter().zip(sized.outputs).collect();
     let border_count = border.len();
+    let mut balls_weighed = 0;
 
     // ---- Step 3: Multiple-Knapsack style assignment ---------------------
     // Each border node is an item of weight |N_d(v)|; each fragment is a
     // knapsack with remaining capacity c·|V|/n − |F_i|.  We greedily place
     // light items first, preferring the fragment that already holds most of
-    // the neighborhood (so the marginal weight is smallest).
+    // the neighborhood (so the marginal weight is smallest), the lowest
+    // index on ties.
     let capacity = ((config.capacity_factor * total_nodes as f64 / n as f64).ceil() as usize)
         .max(chunk);
-    let mut extra_nodes: Vec<DenseBitSet> =
-        (0..n).map(|_| DenseBitSet::new(total_nodes)).collect();
-    let mut covered_by: Vec<Vec<NodeId>> = home_covered;
     let mut node_counts: Vec<usize> = base_of_fragment.iter().map(Vec::len).collect();
+    let mut scratch = BfsScratch::for_graph(graph);
+    let mut added = vec![0usize; n];
 
-    border.sort_by_key(|(_, nd)| nd.len());
-    let mut uncovered: Vec<(NodeId, Vec<NodeId>)> = Vec::new();
-    for (v, nd) in border {
-        let mut best: Option<(usize, usize)> = None; // (added, fragment)
-        for f in 0..n {
-            let added = marginal_weight(&nd, f, &fragment_of_node, &extra_nodes[f]);
-            if node_counts[f] + added <= capacity
-                && best.is_none_or(|(b_added, _)| added < b_added)
-            {
-                best = Some((added, f));
-            }
+    border.sort_by_key(|&(_, size)| size);
+    let mut uncovered: Vec<(NodeId, usize)> = Vec::new();
+    for (v, size) in border {
+        // |have_f ∪ N_d(v)| ≥ |N_d(v)|: an oversize ball fits no fragment.
+        if size > capacity {
+            uncovered.push((v, size));
+            continue;
         }
+        // A fragment that already holds the ball adds nothing, and it is
+        // within capacity because every fragment is throughout this phase.
+        if let Some(f) = have.first_inside(v) {
+            covered_by[f].push(v);
+            continue;
+        }
+        balls_weighed += 1;
+        weigh(graph, v, d, &have, &mut scratch, &mut added);
+        let best = (0..n)
+            .filter(|&f| node_counts[f] + added[f] <= capacity)
+            .min_by_key(|&f| added[f]);
         match best {
-            Some((_, f)) => {
-                assign_neighborhood(
-                    &nd,
-                    f,
-                    &fragment_of_node,
-                    &mut extra_nodes,
-                    &mut node_counts,
-                );
+            Some(f) => {
+                node_counts[f] += assign(graph, &mut have, f, &scratch);
                 covered_by[f].push(v);
             }
-            None => uncovered.push((v, nd)),
+            None => uncovered.push((v, size)),
         }
     }
     let covered_before_completion: usize = covered_by.iter().map(Vec::len).sum();
@@ -235,27 +332,39 @@ pub fn dpar_with(graph: &Graph, config: &PartitionConfig, runtime: &Runtime) -> 
     // Remaining nodes are assigned to the fragment that keeps the estimated
     // sizes most even (the |F_max| − |F_min| balance measure of the paper),
     // ignoring the capacity so every node ends up covered somewhere.
-    for (v, nd) in uncovered {
+    for (v, size) in uncovered {
+        // The resulting size |have_f ∪ N_d(v)| is |have_f| for a fragment
+        // that already holds the ball and at least max(|have_f| + 1, |N_d(v)|)
+        // for one that does not: when the first minimum of these bounds is
+        // exact, it is the first minimum of the sizes too and nothing is
+        // visited.
+        let holds = have.level(d, v);
+        let bound = |f: usize| match holds[f] {
+            0 => node_counts[f],
+            _ => (node_counts[f] + 1).max(size),
+        };
+        let f = (0..n).min_by_key(|&f| bound(f)).expect("at least one fragment");
+        if holds[f] == 0 {
+            covered_by[f].push(v);
+            continue;
+        }
+        balls_weighed += 1;
+        weigh(graph, v, d, &have, &mut scratch, &mut added);
         let f = (0..n)
-            .min_by_key(|&f| {
-                node_counts[f] + marginal_weight(&nd, f, &fragment_of_node, &extra_nodes[f])
-            })
+            .min_by_key(|&f| node_counts[f] + added[f])
             .expect("at least one fragment");
-        assign_neighborhood(
-            &nd,
-            f,
-            &fragment_of_node,
-            &mut extra_nodes,
-            &mut node_counts,
-        );
+        node_counts[f] += assign(graph, &mut have, f, &scratch);
         covered_by[f].push(v);
     }
 
     // ---- Step 5: materialize fragments ----------------------------------
+    // Base nodes in visit order, then the replicated ones by ascending id.
     let fragments: Vec<Fragment> = (0..n)
         .map(|f| {
             let mut nodes: Vec<NodeId> = base_of_fragment[f].clone();
-            nodes.extend(extra_nodes[f].iter().map(NodeId::new));
+            nodes.extend(graph.nodes().filter(|&w| {
+                have.contains(f, w) && fragment_of_node[w.index()] != f as u32
+            }));
             Fragment::build(
                 FragmentId(f as u32),
                 graph,
@@ -281,38 +390,38 @@ pub fn dpar_with(graph: &Graph, config: &PartitionConfig, runtime: &Runtime) -> 
             covered_before_completion,
             total_nodes,
             border_nodes: border_count,
+            balls_sized: border_count,
+            balls_weighed,
         },
     }
 }
 
-/// How many nodes of `nd` fragment `f` would have to replicate (nodes neither
-/// based in `f` nor already replicated there).
-#[inline]
-fn marginal_weight(
-    nd: &[NodeId],
-    f: usize,
-    fragment_of_node: &[u32],
-    extra: &DenseBitSet,
-) -> usize {
-    nd.iter()
-        .filter(|w| fragment_of_node[w.index()] != f as u32 && !extra.contains(w.index()))
-        .count()
+/// Visits `N_d(v)` once, leaving in `added[f]` how many of its nodes fragment
+/// `f` would have to replicate and the ball itself in `scratch.visited()`.
+fn weigh(
+    graph: &Graph,
+    v: NodeId,
+    d: usize,
+    have: &Erosion,
+    scratch: &mut BfsScratch,
+    added: &mut [usize],
+) {
+    added.fill(0);
+    scratch.visit_ball(graph, &[v], d, true, |w, _| {
+        for (a, &outside) in added.iter_mut().zip(have.level(0, w)) {
+            *a += outside as usize;
+        }
+    });
 }
 
-/// Adds the out-of-fragment part of a neighborhood to a fragment's extra
-/// nodes and updates the size estimate.
-fn assign_neighborhood(
-    nd: &[NodeId],
-    fragment: usize,
-    fragment_of_node: &[u32],
-    extra_nodes: &mut [DenseBitSet],
-    node_counts: &mut [usize],
-) {
-    for &w in nd {
-        if fragment_of_node[w.index()] != fragment as u32 && extra_nodes[fragment].insert(w.index()) {
-            node_counts[fragment] += 1;
-        }
-    }
+/// Adds the ball the last [`weigh`] left in `scratch` to a fragment's node
+/// set and returns how many nodes were new to it.
+fn assign(graph: &Graph, have: &mut Erosion, f: usize, scratch: &BfsScratch) -> usize {
+    scratch
+        .visited()
+        .iter()
+        .filter(|&&w| have.insert(graph, f, w))
+        .count()
 }
 
 /// Visits every node breadth-first, restarting for each weakly connected
@@ -479,6 +588,72 @@ mod tests {
                 let ca: Vec<_> = fa.covered_nodes().collect();
                 let cb: Vec<_> = fb.covered_nodes().collect();
                 assert_eq!(ca, cb, "threads = {threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_bfs_runs_only_for_border_nodes() {
+        // Clock-free guard for the near-linearity of `dpar`: one sizing run
+        // per border node, at most two weighing runs, none at all when the
+        // base chunks are already d-hop closed — for any thread count.
+        let g = ring_graph(50);
+        for n in [1, 2, 3, 7] {
+            for d in [1, 2, 3] {
+                let config = PartitionConfig::new(n, d);
+                let stats = dpar_with(&g, &config, &Runtime::new(1)).stats().clone();
+                assert_eq!(stats.balls_sized, stats.border_nodes, "n = {n}, d = {d}");
+                assert!(stats.balls_weighed <= 2 * stats.border_nodes, "n = {n}, d = {d}");
+                if n == 1 {
+                    assert_eq!((stats.balls_sized, stats.balls_weighed), (0, 0));
+                } else {
+                    assert!(stats.border_nodes > 0);
+                }
+                for threads in [2, 4] {
+                    let other = dpar_with(&g, &config, &Runtime::new(threads));
+                    assert_eq!(other.stats().balls_sized, stats.balls_sized);
+                    assert_eq!(other.stats().balls_weighed, stats.balls_weighed);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn erosion_tracks_ball_containment_under_any_insert_sequence() {
+        // Hubs, a self-loop, a node pair joined under two labels and in both
+        // directions, isolated nodes; nodes join the two sets in a scrambled
+        // order and after every insert `N_d(v) ⊆ have_f ⇔ level d holds v`.
+        let mut b = GraphBuilder::new();
+        let v = b.add_nodes("person", 24);
+        for i in 0..20 {
+            b.add_edge(v[i], v[(i * 7 + 3) % 20], "follow").unwrap();
+            b.add_edge(v[i % 2], v[i], "like").unwrap();
+        }
+        b.add_edge(v[5], v[5], "follow").unwrap();
+        b.add_edge(v[6], v[7], "like").unwrap();
+        b.add_edge(v[6], v[7], "follow").unwrap();
+        b.add_edge(v[7], v[6], "like").unwrap();
+        let g = b.build();
+        for d in 0..4 {
+            let mut erosion = Erosion::new(&g, 2, d);
+            let mut have = [HashSet::new(), HashSet::new()];
+            for i in 0..2 * v.len() {
+                let (f, w) = (i % 2, v[(i * 11 + i / 5) % v.len()]);
+                assert_eq!(erosion.insert(&g, f, w), have[f].insert(w));
+                for &x in &v {
+                    let inside = d_hop_nodes(&g, x, d).iter().all(|y| have[f].contains(y));
+                    assert_eq!(erosion.level(d, x)[f] == 0, inside, "d = {d}, step {i}, {x:?}");
+                    assert_eq!(erosion.contains(f, x), have[f].contains(&x));
+                }
+            }
+            for &w in &v {
+                erosion.insert(&g, 1, w);
+                have[1].insert(w);
+            }
+            for &x in &v {
+                let ball = d_hop_nodes(&g, x, d);
+                let lowest = (0..2).find(|&f| ball.iter().all(|y| have[f].contains(y)));
+                assert_eq!(erosion.first_inside(x), lowest);
             }
         }
     }
