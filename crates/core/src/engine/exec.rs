@@ -17,7 +17,7 @@ use super::count::{CountAnswer, FocusCount};
 use super::options::{BudgetPolicy, ExecMode, ExecOptions, Parallelism};
 use super::{Lease, PreparedQuery};
 use crate::error::MatchError;
-use crate::matching::{CandidateSets, CountMode, MatchStats, QueryAnswer, SessionCore};
+use crate::matching::{CountMode, MatchStats, QueryAnswer, SessionCore};
 
 /// Scheduling telemetry of a parallel or partitioned execution, preserved
 /// so `ParallelAnswer`-style reporting keeps working through the engine.
@@ -386,14 +386,11 @@ struct SiteScratch {
     fragment_busy: Vec<Duration>,
 }
 
-/// The driver: one execution of `pq` against `snapshot` under `opts`.  A
-/// session this execution checks out and has to build takes its candidate
-/// analysis from `seed`.
+/// The driver: one execution of `pq` against `snapshot` under `opts`.
 pub(super) fn execute(
     pq: &PreparedQuery,
     snapshot: &Arc<GraphSnapshot>,
     opts: &ExecOptions<'_>,
-    seed: Option<&CandidateSets>,
 ) -> Result<Matches, MatchError> {
     let ctl = ExecControl::new(opts.limit, opts.cancel.clone(), opts.budget.clone());
     let config = opts.config;
@@ -463,7 +460,7 @@ pub(super) fn execute(
             // The pooled session provides the (deterministic, sorted)
             // candidate list; its build cost — if this execution triggered
             // it — lands in this execution's stats.
-            let mut lease = pq.checkout(snapshot, &config, seed);
+            let mut lease = pq.checkout(snapshot, &config);
             let session = lease.core();
             let candidates = match opts.restrict {
                 None => session.focus_candidates().to_vec(),
@@ -511,12 +508,7 @@ pub(super) fn execute(
                 // Every worker decides on the whole graph; a fragment's
                 // session waits for the first task that lands there.
                 if fragments.is_empty() {
-                    sessions[0] = Some(SessionCore::new(
-                        site(0).0,
-                        Arc::clone(compiled),
-                        &config,
-                        None,
-                    ));
+                    sessions[0] = Some(SessionCore::new(site(0).0, Arc::clone(compiled), &config));
                 }
                 SiteScratch {
                     sessions,
@@ -538,7 +530,7 @@ pub(super) fn execute(
                 } = scratch;
                 let session = sessions[s].get_or_insert_with(|| {
                     let t0 = Instant::now();
-                    let session = SessionCore::new(graph, Arc::clone(compiled), &config, None);
+                    let session = SessionCore::new(graph, Arc::clone(compiled), &config);
                     fragment_busy[s] += t0.elapsed();
                     session
                 });

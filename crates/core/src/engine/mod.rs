@@ -77,13 +77,14 @@ use qgp_graph::{Graph, GraphSnapshot, GraphStore};
 
 use crate::error::MatchError;
 use crate::matching::compiled::CompiledPattern;
-use crate::matching::{CandidateSets, MatchConfig, MatchStats, QueryAnswer, SessionCore};
+use crate::matching::{MatchConfig, MatchStats, QueryAnswer, SessionCore};
 use crate::pattern::Pattern;
 
-/// Upper bound on the idle matcher sessions a [`PreparedQuery`] pools.
-/// When full, sessions pinned to *other* snapshots are evicted first
-/// (serving moves forward through epochs, so old-epoch sessions are dead
-/// weight), then the oldest entry.
+/// Upper bound on the idle matcher sessions a [`PreparedQuery`] pools.  They
+/// are all pinned to one snapshot: a session's candidate sets hold only on
+/// the graph they were built on, and serving moves forward through epochs,
+/// so a check-out or check-in for snapshot S first drops the idle sessions
+/// of every other snapshot.
 const MAX_CACHED_SESSIONS: usize = 8;
 
 /// The entry point of the prepared-query engine: an owned handle on one
@@ -136,11 +137,11 @@ impl Engine {
     ///
     /// Compilation derives everything graph-independent once — the positive
     /// projection `Π(Q)`, the positified patterns `Π(Q^{+e})` for every
-    /// negated edge, the radius — and the prepared query lazily pools one
-    /// matcher session per ([`GraphSnapshot`], [`MatchConfig`]) pair it is
-    /// executed with, so executing the same prepared query repeatedly
-    /// re-uses candidate analysis and counter scratch instead of rebuilding
-    /// them per call.
+    /// negated edge, the radius — and the prepared query lazily pools
+    /// matcher sessions, one per [`MatchConfig`] it is executed with on the
+    /// snapshot it last ran against, so executing the same prepared query
+    /// repeatedly on one epoch re-uses candidate analysis and counter
+    /// scratch instead of rebuilding them per call.
     pub fn prepare(&self, pattern: &Pattern) -> Result<PreparedQuery, MatchError> {
         pattern.validate().map_err(MatchError::InvalidPattern)?;
         Ok(PreparedQuery {
@@ -152,57 +153,33 @@ impl Engine {
 }
 
 /// One pooled matcher session: the snapshot and config it was built for,
-/// its build order within the pool, and the graph-independent session
-/// state itself.
+/// and the graph-independent session state itself.
 struct SessionEntry {
     snapshot: Arc<GraphSnapshot>,
     config: MatchConfig,
-    seq: u64,
     /// Boxed: check-out and check-in move a pointer, not a session.
     core: Box<SessionCore>,
 }
 
-impl SessionEntry {
-    fn serves(&self, snapshot: &Arc<GraphSnapshot>, config: &MatchConfig) -> bool {
-        Arc::ptr_eq(&self.snapshot, snapshot) && self.config == *config
-    }
-}
-
-/// The idle matcher sessions of one [`PreparedQuery`], in build order.  An
-/// execution checks the session for its (snapshot, config) out — building
-/// it when none is idle — and checks it back in when done; the lock is held
-/// only for those two list operations, never while matching, so any number
-/// of executions of one query run side by side, each on its own session.
+/// The idle matcher sessions of one [`PreparedQuery`], all pinned to one
+/// snapshot.  An execution checks the session for its (snapshot, config)
+/// out — building it when none is idle — and checks it back in when done;
+/// the lock is held only for those two list operations, never while
+/// matching, so any number of executions of one query run side by side,
+/// each on its own session.
 #[derive(Default)]
 struct SessionPool {
-    idle: Mutex<IdleSessions>,
-}
-
-#[derive(Default)]
-struct IdleSessions {
-    entries: Vec<SessionEntry>,
-    next_seq: u64,
+    idle: Mutex<Vec<SessionEntry>>,
 }
 
 impl SessionPool {
-    fn lock(&self) -> MutexGuard<'_, IdleSessions> {
+    /// The idle list, rid of every session pinned to a snapshot other than
+    /// `snapshot`.
+    fn lock_for(&self, snapshot: &Arc<GraphSnapshot>) -> MutexGuard<'_, Vec<SessionEntry>> {
         // Every critical section leaves the list valid at every step.
-        self.idle.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl IdleSessions {
-    /// Makes room for one more session on `snapshot`: sessions pinned to
-    /// other snapshots go first, then the oldest.
-    fn evict_for(&mut self, snapshot: &Arc<GraphSnapshot>) {
-        if self.entries.len() >= MAX_CACHED_SESSIONS {
-            let victim = self
-                .entries
-                .iter()
-                .position(|e| !Arc::ptr_eq(&e.snapshot, snapshot))
-                .unwrap_or(0);
-            self.entries.remove(victim);
-        }
+        let mut idle = self.idle.lock().unwrap_or_else(PoisonError::into_inner);
+        idle.retain(|e| Arc::ptr_eq(&e.snapshot, snapshot));
+        idle
     }
 }
 
@@ -236,10 +213,10 @@ impl Drop for Lease {
         if std::thread::panicking() {
             return;
         }
-        let mut idle = self.pool.lock();
-        idle.evict_for(&entry.snapshot);
-        let at = idle.entries.partition_point(|e| e.seq < entry.seq);
-        idle.entries.insert(at, entry);
+        let mut idle = self.pool.lock_for(&entry.snapshot);
+        if idle.len() < MAX_CACHED_SESSIONS {
+            idle.push(entry);
+        }
     }
 }
 
@@ -256,14 +233,18 @@ impl Drop for Lease {
 /// epoch of the same [`GraphStore`] — without recompiling.  The first
 /// execution against a given (snapshot, [`MatchConfig`]) pair builds that
 /// pair's matcher session (visible as [`MatchStats::sessions_built`] in
-/// that execution's stats); later executions check it out of the query's
-/// pool and back in, which is the engine's compile-once payoff for serving
-/// one pattern thousands of times.  An execution that finds the pair's
-/// session checked out by a concurrent one builds its own.
+/// that execution's stats); later executions on the same snapshot check it
+/// out of the query's pool and back in, which is the engine's compile-once
+/// payoff for serving one pattern thousands of times.  An execution that
+/// finds the pair's session checked out by a concurrent one builds its own.
+/// The pool keeps the sessions of one snapshot only: the first execution on
+/// a new epoch drops the old epoch's sessions, so going back to an older
+/// pin builds again.
 pub struct PreparedQuery {
     snapshot: Arc<GraphSnapshot>,
     compiled: Arc<CompiledPattern>,
-    /// Idle matcher sessions, at most [`MAX_CACHED_SESSIONS`]; shared with
+    /// Idle matcher sessions of one snapshot, at most
+    /// [`MAX_CACHED_SESSIONS`]; shared with
     /// the [`Matches`] streams that hold a checked-out one.
     pool: Arc<SessionPool>,
 }
@@ -305,7 +286,7 @@ impl PreparedQuery {
         snapshot: &Arc<GraphSnapshot>,
         opts: ExecOptions<'_>,
     ) -> Result<Matches, MatchError> {
-        exec::execute(self, snapshot, &opts, None)
+        exec::execute(self, snapshot, &opts)
     }
 
     /// [`PreparedQuery::execute`] run to completion: the collected
@@ -326,18 +307,7 @@ impl PreparedQuery {
         snapshot: &Arc<GraphSnapshot>,
         opts: ExecOptions<'_>,
     ) -> Result<QueryAnswer, MatchError> {
-        self.run_seeded(snapshot, &opts, None)
-    }
-
-    /// [`PreparedQuery::run_on`] for the registry: a session this run has
-    /// to build takes its candidate analysis from `seed`.
-    pub(crate) fn run_seeded(
-        &self,
-        snapshot: &Arc<GraphSnapshot>,
-        opts: &ExecOptions<'_>,
-        seed: Option<&CandidateSets>,
-    ) -> Result<QueryAnswer, MatchError> {
-        exec::execute(self, snapshot, opts, seed)?.try_into_answer()
+        exec::execute(self, snapshot, &opts)?.try_into_answer()
     }
 
     /// Executes the prepared query as a *counting* query: which foci match,
@@ -363,7 +333,7 @@ impl PreparedQuery {
         mut opts: ExecOptions<'_>,
     ) -> Result<CountAnswer, MatchError> {
         opts.count = Some(opts.count.unwrap_or_default());
-        exec::execute(self, snapshot, &opts, None)?.try_into_count()
+        exec::execute(self, snapshot, &opts)?.try_into_count()
     }
 
     /// Materializes the current answer as a live [`MatchView`] that
@@ -379,50 +349,30 @@ impl PreparedQuery {
         MatchView::materialize(Arc::clone(&self.snapshot), Arc::clone(&self.compiled))
     }
 
-    /// The compiled pattern (crate-internal: shared with the registry).
+    /// The compiled pattern (crate-internal: shared with the driver).
     pub(crate) fn compiled(&self) -> &Arc<CompiledPattern> {
         &self.compiled
     }
 
-    /// Is a session for `(snapshot, config)` idle in the pool?  (Registry
-    /// pre-prime uses this to count cache hits honestly.)
-    pub(crate) fn has_session(&self, snapshot: &Arc<GraphSnapshot>, config: &MatchConfig) -> bool {
-        self.pool
-            .lock()
-            .entries
-            .iter()
-            .any(|e| e.serves(snapshot, config))
-    }
-
     /// Checks the session for `(snapshot, config)` out of the pool,
-    /// building it — seeded from the registry's per-epoch Π(Q) cache when
-    /// `seed` is given — if none is idle.
-    pub(crate) fn checkout(
-        &self,
-        snapshot: &Arc<GraphSnapshot>,
-        config: &MatchConfig,
-        seed: Option<&CandidateSets>,
-    ) -> Lease {
-        let mut idle = self.pool.lock();
-        let (entry, baseline) = match idle.entries.iter().position(|e| e.serves(snapshot, config)) {
-            Some(idx) => {
-                let entry = idle.entries.remove(idx);
+    /// building it if none is idle.
+    pub(crate) fn checkout(&self, snapshot: &Arc<GraphSnapshot>, config: &MatchConfig) -> Lease {
+        let mut idle = self.pool.lock_for(snapshot);
+        let pooled = idle.iter().position(|e| e.config == *config);
+        let pooled = pooled.map(|idx| idle.swap_remove(idx));
+        // A build runs outside the lock: other executions of this query
+        // keep checking sessions in and out meanwhile.
+        drop(idle);
+        let (entry, baseline) = match pooled {
+            Some(entry) => {
                 let baseline = entry.core.stats();
                 (entry, baseline)
             }
             None => {
-                idle.evict_for(snapshot);
-                let seq = idle.next_seq;
-                idle.next_seq += 1;
-                // Built outside the lock: other executions of this query
-                // keep checking sessions in and out meanwhile.
-                drop(idle);
-                let core =
-                    SessionCore::new(snapshot.graph(), Arc::clone(&self.compiled), config, seed);
+                let core = SessionCore::new(snapshot.graph(), Arc::clone(&self.compiled), config);
                 let entry = SessionEntry {
                     snapshot: Arc::clone(snapshot),
                     config: *config,
-                    seq,
                     core: Box::new(core),
                 };
                 (entry, MatchStats::default())
@@ -452,58 +402,65 @@ mod tests {
             .unwrap()
     }
 
+    /// The idle sessions of `pq`, after checking that all are pinned to
+    /// `snapshot`.
+    fn idle_on(pq: &PreparedQuery, snapshot: &Arc<GraphSnapshot>) -> usize {
+        let idle = pq.pool.idle.lock().unwrap();
+        assert!(idle.iter().all(|e| Arc::ptr_eq(&e.snapshot, snapshot)));
+        idle.len()
+    }
+
     #[test]
     fn a_lease_returns_its_session_unless_its_holder_panicked() {
         let pq = prepared();
         let snapshot = Arc::clone(pq.snapshot());
         let config = MatchConfig::qmatch();
 
-        drop(pq.checkout(&snapshot, &config, None));
-        assert!(pq.has_session(&snapshot, &config));
+        drop(pq.checkout(&snapshot, &config));
+        assert_eq!(idle_on(&pq, &snapshot), 1);
         // Checked out, the session is nobody else's to take.
-        let lease = pq.checkout(&snapshot, &config, None);
+        let lease = pq.checkout(&snapshot, &config);
         assert_eq!(lease.baseline.sessions_built, 1, "the pooled one");
-        assert!(!pq.has_session(&snapshot, &config));
+        assert_eq!(idle_on(&pq, &snapshot), 0);
         drop(lease);
 
         let unwound = std::thread::scope(|s| {
             s.spawn(|| {
-                let _lease = pq.checkout(&snapshot, &config, None);
+                let _lease = pq.checkout(&snapshot, &config);
                 panic!("the task holding the lease dies");
             })
             .join()
         });
         assert!(unwound.is_err());
         // A suspect session is dropped, not pooled.
-        assert!(!pq.has_session(&snapshot, &config));
+        assert_eq!(idle_on(&pq, &snapshot), 0);
         let rebuilt = pq.run(ExecOptions::sequential()).unwrap();
         assert_eq!(rebuilt.stats.sessions_built, 1);
     }
 
     #[test]
-    fn the_pool_is_capped_and_evicts_other_snapshots_first() {
+    fn the_pool_holds_one_snapshots_sessions_at_most_max_cached_sessions() {
         let pq = prepared();
         let here = Arc::clone(pq.snapshot());
         let elsewhere = Arc::new(GraphSnapshot::new(here.graph().clone()));
         let config = MatchConfig::qmatch();
-        let idle = |snapshot| {
-            let pool = pq.pool.lock();
-            let serving = pool.entries.iter().filter(|e| e.serves(snapshot, &config));
-            serving.count()
-        };
 
         // Executions side by side each hold (and return) their own session.
-        let held: Vec<Lease> = (0..3)
-            .map(|_| pq.checkout(&elsewhere, &config, None))
+        let held: Vec<Lease> = (0..3).map(|_| pq.checkout(&elsewhere, &config)).collect();
+        drop(held);
+        assert_eq!(idle_on(&pq, &elsewhere), 3);
+        // A check-out for another snapshot drops them before it builds.
+        let stale = pq.checkout(&elsewhere, &config);
+        drop(pq.checkout(&here, &config));
+        assert_eq!(idle_on(&pq, &here), 1);
+        // The cap holds however many executions ran side by side.
+        let held: Vec<Lease> = (0..MAX_CACHED_SESSIONS + 2)
+            .map(|_| pq.checkout(&here, &config))
             .collect();
         drop(held);
-        assert_eq!(idle(&elsewhere), 3);
-        let held: Vec<Lease> = (0..MAX_CACHED_SESSIONS)
-            .map(|_| pq.checkout(&here, &config, None))
-            .collect();
-        drop(held);
-        assert_eq!(pq.pool.lock().entries.len(), MAX_CACHED_SESSIONS);
-        assert_eq!(idle(&elsewhere), 0, "other snapshots go first");
-        assert_eq!(idle(&here), MAX_CACHED_SESSIONS);
+        assert_eq!(idle_on(&pq, &here), MAX_CACHED_SESSIONS);
+        // A check-in for another snapshot drops them too.
+        drop(stale);
+        assert_eq!(idle_on(&pq, &elsewhere), 1);
     }
 }

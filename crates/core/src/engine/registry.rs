@@ -4,31 +4,23 @@
 //! A [`QueryRegistry`] owns a set of [`PreparedQuery`]s — possible at all
 //! only because the engine surface is lifetime-free — and answers batches
 //! of [`ServeRequest`]s against one pinned [`GraphSnapshot`] per
-//! [`QueryRegistry::serve`] call.  Serving a batch has two phases:
+//! [`QueryRegistry::serve`] call.
 //!
-//! 1. **Prime** (serial): for every distinct `(query, config)` in the
-//!    batch whose matcher session is not yet built for this snapshot, the
-//!    candidate analysis of the positive projection `Π(Q)` is computed —
-//!    *at most once per distinct projection per epoch*.  Registered
-//!    queries with equal projections (a common shape: the QGAR miner
-//!    evaluates many rules sharing one antecedent) share the analysis
-//!    through an epoch-keyed candidate cache; [`QueryRegistry::cache_stats`]
-//!    reports the hits.
-//! 2. **Fan-out** (parallel): the requests execute concurrently on the
-//!    work-stealing runtime, one task per request, each honoring its own
-//!    [`ServeRequest::limit`], [`ExecBudget`] and [`CancelToken`].
-//!    Nothing is locked while a request runs: each checks a matcher
-//!    session out of its query's pool, so two requests naming the *same*
-//!    query run side by side — the first on the primed session, the second
-//!    on one of its own, seeded read-only from the batch's Π(Q) cache
-//!    entry.
+//! Serving a batch is one phase: the requests are fanned out on the
+//! work-stealing runtime, one task per request, and each task is a plain
+//! [`PreparedQuery::run_on`] of its query against the batch's snapshot,
+//! honoring its own [`ServeRequest::limit`], [`ExecBudget`] and
+//! [`CancelToken`].  Nothing is locked while a request runs: each checks a
+//! matcher session out of its query's pool — building it on the first
+//! request of an epoch — so two requests naming the *same* query run side
+//! by side, each on a session of its own.  [`QueryRegistry::cache_stats`]
+//! counts how often a request found its session pooled.
 //!
 //! The registry never blocks writers: it executes against the snapshot it
 //! is handed, and a [`qgp_graph::GraphStore`] writer publishing new epochs
 //! concurrently affects only *which* snapshot the caller pins for the next
 //! batch.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use qgp_graph::GraphSnapshot;
@@ -37,7 +29,7 @@ use qgp_runtime::{CancelToken, ExecBudget, Runtime};
 use super::options::ExecOptions;
 use super::PreparedQuery;
 use crate::error::MatchError;
-use crate::matching::{CandidateSets, CountMode, MatchConfig, QueryAnswer};
+use crate::matching::{CountMode, MatchConfig, QueryAnswer};
 
 /// Opaque handle of a registered query, unique within its registry for the
 /// registry's lifetime (ids are never reused).
@@ -137,52 +129,21 @@ pub struct ServeOutcome {
     pub result: Result<QueryAnswer, MatchError>,
 }
 
-/// Hit/miss counters of the registry's epoch-keyed Π(Q) candidate cache
-/// (cumulative over the registry's lifetime).
+/// Session-reuse counters of the registry (cumulative over its lifetime),
+/// read off the [`MatchStats::sessions_built`](crate::matching::MatchStats::sessions_built)
+/// of every successfully served request.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Session builds that reused a cached candidate analysis.
+    /// Requests served on a session their query had pooled for the epoch.
     pub hits: u64,
-    /// Session builds that had to compute the analysis (and seeded the
-    /// cache for later queries with the same projection).
+    /// Matcher sessions requests had to build.
     pub misses: u64,
-    /// Analyses currently cached for the last-served snapshot.
-    pub entries: usize,
 }
 
-/// Cache key: the `Display` rendering of the positive projection `Π(Q)`
-/// plus the two config bits that shape the analysis (candidate filter
-/// choice and simulation refinement).
-type CacheKey = (Arc<str>, bool, bool);
-
-/// The per-epoch candidate-analysis cache: valid for exactly one snapshot
-/// identity, cleared whenever `serve` is handed a different one.
-#[derive(Default)]
-struct CandidateCache {
-    /// The snapshot the cached analyses were computed on (`ptr_eq`
-    /// identity, not epoch number — two stores can both be at epoch 7).
-    snapshot: Option<Arc<GraphSnapshot>>,
-    entries: HashMap<CacheKey, CandidateSets>,
-    hits: u64,
-    misses: u64,
-}
-
-/// One registered query, plus the projection fingerprint the candidate
-/// cache shares analyses by.
+/// One registered query.
 struct Entry {
     id: QueryId,
-    fingerprint: Arc<str>,
     query: PreparedQuery,
-}
-
-impl Entry {
-    fn cache_key(&self, config: &MatchConfig) -> CacheKey {
-        (
-            Arc::clone(&self.fingerprint),
-            config.use_upper_bound_pruning,
-            config.use_simulation_filter,
-        )
-    }
 }
 
 /// A set of registered [`PreparedQuery`]s served in batches against epoch
@@ -226,7 +187,7 @@ impl Entry {
 pub struct QueryRegistry {
     entries: Vec<Entry>,
     next_id: u64,
-    cache: CandidateCache,
+    sessions: CacheStats,
 }
 
 impl QueryRegistry {
@@ -239,11 +200,7 @@ impl QueryRegistry {
     pub fn register(&mut self, query: PreparedQuery) -> QueryId {
         let id = QueryId(self.next_id);
         self.next_id += 1;
-        self.entries.push(Entry {
-            id,
-            fingerprint: query.compiled().pi.to_string().into(),
-            query,
-        });
+        self.entries.push(Entry { id, query });
         id
     }
 
@@ -269,74 +226,43 @@ impl QueryRegistry {
         self.entries.iter().any(|e| e.id == id)
     }
 
-    /// Cumulative hit/miss counters of the shared Π(Q) candidate cache.
+    /// Cumulative session-reuse counters of the served requests.
     pub fn cache_stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.cache.hits,
-            misses: self.cache.misses,
-            entries: self.cache.entries.len(),
-        }
+        self.sessions
     }
 
     /// Serves a batch of requests against one pinned snapshot.  Outcomes
     /// come back in request order; an unknown query id yields
     /// [`MatchError::UnknownQuery`] for that request without affecting the
-    /// others.  See the [module docs](self) for the two-phase protocol.
+    /// others.  See the [module docs](self) for the protocol.
     pub fn serve(
         &mut self,
         snapshot: &Arc<GraphSnapshot>,
         requests: &[ServeRequest],
         runtime: &Runtime,
     ) -> Vec<ServeOutcome> {
-        // The candidate cache is valid for exactly one snapshot identity.
-        let same = matches!(&self.cache.snapshot, Some(s) if Arc::ptr_eq(s, snapshot));
-        if !same {
-            self.cache.snapshot = Some(Arc::clone(snapshot));
-            self.cache.entries.clear();
-        }
-
-        // Phase 1 (serial): resolve ids and prime sessions, computing each
-        // distinct Π(Q) analysis at most once for this snapshot.
-        let resolved: Vec<Option<usize>> = requests
-            .iter()
-            .map(|req| {
-                let idx = self.entries.iter().position(|e| e.id == req.query());
-                if let Some(idx) = idx {
-                    self.prime(idx, snapshot, &req.config);
-                }
-                idx
-            })
-            .collect();
-
-        // Phase 2 (parallel): fan the requests out, one task per request.
         let never = CancelToken::new();
         let entries = &self.entries;
-        let cache = &self.cache.entries;
         let outcome = runtime.try_map_with_cancel(
             requests.len(),
             &never,
             || (),
             |(), i| {
                 let req = &requests[i];
-                let Some(idx) = resolved[i] else {
-                    return Err(MatchError::UnknownQuery {
+                let entry = entries.iter().find(|e| e.id == req.query()).ok_or(
+                    MatchError::UnknownQuery {
                         id: req.query().raw(),
-                    });
-                };
-                let entry = &entries[idx];
+                    },
+                )?;
                 let mut opts = ExecOptions::sequential().with_config(req.config);
                 opts.limit = req.limit;
                 opts.budget = req.budget.clone();
                 opts.cancel = req.cancel.clone();
                 opts.count = req.count;
-                // The primed session is checked out unless a request for
-                // the same query holds it; the analysis is in the cache
-                // either way.
-                let seed = cache.get(&entry.cache_key(&req.config));
-                entry.query.run_seeded(snapshot, &opts, seed)
+                entry.query.run_on(snapshot, opts)
             },
         );
-        match outcome {
+        let outcomes: Vec<ServeOutcome> = match outcome {
             Ok(out) => out
                 .outputs
                 .into_iter()
@@ -361,28 +287,13 @@ impl QueryRegistry {
                     result: Err(MatchError::TaskPanicked(e.clone())),
                 })
                 .collect(),
+        };
+        for answer in outcomes.iter().filter_map(|o| o.result.as_ref().ok()) {
+            let built = answer.stats.sessions_built as u64;
+            self.sessions.misses += built;
+            self.sessions.hits += u64::from(built == 0);
         }
-    }
-
-    /// Ensures `entries[idx]` has a matcher session for `(snapshot,
-    /// config)`, seeding (or populating) the shared candidate cache.
-    fn prime(&mut self, idx: usize, snapshot: &Arc<GraphSnapshot>, config: &MatchConfig) {
-        let entry = &self.entries[idx];
-        if entry.query.has_session(snapshot, config) {
-            return;
-        }
-        let key = entry.cache_key(config);
-        let seed = self.cache.entries.get(&key);
-        let hit = seed.is_some();
-        let mut session = entry.query.checkout(snapshot, config, seed);
-        if hit {
-            self.cache.hits += 1;
-        } else {
-            self.cache.misses += 1;
-            if let Some(sets) = session.core().candidate_sets() {
-                self.cache.entries.insert(key, sets.clone());
-            }
-        }
+        outcomes
     }
 }
 
@@ -390,7 +301,51 @@ impl std::fmt::Debug for QueryRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("QueryRegistry")
             .field("queries", &self.entries.len())
-            .field("cache", &self.cache_stats())
+            .field("sessions", &self.sessions)
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::Engine;
+    use crate::pattern::PatternBuilder;
+    use qgp_graph::{EdgeOp, GraphBuilder, GraphStore};
+
+    #[test]
+    fn serving_across_epochs_keeps_at_most_one_idle_session() {
+        let mut g = GraphBuilder::new();
+        let ann = g.add_node("person");
+        let bob = g.add_node("person");
+        g.add_edge(ann, bob, "follow").unwrap();
+        let graph = g.build();
+        let follow = graph.labels().edge_label("follow").unwrap();
+        let store = GraphStore::new(graph);
+
+        let mut p = PatternBuilder::new();
+        let xo = p.node("person");
+        let y = p.node("person");
+        p.edge(xo, y, "follow");
+        p.focus(xo);
+        let prepared = Engine::from_store(&store).prepare(&p.build().unwrap());
+        let mut registry = QueryRegistry::new();
+        let q = registry.register(prepared.unwrap());
+
+        let runtime = Runtime::new(1);
+        for epoch in 0..20 {
+            let (op, expected) = match epoch % 2 {
+                0 => (EdgeOp::delete(ann, bob, follow), vec![]),
+                _ => (EdgeOp::insert(ann, bob, follow), vec![ann]),
+            };
+            store.apply(&[op]).unwrap();
+            let outcomes = registry.serve(&store.snapshot(), &[ServeRequest::new(q)], &runtime);
+            assert_eq!(outcomes[0].result.as_ref().unwrap().matches, expected);
+        }
+        // One session per epoch was built; only the last one is still idle.
+        let reuse = registry.cache_stats();
+        assert_eq!((reuse.misses, reuse.hits), (20, 0));
+        let idle = registry.entries[0].query.pool.idle.lock().unwrap().len();
+        assert!(idle <= 1, "{idle} idle sessions after 20 epochs");
     }
 }

@@ -29,7 +29,7 @@ use super::stats::MatchStats;
 
 /// Candidate sets `C(u)` for every pattern node: sorted vectors, optionally
 /// paired with dense bitmaps over the graph's node-id universe.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct CandidateSets {
     /// Sorted, deduplicated candidate list per pattern node.
     sets: Vec<Vec<NodeId>>,
@@ -39,17 +39,6 @@ pub(crate) struct CandidateSets {
 }
 
 impl CandidateSets {
-    /// Creates candidate sets from per-node vectors (sorting and deduping
-    /// them), over a node-id universe of size `universe`.
-    #[allow(dead_code)] // the matcher produces sorted sets; kept for tests/API symmetry
-    pub fn from_sets(mut sets: Vec<Vec<NodeId>>, universe: usize) -> Self {
-        for s in &mut sets {
-            s.sort_unstable();
-            s.dedup();
-        }
-        Self::from_sorted_sets(sets, universe)
-    }
-
     /// Creates candidate sets from vectors that are already sorted and
     /// deduplicated, with dense membership bitmaps sized for the node-id
     /// universe — the form used for the long-lived, per-run candidate sets
@@ -112,14 +101,6 @@ impl CandidateSets {
         self.sets.iter().map(Vec::len).sum()
     }
 
-    /// Replaces the candidate set of one pattern node.
-    #[allow(dead_code)] // the matcher replaces with sorted sets; kept for tests/API symmetry
-    pub fn replace(&mut self, u: usize, mut set: Vec<NodeId>) {
-        set.sort_unstable();
-        set.dedup();
-        self.replace_sorted(u, set);
-    }
-
     /// Replaces the candidate set of one pattern node with an already-sorted,
     /// deduplicated vector.
     pub fn replace_sorted(&mut self, u: usize, set: Vec<NodeId>) {
@@ -131,12 +112,6 @@ impl CandidateSets {
             }
         }
         self.sets[u] = set;
-    }
-
-    /// Number of pattern nodes.
-    #[allow(dead_code)] // exercised by unit tests; kept for API symmetry
-    pub fn node_count(&self) -> usize {
-        self.sets.len()
     }
 
     /// Takes the sorted vectors back out.  This is how the exact-decision
@@ -345,8 +320,8 @@ mod tests {
 
     #[test]
     fn candidate_set_operations() {
-        let sets =
-            CandidateSets::from_sets(vec![vec![NodeId::new(3), NodeId::new(1)], vec![]], 10);
+        let mut sets =
+            CandidateSets::from_sorted_sets(vec![vec![NodeId::new(1), NodeId::new(3)], vec![]], 10);
         assert_eq!(sets.set(0), &[NodeId::new(1), NodeId::new(3)]);
         assert!(sets.contains(0, NodeId::new(3)));
         assert!(!sets.contains(0, NodeId::new(2)));
@@ -354,13 +329,15 @@ mod tests {
         assert_eq!(sets.rank(0, NodeId::new(2)), None);
         assert!(sets.any_empty());
         assert_eq!(sets.total(), 2);
-        assert_eq!(sets.node_count(), 2);
 
-        let mut sets = sets;
-        sets.replace(1, vec![NodeId::new(9), NodeId::new(9)]);
+        sets.replace_sorted(1, vec![NodeId::new(9)]);
         assert_eq!(sets.set(1), &[NodeId::new(9)]);
         assert!(sets.contains(1, NodeId::new(9)));
         assert!(!sets.any_empty());
+        // Replacing keeps the bitmap in step: the old members are gone.
+        sets.replace_sorted(0, vec![NodeId::new(2)]);
+        assert!(sets.contains(0, NodeId::new(2)));
+        assert!(!sets.contains(0, NodeId::new(3)));
     }
 
     #[test]

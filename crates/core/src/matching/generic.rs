@@ -418,7 +418,7 @@ mod tests {
         let (g, n) = triangle_graph();
         let p = triangle_pattern();
         let (rp, order, mut cands) = setup(&g, &p);
-        cands.replace(rp.focus, vec![]);
+        cands.replace_sorted(rp.focus, vec![]);
         let engine = IsomorphismEngine::new(&g, &rp, &order, &cands);
         let mut stats = MatchStats::new();
         let mut found = 0;

@@ -21,7 +21,7 @@ mod session;
 mod simulation;
 mod stats;
 
-pub(crate) use candidates::{CandidateFilter, CandidateSets};
+pub(crate) use candidates::CandidateFilter;
 pub(crate) use session::SessionCore;
 
 pub use config::MatchConfig;

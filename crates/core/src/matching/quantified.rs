@@ -82,39 +82,20 @@ impl PositiveSession {
     /// update-stable [`CandidateFilter::LabelUniverse`] incremental match
     /// views pass), optional simulation refinement, search order, and the
     /// counter accumulator.
-    ///
-    /// When `seed` is given the candidate initialization (and any
-    /// simulation refinement baked into the seed) is skipped entirely: the
-    /// seeded sets are cloned instead of recomputed.  This is the
-    /// Π(Q)-sharing hook of the query registry: queries with equal
-    /// projections on the same snapshot reuse one candidate analysis.  The
-    /// seed **must** have been produced by an identical construction (same
-    /// graph, same resolved projection, same filter and simulation
-    /// setting) — the registry's cache key guarantees this.
     pub fn with_filter(
         graph: &Graph,
         pattern: &Pattern,
         config: &MatchConfig,
         filter: CandidateFilter,
-        seed: Option<&CandidateSets>,
         stats: &mut MatchStats,
     ) -> Self {
         debug_assert!(pattern.is_positive(), "PositiveSession requires Π(Q)");
         let inner = (|| {
             let rp = ResolvedPattern::resolve(pattern, graph)?;
-            let candidates = match seed {
-                Some(seed) => {
-                    stats.initial_candidates += seed.total();
-                    seed.clone()
-                }
-                None => {
-                    let mut candidates = build_candidates(graph, &rp, filter, stats);
-                    if config.use_simulation_filter && !candidates.any_empty() {
-                        refine_by_simulation(graph, &rp, &mut candidates, stats);
-                    }
-                    candidates
-                }
-            };
+            let mut candidates = build_candidates(graph, &rp, filter, stats);
+            if config.use_simulation_filter && !candidates.any_empty() {
+                refine_by_simulation(graph, &rp, &mut candidates, stats);
+            }
             if candidates.any_empty() {
                 return None;
             }
@@ -137,13 +118,6 @@ impl PositiveSession {
             config: *config,
             inner,
         }
-    }
-
-    /// The candidate sets of a successfully built session — what the query
-    /// registry harvests into its per-epoch Π(Q) cache.  `None` when the
-    /// pattern cannot match on this graph.
-    pub fn candidate_sets(&self) -> Option<&CandidateSets> {
-        self.inner.as_ref().map(|i| &i.candidates)
     }
 
     /// The focus candidate set `C(x_o)`, sorted ascending (empty when the
@@ -683,8 +657,7 @@ mod tests {
     ) -> (Vec<NodeId>, MatchStats) {
         let filter = CandidateFilter::implied_by(config);
         let mut stats = MatchStats::default();
-        let mut session =
-            PositiveSession::with_filter(graph, pattern, config, filter, None, &mut stats);
+        let mut session = PositiveSession::with_filter(graph, pattern, config, filter, &mut stats);
         let foci: Vec<NodeId> = match restriction {
             Some(r) => r.to_vec(),
             None => session.focus_candidates().to_vec(),

@@ -32,7 +32,7 @@ use std::sync::Arc;
 use qgp_graph::{Graph, NodeId};
 use qgp_runtime::CancelToken;
 
-use super::candidates::{CandidateFilter, CandidateSets};
+use super::candidates::CandidateFilter;
 use super::compiled::{CompiledPattern, TrivialShape};
 use super::config::MatchConfig;
 use super::quantified::PositiveSession;
@@ -98,21 +98,8 @@ pub(crate) struct SessionCore {
 impl SessionCore {
     /// Builds a core with the candidate filter the config implies
     /// (quantifier-aware degree pruning when upper bounds are on).
-    ///
-    /// A `seed` replaces the positive pattern's candidate analysis with a
-    /// previously harvested one — the Π(Q)-sharing path of the query
-    /// registry.  It must come from [`SessionCore::candidate_sets`] of a
-    /// core built on the *same* graph with an equal projection, the same
-    /// implied filter and the same simulation setting (the registry's cache
-    /// key enforces this).
-    pub fn new(
-        graph: &Graph,
-        compiled: Arc<CompiledPattern>,
-        config: &MatchConfig,
-        seed: Option<&CandidateSets>,
-    ) -> Self {
-        let filter = CandidateFilter::implied_by(config);
-        Self::build(graph, compiled, config, filter, seed)
+    pub fn new(graph: &Graph, compiled: Arc<CompiledPattern>, config: &MatchConfig) -> Self {
+        Self::with_filter(graph, compiled, config, CandidateFilter::implied_by(config))
     }
 
     /// Builds a core with an explicit candidate filter.  The incremental
@@ -124,22 +111,12 @@ impl SessionCore {
         config: &MatchConfig,
         filter: CandidateFilter,
     ) -> Self {
-        Self::build(graph, compiled, config, filter, None)
-    }
-
-    fn build(
-        graph: &Graph,
-        compiled: Arc<CompiledPattern>,
-        config: &MatchConfig,
-        filter: CandidateFilter,
-        seed: Option<&CandidateSets>,
-    ) -> Self {
         let mut stats = MatchStats {
             sessions_built: 1,
             ..MatchStats::default()
         };
         let positive =
-            PositiveSession::with_filter(graph, &compiled.pi, config, filter, seed, &mut stats);
+            PositiveSession::with_filter(graph, &compiled.pi, config, filter, &mut stats);
         let negated = (0..compiled.positified.len()).map(|_| None).collect();
         SessionCore {
             config: *config,
@@ -149,13 +126,6 @@ impl SessionCore {
             negated,
             stats,
         }
-    }
-
-    /// The positive pattern's candidate sets, for harvesting into the query
-    /// registry's per-epoch Π(Q) cache (`None` when the pattern cannot
-    /// match on this graph).
-    pub fn candidate_sets(&self) -> Option<&CandidateSets> {
-        self.positive.candidate_sets()
     }
 
     /// The focus candidates of `Π(Q)`, sorted ascending.
@@ -236,7 +206,6 @@ impl SessionCore {
                             &self.compiled.positified[k],
                             &self.config,
                             self.filter,
-                            None,
                             stats,
                         )
                     });
@@ -314,7 +283,7 @@ impl<'g> MatchSession<'g> {
         let compiled = Arc::new(CompiledPattern::compile(pattern));
         MatchSession {
             graph,
-            core: SessionCore::new(graph, compiled, config, None),
+            core: SessionCore::new(graph, compiled, config),
         }
     }
 
@@ -462,7 +431,7 @@ mod tests {
         ] {
             let compiled = Arc::new(CompiledPattern::compile(&pattern));
             let config = MatchConfig::qmatch();
-            let mut default_core = SessionCore::new(&g, Arc::clone(&compiled), &config, None);
+            let mut default_core = SessionCore::new(&g, Arc::clone(&compiled), &config);
             let mut universe_core = SessionCore::with_filter(
                 &g,
                 Arc::clone(&compiled),

@@ -1,8 +1,7 @@
 //! Epoch-snapshot serving tests: pinned readers are immune to writer
-//! progress, `PreparedQuery` session caching keys on snapshot identity,
-//! the `QueryRegistry` shares candidate analyses between queries with
-//! equal projections, and `MatchView::advance` replays the store's
-//! inter-epoch log exactly.
+//! progress, `PreparedQuery` pools the sessions of one snapshot, the
+//! `QueryRegistry` counts how often a request found its session pooled,
+//! and `MatchView::advance` replays the store's inter-epoch log exactly.
 
 use std::sync::Arc;
 
@@ -64,7 +63,9 @@ fn pinned_reader_is_stable_while_writer_advances() {
     // recommendation, which changes the head answer.
     let follow = follow_label(pinned.graph());
     let recom = pinned.graph().labels().edge_label("recom").unwrap();
-    store.apply(&[EdgeOp::delete(infl[2], phone, recom)]).unwrap();
+    store
+        .apply(&[EdgeOp::delete(infl[2], phone, recom)])
+        .unwrap();
     store
         .apply(&[EdgeOp::insert(fans[2], infl[2], follow)])
         .unwrap();
@@ -72,7 +73,9 @@ fn pinned_reader_is_stable_while_writer_advances() {
 
     // The pinned reader still sees epoch 0, byte for byte.
     assert_eq!(
-        pq.run_on(&pinned, ExecOptions::sequential()).unwrap().matches,
+        pq.run_on(&pinned, ExecOptions::sequential())
+            .unwrap()
+            .matches,
         at_zero
     );
     // The head answer moved: bob's only influencer no longer recommends.
@@ -80,7 +83,10 @@ fn pinned_reader_is_stable_while_writer_advances() {
     // And a from-scratch engine pinned to the old snapshot agrees with the
     // cached-session answer exactly.
     let fresh = Engine::on(Arc::clone(&pinned)).prepare(&pattern).unwrap();
-    assert_eq!(fresh.run(ExecOptions::sequential()).unwrap().matches, at_zero);
+    assert_eq!(
+        fresh.run(ExecOptions::sequential()).unwrap().matches,
+        at_zero
+    );
 }
 
 #[test]
@@ -97,7 +103,10 @@ fn writers_never_block_readers() {
             let pq = Engine::on(Arc::clone(&pinned)).prepare(&pattern).unwrap();
             for _ in 0..50 {
                 let got = pq.run(ExecOptions::sequential()).unwrap().matches;
-                assert_eq!(got, expected, "pinned reader must never see writer progress");
+                assert_eq!(
+                    got, expected,
+                    "pinned reader must never see writer progress"
+                );
             }
         });
         let writer = s.spawn(|| {
@@ -126,11 +135,16 @@ fn prepared_query_reuses_sessions_per_snapshot() {
     let first = pq.run(ExecOptions::sequential()).unwrap();
     assert_eq!(first.stats.sessions_built, 1);
     let second = pq.run(ExecOptions::sequential()).unwrap();
-    assert_eq!(second.stats.sessions_built, 0, "same snapshot: cached session");
+    assert_eq!(
+        second.stats.sessions_built, 0,
+        "same snapshot: cached session"
+    );
     assert_eq!(first.matches, second.matches);
 
     // A new epoch is a new snapshot identity: a fresh session is built,
-    // and re-running against the *old* snapshot still hits its cache.
+    // and the old epoch's sessions leave the pool, so going back to the
+    // *old* pin builds again — the documented trade for a pool that never
+    // holds dead epochs.
     let follow = follow_label(store.snapshot().graph());
     let old = store.snapshot();
     let (_, fans, infl, _) = social();
@@ -139,17 +153,30 @@ fn prepared_query_reuses_sessions_per_snapshot() {
         .unwrap();
     let head = store.snapshot();
     assert_eq!(
-        pq.run_on(&head, ExecOptions::sequential()).unwrap().stats.sessions_built,
+        pq.run_on(&head, ExecOptions::sequential())
+            .unwrap()
+            .stats
+            .sessions_built,
         1
     );
     assert_eq!(
-        pq.run_on(&old, ExecOptions::sequential()).unwrap().stats.sessions_built,
+        pq.run_on(&head, ExecOptions::sequential())
+            .unwrap()
+            .stats
+            .sessions_built,
         0
+    );
+    assert_eq!(
+        pq.run_on(&old, ExecOptions::sequential())
+            .unwrap()
+            .stats
+            .sessions_built,
+        1
     );
 }
 
 #[test]
-fn registry_shares_candidate_analysis_between_equal_projections() {
+fn registry_counts_session_reuse_per_epoch() {
     let (graph, fans, _, _) = social();
     let store = GraphStore::new(graph);
     let engine = Engine::from_store(&store);
@@ -166,25 +193,26 @@ fn registry_shares_candidate_analysis_between_equal_projections() {
     for o in &outcomes {
         assert_eq!(o.result.as_ref().unwrap().matches, vec![fans[0], fans[1]]);
     }
-    let stats = registry.cache_stats();
+    let reuse = |r: &QueryRegistry| (r.cache_stats().misses, r.cache_stats().hits);
     assert_eq!(
-        (stats.misses, stats.hits),
-        (1, 1),
-        "second query with the same projection must reuse the analysis"
+        reuse(&registry),
+        (2, 0),
+        "each query builds its own session"
     );
 
-    // Same snapshot again: sessions exist, the cache is not consulted.
+    // Same snapshot again: both requests find their session pooled.
     registry.serve(&snapshot, &batch, Runtime::global());
-    assert_eq!(registry.cache_stats().hits + registry.cache_stats().misses, 2);
+    assert_eq!(reuse(&registry), (2, 2));
 
-    // A new snapshot invalidates the cache: one more miss, one more hit.
+    // A new epoch: both sessions are built again.
     let follow = follow_label(snapshot.graph());
     let (_, f2, i2, _) = social();
-    store.apply(&[EdgeOp::insert(f2[2], i2[0], follow)]).unwrap();
+    store
+        .apply(&[EdgeOp::insert(f2[2], i2[0], follow)])
+        .unwrap();
     let head = store.snapshot();
     registry.serve(&head, &batch, Runtime::global());
-    let stats = registry.cache_stats();
-    assert_eq!((stats.misses, stats.hits), (2, 2));
+    assert_eq!(reuse(&registry), (4, 2));
 }
 
 #[test]
@@ -223,10 +251,13 @@ fn serve_honors_limits_and_reports_unknown_ids() {
 fn view_shares_frozen_storage_with_its_base_snapshot() {
     let (graph, _, _, _) = social();
     let store = GraphStore::new(graph);
-    let pq = Engine::from_store(&store).prepare(&all_follow_recom()).unwrap();
+    let pq = Engine::from_store(&store)
+        .prepare(&all_follow_recom())
+        .unwrap();
     let view = pq.view();
     assert!(
-        view.graph().shares_frozen_storage(view.base_snapshot().graph()),
+        view.graph()
+            .shares_frozen_storage(view.base_snapshot().graph()),
         "the view's working graph must COW-share the pinned snapshot's CSR"
     );
     assert_eq!(view.anchor_epoch(), 0);
@@ -243,7 +274,9 @@ fn advance_replays_the_store_log_and_matches_recompute() {
     let g = store.snapshot();
     let follow = follow_label(g.graph());
     let recom = g.graph().labels().edge_label("recom").unwrap();
-    store.apply(&[EdgeOp::delete(infl[2], phone, recom)]).unwrap();
+    store
+        .apply(&[EdgeOp::delete(infl[2], phone, recom)])
+        .unwrap();
     store
         .apply(&[EdgeOp::insert(fans[2], infl[0], follow)])
         .unwrap();

@@ -73,11 +73,12 @@ fn main() {
     let found: Vec<_> = matches.collect();
     println!("matches of the query focus: {found:?}");
 
-    // The prepared query is reusable; a second execution reuses the cached
-    // candidate analysis (watch sessions_built drop to 0).
+    // The prepared query is reusable; a second execution on the same
+    // snapshot reuses the pooled matcher session: nothing is rebuilt.
     let answer = prepared.run(ExecOptions::sequential()).unwrap();
     let stats = answer.stats;
     assert_eq!(answer.matches, found);
+    assert_eq!(stats.sessions_built, 0);
     println!(
         "stats (2nd run): {} focus candidates, {} verified, {} isomorphisms, \
          {} pruned by upper bounds, {} sessions built",
