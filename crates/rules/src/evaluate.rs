@@ -3,17 +3,15 @@
 //! Appendix C of the paper).
 //!
 //! Both patterns of a rule are evaluated through the prepared-query engine
-//! ([`qgp_core::engine::Engine`]); the miner additionally evaluates each
-//! consequent once and reuses its answer (and LCWA candidate set) across a
-//! whole quantifier-strengthening ladder (the crate-internal
-//! `ConsequentEval`).
-
-use std::collections::HashSet;
+//! ([`qgp_core::engine::Engine`]), and the two sorted answers are combined
+//! by a merge.  The miner reaches the same [`RuleEvaluation`] without
+//! re-matching: it counts each seed feature once and filters that count
+//! for every rung of its strengthening ladder.
 
 use qgp_core::engine::{Engine, ExecOptions, Parallelism};
-use qgp_core::matching::{MatchConfig, MatchStats, QueryAnswer};
-use qgp_core::pattern::Pattern;
-use qgp_graph::{Graph, NodeId};
+use qgp_core::matching::{MatchConfig, MatchStats};
+use qgp_core::pattern::{Pattern, PatternEdgeId};
+use qgp_graph::{Graph, LabelId, NodeId};
 use qgp_parallel::{DHopPartition, ParallelConfig};
 
 use crate::error::RuleError;
@@ -35,112 +33,63 @@ pub struct RuleEvaluation {
     pub confidence: f64,
     /// `|Q1(x_o, G) ∩ X_o|` — the denominator of the confidence.
     pub lcwa_candidates: usize,
-    /// Aggregated matcher statistics.
+    /// Matcher statistics of the engine runs behind the two answers.  For a
+    /// mined rule these are the exact counts of its two seed features,
+    /// which every rule built on those features shares.
     pub stats: MatchStats,
 }
 
-/// Runs one pattern sequentially through the engine.  Support and
-/// confidence are *counting* aggregates, so every focus candidate is
-/// decided through the aggregate-pushdown work profile
-/// ([`ExecOptions::count_only`]): the matched foci are those of an
-/// enumerating run, but no child match is ever materialized — the
-/// per-candidate saving Exp-3 support counting lives on.
-fn run_sequential(
-    graph: &Graph,
-    pattern: &Pattern,
-    config: &MatchConfig,
-) -> Result<QueryAnswer, RuleError> {
-    Engine::new(graph)
-        .prepare(pattern)
-        .and_then(|prepared| {
-            prepared.run(ExecOptions::sequential().with_config(*config).count_only())
-        })
-        .map_err(|e| RuleError::InvalidPattern(e.to_string()))
-}
+impl RuleEvaluation {
+    /// `R(x_o, G)`, support and confidence from the two sorted answers and
+    /// `|Q1(x_o, G) ∩ X_o|`.
+    pub(crate) fn from_answers(
+        antecedent_matches: Vec<NodeId>,
+        consequent_matches: Vec<NodeId>,
+        lcwa_candidates: usize,
+        stats: MatchStats,
+    ) -> Self {
+        let mut q2 = consequent_matches.iter().peekable();
+        let mut rule_matches = antecedent_matches.clone();
+        rule_matches.retain(|v| {
+            while q2.next_if(|&u| u < v).is_some() {}
+            q2.peek() == Some(&v)
+        });
+        let support = rule_matches.len();
+        RuleEvaluation {
+            antecedent_matches,
+            consequent_matches,
+            rule_matches,
+            support,
+            confidence: Self::confidence(support, lcwa_candidates),
+            lcwa_candidates,
+            stats,
+        }
+    }
 
-/// Runs one pattern over a d-hop partition through the engine (counting
-/// work profile — see [`run_sequential`]).
-fn run_partitioned(
-    pattern: &Pattern,
-    partition: &DHopPartition,
-    config: &ParallelConfig,
-) -> Result<QueryAnswer, RuleError> {
-    let fragments = partition.fragments();
-    let engine = Engine::new(
-        fragments
-            .first()
-            .ok_or_else(|| RuleError::Parallel("empty partition".to_owned()))?
-            .graph(),
-    );
-    let opts = ExecOptions::partitioned_with(
-        fragments,
-        partition.d(),
-        Parallelism::threads_or_global(config.threads),
-    )
-    .with_config(config.match_config)
-    .count_only();
-    engine
-        .prepare(pattern)
-        .and_then(|prepared| prepared.run(opts))
-        .map_err(|e| RuleError::Parallel(e.to_string()))
-}
-
-/// The consequent side of a rule, evaluated once and reusable: its matches
-/// and the LCWA candidate set `X_o`.  The miner's strengthening ladder
-/// varies only the antecedent quantifier, so one [`ConsequentEval`] serves
-/// every rung of a ladder — work the old per-rule evaluation repeated.
-#[derive(Debug, Clone)]
-pub(crate) struct ConsequentEval {
-    pub(crate) answer: QueryAnswer,
-    pub(crate) lcwa: HashSet<NodeId>,
-}
-
-/// Evaluates a consequent pattern once (engine-backed), capturing
-/// everything rule evaluation needs from it.
-pub(crate) fn evaluate_consequent(
-    graph: &Graph,
-    consequent: &Pattern,
-    config: &MatchConfig,
-) -> Result<ConsequentEval, RuleError> {
-    let answer = run_sequential(graph, consequent, config)?;
-    Ok(ConsequentEval {
-        lcwa: lcwa_candidates(graph, consequent),
-        answer,
-    })
-}
-
-/// Evaluates a rule against an already-evaluated consequent: only the
-/// antecedent is matched.
-pub(crate) fn evaluate_with_consequent(
-    graph: &Graph,
-    rule: &Qgar,
-    consequent: &ConsequentEval,
-    config: &MatchConfig,
-) -> Result<RuleEvaluation, RuleError> {
-    let q1 = run_sequential(graph, rule.antecedent(), config)?;
-    let mut stats = q1.stats;
-    stats += consequent.answer.stats;
-    Ok(combine(
-        q1.matches,
-        consequent.answer.matches.clone(),
-        &consequent.lcwa,
-        stats,
-    ))
+    /// LCWA confidence: `support / lcwa_candidates`, and `0` when no
+    /// antecedent match has data about the consequent.
+    pub(crate) fn confidence(support: usize, lcwa_candidates: usize) -> f64 {
+        if lcwa_candidates == 0 {
+            0.0
+        } else {
+            support as f64 / lcwa_candidates as f64
+        }
+    }
 }
 
 /// `garMatch`: sequential evaluation of a QGAR (Corollary 11(1)).
 ///
-/// Support and confidence are *counting* aggregates, so both patterns are
-/// decided through the engine's aggregate-pushdown path: identical matched
-/// foci, no child-match materialization (compare
+/// Both patterns are decided through the engine's aggregate-pushdown path:
+/// identical matched foci, no child-match materialization (compare
 /// [`RuleEvaluation::stats`]'s `threshold_exits` against `verifications`).
 pub fn evaluate_rule(
     graph: &Graph,
     rule: &Qgar,
     config: &MatchConfig,
 ) -> Result<RuleEvaluation, RuleError> {
-    let consequent = evaluate_consequent(graph, rule.consequent(), config)?;
-    evaluate_with_consequent(graph, rule, &consequent, config)
+    let engine = Engine::new(graph);
+    let opts = ExecOptions::sequential().with_config(*config);
+    evaluate_with(graph, rule, &engine, opts, RuleError::InvalidPattern)
 }
 
 /// `dgarMatch`: parallel evaluation of a QGAR over a d-hop preserving
@@ -153,12 +102,36 @@ pub fn evaluate_rule_parallel(
     partition: &DHopPartition,
     config: &ParallelConfig,
 ) -> Result<RuleEvaluation, RuleError> {
-    let q1 = run_partitioned(rule.antecedent(), partition, config)?;
-    let q2 = run_partitioned(rule.consequent(), partition, config)?;
+    let fragments = partition.fragments();
+    let first = fragments.first();
+    let first = first.ok_or_else(|| RuleError::Parallel("empty partition".to_owned()))?;
+    let engine = Engine::new(first.graph());
+    let threads = Parallelism::threads_or_global(config.threads);
+    let opts = ExecOptions::partitioned_with(fragments, partition.d(), threads)
+        .with_config(config.match_config);
+    evaluate_with(graph, rule, &engine, opts, RuleError::Parallel)
+}
+
+/// Runs both patterns of `rule` through `engine`.  Support and confidence
+/// are *counting* aggregates, so every focus candidate is decided through
+/// the aggregate-pushdown work profile ([`ExecOptions::count_only`]): the
+/// matched foci are those of an enumerating run, but no child match is ever
+/// materialized — the per-candidate saving Exp-3 support counting lives on.
+fn evaluate_with(
+    graph: &Graph,
+    rule: &Qgar,
+    engine: &Engine,
+    opts: ExecOptions,
+    error: fn(String) -> RuleError,
+) -> Result<RuleEvaluation, RuleError> {
+    let run = |p| engine.prepare(p)?.run(opts.clone().count_only());
+    let answer = |p| run(p).map_err(|e| error(e.to_string()));
+    let (q1, q2) = (answer(rule.antecedent())?, answer(rule.consequent())?);
     let mut stats = q1.stats;
     stats += q2.stats;
-    let lcwa = lcwa_candidates(graph, rule.consequent());
-    Ok(combine(q1.matches, q2.matches, &lcwa, stats))
+    let lcwa = lcwa_candidates(graph, rule.consequent(), &q1.matches);
+    let eval = RuleEvaluation::from_answers(q1.matches, q2.matches, lcwa, stats);
+    Ok(eval)
 }
 
 /// Quantified entity identification (QEI): the entities identified by `R`
@@ -174,90 +147,38 @@ pub fn identify_entities(
         return Err(RuleError::InvalidConfidenceThreshold(eta));
     }
     let eval = evaluate_rule(graph, rule, config)?;
-    if eval.confidence >= eta {
-        Ok(eval.rule_matches)
-    } else {
-        Ok(Vec::new())
-    }
+    let identified = (eval.confidence >= eta).then_some(eval.rule_matches);
+    Ok(identified.unwrap_or_default())
 }
 
-/// Computes `R(x_o, G)`, support and LCWA confidence from the two answers
-/// and the (precomputed) LCWA candidate set `X_o` of the consequent.
-fn combine(
-    q1_matches: Vec<NodeId>,
-    q2_matches: Vec<NodeId>,
-    xo: &HashSet<NodeId>,
-    stats: MatchStats,
-) -> RuleEvaluation {
-    let q2_set: HashSet<NodeId> = q2_matches.iter().copied().collect();
-    let rule_matches: Vec<NodeId> = q1_matches
-        .iter()
-        .copied()
-        .filter(|v| q2_set.contains(v))
-        .collect();
-    let support = rule_matches.len();
-
-    // X_o under LCWA: focus candidates that carry at least one edge of the
-    // required type for every focus-incident edge of the consequent, i.e.
-    // nodes about which the graph actually records the relationship the rule
-    // predicts (Appendix C).
-    let lcwa_candidates = q1_matches.iter().filter(|v| xo.contains(v)).count();
-    let confidence = if lcwa_candidates == 0 {
-        0.0
-    } else {
-        support as f64 / lcwa_candidates as f64
-    };
-
-    RuleEvaluation {
-        antecedent_matches: q1_matches,
-        consequent_matches: q2_matches,
-        rule_matches,
-        support,
-        confidence,
-        lcwa_candidates,
-        stats,
-    }
-}
-
-/// The set `X_o` of Appendix C: graph nodes carrying the consequent's focus
-/// label that have, for every focus-incident edge of the consequent, at least
-/// one incident graph edge with the same label (regardless of the endpoint).
-fn lcwa_candidates(graph: &Graph, consequent: &Pattern) -> HashSet<NodeId> {
+/// `|Q1(x_o, G) ∩ X_o|`, where `X_o` (Appendix C) is the graph nodes
+/// carrying the consequent's focus label that have, for every
+/// focus-incident edge of the consequent, at least one incident graph edge
+/// with the same label (regardless of the endpoint): the nodes about which
+/// the graph actually records the relationship the rule predicts.
+fn lcwa_candidates(graph: &Graph, consequent: &Pattern, q1: &[NodeId]) -> usize {
     let labels = graph.labels();
     let focus = consequent.focus();
-    let Some(focus_label) = labels.node_label(&consequent.node(focus).label) else {
-        return HashSet::new();
+    let resolve = |edges: &[PatternEdgeId]| -> Option<Vec<LabelId>> {
+        edges
+            .iter()
+            .map(|&e| labels.edge_label(&consequent.edge(e).label))
+            .collect()
     };
-
-    // Required edge labels around the focus (out and in separately).
-    let mut required_out = Vec::new();
-    for &eid in consequent.out_edges_of(focus) {
-        match labels.edge_label(&consequent.edge(eid).label) {
-            Some(l) => required_out.push(l),
-            None => return HashSet::new(),
-        }
-    }
-    let mut required_in = Vec::new();
-    for &eid in consequent.in_edges_of(focus) {
-        match labels.edge_label(&consequent.edge(eid).label) {
-            Some(l) => required_in.push(l),
-            None => return HashSet::new(),
-        }
-    }
-
-    graph
-        .nodes_with_label(focus_label)
-        .iter()
-        .copied()
-        .filter(|&v| {
-            required_out
-                .iter()
-                .all(|&l| graph.out_degree_with_label(v, l) > 0)
-                && required_in
-                    .iter()
-                    .all(|&l| graph.in_degree_with_label(v, l) > 0)
+    let (Some(focus_label), Some(out), Some(inn)) = (
+        labels.node_label(&consequent.node(focus).label),
+        resolve(consequent.out_edges_of(focus)),
+        resolve(consequent.in_edges_of(focus)),
+    ) else {
+        return 0;
+    };
+    q1.iter()
+        .filter(|&&v| {
+            graph.node_label(v) == focus_label
+                && out.iter().all(|&l| graph.out_degree_with_label(v, l) > 0)
+                && inn.iter().all(|&l| graph.in_degree_with_label(v, l) > 0)
         })
-        .collect()
+        .count()
 }
 
 #[cfg(test)]

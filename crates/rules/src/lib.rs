@@ -10,9 +10,10 @@
 //! * **quantified entity identification** (`R(x_o, η, G)`),
 //! * sequential (`garMatch`) and parallel (`dgarMatch`) evaluation
 //!   (Corollary 11), and
-//! * a seed-and-strengthen miner reproducing the Exp-3 procedure, with each
-//!   seed pair (evaluation + strengthening ladder) scheduled as one task on
-//!   the shared [`qgp_runtime::Runtime`] work-stealing executor.
+//! * a seed-and-strengthen miner reproducing the Exp-3 procedure: each
+//!   seed feature is matched once, as one task on the shared
+//!   [`qgp_runtime::Runtime`] work-stealing executor, and every seed pair
+//!   and strengthening rung is evaluated from those answers.
 //!
 //! ```
 //! use qgp_core::matching::MatchConfig;

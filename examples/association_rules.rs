@@ -77,4 +77,12 @@ fn main() {
         );
     }
     assert!(mined.iter().all(|r| r.evaluation.confidence >= 0.5));
+    // Each rule's antecedent carries the rung it was strengthened to;
+    // evaluated afresh, that rung still meets the support floor.
+    for rule in &mined {
+        let fresh = evaluate_rule(&graph, &rule.rule, &config.match_config).unwrap();
+        let name = rule.rule.name();
+        assert!(fresh.support >= config.min_support, "{name}");
+        assert_eq!(fresh.support, rule.evaluation.support, "{name}");
+    }
 }
