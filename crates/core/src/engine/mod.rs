@@ -336,15 +336,11 @@ impl PreparedQuery {
         exec::execute(self, snapshot, &opts)?.try_into_count()
     }
 
-    /// Materializes the current answer as a live [`MatchView`] that
-    /// [`MatchView::apply`] keeps consistent under [`qgp_graph::EdgeOp`]
-    /// streams, anchored at this query's pinned snapshot.
-    ///
-    /// The view shares the snapshot's frozen storage copy-on-write and
-    /// keeps its own delta overlay: updates applied to it never affect
-    /// this prepared query, the engine, or other views.  A view anchored
-    /// on a [`GraphStore`] epoch can follow the store with
-    /// [`MatchView::advance`].
+    /// Materializes the current answer as a live [`MatchView`] that pins
+    /// this query's snapshot.  A view on a [`GraphStore`] epoch follows the
+    /// store with [`MatchView::advance`]; [`MatchView::apply`] moves it to a
+    /// private copy-on-write clone instead, so updates applied to it never
+    /// affect this prepared query, the engine, or other views.
     pub fn view(&self) -> MatchView {
         MatchView::materialize(Arc::clone(&self.snapshot), Arc::clone(&self.compiled))
     }

@@ -2,75 +2,72 @@
 //!
 //! A [`MatchView`] is the incremental counterpart of
 //! [`PreparedQuery::execute`](super::PreparedQuery::execute): it materializes
-//! `Q(x_o, G)` once, then [`MatchView::apply`] folds a batch of [`EdgeOp`]s
-//! into its owned copy of the graph and repairs the answer *locally* instead
-//! of recomputing it.
+//! `Q(x_o, G)` once and then keeps it exact while the graph moves on.  The
+//! view owns no graph.  It *pins* one [`GraphSnapshot`], the version its
+//! answer is exact for, and moves that pin in one of two ways:
 //!
-//! The locality argument is the same one that makes the d-hop preserving
+//! * [`MatchView::advance`] swaps the pin to a [`GraphStore`]'s head; the
+//!   store's replay log only says which edges to look at;
+//! * [`MatchView::apply`] seals a copy-on-write clone of the pin with a batch
+//!   of [`EdgeOp`]s applied, and pins that.
+//!
+//! Both share one repair between the old pin and the new one.  The
+//! locality argument is the same one that makes the d-hop preserving
 //! partition of Section 5 exact: a match of focus candidate `v` only ever
-//! touches nodes within `radius(Q)` undirected hops of `v`, so an edge
-//! update can change `v`'s membership only if one of the edge's endpoints
-//! lies inside `v`'s ball — equivalently, only if `v` lies inside the
-//! radius-ball around the batch's endpoints.  `apply` computes that ball in
-//! the pre-update *and* post-update graph (an inserted edge can pull new
-//! nodes into reach; a deleted one was only in reach before), re-decides
-//! the focus candidates in the union with the ordinary `QMatch` session
-//! machinery, and reports the membership changes as a [`ViewDelta`].
+//! touches nodes within `radius(Q)` undirected hops of `v`, so `v`'s
+//! membership can change only if an endpoint of a changed edge lies inside
+//! `v`'s ball.  The repair starts from the edges whose presence differs
+//! between the two versions (the exact symmetric difference, so an edge
+//! inserted and deleted again costs nothing), takes the radius-ball around
+//! their endpoints in the old version *and* the new one, re-decides the
+//! focus candidates in the union, and reports the membership changes as a
+//! [`ViewDelta`].
 //!
-//! Re-decisions ride the candidate sets built at view construction, which
-//! use [`CandidateFilter::LabelUniverse`] — every node carrying the pattern
-//! node's label, with no degree-based pruning — precisely so they stay
-//! valid while edges churn (node labels are immutable; node count is fixed
-//! because [`EdgeOp`] cannot add nodes).  Large repair sets fan out on the
-//! work-stealing runtime with one persistent session per worker.
+//! Re-decisions run on sessions built with
+//! [`CandidateFilter::LabelUniverse`] — every node carrying the pattern
+//! node's label, with no degree-based pruning — precisely so one session is
+//! valid for every version (node labels are immutable; node count is fixed
+//! because [`EdgeOp`] cannot add nodes).  Idle sessions are pooled across
+//! repairs; large repair sets fan out on the work-stealing runtime with one
+//! pooled session per worker.
 //!
-//! ## Failure atomicity
+//! ## Failure keeps the old pin
 //!
-//! `apply` is **transactional**: the graph delta and the repaired match set
-//! commit together or not at all.  The batch's effective inverse is staged
-//! before any mutation; if the repair phase fails — budget exhausted, or a
-//! panic in a re-decision — the graph delta is rolled back and the view
-//! still equals its pre-apply state.  A panic inside the view's own
-//! maintenance session leaves that session's scratch suspect, so the view
-//! is additionally marked [poisoned](MatchView::poisoned): further `apply`
-//! calls are refused until [`MatchView::rebuild`] reconstructs the session
-//! and recomputes the match set from the (rolled-back) graph.  A panic in a
-//! pooled *worker* session only discards that pool — the view's own state
-//! was never touched, so it is not poisoned.
+//! Every decision is computed before the view changes, so a repair that
+//! fails — budget exhausted, or a panic in a re-decision — leaves the pin and
+//! the match set untouched, and the view is reusable as it is.  A session
+//! whose decision panicked is dropped with the failed map and never returns
+//! to the pool (the engine's lease rule), so no suspect scratch outlives the
+//! failure.
 
-use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use qgp_graph::{
-    bfs_within_multi_with, BfsScratch, EdgeOp, Graph, GraphError, GraphSnapshot, GraphStore,
-    LabelId, NodeId, UpdateReport,
+    BfsScratch, EdgeOp, Graph, GraphError, GraphSnapshot, GraphStore, NodeId, UpdateReport,
 };
-use qgp_runtime::{faults, CancelToken, ExecBudget, Runtime, TaskError};
+use qgp_runtime::{CancelToken, ExecBudget, Runtime, TaskError};
 
 use crate::matching::compiled::CompiledPattern;
 use crate::matching::{CandidateFilter, MatchConfig, SessionCore};
 use crate::pattern::Pattern;
 
-/// Errors raised by [`MatchView::apply`] and its variants.
+/// Errors raised by [`MatchView::apply`], [`MatchView::advance`] and their
+/// variants.  After any of them the view still answers for its old pin and
+/// takes the next batch as usual.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ViewError {
     /// The batch was rejected by the graph layer (e.g. an out-of-range
-    /// node id); nothing was mutated.
+    /// node id).
     Graph(GraphError),
-    /// The repair's [`ExecBudget`] ran out; the batch was rolled back and
-    /// the view still equals its pre-apply state.
+    /// The repair's [`ExecBudget`] ran out before every affected focus was
+    /// re-decided.
     BudgetExceeded,
-    /// A re-decision panicked; the batch was rolled back.  When the panic
-    /// hit the view's own maintenance session the view is also
-    /// [poisoned](MatchView::poisoned).
+    /// A re-decision panicked.
     TaskPanicked(TaskError),
-    /// The view is poisoned by an earlier failure; call
-    /// [`MatchView::rebuild`] before applying further batches.
-    Poisoned,
     /// [`MatchView::advance`] found the store's bounded replay log no
-    /// longer reaches back to the view's anchor epoch.  Nothing was
-    /// mutated; re-materialize the view from a fresh snapshot (or raise
+    /// longer reaches back to the view's anchor epoch.  Re-materialize the
+    /// view with [`PreparedQuery::view`](super::PreparedQuery::view) on a
+    /// fresh snapshot (or raise
     /// [`qgp_graph::GraphStore::with_log_retention`]).
     LogTruncated {
         /// The epoch the view was anchored at when replay failed.
@@ -82,14 +79,8 @@ impl std::fmt::Display for ViewError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ViewError::Graph(e) => write!(f, "update batch rejected: {e}"),
-            ViewError::BudgetExceeded => {
-                write!(f, "repair budget exceeded; batch rolled back")
-            }
+            ViewError::BudgetExceeded => write!(f, "repair budget exceeded; view unchanged"),
             ViewError::TaskPanicked(e) => write!(f, "repair aborted: {e}"),
-            ViewError::Poisoned => write!(
-                f,
-                "view is poisoned by an earlier failure; call rebuild() first"
-            ),
             ViewError::LogTruncated { anchor } => write!(
                 f,
                 "store replay log no longer reaches epoch {anchor}; re-materialize the view"
@@ -106,44 +97,13 @@ impl From<GraphError> for ViewError {
     }
 }
 
-/// Why a repair phase aborted (internal; mapped to [`ViewError`] after the
-/// graph delta is rolled back).
-enum RepairAbort {
-    Budget,
-    /// Panic in a pooled worker session: the pool is discarded, the view's
-    /// own session is clean.
-    WorkerPanic(TaskError),
-    /// Panic in the view's own maintenance session: poisons the view.
-    CorePanic(TaskError),
-}
-
-/// The *effective inverse* of an update batch against `graph`: inverse ops
-/// for exactly the ops that will change the graph, in reverse order.
-/// Applying it after the batch restores the original edge set (ops are
-/// set-like, so no-ops need no undo).
-fn effective_inverse(graph: &Graph, ops: &[EdgeOp]) -> Vec<EdgeOp> {
-    let mut present: HashMap<(NodeId, NodeId, LabelId), bool> = HashMap::new();
-    let mut undo: Vec<EdgeOp> = Vec::new();
-    for op in ops {
-        let key = (op.from(), op.to(), op.label());
-        let was = *present
-            .entry(key)
-            .or_insert_with(|| graph.has_edge(op.from(), op.to(), op.label()));
-        if op.is_insert() != was {
-            undo.push(op.inverse());
-            present.insert(key, op.is_insert());
-        }
-    }
-    undo.reverse();
-    undo
-}
-
 /// Repair sets at least this large are re-decided on the work-stealing
 /// runtime; smaller ones run inline (a handful of decisions is cheaper than
 /// waking the workers).
 const PARALLEL_REDECIDE_THRESHOLD: usize = 128;
 
-/// The membership changes produced by one [`MatchView::apply`] batch.
+/// The membership changes produced by one [`MatchView::apply`] or
+/// [`MatchView::advance`].
 ///
 /// `added` and `removed` are disjoint, sorted ascending, and describe the
 /// transition from the match set before the batch to the one after it;
@@ -159,7 +119,9 @@ pub struct ViewDelta {
     /// affected ball after candidate filtering, and the unit of incremental
     /// work (compare against the full candidate count of a recompute).
     pub rechecked: usize,
-    /// What the batch did to the underlying graph.
+    /// What [`MatchView::apply`]'s batch did to the view's private copy of
+    /// the graph.  `UpdateReport::default()` after [`MatchView::advance`],
+    /// which applies nothing: the store already did.
     pub report: UpdateReport,
 }
 
@@ -185,15 +147,14 @@ impl ViewDelta {
     }
 }
 
-/// A materialized match set kept consistent with a stream of edge updates.
+/// A materialized match set kept exact for a moving graph version.
 ///
-/// Built by [`PreparedQuery::view`](super::PreparedQuery::view); works on a
-/// copy-on-write clone of the base snapshot's graph — the frozen CSR
-/// storage is shared, only the view's delta overlay is private — so the
-/// engine's snapshot and other views are unaffected by the updates applied
-/// here, at a per-view memory cost proportional to the *overlay*, not the
-/// graph.  A view anchored on a [`GraphStore`] epoch can follow the store's
-/// published batches with [`MatchView::advance`].
+/// Built by [`PreparedQuery::view`](super::PreparedQuery::view), which pins
+/// the prepared query's snapshot.  A view on a [`GraphStore`] follows the
+/// store's published batches with [`MatchView::advance`] and then pins the
+/// head itself; [`MatchView::apply`] moves the pin to a private
+/// copy-on-write clone instead, so the engine's snapshot and other views
+/// never see those updates.
 ///
 /// ```
 /// use qgp_core::engine::Engine;
@@ -229,69 +190,55 @@ impl ViewDelta {
 /// assert!(view.matches().is_empty());
 /// ```
 pub struct MatchView {
-    /// The view's working graph: a copy-on-write clone of the base
-    /// snapshot's graph, so the frozen CSR storage is *shared* with the
-    /// snapshot (and every other view over it) and only this view's delta
-    /// overlay is private.
-    graph: Graph,
-    /// The snapshot the view was materialized from, pinned so the shared
-    /// frozen storage stays alive and the anchor epoch stays meaningful.
-    base: Arc<GraphSnapshot>,
+    /// The snapshot the answer is exact for: the materialized snapshot, a
+    /// store head after [`MatchView::advance`], or the view's own sealed
+    /// clone after [`MatchView::apply`].
+    pin: Arc<GraphSnapshot>,
     /// The last [`GraphStore`] epoch this view has incorporated; advanced
     /// by [`MatchView::advance`].
     anchor: u64,
+    /// Ops applied locally since the last advance.  The next advance lands
+    /// exactly on the store head, superseding them, so their edges join its
+    /// repair starts.
+    local: Vec<EdgeOp>,
     compiled: Arc<CompiledPattern>,
-    /// The maintenance session: update-stable candidate sets, reused
-    /// across every batch.
-    core: SessionCore,
     /// The materialized answer, sorted ascending.
     matches: Vec<NodeId>,
     scratch: BfsScratch,
-    /// Reusable buffer for the affected-ball BFS.
-    ball: Vec<(NodeId, usize)>,
-    /// Per-worker sessions for parallel re-decisions, kept across batches
-    /// so candidate analysis is paid once per worker, not once per batch.
+    /// Idle maintenance sessions, kept across repairs so candidate analysis
+    /// is paid once per worker, not once per batch.
     pool: Mutex<Vec<SessionCore>>,
-    /// Set when a failure left the maintenance session's scratch suspect;
-    /// cleared by [`MatchView::rebuild`].
-    poisoned: bool,
+}
+
+/// A maintenance session: plain `QMatch` over update-stable candidate sets.
+/// The simulation pre-filter stays off — it would prune candidate sets
+/// against one graph version.
+fn session(graph: &Graph, compiled: &Arc<CompiledPattern>) -> SessionCore {
+    SessionCore::with_filter(
+        graph,
+        Arc::clone(compiled),
+        &MatchConfig::qmatch(),
+        CandidateFilter::LabelUniverse,
+    )
 }
 
 impl MatchView {
-    /// The maintenance config: plain `QMatch`.  The simulation pre-filter
-    /// must stay off — it would prune candidate sets against the
-    /// construction-time graph, which updates would then invalidate.
-    fn config() -> MatchConfig {
-        MatchConfig::qmatch()
-    }
-
     pub(crate) fn materialize(snapshot: Arc<GraphSnapshot>, compiled: Arc<CompiledPattern>) -> Self {
-        // COW clone: shares the snapshot's frozen CSR arrays; only the
-        // delta overlay (bounded by the compaction threshold) is private.
-        let graph = snapshot.graph().clone();
-        let anchor = snapshot.epoch();
-        let mut core = SessionCore::with_filter(
-            &graph,
-            Arc::clone(&compiled),
-            &Self::config(),
-            CandidateFilter::LabelUniverse,
-        );
+        let graph = snapshot.graph();
+        let mut core = session(graph, &compiled);
         let candidates = core.focus_candidates().to_vec();
         let matches = candidates
             .into_iter()
-            .filter(|&v| core.accepts(&graph, v))
+            .filter(|&v| core.accepts(graph, v))
             .collect();
         MatchView {
-            scratch: BfsScratch::for_graph(&graph),
-            graph,
-            base: snapshot,
-            anchor,
+            scratch: BfsScratch::for_graph(graph),
+            anchor: snapshot.epoch(),
+            pin: snapshot,
+            local: Vec::new(),
             compiled,
-            core,
             matches,
-            ball: Vec::new(),
-            pool: Mutex::new(Vec::new()),
-            poisoned: false,
+            pool: Mutex::new(vec![core]),
         }
     }
 
@@ -315,20 +262,21 @@ impl MatchView {
         self.matches.binary_search(&v).is_ok()
     }
 
-    /// The view's working graph, including every applied batch.  Its
-    /// frozen storage is shared copy-on-write with the base snapshot; only
-    /// the delta overlay is private to the view.
+    /// The graph the answer is exact for: the pinned snapshot's graph.
     pub fn graph(&self) -> &Graph {
-        &self.graph
+        self.pin.graph()
     }
 
-    /// The snapshot this view was materialized from.
-    pub fn base_snapshot(&self) -> &Arc<GraphSnapshot> {
-        &self.base
+    /// The pinned snapshot the answer is exact for.  After a successful
+    /// [`MatchView::advance`] this is the store's head snapshot itself; after
+    /// a local [`MatchView::apply`] it is the view's own snapshot, which no
+    /// store published.
+    pub fn snapshot(&self) -> &Arc<GraphSnapshot> {
+        &self.pin
     }
 
-    /// The last [`GraphStore`] epoch this view has incorporated: the base
-    /// snapshot's epoch at materialization, advanced by each successful
+    /// The last [`GraphStore`] epoch this view has incorporated: the
+    /// materialized snapshot's epoch, advanced by each successful
     /// [`MatchView::advance`].
     pub fn anchor_epoch(&self) -> u64 {
         self.anchor
@@ -337,38 +285,6 @@ impl MatchView {
     /// The pattern the view maintains.
     pub fn pattern(&self) -> &Pattern {
         &self.compiled.pattern
-    }
-
-    /// Has a failure left the view's maintenance session suspect?  A
-    /// poisoned view still reports its (consistent, pre-failure) match set
-    /// and graph, but refuses further [`MatchView::apply`] calls until
-    /// [`MatchView::rebuild`] runs.
-    pub fn poisoned(&self) -> bool {
-        self.poisoned
-    }
-
-    /// Recovery path: reconstructs the maintenance session, recomputes the
-    /// match set from scratch against the view's current graph, discards
-    /// the worker-session pool, and clears the poisoned flag.  Equivalent
-    /// to materializing a fresh view over [`MatchView::graph`].
-    pub fn rebuild(&mut self) {
-        let mut core = SessionCore::with_filter(
-            &self.graph,
-            Arc::clone(&self.compiled),
-            &Self::config(),
-            CandidateFilter::LabelUniverse,
-        );
-        let graph = &self.graph;
-        let matches = core
-            .focus_candidates()
-            .to_vec()
-            .into_iter()
-            .filter(|&v| core.accepts(graph, v))
-            .collect();
-        self.core = core;
-        self.matches = matches;
-        self.pool = Mutex::new(Vec::new());
-        self.poisoned = false;
     }
 
     /// Applies a batch of edge updates and repairs the match set, returning
@@ -387,10 +303,9 @@ impl MatchView {
     /// [`MatchView::apply`] under an [`ExecBudget`], charged one decision
     /// per re-decided candidate and polled at per-candidate granularity.
     ///
-    /// There is no partial-repair mode: a view must stay consistent, so an
-    /// exhausted budget rolls the whole batch back
-    /// ([`ViewError::BudgetExceeded`]) and the view still equals its
-    /// pre-apply state.
+    /// There is no partial-repair mode: a view must stay exact, so an
+    /// exhausted budget fails the whole batch
+    /// ([`ViewError::BudgetExceeded`]) and the view keeps its old pin.
     pub fn apply_budgeted(
         &mut self,
         ops: &[EdgeOp],
@@ -400,24 +315,20 @@ impl MatchView {
         self.apply_inner(ops, Some(budget), runtime)
     }
 
-    /// Catches the view up to the store's current head: replays every
-    /// [`EdgeOp`] batch published since the view's anchor epoch through the
-    /// ordinary incremental repair path, as **one** transactional batch,
-    /// and re-anchors at the head epoch reached.
+    /// Catches the view up to the store's current head: repairs the answer
+    /// from the pin to the head snapshot, as **one** batch, then pins the
+    /// head and re-anchors at its epoch.
     ///
-    /// The ops-and-epoch pair is captured atomically
+    /// The ops-and-snapshot pair is captured atomically
     /// ([`GraphStore::replay_from`]), so a writer racing ahead mid-call
-    /// cannot make the view skip or double-apply a batch — the missed
-    /// batches are simply picked up by the next `advance`.  Errors leave
-    /// the view (and its anchor) exactly as before: a repair failure rolls
-    /// the whole replay back, and [`ViewError::LogTruncated`] means the
-    /// store's bounded log was outrun — re-materialize from a fresh
-    /// snapshot instead.
+    /// cannot make the view skip or double-count a batch — the missed
+    /// batches are simply picked up by the next `advance`.  Errors leave the
+    /// view (and its anchor) exactly as before; [`ViewError::LogTruncated`]
+    /// means the store's bounded log was outrun, so re-materialize the view
+    /// instead.
     ///
-    /// Local [`MatchView::apply`] batches compose with `advance`: they
-    /// mutate the view's working graph without moving the anchor, so a
-    /// later `advance` still replays exactly the store batches the view has
-    /// not seen.
+    /// Batches applied locally with [`MatchView::apply`] since the last
+    /// advance are superseded: the view lands exactly on the store head.
     pub fn advance(&mut self, store: &GraphStore) -> Result<ViewDelta, ViewError> {
         self.advance_with(store, Runtime::global())
     }
@@ -428,212 +339,131 @@ impl MatchView {
         store: &GraphStore,
         runtime: &Runtime,
     ) -> Result<ViewDelta, ViewError> {
-        let Some((ops, head)) = store.replay_from(self.anchor) else {
+        let Some((mut ops, head)) = store.replay_from(self.anchor) else {
             return Err(ViewError::LogTruncated {
                 anchor: self.anchor,
             });
         };
-        let delta = self.apply_inner(&ops, None, runtime)?;
-        self.anchor = head;
+        ops.extend_from_slice(&self.local);
+        let anchor = head.epoch();
+        let delta = self.repair(head, &ops, None, runtime)?;
+        self.local.clear();
+        self.anchor = anchor;
         Ok(delta)
     }
 
-    /// The shared transactional apply: stage, repair, commit-or-roll-back.
-    ///
-    /// The batch is transactional: on any error — an out-of-range node id
-    /// anywhere in the batch, an exhausted budget, or a panic mid-repair —
-    /// neither the graph nor the match set changes.  Ops take effect in
-    /// order within the batch, so an insert/delete pair of the same edge
-    /// cancels out before the repair runs.
+    /// Applies `ops` to a clone of the pinned graph — ops take effect in
+    /// order, with the all-or-nothing validation of
+    /// [`Graph::apply_edge_ops`] — and repairs onto the sealed clone.
     fn apply_inner(
         &mut self,
         ops: &[EdgeOp],
         budget: Option<&ExecBudget>,
         runtime: &Runtime,
     ) -> Result<ViewDelta, ViewError> {
-        if self.poisoned {
-            return Err(ViewError::Poisoned);
-        }
-        // Validate up front: the ball walk below indexes per-node scratch
-        // arrays, so it must never see an out-of-range endpoint.
-        let node_count = self.graph.node_count();
-        for op in ops {
-            for node in [op.from(), op.to()] {
-                if node.index() >= node_count {
-                    return Err(ViewError::Graph(GraphError::NodeOutOfBounds {
-                        node,
-                        node_count,
-                    }));
-                }
-            }
-        }
-        let starts: Vec<NodeId> = ops.iter().flat_map(|op| [op.from(), op.to()]).collect();
-        let radius = self.compiled.radius;
+        let mut graph = self.pin.graph().clone();
+        let report = graph.apply_edge_ops(ops)?;
+        let delta = self.repair(Arc::new(GraphSnapshot::from(graph)), ops, budget, runtime)?;
+        self.local.extend_from_slice(ops);
+        Ok(ViewDelta { report, ..delta })
+    }
 
-        // Ball around the endpoints in the pre-update graph: candidates
-        // that could reach a deleted edge.
-        self.ball.clear();
-        bfs_within_multi_with(&self.graph, &starts, radius, &mut self.scratch, &mut self.ball);
-        let mut affected: Vec<NodeId> = self.ball.iter().map(|&(v, _)| v).collect();
-
-        // Stage the rollback before mutating anything: the effective
-        // inverse restores the exact pre-batch edge set if the repair
-        // phase fails.
-        let undo = effective_inverse(&self.graph, ops);
-        let report = self.graph.apply_edge_ops(ops).map_err(ViewError::Graph)?;
-        if !report.changed() {
-            // Every op was a no-op: the graph is unchanged, so no decision
-            // can have changed either.
-            return Ok(ViewDelta {
-                report,
-                ..ViewDelta::default()
-            });
+    /// The one repair: re-decides every focus candidate near an edge that
+    /// differs between the pin and `next`, then pins `next`.  `ops` must
+    /// name every such edge (extra or repeated ones cost only a lookup).
+    /// Nothing in `self` changes unless every decision succeeds.
+    fn repair(
+        &mut self,
+        next: Arc<GraphSnapshot>,
+        ops: &[EdgeOp],
+        budget: Option<&ExecBudget>,
+        runtime: &Runtime,
+    ) -> Result<ViewDelta, ViewError> {
+        let (old, new) = (self.pin.graph(), next.graph());
+        let starts: Vec<NodeId> = ops
+            .iter()
+            .filter(|op| {
+                old.has_edge(op.from(), op.to(), op.label())
+                    != new.has_edge(op.from(), op.to(), op.label())
+            })
+            .flat_map(|op| [op.from(), op.to()])
+            .collect();
+        if starts.is_empty() {
+            // Equal edge sets: no decision can differ.
+            self.pin = next;
+            return Ok(ViewDelta::default());
         }
 
-        // Ball in the post-update graph: candidates that an inserted edge
+        // The ball in the old version holds the foci that could reach a
+        // deleted edge; the one in the new version, those an inserted edge
         // newly connects.
-        self.ball.clear();
-        bfs_within_multi_with(&self.graph, &starts, radius, &mut self.scratch, &mut self.ball);
-        affected.extend(self.ball.iter().map(|&(v, _)| v));
+        let mut affected = Vec::new();
+        for graph in [old, new] {
+            self.scratch
+                .visit_ball(graph, &starts, self.compiled.radius, false, |v, _| {
+                    affected.push(v)
+                });
+        }
         affected.sort_unstable();
         affected.dedup();
-        affected.retain(|&v| self.core.is_focus_candidate(v));
+        let pool = self.pool.get_mut().unwrap_or_else(PoisonError::into_inner);
+        if pool.is_empty() {
+            pool.push(session(new, &self.compiled));
+        }
+        affected.retain(|&v| pool[0].is_focus_candidate(v));
 
-        // Repair: compute every decision before touching the match set, so
-        // the commit below cannot fail halfway.
-        let decisions: Result<Vec<bool>, RepairAbort> =
-            if affected.len() < PARALLEL_REDECIDE_THRESHOLD || runtime.threads() <= 1 {
-                let graph = &self.graph;
-                let core = &mut self.core;
-                let mut decisions = Vec::with_capacity(affected.len());
-                let mut abort = None;
-                for (idx, &v) in affected.iter().enumerate() {
-                    // Per-candidate budget polling (deadline and cap).
-                    if budget.is_some_and(|b| !b.charge(1)) {
-                        abort = Some(RepairAbort::Budget);
-                        break;
-                    }
-                    let run = catch_unwind(AssertUnwindSafe(|| {
-                        faults::fault_point("view-redecide", idx);
-                        core.accepts(graph, v)
-                    }));
-                    match run {
-                        Ok(d) => decisions.push(d),
-                        Err(p) => {
-                            // The maintenance session's scratch is suspect.
-                            abort =
-                                Some(RepairAbort::CorePanic(TaskError::from_panic(0, Some(idx), p)));
-                            break;
-                        }
-                    }
-                }
-                match abort {
-                    Some(a) => Err(a),
-                    None => Ok(decisions),
-                }
-            } else {
-                let graph = &self.graph;
-                let compiled = &self.compiled;
-                let pool = &self.pool;
-                let affected = &affected;
-                // The runtime polls the budget's token (so a deadline stops
-                // workers between tasks); without a budget, a token that
-                // never fires.
-                let token = budget.map_or_else(CancelToken::new, |b| b.token().clone());
-                let result = runtime.try_map_with_cancel(
-                    affected.len(),
-                    &token,
-                    || {
-                        pool.lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .pop()
-                            .unwrap_or_else(|| {
-                                SessionCore::with_filter(
-                                    graph,
-                                    Arc::clone(compiled),
-                                    &Self::config(),
-                                    CandidateFilter::LabelUniverse,
-                                )
-                            })
-                    },
-                    |core, i| {
-                        if budget.is_some_and(|b| !b.charge(1)) {
-                            return None;
-                        }
-                        Some(core.accepts(graph, affected[i]))
-                    },
-                );
-                match result {
-                    Ok(outcome) => {
-                        // Return the worker sessions to the pool for the
-                        // next batch.
-                        self.pool
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .extend(outcome.states);
-                        // Any skipped or refused slot means the budget ran
-                        // out mid-repair.
-                        let mut decisions = Vec::with_capacity(affected.len());
-                        let mut complete = true;
-                        for slot in outcome.outputs {
-                            match slot {
-                                Some(Some(d)) => decisions.push(d),
-                                _ => {
-                                    complete = false;
-                                    break;
-                                }
-                            }
-                        }
-                        if complete {
-                            Ok(decisions)
-                        } else {
-                            Err(RepairAbort::Budget)
-                        }
-                    }
-                    // The panicking worker's session died with the failed
-                    // map; the view's own session was never involved.
-                    Err(e) => Err(RepairAbort::WorkerPanic(e)),
-                }
-            };
-
-        let decisions = match decisions {
-            Ok(decisions) => decisions,
-            Err(abort) => {
-                // Roll the graph delta back; the match set was never
-                // touched.  A rollback failure (impossible for in-bounds
-                // inverse ops, but never silent) also poisons the view.
-                if self.graph.apply_edge_ops(&undo).is_err() {
-                    self.poisoned = true;
-                }
-                return Err(match abort {
-                    RepairAbort::Budget => ViewError::BudgetExceeded,
-                    RepairAbort::WorkerPanic(e) => ViewError::TaskPanicked(e),
-                    RepairAbort::CorePanic(e) => {
-                        self.poisoned = true;
-                        ViewError::TaskPanicked(e)
-                    }
-                });
-            }
+        let inline = Runtime::new(1);
+        let runtime = if affected.len() < PARALLEL_REDECIDE_THRESHOLD {
+            &inline
+        } else {
+            runtime
         };
+        // The runtime polls the budget's token (so a deadline stops workers
+        // between tasks); without a budget, a token that never fires.
+        let token = budget.map_or_else(CancelToken::new, |b| b.token().clone());
+        let (pool, compiled) = (&self.pool, &self.compiled);
+        let outcome = runtime
+            .try_map_with_cancel(
+                affected.len(),
+                &token,
+                || {
+                    pool.lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .pop()
+                        .unwrap_or_else(|| session(new, compiled))
+                },
+                |core, i| {
+                    budget
+                        .is_none_or(|b| b.charge(1))
+                        .then(|| core.accepts(new, affected[i]))
+                },
+            )
+            .map_err(ViewError::TaskPanicked)?;
+        // A failed map drops its sessions; a completed one returns them.
+        pool.lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .extend(outcome.states);
+        // Any skipped or refused slot means the budget ran out mid-repair.
+        let decisions: Vec<bool> = outcome
+            .outputs
+            .into_iter()
+            .map(Option::flatten)
+            .collect::<Option<_>>()
+            .ok_or(ViewError::BudgetExceeded)?;
 
-        // Commit: pure bookkeeping from here on, no fallible step.
-        let mut added = Vec::new();
-        let mut removed = Vec::new();
-        for (&v, &now) in affected.iter().zip(&decisions) {
-            let was = self.matches.binary_search(&v).is_ok();
-            if now && !was {
-                added.push(v);
-            } else if was && !now {
-                removed.push(v);
+        let mut delta = ViewDelta {
+            rechecked: affected.len(),
+            ..ViewDelta::default()
+        };
+        for (v, now) in affected.into_iter().zip(decisions) {
+            match (now, self.contains(v)) {
+                (true, false) => delta.added.push(v),
+                (false, true) => delta.removed.push(v),
+                _ => {}
             }
         }
-        let delta = ViewDelta {
-            added,
-            removed,
-            rechecked: affected.len(),
-            report,
-        };
         delta.apply_to(&mut self.matches);
+        self.pin = next;
         Ok(delta)
     }
 }
@@ -644,6 +474,7 @@ mod tests {
     use crate::engine::{Engine, ExecOptions};
     use crate::pattern::library;
     use qgp_graph::GraphBuilder;
+    use qgp_runtime::faults;
 
     /// Graph G1 of Fig. 2 plus the label handles the tests mutate with.
     fn g1() -> (Graph, Vec<NodeId>, Vec<NodeId>, NodeId) {
@@ -819,6 +650,7 @@ mod tests {
         let pattern = library::q3_redmi_negation(2);
         let mut view = Engine::new(&g).prepare(&pattern).unwrap().view();
         let before = view.matches().to_vec();
+        let pin = Arc::clone(view.snapshot());
         let recom = g.labels().edge_label("recom").unwrap();
         let bad = g.labels().edge_label("bad_rating").unwrap();
         let ops = [
@@ -830,12 +662,11 @@ mod tests {
             .apply_budgeted(&ops, &starved, Runtime::global())
             .unwrap_err();
         assert_eq!(err, ViewError::BudgetExceeded);
-        // Transactional: the graph delta rolled back, the match set was
-        // never touched, and the view is still serviceable.
+        // The view kept its old pin and match set.
+        assert!(Arc::ptr_eq(view.snapshot(), &pin));
         assert_eq!(view.matches(), before);
         assert!(view.graph().has_edge(vs[4], redmi, bad));
         assert!(!view.graph().has_edge(vs[4], redmi, recom));
-        assert!(!view.poisoned());
         // An adequate budget then applies the same batch exactly.
         let ample = ExecBudget::unlimited().max_decisions(100_000);
         let delta = view
@@ -858,15 +689,15 @@ mod tests {
         assert_eq!(err, ViewError::BudgetExceeded);
         assert_eq!(view.matches(), before);
         assert!(view.graph().has_edge(xs[0], hub, follow));
-        assert!(!view.poisoned());
     }
 
     #[test]
-    fn injected_fault_mid_repair_rolls_back_and_poisons() {
+    fn injected_fault_mid_repair_keeps_the_old_pin() {
         let (g, _, vs, redmi) = g1();
         let pattern = library::q3_redmi_negation(2);
         let mut view = Engine::new(&g).prepare(&pattern).unwrap().view();
         let before = view.matches().to_vec();
+        let pin = Arc::clone(view.snapshot());
         let recom = g.labels().edge_label("recom").unwrap();
         let bad = g.labels().edge_label("bad_rating").unwrap();
         let ops = [
@@ -878,19 +709,12 @@ mod tests {
             let err = view.apply(&ops).unwrap_err();
             assert!(matches!(err, ViewError::TaskPanicked(_)), "{err:?}");
         }
-        // The failed batch rolled back: the view still answers from its
-        // pre-apply state...
+        // The failed batch left the view on its old pin and answer.
+        assert!(Arc::ptr_eq(view.snapshot(), &pin));
         assert_eq!(view.matches(), before);
         assert!(view.graph().has_edge(vs[4], redmi, bad));
-        // ...but the maintenance session panicked mid-decision, so the
-        // view is poisoned and refuses further updates.
-        assert!(view.poisoned());
-        assert_eq!(view.apply(&ops).unwrap_err(), ViewError::Poisoned);
-        // Rebuild recovers: same answer as a fresh materialization, and
-        // the deferred batch now applies cleanly.
-        view.rebuild();
-        assert!(!view.poisoned());
-        assert_eq!(view.matches(), before);
+        // The panicked session was dropped, so the disarmed retry runs on a
+        // fresh one and applies cleanly, with no recovery step in between.
         let delta = view.apply(&ops).unwrap();
         assert!(!delta.is_empty());
         assert_eq!(view.matches(), full_recompute(view.graph(), &pattern));
@@ -909,9 +733,6 @@ mod tests {
             let err = view.apply_with(&ops, &rt).unwrap_err();
             assert!(matches!(err, ViewError::TaskPanicked(_)), "{err:?}");
         }
-        // Worker sessions are disposable — the view's own maintenance
-        // session was never involved, so no poisoning.
-        assert!(!view.poisoned());
         assert_eq!(view.matches(), before);
         assert!(view.graph().has_edge(xs[0], hub, follow));
         // The disarmed retry applies cleanly and agrees with a recompute.

@@ -19,8 +19,8 @@
 //! search order, counter scratch, negation sessions) and takes the graph as
 //! an argument per decision.  [`MatchSession`] pairs a core with a borrowed
 //! graph — the ergonomic form for one-shot execution — while the
-//! incremental `MatchView` owns its graph and drives the core directly, so
-//! it can mutate the graph between decisions without rebuilding state.
+//! incremental `MatchView` drives cores directly, deciding against
+//! whichever snapshot it repairs onto without rebuilding state.
 //!
 //! Every execution surface of [`crate::engine`] — sequential streaming,
 //! parallel, partitioned, counting, view repair, registry serving — reaches
@@ -71,9 +71,10 @@ pub(crate) struct Verdict {
 
 /// The graph-independent state of one matching session: candidate sets,
 /// search order, counter scratch and lazily-built negation sessions.  Every
-/// decision takes the graph as an argument, so one core can serve a graph
-/// that changes between calls (the incremental `MatchView` path) as long as
-/// its candidate sets remain valid — guaranteed by construction with
+/// decision takes the graph as an argument, so one core can serve every
+/// version of a graph (the incremental `MatchView` path, which decides
+/// against successive snapshots) as long as its candidate sets remain
+/// valid — guaranteed by construction with
 /// [`CandidateFilter::LabelUniverse`], whose sets depend only on node
 /// labels.
 pub(crate) struct SessionCore {
@@ -104,7 +105,7 @@ impl SessionCore {
 
     /// Builds a core with an explicit candidate filter.  The incremental
     /// `MatchView` passes [`CandidateFilter::LabelUniverse`] so the sets
-    /// survive edge updates.
+    /// hold for every snapshot its pin moves through.
     pub fn with_filter(
         graph: &Graph,
         compiled: Arc<CompiledPattern>,

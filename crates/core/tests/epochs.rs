@@ -1,14 +1,14 @@
 //! Epoch-snapshot serving tests: pinned readers are immune to writer
 //! progress, `PreparedQuery` pools the sessions of one snapshot, the
 //! `QueryRegistry` counts how often a request found its session pooled,
-//! and `MatchView::advance` replays the store's inter-epoch log exactly.
+//! and `MatchView::advance` lands exactly on the store's head snapshot.
 
 use std::sync::Arc;
 
 use qgp_core::engine::{Engine, ExecOptions, QueryRegistry, ServeRequest, ViewError};
 use qgp_core::error::MatchError;
 use qgp_core::pattern::{CountingQuantifier, Pattern, PatternBuilder};
-use qgp_graph::{EdgeOp, Graph, GraphBuilder, GraphStore, LabelId, NodeId};
+use qgp_graph::{EdgeOp, Graph, GraphBuilder, GraphStore, LabelId, NodeId, UpdateReport};
 use qgp_runtime::Runtime;
 
 /// The quickstart graph: `ann` and `bob` follow influencers who all
@@ -248,19 +248,29 @@ fn serve_honors_limits_and_reports_unknown_ids() {
 }
 
 #[test]
-fn view_shares_frozen_storage_with_its_base_snapshot() {
-    let (graph, _, _, _) = social();
+fn view_pins_the_store_head_after_advance() {
+    let (graph, fans, infl, _) = social();
     let store = GraphStore::new(graph);
     let pq = Engine::from_store(&store)
         .prepare(&all_follow_recom())
         .unwrap();
-    let view = pq.view();
+    let mut view = pq.view();
     assert!(
-        view.graph()
-            .shares_frozen_storage(view.base_snapshot().graph()),
-        "the view's working graph must COW-share the pinned snapshot's CSR"
+        Arc::ptr_eq(view.snapshot(), &store.snapshot()),
+        "a view pins the prepared query's snapshot, it copies nothing"
     );
     assert_eq!(view.anchor_epoch(), 0);
+
+    let follow = follow_label(store.snapshot().graph());
+    store
+        .apply(&[EdgeOp::insert(fans[2], infl[0], follow)])
+        .unwrap();
+    view.advance(&store).unwrap();
+    assert!(
+        Arc::ptr_eq(view.snapshot(), &store.snapshot()),
+        "after advance the view pins the store's head itself"
+    );
+    assert_eq!(view.anchor_epoch(), 1);
 }
 
 #[test]
@@ -312,4 +322,74 @@ fn advance_past_a_truncated_log_is_an_error() {
     // The view is untouched and still answers for its anchor.
     assert_eq!(view.matches(), &[fans[0], fans[1]]);
     assert_eq!(view.anchor_epoch(), 0);
+}
+
+#[test]
+fn advance_over_a_net_cancelling_replay_rechecks_nothing() {
+    let (graph, fans, infl, _) = social();
+    let store = GraphStore::new(graph);
+    let pattern = all_follow_recom();
+    let mut view = Engine::from_store(&store).prepare(&pattern).unwrap().view();
+
+    // Two published epochs whose ops cancel: the head has epoch 0's edges.
+    let follow = follow_label(store.snapshot().graph());
+    store
+        .apply(&[EdgeOp::insert(fans[2], infl[0], follow)])
+        .unwrap();
+    store
+        .apply(&[EdgeOp::delete(fans[2], infl[0], follow)])
+        .unwrap();
+
+    let delta = view.advance(&store).unwrap();
+    assert!(delta.is_empty());
+    assert_eq!(
+        delta.rechecked, 0,
+        "no edge differs, so no ball is re-decided"
+    );
+    assert_eq!(
+        delta.report,
+        UpdateReport::default(),
+        "advance applies nothing"
+    );
+    assert_eq!(view.anchor_epoch(), 2);
+    assert!(Arc::ptr_eq(view.snapshot(), &store.snapshot()));
+    assert_eq!(view.matches(), run_head(&store, &pattern).as_slice());
+}
+
+#[test]
+fn apply_then_advance_lands_on_the_head() {
+    let (graph, fans, infl, phone) = social();
+    let store = GraphStore::new(graph);
+    let pattern = all_follow_recom();
+    let pq = Engine::from_store(&store).prepare(&pattern).unwrap();
+    let mut view = pq.view();
+
+    // A local batch the store never sees: ann's first influencer stops
+    // recommending, so ann drops out of the view only.
+    let recom = store.snapshot().labels().edge_label("recom").unwrap();
+    let local = view
+        .apply(&[EdgeOp::delete(infl[0], phone, recom)])
+        .unwrap();
+    assert_eq!(local.removed, vec![fans[0]]);
+    assert_eq!(view.anchor_epoch(), 0);
+
+    // The store moves on elsewhere: cat starts following a recommender.
+    let follow = follow_label(store.snapshot().graph());
+    store
+        .apply(&[EdgeOp::insert(fans[2], infl[2], follow)])
+        .unwrap();
+
+    // Advance supersedes the local batch and lands exactly on the head.
+    let delta = view.advance(&store).unwrap();
+    let head = store.snapshot();
+    assert!(Arc::ptr_eq(view.snapshot(), &head));
+    assert_eq!(delta.added, vec![fans[0], fans[2]]);
+    assert!(delta.removed.is_empty());
+    assert_eq!(
+        view.matches(),
+        pq.run_on(&head, ExecOptions::sequential())
+            .unwrap()
+            .matches
+            .as_slice()
+    );
 }

@@ -12,15 +12,17 @@
 //! * a [`QueryRegistry::serve`] batch under injected faults answers each
 //!   request exactly or with a typed error, and loses or corrupts no pooled
 //!   session: the next, fault-free batch answers every request exactly,
-//! * a [`MatchView`] under mid-apply faults equals its pre-apply state
-//!   (rolled back) or its fully-applied state — never anything in between —
-//!   and a poisoned view rebuilds to the recompute-from-scratch answer.
+//! * a [`MatchView`] under mid-apply faults equals its pre-apply state (it
+//!   kept its old pin) or its fully-applied state — never anything in
+//!   between — and the disarmed retry needs no recovery step.
 //!
 //! [`ExecBudget`]: qgp_core::engine::ExecBudget
 //! [`QueryAnswer::truncated`]: qgp_core::matching::QueryAnswer
 //! [`MatchError::BudgetExceeded`]: qgp_core::MatchError
 //! [`MatchView`]: qgp_core::engine::MatchView
 //! [`QueryRegistry::serve`]: qgp_core::engine::QueryRegistry::serve
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
@@ -290,8 +292,7 @@ proptest! {
 
     /// A view batch under injected faults is atomic: afterwards the view
     /// equals either its pre-apply state or its fully-applied state, both
-    /// checked against an independent recompute; a poisoned view rebuilds
-    /// to the recompute answer.
+    /// checked against an independent recompute, and stays usable as is.
     #[test]
     fn view_apply_under_faults_is_atomic(
         gspec in graph_spec(),
@@ -303,6 +304,7 @@ proptest! {
         let pattern = pattern(kind);
         let mut view = Engine::new(&graph).prepare(&pattern).unwrap().view();
         let pre_matches = view.matches().to_vec();
+        let pre_pin = Arc::clone(view.snapshot());
 
         // Decode the raw ops against the real node/label universe.
         let n = graph.node_count();
@@ -349,27 +351,22 @@ proptest! {
             Ok(_) => {
                 // Fully applied: matches agree with a recompute over the
                 // updated graph.
-                prop_assert!(!view.poisoned());
                 prop_assert_eq!(view.matches(), &recompute(view.graph())[..]);
             }
             Err(ViewError::TaskPanicked(e)) => {
-                // Rolled back: the graph and matches are the pre-apply
-                // state, even if the maintenance session is poisoned.
+                // The view kept its old pin: the graph and matches are the
+                // pre-apply state.
                 prop_assert!(e.payload.contains("injected fault"), "{}", e);
+                prop_assert!(Arc::ptr_eq(view.snapshot(), &pre_pin));
                 prop_assert_eq!(view.matches(), &pre_matches[..]);
                 prop_assert_eq!(view.matches(), &recompute(view.graph())[..]);
-                if view.poisoned() {
-                    view.rebuild();
-                    prop_assert!(!view.poisoned());
-                    prop_assert_eq!(view.matches(), &pre_matches[..]);
-                }
             }
             Err(other) => prop_assert!(false, "unexpected error: {other:?}"),
         }
 
-        // Fault-free, the same batch applies and matches the recompute,
-        // and replaying the delta over the prior match set reproduces the
-        // view's answer.
+        // Fault-free, with no recovery step in between, the same batch
+        // applies and matches the recompute, and replaying the delta over
+        // the prior match set reproduces the view's answer.
         let before_retry = view.matches().to_vec();
         let delta = view.apply(&ops).unwrap();
         prop_assert_eq!(view.matches(), &recompute(view.graph())[..]);

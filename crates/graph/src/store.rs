@@ -12,8 +12,8 @@
 //!
 //! The store also keeps a bounded per-epoch log of the applied `EdgeOp`
 //! batches ([`GraphStore::replay_from`]), which lets incremental consumers —
-//! `MatchView::advance` in qgp-core — re-anchor from an older epoch to the
-//! head by replaying the missed ops instead of recomputing from scratch.
+//! `MatchView::advance` in qgp-core — move from an older epoch to the head
+//! by repairing around the missed ops instead of recomputing from scratch.
 //!
 //! All synchronization goes through the [`qgp_runtime::sync`] facade, so
 //! the publish protocol can be model-checked (`tests/model_store.rs`): the
@@ -171,20 +171,22 @@ impl GraphStore {
 
     /// The [`EdgeOp`]s that advance epoch `since` to the current head, in
     /// application order, concatenated across the intervening batches,
-    /// together with the head epoch the replay reaches.  Returns `None`
+    /// together with the head snapshot the replay reaches.  Returns `None`
     /// when the bounded log no longer reaches back to `since` (the caller
     /// must rebuild from the head snapshot instead), and no ops when `since`
     /// is already the head epoch.
     ///
-    /// The head epoch is captured under the writer lock — since publishes
-    /// happen under that same lock, the pair is exact: applying the returned
-    /// ops to a rebuild of epoch `since` yields precisely the returned
-    /// epoch, with no window for a concurrent publish in between.  This is
-    /// what incremental consumers (`MatchView::advance`) use to re-anchor.
-    pub fn replay_from(&self, since: u64) -> Option<(Vec<EdgeOp>, u64)> {
+    /// The head is pinned under the writer lock, taking the locks in the
+    /// order `apply` does (writer, then head).  Publishes happen under that
+    /// same writer lock, so the pair is exact: applying the returned ops to
+    /// epoch `since` yields precisely the returned snapshot's edge set, with
+    /// no window for a concurrent publish in between.  Incremental consumers
+    /// (`MatchView::advance`) use the ops only to find what changed, and
+    /// then pin the snapshot itself.
+    pub fn replay_from(&self, since: u64) -> Option<(Vec<EdgeOp>, Arc<GraphSnapshot>)> {
         let w = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
-        let head = self.epoch.load(Ordering::Acquire);
-        if since >= head {
+        let head = self.snapshot();
+        if since >= head.epoch() {
             return Some((Vec::new(), head));
         }
         // The log must cover every epoch in (since, head].
@@ -233,6 +235,13 @@ mod tests {
         let g = b.build();
         let follows = g.labels().edge_label("follows").unwrap();
         (g, nodes, follows)
+    }
+
+    /// `replay_from` with the head snapshot reduced to its epoch.
+    fn replay(store: &GraphStore, since: u64) -> Option<(Vec<EdgeOp>, u64)> {
+        store
+            .replay_from(since)
+            .map(|(ops, head)| (ops, head.epoch()))
     }
 
     #[test]
@@ -284,7 +293,7 @@ mod tests {
         assert!(err.is_err());
         assert_eq!(store.epoch(), 0);
         assert_eq!(store.snapshot().edge_count(), 1);
-        assert_eq!(store.replay_from(0), Some((Vec::new(), 0)));
+        assert_eq!(replay(&store, 0), Some((Vec::new(), 0)));
     }
 
     #[test]
@@ -299,9 +308,9 @@ mod tests {
                 EdgeOp::delete(n[0], n[1], follows),
             ])
             .unwrap();
-        // The ops come paired with the exact head epoch they reach.
+        // The ops come paired with the exact head they reach.
         assert_eq!(
-            store.replay_from(mid),
+            replay(&store, mid),
             Some((
                 vec![
                     EdgeOp::insert(n[2], n[3], follows),
@@ -310,16 +319,19 @@ mod tests {
                 store.epoch()
             ))
         );
-        let (all, _) = store.replay_from(0).unwrap();
+        let (all, head) = store.replay_from(0).unwrap();
         assert_eq!(all.len(), 3);
+        assert!(
+            Arc::ptr_eq(&head, &store.snapshot()),
+            "the head itself is pinned"
+        );
         // Replaying onto a rebuild of epoch 0 reproduces the head.
-        let (mut replay, _, _) = seed();
-        replay.apply_edge_ops(&all).unwrap();
-        let head = store.snapshot();
-        assert_eq!(replay.edge_count(), head.edge_count());
-        for v in replay.nodes() {
+        let (mut rebuilt, _, _) = seed();
+        rebuilt.apply_edge_ops(&all).unwrap();
+        assert_eq!(rebuilt.edge_count(), head.edge_count());
+        for v in rebuilt.nodes() {
             assert_eq!(
-                replay.out_neighbors_slice(v),
+                rebuilt.out_neighbors_slice(v),
                 head.out_neighbors_slice(v)
             );
         }
@@ -336,13 +348,13 @@ mod tests {
         }
         assert_eq!(store.epoch(), 5);
         assert_eq!(store.log_retention(), 2);
-        assert!(store.replay_from(0).is_none(), "epochs 1..=3 were dropped");
-        assert!(store.replay_from(2).is_none());
-        let (ops, head) = store.replay_from(3).unwrap();
+        assert!(replay(&store, 0).is_none(), "epochs 1..=3 were dropped");
+        assert!(replay(&store, 2).is_none());
+        let (ops, head) = replay(&store, 3).unwrap();
         assert_eq!((ops.len(), head), (2, 5));
-        assert_eq!(store.replay_from(5), Some((Vec::new(), 5)));
+        assert_eq!(replay(&store, 5), Some((Vec::new(), 5)));
         // A future epoch (reader from another store) degrades to empty.
-        assert_eq!(store.replay_from(9), Some((Vec::new(), 5)));
+        assert_eq!(replay(&store, 9), Some((Vec::new(), 5)));
     }
 
     #[test]

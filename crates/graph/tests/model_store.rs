@@ -12,8 +12,28 @@
 
 use qgp_check::sync::AtomicU64;
 use qgp_check::{explore, scope, Config, RaceCell};
-use qgp_graph::{publish_ordering, EdgeOp, GraphBuilder, GraphStore};
+use qgp_graph::{publish_ordering, EdgeOp, Graph, GraphBuilder, GraphStore, LabelId, NodeId};
 use std::sync::atomic::Ordering;
+
+/// Two people, `ann -follow-> bob`, with the overlay compaction threshold
+/// `threshold` (`0` for the default).
+fn two_people(threshold: usize) -> (Graph, NodeId, NodeId, LabelId) {
+    let mut b = GraphBuilder::new();
+    let ann = b.add_node("person");
+    let bob = b.add_node("person");
+    b.add_edge(ann, bob, "follow").unwrap();
+    let mut graph = b.build();
+    graph.set_compaction_threshold(threshold);
+    let follow = graph.labels().edge_label("follow").unwrap();
+    (graph, ann, bob, follow)
+}
+
+/// The edge set of a graph, sorted.
+fn edges(graph: &Graph) -> Vec<(NodeId, NodeId, LabelId)> {
+    let mut edges: Vec<_> = graph.edges().map(|e| (e.from, e.to, e.label)).collect();
+    edges.sort_unstable();
+    edges
+}
 
 /// The publish edge itself, isolated to its two memory accesses: the
 /// writer fills the snapshot payload *before* storing the epoch counter
@@ -95,6 +115,88 @@ fn readers_pin_consistent_epochs_while_the_writer_publishes() {
     assert!(
         report.executions > 1,
         "apply racing snapshot must branch; got {} executions",
+        report.executions
+    );
+}
+
+/// `replay_from` racing one publish: on every interleaving the ops and the
+/// snapshot it returns are an exact pair — the snapshot's epoch counts the
+/// replayed batch, and its edge set is epoch 0's with the ops applied.
+/// This is the pair `MatchView::advance` repairs between.
+#[test]
+fn replay_pairs_its_ops_with_the_snapshot_they_reach() {
+    let report = explore(&Config::exhaustive(), || {
+        let (graph, ann, bob, follow) = two_people(0);
+        let store = GraphStore::new(graph);
+        let zero = store.snapshot();
+        let batch = [
+            EdgeOp::delete(ann, bob, follow),
+            EdgeOp::insert(bob, ann, follow),
+        ];
+        scope(|s| {
+            let writer = s.spawn(|| {
+                store.apply(&batch).unwrap();
+            });
+            let reader = s.spawn(|| {
+                let (ops, head) = store.replay_from(0).expect("the log reaches epoch 0");
+                let expected_epoch = if ops.is_empty() { 0 } else { 1 };
+                assert_eq!(head.epoch(), expected_epoch, "ops and epoch disagree");
+                let mut replayed = zero.graph().clone();
+                replayed.apply_edge_ops(&ops).unwrap();
+                assert_eq!(
+                    edges(head.graph()),
+                    edges(&replayed),
+                    "ops and edges disagree"
+                );
+            });
+            writer.join().expect("writer");
+            reader.join().expect("reader");
+        });
+    });
+    report.expect_ok("replay_pairs_its_ops_with_the_snapshot_they_reach");
+    assert!(report.complete);
+    assert!(
+        report.executions > 1,
+        "replay racing apply must branch; got {} executions",
+        report.executions
+    );
+}
+
+/// Compaction under a pinned reader: with a compaction threshold of 1 both
+/// publishes below compact the writer's overlay, yet a snapshot pinned
+/// before them reads exactly the edges of its own epoch, on every
+/// interleaving of the reader with the publishes and after both.
+#[test]
+fn a_pinned_snapshot_reads_its_own_edges_across_compacting_publishes() {
+    let report = explore(&Config::exhaustive(), || {
+        let (graph, ann, bob, follow) = two_people(1);
+        let store = GraphStore::new(graph);
+        let pinned = store.snapshot();
+        scope(|s| {
+            let writer = s.spawn(|| {
+                for op in [
+                    EdgeOp::delete(ann, bob, follow),
+                    EdgeOp::insert(bob, ann, follow),
+                ] {
+                    let (report, _) = store.apply(&[op]).unwrap();
+                    assert!(report.compacted, "threshold 1 compacts on every change");
+                }
+            });
+            let reader = s.spawn(|| {
+                assert_eq!(edges(pinned.graph()), [(ann, bob, follow)]);
+            });
+            writer.join().expect("writer");
+            reader.join().expect("reader");
+        });
+        assert_eq!(pinned.epoch(), 0);
+        assert_eq!(edges(pinned.graph()), [(ann, bob, follow)]);
+        assert_eq!(edges(store.snapshot().graph()), [(bob, ann, follow)]);
+    });
+    report.expect_ok("a_pinned_snapshot_reads_its_own_edges_across_compacting_publishes");
+    assert!(report.complete);
+    assert!(
+        report.executions > 1,
+        "publishes racing a reader must branch; got {} executions",
         report.executions
     );
 }

@@ -1,14 +1,17 @@
 //! Knowledge discovery: run the paper's knowledge-graph patterns Q4 and Q5 on
-//! a YAGO2-like synthetic knowledge graph.
+//! a YAGO2-like synthetic knowledge graph, then keep Q4's answer live on a
+//! versioned store while update batches are published.
 //!
 //! ```text
 //! cargo run --release --example knowledge_discovery
 //! ```
 
+use std::sync::Arc;
+
 use quantified_graph_patterns::core::pattern::library;
 use quantified_graph_patterns::datasets::{yago_like, KnowledgeConfig};
 use quantified_graph_patterns::graph::GraphStats;
-use quantified_graph_patterns::{Engine, ExecOptions};
+use quantified_graph_patterns::{EdgeOp, Engine, ExecOptions, GraphStore, Runtime};
 
 fn main() {
     let graph = yago_like(&KnowledgeConfig::with_persons(5_000));
@@ -64,4 +67,43 @@ fn main() {
         .unwrap()
         .collect();
     println!("example Q4 matches (node ids): {preview:?}");
+
+    // A live view of Q4 on a versioned store.  Each published batch deletes
+    // edges leaving current answers and restores the previous batch's; the
+    // view follows the head by re-deciding only the foci near changed edges.
+    let store = GraphStore::new(graph.clone());
+    let live = Engine::from_store(&store)
+        .prepare(&library::q4_uk_professors(2))
+        .unwrap();
+    let mut view = live.view();
+    let deletions: Vec<EdgeOp> = graph
+        .edges()
+        .filter(|e| view.contains(e.from))
+        .take(30)
+        .map(|e| EdgeOp::delete(e.from, e.to, e.label))
+        .collect();
+    let mut restore: Vec<EdgeOp> = Vec::new();
+    for batch in deletions.chunks(10) {
+        let mut ops = std::mem::take(&mut restore);
+        ops.extend_from_slice(batch);
+        store.apply(&ops).unwrap();
+        let delta = view.advance_with(&store, Runtime::global()).unwrap();
+        let head = store.snapshot();
+        assert!(
+            Arc::ptr_eq(view.snapshot(), &head),
+            "the view pins the head"
+        );
+        let recomputed = live.run_on(&head, ExecOptions::sequential()).unwrap();
+        assert_eq!(view.matches(), recomputed.matches.as_slice());
+        println!(
+            "epoch {}: {} ops, {} foci re-decided, +{} -{} -> {} matches (= recompute)",
+            head.epoch(),
+            ops.len(),
+            delta.rechecked,
+            delta.added.len(),
+            delta.removed.len(),
+            view.len()
+        );
+        restore = batch.iter().map(EdgeOp::inverse).collect();
+    }
 }

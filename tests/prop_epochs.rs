@@ -4,9 +4,9 @@
 //!   recompute on a graph *rebuilt from scratch* with epoch `N`'s edge set,
 //!   no matter how many epochs the writer has published since — for every
 //!   matcher configuration,
-//! * `MatchView::advance` (replaying the store's inter-epoch log) leaves
-//!   the view equal to a recompute on the latest snapshot, with the view's
-//!   anchor tracking the store head,
+//! * `MatchView::advance` (repairing around the store's inter-epoch log)
+//!   leaves the view equal to a recompute on the latest snapshot, pinning
+//!   that very snapshot, with the view's anchor tracking the store head,
 //! * `QueryRegistry::serve` on each freshly published epoch answers every
 //!   request of a mixed batch (plain, `limit(k)`, `count`, two requests for
 //!   one query) like the brute-force oracle on a from-scratch rebuild,
@@ -15,7 +15,7 @@
 //!
 //! Streams come from the seeded [`UpdateStreamGen`], and every property
 //! draws the overlay compaction threshold from `{1, 3, 8, default}`, so the
-//! store's working graph (and a view's own overlay) compacts mid-stream.
+//! store's working graph compacts mid-stream.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -291,6 +291,7 @@ proptest! {
             prop_assert_eq!(view.anchor_epoch(), store.epoch());
 
             let head = store.snapshot();
+            prop_assert!(Arc::ptr_eq(view.snapshot(), &head), "the view pins the head itself");
             prop_assert_eq!(edge_set(view.graph()), edge_set(head.graph()));
             for config in all_configs() {
                 prop_assert_eq!(
