@@ -7,13 +7,13 @@
 
 use std::time::Instant;
 
-use qgp_core::engine::{Engine, ExecOptions, Parallelism};
+use qgp_core::engine::{Engine, ExecOptions};
 use qgp_core::matching::{MatchConfig, QueryAnswer};
 use qgp_core::pattern::Pattern;
 use qgp_datasets::PatternSize;
 use qgp_graph::Graph;
-use qgp_parallel::{dpar, dpar_with, DHopPartition, ParallelConfig, PartitionConfig};
-use qgp_rules::{mine_qgars, MiningConfig};
+use qgp_parallel::{dpar_with, DHopPartition, ParallelConfig, PartitionConfig};
+use qgp_rules::{mine_qgars_with_report, MiningConfig};
 use qgp_runtime::Runtime;
 
 use crate::report::{secs, Table};
@@ -32,6 +32,14 @@ fn sequential_match(graph: &Graph, pattern: &Pattern, config: &MatchConfig) -> Q
         .expect("sequential runs succeed")
 }
 
+/// The executor a `ParallelConfig` variant runs on: a dedicated one with its
+/// thread count, or the process-wide [`Runtime::global`] when it names none.
+fn runtime_for(config: &ParallelConfig) -> Runtime {
+    config
+        .threads
+        .map_or_else(|| Runtime::global().clone(), Runtime::new)
+}
+
 /// One partitioned engine execution under a `ParallelConfig` (the unit the
 /// parallel experiment tables time).
 fn partitioned_match(
@@ -40,12 +48,9 @@ fn partitioned_match(
     partition: &DHopPartition,
     config: &ParallelConfig,
 ) -> QueryAnswer {
-    let opts = ExecOptions::partitioned_with(
-        partition.fragments(),
-        partition.d(),
-        Parallelism::threads_or_global(config.threads),
-    )
-    .with_config(config.match_config);
+    let runtime = runtime_for(config);
+    let opts = ExecOptions::partitioned_on(partition.fragments(), partition.d(), &runtime)
+        .with_config(config.match_config);
     Engine::new(graph)
         .prepare(pattern)
         .expect("experiment patterns validate")
@@ -173,7 +178,7 @@ fn push_parallel_rows(
         .max()
         .unwrap_or(2)
         .max(2);
-    let partition = dpar(graph, &PartitionConfig::new(n, d));
+    let partition = dpar_with(graph, &PartitionConfig::new(n, d), Runtime::global());
     for (label, pattern) in patterns {
         let mut row = vec![label];
         let mut matches = 0usize;
@@ -358,7 +363,8 @@ pub fn exp3_qgar(scale: &ExperimentScale) -> Vec<Table> {
             max_rules: 8,
             ..MiningConfig::default()
         };
-        let (rules, elapsed) = time(|| mine_qgars(&graph, &config).unwrap());
+        let mine = || mine_qgars_with_report(&graph, &config, Runtime::global()).unwrap();
+        let ((rules, _), elapsed) = time(mine);
         let mut table = Table::new(
             format!(
                 "Exp-3 — QGARs mined from {} (η = 0.5, {} rules, {} s)",
@@ -394,7 +400,7 @@ pub fn smoke_parallel(scale: &ExperimentScale) -> (DHopPartition, usize) {
         PatternSize::new(4, 5, 30.0, 1),
     );
     let d = pattern.radius().max(2);
-    let partition = dpar(&graph, &PartitionConfig::new(2, d));
+    let partition = dpar_with(&graph, &PartitionConfig::new(2, d), Runtime::global());
     let answer = partitioned_match(&graph, &pattern, &partition, &ParallelConfig::pqmatch(2));
     (partition, answer.matches.len())
 }

@@ -11,10 +11,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use qgp_graph::{Fragment, GraphSnapshot, NodeId};
-use qgp_runtime::{CancelToken, ExecBudget, Runtime};
+use qgp_runtime::{CancelToken, ExecBudget};
 
 use super::count::{CountAnswer, FocusCount};
-use super::options::{BudgetPolicy, ExecMode, ExecOptions, Parallelism};
+use super::options::{BudgetPolicy, ExecMode, ExecOptions};
 use super::{Lease, PreparedQuery};
 use crate::error::MatchError;
 use crate::matching::{CountMode, MatchStats, QueryAnswer, SessionCore};
@@ -356,19 +356,6 @@ fn project((accepted, stats, truncated): (Vec<FocusCount>, MatchStats, bool)) ->
     }
 }
 
-/// Resolves a [`Parallelism`] into a usable executor (owning a dedicated
-/// one when asked for explicit thread counts).
-fn resolve_runtime<'a>(
-    parallelism: Parallelism<'a>,
-    owned: &'a mut Option<Runtime>,
-) -> &'a Runtime {
-    match parallelism {
-        Parallelism::Global => Runtime::global(),
-        Parallelism::On(rt) => rt,
-        Parallelism::Threads(n) => owned.insert(Runtime::new(n)),
-    }
-}
-
 /// Sorted, duplicate-free copy of a focus restriction.
 fn normalized(restrict: &[NodeId]) -> Vec<NodeId> {
     let mut v = restrict.to_vec();
@@ -412,13 +399,13 @@ pub(super) fn execute(
     // whole graph as the one site 0.
     let mut planning = MatchStats::default();
     let mut tasks: Vec<(u32, NodeId)> = Vec::new();
-    let (fragments, parallelism): (&[Fragment], _) = match opts.mode {
+    let (fragments, runtime): (&[Fragment], _) = match opts.mode {
         // Partitioned execution matches inside the fragments' own graphs;
         // the snapshot only pins the candidate universe via the fragments.
         ExecMode::Partitioned {
             fragments,
             d,
-            parallelism,
+            runtime,
         } => {
             if fragments.is_empty() {
                 return Err(MatchError::EmptyPartition);
@@ -454,7 +441,7 @@ pub(super) fn execute(
                     }
                 }
             }
-            (fragments, parallelism)
+            (fragments, runtime)
         }
         mode => {
             // The pooled session provides the (deterministic, sorted)
@@ -470,7 +457,7 @@ pub(super) fn execute(
                     v
                 }
             };
-            let ExecMode::Parallel(parallelism) = mode else {
+            let ExecMode::Parallel(runtime) = mode else {
                 // Sequential: the same tasks, decided lazily on the pooled
                 // session as the stream is iterated.
                 matches.schedule = Schedule::Streaming {
@@ -486,7 +473,7 @@ pub(super) fn execute(
             };
             planning = lease.stats();
             tasks.extend(candidates.into_iter().map(|v| (0, v)));
-            (&[], parallelism)
+            (&[], runtime)
         }
     };
     let site = |s: usize| match fragments.get(s) {
@@ -495,8 +482,6 @@ pub(super) fn execute(
     };
 
     let compiled = pq.compiled();
-    let mut owned = None;
-    let runtime = resolve_runtime(parallelism, &mut owned);
     let start = Instant::now();
     let outcome = runtime
         .try_map_with_cancel(

@@ -64,7 +64,7 @@ mod view;
 
 pub use count::{CountAnswer, FocusCount};
 pub use exec::{Matches, ParallelTelemetry};
-pub use options::{BudgetPolicy, ExecMode, ExecOptions, Parallelism};
+pub use options::{BudgetPolicy, ExecMode, ExecOptions};
 pub use qgp_runtime::{BudgetStop, CancelToken, ExecBudget, TaskError};
 pub use registry::{CacheStats, QueryId, QueryRegistry, ServeOutcome, ServeRequest};
 pub use view::{MatchView, ViewDelta, ViewError};

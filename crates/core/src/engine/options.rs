@@ -33,32 +33,6 @@ pub enum BudgetPolicy {
     Fail,
 }
 
-/// Where the parallel work of an execution runs.
-#[derive(Debug, Clone, Copy, Default)]
-pub enum Parallelism<'a> {
-    /// The process-wide [`Runtime::global`] executor (honors `QGP_THREADS`).
-    #[default]
-    Global,
-    /// A dedicated executor with this many worker threads, created for the
-    /// execution and dropped afterwards.
-    Threads(usize),
-    /// An explicit executor owned by the caller (the way benchmarks sweep
-    /// thread counts without touching the global runtime).
-    On(&'a Runtime),
-}
-
-impl Parallelism<'_> {
-    /// `Threads(n)` for `Some(n)`, the global runtime for `None` — the
-    /// conversion every `ParallelConfig`-style `threads: Option<usize>`
-    /// knob needs.
-    pub fn threads_or_global(threads: Option<usize>) -> Self {
-        match threads {
-            Some(n) => Parallelism::Threads(n),
-            None => Parallelism::Global,
-        }
-    }
-}
-
 /// How a prepared query executes.
 #[derive(Debug, Clone, Copy, Default)]
 pub enum ExecMode<'a> {
@@ -69,7 +43,7 @@ pub enum ExecMode<'a> {
     /// Whole-graph data parallelism: one task per focus candidate on a
     /// work-stealing executor, each worker holding one session built from
     /// the shared compiled pattern.
-    Parallel(Parallelism<'a>),
+    Parallel(&'a Runtime),
     /// `PQMatch`-style execution over a d-hop preserving partition: one
     /// task per covered focus candidate per fragment, answers reported in
     /// global node ids.
@@ -84,16 +58,18 @@ pub enum ExecMode<'a> {
         fragments: &'a [Fragment],
         /// The `d` the partition preserves; must be ≥ the pattern radius.
         d: usize,
-        /// Executor placement for the fragment tasks.
-        parallelism: Parallelism<'a>,
+        /// The executor the fragment tasks run on.
+        runtime: &'a Runtime,
     },
 }
 
 /// Options for one execution of a [`PreparedQuery`](super::PreparedQuery).
 ///
-/// Constructed with the mode shortcuts ([`ExecOptions::sequential`],
-/// [`ExecOptions::parallel`], [`ExecOptions::partitioned`], …) and refined
-/// with the builder methods.  The default is a sequential run with
+/// Constructed with one of the mode shortcuts ([`ExecOptions::sequential`],
+/// [`ExecOptions::parallel_on`], [`ExecOptions::partitioned_on`]) and
+/// refined with the builder methods.  Parallel work runs on the
+/// [`Runtime`] the mode is handed; pass [`Runtime::global`] for the
+/// process-wide executor.  The default is a sequential run with
 /// [`MatchConfig::qmatch`], no limit, no restriction and no cancellation.
 #[derive(Debug, Clone, Default)]
 pub struct ExecOptions<'a> {
@@ -118,12 +94,11 @@ pub struct ExecOptions<'a> {
     /// Policy applied when [`ExecOptions::budget`] is exhausted.
     pub on_budget: BudgetPolicy,
     /// Aggregate pushdown: when set, per-candidate decisions take the
-    /// kernel's counting work profile (what
-    /// [`MatchSession::decide_count`](crate::matching::MatchSession::decide_count)
-    /// runs) instead of enumerating child matches — the accepted set is
-    /// identical, only the work differs.  [`PreparedQuery::count`](super::PreparedQuery::count)
-    /// uses this as its [`CountMode`] (defaulting to
-    /// [`CountMode::ThresholdOnly`] when unset).
+    /// kernel's counting work profile instead of enumerating child matches
+    /// — the accepted set is identical, only the work differs.
+    /// [`PreparedQuery::count`](super::PreparedQuery::count) uses this as
+    /// its [`CountMode`] (defaulting to [`CountMode::ThresholdOnly`] when
+    /// unset).
     pub count: Option<CountMode>,
 }
 
@@ -133,70 +108,21 @@ impl<'a> ExecOptions<'a> {
         Self::default()
     }
 
-    /// A whole-graph parallel execution on the global runtime.
-    pub fn parallel() -> Self {
-        ExecOptions {
-            mode: ExecMode::Parallel(Parallelism::Global),
-            ..Self::default()
-        }
-    }
-
-    /// A whole-graph parallel execution on `threads` dedicated workers.
-    pub fn parallel_threads(threads: usize) -> Self {
-        ExecOptions {
-            mode: ExecMode::Parallel(Parallelism::Threads(threads)),
-            ..Self::default()
-        }
-    }
-
-    /// A whole-graph parallel execution on an explicit executor.
+    /// A whole-graph parallel execution on `runtime`.
     pub fn parallel_on(runtime: &'a Runtime) -> Self {
         ExecOptions {
-            mode: ExecMode::Parallel(Parallelism::On(runtime)),
+            mode: ExecMode::Parallel(runtime),
             ..Self::default()
         }
     }
 
-    /// A partitioned (`PQMatch`-style) execution on the global runtime.
-    pub fn partitioned(fragments: &'a [Fragment], d: usize) -> Self {
-        ExecOptions {
-            mode: ExecMode::Partitioned {
-                fragments,
-                d,
-                parallelism: Parallelism::Global,
-            },
-            ..Self::default()
-        }
-    }
-
-    /// A partitioned execution on an explicit executor.
+    /// A partitioned (`PQMatch`-style) execution on `runtime`.
     pub fn partitioned_on(fragments: &'a [Fragment], d: usize, runtime: &'a Runtime) -> Self {
         ExecOptions {
             mode: ExecMode::Partitioned {
                 fragments,
                 d,
-                parallelism: Parallelism::On(runtime),
-            },
-            ..Self::default()
-        }
-    }
-
-    /// A partitioned execution on `threads` dedicated workers.
-    pub fn partitioned_threads(fragments: &'a [Fragment], d: usize, threads: usize) -> Self {
-        Self::partitioned_with(fragments, d, Parallelism::Threads(threads))
-    }
-
-    /// A partitioned execution with an explicit [`Parallelism`].
-    pub fn partitioned_with(
-        fragments: &'a [Fragment],
-        d: usize,
-        parallelism: Parallelism<'a>,
-    ) -> Self {
-        ExecOptions {
-            mode: ExecMode::Partitioned {
-                fragments,
-                d,
-                parallelism,
+                runtime,
             },
             ..Self::default()
         }
@@ -275,16 +201,10 @@ mod tests {
         assert!(o.restrict.is_none() && o.cancel.is_none());
         assert_eq!(o.config, MatchConfig::qmatch());
 
-        let o = ExecOptions::parallel_threads(3).with_config(MatchConfig::enumerate());
-        assert!(matches!(
-            o.mode,
-            ExecMode::Parallel(Parallelism::Threads(3))
-        ));
+        let rt = Runtime::new(3);
+        let o = ExecOptions::parallel_on(&rt).with_config(MatchConfig::enumerate());
+        assert!(matches!(o.mode, ExecMode::Parallel(r) if r.threads() == 3));
         assert_eq!(o.config, MatchConfig::enumerate());
-
-        let rt = Runtime::new(2);
-        let o = ExecOptions::parallel_on(&rt);
-        assert!(matches!(o.mode, ExecMode::Parallel(Parallelism::On(_))));
 
         let nodes = [NodeId::new(1)];
         let o = ExecOptions::sequential()
@@ -307,7 +227,9 @@ mod tests {
             Some(CountMode::ThresholdOnly)
         );
         assert_eq!(
-            ExecOptions::parallel().count_exact().count,
+            ExecOptions::parallel_on(Runtime::global())
+                .count_exact()
+                .count,
             Some(CountMode::Exact)
         );
     }

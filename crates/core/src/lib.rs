@@ -64,8 +64,8 @@ pub(crate) mod test_support;
 
 pub use engine::{
     CancelToken, CountAnswer, Engine, ExecMode, ExecOptions, FocusCount, Matches,
-    ParallelTelemetry, Parallelism, PreparedQuery,
+    ParallelTelemetry, PreparedQuery,
 };
 pub use error::{MatchError, PatternError};
-pub use matching::{conventional_match, CountMode, MatchConfig, MatchStats, QueryAnswer};
+pub use matching::{CountMode, MatchConfig, MatchStats, QueryAnswer};
 pub use pattern::{CountingQuantifier, Pattern, PatternBuilder, PatternEdgeId, PatternNodeId};

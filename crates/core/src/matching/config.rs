@@ -12,10 +12,8 @@
 //! | [`MatchConfig::qmatch_n`] | `QMatchn` — like `QMatch` but recomputes each positified pattern from scratch instead of using `IncQMatch` |
 //! | [`MatchConfig::enumerate`]| `Enum` — enumerate all matches of the stratified pattern first, verify quantifiers afterwards |
 
-use serde::{Deserialize, Serialize};
-
 /// Tuning switches for the quantified matcher.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MatchConfig {
     /// Refine candidate sets with the graph-simulation pre-filter
     /// (Appendix B, Lemma 13).

@@ -4,8 +4,6 @@
 //!   decision kernel of `QMatch` (and, through [`MatchConfig`], of the
 //!   `QMatchn` and `Enum` variants evaluated in Section 7) that every
 //!   execution mode of [`crate::engine`] schedules,
-//! * [`conventional_match`] — traditional subgraph-isomorphism matching of
-//!   the stratified pattern,
 //! * [`reference::evaluate_reference`] — a naive, brute-force oracle used for
 //!   testing.
 
@@ -25,6 +23,6 @@ pub(crate) use candidates::CandidateFilter;
 pub(crate) use session::SessionCore;
 
 pub use config::MatchConfig;
-pub use qmatch::{conventional_match, QueryAnswer};
+pub use qmatch::QueryAnswer;
 pub use session::{CountMode, MatchSession};
 pub use stats::MatchStats;

@@ -11,14 +11,12 @@
 //!
 //! The algorithm itself runs in [`crate::engine`] (one decision kernel,
 //! `SessionCore::decide`, under one execution driver); this module keeps its
-//! answer type and the conventional-matching baseline.
+//! answer type.  Conventional matching is the same engine run on the
+//! stratified pattern `Q_π`: `Engine::new(g).prepare(&q.stratified())`.
 
-use qgp_graph::{Graph, NodeId};
+use qgp_graph::NodeId;
 
 use super::stats::MatchStats;
-use crate::engine::{Engine, ExecOptions};
-use crate::error::MatchError;
-use crate::pattern::Pattern;
 
 /// The answer of a quantified matching run: the matches of the query focus
 /// plus work counters.
@@ -54,26 +52,14 @@ impl QueryAnswer {
     }
 }
 
-/// Conventional graph pattern matching: the pattern is interpreted as a
-/// traditional pattern (every quantifier replaced by `σ(e) ≥ 1`) and the
-/// matches of the focus are returned.  This is the baseline semantics QGPs
-/// extend, and is also used to evaluate stratified patterns `Q_π`.
-pub fn conventional_match(graph: &Graph, pattern: &Pattern) -> Result<QueryAnswer, MatchError> {
-    pattern.validate().map_err(MatchError::InvalidPattern)?;
-    // With every quantifier existential, the projected pattern is the whole
-    // pattern and early acceptance stops at the first isomorphism per focus.
-    Engine::new(graph)
-        .prepare(&pattern.stratified())?
-        .run(ExecOptions::sequential())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::ExecOptions;
     use crate::matching::MatchConfig;
     use crate::pattern::{library, CountingQuantifier, PatternBuilder};
     use crate::test_support::{engine_match, run};
-    use qgp_graph::GraphBuilder;
+    use qgp_graph::{Graph, GraphBuilder};
 
     /// Graph G1 of Fig. 2.
     fn g1() -> (Graph, Vec<NodeId>, Vec<NodeId>) {
@@ -167,12 +153,12 @@ mod tests {
     }
 
     #[test]
-    fn conventional_match_ignores_quantifiers() {
+    fn stratified_run_ignores_quantifiers() {
         let (g, xs, _) = g1();
         let q3 = library::q3_redmi_negation(2);
         // As a conventional pattern (all edges existential), any xo with a
         // recommending friend *and* a bad-rating friend matches: only x3.
-        let ans = conventional_match(&g, &q3).unwrap();
+        let ans = run(&g, &q3.stratified(), ExecOptions::sequential()).unwrap();
         assert_eq!(ans.matches, vec![xs[2]]);
     }
 
@@ -187,7 +173,7 @@ mod tests {
         b.edge(z, redmi, "recom");
         b.focus(xo);
         let p = b.build().unwrap();
-        let a = conventional_match(&g, &p).unwrap();
+        let a = run(&g, &p.stratified(), ExecOptions::sequential()).unwrap();
         let b_ = engine_match(&g, &p, &MatchConfig::qmatch());
         assert_eq!(a.matches, b_.matches);
     }
@@ -202,7 +188,6 @@ mod tests {
         b.focus(xo);
         let p = b.build_unchecked();
         assert!(run(&g, &p, ExecOptions::sequential()).is_err());
-        assert!(conventional_match(&g, &p).is_err());
     }
 
     #[test]

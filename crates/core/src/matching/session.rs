@@ -308,19 +308,6 @@ impl<'g> MatchSession<'g> {
         self.core.accepts(self.graph, vx)
     }
 
-    /// The counting decision for `vx`: the same boolean
-    /// [`MatchSession::decide`] computes, paired with the witness count of
-    /// the focus's first out-edge — *without* materializing child matches.
-    ///
-    /// Under [`CountMode::ThresholdOnly`] every quantifier stops at its
-    /// verdict (the witness count is a sufficient lower bound); under
-    /// [`CountMode::Exact`] the count is the exact number of distinct
-    /// children matched by that edge.
-    pub fn decide_count(&mut self, vx: NodeId, mode: CountMode) -> (bool, usize) {
-        let verdict = self.core.decide(self.graph, vx, Some(mode), None);
-        verdict.map_or((false, 0), |v| (v.matched, v.witnesses))
-    }
-
     /// Work counters accumulated so far (including session construction).
     pub fn stats(&self) -> MatchStats {
         self.core.stats()

@@ -3,14 +3,12 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use super::quantifier::CountingQuantifier;
 use crate::error::PatternError;
 
 /// Identifier of a pattern node.  Patterns are small (real-life patterns have
 /// fewer than a dozen nodes — Section 7), so a `u16` index is ample.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PatternNodeId(pub u16);
 
 impl PatternNodeId {
@@ -22,7 +20,7 @@ impl PatternNodeId {
 }
 
 /// Identifier of a pattern edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PatternEdgeId(pub u16);
 
 impl PatternEdgeId {
@@ -34,7 +32,7 @@ impl PatternEdgeId {
 }
 
 /// A pattern node: a variable with a node label constraint.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PatternNode {
     /// Node label the matched graph node must carry.
     pub label: String,
@@ -44,7 +42,7 @@ pub struct PatternNode {
 }
 
 /// A pattern edge with its counting quantifier.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PatternEdge {
     /// Source pattern node.
     pub from: PatternNodeId,
@@ -60,14 +58,12 @@ pub struct PatternEdge {
 ///
 /// A conventional graph pattern is the special case where every edge carries
 /// the existential quantifier `σ(e) ≥ 1`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Pattern {
     nodes: Vec<PatternNode>,
     edges: Vec<PatternEdge>,
     focus: PatternNodeId,
-    #[serde(skip)]
     out_edges: Vec<Vec<PatternEdgeId>>,
-    #[serde(skip)]
     in_edges: Vec<Vec<PatternEdgeId>>,
 }
 
@@ -97,7 +93,7 @@ impl Pattern {
         p
     }
 
-    /// Rebuilds the cached adjacency lists (needed after deserialization).
+    /// Rebuilds the cached adjacency lists from the edge list.
     pub fn rebuild_adjacency(&mut self) {
         self.out_edges = vec![Vec::new(); self.nodes.len()];
         self.in_edges = vec![Vec::new(); self.nodes.len()];
@@ -660,24 +656,20 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip_preserves_adjacency() {
+    fn rebuilding_from_parts_preserves_adjacency() {
         let q = q3(3);
-        let json = serde_json_like(&q);
-        // We only check that rebuild_adjacency restores the caches after a
-        // structural clone that loses them.
+        // rebuild_adjacency restores the caches after a structural clone
+        // that loses them.
         let mut copy = Pattern::from_parts(
             q.nodes().map(|(_, n)| n.clone()).collect(),
             q.edges().map(|(_, e)| e.clone()).collect(),
             q.focus(),
         );
         copy.rebuild_adjacency();
-        assert_eq!(copy.out_edges_of(q.focus()).len(), q.out_edges_of(q.focus()).len());
-        assert!(!json.is_empty());
-    }
-
-    fn serde_json_like(q: &Pattern) -> String {
-        // Avoid a serde_json dependency: Display is enough to exercise the
-        // data without a full serialization round trip.
-        q.to_string()
+        assert_eq!(
+            copy.out_edges_of(q.focus()).len(),
+            q.out_edges_of(q.focus()).len()
+        );
+        assert_eq!(copy.to_string(), q.to_string());
     }
 }

@@ -17,10 +17,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Comparison operator `⊙` of a counting quantifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     /// Exactly equal (`=`).
     Eq,
@@ -41,7 +39,7 @@ impl fmt::Display for CmpOp {
 }
 
 /// The counting quantifier `f(e)` attached to a pattern edge.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CountingQuantifier {
     /// Numeric aggregate `σ(e) ⊙ p` — "at least/exactly `p` children of the
     /// matched node are matches of the edge's target".

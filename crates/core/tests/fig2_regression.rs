@@ -10,9 +10,10 @@
 
 mod common;
 
-use common::engine_match;
+use common::{engine_match, run};
+use qgp_core::engine::ExecOptions;
 use qgp_core::matching::reference::evaluate_reference;
-use qgp_core::matching::{conventional_match, MatchConfig};
+use qgp_core::matching::MatchConfig;
 use qgp_core::pattern::{library, Pattern};
 use qgp_graph::{Graph, GraphBuilder, NodeId};
 
@@ -114,11 +115,12 @@ fn q4_and_q5_on_g2_match_example_4() {
 }
 
 #[test]
-fn conventional_matching_on_g1_is_stable() {
+fn stratified_matching_on_g1_is_stable() {
     // Interpreted conventionally (all quantifiers existential), Q3 matches
     // any xo with both a recommending and a bad-rating followee: only x3.
     let (g, xs, _) = g1();
-    let ans = conventional_match(&g, &library::q3_redmi_negation(2)).unwrap();
+    let stratified = library::q3_redmi_negation(2).stratified();
+    let ans = run(&g, &stratified, ExecOptions::sequential()).unwrap();
     assert_eq!(ans.matches, vec![xs[2]]);
 }
 

@@ -196,7 +196,7 @@ proptest! {
             prop_assert_eq!(&routed.matches, &enumerated.matches);
             for threads in [1usize, 4] {
                 let par = prepared
-                    .count(ExecOptions::parallel_threads(threads).with_config(config))
+                    .count(ExecOptions::parallel_on(&Runtime::new(threads)).with_config(config))
                     .unwrap();
                 prop_assert_eq!(
                     par.matches().collect::<Vec<_>>(),
@@ -253,7 +253,7 @@ proptest! {
             }
             // Parallel exact counting reports the same witness values.
             let par = prepared
-                .count(ExecOptions::parallel_threads(4).with_config(config).count_exact())
+                .count(ExecOptions::parallel_on(&Runtime::new(4)).with_config(config).count_exact())
                 .unwrap();
             prop_assert_eq!(&par.per_focus, &exact.per_focus);
         }
@@ -282,7 +282,7 @@ proptest! {
             .unwrap();
         prop_assert_eq!(counted.matches().collect::<Vec<_>>(), enumerated.matches);
         let par = prepared
-            .count(ExecOptions::parallel_threads(4).restrict_to(&restriction))
+            .count(ExecOptions::parallel_on(&Runtime::new(4)).restrict_to(&restriction))
             .unwrap();
         prop_assert_eq!(&par.per_focus, &counted.per_focus);
 
@@ -298,7 +298,7 @@ proptest! {
         // Parallel limit: min(k, total) entries, each present in the full
         // answer with the same witness count.
         let par = prepared
-            .count(ExecOptions::parallel_threads(2).count_exact().limit(k))
+            .count(ExecOptions::parallel_on(&Runtime::new(2)).count_exact().limit(k))
             .unwrap();
         prop_assert_eq!(par.per_focus.len(), full.per_focus.len().min(k));
         for fc in &par.per_focus {
@@ -429,7 +429,7 @@ fn cancelled_counting_is_empty_and_leaves_no_poisoned_state() {
         .unwrap();
     assert!(seq.per_focus.is_empty() && seq.truncated);
     let par = prepared
-        .count(ExecOptions::parallel_threads(2).cancel_with(dead))
+        .count(ExecOptions::parallel_on(&Runtime::new(2)).cancel_with(dead))
         .unwrap();
     assert!(par.per_focus.is_empty());
 

@@ -145,7 +145,7 @@ proptest! {
             prop_assert_eq!(&seq.matches, &oracle, "sequential, {:?}", config);
             for threads in [1usize, 2, 4] {
                 let par = prepared
-                    .run(ExecOptions::parallel_threads(threads).with_config(config))
+                    .run(ExecOptions::parallel_on(&Runtime::new(threads)).with_config(config))
                     .unwrap();
                 prop_assert_eq!(
                     &par.matches, &oracle,
@@ -231,7 +231,7 @@ proptest! {
 
         // Parallel limit: exactly min(k, |answer|) members of the answer.
         let par = prepared
-            .run(ExecOptions::parallel_threads(2).limit(k))
+            .run(ExecOptions::parallel_on(&Runtime::new(2)).limit(k))
             .unwrap();
         prop_assert_eq!(par.matches.len(), full.matches.len().min(k));
         for v in &par.matches {
@@ -357,12 +357,16 @@ fn overlapping_fragment_coverage_does_not_short_the_limit() {
     let engine = Engine::new(&graph);
     let prepared = engine.prepare(&pattern(0)).unwrap();
     let full = prepared
-        .run(ExecOptions::partitioned(&fragments, 2))
+        .run(ExecOptions::partitioned_on(
+            &fragments,
+            2,
+            Runtime::global(),
+        ))
         .unwrap();
     assert_eq!(full.matches.len(), people.len());
     for k in [1usize, 3, 5, 6, 9] {
         let limited = prepared
-            .run(ExecOptions::partitioned(&fragments, 2).limit(k))
+            .run(ExecOptions::partitioned_on(&fragments, 2, Runtime::global()).limit(k))
             .unwrap();
         assert_eq!(
             limited.matches.len(),
@@ -383,7 +387,11 @@ fn partitioned_mode_rejects_bad_partitions() {
     let fragments = whole_graph_fragment(&graph);
     // d smaller than the radius.
     let err = prepared
-        .execute(ExecOptions::partitioned(&fragments, 1))
+        .execute(ExecOptions::partitioned_on(
+            &fragments,
+            1,
+            Runtime::global(),
+        ))
         .unwrap_err();
     assert!(matches!(
         err,
@@ -394,7 +402,7 @@ fn partitioned_mode_rejects_bad_partitions() {
     ));
     // Empty fragment list.
     let err = prepared
-        .execute(ExecOptions::partitioned(&[], 2))
+        .execute(ExecOptions::partitioned_on(&[], 2, Runtime::global()))
         .unwrap_err();
     assert!(matches!(err, qgp_core::MatchError::EmptyPartition));
 }

@@ -382,12 +382,14 @@ proptest! {
 fn global_runtime_serves_queries_after_an_injected_panic() {
     let (graph, pattern) = star_graph(64);
     let prepared = Engine::new(&graph).prepare(&pattern).unwrap();
-    let full = prepared.run(ExecOptions::parallel()).unwrap();
+    let full = prepared
+        .run(ExecOptions::parallel_on(Runtime::global()))
+        .unwrap();
     assert_eq!(full.matches.len(), 64);
 
     let err = {
         let _armed = faults::install(FaultPlan::new(5, 1.0));
-        prepared.run(ExecOptions::parallel())
+        prepared.run(ExecOptions::parallel_on(Runtime::global()))
     };
     match err {
         Err(MatchError::TaskPanicked(e)) => {
@@ -397,7 +399,9 @@ fn global_runtime_serves_queries_after_an_injected_panic() {
     }
 
     // Same global runtime, same prepared query: the full answer.
-    let again = prepared.run(ExecOptions::parallel()).unwrap();
+    let again = prepared
+        .run(ExecOptions::parallel_on(Runtime::global()))
+        .unwrap();
     assert_eq!(again.matches, full.matches);
 }
 
@@ -440,7 +444,7 @@ fn expired_deadline_budget_truncates_or_fails() {
     let expired = ExecBudget::with_timeout(std::time::Duration::ZERO);
     let err = prepared
         .run(
-            ExecOptions::parallel()
+            ExecOptions::parallel_on(Runtime::global())
                 .budget_with(expired)
                 .on_budget(BudgetPolicy::Fail),
         )

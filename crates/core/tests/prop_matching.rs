@@ -9,9 +9,10 @@ use proptest::prelude::*;
 
 mod common;
 
-use common::engine_match;
+use common::{engine_match, run};
+use qgp_core::engine::ExecOptions;
 use qgp_core::matching::reference::evaluate_reference;
-use qgp_core::matching::{conventional_match, MatchConfig};
+use qgp_core::matching::MatchConfig;
 use qgp_core::pattern::{CountingQuantifier, Pattern, PatternBuilder};
 use qgp_graph::{Graph, GraphBuilder, NodeId};
 
@@ -149,7 +150,7 @@ proptest! {
         let (graph, _) = build_graph(&gspec);
         let Some(pattern) = build_pattern(&pspec) else { return Ok(()); };
         let stratified = pattern.stratified();
-        let conventional = conventional_match(&graph, &stratified).unwrap();
+        let conventional = run(&graph, &stratified.stratified(), ExecOptions::sequential()).unwrap();
         let quantified = engine_match(&graph, &stratified, &MatchConfig::qmatch());
         prop_assert_eq!(conventional.matches, quantified.matches);
     }

@@ -24,8 +24,6 @@
 //! which layers sorted side-tables over this base and folds them back in
 //! with one `rebuild` at compaction time.
 
-use serde::{Deserialize, Serialize};
-
 use crate::graph::NodeId;
 
 /// A `(node, label, neighbor)` triple in raw `u32` form.  The meaning of
@@ -34,7 +32,7 @@ use crate::graph::NodeId;
 pub(crate) type Triple = (u32, u32, u32);
 
 /// One direction of the graph's adjacency in frozen CSR form.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct CsrAdjacency {
     /// Dense range index, stride `label_count + 1` (see module docs).
     label_offsets: Vec<u32>,

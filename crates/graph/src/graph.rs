@@ -14,8 +14,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::csr::{CsrAdjacency, Triple};
 use crate::delta::{EdgeOp, GraphDelta, UpdateReport, UpdateStats};
 use crate::error::GraphError;
@@ -30,7 +28,7 @@ pub const DEFAULT_COMPACTION_THRESHOLD: usize = 1024;
 /// Node ids are dense indexes assigned in insertion order; `u32` keeps the
 /// adjacency arrays compact (graphs of up to ~4 billion nodes are supported,
 /// far beyond what fits in memory anyway).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -73,7 +71,7 @@ pub struct EdgeRef {
 /// clones share the frozen arrays until one of them mutates
 /// ([`Arc::make_mut`] un-shares only then) — this is what makes
 /// [`crate::GraphSnapshot`] epochs and live match views memory-cheap.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Graph {
     labels: Arc<LabelSet>,
     node_labels: Arc<Vec<LabelId>>,

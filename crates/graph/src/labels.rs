@@ -8,14 +8,12 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 /// A dense, interned label identifier.
 ///
 /// Node labels and edge labels live in separate namespaces (see
 /// [`LabelSet`]); a `LabelId` is only meaningful together with the namespace
 /// it was interned in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LabelId(pub u32);
 
 impl LabelId {
@@ -31,13 +29,11 @@ impl LabelId {
 /// The two namespaces are kept separate because a string such as `"likes"`
 /// may legitimately appear both as a node label and as an edge label without
 /// the two being related.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct LabelSet {
     node_names: Vec<String>,
     edge_names: Vec<String>,
-    #[serde(skip)]
     node_index: HashMap<String, LabelId>,
-    #[serde(skip)]
     edge_index: HashMap<String, LabelId>,
 }
 
@@ -47,8 +43,7 @@ impl LabelSet {
         Self::default()
     }
 
-    /// Rebuilds the string → id indexes (needed after deserialization,
-    /// because the hash maps are not serialized).
+    /// Rebuilds the string → id indexes from the name lists.
     pub fn rebuild_index(&mut self) {
         self.node_index = self
             .node_names

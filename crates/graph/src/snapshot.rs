@@ -10,8 +10,6 @@
 
 use std::ops::Deref;
 
-use serde::{Deserialize, Serialize};
-
 use crate::graph::Graph;
 
 /// An immutable graph version: a sealed [`Graph`] (frozen CSR plus its
@@ -21,7 +19,7 @@ use crate::graph::Graph;
 /// (`out_neighbors_with_label_slice`, `has_edge`, …) is available directly.
 /// There is deliberately no mutable access: updates go through a
 /// [`crate::GraphStore`], which publishes a *new* snapshot per batch.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GraphSnapshot {
     graph: Graph,
     epoch: u64,

@@ -103,7 +103,7 @@ fn unwrap_scoped(rel: &str) -> bool {
 /// pins, which is what makes registered queries and cross-epoch serving
 /// possible at all.  These are the grandfathered exceptions: the
 /// options/execution-mode family borrows a `Runtime` and fragments.
-const ENGINE_LIFETIME_ALLOWED: &[&str] = &["ExecOptions", "ExecMode", "Parallelism"];
+const ENGINE_LIFETIME_ALLOWED: &[&str] = &["ExecOptions", "ExecMode"];
 
 /// Returns the name of a lifetime-parameterized public type declared on
 /// this (stripped) line of an engine module, unless allowlisted.
@@ -509,7 +509,7 @@ fn scan_file(rel: &str, source: &str, findings: &mut Vec<Finding>) {
                     message: format!(
                         "lifetime-parameterized public type `{name}` on the engine \
                          surface; pin an Arc<GraphSnapshot> instead (grandfathered: \
-                         ExecOptions/ExecMode/Parallelism)"
+                         ExecOptions/ExecMode)"
                     ),
                 });
             }
@@ -612,13 +612,21 @@ mod tests {
             scan("crates/core/src/engine/x.rs", "pub struct Matches<'q> {\n"),
             vec!["engine-lifetime"]
         );
+        // An execution names its executor as a `&Runtime`; a separate
+        // placement enum must not come back.
+        assert_eq!(
+            scan(
+                "crates/core/src/engine/x.rs",
+                "pub enum Parallelism<'a> {\n"
+            ),
+            vec!["engine-lifetime"]
+        );
         // The same declaration outside the engine surface is fine.
         assert!(scan("crates/core/src/matching/x.rs", bad).is_empty());
         // Grandfathered types and lifetime-free types are clean.
         for ok in [
             "pub enum ExecMode<'a> {\n",
             "pub struct ExecOptions<'a> {\n",
-            "pub enum Parallelism<'a> {\n",
             "pub struct Engine {\n",
             "pub(crate) struct SessionEntry<'g> {\n",
         ] {

@@ -219,14 +219,8 @@ impl Erosion {
     }
 }
 
-/// Builds a d-hop preserving partition of `graph` (`DPar`) on the global
-/// runtime (`QGP_THREADS`).
-pub fn dpar(graph: &Graph, config: &PartitionConfig) -> DHopPartition {
-    dpar_with(graph, config, Runtime::global())
-}
-
-/// Builds a d-hop preserving partition of `graph` (`DPar`) on an explicit
-/// executor.
+/// Builds a d-hop preserving partition of `graph` (`DPar`) on `runtime`
+/// (pass [`Runtime::global`] for the process-wide executor).
 ///
 /// Sizing the border nodes' neighborhoods — the dominant cost — runs as
 /// stealable node-range tasks on the runtime (the parallel scalability claim
@@ -504,7 +498,7 @@ mod tests {
         let g = ring_graph(40);
         for n in [1, 2, 4, 7] {
             for d in [1, 2] {
-                let p = dpar(&g, &PartitionConfig::new(n, d));
+                let p = dpar_with(&g, &PartitionConfig::new(n, d), Runtime::global());
                 assert_eq!(p.len(), n);
                 assert!(!p.is_empty());
                 assert_partition_invariants(&g, &p);
@@ -515,7 +509,7 @@ mod tests {
     #[test]
     fn base_partition_is_roughly_balanced() {
         let g = ring_graph(60);
-        let p = dpar(&g, &PartitionConfig::new(4, 1));
+        let p = dpar_with(&g, &PartitionConfig::new(4, 1), Runtime::global());
         let stats = p.stats();
         assert_eq!(stats.total_nodes, 61);
         assert_eq!(stats.fragment_sizes.len(), 4);
@@ -528,7 +522,7 @@ mod tests {
     #[test]
     fn single_fragment_partition_covers_everything_trivially() {
         let g = ring_graph(10);
-        let p = dpar(&g, &PartitionConfig::new(1, 2));
+        let p = dpar_with(&g, &PartitionConfig::new(1, 2), Runtime::global());
         assert_eq!(p.len(), 1);
         let frag = &p.fragments()[0];
         assert_eq!(frag.node_count(), g.node_count());
@@ -548,7 +542,7 @@ mod tests {
             b.add_edge(hub, l, "follow").unwrap();
         }
         let g = b.build();
-        let p = dpar(&g, &PartitionConfig::new(4, 1));
+        let p = dpar_with(&g, &PartitionConfig::new(4, 1), Runtime::global());
         assert_partition_invariants(&g, &p);
         assert!(p.stats().border_nodes > 0);
     }
@@ -558,8 +552,8 @@ mod tests {
         // Dense bookkeeping has no iteration-order entropy: two runs must
         // produce identical fragments and statistics.
         let g = ring_graph(35);
-        let a = dpar(&g, &PartitionConfig::new(3, 2));
-        let b = dpar(&g, &PartitionConfig::new(3, 2));
+        let a = dpar_with(&g, &PartitionConfig::new(3, 2), Runtime::global());
+        let b = dpar_with(&g, &PartitionConfig::new(3, 2), Runtime::global());
         assert_eq!(a.stats().fragment_sizes, b.stats().fragment_sizes);
         assert_eq!(
             a.stats().covered_before_completion,
@@ -594,7 +588,7 @@ mod tests {
 
     #[test]
     fn a_bfs_runs_only_for_border_nodes() {
-        // Clock-free guard for the near-linearity of `dpar`: one sizing run
+        // Clock-free guard for the near-linearity of `dpar_with`: one sizing run
         // per border node, at most two weighing runs, none at all when the
         // base chunks are already d-hop closed — for any thread count.
         let g = ring_graph(50);
@@ -661,7 +655,7 @@ mod tests {
     #[test]
     fn empty_graph_partitions_without_panicking() {
         let g = Graph::new();
-        let p = dpar(&g, &PartitionConfig::new(3, 2));
+        let p = dpar_with(&g, &PartitionConfig::new(3, 2), Runtime::global());
         assert_eq!(p.len(), 3);
         assert_eq!(p.stats().total_nodes, 0);
     }

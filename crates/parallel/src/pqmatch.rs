@@ -29,8 +29,10 @@ use crate::partition::DHopPartition;
 /// Configuration of a parallel matching run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ParallelConfig {
-    /// Number of executor threads; `None` uses the process-wide
-    /// [`Runtime::global`] (configured by `QGP_THREADS`).
+    /// The thread count this variant is meant to run with, for a caller
+    /// that builds its executor from the config; `None` states no
+    /// preference.  [`pqmatch_on`] does not read this field: it runs on the
+    /// [`Runtime`] it is handed, whatever that runtime's thread count.
     pub threads: Option<usize>,
     /// The matcher configuration each session runs.
     pub match_config: MatchConfig,
@@ -46,7 +48,9 @@ impl ParallelConfig {
         }
     }
 
-    /// `PQMatchs`: the single-threaded counterpart of `PQMatch`.
+    /// `PQMatchs`: `PQMatch` with a thread count of 1.  The variants differ
+    /// only in the executor they run on, so [`pqmatch_on`] gives a
+    /// single-threaded run only on a single-threaded [`Runtime`].
     pub fn pqmatch_s() -> Self {
         Self::pqmatch(1)
     }
@@ -112,11 +116,12 @@ fn to_parallel_error(e: MatchError) -> ParallelError {
     }
 }
 
-/// Runs `PQMatch` over an existing d-hop preserving partition on an
-/// explicit executor: prepares `pattern` and executes it once in
+/// Runs `PQMatch` over an existing d-hop preserving partition on
+/// `runtime`: prepares `pattern` and executes it once in
 /// [`ExecMode::Partitioned`](qgp_core::engine::ExecMode::Partitioned),
-/// reporting the scheduling telemetry next to the answer.  To run one
-/// pattern many times, prepare it once with [`Engine::prepare`] instead.
+/// reporting the scheduling telemetry next to the answer.  Only
+/// `config.match_config` is read; the thread count is `runtime`'s.  To run
+/// one pattern many times, prepare it once with [`Engine::prepare`] instead.
 ///
 /// Returns an error when the pattern is invalid, when its radius exceeds
 /// the partition's `d` — the covering guarantee would no longer imply that
@@ -152,7 +157,7 @@ pub fn pqmatch_on(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::{dpar, PartitionConfig};
+    use crate::partition::{dpar_with, PartitionConfig};
     use crate::test_support::engine_match;
     use qgp_core::matching::reference::evaluate_reference;
     use qgp_core::pattern::{library, CountingQuantifier, PatternBuilder};
@@ -191,7 +196,7 @@ mod tests {
             assert_eq!(sequential.matches, expected, "pattern={pattern}");
             for n in [1, 2, 4] {
                 for threads in [1, 2] {
-                    let partition = dpar(&g, &PartitionConfig::new(n, 2));
+                    let partition = dpar_with(&g, &PartitionConfig::new(n, 2), Runtime::global());
                     let parallel = pqmatch_on(
                         &pattern,
                         &partition,
@@ -213,7 +218,7 @@ mod tests {
     fn all_parallel_variants_agree() {
         let g = social_graph(8);
         let pattern = library::q3_redmi_negation(2);
-        let partition = dpar(&g, &PartitionConfig::new(3, 2));
+        let partition = dpar_with(&g, &PartitionConfig::new(3, 2), Runtime::global());
         let expected = evaluate_reference(&g, &pattern);
         let runtime = Runtime::new(2);
         for config in [
@@ -229,6 +234,23 @@ mod tests {
     }
 
     #[test]
+    fn pqmatch_on_runs_on_the_runtime_it_is_handed() {
+        // The config asks for 4 threads; the runtime has one, and wins.
+        let g = social_graph(12);
+        let pattern = library::q3_redmi_negation(2);
+        let partition = dpar_with(&g, &PartitionConfig::new(3, 2), Runtime::global());
+        let answer = pqmatch_on(
+            &pattern,
+            &partition,
+            &ParallelConfig::pqmatch(4),
+            &Runtime::new(1),
+        )
+        .unwrap();
+        assert_eq!(answer.thread_busy.len(), 1);
+        assert_eq!(answer.matches, evaluate_reference(&g, &pattern));
+    }
+
+    #[test]
     fn sessions_are_reused_per_worker_not_per_chunk() {
         // With a grain far below the candidate count the executor claims
         // many blocks, but sessions must only be built once per
@@ -237,7 +259,7 @@ mod tests {
         let pattern = library::q3_redmi_negation(2);
         let n = 3;
         let threads = 2;
-        let partition = dpar(&g, &PartitionConfig::new(n, 2));
+        let partition = dpar_with(&g, &PartitionConfig::new(n, 2), Runtime::global());
         let runtime = Runtime::new(threads);
         let answer = pqmatch_on(
             &pattern,
@@ -261,7 +283,7 @@ mod tests {
     #[test]
     fn radius_larger_than_d_is_rejected() {
         let g = social_graph(4);
-        let partition = dpar(&g, &PartitionConfig::new(2, 1));
+        let partition = dpar_with(&g, &PartitionConfig::new(2, 1), Runtime::global());
         // A radius-2 pattern cannot be answered on a 1-hop partition.
         let pattern = library::q2_redmi_universal();
         assert_eq!(pattern.radius(), 2);
@@ -284,7 +306,7 @@ mod tests {
     #[test]
     fn invalid_patterns_are_rejected_before_spawning_workers() {
         let g = social_graph(2);
-        let partition = dpar(&g, &PartitionConfig::new(2, 2));
+        let partition = dpar_with(&g, &PartitionConfig::new(2, 2), Runtime::global());
         let mut b = PatternBuilder::new();
         let xo = b.node("person");
         let y = b.node("person");

@@ -8,11 +8,12 @@
 //! re-matching: it counts each seed feature once and filters that count
 //! for every rung of its strengthening ladder.
 
-use qgp_core::engine::{Engine, ExecOptions, Parallelism};
+use qgp_core::engine::{Engine, ExecOptions};
 use qgp_core::matching::{MatchConfig, MatchStats};
 use qgp_core::pattern::{Pattern, PatternEdgeId};
 use qgp_graph::{Graph, LabelId, NodeId};
-use qgp_parallel::{DHopPartition, ParallelConfig};
+use qgp_parallel::DHopPartition;
+use qgp_runtime::Runtime;
 
 use crate::error::RuleError;
 use crate::rule::Qgar;
@@ -93,22 +94,21 @@ pub fn evaluate_rule(
 }
 
 /// `dgarMatch`: parallel evaluation of a QGAR over a d-hop preserving
-/// partition (Corollary 11(2)).  The partition's `d` must be at least the
-/// rule's radius.  Both patterns run through the counting path, like
-/// [`evaluate_rule`].
+/// partition (Corollary 11(2)), with the fragment tasks on `runtime`.  The
+/// partition's `d` must be at least the rule's radius.  Both patterns run
+/// through the counting path, like [`evaluate_rule`].
 pub fn evaluate_rule_parallel(
     graph: &Graph,
     rule: &Qgar,
     partition: &DHopPartition,
-    config: &ParallelConfig,
+    config: &MatchConfig,
+    runtime: &Runtime,
 ) -> Result<RuleEvaluation, RuleError> {
     let fragments = partition.fragments();
     let first = fragments.first();
     let first = first.ok_or_else(|| RuleError::Parallel("empty partition".to_owned()))?;
     let engine = Engine::new(first.graph());
-    let threads = Parallelism::threads_or_global(config.threads);
-    let opts = ExecOptions::partitioned_with(fragments, partition.d(), threads)
-        .with_config(config.match_config);
+    let opts = ExecOptions::partitioned_on(fragments, partition.d(), runtime).with_config(*config);
     evaluate_with(graph, rule, &engine, opts, RuleError::Parallel)
 }
 
@@ -186,7 +186,7 @@ mod tests {
     use super::*;
     use qgp_core::pattern::{CountingQuantifier, PatternBuilder};
     use qgp_graph::GraphBuilder;
-    use qgp_parallel::{dpar, PartitionConfig};
+    use qgp_parallel::{dpar_with, PartitionConfig};
 
     /// A marketing graph where some users both satisfy the antecedent
     /// ("all followees recommend the phone") and bought it, some satisfy the
@@ -292,9 +292,10 @@ mod tests {
         let (g, _) = marketing_graph();
         let rule = phone_rule();
         let sequential = evaluate_rule(&g, &rule, &MatchConfig::qmatch()).unwrap();
-        let partition = dpar(&g, &PartitionConfig::new(3, rule.radius()));
-        let parallel =
-            evaluate_rule_parallel(&g, &rule, &partition, &ParallelConfig::pqmatch(2)).unwrap();
+        let rt = Runtime::new(2);
+        let partition = dpar_with(&g, &PartitionConfig::new(3, rule.radius()), &rt);
+        let config = MatchConfig::qmatch();
+        let parallel = evaluate_rule_parallel(&g, &rule, &partition, &config, &rt).unwrap();
         assert_eq!(parallel.rule_matches, sequential.rule_matches);
         assert_eq!(parallel.support, sequential.support);
         assert!((parallel.confidence - sequential.confidence).abs() < 1e-9);
@@ -330,9 +331,10 @@ mod tests {
     fn parallel_radius_mismatch_surfaces_as_rule_error() {
         let (g, _) = marketing_graph();
         let rule = phone_rule();
-        let partition = dpar(&g, &PartitionConfig::new(2, 1));
+        let rt = Runtime::new(1);
+        let partition = dpar_with(&g, &PartitionConfig::new(2, 1), &rt);
         assert!(matches!(
-            evaluate_rule_parallel(&g, &rule, &partition, &ParallelConfig::pqmatch(1)),
+            evaluate_rule_parallel(&g, &rule, &partition, &MatchConfig::qmatch(), &rt),
             Err(RuleError::Parallel(_))
         ));
     }

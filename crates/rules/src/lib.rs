@@ -66,7 +66,5 @@ pub mod rule;
 
 pub use error::RuleError;
 pub use evaluate::{evaluate_rule, evaluate_rule_parallel, identify_entities, RuleEvaluation};
-pub use mining::{
-    mine_qgars, mine_qgars_with, mine_qgars_with_report, MinedRule, MiningConfig, MiningReport,
-};
+pub use mining::{mine_qgars_with_report, MinedRule, MiningConfig, MiningReport};
 pub use rule::Qgar;

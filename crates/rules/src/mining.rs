@@ -103,7 +103,9 @@ pub struct MiningReport {
     pub steals: usize,
 }
 
-/// Mines QGARs from a graph (the Exp-3 procedure) on the global runtime.
+/// Mines QGARs from a graph (the Exp-3 procedure) on `runtime`, returning
+/// the rules with the run's work and scheduling telemetry (what the
+/// `mine_rules` benchmark workload records).
 ///
 /// 1. Frequent focus-incident edge features `x_o -e-> y` become candidate
 ///    antecedent and consequent building blocks (the "GPAR seeds").
@@ -122,21 +124,6 @@ pub struct MiningReport {
 /// executor; steps 2 and 3 are then merges and arithmetic over them, with
 /// no further matching.  The mined output is deterministic and independent
 /// of the thread count.
-pub fn mine_qgars(graph: &Graph, config: &MiningConfig) -> Result<Vec<MinedRule>, RuleError> {
-    mine_qgars_with(graph, config, Runtime::global())
-}
-
-/// [`mine_qgars`] on an explicit executor.
-pub fn mine_qgars_with(
-    graph: &Graph,
-    config: &MiningConfig,
-    runtime: &Runtime,
-) -> Result<Vec<MinedRule>, RuleError> {
-    mine_qgars_with_report(graph, config, runtime).map(|(rules, _)| rules)
-}
-
-/// [`mine_qgars`] on an explicit executor, also returning work and
-/// scheduling telemetry (what the `mine_rules` benchmark workload records).
 pub fn mine_qgars_with_report(
     graph: &Graph,
     config: &MiningConfig,
@@ -355,6 +342,11 @@ mod tests {
     use qgp_datasets::{pokec_like, SocialConfig};
     use qgp_graph::GraphBuilder;
 
+    /// The mined rules alone.
+    fn mine(graph: &Graph, config: &MiningConfig, runtime: &Runtime) -> Vec<MinedRule> {
+        mine_qgars_with_report(graph, config, runtime).unwrap().0
+    }
+
     /// A graph with a built-in regularity: users who follow fans of an album
     /// tend to buy that album.
     fn regular_graph(users: usize) -> Graph {
@@ -414,18 +406,18 @@ mod tests {
             ..MiningConfig::default()
         };
         let rt = Runtime::new(2);
-        let baseline = mine_qgars_with(&g, &config, &rt).unwrap();
+        let baseline = mine(&g, &config, &rt);
         {
             let _armed =
                 qgp_runtime::faults::install(qgp_runtime::faults::FaultPlan::new(21, 1.0));
-            let err = mine_qgars_with(&g, &config, &rt).unwrap_err();
+            let err = mine_qgars_with_report(&g, &config, &rt).unwrap_err();
             match err {
                 RuleError::Parallel(msg) => assert!(msg.contains("injected fault"), "{msg}"),
                 other => panic!("expected RuleError::Parallel, got {other:?}"),
             }
         }
         // Disarmed, the same runtime mines the same rules.
-        let again = mine_qgars_with(&g, &config, &rt).unwrap();
+        let again = mine(&g, &config, &rt);
         assert_eq!(again.len(), baseline.len());
         for (a, b) in again.iter().zip(&baseline) {
             assert_eq!(a.rule.name(), b.rule.name());
@@ -440,7 +432,7 @@ mod tests {
             focus_label: "robot".to_owned(),
             ..MiningConfig::default()
         };
-        assert!(mine_qgars(&g, &config).unwrap().is_empty());
+        assert!(mine(&g, &config, Runtime::global()).is_empty());
     }
 
     #[test]
@@ -450,7 +442,7 @@ mod tests {
             min_support: 1000,
             ..MiningConfig::default()
         };
-        assert!(mine_qgars(&g, &config).unwrap().is_empty());
+        assert!(mine(&g, &config, Runtime::global()).is_empty());
     }
 
     #[test]
@@ -461,7 +453,7 @@ mod tests {
             confidence_threshold: 0.3,
             ..MiningConfig::default()
         };
-        let reference = mine_qgars_with(&g, &config, &Runtime::new(1)).unwrap();
+        let reference = mine(&g, &config, &Runtime::new(1));
         assert!(!reference.is_empty());
         for threads in [2, 4] {
             let (rules, report) =
@@ -487,7 +479,7 @@ mod tests {
             confidence_threshold: 0.3,
             ..MiningConfig::default()
         };
-        let rules = mine_qgars(&g, &config).unwrap();
+        let rules = mine(&g, &config, Runtime::global());
         assert!(!rules.is_empty());
         let engine = Engine::new(&g);
         let enumerate = |pattern| {
@@ -516,7 +508,7 @@ mod tests {
             max_rules: 2,
             ..MiningConfig::default()
         };
-        let rules = mine_qgars(&g, &config).unwrap();
+        let rules = mine(&g, &config, Runtime::global());
         assert!(rules.len() <= 2);
     }
 
@@ -546,7 +538,7 @@ mod tests {
                 assert_eq!(graded, evaluate_reference(g, &pattern), "{name}");
             }
         }
-        let rules = mine_qgars(g, &config).unwrap();
+        let rules = mine(g, &config, Runtime::global());
         assert!(!rules.is_empty());
         for mined in &rules {
             let fresh = evaluate_rule(g, &mined.rule, &MatchConfig::qmatch()).unwrap();

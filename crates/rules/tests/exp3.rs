@@ -5,7 +5,7 @@
 use qgp_core::pattern::{CountingQuantifier, PatternBuilder};
 use qgp_datasets::{pokec_like, SocialConfig};
 use qgp_graph::Graph;
-use qgp_rules::{evaluate_rule, mine_qgars_with, MinedRule, MiningConfig, Qgar};
+use qgp_rules::{evaluate_rule, mine_qgars_with_report, MinedRule, MiningConfig, Qgar};
 use qgp_runtime::Runtime;
 
 /// Min support × confidence threshold of the benchmark's `mine_rules` configs.
@@ -85,7 +85,7 @@ fn exp3_rules_match_the_pinned_hash() {
     let g = graph();
     let rt = Runtime::new(1);
     let hashes: Vec<u64> = configs()
-        .map(|c| hash(&mine_qgars_with(&g, &c, &rt).unwrap()))
+        .map(|c| hash(&mine_qgars_with_report(&g, &c, &rt).unwrap().0))
         .collect();
     assert_eq!(hashes, PINNED);
 }
@@ -107,7 +107,7 @@ fn with_quantifier(rule: &Qgar, q: CountingQuantifier) -> Qgar {
 fn support_never_rises_along_a_strengthening_ladder() {
     let g = graph();
     let config = MiningConfig::default();
-    let rules = mine_qgars_with(&g, &config, &Runtime::new(1)).unwrap();
+    let (rules, _) = mine_qgars_with_report(&g, &config, &Runtime::new(1)).unwrap();
     assert!(rules.iter().any(|r| r.strengthened_to.is_some()));
     let support = |rule: &Qgar, q| {
         let eval = evaluate_rule(&g, &with_quantifier(rule, q), &config.match_config);

@@ -13,7 +13,7 @@
 //! of the map through an internal abort token, the scope joins cleanly, and
 //! the panic surfaces as a structured [`TaskError`] — from
 //! [`Runtime::try_map_with_cancel`] as `Err(TaskError)`, from the
-//! infallible `map*` entry points as a caller-side panic raised *after* the
+//! infallible `map`/`map_with` as a caller-side panic raised *after* the
 //! join.  Either way no worker thread unwinds through `join()`, so the
 //! `Runtime` (including [`Runtime::global`]) stays reusable after any task
 //! panic.
@@ -84,25 +84,6 @@ pub struct TaskError {
     /// The panic payload rendered as a string (`&str`/`String` payloads
     /// verbatim, anything else a placeholder).
     pub payload: String,
-}
-
-impl TaskError {
-    /// Builds a `TaskError` from a payload caught by
-    /// [`std::panic::catch_unwind`], rendering `&str`/`String` payloads
-    /// verbatim and anything else as a placeholder.  For callers that run
-    /// their own `catch_unwind` (e.g. sequential fallbacks) and want the
-    /// same error shape the executor produces.
-    pub fn from_panic(
-        worker: usize,
-        index: Option<usize>,
-        payload: Box<dyn std::any::Any + Send>,
-    ) -> Self {
-        TaskError {
-            worker,
-            index,
-            payload: payload_to_string(payload),
-        }
-    }
 }
 
 impl std::fmt::Display for TaskError {
@@ -218,11 +199,18 @@ impl Runtime {
         self.map_with(len, || (), |(), i| step(i))
     }
 
-    /// Parallel map with per-worker scratch state and a default grain.
+    /// Parallel map with per-worker scratch state.
     ///
     /// `init` runs once on each worker thread that participates; `step` runs
     /// once per index with that worker's state.  Outputs come back in index
     /// order, so results are deterministic no matter how work was stolen.
+    ///
+    /// A panicking task does not unwind through the executor: the map is
+    /// aborted, every worker joins cleanly, and the panic is re-raised on
+    /// the calling thread with the captured [`TaskError`] as its message —
+    /// the `Runtime` remains reusable.  Callers that want the error as a
+    /// value, or cooperative cancellation, use
+    /// [`Runtime::try_map_with_cancel`].
     pub fn map_with<S, O, I, F>(&self, len: usize, init: I, step: F) -> MapOutcome<O, S>
     where
         S: Send,
@@ -230,30 +218,7 @@ impl Runtime {
         I: Fn() -> S + Sync,
         F: Fn(&mut S, usize) -> O + Sync,
     {
-        self.map_with_grain(len, self.default_grain(len), init, step)
-    }
-
-    /// [`Runtime::map_with`] with an explicit stealing granularity.
-    ///
-    /// A panicking task does not unwind through the executor: the map is
-    /// aborted, every worker joins cleanly, and the panic is re-raised on
-    /// the calling thread with the captured [`TaskError`] as its message —
-    /// the `Runtime` remains reusable.  Callers that want the error as a
-    /// value use [`Runtime::try_map_with_cancel`].
-    pub fn map_with_grain<S, O, I, F>(
-        &self,
-        len: usize,
-        grain: usize,
-        init: I,
-        step: F,
-    ) -> MapOutcome<O, S>
-    where
-        S: Send,
-        O: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, usize) -> O + Sync,
-    {
-        let outcome = match self.map_impl(len, grain, None, init, step) {
+        let outcome = match self.map_impl(len, None, init, step) {
             Ok(outcome) => outcome,
             // Clean re-raise after the scope joined: no worker thread is
             // left running and no double-panic is possible here.
@@ -271,39 +236,12 @@ impl Runtime {
         }
     }
 
-    /// Cancellation-aware parallel map: like [`Runtime::map_with`], but
-    /// workers poll `cancel` between tasks and stop claiming (and stealing)
-    /// work once it fires.  Skipped indices come back as `None`; executed
-    /// ones as `Some(output)`.
-    ///
-    /// Cancellation is cooperative — a task that already started runs to
-    /// completion — so per-worker states are always returned intact and the
-    /// runtime is immediately reusable for the next map.
-    ///
-    /// Panics in tasks are re-raised on the caller after a clean join, as
-    /// in [`Runtime::map_with_grain`]; use [`Runtime::try_map_with_cancel`]
-    /// to receive them as [`TaskError`] values instead.
-    pub fn map_with_cancel<S, O, I, F>(
-        &self,
-        len: usize,
-        cancel: &CancelToken,
-        init: I,
-        step: F,
-    ) -> MapOutcome<Option<O>, S>
-    where
-        S: Send,
-        O: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, usize) -> O + Sync,
-    {
-        match self.try_map_with_cancel(len, cancel, init, step) {
-            Ok(outcome) => outcome,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// Panic-isolating, cancellation-aware parallel map: the engine-facing
-    /// entry point of the fault-tolerance layer.
+    /// entry point of the fault-tolerance layer.  Workers poll `cancel`
+    /// between tasks and stop claiming (and stealing) work once it fires;
+    /// skipped indices come back as `None`, executed ones as
+    /// `Some(output)`.  Cancellation is cooperative — a task that already
+    /// started runs to completion.
     ///
     /// A panic in `init` or in any task aborts the map (remaining indices
     /// are skipped, in-flight tasks finish or panic on their own), every
@@ -325,10 +263,10 @@ impl Runtime {
         I: Fn() -> S + Sync,
         F: Fn(&mut S, usize) -> O + Sync,
     {
-        self.map_impl(len, self.default_grain(len), Some(cancel), init, step)
+        self.map_impl(len, Some(cancel), init, step)
     }
 
-    /// Default stealing granularity: small enough to keep skewed items
+    /// Stealing granularity: small enough to keep skewed items
     /// (hub candidates) stealable without making block claims measurable
     /// overhead.
     fn default_grain(&self, len: usize) -> usize {
@@ -339,7 +277,6 @@ impl Runtime {
     fn map_impl<S, O, I, F>(
         &self,
         len: usize,
-        grain: usize,
         cancel: Option<&CancelToken>,
         init: I,
         step: F,
@@ -415,7 +352,7 @@ impl Runtime {
         }
         debug_assert_eq!(next, len);
         let steals = AtomicUsize::new(0);
-        let grain = grain.clamp(1, u32::MAX as usize) as u32;
+        let grain = self.default_grain(len) as u32;
         // The fail-fast channel: the first panicking worker trips this so
         // its siblings stop claiming and stealing work.
         let abort = CancelToken::new();
@@ -645,11 +582,13 @@ mod tests {
     #[test]
     fn skewed_workload_triggers_stealing() {
         // All the cost sits in the first indices: the static split gives them
-        // to worker 0, so the other workers must steal to stay busy.  With
-        // grain 1 every heavy item is individually stealable.
+        // to worker 0, so the other workers must steal to stay busy.  64
+        // tasks on 4 threads get grain 1, so every heavy item is
+        // individually stealable.
         let rt = Runtime::new(4);
         let len = 64;
-        let outcome = rt.map_with_grain(len, 1, || (), |(), i| {
+        assert_eq!(rt.default_grain(len), 1);
+        let outcome = rt.map_with(len, || (), |(), i| {
             if i < 16 {
                 // A few hundred µs of real work per "hub" item.
                 let mut acc = 0u64;
@@ -704,13 +643,15 @@ mod tests {
             let rt = Runtime::new(threads);
             let token = CancelToken::new();
             let executed = AtomicUsize::new(0);
-            let outcome = rt.map_with_cancel(10_000, &token, || (), |(), i| {
-                executed.fetch_add(1, Ordering::Relaxed);
-                if i == 3 {
-                    token.cancel();
-                }
-                i
-            });
+            let outcome = rt
+                .try_map_with_cancel(10_000, &token, || (), |(), i| {
+                    executed.fetch_add(1, Ordering::Relaxed);
+                    if i == 3 {
+                        token.cancel();
+                    }
+                    i
+                })
+                .expect("no task panics");
             let done = outcome.outputs.iter().flatten().count();
             assert!(done >= 1, "threads={threads}: some work ran before cancel");
             assert!(
@@ -726,7 +667,9 @@ mod tests {
             }
             // The runtime is not poisoned: a fresh map on the same instance
             // completes fully.
-            let again = rt.map_with_cancel(100, &CancelToken::new(), || (), |(), i| i);
+            let again = rt
+                .try_map_with_cancel(100, &CancelToken::new(), || (), |(), i| i)
+                .expect("no task panics");
             assert_eq!(again.outputs.iter().flatten().count(), 100);
         }
     }
@@ -736,7 +679,9 @@ mod tests {
         let rt = Runtime::new(3);
         let token = CancelToken::new();
         token.cancel();
-        let outcome = rt.map_with_cancel(64, &token, || (), |(), i| i);
+        let outcome = rt
+            .try_map_with_cancel(64, &token, || (), |(), i| i)
+            .expect("no task panics");
         assert_eq!(outcome.outputs.len(), 64);
         assert!(outcome.outputs.iter().all(Option::is_none));
         assert!(!outcome.states.is_empty());

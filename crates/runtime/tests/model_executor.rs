@@ -1,6 +1,7 @@
-//! Whole-executor model checks: `Runtime::map*` explored end-to-end under
-//! the deterministic scheduler — claim/steal accounting through real
-//! worker loops, cancel fail-fast, and panic isolation with clean joins.
+//! Whole-executor model checks: `Runtime::{map_with, try_map_with_cancel}`
+//! explored end-to-end under the deterministic scheduler — claim/steal
+//! accounting through real worker loops, cancel fail-fast, and panic
+//! isolation with clean joins.
 
 #![cfg(feature = "model")]
 
@@ -13,8 +14,9 @@ use qgp_runtime::{CancelToken, Runtime};
 #[test]
 fn map_executes_every_index_exactly_once() {
     let report = explore(&Config::seeded(24).from_env(), || {
+        // 4 tasks on 2 threads: grain 1, so every index is stealable.
         let rt = Runtime::new(2);
-        let outcome = rt.map_with_grain(4, 1, || 0u32, |count, i| {
+        let outcome = rt.map_with(4, || 0u32, |count, i| {
             *count += 1;
             i * 10
         });
@@ -35,12 +37,14 @@ fn cancel_fail_fast_joins_cleanly() {
     let report = explore(&Config::seeded(16).from_env(), || {
         let rt = Runtime::new(2);
         let token = CancelToken::new();
-        let outcome = rt.map_with_cancel(6, &token, || (), |(), i| {
-            if i == 0 {
-                token.cancel();
-            }
-            i
-        });
+        let outcome = rt
+            .try_map_with_cancel(6, &token, || (), |(), i| {
+                if i == 0 {
+                    token.cancel();
+                }
+                i
+            })
+            .expect("no task panics");
         for (i, slot) in outcome.outputs.iter().enumerate() {
             if let Some(v) = slot {
                 assert_eq!(*v, i, "executed outputs sit at their own index");

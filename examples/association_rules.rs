@@ -10,8 +10,9 @@ use quantified_graph_patterns::core::matching::MatchConfig;
 use quantified_graph_patterns::core::pattern::{CountingQuantifier, PatternBuilder};
 use quantified_graph_patterns::datasets::{pokec_like, SocialConfig};
 use quantified_graph_patterns::rules::{
-    evaluate_rule, identify_entities, mine_qgars, MiningConfig, Qgar,
+    evaluate_rule, identify_entities, mine_qgars_with_report, MiningConfig, Qgar,
 };
+use quantified_graph_patterns::Runtime;
 
 fn main() {
     let graph = pokec_like(&SocialConfig::with_persons(4_000));
@@ -63,7 +64,7 @@ fn main() {
         max_rules: 6,
         ..MiningConfig::default()
     };
-    let mined = mine_qgars(&graph, &config).unwrap();
+    let (mined, _) = mine_qgars_with_report(&graph, &config, Runtime::global()).unwrap();
     println!("\nmined {} QGARs with η = 0.5:", mined.len());
     for rule in &mined {
         println!(

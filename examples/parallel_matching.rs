@@ -10,8 +10,8 @@ use std::time::Instant;
 
 use quantified_graph_patterns::core::pattern::library;
 use quantified_graph_patterns::datasets::{pokec_like, SocialConfig};
-use quantified_graph_patterns::parallel::{dpar, PartitionConfig};
-use quantified_graph_patterns::{Engine, ExecOptions};
+use quantified_graph_patterns::parallel::{dpar_with, PartitionConfig};
+use quantified_graph_patterns::{Engine, ExecOptions, Runtime};
 
 fn main() {
     let graph = pokec_like(&SocialConfig::with_persons(6_000));
@@ -36,18 +36,20 @@ fn main() {
     );
 
     // The partition is built once per d and reused for every pattern of
-    // radius ≤ d (Section 5.2 of the paper).
+    // radius ≤ d (Section 5.2 of the paper).  Matching runs on two threads
+    // whatever the fragment count.
+    let two_threads = Runtime::new(2);
     for n in [1usize, 2, 4, 8] {
         let start = Instant::now();
-        let partition = dpar(&graph, &PartitionConfig::new(n, 2));
+        let partition = dpar_with(&graph, &PartitionConfig::new(n, 2), Runtime::global());
         let partition_time = start.elapsed();
 
         let start = Instant::now();
         let matches = prepared
-            .execute(ExecOptions::partitioned_threads(
+            .execute(ExecOptions::partitioned_on(
                 partition.fragments(),
                 partition.d(),
-                2,
+                &two_threads,
             ))
             .expect("pattern radius fits the partition");
         let telemetry = matches.telemetry().cloned().expect("partitioned telemetry");

@@ -115,9 +115,8 @@ pub use qgp_runtime as runtime;
 // a single `use` line.
 pub use qgp_core::engine::{
     BudgetPolicy, BudgetStop, CacheStats, CancelToken, CountAnswer, CountMode, Engine, ExecBudget,
-    ExecMode, ExecOptions, FocusCount, Matches, MatchView, ParallelTelemetry, Parallelism,
-    PreparedQuery, QueryId, QueryRegistry, ServeOutcome, ServeRequest, TaskError, ViewDelta,
-    ViewError,
+    ExecMode, ExecOptions, FocusCount, Matches, MatchView, ParallelTelemetry, PreparedQuery,
+    QueryId, QueryRegistry, ServeOutcome, ServeRequest, TaskError, ViewDelta, ViewError,
 };
 pub use qgp_core::matching::{MatchConfig, MatchStats, QueryAnswer};
 pub use qgp_core::pattern::{CountingQuantifier, Pattern, PatternBuilder};

@@ -7,10 +7,10 @@ use quantified_graph_patterns::datasets::{
     generate_pattern, pokec_like, yago_like, KnowledgeConfig, PatternGenConfig, PatternSize,
     SocialConfig,
 };
-use quantified_graph_patterns::parallel::{dpar, PartitionConfig};
-use quantified_graph_patterns::rules::{evaluate_rule, mine_qgars, MiningConfig, Qgar};
+use quantified_graph_patterns::parallel::{dpar_with, PartitionConfig};
+use quantified_graph_patterns::rules::{evaluate_rule, mine_qgars_with_report, MiningConfig, Qgar};
 use quantified_graph_patterns::{
-    Engine, ExecOptions, Graph, MatchConfig, Pattern, QueryAnswer,
+    Engine, ExecOptions, Graph, MatchConfig, Pattern, QueryAnswer, Runtime,
 };
 
 /// One sequential engine execution with an explicit config.
@@ -49,13 +49,15 @@ fn parallel_matching_agrees_with_sequential_on_generated_graphs() {
     let engine = Engine::new(&graph);
     let prepared = engine.prepare(&pattern).unwrap();
     let sequential = prepared.run(ExecOptions::sequential()).unwrap();
+    let two_threads = Runtime::new(2);
     for n in [2usize, 3, 5] {
-        let partition = dpar(&graph, &PartitionConfig::new(n, prepared.radius()));
+        let config = PartitionConfig::new(n, prepared.radius());
+        let partition = dpar_with(&graph, &config, Runtime::global());
         let parallel = prepared
-            .run(ExecOptions::partitioned_threads(
+            .run(ExecOptions::partitioned_on(
                 partition.fragments(),
                 partition.d(),
-                2,
+                &two_threads,
             ))
             .unwrap();
         assert_eq!(parallel.matches, sequential.matches, "n = {n}");
@@ -74,14 +76,15 @@ fn knowledge_graph_pipeline_q4() {
         assert!(sequential.contains(*v));
     }
     // Parallel evaluation agrees.
-    let partition = dpar(&graph, &PartitionConfig::new(3, q4.radius().max(2)));
+    let config = PartitionConfig::new(3, q4.radius().max(2));
+    let partition = dpar_with(&graph, &config, Runtime::global());
     let parallel = Engine::new(&graph)
         .prepare(&q4)
         .unwrap()
-        .run(ExecOptions::partitioned_threads(
+        .run(ExecOptions::partitioned_on(
             partition.fragments(),
             partition.d(),
-            2,
+            &Runtime::new(2),
         ))
         .unwrap();
     assert_eq!(parallel.matches, sequential.matches);
@@ -132,13 +135,14 @@ fn rule_evaluation_and_mining_work_end_to_end() {
 
     // Mining finds rules whose reported support/confidence are consistent
     // with re-evaluating the rule from scratch.
-    let mined = mine_qgars(
+    let (mined, _) = mine_qgars_with_report(
         &graph,
         &MiningConfig {
             min_support: 10,
             max_rules: 3,
             ..MiningConfig::default()
         },
+        Runtime::global(),
     )
     .unwrap();
     for rule in mined {
@@ -151,7 +155,7 @@ fn rule_evaluation_and_mining_work_end_to_end() {
 #[test]
 fn partition_statistics_are_consistent_with_fragments() {
     let graph = pokec_like(&SocialConfig::with_persons(500));
-    let partition = dpar(&graph, &PartitionConfig::new(4, 2));
+    let partition = dpar_with(&graph, &PartitionConfig::new(4, 2), Runtime::global());
     let stats = partition.stats();
     assert_eq!(stats.fragment_sizes.len(), partition.len());
     assert_eq!(stats.total_nodes, graph.node_count());
