@@ -137,7 +137,8 @@ impl Engine {
     ///
     /// Compilation derives everything graph-independent once — the positive
     /// projection `Π(Q)`, the positified patterns `Π(Q^{+e})` for every
-    /// negated edge, the radius — and the prepared query lazily pools
+    /// negated edge, each one's distances to its focus (a view's repair
+    /// walks them), the radius — and the prepared query lazily pools
     /// matcher sessions, one per [`MatchConfig`] it is executed with on the
     /// snapshot it last ran against, so executing the same prepared query
     /// repeatedly on one epoch re-uses candidate analysis and counter

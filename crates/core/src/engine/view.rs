@@ -11,17 +11,27 @@
 //! * [`MatchView::apply`] seals a copy-on-write clone of the pin with a batch
 //!   of [`EdgeOp`]s applied, and pins that.
 //!
-//! Both share one repair between the old pin and the new one.  The
-//! locality argument is the same one that makes the d-hop preserving
-//! partition of Section 5 exact: a match of focus candidate `v` only ever
-//! touches nodes within `radius(Q)` undirected hops of `v`, so `v`'s
-//! membership can change only if an endpoint of a changed edge lies inside
-//! `v`'s ball.  The repair starts from the edges whose presence differs
-//! between the two versions (the exact symmetric difference, so an edge
-//! inserted and deleted again costs nothing), takes the radius-ball around
-//! their endpoints in the old version *and* the new one, re-decides the
-//! focus candidates in the union, and reports the membership changes as a
-//! [`ViewDelta`].
+//! Both share one repair between the old pin and the new one, a *typed
+//! walk* over the pattern's own edges.  Whether `v ∈ Q(x_o, G)` depends only
+//! on the isomorphisms of `Π(Q)` and of each `Π(Q^{+e})` that map the focus
+//! to `v`, and on the ratio denominators `|Mₑ(a)|` of the nodes they map.  So
+//! an edge `a -l-> b` whose presence differs between the two versions (the
+//! exact symmetric difference: an edge inserted and deleted again costs
+//! nothing) can move `v` only if such an isomorphism uses it, or maps a ratio
+//! edge's source to `a`.  For each sub-pattern edge the change fits by labels,
+//! the repair seeds one (pattern node, graph node) pair: the endpoint nearer
+//! the sub-pattern's focus, the graph node of lower degree on a tie (any
+//! endpoint is sound, since an isomorphism maps both).  A ratio edge also
+//! seeds its source whenever `a`'s label fits, whatever `b`'s is, because
+//! `|Mₑ(a)|` counts every child and `a` may be mapped by an isomorphism that
+//! does not use the changed edge.  From the seeds the walk follows sub-pattern edges that
+//! lower the distance to the focus, matching each edge's label and direction
+//! and the neighbour's node label — once in the old version (the
+//! isomorphisms a deleted edge ends) and once in the new one (those an
+//! inserted edge starts).  The focus candidates it reaches are re-decided,
+//! and the membership changes are reported as a [`ViewDelta`].  The
+//! distances are `CompiledPattern`'s per-sub-pattern tables, never `Q`'s: a
+//! negated edge can be a shortcut the sub-pattern does not have.
 //!
 //! Re-decisions run on sessions built with
 //! [`CandidateFilter::LabelUniverse`] — every node carrying the pattern
@@ -40,16 +50,16 @@
 //! to the pool (the engine's lease rule), so no suspect scratch outlives the
 //! failure.
 
+use std::cmp::Ordering;
 use std::sync::{Arc, Mutex, PoisonError};
 
-use qgp_graph::{
-    BfsScratch, EdgeOp, Graph, GraphError, GraphSnapshot, GraphStore, NodeId, UpdateReport,
-};
+use qgp_graph::{EdgeOp, Graph, GraphError, GraphSnapshot, GraphStore, NodeId, UpdateReport};
 use qgp_runtime::{CancelToken, ExecBudget, Runtime, TaskError};
 
 use crate::matching::compiled::CompiledPattern;
+use crate::matching::resolved::ResolvedPattern;
 use crate::matching::{CandidateFilter, MatchConfig, SessionCore};
-use crate::pattern::Pattern;
+use crate::pattern::{CountingQuantifier, Pattern};
 
 /// Errors raised by [`MatchView::apply`], [`MatchView::advance`] and their
 /// variants.  After any of them the view still answers for its old pin and
@@ -115,9 +125,10 @@ pub struct ViewDelta {
     pub added: Vec<NodeId>,
     /// Focus nodes that left `Q(x_o, G)`, sorted ascending.
     pub removed: Vec<NodeId>,
-    /// Focus candidates re-decided for this batch — the size of the
-    /// affected ball after candidate filtering, and the unit of incremental
-    /// work (compare against the full candidate count of a recompute).
+    /// Focus candidates re-decided for this batch — the foci the typed walk
+    /// reached from the changed edges, after candidate filtering, and the
+    /// unit of incremental work (compare against the full candidate count
+    /// of a recompute).
     pub rechecked: usize,
     /// What [`MatchView::apply`]'s batch did to the view's private copy of
     /// the graph.  `UpdateReport::default()` after [`MatchView::advance`],
@@ -204,7 +215,6 @@ pub struct MatchView {
     compiled: Arc<CompiledPattern>,
     /// The materialized answer, sorted ascending.
     matches: Vec<NodeId>,
-    scratch: BfsScratch,
     /// Idle maintenance sessions, kept across repairs so candidate analysis
     /// is paid once per worker, not once per batch.
     pool: Mutex<Vec<SessionCore>>,
@@ -232,7 +242,6 @@ impl MatchView {
             .filter(|&v| core.accepts(graph, v))
             .collect();
         MatchView {
-            scratch: BfsScratch::for_graph(graph),
             anchor: snapshot.epoch(),
             pin: snapshot,
             local: Vec::new(),
@@ -368,10 +377,11 @@ impl MatchView {
         Ok(ViewDelta { report, ..delta })
     }
 
-    /// The one repair: re-decides every focus candidate near an edge that
-    /// differs between the pin and `next`, then pins `next`.  `ops` must
-    /// name every such edge (extra or repeated ones cost only a lookup).
-    /// Nothing in `self` changes unless every decision succeeds.
+    /// The one repair: re-decides every focus candidate the typed walk
+    /// reaches from an edge that differs between the pin and `next`, then
+    /// pins `next`.  `ops` must name every such edge (extra or repeated ones
+    /// cost only a lookup).  Nothing in `self` changes unless every decision
+    /// succeeds.
     fn repair(
         &mut self,
         next: Arc<GraphSnapshot>,
@@ -380,32 +390,21 @@ impl MatchView {
         runtime: &Runtime,
     ) -> Result<ViewDelta, ViewError> {
         let (old, new) = (self.pin.graph(), next.graph());
-        let starts: Vec<NodeId> = ops
+        let changed: Vec<EdgeOp> = ops
             .iter()
             .filter(|op| {
                 old.has_edge(op.from(), op.to(), op.label())
                     != new.has_edge(op.from(), op.to(), op.label())
             })
-            .flat_map(|op| [op.from(), op.to()])
+            .copied()
             .collect();
-        if starts.is_empty() {
+        if changed.is_empty() {
             // Equal edge sets: no decision can differ.
             self.pin = next;
             return Ok(ViewDelta::default());
         }
 
-        // The ball in the old version holds the foci that could reach a
-        // deleted edge; the one in the new version, those an inserted edge
-        // newly connects.
-        let mut affected = Vec::new();
-        for graph in [old, new] {
-            self.scratch
-                .visit_ball(graph, &starts, self.compiled.radius, false, |v, _| {
-                    affected.push(v)
-                });
-        }
-        affected.sort_unstable();
-        affected.dedup();
+        let mut affected = typed_foci(&self.compiled, old, new, &changed);
         let pool = self.pool.get_mut().unwrap_or_else(PoisonError::into_inner);
         if pool.is_empty() {
             pool.push(session(new, &self.compiled));
@@ -466,6 +465,122 @@ impl MatchView {
         self.pin = next;
         Ok(delta)
     }
+}
+
+/// Does the typed walk seed the sources of ratio edges whose denominator a
+/// change moves?  Always, except under `--cfg qgp_mutate`: the mutation
+/// self-test drops these seeds and asserts that
+/// `tests::a_ratio_denominator_alone_moves_the_answer` sees the view diverge
+/// from a recompute, so that test demonstrably guards them.
+#[cfg(not(qgp_mutate))]
+const RATIO_SEEDS: bool = true;
+/// Mutated: ratio seeds dropped (see above).
+#[cfg(qgp_mutate)]
+const RATIO_SEEDS: bool = false;
+
+/// The repair set of one batch before candidate filtering: every focus a
+/// typed walk reaches from `changed` (the edges whose presence differs
+/// between `old` and `new`) in `Π(Q)` or any `Π(Q^{+e})`, sorted and
+/// deduplicated.  The module docs argue why no other focus can change.
+fn typed_foci(
+    compiled: &CompiledPattern,
+    old: &Graph,
+    new: &Graph,
+    changed: &[EdgeOp],
+) -> Vec<NodeId> {
+    let mut foci = Vec::new();
+    for (pattern, dist) in compiled.sub_patterns() {
+        // A label neither version interned matches no graph element, so the
+        // sub-pattern has no isomorphism before or after the batch.
+        let Some(rp) = ResolvedPattern::resolve(pattern, new) else {
+            continue;
+        };
+        let seeds = seeds(&rp, dist, new, changed);
+        for graph in [old, new] {
+            walk(&rp, dist, graph, &seeds, &mut foci);
+        }
+    }
+    foci.sort_unstable();
+    foci.dedup();
+    foci
+}
+
+/// The (pattern node, graph node) pairs a walk starts from: for each changed
+/// edge `a -l-> b` and each sub-pattern edge `u -l-> u'` it fits by labels,
+/// the endpoint nearer the focus (on a tie, the graph node of lower degree,
+/// which keeps walks off hubs); and `(u, a)` for a ratio edge whenever `a`
+/// fits `u`, because `|Mₑ(a)|` moves whatever `b`'s label is.
+fn seeds(
+    rp: &ResolvedPattern,
+    dist: &[usize],
+    graph: &Graph,
+    changed: &[EdgeOp],
+) -> Vec<(usize, NodeId)> {
+    let degree = |v: NodeId| graph.out_degree(v) + graph.in_degree(v);
+    let mut seeds = Vec::new();
+    for op in changed {
+        let (a, b) = (op.from(), op.to());
+        for e in rp.edges.iter().filter(|e| e.label == op.label()) {
+            let a_fits = graph.node_label(a) == rp.node_labels[e.from];
+            if a_fits && graph.node_label(b) == rp.node_labels[e.to] {
+                let from_a = match dist[e.from].cmp(&dist[e.to]) {
+                    Ordering::Less => true,
+                    Ordering::Greater => false,
+                    Ordering::Equal => degree(a) <= degree(b),
+                };
+                seeds.push(if from_a { (e.from, a) } else { (e.to, b) });
+            }
+            let ratio = matches!(e.quantifier, CountingQuantifier::Ratio { .. });
+            if a_fits && ratio && RATIO_SEEDS {
+                seeds.push((e.from, a));
+            }
+        }
+    }
+    seeds
+}
+
+/// Walks from `seeds` toward the focus on `graph`, one distance layer at a
+/// time: a pair `(u, v)` at distance `d` steps along every sub-pattern edge
+/// to a node `u'` at distance `d - 1`, to each graph neighbour of `v` over
+/// an edge of that label and direction that carries `u'`'s node label.
+/// Appends the graph nodes paired with the focus to `foci`.
+fn walk(
+    rp: &ResolvedPattern,
+    dist: &[usize],
+    graph: &Graph,
+    seeds: &[(usize, NodeId)],
+    foci: &mut Vec<NodeId>,
+) {
+    let depth = dist.iter().copied().max().unwrap_or(0);
+    let mut layers: Vec<Vec<(usize, NodeId)>> = vec![Vec::new(); depth + 1];
+    for &(u, v) in seeds {
+        layers[dist[u]].push((u, v));
+    }
+    for d in (1..=depth).rev() {
+        let mut layer = std::mem::take(&mut layers[d]);
+        layer.sort_unstable();
+        layer.dedup();
+        for (u, v) in layer {
+            let out = rp.out_edges[u].iter().map(|&i| (&rp.edges[i], true));
+            let inc = rp.in_edges[u].iter().map(|&i| (&rp.edges[i], false));
+            for (e, forward) in out.chain(inc) {
+                let (other, neighbours) = if forward {
+                    (e.to, graph.out_neighbors_with_label_slice(v, e.label))
+                } else {
+                    (e.from, graph.in_neighbors_with_label_slice(v, e.label))
+                };
+                if dist[other] < d {
+                    layers[d - 1].extend(
+                        neighbours
+                            .iter()
+                            .filter(|&&w| graph.node_label(w) == rp.node_labels[other])
+                            .map(|&w| (other, w)),
+                    );
+                }
+            }
+        }
+    }
+    foci.extend(layers[0].iter().map(|&(_, v)| v));
 }
 
 #[cfg(test)]
@@ -625,23 +740,29 @@ mod tests {
         assert!(g.has_edge(vs[0], redmi, recom));
     }
 
-    /// A follow-star: 200 spokes all following one hub, so one edge op
-    /// near the hub puts every spoke in the repair ball — enough affected
-    /// candidates to cross `PARALLEL_REDECIDE_THRESHOLD`.
-    fn star_follow_graph() -> (Graph, Vec<NodeId>, NodeId, Pattern) {
+    /// A follow-star: 200 spokes all following one hub that recommends a
+    /// phone, under "people who follow someone recommending the phone".  The
+    /// hub's `recom` edge is the image of `z -recom-> phone` in every
+    /// spoke's isomorphism, so one op on it puts all 200 spokes in the typed
+    /// repair set — enough to cross `PARALLEL_REDECIDE_THRESHOLD`.
+    fn star_follow_graph() -> (Graph, Vec<NodeId>, NodeId, NodeId, Pattern) {
         use crate::pattern::PatternBuilder;
         let mut b = GraphBuilder::new();
         let hub = b.add_node("person");
         let xs = b.add_nodes("person", 200);
+        let phone = b.add_node("phone");
         for &x in &xs {
             b.add_edge(x, hub, "follow").unwrap();
         }
+        b.add_edge(hub, phone, "recom").unwrap();
         let mut pb = PatternBuilder::new();
         let xo = pb.node("person");
         let z = pb.node("person");
+        let y = pb.node("phone");
         pb.edge(xo, z, "follow");
+        pb.edge(z, y, "recom");
         pb.focus(xo);
-        (b.build(), xs, hub, pb.build().unwrap())
+        (b.build(), xs, hub, phone, pb.build().unwrap())
     }
 
     #[test]
@@ -678,17 +799,22 @@ mod tests {
 
     #[test]
     fn parallel_repair_honors_the_budget() {
-        let (g, xs, hub, pattern) = star_follow_graph();
+        let (g, xs, hub, phone, pattern) = star_follow_graph();
         let mut view = Engine::new(&g).prepare(&pattern).unwrap().view();
         let before = view.matches().to_vec();
-        let follow = g.labels().edge_label("follow").unwrap();
-        let ops = [EdgeOp::delete(xs[0], hub, follow)];
+        assert_eq!(before, xs);
+        let recom = g.labels().edge_label("recom").unwrap();
+        let ops = [EdgeOp::delete(hub, phone, recom)];
         let rt = Runtime::new(4);
         let starved = ExecBudget::unlimited().max_decisions(10);
         let err = view.apply_budgeted(&ops, &starved, &rt).unwrap_err();
         assert_eq!(err, ViewError::BudgetExceeded);
         assert_eq!(view.matches(), before);
-        assert!(view.graph().has_edge(xs[0], hub, follow));
+        assert!(view.graph().has_edge(hub, phone, recom));
+        // The starved map was a parallel one: the batch's typed set crosses
+        // the threshold.
+        let delta = view.apply_with(&ops, &rt).unwrap();
+        assert!(delta.rechecked >= PARALLEL_REDECIDE_THRESHOLD, "{}", delta.rechecked);
     }
 
     #[test]
@@ -722,11 +848,11 @@ mod tests {
 
     #[test]
     fn worker_panic_in_parallel_repair_fails_cleanly_without_poisoning() {
-        let (g, xs, hub, pattern) = star_follow_graph();
+        let (g, xs, hub, phone, pattern) = star_follow_graph();
         let mut view = Engine::new(&g).prepare(&pattern).unwrap().view();
         let before = view.matches().to_vec();
-        let follow = g.labels().edge_label("follow").unwrap();
-        let ops = [EdgeOp::delete(xs[0], hub, follow)];
+        let recom = g.labels().edge_label("recom").unwrap();
+        let ops = [EdgeOp::delete(hub, phone, recom)];
         let rt = Runtime::new(4);
         {
             let _faults = faults::install(faults::FaultPlan::new(11, 1.0));
@@ -734,10 +860,100 @@ mod tests {
             assert!(matches!(err, ViewError::TaskPanicked(_)), "{err:?}");
         }
         assert_eq!(view.matches(), before);
-        assert!(view.graph().has_edge(xs[0], hub, follow));
+        assert!(view.graph().has_edge(hub, phone, recom));
         // The disarmed retry applies cleanly and agrees with a recompute.
         let delta = view.apply_with(&ops, &rt).unwrap();
-        assert_eq!(delta.removed, vec![xs[0]]);
+        assert_eq!(delta.removed, xs);
+        assert!(delta.rechecked >= PARALLEL_REDECIDE_THRESHOLD, "{}", delta.rechecked);
+        assert_eq!(view.matches(), full_recompute(view.graph(), &pattern));
+    }
+
+    /// Inserting `x1 -follow-> Redmi` moves only x1's denominator
+    /// `|Mₑ(x1)|` for Q2's universal `follow` edge (1 → 2 children), since
+    /// the Redmi node cannot match `z`.  Only the ratio seed reaches x1, so
+    /// under `--cfg qgp_mutate`, which drops it, the view must diverge.
+    #[test]
+    fn a_ratio_denominator_alone_moves_the_answer() {
+        let (g, xs, _, redmi) = g1();
+        let pattern = library::q2_redmi_universal();
+        let mut view = Engine::new(&g).prepare(&pattern).unwrap().view();
+        assert!(view.contains(xs[0]));
+        let follow = g.labels().edge_label("follow").unwrap();
+        let delta = view
+            .apply(&[EdgeOp::insert(xs[0], redmi, follow)])
+            .unwrap();
+        let recomputed = full_recompute(view.graph(), &pattern);
+        #[cfg(not(qgp_mutate))]
+        {
+            assert_eq!(delta.removed, vec![xs[0]]);
+            assert_eq!(delta.rechecked, 1, "only x1's denominator moved");
+            assert_eq!(view.matches(), recomputed);
+        }
+        #[cfg(qgp_mutate)]
+        {
+            assert_eq!(delta.rechecked, 0, "ratio seeds are dropped");
+            assert_ne!(view.matches(), recomputed, "the mutation must be caught");
+        }
+    }
+
+    /// A ratio edge into the focus, `z -r(≥50%)-> xo`: both endpoints of
+    /// the inserted `a -r-> v3` fit, and the nearer one is v3.  But the
+    /// insert also moves `|Mₑ(a)|` (2 → 3) for v1 and v2, whose isomorphisms
+    /// do not use the edge, so the source seed is needed here too.
+    #[test]
+    fn a_ratio_edge_into_the_focus_seeds_its_source_when_both_ends_fit() {
+        use crate::pattern::PatternBuilder;
+        let mut b = GraphBuilder::new();
+        let a = b.add_node("B");
+        let vs = b.add_nodes("A", 3);
+        b.add_edge(a, vs[0], "r").unwrap();
+        b.add_edge(a, vs[1], "r").unwrap();
+        let g = b.build();
+        let mut pb = PatternBuilder::new();
+        let xo = pb.node("A");
+        let z = pb.node("B");
+        pb.quantified_edge(z, xo, "r", CountingQuantifier::at_least_percent(50.0));
+        pb.focus(xo);
+        let pattern = pb.build().unwrap();
+        let mut view = Engine::new(&g).prepare(&pattern).unwrap().view();
+        assert_eq!(view.matches(), &vs[..2]);
+        let r = g.labels().edge_label("r").unwrap();
+        let delta = view.apply(&[EdgeOp::insert(a, vs[2], r)]).unwrap();
+        assert_eq!(delta.removed, &vs[..2]);
+        assert_eq!(view.matches(), full_recompute(view.graph(), &pattern));
+    }
+
+    /// `xo -s(=0)-> w` beside `xo -r-> y -s-> w`: Q puts `w` one hop from
+    /// the focus, `Π(Q)` two.  Inserting `y1 -s-> w1` (w1 the lower-degree
+    /// endpoint) makes x enter.  With Q's distances the edge's endpoints tie,
+    /// the walk starts at w1 and finds no `Π(Q)` edge that leads nearer the
+    /// focus, so x would never be re-decided.
+    #[test]
+    fn a_negated_shortcut_does_not_shorten_the_positive_walk() {
+        use crate::pattern::PatternBuilder;
+        let mut b = GraphBuilder::new();
+        let x = b.add_node("A");
+        let y1 = b.add_node("B");
+        let w1 = b.add_node("C");
+        b.add_edge(x, y1, "r").unwrap();
+        // Interns `s` away from the nodes under test.
+        let d = b.add_nodes("D", 2);
+        b.add_edge(d[0], d[1], "s").unwrap();
+        let g = b.build();
+        let mut pb = PatternBuilder::new();
+        let xo = pb.node("A");
+        let y = pb.node("B");
+        let w = pb.node("C");
+        pb.edge(xo, y, "r");
+        pb.edge(y, w, "s");
+        pb.negated_edge(xo, w, "s");
+        pb.focus(xo);
+        let pattern = pb.build().unwrap();
+        let mut view = Engine::new(&g).prepare(&pattern).unwrap().view();
+        assert!(view.is_empty());
+        let s = g.labels().edge_label("s").unwrap();
+        let delta = view.apply(&[EdgeOp::insert(y1, w1, s)]).unwrap();
+        assert_eq!(delta.added, vec![x]);
         assert_eq!(view.matches(), full_recompute(view.graph(), &pattern));
     }
 

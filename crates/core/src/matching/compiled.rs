@@ -2,7 +2,8 @@
 //!
 //! Everything about a QGP that does not depend on the data graph is derived
 //! here exactly once: the positive projection `Π(Q)`, the positified
-//! patterns `Π(Q^{+e})` for every negated edge, and the pattern radius.
+//! patterns `Π(Q^{+e})` for every negated edge, each sub-pattern's
+//! distances to its focus, and the pattern radius.
 //! [`MatchSession`](super::MatchSession)s share one [`CompiledPattern`]
 //! through an `Arc`, so the thousands of sessions a parallel or repeated
 //! execution builds (one per worker per fragment) stop re-deriving the same
@@ -65,6 +66,13 @@ pub(crate) struct CompiledPattern {
     /// decision path can bypass the session machinery for it (same order as
     /// [`CompiledPattern::positified`]).
     pub(crate) trivial_positified: Vec<Option<TrivialShape>>,
+    /// Undirected hop distance from each node of `Π(Q)` to its focus, along
+    /// `Π(Q)`'s own edges.  Not `Q`'s distances: a negated edge can be a
+    /// shortcut that `Π(Q)` does not have.
+    pub(crate) pi_distances: Vec<usize>,
+    /// The same table for each positified pattern (same order as
+    /// [`CompiledPattern::positified`]).
+    pub(crate) positified_distances: Vec<Vec<usize>>,
     /// The pattern radius (longest shortest path from the focus), the
     /// quantity a d-hop partition must dominate.
     pub(crate) radius: usize,
@@ -86,11 +94,24 @@ impl CompiledPattern {
         let trivial_positified = positified.iter().map(TrivialShape::of).collect();
         CompiledPattern {
             pattern: pattern.clone(),
+            pi_distances: pi.focus_distances(),
+            positified_distances: positified.iter().map(Pattern::focus_distances).collect(),
             pi,
             positified,
             trivial_positified,
             radius: pattern.radius(),
         }
+    }
+
+    /// `Π(Q)` and every `Π(Q^{+e})`, each with its focus-distance table:
+    /// the positive patterns whose isomorphisms decide `Q(x_o, G)`.
+    pub(crate) fn sub_patterns(&self) -> impl Iterator<Item = (&Pattern, &[usize])> {
+        std::iter::once((&self.pi, &self.pi_distances[..])).chain(
+            self.positified
+                .iter()
+                .zip(&self.positified_distances)
+                .map(|(p, d)| (p, &d[..])),
+        )
     }
 }
 
@@ -109,6 +130,27 @@ mod tests {
         for p in &c.positified {
             assert!(p.is_positive());
         }
+    }
+
+    #[test]
+    fn distances_follow_each_sub_patterns_own_edges() {
+        use crate::pattern::PatternBuilder;
+        // `xo -s(=0)-> w` is a shortcut: Q reaches `w` in one hop, Π(Q) only
+        // through `y`, and Π(Q^{+e}) through the positified edge again.
+        let mut b = PatternBuilder::new();
+        let xo = b.node("A");
+        let y = b.node("B");
+        let w = b.node("C");
+        b.edge(xo, y, "r");
+        b.edge(y, w, "s");
+        b.negated_edge(xo, w, "s");
+        b.focus(xo);
+        let c = CompiledPattern::compile(&b.build().unwrap());
+        assert_eq!(c.pattern.focus_distances(), vec![0, 1, 1]);
+        assert_eq!(c.pi_distances, vec![0, 1, 2]);
+        assert_eq!(c.positified_distances, vec![vec![0, 1, 1]]);
+        let tables: Vec<&[usize]> = c.sub_patterns().map(|(_, d)| d).collect();
+        assert_eq!(tables, [&[0, 1, 2][..], &[0, 1, 1][..]]);
     }
 
     #[test]

@@ -14,7 +14,7 @@ mod generic;
 mod qmatch;
 mod quantified;
 pub mod reference;
-mod resolved;
+pub(crate) mod resolved;
 mod session;
 mod simulation;
 mod stats;

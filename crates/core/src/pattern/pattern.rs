@@ -301,6 +301,16 @@ impl Pattern {
     /// between the focus and any pattern node.  Determines the `d` needed by
     /// the d-hop preserving partition (Section 5).
     pub fn radius(&self) -> usize {
+        self.focus_distances()
+            .into_iter()
+            .filter(|&d| d != usize::MAX)
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// The undirected hop distance from each pattern node to the focus,
+    /// indexed by node id (`usize::MAX` for a node the focus cannot reach).
+    pub(crate) fn focus_distances(&self) -> Vec<usize> {
         let mut dist = vec![usize::MAX; self.nodes.len()];
         let mut queue = VecDeque::new();
         dist[self.focus.index()] = 0;
@@ -316,7 +326,7 @@ impl Pattern {
                 }
             }
         }
-        dist.into_iter().filter(|&d| d != usize::MAX).max().unwrap_or(0)
+        dist
     }
 
     /// Is the pattern weakly connected (ignoring edge direction)?

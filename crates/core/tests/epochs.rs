@@ -344,7 +344,7 @@ fn advance_over_a_net_cancelling_replay_rechecks_nothing() {
     assert!(delta.is_empty());
     assert_eq!(
         delta.rechecked, 0,
-        "no edge differs, so no ball is re-decided"
+        "no edge differs, so no focus is re-decided"
     );
     assert_eq!(
         delta.report,

@@ -738,24 +738,34 @@ mod tests {
 
     #[test]
     fn panic_aborts_remaining_work_fail_fast() {
-        // After the panic trips the abort token, siblings stop claiming:
-        // far fewer than all indices execute.
+        // The task that panics is the one that starts after `NTH` others,
+        // whatever its index and worker, so however the workers were
+        // scheduled most of the map is still queued when it dies.  Tasks
+        // that start after it sleep, so siblings cannot drain the map while
+        // the panic unwinds toward the abort token.  With the token polled,
+        // siblings stop within a task or two; without it, all but the
+        // panicking worker's claimed block runs.
+        const LEN: usize = 10_000;
+        const NTH: usize = 100;
         let rt = Runtime::new(4);
-        let executed = AtomicUsize::new(0);
+        let started = AtomicUsize::new(0);
+        let panicked = AtomicUsize::new(usize::MAX);
         let err = rt
-            .try_map_with_cancel(100_000, &CancelToken::new(), || (), |(), i| {
-                executed.fetch_add(1, Ordering::Relaxed);
-                if i == 0 {
-                    panic!("first task dies");
+            .try_map_with_cancel(LEN, &CancelToken::new(), || (), |(), i| {
+                let n = started.fetch_add(1, Ordering::SeqCst);
+                if n == NTH {
+                    panicked.store(i, Ordering::SeqCst);
+                    panic!("task {NTH} to start dies");
+                }
+                if n > NTH {
+                    std::thread::sleep(Duration::from_micros(100));
                 }
                 i
             })
-            .expect_err("task 0 panics");
-        assert_eq!(err.index, Some(0));
-        assert!(
-            executed.load(Ordering::Relaxed) < 100_000,
-            "abort must skip most of the map"
-        );
+            .expect_err("one task panics");
+        assert_eq!(err.index, Some(panicked.load(Ordering::SeqCst)));
+        let started = started.load(Ordering::SeqCst);
+        assert!(started < LEN / 2, "abort must skip most of the map: {started} of {LEN} ran");
     }
 
     #[test]

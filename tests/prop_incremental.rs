@@ -10,7 +10,9 @@
 //!   inverse (effective ops only, reversed) restores both the original
 //!   match set and the original adjacency,
 //! * a single-edge update on the pokec-like generator's graph patches two
-//!   adjacency rows instead of rebuilding the CSR (counter-pinned).
+//!   adjacency rows instead of rebuilding the CSR (counter-pinned),
+//! * a small batch on the yago-like generator's graph re-decides under 1 %
+//!   of Q4's focus candidates (counter-pinned).
 //!
 //! Streams come from the seeded [`UpdateStreamGen`]; the view properties
 //! draw the overlay compaction threshold from `{1, 3, 8, default}`, so the
@@ -81,12 +83,16 @@ fn build_graph(spec: &GraphSpec) -> Graph {
     b.build()
 }
 
+/// Number of kinds in the [`pattern`] family.
+const PATTERN_KINDS: u8 = 9;
+
 /// A fixed family of patterns covering every quantifier class, including
-/// negation.
+/// negation, a ratio and an equality edge below the focus, and a negated
+/// edge that is a shortcut `Π(Q)` does not have.
 fn pattern(kind: u8) -> Pattern {
     let mut b = PatternBuilder::new();
     let xo = b.node("A");
-    match kind % 6 {
+    match kind % PATTERN_KINDS {
         0 => {
             let y = b.node("B");
             b.edge(xo, y, "r");
@@ -111,11 +117,33 @@ fn pattern(kind: u8) -> Pattern {
             let y = b.node("B");
             b.quantified_edge(xo, y, "r", CountingQuantifier::exactly(1));
         }
-        _ => {
+        5 => {
             let y = b.node("B");
             let z = b.node("C");
             b.quantified_edge(xo, y, "r", CountingQuantifier::at_least(1));
             b.negated_edge(xo, z, "s");
+        }
+        6 => {
+            // A ratio on a non-focus node: `|Mₑ(y)|` moves with any `s`
+            // edge out of a `B` node.
+            let y = b.node("B");
+            let z = b.node("C");
+            b.edge(xo, y, "r");
+            b.quantified_edge(y, z, "s", CountingQuantifier::at_least_percent(50.0));
+        }
+        7 => {
+            let y = b.node("B");
+            let z = b.node("C");
+            b.edge(xo, y, "r");
+            b.quantified_edge(y, z, "s", CountingQuantifier::exactly(2));
+        }
+        _ => {
+            // Q reaches `w` in one hop through the negated edge; Π(Q) in two.
+            let y = b.node("B");
+            let w = b.node("C");
+            b.edge(xo, y, "r");
+            b.edge(y, w, "s");
+            b.negated_edge(xo, w, "s");
         }
     }
     b.focus(xo);
@@ -176,7 +204,7 @@ proptest! {
     #[test]
     fn view_apply_tracks_recompute_on_the_rebuilt_graph(
         gspec in graph_spec(),
-        kind in 0u8..6,
+        kind in 0u8..PATTERN_KINDS,
         seed in 0u64..1_000_000,
         threshold in compaction_threshold(),
     ) {
@@ -235,7 +263,7 @@ proptest! {
     #[test]
     fn inverse_stream_restores_matches_and_adjacency(
         gspec in graph_spec(),
-        kind in 0u8..6,
+        kind in 0u8..PATTERN_KINDS,
         seed in 0u64..1_000_000,
         threshold in compaction_threshold(),
     ) {
@@ -318,4 +346,63 @@ fn pokec_like_single_edge_update_patches_rows_without_rebuild() {
     assert_eq!(after.compactions, before.compactions);
     assert_eq!(after.nodes_patched, before.nodes_patched + 2);
     assert!(graph.has_edge(from, to, follow));
+}
+
+/// A batch of 1–10 ops on `in`/`is_a` edges of the yago-like knowledge graph
+/// re-decides fewer than 1 % of Q4(2)'s focus candidates, and leaves the view
+/// equal to a recompute.  A view's candidates are every `person` (its
+/// sessions filter by label only, so they hold for every version).  A
+/// repair that re-decided every candidate within `radius(Q)` hops of a
+/// changed endpoint would take in every person in the UK (through the `UK`
+/// hub) or every professor (through `prof`): 500 of 5,000 for one op, so
+/// this fails on a return to d-balls.  Counter-based like the pokec test above:
+/// `ViewDelta::rechecked` does not depend on the clock.
+#[test]
+fn yago_like_batches_redecide_under_one_percent_of_q4_candidates() {
+    use quantified_graph_patterns::core::pattern::library;
+    use quantified_graph_patterns::datasets::{yago_like, KnowledgeConfig};
+
+    let graph = yago_like(&KnowledgeConfig::with_persons(5_000));
+    let pattern = library::q4_uk_professors(2);
+    let labels = graph.labels();
+    let node = |name: &str| graph.nodes_with_label(labels.node_label(name).unwrap())[0];
+    let (uk, prof) = (node("UK"), node("prof"));
+    let (is_in, is_a) = (
+        labels.edge_label("in").unwrap(),
+        labels.edge_label("is_a").unwrap(),
+    );
+    let persons = graph.nodes_with_label(labels.node_label("person").unwrap());
+    let candidates = persons.len();
+
+    let mut view = Engine::new(&graph).prepare(&pattern).unwrap().view();
+    let mut edges = edge_set(&graph);
+    let mut stride = persons.iter().step_by(37);
+    for batch_size in [1usize, 4, 10] {
+        // Toggle `person -in-> UK` and `person -is_a-> prof` edges of
+        // persons spread across the graph.
+        let ops: Vec<EdgeOp> = (0..batch_size)
+            .map(|i| {
+                let p = *stride.next().expect("enough persons");
+                let (to, label) = if i % 2 == 0 { (uk, is_in) } else { (prof, is_a) };
+                if edges.remove(&(p, to, label)) {
+                    EdgeOp::delete(p, to, label)
+                } else {
+                    edges.insert((p, to, label));
+                    EdgeOp::insert(p, to, label)
+                }
+            })
+            .collect();
+        let delta = view.apply(&ops).unwrap();
+        assert!(
+            delta.rechecked * 100 < candidates,
+            "batch of {batch_size}: re-decided {} of {candidates} focus candidates",
+            delta.rechecked
+        );
+        let rebuilt = rebuild(&graph, &edges);
+        assert_eq!(
+            view.matches(),
+            &recompute(&rebuilt, &pattern, &MatchConfig::qmatch())[..],
+            "batch of {batch_size}"
+        );
+    }
 }
