@@ -1,11 +1,16 @@
-//! Property-based equivalence of the two graph-construction paths.
+//! Property-based equivalence of the graph-construction paths.
 //!
-//! The storage crate freezes a CSR layout either from the batch loader
-//! (`GraphBuilder` accumulates triples and sorts once at `build()`) or from
-//! incremental `Graph::add_edge` calls (an `O(V·L + E)` splice per edge).
-//! Both must produce byte-for-byte identical adjacency — same edge list,
-//! same degrees, same per-label neighbor ranges — and, downstream, identical
-//! answers — the reference oracle's — for every matcher configuration.
+//! The storage crate reaches a CSR layout either from the batch loader
+//! (`GraphBuilder` stages sorted per-source rows and freezes them once at
+//! `build()`) or from incremental `Graph::add_edge` calls (one-op batches
+//! through the delta overlay, compacted past its threshold).  Both must
+//! produce identical adjacency — same edge list, same degrees, same
+//! per-label neighbor ranges — and, downstream, identical answers — the
+//! reference oracle's — for every matcher configuration.  A third freeze,
+//! `Graph::induced_subgraph`, must equal the restriction of the edge set to
+//! the chosen nodes under the mapping it returns.
+
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
@@ -195,26 +200,44 @@ proptest! {
         }
     }
 
-    /// The bulk API on `Graph` itself (used by `induced_subgraph` and the
-    /// builder's flush) agrees with the builder path.
+    /// `induced_subgraph` over random (unsorted, repeating) node lists: both
+    /// directions of the subgraph are the edge set restricted to the chosen
+    /// nodes, read through the returned local → global mapping.
     #[test]
-    fn bulk_api_agrees_with_builder(spec in graph_spec()) {
-        let batch = build_batch(&spec);
-        let mut g = Graph::new();
-        let ids: Vec<NodeId> = spec
-            .node_labels
-            .iter()
-            .map(|&l| g.add_node_with_name(NODE_LABELS[l as usize]))
+    fn induced_subgraph_is_the_restriction_of_the_edge_set(
+        spec in graph_spec(),
+        picks in proptest::collection::vec(0usize..64, 0..16),
+    ) {
+        let g = build_batch(&spec);
+        let nodes: Vec<NodeId> = picks.iter().map(|&i| NodeId::new(i % g.node_count())).collect();
+        let (sub, global_of_local) = g.induced_subgraph(&nodes);
+
+        let mut first_seen = Vec::new();
+        for &v in &nodes {
+            if !first_seen.contains(&v) {
+                first_seen.push(v);
+            }
+        }
+        prop_assert_eq!(&global_of_local, &first_seen);
+        prop_assert_eq!(sub.node_count(), first_seen.len());
+        let local = |v: NodeId| global_of_local.iter().position(|&w| w == v).map(NodeId::new);
+        let expected: BTreeSet<_> = g
+            .edges()
+            .filter_map(|e| Some((local(e.from)?, e.label, local(e.to)?)))
             .collect();
-        let triples: Vec<_> = spec
-            .edges
-            .iter()
-            .map(|&(f, t, l)| {
-                let label = g.labels_mut().intern_edge_label(EDGE_LABELS[l as usize]);
-                (ids[f as usize], ids[t as usize], label)
-            })
-            .collect();
-        g.add_edges_bulk(triples).unwrap();
-        assert_same_adjacency(&batch, &g)?;
+        prop_assert_eq!(sub.edge_count(), expected.len());
+        let group = |set: &BTreeSet<_>, v: NodeId, l| {
+            set.range((v, l, NodeId(0))..=(v, l, NodeId(u32::MAX)))
+                .map(|&(_, _, w)| w)
+                .collect::<Vec<NodeId>>()
+        };
+        let reversed: BTreeSet<_> = expected.iter().map(|&(f, l, t)| (t, l, f)).collect();
+        for v in sub.nodes() {
+            prop_assert_eq!(sub.node_label(v), g.node_label(global_of_local[v.index()]));
+            for (l, _) in g.labels().edge_labels() {
+                prop_assert_eq!(sub.out_neighbors_with_label_slice(v, l), &group(&expected, v, l)[..]);
+                prop_assert_eq!(sub.in_neighbors_with_label_slice(v, l), &group(&reversed, v, l)[..]);
+            }
+        }
     }
 }

@@ -10,7 +10,7 @@
 //!
 //! * the out-CSR is the concatenation of the staged vectors (already in
 //!   `(node, label, target)` order),
-//! * the in-CSR is produced by a stable counting scatter — count per
+//! * the in-CSR is its transpose, a stable counting scatter — count per
 //!   `(target, label)` bucket, prefix-sum into the dense range index, then
 //!   scatter; visiting sources in ascending order makes every bucket arrive
 //!   sorted.
@@ -143,74 +143,33 @@ impl GraphBuilder {
         if !self.dirty {
             return;
         }
-        let n = self.staged.len();
         let label_count = self.graph.labels().edge_label_count();
-        let stride = label_count + 1;
-        let edges = self.staged_edges;
-
-        // --- out-CSR: concatenate the staged (already ordered) vectors ---
-        let mut out_offsets = vec![0u32; n * stride];
-        let mut out_targets: Vec<NodeId> = Vec::with_capacity(edges);
-        for (v, list) in self.staged.iter().enumerate() {
-            let base = v * stride;
-            let mut i = 0usize;
-            for l in 0..label_count {
-                out_offsets[base + l] = out_targets.len() as u32;
-                while let Some(&(label, to)) = list.get(i) {
-                    if label.index() != l {
-                        break;
-                    }
-                    out_targets.push(to);
-                    i += 1;
+        // `from_rows` asks for the groups in `(node, label)` order, so each
+        // staged vector is consumed front to back, one label group a call.
+        let mut rest: &[(LabelId, NodeId)] = &[];
+        let out = CsrAdjacency::from_rows(
+            self.staged.len(),
+            label_count,
+            self.staged_edges,
+            |v, l, row| {
+                if l == 0 {
+                    rest = &self.staged[v];
                 }
-            }
-            out_offsets[base + label_count] = out_targets.len() as u32;
-        }
-
-        // --- in-CSR: stable counting scatter -----------------------------
-        // Pass 1: bucket sizes per (target, label).
-        let mut in_offsets = vec![0u32; n * stride];
-        for list in &self.staged {
-            for &(label, to) in list {
-                in_offsets[to.index() * stride + label.index()] += 1;
-            }
-        }
-        // Prefix-sum the counts into range starts; `in_offsets[v*stride+l]`
-        // becomes the start of bucket (v, l), the extra lane per node the
-        // node's end.
-        let mut running = 0u32;
-        for v in 0..n {
-            let base = v * stride;
-            for l in 0..label_count {
-                let count = in_offsets[base + l];
-                in_offsets[base + l] = running;
-                running += count;
-            }
-            in_offsets[base + label_count] = running;
-        }
-        // Pass 2: scatter. Sources are visited in ascending order, so every
-        // bucket is filled sorted — counting sort is stable.
-        let mut cursor = in_offsets.clone();
-        let mut in_targets: Vec<NodeId> = vec![NodeId(0); edges];
-        for (from, list) in self.staged.iter().enumerate() {
-            for &(label, to) in list {
-                let slot = &mut cursor[to.index() * stride + label.index()];
-                in_targets[*slot as usize] = NodeId::new(from);
-                *slot += 1;
-            }
-        }
-
-        self.graph.set_frozen_edges(
-            CsrAdjacency::from_parts(n, label_count, out_offsets, out_targets),
-            CsrAdjacency::from_parts(n, label_count, in_offsets, in_targets),
-            edges,
+                let group = rest
+                    .iter()
+                    .take_while(|&&(label, _)| label.index() == l)
+                    .count();
+                row.extend(rest[..group].iter().map(|&(_, to)| to));
+                rest = &rest[group..];
+            },
         );
+        self.graph.set_frozen_edges(out);
         self.dirty = false;
     }
 
     /// Read access to the graph under construction.  Freezes any staged
     /// edges first (hence `&mut self`); prefer calling it sparingly — every
-    /// call after new edges were staged pays an `O(V·L + E)` rebuild.
+    /// call after new edges were staged pays an `O(V·L + E)` freeze.
     pub fn graph(&mut self) -> &Graph {
         self.flush();
         &self.graph

@@ -16,23 +16,21 @@
 //! turns the `QMatch` upper-bound arithmetic `U(v, e) = |Mₑ(v)|` into the
 //! cheap degree check the paper's cost model assumes.
 //!
-//! The layout is *frozen*: it is (re)built in one `O(E log E)` sort from a
-//! triple list ([`CsrAdjacency::rebuild`]) and queried immutably afterwards.
-//! Batch construction goes through [`crate::GraphBuilder`], which accumulates
-//! triples and finalizes once.  Incremental mutation never touches the
-//! frozen arrays — it goes through the delta overlay in the `delta` module,
-//! which layers sorted side-tables over this base and folds them back in
-//! with one `rebuild` at compaction time.
+//! The layout is *frozen*: it is built once and queried immutably
+//! afterwards.  Every freeze goes through the same two constructors, both
+//! `O(V·L + E)` and sort-free: [`CsrAdjacency::from_rows`] concatenates
+//! per-`(node, label)` groups that the caller hands over already sorted
+//! (the builder's staged rows, the delta overlay's merged rows, an induced
+//! subgraph's remapped rows), and [`CsrAdjacency::transpose`] derives the
+//! opposite direction with one stable counting scatter.  Incremental
+//! mutation never touches the frozen arrays — it goes through the delta
+//! overlay in the `delta` module, whose merged rows are frozen again at
+//! compaction time.
 
 use crate::graph::NodeId;
 
-/// A `(node, label, neighbor)` triple in raw `u32` form.  The meaning of
-/// `node`/`neighbor` depends on the direction: for the out-CSR they are
-/// `(from, label, to)`, for the in-CSR `(to, label, from)`.
-pub(crate) type Triple = (u32, u32, u32);
-
 /// One direction of the graph's adjacency in frozen CSR form.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct CsrAdjacency {
     /// Dense range index, stride `label_count + 1` (see module docs).
     label_offsets: Vec<u32>,
@@ -54,14 +52,86 @@ impl CsrAdjacency {
         }
     }
 
-    /// Assembles an adjacency directly from its frozen parts — the
-    /// zero-copy path used by [`crate::GraphBuilder`], which produces the
-    /// offsets and targets with counting passes instead of a sort.
-    ///
-    /// `label_offsets` must have stride `label_count + 1` per node and
-    /// `targets` must be grouped by `(node, label)` with each group sorted
-    /// by neighbor.
-    pub fn from_parts(
+    /// Freezes an adjacency row by row: `fill(v, l, targets)` appends the
+    /// `(v, l)` group, sorted by neighbor, and is called once per pair in
+    /// ascending `(v, l)` order.  `edges` only sizes the target array.
+    pub(crate) fn from_rows(
+        node_count: usize,
+        label_count: usize,
+        edges: usize,
+        mut fill: impl FnMut(usize, usize, &mut Vec<NodeId>),
+    ) -> Self {
+        let mut label_offsets = Vec::with_capacity(node_count * (label_count + 1));
+        let mut targets = Vec::with_capacity(edges);
+        for v in 0..node_count {
+            for l in 0..label_count {
+                label_offsets.push(targets.len() as u32);
+                fill(v, l, &mut targets);
+            }
+            label_offsets.push(targets.len() as u32);
+        }
+        Self::from_parts(node_count, label_count, label_offsets, targets)
+    }
+
+    /// The opposite direction of `self`, by a stable counting scatter:
+    /// count per `(target, label)` bucket, prefix-sum into the dense range
+    /// index, then scatter.  Sources are visited in ascending order, so
+    /// every bucket arrives sorted.
+    pub(crate) fn transpose(&self) -> Self {
+        let (n, label_count, stride) = (self.node_count, self.label_count, self.stride());
+        let mut label_offsets = vec![0u32; n * stride];
+        self.for_each_edge(|_, l, w| label_offsets[w.index() * stride + l] += 1);
+        // Counts become range starts; the extra lane per node its end.
+        let mut running = 0u32;
+        for node in label_offsets.chunks_exact_mut(stride) {
+            for slot in &mut node[..label_count] {
+                let count = *slot;
+                *slot = running;
+                running += count;
+            }
+            node[label_count] = running;
+        }
+        let mut cursor = label_offsets.clone();
+        let mut targets = vec![NodeId(0); self.targets.len()];
+        self.for_each_edge(|v, l, w| {
+            let slot = &mut cursor[w.index() * stride + l];
+            targets[*slot as usize] = NodeId::new(v);
+            *slot += 1;
+        });
+        Self::from_parts(n, label_count, label_offsets, targets)
+    }
+
+    /// Calls `f(node, label, neighbor)` for every edge, in storage order.
+    /// An edge's label is the number of label groups of its row that start
+    /// at or before it.  Counting those starts per position keeps the walk
+    /// one flat loop per row: a loop per `(node, label)` group pays a
+    /// mispredicted exit per group, which made the walk twice as slow on
+    /// pokec-like graphs, where most groups are empty or tiny.
+    fn for_each_edge(&self, mut f: impl FnMut(usize, usize, NodeId)) {
+        if self.label_count == 0 {
+            return;
+        }
+        let mut starts: Vec<u32> = Vec::new();
+        for (v, ends) in self.label_offsets.chunks_exact(self.stride()).enumerate() {
+            let base = ends[0] as usize;
+            let row = &self.targets[base..ends[self.label_count] as usize];
+            starts.clear();
+            starts.resize(row.len() + 1, 0);
+            for &start in &ends[1..self.label_count] {
+                starts[start as usize - base] += 1;
+            }
+            let mut l = 0;
+            for (&w, &at) in row.iter().zip(&starts) {
+                l += at as usize;
+                f(v, l, w);
+            }
+        }
+    }
+
+    /// Assembles an adjacency from its frozen parts: `label_offsets` has
+    /// stride `label_count + 1` per node and `targets` is grouped by
+    /// `(node, label)` with each group sorted by neighbor.
+    fn from_parts(
         node_count: usize,
         label_count: usize,
         label_offsets: Vec<u32>,
@@ -90,6 +160,12 @@ impl CsrAdjacency {
         self.label_count
     }
 
+    /// Number of edges stored.
+    #[inline]
+    pub fn edge_count(&self) -> usize {
+        self.targets.len()
+    }
+
     /// Reserves index capacity for `additional` more nodes.
     pub fn reserve_nodes(&mut self, additional: usize) {
         self.label_offsets.reserve(additional * self.stride());
@@ -101,50 +177,6 @@ impl CsrAdjacency {
         self.label_offsets
             .extend(std::iter::repeat_n(end, self.stride()));
         self.node_count += 1;
-    }
-
-    /// Rebuilds the whole structure from a triple list (sorted in place;
-    /// duplicates must already have been removed).  `O(E log E)` for the
-    /// sort plus `O(V·L + E)` for the fill.
-    pub fn rebuild(&mut self, node_count: usize, label_count: usize, triples: &mut [Triple]) {
-        triples.sort_unstable();
-        debug_assert!(triples.windows(2).all(|w| w[0] != w[1]), "duplicate triple");
-        self.node_count = node_count;
-        self.label_count = label_count;
-        let stride = self.stride();
-        self.label_offsets.clear();
-        self.label_offsets.resize(node_count * stride, 0);
-        self.targets.clear();
-        self.targets.reserve_exact(triples.len());
-        let mut i = 0usize;
-        for v in 0..node_count {
-            let base = v * stride;
-            for l in 0..label_count {
-                self.label_offsets[base + l] = self.targets.len() as u32;
-                while let Some(&(tv, tl, tw)) = triples.get(i) {
-                    if tv as usize != v || tl as usize != l {
-                        break;
-                    }
-                    self.targets.push(NodeId(tw));
-                    i += 1;
-                }
-            }
-            self.label_offsets[base + label_count] = self.targets.len() as u32;
-        }
-        debug_assert_eq!(i, triples.len(), "triple out of node/label bounds");
-    }
-
-    /// Decomposes the structure back into its (sorted) triple list.
-    pub fn to_triples(&self) -> Vec<Triple> {
-        let mut triples = Vec::with_capacity(self.targets.len());
-        for v in 0..self.node_count {
-            for l in 0..self.label_count {
-                for &w in self.slice(v, l) {
-                    triples.push((v as u32, l as u32, w.0));
-                }
-            }
-        }
-        triples
     }
 
     /// The neighbors of `v` via label `l` as a sorted slice — the `O(1)`
@@ -188,28 +220,30 @@ impl CsrAdjacency {
     pub fn contains_any(&self, v: usize, w: NodeId) -> bool {
         (0..self.label_count).any(|l| self.contains(v, l, w))
     }
-
-    /// Grows the dense index to cover at least `label_count` labels,
-    /// rebuilding with the wider stride.
-    pub fn ensure_label_capacity(&mut self, label_count: usize) {
-        if label_count > self.label_count {
-            let mut triples = self.to_triples();
-            self.rebuild(self.node_count, label_count, &mut triples);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Freezes `(node, label, neighbor)` triples given in any order.
+    fn freeze(node_count: usize, label_count: usize, triples: &[(u32, u32, u32)]) -> CsrAdjacency {
+        CsrAdjacency::from_rows(node_count, label_count, triples.len(), |v, l, row| {
+            let start = row.len();
+            row.extend(
+                triples
+                    .iter()
+                    .filter(|t| (t.0 as usize, t.1 as usize) == (v, l))
+                    .map(|t| NodeId(t.2)),
+            );
+            row[start..].sort_unstable();
+        })
+    }
+
     fn sample() -> CsrAdjacency {
         // Node 0: label 0 -> {1, 2}, label 1 -> {1}; node 1: label 1 -> {0};
         // node 2: nothing.
-        let mut csr = CsrAdjacency::default();
-        let mut triples = vec![(0, 0, 2), (0, 0, 1), (0, 1, 1), (1, 1, 0)];
-        csr.rebuild(3, 2, &mut triples);
-        csr
+        freeze(3, 2, &[(0, 0, 2), (0, 0, 1), (0, 1, 1), (1, 1, 0)])
     }
 
     #[test]
@@ -223,7 +257,7 @@ mod tests {
         assert_eq!(csr.degree(0), 3);
         assert_eq!(csr.slice(0, 0).len(), 2);
         assert_eq!(csr.degree(2), 0);
-        assert_eq!(csr.to_triples().len(), 4);
+        assert_eq!(csr.edge_count(), 4);
     }
 
     #[test]
@@ -242,21 +276,39 @@ mod tests {
         let mut csr = sample();
         csr.push_node();
         assert_eq!(csr.degree(3), 0);
-        let before = csr.to_triples();
-        csr.ensure_label_capacity(5);
-        assert_eq!(csr.to_triples(), before);
-        let mut triples = csr.to_triples();
-        triples.push((3, 4, 0));
-        csr.rebuild(4, 5, &mut triples);
-        assert_eq!(csr.slice(3, 4), &[NodeId(0)]);
+        assert_eq!(
+            csr,
+            freeze(4, 2, &[(0, 0, 2), (0, 0, 1), (0, 1, 1), (1, 1, 0)])
+        );
+        // Refreezing the rows at a wider stride keeps every row.
+        let wider = CsrAdjacency::from_rows(4, 5, csr.edge_count(), |v, l, row| {
+            row.extend_from_slice(csr.slice(v, l))
+        });
+        for v in 0..4 {
+            assert_eq!(wider.node_slice(v), csr.node_slice(v));
+            for l in 0..2 {
+                assert_eq!(wider.slice(v, l), csr.slice(v, l));
+            }
+        }
+        assert!(wider.slice(0, 4).is_empty());
+        let grown = CsrAdjacency::from_rows(4, 5, 5, |v, l, row| {
+            row.extend_from_slice(wider.slice(v, l));
+            if (v, l) == (3, 4) {
+                row.push(NodeId(0));
+            }
+        });
+        assert_eq!(grown.slice(3, 4), &[NodeId(0)]);
+        assert_eq!(grown.transpose().slice(0, 4), &[NodeId(3)]);
     }
 
     #[test]
-    fn round_trip_through_triples_is_lossless() {
+    fn transpose_twice_is_the_identity() {
         let csr = sample();
-        let mut triples = csr.to_triples();
-        let mut rebuilt = CsrAdjacency::default();
-        rebuilt.rebuild(3, 2, &mut triples);
-        assert_eq!(rebuilt.to_triples(), csr.to_triples());
+        let inn = csr.transpose();
+        assert_eq!(
+            inn,
+            freeze(3, 2, &[(2, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 1)])
+        );
+        assert_eq!(inn.transpose(), csr);
     }
 }

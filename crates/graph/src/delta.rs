@@ -16,17 +16,23 @@
 //! Reads stay slice-shaped: a node without a patch answers straight from the
 //! base; a patched node answers from its patch.  Either way `Mₑ(v)` is still
 //! two loads and a subtraction, so the matcher's hot path is unchanged.
-//! Once the side-tables grow past the graph's compaction threshold, the
-//! whole overlay is folded back into the CSR with one `O(E log E)` rebuild.
+//! Once the side-tables grow past the graph's compaction threshold, these
+//! merged rows — already grouped by label and sorted — are concatenated
+//! into a fresh CSR (`O(V·L + E)`, no sort) and the overlay is dropped.
 //!
 //! Updates arrive as [`EdgeOp`] batches via `Graph::apply_edge_ops`, which
 //! reports what actually changed in an [`UpdateReport`] (duplicate inserts
 //! and deletes of absent edges are counted no-ops, not errors) and
 //! accumulates lifetime [`UpdateStats`] for observability and tests.
 
-use crate::csr::{CsrAdjacency, Triple};
+use crate::csr::CsrAdjacency;
 use crate::graph::NodeId;
 use crate::labels::LabelId;
+
+/// A `(node, label, neighbor)` side-table entry in raw `u32` form: for the
+/// out direction `(from, label, to)`, for the in direction
+/// `(to, label, from)`.
+type Triple = (u32, u32, u32);
 
 /// One edge mutation in a batch handed to `Graph::apply_edge_ops`.
 ///
@@ -151,9 +157,11 @@ pub struct UpdateStats {
     pub noop_deletes: usize,
     /// Per-direction node adjacencies re-materialized.
     pub nodes_patched: usize,
-    /// Overlay-to-CSR compactions (threshold crossings and forced folds).
+    /// Overlay-to-CSR compactions (threshold crossings and forced folds,
+    /// including the fold a label widening does while updates are pending).
     pub compactions: usize,
-    /// Full `O(V·L + E)` CSR rebuilds (bulk loads, label-vocabulary growth).
+    /// Label widenings: ops naming an edge label beyond the frozen index,
+    /// each of which refreezes the CSR at the wider stride.
     pub full_rebuilds: usize,
 }
 
@@ -304,6 +312,11 @@ impl DeltaSide {
             }
             di = del_end;
         }
+        debug_assert_eq!(
+            targets.len() + del.len(),
+            base.degree(v as usize) + ins.len(),
+            "tombstone not in base"
+        );
         offsets.push(targets.len() as u32);
         let row = PatchedNode { offsets, targets };
         match self.patch_index[v as usize] {
@@ -350,29 +363,6 @@ impl DeltaSide {
                 (0..labels).any(|l| row.slice(l).binary_search(&w).is_ok())
             }
         }
-    }
-
-    /// The full merged triple list (base ∪ inserted ∖ deleted), sorted —
-    /// the input for a compaction rebuild.  One linear pass.
-    pub(crate) fn merged_triples(&self, base: &CsrAdjacency) -> Vec<Triple> {
-        let existing = base.to_triples();
-        let mut merged =
-            Vec::with_capacity((existing.len() + self.inserted.len()) - self.deleted.len());
-        let (mut i, mut d) = (0usize, 0usize);
-        for &t in &existing {
-            while i < self.inserted.len() && self.inserted[i] < t {
-                merged.push(self.inserted[i]);
-                i += 1;
-            }
-            if d < self.deleted.len() && self.deleted[d] == t {
-                d += 1;
-                continue;
-            }
-            merged.push(t);
-        }
-        merged.extend_from_slice(&self.inserted[i..]);
-        debug_assert_eq!(d, self.deleted.len(), "tombstone not in base");
-        merged
     }
 }
 
@@ -454,10 +444,33 @@ mod tests {
 
     fn base_csr() -> CsrAdjacency {
         // Node 0: label 0 -> {1, 2}; node 1: label 1 -> {0}; node 2: none.
-        let mut csr = CsrAdjacency::default();
-        let mut triples = vec![(0, 0, 1), (0, 0, 2), (1, 1, 0)];
-        csr.rebuild(3, 2, &mut triples);
-        csr
+        CsrAdjacency::from_rows(3, 2, 3, |v, l, row| match (v, l) {
+            (0, 0) => row.extend([NodeId(1), NodeId(2)]),
+            (1, 1) => row.push(NodeId(0)),
+            _ => {}
+        })
+    }
+
+    /// Every node's merged row, frozen — what a compaction installs.
+    fn freeze_rows(side: &DeltaSide, base: &CsrAdjacency) -> CsrAdjacency {
+        CsrAdjacency::from_rows(3, 2, 0, |v, l, row| {
+            row.extend_from_slice(side.slice(base, v, l))
+        })
+    }
+
+    /// The `(node, label, neighbor)` triples of a frozen adjacency.
+    fn triples(csr: &CsrAdjacency) -> Vec<Triple> {
+        let mut out = Vec::new();
+        for v in 0..3u32 {
+            for l in 0..2u32 {
+                out.extend(
+                    csr.slice(v as usize, l as usize)
+                        .iter()
+                        .map(|w| (v, l, w.0)),
+                );
+            }
+        }
+        out
     }
 
     #[test]
@@ -512,24 +525,28 @@ mod tests {
     }
 
     #[test]
-    fn merged_triples_match_a_batch_rebuild() {
+    fn merged_rows_freeze_to_the_expected_edge_set() {
         let base = base_csr();
         let mut side = DeltaSide::new(3);
         side.apply_insert(&base, (0, 1, 2));
         side.apply_insert(&base, (2, 0, 1));
         side.apply_delete(&base, (0, 0, 2));
-        let merged = side.merged_triples(&base);
+        for v in [0, 2] {
+            side.repatch(&base, v, 2);
+        }
+        let merged = freeze_rows(&side, &base);
         let mut expect = vec![(0, 0, 1), (0, 1, 2), (1, 1, 0), (2, 0, 1)];
         expect.sort_unstable();
-        assert_eq!(merged, expect);
+        assert_eq!(triples(&merged), expect);
     }
 
     #[test]
     fn patched_rows_match_a_batch_rebuild() {
         // Random-ish op soup; the patch of every touched node must equal the
-        // row of a CSR rebuilt from the merged triples.
+        // row of the expected edge set, kept here as a plain sorted set.
         let base = base_csr();
         let mut side = DeltaSide::new(3);
+        let mut expect: std::collections::BTreeSet<Triple> = triples(&base).into_iter().collect();
         let ops: &[(bool, Triple)] = &[
             (true, (0, 1, 0)),
             (false, (0, 0, 1)),
@@ -541,25 +558,32 @@ mod tests {
         for &(is_insert, t) in ops {
             if is_insert {
                 side.apply_insert(&base, t);
+                expect.insert(t);
             } else {
                 side.apply_delete(&base, t);
+                expect.remove(&t);
             }
         }
         for v in 0..3 {
             side.repatch(&base, v, 2);
         }
-        let mut merged = side.merged_triples(&base);
-        let mut rebuilt = CsrAdjacency::default();
-        rebuilt.rebuild(3, 2, &mut merged);
-        for v in 0..3 {
-            for l in 0..2 {
+        for v in 0..3u32 {
+            for l in 0..2u32 {
+                let row: Vec<NodeId> = expect
+                    .range((v, l, 0)..=(v, l, u32::MAX))
+                    .map(|t| NodeId(t.2))
+                    .collect();
                 assert_eq!(
-                    side.slice(&base, v, l),
-                    rebuilt.slice(v, l),
+                    side.slice(&base, v as usize, l as usize),
+                    &row[..],
                     "row ({v}, {l})"
                 );
             }
-            assert_eq!(side.node_slice(&base, v), rebuilt.node_slice(v));
+        }
+        let frozen = freeze_rows(&side, &base);
+        assert_eq!(triples(&frozen), expect.into_iter().collect::<Vec<_>>());
+        for v in 0..3 {
+            assert_eq!(side.node_slice(&base, v), frozen.node_slice(v));
         }
     }
 

@@ -4,17 +4,19 @@
 //! neighbor arrays plus a dense per-`(node, label)` range index, so the
 //! neighborhood sets `Mₑ(v)` of Table 1 and the degrees `|Mₑ(v)|` that seed
 //! the `QMatch` upper bounds are constant-time slice lookups.  Bulk
-//! construction goes through [`crate::GraphBuilder`] (accumulate triples,
-//! sort once).  After the freeze, updates go through the delta overlay (see
-//! the `delta` module): [`Graph::apply_edge_ops`] records inserted/deleted
-//! triples in sorted side-tables, re-materializes only the touched node
-//! rows, and folds the overlay back into the CSR once it grows past
-//! [`Graph::compaction_threshold`].  [`Graph::add_edge`] is a one-op batch
-//! on that path — the old `O(V·L + E)` per-edge splice is gone.
+//! construction goes through [`crate::GraphBuilder`] (stage sorted rows,
+//! freeze once).  After the freeze, updates go through the delta overlay
+//! (see the `delta` module): [`Graph::apply_edge_ops`] records
+//! inserted/deleted triples in sorted side-tables, re-materializes only the
+//! touched node rows, and freezes the merged rows again once the overlay
+//! grows past [`Graph::compaction_threshold`].  [`Graph::add_edge`] is a
+//! one-op batch on that path.  Every freeze — builder, compaction, label
+//! widening, [`Graph::induced_subgraph`] — is the same sort-free
+//! `O(V·L + E)` row concatenation plus transpose.
 
 use std::sync::Arc;
 
-use crate::csr::{CsrAdjacency, Triple};
+use crate::csr::CsrAdjacency;
 use crate::delta::{EdgeOp, GraphDelta, UpdateReport, UpdateStats};
 use crate::error::GraphError;
 use crate::labels::{LabelId, LabelSet};
@@ -247,10 +249,10 @@ impl Graph {
     /// sorted side-tables and only the touched node rows are
     /// re-materialized.  Once a side-table grows past
     /// [`Graph::compaction_threshold`] the overlay is folded back into the
-    /// frozen CSR with one `O(E log E)` rebuild (reported via
-    /// [`UpdateReport::compacted`]).  An op naming an edge label beyond the
-    /// frozen index's vocabulary forces that fold early, so the index can be
-    /// rebuilt with the wider stride first.
+    /// frozen CSR with one `O(V·L + E)` freeze of the merged rows (reported
+    /// via [`UpdateReport::compacted`]).  An op naming an edge label beyond
+    /// the frozen index's vocabulary forces that freeze early, at the wider
+    /// stride.
     pub fn apply_edge_ops(&mut self, ops: &[EdgeOp]) -> Result<UpdateReport, GraphError> {
         for op in ops {
             self.check_node(op.from())?;
@@ -263,9 +265,10 @@ impl Graph {
         let needed = ops.iter().map(|op| op.label().index() + 1).max().unwrap_or(0);
         let capacity = self.labels.edge_label_count().max(needed);
         if capacity > self.out.label_count() {
-            self.compact_updates();
-            Arc::make_mut(&mut self.out).ensure_label_capacity(capacity);
-            Arc::make_mut(&mut self.inn).ensure_label_capacity(capacity);
+            if self.pending_updates() > 0 {
+                self.update_stats.compactions += 1;
+            }
+            self.refreeze(capacity);
             self.update_stats.full_rebuilds += 1;
         }
         let threshold = self.compaction_threshold();
@@ -321,23 +324,31 @@ impl Graph {
     }
 
     /// Folds any pending overlay updates back into the frozen CSR base with
-    /// one `O(E log E)` rebuild, leaving the graph fully compacted.  A no-op
-    /// when nothing is pending.
+    /// one `O(V·L + E)` freeze of the merged rows, leaving the graph fully
+    /// compacted.  A no-op when nothing is pending.
     pub fn compact_updates(&mut self) {
-        let Some(delta) = self.delta.take() else {
-            return;
-        };
-        if delta.pending() == 0 {
+        if self.pending_updates() == 0 {
             // Every patch equals its base row; dropping the overlay suffices.
+            self.delta = None;
             return;
         }
-        let mut triples = delta.out.merged_triples(&self.out);
-        let mut reversed: Vec<Triple> = triples.iter().map(|&(f, l, t)| (t, l, f)).collect();
-        let n = self.node_count();
-        let label_count = self.out.label_count();
-        Arc::make_mut(&mut self.out).rebuild(n, label_count, &mut triples);
-        Arc::make_mut(&mut self.inn).rebuild(n, label_count, &mut reversed);
+        self.refreeze(self.out.label_count());
         self.update_stats.compactions += 1;
+    }
+
+    /// Freezes the current rows (base or patch, per node) into fresh CSRs at
+    /// `label_count` and installs them.  The replaced arrays are never
+    /// written: a published snapshot that shares them keeps them as they
+    /// are.
+    fn refreeze(&mut self, label_count: usize) {
+        let out = CsrAdjacency::from_rows(
+            self.node_count(),
+            label_count,
+            self.edge_count,
+            |v, l, row| row.extend_from_slice(self.out_slice(v, l)),
+        );
+        debug_assert_eq!(out.edge_count(), self.edge_count, "overlay lost an edge");
+        self.set_frozen_edges(out);
     }
 
     /// The overlay size (pending inserted/deleted triples per direction)
@@ -367,80 +378,13 @@ impl Graph {
         &self.update_stats
     }
 
-    /// Adds a batch of edges in one `O(E log E)` rebuild — the fast path the
-    /// [`crate::GraphBuilder`] finalization and [`Graph::induced_subgraph`]
-    /// use.  Exact duplicate triples (within the batch or against edges
-    /// already present) are skipped; the number of edges actually inserted is
-    /// returned.  Fails without modifying the graph if any endpoint is out of
-    /// bounds.
-    pub fn add_edges_bulk(
-        &mut self,
-        edges: impl IntoIterator<Item = (NodeId, NodeId, LabelId)>,
-    ) -> Result<usize, GraphError> {
-        // The merge below reads the frozen triple list, so pending overlay
-        // updates must be folded in first.
-        self.compact_updates();
-        let mut fresh: Vec<Triple> = Vec::new();
-        let mut max_label = self.labels.edge_label_count();
-        for (from, to, label) in edges {
-            self.check_node(from)?;
-            self.check_node(to)?;
-            max_label = max_label.max(label.index() + 1);
-            fresh.push((from.0, label.0, to.0));
-        }
-        if fresh.is_empty() {
-            return Ok(0);
-        }
-        fresh.sort_unstable();
-        fresh.dedup();
-
-        // Merge with the existing (already sorted) triples, skipping exact
-        // duplicates with a linear pass — no per-edge search.
-        let existing = self.out.to_triples();
-        let mut merged: Vec<Triple> = Vec::with_capacity(existing.len() + fresh.len());
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < existing.len() && j < fresh.len() {
-            match existing[i].cmp(&fresh[j]) {
-                std::cmp::Ordering::Less => {
-                    merged.push(existing[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    merged.push(fresh[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    merged.push(existing[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        merged.extend_from_slice(&existing[i..]);
-        merged.extend_from_slice(&fresh[j..]);
-        let added = merged.len() - existing.len();
-
-        let mut reversed: Vec<Triple> = merged.iter().map(|&(f, l, t)| (t, l, f)).collect();
-        let n = self.node_count();
-        Arc::make_mut(&mut self.out).rebuild(n, max_label, &mut merged);
-        Arc::make_mut(&mut self.inn).rebuild(n, max_label, &mut reversed);
-        self.edge_count += added;
-        self.update_stats.full_rebuilds += 1;
-        Ok(added)
-    }
-
-    /// Installs fully-built frozen adjacency state (both directions plus the
-    /// edge count) — the hand-off point for [`crate::GraphBuilder`]'s
-    /// sort-free freeze.
-    pub(crate) fn set_frozen_edges(
-        &mut self,
-        out: CsrAdjacency,
-        inn: CsrAdjacency,
-        edge_count: usize,
-    ) {
+    /// Installs `out` as the frozen out-direction, its transpose as the
+    /// in-direction, and drops the overlay — the one hand-off point of every
+    /// freeze.
+    pub(crate) fn set_frozen_edges(&mut self, out: CsrAdjacency) {
+        self.inn = Arc::new(out.transpose());
+        self.edge_count = out.edge_count();
         self.out = Arc::new(out);
-        self.inn = Arc::new(inn);
-        self.edge_count = edge_count;
         self.delta = None;
     }
 
@@ -637,9 +581,9 @@ impl Graph {
     /// The induced subgraph contains all edges of `self` whose endpoints are
     /// both in `nodes` (Section 2.1, "subgraph induced by a set of nodes").
     /// Construction is deterministic: nodes keep their first-occurrence
-    /// order, and edges are collected by scanning `global_of_local` in order
-    /// and frozen with one bulk rebuild (no per-edge dedup search — the
-    /// source graph has no duplicates).
+    /// order, and each local row is the global row filtered and remapped,
+    /// frozen like any other CSR (only the remapped label groups are
+    /// sorted).
     pub fn induced_subgraph(&self, nodes: &[NodeId]) -> (Graph, Vec<NodeId>) {
         let mut sub = Graph::with_labels(self.labels().clone());
         let mut global_of_local = Vec::with_capacity(nodes.len());
@@ -653,23 +597,27 @@ impl Graph {
             local_of_global.insert(v, local);
             global_of_local.push(v);
         }
-        let mut triples: Vec<(NodeId, NodeId, LabelId)> = Vec::new();
-        for (local, &global) in global_of_local.iter().enumerate() {
-            for e in self.out_edges(global) {
-                if let Some(&local_to) = local_of_global.get(&e.to) {
-                    triples.push((NodeId::new(local), local_to, e.label));
-                }
-            }
-        }
-        sub.add_edges_bulk(triples)
-            .expect("induced subgraph endpoints are in bounds");
+        let label_count = self.out.label_count().max(self.labels.edge_label_count());
+        let out = CsrAdjacency::from_rows(sub.node_count(), label_count, 0, |v, l, row| {
+            let start = row.len();
+            row.extend(
+                self.out_slice(global_of_local[v].index(), l)
+                    .iter()
+                    .filter_map(|w| local_of_global.get(w).copied()),
+            );
+            row[start..].sort_unstable();
+        });
+        sub.set_frozen_edges(out);
         (sub, global_of_local)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
+    use crate::GraphBuilder;
 
     fn triangle() -> (Graph, Vec<NodeId>, LabelId) {
         let mut g = Graph::new();
@@ -736,7 +684,11 @@ mod tests {
         ));
         assert!(!g.has_edge(bogus, n[0], follows));
         assert!(matches!(
-            g.add_edges_bulk(vec![(bogus, n[0], follows)]),
+            g.apply_edge_ops(&[EdgeOp::insert(bogus, n[0], follows)]),
+            Err(GraphError::NodeOutOfBounds { .. })
+        ));
+        assert!(matches!(
+            g.remove_edge(n[0], bogus, follows),
             Err(GraphError::NodeOutOfBounds { .. })
         ));
     }
@@ -766,86 +718,52 @@ mod tests {
         assert_eq!(g.nodes_with_label(item), &[x]);
     }
 
-    #[test]
-    fn bulk_insertion_matches_incremental_insertion() {
-        let build = |bulk: bool| {
-            let mut g = Graph::new();
-            let person = g.labels_mut().intern_node_label("person");
-            let follows = g.labels_mut().intern_edge_label("follows");
-            let likes = g.labels_mut().intern_edge_label("likes");
-            let n: Vec<_> = (0..4).map(|_| g.add_node(person)).collect();
-            let edges = vec![
-                (n[2], n[0], follows),
-                (n[0], n[1], likes),
-                (n[0], n[1], follows),
-                (n[3], n[1], follows),
-                (n[2], n[0], follows), // duplicate
-            ];
-            if bulk {
-                assert_eq!(g.add_edges_bulk(edges).unwrap(), 4);
-            } else {
-                for (f, t, l) in edges {
-                    let _ = g.add_edge_dedup(f, t, l).unwrap();
-                }
-            }
-            g
-        };
-        let a = build(true);
-        let b = build(false);
-        assert_eq!(a.edge_count(), b.edge_count());
-        let edge_list = |g: &Graph| {
-            g.edges()
-                .map(|e| (e.from, e.label, e.to))
+    /// Asserts that `g`'s full adjacency (both directions, every accessor
+    /// shape) is exactly the expected edge set, read off a plain sorted set
+    /// so the oracle shares no code with any freeze.
+    fn assert_adjacency_is(g: &Graph, expected: &[(NodeId, NodeId, LabelId)]) {
+        let by_source: BTreeSet<(NodeId, LabelId, NodeId)> =
+            expected.iter().map(|&(f, t, l)| (f, l, t)).collect();
+        let by_target: BTreeSet<(NodeId, LabelId, NodeId)> =
+            expected.iter().map(|&(f, t, l)| (t, l, f)).collect();
+        let group = |set: &BTreeSet<(NodeId, LabelId, NodeId)>, v: NodeId, l: LabelId| {
+            set.range((v, l, NodeId(0))..=(v, l, NodeId(u32::MAX)))
+                .map(|e| e.2)
                 .collect::<Vec<_>>()
         };
-        assert_eq!(edge_list(&a), edge_list(&b));
-        for v in a.nodes() {
-            assert_eq!(
-                a.out_neighbors_slice(v),
-                b.out_neighbors_slice(v),
-                "out adjacency of {v:?}"
-            );
-            assert_eq!(a.in_neighbors_slice(v), b.in_neighbors_slice(v));
-        }
-    }
-
-    /// Asserts that `g`'s full adjacency (both directions, every accessor
-    /// shape) equals a graph batch-rebuilt from the expected edge list.
-    fn assert_matches_rebuild(g: &Graph, expected: &[(NodeId, NodeId, LabelId)]) {
-        let mut reference = Graph::with_labels(g.labels().clone());
+        assert_eq!(g.edge_count(), by_source.len(), "edge count");
         for v in g.nodes() {
-            reference.add_node(g.node_label(v));
-        }
-        reference.add_edges_bulk(expected.iter().copied()).unwrap();
-        assert_eq!(g.edge_count(), reference.edge_count(), "edge count");
-        for v in g.nodes() {
-            assert_eq!(
-                g.out_neighbors_slice(v),
-                reference.out_neighbors_slice(v),
-                "out adjacency of {v:?}"
-            );
-            assert_eq!(
-                g.in_neighbors_slice(v),
-                reference.in_neighbors_slice(v),
-                "in adjacency of {v:?}"
-            );
+            let (mut out_row, mut in_row) = (Vec::new(), Vec::new());
             for l in 0..g.labels().edge_label_count() {
                 let l = LabelId(l as u32);
+                let (out, inn) = (group(&by_source, v, l), group(&by_target, v, l));
                 assert_eq!(
                     g.out_neighbors_with_label_slice(v, l),
-                    reference.out_neighbors_with_label_slice(v, l),
+                    &out[..],
                     "out ({v:?}, {l:?})"
                 );
                 assert_eq!(
                     g.in_neighbors_with_label_slice(v, l),
-                    reference.in_neighbors_with_label_slice(v, l),
+                    &inn[..],
                     "in ({v:?}, {l:?})"
                 );
-                assert_eq!(g.out_degree_with_label(v, l), reference.out_degree_with_label(v, l));
-                assert_eq!(g.in_degree_with_label(v, l), reference.in_degree_with_label(v, l));
+                assert_eq!(g.out_degree_with_label(v, l), out.len());
+                assert_eq!(g.in_degree_with_label(v, l), inn.len());
+                out_row.extend(out);
+                in_row.extend(inn);
             }
-            assert_eq!(g.out_degree(v), reference.out_degree(v));
-            assert_eq!(g.in_degree(v), reference.in_degree(v));
+            assert_eq!(
+                g.out_neighbors_slice(v),
+                &out_row[..],
+                "out adjacency of {v:?}"
+            );
+            assert_eq!(
+                g.in_neighbors_slice(v),
+                &in_row[..],
+                "in adjacency of {v:?}"
+            );
+            assert_eq!(g.out_degree(v), out_row.len());
+            assert_eq!(g.in_degree(v), in_row.len());
         }
         for &(f, t, l) in expected {
             assert!(g.has_edge(f, t, l), "missing edge {f:?}->{t:?}");
@@ -864,10 +782,10 @@ mod tests {
         assert_eq!(report.noop_deletes, 1);
         assert!(!report.changed());
         assert_eq!(g.update_stats().noop_deletes, 1);
-        assert_matches_rebuild(&g, &edges);
+        assert_adjacency_is(&g, &edges);
         assert_eq!(g.remove_edge(n[1], n[0], follows), Ok(false));
         assert_eq!(g.remove_edge(n[0], n[1], follows), Ok(true));
-        assert_matches_rebuild(&g, &edges[1..]);
+        assert_adjacency_is(&g, &edges[1..]);
     }
 
     #[test]
@@ -885,7 +803,7 @@ mod tests {
         assert_eq!(report.noop_inserts, 2);
         let mut expected = edges;
         expected.push((n[0], n[2], follows));
-        assert_matches_rebuild(&g, &expected);
+        assert_adjacency_is(&g, &expected);
     }
 
     #[test]
@@ -904,7 +822,7 @@ mod tests {
         assert_eq!(report.inserted, 2);
         assert_eq!(report.deleted, 2);
         assert_eq!(g.pending_updates(), 0, "all ops cancelled in the overlay");
-        assert_matches_rebuild(&g, &edges);
+        assert_adjacency_is(&g, &edges);
     }
 
     #[test]
@@ -922,11 +840,11 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, GraphError::NodeOutOfBounds { .. }));
         assert_eq!(*g.update_stats(), before);
-        assert_matches_rebuild(&g, &edges);
+        assert_adjacency_is(&g, &edges);
         assert!(g
             .apply_edge_ops(&[EdgeOp::delete(bogus, n[0], follows)])
             .is_err());
-        assert_matches_rebuild(&g, &edges);
+        assert_adjacency_is(&g, &edges);
     }
 
     #[test]
@@ -957,7 +875,7 @@ mod tests {
         }
         assert!(compactions > 0, "threshold 4 must trigger compaction");
         assert_eq!(g.update_stats().compactions, compactions);
-        assert_matches_rebuild(&g, &expected);
+        assert_adjacency_is(&g, &expected);
         // Deletes cross the threshold too.
         let report = g
             .apply_edge_ops(
@@ -969,7 +887,7 @@ mod tests {
             .unwrap();
         assert_eq!(report.deleted, 5);
         assert!(report.compacted);
-        assert_matches_rebuild(&g, &expected[5..]);
+        assert_adjacency_is(&g, &expected[5..]);
     }
 
     #[test]
@@ -993,7 +911,7 @@ mod tests {
             .unwrap();
         assert_eq!(g.update_stats().full_rebuilds, before + 1);
         assert!(g.has_edge(n[0], n[1], likes));
-        assert_matches_rebuild(
+        assert_adjacency_is(
             &g,
             &[
                 (n[0], n[1], follows),
@@ -1014,7 +932,7 @@ mod tests {
         let d = g.add_node(person);
         assert_eq!(g.out_degree(d), 0);
         g.apply_edge_ops(&[EdgeOp::insert(d, n[0], follows)]).unwrap();
-        assert_matches_rebuild(
+        assert_adjacency_is(
             &g,
             &[
                 (n[0], n[1], follows),
@@ -1041,5 +959,98 @@ mod tests {
     fn edges_iterator_covers_every_edge_once() {
         let (g, _, _) = triangle();
         assert_eq!(g.edges().count(), g.edge_count());
+    }
+
+    /// A builder freeze of `g`'s nodes and exactly `edges`.
+    fn builder_freeze(g: &Graph, edges: &BTreeSet<(NodeId, LabelId, NodeId)>) -> Graph {
+        let mut nodes = Graph::with_labels(g.labels().clone());
+        for v in g.nodes() {
+            nodes.add_node(g.node_label(v));
+        }
+        let mut b = GraphBuilder::from_graph(nodes);
+        for &(f, l, t) in edges {
+            b.add_edge(f, t, g.labels().edge_label_name(l).unwrap())
+                .unwrap();
+        }
+        b.build()
+    }
+
+    /// Compaction is a freeze: after it, both directions' `label_offsets` and
+    /// `targets` equal a `GraphBuilder` freeze of the same edge set, at every
+    /// threshold, with a node added and an edge label interned after the
+    /// first freeze.
+    #[test]
+    fn compaction_is_byte_identical_to_a_builder_freeze() {
+        for threshold in [1, 3, 8, 0] {
+            let mut b = GraphBuilder::new();
+            let n = b.add_nodes("person", 7);
+            for i in 0..7 {
+                b.add_edge(n[i], n[(i * 3 + 1) % 7], "follows").unwrap();
+                b.add_edge(n[(i + 2) % 7], n[i], "likes").unwrap();
+            }
+            let mut g = b.build();
+            g.set_compaction_threshold(threshold);
+            let mut edges: BTreeSet<(NodeId, LabelId, NodeId)> =
+                g.edges().map(|e| (e.from, e.label, e.to)).collect();
+            let mut freezes = 0;
+            let mut check = |g: &Graph, edges: &BTreeSet<_>| {
+                let reference = builder_freeze(g, edges);
+                assert_eq!(*g.out, *reference.out, "out CSR, threshold {threshold}");
+                assert_eq!(*g.inn, *reference.inn, "in CSR, threshold {threshold}");
+                freezes += 1;
+            };
+            let mut ops = Vec::new();
+            for step in 0..39u32 {
+                if step == 10 {
+                    let person = g.labels().node_label("person").unwrap();
+                    g.add_node(person);
+                }
+                if step == 20 {
+                    g.labels_mut().intern_edge_label("knows");
+                }
+                let labels = g.labels().edge_label_count() as u32;
+                let nodes = g.node_count() as u32;
+                let (f, t) = (
+                    NodeId((step * 5 + 3) % nodes),
+                    NodeId((step * 11 + 1) % nodes),
+                );
+                let l = LabelId((step * 7) % labels);
+                ops.push(if step % 4 == 0 {
+                    EdgeOp::delete(f, t, l)
+                } else {
+                    EdgeOp::insert(f, t, l)
+                });
+                if step % 3 != 2 {
+                    continue;
+                }
+                let rebuilds = g.update_stats().full_rebuilds;
+                let before = edges.clone();
+                for op in &ops {
+                    let e = (op.from(), op.label(), op.to());
+                    if op.is_insert() {
+                        edges.insert(e);
+                    } else {
+                        edges.remove(&e);
+                    }
+                }
+                let report = g.apply_edge_ops(&std::mem::take(&mut ops)).unwrap();
+                if report.compacted {
+                    assert_eq!(g.pending_updates(), 0);
+                    check(&g, &edges);
+                } else if g.update_stats().full_rebuilds > rebuilds {
+                    // The widening froze the edges from before this batch,
+                    // whose ops then went to a fresh overlay.
+                    check(&g, &before);
+                }
+                let expected: Vec<_> = edges.iter().map(|&(f, l, t)| (f, t, l)).collect();
+                assert_adjacency_is(&g, &expected);
+            }
+            g.compact_updates();
+            check(&g, &edges);
+            assert!(
+                freezes >= 2,
+                "threshold {threshold}: the widening freeze and the last one"
+            );
+        }
     }
 }

@@ -13,8 +13,8 @@
 //!   (the children of `v` reachable via an edge with a given label, Table 1
 //!   of the paper) and its size `|Mₑ(v)|` are constant-time slice lookups,
 //! * [`LabelSet`] — string interning for node and edge labels,
-//! * [`GraphBuilder`] — the batch loader: accumulates `(from, to, label)`
-//!   triples and freezes the CSR layout with one sort at `build()`,
+//! * [`GraphBuilder`] — the batch loader: stages edges in sorted per-source
+//!   rows and freezes the CSR layout once at `build()`, without sorting,
 //! * [`delta`] — the update path for live graphs: [`EdgeOp`] batches applied
 //!   through a sorted side-table overlay ([`Graph::apply_edge_ops`]) that is
 //!   compacted back into the CSR past a configurable threshold,

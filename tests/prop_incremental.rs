@@ -12,7 +12,9 @@
 //! * a single-edge update on the pokec-like generator's graph patches two
 //!   adjacency rows instead of rebuilding the CSR (counter-pinned),
 //! * a small batch on the yago-like generator's graph re-decides under 1 %
-//!   of Q4's focus candidates (counter-pinned).
+//!   of Q4's focus candidates (counter-pinned),
+//! * a seeded stream through a `GraphStore` compacts an exact number of
+//!   times, and a new edge label refreezes exactly once (counter-pinned).
 //!
 //! Streams come from the seeded [`UpdateStreamGen`]; the view properties
 //! draw the overlay compaction threshold from `{1, 3, 8, default}`, so the
@@ -173,9 +175,16 @@ fn rebuild(template: &Graph, edges: &BTreeSet<Edge>) -> Graph {
     for v in template.nodes() {
         g.add_node(template.node_label(v));
     }
-    g.add_edges_bulk(edges.iter().copied())
-        .expect("mirror endpoints are in range");
-    g
+    let mut b = GraphBuilder::from_graph(g);
+    for &(from, to, label) in edges {
+        let name = template
+            .labels()
+            .edge_label_name(label)
+            .expect("interned label");
+        b.add_edge(from, to, name)
+            .expect("mirror endpoints are in range");
+    }
+    b.build()
 }
 
 fn recompute(graph: &Graph, pattern: &Pattern, config: &MatchConfig) -> Vec<NodeId> {
@@ -346,6 +355,61 @@ fn pokec_like_single_edge_update_patches_rows_without_rebuild() {
     assert_eq!(after.compactions, before.compactions);
     assert_eq!(after.nodes_patched, before.nodes_patched + 2);
     assert!(graph.has_edge(from, to, follow));
+}
+
+/// The store's write path on a seeded stream over a small pokec-like graph:
+/// `UpdateStats::{compactions, full_rebuilds}` are pinned exactly at
+/// compaction thresholds 8 and the default.  Then an op naming a new edge
+/// label adds exactly one `full_rebuilds`, and one `compactions` only when
+/// updates were pending.  Clock-free: the counters depend only on the seed.
+#[test]
+fn store_stream_compaction_counters_are_pinned() {
+    use quantified_graph_patterns::datasets::{pokec_like, SocialConfig};
+    use quantified_graph_patterns::GraphStore;
+
+    let base = pokec_like(&SocialConfig::with_persons(300));
+    for (threshold, compactions) in [(8, 22), (0, 1)] {
+        let mut graph = base.clone();
+        graph.set_compaction_threshold(threshold);
+        let store = GraphStore::new(graph);
+        let mut gen = UpdateStreamGen::new(&base, stream_config(7));
+        let sizes = [1usize, 4, 9, 30]
+            .repeat(10)
+            .into_iter()
+            .chain([1000, 600, 2]);
+        for size in sizes {
+            store.apply(&gen.next_batch(size)).unwrap();
+        }
+        let stats = *store.snapshot().graph().update_stats();
+        assert_eq!(
+            (stats.compactions, stats.full_rebuilds),
+            (compactions, 0),
+            "threshold {threshold}"
+        );
+
+        let mut g = store.snapshot().graph().clone();
+        for compact_first in [false, true] {
+            g.apply_edge_ops(&gen.next_batch(3)).unwrap();
+            if compact_first {
+                g.compact_updates();
+            }
+            let pending = g.pending_updates();
+            assert_eq!(pending == 0, compact_first, "threshold {threshold}");
+            let before = *g.update_stats();
+            let label = g
+                .labels_mut()
+                .intern_edge_label(&format!("fresh{compact_first}"));
+            g.apply_edge_ops(&[EdgeOp::insert(NodeId(0), NodeId(1), label)])
+                .unwrap();
+            let after = *g.update_stats();
+            assert_eq!(after.full_rebuilds, before.full_rebuilds + 1);
+            assert_eq!(
+                after.compactions,
+                before.compactions + usize::from(pending > 0)
+            );
+            assert!(g.has_edge(NodeId(0), NodeId(1), label));
+        }
+    }
 }
 
 /// A batch of 1–10 ops on `in`/`is_a` edges of the yago-like knowledge graph
