@@ -8,7 +8,7 @@
 //! * deletes biased toward edges that actually exist (a delete-of-absent
 //!   no-op exercises nothing past validation),
 //! * inserts biased toward re-inserting previously deleted edges (the
-//!   tombstone-cancellation path of the delta overlay),
+//!   path where the delta overlay cancels a pending delete),
 //! * endpoints drawn from a hub-skewed pool — every node once, plus both
 //!   endpoints of every starting edge — so high-degree nodes see
 //!   proportionally more churn, like real social-graph streams.

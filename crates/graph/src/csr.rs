@@ -201,12 +201,6 @@ impl CsrAdjacency {
         &self.targets[start..end]
     }
 
-    /// Degree of `v` counting all labels.
-    #[inline]
-    pub fn degree(&self, v: usize) -> usize {
-        self.node_slice(v).len()
-    }
-
     /// Is `w` a neighbor of `v` via label `l`?  Binary search within the
     /// label range.
     #[inline]
@@ -254,9 +248,9 @@ mod tests {
         assert_eq!(csr.slice(1, 0), &[] as &[NodeId]);
         assert_eq!(csr.slice(1, 1), &[NodeId(0)]);
         assert_eq!(csr.node_slice(0), &[NodeId(1), NodeId(2), NodeId(1)]);
-        assert_eq!(csr.degree(0), 3);
+        assert_eq!(csr.node_slice(0).len(), 3);
         assert_eq!(csr.slice(0, 0).len(), 2);
-        assert_eq!(csr.degree(2), 0);
+        assert_eq!(csr.node_slice(2).len(), 0);
         assert_eq!(csr.edge_count(), 4);
     }
 
@@ -275,7 +269,7 @@ mod tests {
     fn push_node_and_label_growth_preserve_contents() {
         let mut csr = sample();
         csr.push_node();
-        assert_eq!(csr.degree(3), 0);
+        assert_eq!(csr.node_slice(3).len(), 0);
         assert_eq!(
             csr,
             freeze(4, 2, &[(0, 0, 2), (0, 0, 1), (0, 1, 1), (1, 1, 0)])

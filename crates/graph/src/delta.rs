@@ -4,34 +4,38 @@
 //! lookups by giving up cheap mutation: splicing one edge into the flat
 //! arrays costs `O(V·L + E)`.  This module restores cheap updates without
 //! touching the frozen base.  A `GraphDelta` (crate-private, owned by
-//! `Graph`) records, per direction,
-//!
-//! * sorted side-tables of inserted and deleted `(node, label, neighbor)`
-//!   triples — the durable record of everything applied since the last
-//!   compaction, and
-//! * per-node *patches*: for each node an update touched, a materialized
-//!   merged adjacency (base ∪ inserted ∖ deleted) in the same
-//!   offsets-plus-targets shape as one CSR row.
+//! `Graph`) keeps, per direction, the current row of every node an update
+//! touched since the last compaction: the merged adjacency in the same
+//! offsets-plus-targets shape as one CSR row, behind an `Arc` in chunks of
+//! 1,024 nodes.  A batch stages its ops in a small map (so each op sees the
+//! ones before it), then splices each touched node's ops into its current
+//! row and installs the result as a fresh row.  Rows are never written once
+//! installed, so a published snapshot shares every chunk and row its
+//! successor's batches do not touch, and a clone copies one pointer per
+//! chunk.
 //!
 //! Reads stay slice-shaped: a node without a patch answers straight from the
 //! base; a patched node answers from its patch.  Either way `Mₑ(v)` is still
-//! two loads and a subtraction, so the matcher's hot path is unchanged.
-//! Once the side-tables grow past the graph's compaction threshold, these
-//! merged rows — already grouped by label and sorted — are concatenated
-//! into a fresh CSR (`O(V·L + E)`, no sort) and the overlay is dropped.
+//! a few loads and a subtraction, so the matcher's hot path is unchanged.
+//! Once the number of edges that differ from the base reaches the graph's
+//! compaction threshold, the merged rows — already grouped by label and
+//! sorted — are concatenated into a fresh CSR (`O(V·L + E)`, no sort) and
+//! the overlay is dropped.
 //!
 //! Updates arrive as [`EdgeOp`] batches via `Graph::apply_edge_ops`, which
 //! reports what actually changed in an [`UpdateReport`] (duplicate inserts
 //! and deletes of absent edges are counted no-ops, not errors) and
 //! accumulates lifetime [`UpdateStats`] for observability and tests.
 
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
 use crate::csr::CsrAdjacency;
 use crate::graph::NodeId;
 use crate::labels::LabelId;
 
-/// A `(node, label, neighbor)` side-table entry in raw `u32` form: for the
-/// out direction `(from, label, to)`, for the in direction
-/// `(to, label, from)`.
+/// A `(node, label, neighbor)` edge in raw `u32` form: for the out direction
+/// `(from, label, to)`, for the in direction `(to, label, from)`.
 type Triple = (u32, u32, u32);
 
 /// One edge mutation in a batch handed to `Graph::apply_edge_ops`.
@@ -165,11 +169,16 @@ pub struct UpdateStats {
     pub full_rebuilds: usize,
 }
 
-/// Marker in `patch_index` for "this node has no patch; read the base".
-const CLEAN: u32 = u32::MAX;
+/// Nodes per chunk of row slots.  A publish clones one pointer per chunk;
+/// the first write to a chunk after a publish copies its slots.
+pub(crate) const CHUNK: usize = 1024;
+
+/// One chunk of row slots (the last may be shorter); `None` reads the base
+/// row.
+type Chunk = [Option<Arc<PatchedNode>>];
 
 /// One CSR-shaped row: the merged adjacency of a single patched node.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug)]
 struct PatchedNode {
     /// Per-label range starts plus one trailing end, like one CSR stride.
     offsets: Vec<u32>,
@@ -185,165 +194,154 @@ impl PatchedNode {
         }
         &self.targets[self.offsets[l] as usize..self.offsets[l + 1] as usize]
     }
+}
 
-    #[inline]
-    fn node_slice(&self) -> &[NodeId] {
-        &self.targets
-    }
+fn empty_chunk(len: usize) -> Arc<Chunk> {
+    (0..len).map(|_| None).collect()
 }
 
 /// One direction of the overlay.  For the out direction triples are
 /// `(from, label, to)`; for the in direction `(to, label, from)` — the same
 /// convention the two CSRs use.
+///
+/// Rows are immutable once installed and shared by every snapshot cloned
+/// after that: a repatch builds a fresh row and installs it through
+/// [`Arc::make_mut`] on its chunk, so a clone costs one pointer per chunk
+/// and a batch copies only the chunks and rows it touches.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DeltaSide {
-    /// Sorted triples inserted since the last compaction.  Disjoint from the
-    /// base and from `deleted`.
-    inserted: Vec<Triple>,
-    /// Sorted triples deleted since the last compaction.  Always a subset of
-    /// the base.
-    deleted: Vec<Triple>,
-    /// Per-node patch slot, [`CLEAN`] when the node reads from the base.
-    patch_index: Vec<u32>,
-    /// Materialized merged rows for every touched node.
-    patched: Vec<PatchedNode>,
-}
-
-/// Returns the index range of `list` whose triples belong to node `v`.
-fn node_range(list: &[Triple], v: u32) -> std::ops::Range<usize> {
-    let lo = list.partition_point(|t| t.0 < v);
-    let hi = lo + list[lo..].partition_point(|t| t.0 == v);
-    lo..hi
+    /// The current row of every node, [`CHUNK`] nodes per chunk.
+    rows: Vec<Arc<Chunk>>,
+    /// Triples whose presence differs from the base: effective inserts of
+    /// non-base edges plus effective deletes of base edges.
+    pending: usize,
+    /// The running batch's effective ops, `triple → present`, until
+    /// `repatch` splices them into their node's row.  Empty between batches.
+    staged: BTreeMap<Triple, bool>,
 }
 
 impl DeltaSide {
     fn new(node_count: usize) -> Self {
         DeltaSide {
-            patch_index: vec![CLEAN; node_count],
+            rows: (0..node_count)
+                .step_by(CHUNK)
+                .map(|start| empty_chunk((node_count - start).min(CHUNK)))
+                .collect(),
             ..Self::default()
         }
     }
 
     fn push_node(&mut self) {
-        self.patch_index.push(CLEAN);
+        match self.rows.last_mut() {
+            Some(last) if last.len() < CHUNK => {
+                let mut slots = last.to_vec();
+                slots.push(None);
+                *last = slots.into();
+            }
+            _ => self.rows.push(empty_chunk(1)),
+        }
     }
 
-    /// Number of pending side-table entries (inserts plus deletes).
+    /// Number of triples whose presence differs from the base.
     pub(crate) fn pending(&self) -> usize {
-        self.inserted.len() + self.deleted.len()
+        self.pending
     }
 
-    /// Records an insert.  Returns `true` when the edge transitions from
-    /// absent to present, `false` for a duplicate.
-    fn apply_insert(&mut self, base: &CsrAdjacency, t: Triple) -> bool {
-        if let Ok(pos) = self.deleted.binary_search(&t) {
-            // Re-insert of a tombstoned base edge: drop the tombstone.
-            self.deleted.remove(pos);
-            return true;
+    /// Is `t` present, counting the ops staged so far?
+    fn present(&self, base: &CsrAdjacency, t: Triple) -> bool {
+        match self.staged.get(&t) {
+            Some(&present) => present,
+            None => self.contains(base, t.0 as usize, t.1 as usize, NodeId(t.2)),
         }
-        if base.contains(t.0 as usize, t.1 as usize, NodeId(t.2)) {
+    }
+
+    /// Stages `t` as `present` (an insert or a delete).  Returns whether
+    /// the edge set changed: `false`, staging nothing, when `t` already is.
+    fn stage(&mut self, base: &CsrAdjacency, t: Triple, present: bool) -> bool {
+        if self.present(base, t) == present {
             return false;
         }
-        match self.inserted.binary_search(&t) {
-            Ok(_) => false,
-            Err(pos) => {
-                self.inserted.insert(pos, t);
-                true
-            }
+        self.staged.insert(t, present);
+        // Back to the base's state cancels a pending entry (a re-inserted
+        // base edge, a deleted pending insert); away from it adds one.
+        if base.contains(t.0 as usize, t.1 as usize, NodeId(t.2)) == present {
+            self.pending -= 1;
+        } else {
+            self.pending += 1;
         }
+        true
     }
 
-    /// Records a delete.  Returns `true` when the edge transitions from
-    /// present to absent, `false` when it was not present.
-    fn apply_delete(&mut self, base: &CsrAdjacency, t: Triple) -> bool {
-        if let Ok(pos) = self.inserted.binary_search(&t) {
-            // Deleting a pending insert cancels it outright.
-            self.inserted.remove(pos);
-            return true;
-        }
-        if !base.contains(t.0 as usize, t.1 as usize, NodeId(t.2)) {
-            return false;
-        }
-        match self.deleted.binary_search(&t) {
-            Ok(_) => false,
-            Err(pos) => {
-                self.deleted.insert(pos, t);
-                true
-            }
-        }
-    }
-
-    /// Re-materializes the merged row of node `v` from the base and the
-    /// side-tables.  `O(degree(v) + pending(v))`.
+    /// Splices node `v`'s staged ops into its current row (patch or base)
+    /// and installs the result as a fresh row: the runs between staged
+    /// neighbors are copied whole, `O(degree(v) + staged(v) · log degree(v))`.
     fn repatch(&mut self, base: &CsrAdjacency, v: u32, label_count: usize) {
-        let ins = &self.inserted[node_range(&self.inserted, v)];
-        let del = &self.deleted[node_range(&self.deleted, v)];
+        let ops: Vec<(Triple, bool)> = self
+            .staged
+            .range((v, 0, 0)..=(v, u32::MAX, u32::MAX))
+            .map(|(&t, &present)| (t, present))
+            .collect();
+        for (t, _) in &ops {
+            self.staged.remove(t);
+        }
+        let vi = v as usize;
         let mut offsets = Vec::with_capacity(label_count + 1);
-        let mut targets =
-            Vec::with_capacity((base.degree(v as usize) + ins.len()).saturating_sub(del.len()));
-        let (mut ii, mut di) = (0usize, 0usize);
-        for l in 0..label_count as u32 {
+        let mut targets = Vec::with_capacity(self.node_slice(base, vi).len() + ops.len());
+        let mut next = 0;
+        for l in 0..label_count {
             offsets.push(targets.len() as u32);
-            let b = base.slice(v as usize, l as usize);
-            let ins_end = ii + ins[ii..].partition_point(|t| t.1 == l);
-            let del_end = di + del[di..].partition_point(|t| t.1 == l);
-            let (mut bi, mut dj) = (0usize, di);
-            // Merge the base range with the label's inserts, dropping the
-            // label's deletes (which are always base members); the three
-            // runs are each sorted by neighbor id.
-            while bi < b.len() || ii < ins_end {
-                let take_base =
-                    ii >= ins_end || (bi < b.len() && b[bi].0 <= ins[ii].2);
-                if take_base {
-                    let w = b[bi];
-                    bi += 1;
-                    while dj < del_end && del[dj].2 < w.0 {
-                        dj += 1;
-                    }
-                    if dj < del_end && del[dj].2 == w.0 {
-                        dj += 1;
-                        continue;
-                    }
-                    targets.push(w);
-                } else {
-                    targets.push(NodeId(ins[ii].2));
-                    ii += 1;
+            let row = self.slice(base, vi, l);
+            let mut start = 0;
+            let in_label = |&&((_, ol, _), _): &&(Triple, bool)| ol as usize == l;
+            while let Some(&((_, _, w), present)) = ops.get(next).filter(in_label) {
+                next += 1;
+                let at = start + row[start..].partition_point(|x| x.0 < w);
+                targets.extend_from_slice(&row[start..at]);
+                if present {
+                    targets.push(NodeId(w));
                 }
+                start = at + usize::from(row.get(at) == Some(&NodeId(w)));
             }
-            di = del_end;
+            targets.extend_from_slice(&row[start..]);
         }
-        debug_assert_eq!(
-            targets.len() + del.len(),
-            base.degree(v as usize) + ins.len(),
-            "tombstone not in base"
-        );
         offsets.push(targets.len() as u32);
-        let row = PatchedNode { offsets, targets };
-        match self.patch_index[v as usize] {
-            CLEAN => {
-                self.patch_index[v as usize] = self.patched.len() as u32;
-                self.patched.push(row);
-            }
-            slot => self.patched[slot as usize] = row,
-        }
+        debug_assert_eq!(next, ops.len(), "a staged label beyond the row's stride");
+        debug_assert_eq!(
+            targets.len() as isize - self.node_slice(base, vi).len() as isize,
+            ops.iter()
+                .filter(|&&((_, l, w), present)| {
+                    self.contains(base, vi, l as usize, NodeId(w)) != present
+                })
+                .map(|&(_, present)| if present { 1 } else { -1 })
+                .sum::<isize>(),
+            "the spliced row of node {v} lost or duplicated a neighbor"
+        );
+        Arc::make_mut(&mut self.rows[vi / CHUNK])[vi % CHUNK] =
+            Some(Arc::new(PatchedNode { offsets, targets }));
+    }
+
+    /// The patch of `v`, `None` when `v` reads the base.
+    #[inline]
+    fn row(&self, v: usize) -> Option<&PatchedNode> {
+        self.rows[v / CHUNK][v % CHUNK].as_deref()
     }
 
     /// `Mₑ(v)` through the overlay: the patch when `v` was touched, the base
     /// row otherwise.
     #[inline]
     pub(crate) fn slice<'a>(&'a self, base: &'a CsrAdjacency, v: usize, l: usize) -> &'a [NodeId] {
-        match self.patch_index[v] {
-            CLEAN => base.slice(v, l),
-            slot => self.patched[slot as usize].slice(l),
+        match self.row(v) {
+            None => base.slice(v, l),
+            Some(row) => row.slice(l),
         }
     }
 
     /// All neighbors of `v` (every label) through the overlay.
     #[inline]
     pub(crate) fn node_slice<'a>(&'a self, base: &'a CsrAdjacency, v: usize) -> &'a [NodeId] {
-        match self.patch_index[v] {
-            CLEAN => base.node_slice(v),
-            slot => self.patched[slot as usize].node_slice(),
+        match self.row(v) {
+            None => base.node_slice(v),
+            Some(row) => &row.targets,
         }
     }
 
@@ -355,10 +353,9 @@ impl DeltaSide {
 
     /// Any-label membership test through the overlay.
     pub(crate) fn contains_any(&self, base: &CsrAdjacency, v: usize, w: NodeId) -> bool {
-        match self.patch_index[v] {
-            CLEAN => base.contains_any(v, w),
-            slot => {
-                let row = &self.patched[slot as usize];
+        match self.row(v) {
+            None => base.contains_any(v, w),
+            Some(row) => {
                 let labels = row.offsets.len().saturating_sub(1);
                 (0..labels).any(|l| row.slice(l).binary_search(&w).is_ok())
             }
@@ -367,6 +364,8 @@ impl DeltaSide {
 }
 
 /// The two-direction overlay a live `Graph` carries between compactions.
+/// Cloning it — what every published snapshot does — copies one pointer per
+/// [`CHUNK`] nodes and direction.
 #[derive(Debug, Clone)]
 pub(crate) struct GraphDelta {
     /// Out direction: triples are `(from, label, to)`.
@@ -388,7 +387,7 @@ impl GraphDelta {
         self.inn.push_node();
     }
 
-    /// Applies one op to both directions.  Returns whether the edge set
+    /// Stages one op in both directions.  Returns whether the edge set
     /// changed.
     pub(crate) fn apply(
         &mut self,
@@ -397,50 +396,80 @@ impl GraphDelta {
         op: &EdgeOp,
     ) -> bool {
         let (f, l, t) = (op.from().0, op.label().0, op.to().0);
-        let changed = if op.is_insert() {
-            self.out.apply_insert(out_base, (f, l, t))
-        } else {
-            self.out.apply_delete(out_base, (f, l, t))
-        };
+        let changed = self.out.stage(out_base, (f, l, t), op.is_insert());
         if changed {
-            let mirrored = if op.is_insert() {
-                self.inn.apply_insert(in_base, (t, l, f))
-            } else {
-                self.inn.apply_delete(in_base, (t, l, f))
-            };
+            let mirrored = self.inn.stage(in_base, (t, l, f), op.is_insert());
             debug_assert!(mirrored, "out/in overlay views disagree");
         }
         changed
     }
 
-    /// Re-materializes the rows of the touched nodes.  `touched_out` and
-    /// `touched_in` must be sorted and deduplicated.
+    /// Splices the staged ops into their nodes' rows, in both directions,
+    /// and returns the number of rows re-materialized.
     pub(crate) fn repatch_all(
         &mut self,
         out_base: &CsrAdjacency,
         in_base: &CsrAdjacency,
         label_count: usize,
-        touched_out: &[u32],
-        touched_in: &[u32],
-    ) {
-        for &v in touched_out {
-            self.out.repatch(out_base, v, label_count);
+    ) -> usize {
+        let mut patched = 0;
+        for (side, base) in [(&mut self.out, out_base), (&mut self.inn, in_base)] {
+            while let Some(&(v, _, _)) = side.staged.keys().next() {
+                side.repatch(base, v, label_count);
+                patched += 1;
+            }
         }
-        for &v in touched_in {
-            self.inn.repatch(in_base, v, label_count);
-        }
+        patched
     }
 
-    /// Larger of the two sides' pending side-table sizes (they can differ
-    /// only transiently; both directions record the same edge set).
+    /// Triples whose presence differs from the base (the same count in
+    /// both directions).  Read between batches, once every staged op is in
+    /// its row.
     pub(crate) fn pending(&self) -> usize {
-        self.out.pending().max(self.inn.pending())
+        debug_assert!(
+            self.out.staged.is_empty() && self.inn.staged.is_empty(),
+            "a staged op was never spliced into its row"
+        );
+        debug_assert_eq!(
+            self.out.pending(),
+            self.inn.pending(),
+            "out/in overlay views disagree"
+        );
+        self.out.pending()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The per-op entry points the tests below drive, and a probe of what
+    /// two clones share.
+    impl DeltaSide {
+        fn apply_insert(&mut self, base: &CsrAdjacency, t: Triple) -> bool {
+            self.stage(base, t, true)
+        }
+
+        fn apply_delete(&mut self, base: &CsrAdjacency, t: Triple) -> bool {
+            self.stage(base, t, false)
+        }
+
+        /// Per chunk, then per node: does `self` share it with `other` —
+        /// the same chunk allocation; the same row allocation, or both
+        /// reading the base?
+        pub(crate) fn sharing(&self, other: &DeltaSide) -> (Vec<bool>, Vec<bool>) {
+            let chunks = self.rows.iter().zip(&other.rows);
+            let rows = chunks.clone().flat_map(|(a, b)| a.iter().zip(b.iter()));
+            let rows = rows.map(|pair| match pair {
+                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+                (a, b) => a.is_none() && b.is_none(),
+            });
+            (
+                chunks.map(|(a, b)| Arc::ptr_eq(a, b)).collect(),
+                rows.collect(),
+            )
+        }
+    }
 
     fn base_csr() -> CsrAdjacency {
         // Node 0: label 0 -> {1, 2}; node 1: label 1 -> {0}; node 2: none.
@@ -522,6 +551,53 @@ mod tests {
         assert_eq!(side.pending(), 0);
         side.repatch(&base, 2, 2);
         assert!(side.slice(&base, 2, 1).is_empty());
+    }
+
+    /// Insert, delete, insert of one edge in one batch: each op sees the
+    /// ones staged before it, on a base edge and on a non-base edge.
+    #[test]
+    fn insert_delete_insert_in_one_batch_ends_present() {
+        let base = base_csr();
+        let mut side = DeltaSide::new(3);
+        assert!(!side.apply_insert(&base, (0, 0, 1)), "already in base");
+        assert!(side.apply_delete(&base, (0, 0, 1)));
+        assert!(side.apply_insert(&base, (0, 0, 1)));
+        assert_eq!(side.pending(), 0, "back to the base");
+        assert!(side.apply_insert(&base, (2, 1, 1)));
+        assert!(side.apply_delete(&base, (2, 1, 1)));
+        assert!(side.apply_insert(&base, (2, 1, 1)));
+        assert_eq!(side.pending(), 1);
+        for v in [0, 2] {
+            side.repatch(&base, v, 2);
+        }
+        assert!(side.staged.is_empty());
+        assert_eq!(side.node_slice(&base, 0), &[NodeId(1), NodeId(2)]);
+        assert_eq!(side.slice(&base, 2, 0), &[] as &[NodeId]);
+        assert_eq!(side.slice(&base, 2, 1), &[NodeId(1)]);
+        assert_eq!(side.pending(), 1);
+    }
+
+    /// Delete, insert, delete of one edge in one batch, the mirror image.
+    #[test]
+    fn delete_insert_delete_in_one_batch_ends_absent() {
+        let base = base_csr();
+        let mut side = DeltaSide::new(3);
+        assert!(side.apply_delete(&base, (0, 0, 1)));
+        assert!(side.apply_insert(&base, (0, 0, 1)));
+        assert!(side.apply_delete(&base, (0, 0, 1)));
+        assert_eq!(side.pending(), 1, "one base edge deleted");
+        assert!(!side.apply_delete(&base, (2, 1, 1)), "never existed");
+        assert!(side.apply_insert(&base, (2, 1, 1)));
+        assert!(side.apply_delete(&base, (2, 1, 1)));
+        assert_eq!(side.pending(), 1, "the non-base edge cancelled out");
+        for v in [0, 2] {
+            side.repatch(&base, v, 2);
+        }
+        assert!(side.staged.is_empty());
+        assert_eq!(side.slice(&base, 0, 0), &[NodeId(2)]);
+        assert_eq!(side.node_slice(&base, 0), &[NodeId(2)]);
+        assert_eq!(side.node_slice(&base, 2), &[] as &[NodeId]);
+        assert_eq!(side.slice(&base, 1, 1), &[NodeId(0)], "untouched");
     }
 
     #[test]

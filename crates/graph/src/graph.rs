@@ -6,13 +6,13 @@
 //! the `QMatch` upper bounds are constant-time slice lookups.  Bulk
 //! construction goes through [`crate::GraphBuilder`] (stage sorted rows,
 //! freeze once).  After the freeze, updates go through the delta overlay
-//! (see the `delta` module): [`Graph::apply_edge_ops`] records
-//! inserted/deleted triples in sorted side-tables, re-materializes only the
-//! touched node rows, and freezes the merged rows again once the overlay
-//! grows past [`Graph::compaction_threshold`].  [`Graph::add_edge`] is a
-//! one-op batch on that path.  Every freeze — builder, compaction, label
-//! widening, [`Graph::induced_subgraph`] — is the same sort-free
-//! `O(V·L + E)` row concatenation plus transpose.
+//! (see the `delta` module): [`Graph::apply_edge_ops`] splices each batch
+//! into the rows of the nodes it touches, installs them as fresh shared
+//! rows, and freezes the merged rows again once the overlay grows past
+//! [`Graph::compaction_threshold`].  [`Graph::add_edge`] is a one-op batch
+//! on that path.  Every freeze — builder, compaction, label widening,
+//! [`Graph::induced_subgraph`] — is the same sort-free `O(V·L + E)` row
+//! concatenation plus transpose.
 
 use std::sync::Arc;
 
@@ -21,8 +21,8 @@ use crate::delta::{EdgeOp, GraphDelta, UpdateReport, UpdateStats};
 use crate::error::GraphError;
 use crate::labels::{LabelId, LabelSet};
 
-/// Overlay side-table size (per direction) past which
-/// [`Graph::apply_edge_ops`] folds pending updates back into the frozen CSR.
+/// Number of pending updates — edges whose presence differs from the frozen
+/// CSR — at which [`Graph::apply_edge_ops`] folds them back into the CSR.
 pub const DEFAULT_COMPACTION_THRESHOLD: usize = 1024;
 
 /// Identifier of a node in a [`Graph`].
@@ -69,10 +69,11 @@ pub struct EdgeRef {
 /// Cloning is cheap: the frozen storage (both CSR directions, the node
 /// table, the per-label node index and the label vocabulary) lives behind
 /// [`Arc`]s with copy-on-write semantics, so a clone is a handful of
-/// reference-count bumps plus a copy of the (bounded) delta overlay.  Two
-/// clones share the frozen arrays until one of them mutates
-/// ([`Arc::make_mut`] un-shares only then) — this is what makes
-/// [`crate::GraphSnapshot`] epochs and live match views memory-cheap.
+/// reference-count bumps plus one pointer per 1,024 nodes of the delta
+/// overlay, whose rows are shared the same way.  Two clones share the
+/// frozen arrays until one of them mutates ([`Arc::make_mut`] un-shares
+/// only then) — this is what makes [`crate::GraphSnapshot`] epochs and live
+/// match views memory-cheap.
 #[derive(Debug, Clone, Default)]
 pub struct Graph {
     labels: Arc<LabelSet>,
@@ -245,14 +246,14 @@ impl Graph {
     /// references a node id that does not exist, the whole batch fails with
     /// [`GraphError::NodeOutOfBounds`] and the graph is left untouched.
     ///
-    /// Cost is `O(ops · log pending + Σ degree(touched))`: mutations land in
-    /// sorted side-tables and only the touched node rows are
-    /// re-materialized.  Once a side-table grows past
-    /// [`Graph::compaction_threshold`] the overlay is folded back into the
-    /// frozen CSR with one `O(V·L + E)` freeze of the merged rows (reported
-    /// via [`UpdateReport::compacted`]).  An op naming an edge label beyond
-    /// the frozen index's vocabulary forces that freeze early, at the wider
-    /// stride.
+    /// Cost is `O(ops · log ops + Σ degree(touched))`: ops are staged in a
+    /// map and only the touched node rows are re-materialized, each by
+    /// copying its current row around the staged changes.  Once the pending
+    /// count reaches [`Graph::compaction_threshold`] the overlay is folded
+    /// back into the frozen CSR with one `O(V·L + E)` freeze of the merged
+    /// rows (reported via [`UpdateReport::compacted`]).  An op naming an edge
+    /// label beyond the frozen index's vocabulary forces that freeze early,
+    /// at the wider stride.
     pub fn apply_edge_ops(&mut self, ops: &[EdgeOp]) -> Result<UpdateReport, GraphError> {
         for op in ops {
             self.check_node(op.from())?;
@@ -276,12 +277,8 @@ impl Graph {
         let delta = self
             .delta
             .get_or_insert_with(|| Box::new(GraphDelta::new(n)));
-        let mut touched_out: Vec<u32> = Vec::new();
-        let mut touched_in: Vec<u32> = Vec::new();
         for op in ops {
             if delta.apply(&self.out, &self.inn, op) {
-                touched_out.push(op.from().0);
-                touched_in.push(op.to().0);
                 if op.is_insert() {
                     self.edge_count += 1;
                     report.inserted += 1;
@@ -295,18 +292,7 @@ impl Graph {
                 report.noop_deletes += 1;
             }
         }
-        touched_out.sort_unstable();
-        touched_out.dedup();
-        touched_in.sort_unstable();
-        touched_in.dedup();
-        delta.repatch_all(
-            &self.out,
-            &self.inn,
-            self.out.label_count(),
-            &touched_out,
-            &touched_in,
-        );
-        report.nodes_patched = touched_out.len() + touched_in.len();
+        report.nodes_patched = delta.repatch_all(&self.out, &self.inn, self.out.label_count());
         let pending = delta.pending();
 
         self.update_stats.ops_applied += ops.len();
@@ -351,8 +337,8 @@ impl Graph {
         self.set_frozen_edges(out);
     }
 
-    /// The overlay size (pending inserted/deleted triples per direction)
-    /// past which [`Graph::apply_edge_ops`] compacts.
+    /// The pending count (see [`Graph::pending_updates`]) at which
+    /// [`Graph::apply_edge_ops`] compacts.
     pub fn compaction_threshold(&self) -> usize {
         if self.compaction_threshold == 0 {
             DEFAULT_COMPACTION_THRESHOLD
@@ -367,8 +353,8 @@ impl Graph {
         self.compaction_threshold = threshold;
     }
 
-    /// Number of pending overlay entries (inserted plus deleted triples) not
-    /// yet folded into the frozen CSR.
+    /// Number of edges whose presence differs from the frozen CSR (inserted
+    /// non-base edges plus deleted base edges), not yet folded into it.
     pub fn pending_updates(&self) -> usize {
         self.delta.as_ref().map_or(0, |d| d.pending())
     }
@@ -618,6 +604,13 @@ mod tests {
 
     use super::*;
     use crate::GraphBuilder;
+
+    impl Graph {
+        /// The overlay, for tests of what snapshots share.
+        pub(crate) fn delta(&self) -> Option<&GraphDelta> {
+            self.delta.as_deref()
+        }
+    }
 
     fn triangle() -> (Graph, Vec<NodeId>, LabelId) {
         let mut g = Graph::new();

@@ -15,9 +15,9 @@
 //! * [`LabelSet`] — string interning for node and edge labels,
 //! * [`GraphBuilder`] — the batch loader: stages edges in sorted per-source
 //!   rows and freezes the CSR layout once at `build()`, without sorting,
-//! * [`delta`] — the update path for live graphs: [`EdgeOp`] batches applied
-//!   through a sorted side-table overlay ([`Graph::apply_edge_ops`]) that is
-//!   compacted back into the CSR past a configurable threshold,
+//! * [`delta`] — the update path for live graphs: [`EdgeOp`] batches spliced
+//!   into an overlay of copy-on-write node rows ([`Graph::apply_edge_ops`])
+//!   that is compacted back into the CSR at a configurable threshold,
 //! * [`snapshot`] / [`store`] — the epoch architecture for serving under
 //!   updates: a [`GraphStore`] applies `EdgeOp` batches and atomically
 //!   publishes immutable, cheaply clonable [`GraphSnapshot`] epochs that

@@ -3,12 +3,14 @@
 //! A [`GraphStore`] owns the working graph.  Writers apply
 //! [`EdgeOp`] batches through [`GraphStore::apply`]; each batch produces a
 //! new immutable [`GraphSnapshot`] published atomically behind an `Arc`
-//! swap, and bumps the store's epoch counter.  Readers pin an epoch with
-//! [`GraphStore::snapshot`] — one brief pointer-sized critical section —
-//! and from then on query the pinned snapshot with **zero** synchronization,
-//! no matter how far the writer races ahead.  Compaction of the delta
-//! overlay happens on the working copy only: a published snapshot is never
-//! touched again.
+//! swap, and bumps the store's epoch counter.  A publish copies only what
+//! its batch touched: the snapshot shares the frozen CSR and every overlay
+//! chunk and row with the working copy, which replaces rather than writes
+//! them.  Readers pin an epoch with [`GraphStore::snapshot`] — one brief
+//! pointer-sized critical section — and from then on query the pinned
+//! snapshot with **zero** synchronization, no matter how far the writer
+//! races ahead.  Compaction of the delta overlay happens on the working
+//! copy only: a published snapshot is never touched again.
 //!
 //! The store also keeps a bounded per-epoch log of the applied `EdgeOp`
 //! batches ([`GraphStore::replay_from`]), which lets incremental consumers —
@@ -60,7 +62,9 @@ pub fn publish_ordering() -> Ordering {
 /// Writer-side state: the working graph plus the bounded replay log.
 struct Writer {
     /// The working copy.  Mutated and compacted freely; published epochs
-    /// are copy-on-write clones of it, so compaction never disturbs them.
+    /// are clones of it that share its frozen CSR and overlay rows, which
+    /// the writer replaces rather than writes, so neither a later batch nor
+    /// a compaction disturbs them.
     graph: Graph,
     /// `(epoch, ops)` pairs, oldest first: `ops` is the batch that advanced
     /// the store from `epoch - 1` to `epoch`.
@@ -132,9 +136,10 @@ impl GraphStore {
     /// leaves the store at its previous epoch.  Every successful batch —
     /// even an all-no-op one — publishes, so the epoch counter equals the
     /// number of successful `apply` calls.  Readers holding earlier
-    /// snapshots are unaffected: the new snapshot is a copy-on-write clone
-    /// of the working graph, and compaction only ever touches the working
-    /// copy.
+    /// snapshots are unaffected: the new snapshot is a clone of the working
+    /// graph that copies one pointer per 1,024 nodes of the overlay, and
+    /// later batches and compactions install fresh rows, chunks and CSRs in
+    /// the working copy instead of writing the shared ones.
     pub fn apply(&self, ops: &[EdgeOp]) -> Result<(UpdateReport, u64), GraphError> {
         let mut w = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
         let report = w.graph.apply_edge_ops(ops)?;
@@ -281,6 +286,44 @@ mod tests {
             .shares_frozen_storage(store.snapshot().graph()));
     }
 
+    /// A publish copies only what its batch touched: after a one-op batch
+    /// on a graph of five chunks with hundreds of pending ops, every chunk
+    /// and every row the op did not touch is the previous snapshot's own
+    /// allocation, in both directions.  Structural, so clock-free.
+    #[test]
+    fn a_publish_shares_every_chunk_and_row_its_batch_did_not_touch() {
+        let mut b = GraphBuilder::new();
+        let n = b.add_nodes("person", 5000);
+        for i in 0..5000 {
+            b.add_edge(n[i], n[(i * 7 + 1) % 5000], "follows").unwrap();
+        }
+        let store = GraphStore::new(b.build());
+        let follows = store.snapshot().labels().edge_label("follows").unwrap();
+        let spread: Vec<EdgeOp> = (0..400)
+            .map(|i| EdgeOp::insert(n[i * 12], n[(i * 37 + 5) % 5000], follows))
+            .collect();
+        store.apply(&spread).unwrap();
+        let before = store.snapshot();
+        let (from, to) = (n[1500], n[4321]);
+        store.apply(&[EdgeOp::insert(from, to, follows)]).unwrap();
+        let after = store.snapshot();
+        assert!(after.pending_updates() > 400);
+        assert!(!before.has_edge(from, to, follows));
+        assert!(after.has_edge(from, to, follows));
+        let (old, new) = (before.delta().unwrap(), after.delta().unwrap());
+        for (old, new, touched) in [(&old.out, &new.out, from), (&old.inn, &new.inn, to)] {
+            let (chunks, rows) = new.sharing(old);
+            assert_eq!((chunks.len(), rows.len()), (5, 5000));
+            for (c, &shared) in chunks.iter().enumerate() {
+                let touched_chunk = touched.index() / crate::delta::CHUNK;
+                assert_eq!(shared, c != touched_chunk, "chunk {c}");
+            }
+            for (v, &shared) in rows.iter().enumerate() {
+                assert_eq!(shared, v != touched.index(), "row {v}");
+            }
+        }
+    }
+
     #[test]
     fn failed_batches_publish_nothing() {
         let (g, n, follows) = seed();
@@ -422,5 +465,173 @@ mod tests {
             });
         });
         assert_eq!(store.epoch(), 50);
+    }
+
+    /// Bit of edge `from → to` with label `l` in a three-node, two-label
+    /// edge set (no self-loops): 12 bits.
+    fn bit(from: u32, l: u32, to: u32) -> u32 {
+        (from * 2 + to - u32::from(to > from)) * 2 + l
+    }
+
+    fn edge_op(from: u32, l: u32, to: u32, insert: bool) -> EdgeOp {
+        let (from, to, label) = (NodeId(from), NodeId(to), LabelId(l));
+        if insert {
+            EdgeOp::insert(from, to, label)
+        } else {
+            EdgeOp::delete(from, to, label)
+        }
+    }
+
+    /// Every accessor of `g` against the edge set `set`, read off the set
+    /// by membership tests only.
+    fn assert_reads(g: &Graph, set: u32) {
+        let has = |f: u32, l: u32, t: u32| f != t && set >> bit(f, l, t) & 1 == 1;
+        assert_eq!(g.edge_count(), set.count_ones() as usize, "edge count");
+        for v in 0..3u32 {
+            let (mut out, mut inn) = ([NodeId(0); 6], [NodeId(0); 6]);
+            let (mut out_len, mut in_len) = (0, 0);
+            for l in 0..2u32 {
+                let (out_start, in_start) = (out_len, in_len);
+                for w in 0..3 {
+                    if has(v, l, w) {
+                        out[out_len] = NodeId(w);
+                        out_len += 1;
+                    }
+                    if has(w, l, v) {
+                        inn[in_len] = NodeId(w);
+                        in_len += 1;
+                    }
+                    if w != v {
+                        let edge = g.has_edge(NodeId(v), NodeId(w), LabelId(l));
+                        assert_eq!(edge, has(v, l, w));
+                    }
+                }
+                let (v, l) = (NodeId(v), LabelId(l));
+                assert_eq!(
+                    g.out_neighbors_with_label_slice(v, l),
+                    &out[out_start..out_len]
+                );
+                assert_eq!(
+                    g.in_neighbors_with_label_slice(v, l),
+                    &inn[in_start..in_len]
+                );
+            }
+            assert_eq!(g.out_neighbors_slice(NodeId(v)), &out[..out_len]);
+            assert_eq!(g.in_neighbors_slice(NodeId(v)), &inn[..in_len]);
+            for w in (0..3).filter(|&w| w != v) {
+                let any = g.has_any_edge(NodeId(v), NodeId(w));
+                assert_eq!(any, has(v, 0, w) || has(v, 1, w));
+            }
+        }
+    }
+
+    /// Exhaustive at small scope: on three nodes with edge labels `r` and
+    /// `s`, from each of the 4,096 edge sets, every single-op batch (an
+    /// insert and a delete of each of the 12 edges) and every same-edge
+    /// double toggle (delete-then-insert of a present edge,
+    /// insert-then-delete of an absent one), through a store at compaction
+    /// threshold `threshold`.  After each batch the new head answers every
+    /// accessor as the model edge set (a 12-bit set) says, its
+    /// `UpdateReport` and pending count are the model's, and the snapshot
+    /// pinned before the batch still reads the old edge set.  A single op
+    /// that changed the edge set is undone by one more batch (its report
+    /// checked), so every batch starts from its base edge set while the
+    /// overlay keeps the rows and cancellations the batches before it left.
+    fn every_small_scope_batch_matches_a_set_model(threshold: usize) {
+        let edges: Vec<(u32, u32, u32)> = (0..3u32)
+            .flat_map(|f| (0..3).filter(move |&t| t != f).map(move |t| (f, t)))
+            .flat_map(|(f, t)| (0..2).map(move |l| (f, l, t)))
+            .collect();
+        assert!(edges
+            .iter()
+            .enumerate()
+            .all(|(i, &(f, l, t))| bit(f, l, t) == i as u32));
+        for base in 0u32..1 << edges.len() {
+            let mut labels = crate::LabelSet::new();
+            let a = labels.intern_node_label("A");
+            labels.intern_edge_label("r");
+            labels.intern_edge_label("s");
+            let mut graph = Graph::with_labels(labels);
+            for _ in 0..3 {
+                graph.add_node(a);
+            }
+            let inserts: Vec<EdgeOp> = (edges.iter().enumerate())
+                .filter(|&(i, _)| base >> i & 1 == 1)
+                .map(|(_, &(f, l, t))| edge_op(f, l, t, true))
+                .collect();
+            graph.apply_edge_ops(&inserts).unwrap();
+            graph.compact_updates();
+            graph.set_compaction_threshold(threshold);
+            let threshold = graph.compaction_threshold();
+            let store = GraphStore::new(graph);
+            // The edge set of the frozen CSR: an edge is pending while its
+            // presence differs from it.
+            let mut frozen = base;
+            let mut run = |ops: &[EdgeOp], before: u32, check_reads: bool| {
+                let pinned = store.snapshot();
+                let (mut set, mut expect) = (before, UpdateReport::default());
+                let (mut sources, mut targets) = (0u32, 0u32);
+                for op in ops {
+                    let (f, l, t) = (op.from().0, op.label().0, op.to().0);
+                    let present = set >> bit(f, l, t) & 1 == 1;
+                    match (op.is_insert(), present) {
+                        (true, false) => expect.inserted += 1,
+                        (false, true) => expect.deleted += 1,
+                        (true, true) => expect.noop_inserts += 1,
+                        (false, false) => expect.noop_deletes += 1,
+                    }
+                    if op.is_insert() != present {
+                        set ^= 1 << bit(f, l, t);
+                        sources |= 1 << f;
+                        targets |= 1 << t;
+                    }
+                }
+                expect.nodes_patched = (sources.count_ones() + targets.count_ones()) as usize;
+                let pending = (set ^ frozen).count_ones() as usize;
+                expect.compacted = pending >= threshold;
+                if expect.compacted {
+                    frozen = set;
+                }
+                let (report, _) = store.apply(ops).unwrap();
+                let ctx = || format!("base {base:#05x}, threshold {threshold}, {ops:?}");
+                assert_eq!(report, expect, "{}", ctx());
+                let head = store.snapshot();
+                let left = if expect.compacted { 0 } else { pending };
+                assert_eq!(head.pending_updates(), left, "{}", ctx());
+                if check_reads {
+                    assert_reads(&head, set);
+                    assert_eq!(pinned.edge_count(), before.count_ones() as usize);
+                    for (i, &(f, l, t)) in edges.iter().enumerate() {
+                        let (from, to, label) = (NodeId(f), NodeId(t), LabelId(l));
+                        let old = before >> i & 1 == 1;
+                        assert_eq!(pinned.has_edge(from, to, label), old, "{}", ctx());
+                        let in_row = pinned.in_neighbors_with_label_slice(to, label);
+                        assert_eq!(in_row.contains(&from), old, "{}", ctx());
+                    }
+                }
+                set
+            };
+            for &(f, l, t) in &edges {
+                let present = base >> bit(f, l, t) & 1 == 1;
+                for insert in [true, false] {
+                    let after = run(&[edge_op(f, l, t, insert)], base, true);
+                    if after != base {
+                        assert_eq!(run(&[edge_op(f, l, t, !insert)], after, false), base);
+                    }
+                }
+                let toggle = [edge_op(f, l, t, !present), edge_op(f, l, t, present)];
+                assert_eq!(run(&toggle, base, true), base);
+            }
+        }
+    }
+
+    #[test]
+    fn every_small_scope_batch_matches_a_set_model_at_threshold_1() {
+        every_small_scope_batch_matches_a_set_model(1);
+    }
+
+    #[test]
+    fn every_small_scope_batch_matches_a_set_model_at_the_default_threshold() {
+        every_small_scope_batch_matches_a_set_model(0);
     }
 }

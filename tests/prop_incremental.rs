@@ -13,8 +13,9 @@
 //!   adjacency rows instead of rebuilding the CSR (counter-pinned),
 //! * a small batch on the yago-like generator's graph re-decides under 1 %
 //!   of Q4's focus candidates (counter-pinned),
-//! * a seeded stream through a `GraphStore` compacts an exact number of
-//!   times, and a new edge label refreezes exactly once (counter-pinned).
+//! * a seeded stream through a `GraphStore` leaves every `UpdateStats`
+//!   counter at a pinned value, and a new edge label refreezes exactly once
+//!   (counter-pinned).
 //!
 //! Streams come from the seeded [`UpdateStreamGen`]; the view properties
 //! draw the overlay compaction threshold from `{1, 3, 8, default}`, so the
@@ -25,7 +26,7 @@ use std::collections::BTreeSet;
 use proptest::prelude::*;
 
 use qgp_bench::{StreamConfig, UpdateStreamGen};
-use quantified_graph_patterns::graph::LabelId;
+use quantified_graph_patterns::graph::{LabelId, UpdateStats};
 use quantified_graph_patterns::{
     CountingQuantifier, EdgeOp, Engine, ExecOptions, Graph, GraphBuilder, MatchConfig, NodeId,
     Pattern, PatternBuilder, Runtime,
@@ -358,8 +359,8 @@ fn pokec_like_single_edge_update_patches_rows_without_rebuild() {
 }
 
 /// The store's write path on a seeded stream over a small pokec-like graph:
-/// `UpdateStats::{compactions, full_rebuilds}` are pinned exactly at
-/// compaction thresholds 8 and the default.  Then an op naming a new edge
+/// every `UpdateStats` counter is pinned exactly at compaction thresholds 8
+/// and the default (only `compactions` differs between them).  Then an op naming a new edge
 /// label adds exactly one `full_rebuilds`, and one `compactions` only when
 /// updates were pending.  Clock-free: the counters depend only on the seed.
 #[test]
@@ -382,8 +383,17 @@ fn store_stream_compaction_counters_are_pinned() {
         }
         let stats = *store.snapshot().graph().update_stats();
         assert_eq!(
-            (stats.compactions, stats.full_rebuilds),
-            (compactions, 0),
+            stats,
+            UpdateStats {
+                ops_applied: 2042,
+                edges_inserted: 1216,
+                edges_deleted: 754,
+                noop_inserts: 7,
+                noop_deletes: 65,
+                nodes_patched: 1989,
+                compactions,
+                full_rebuilds: 0,
+            },
             "threshold {threshold}"
         );
 
