@@ -36,10 +36,10 @@
 //! Re-decisions run on sessions built with
 //! [`CandidateFilter::LabelUniverse`] — every node carrying the pattern
 //! node's label, with no degree-based pruning — precisely so one session is
-//! valid for every version (node labels are immutable; node count is fixed
-//! because [`EdgeOp`] cannot add nodes).  Idle sessions are pooled across
-//! repairs; large repair sets fan out on the work-stealing runtime with one
-//! pooled session per worker.
+//! valid for every version (a [`Graph`]'s node set and node labels are fixed
+//! when it is built; versions differ in edges only).  Idle sessions are
+//! pooled across repairs; large repair sets fan out on the work-stealing
+//! runtime with one pooled session per worker.
 //!
 //! ## Failure keeps the old pin
 //!
@@ -588,7 +588,7 @@ mod tests {
     use super::*;
     use crate::engine::{Engine, ExecOptions};
     use crate::pattern::library;
-    use qgp_graph::GraphBuilder;
+    use qgp_graph::{GraphBuilder, LabelId};
     use qgp_runtime::faults;
 
     /// Graph G1 of Fig. 2 plus the label handles the tests mutate with.
@@ -726,6 +726,32 @@ mod tests {
         ));
         assert_eq!(view.matches(), before);
         assert_eq!(view.graph().edge_count(), g.edge_count());
+    }
+
+    #[test]
+    fn unknown_edge_labels_fail_without_mutating_the_view() {
+        let (g, _, vs, redmi) = g1();
+        let pattern = library::q2_redmi_universal();
+        let mut view = Engine::new(&g).prepare(&pattern).unwrap().view();
+        let (before, pin) = (view.matches().to_vec(), Arc::clone(view.snapshot()));
+        let recom = g.labels().edge_label("recom").unwrap();
+        let unknown = LabelId(10_000);
+        let err = view
+            .apply(&[
+                EdgeOp::delete(vs[0], redmi, recom),
+                EdgeOp::insert(vs[0], redmi, unknown),
+            ])
+            .unwrap_err();
+        let label_count = g.labels().edge_label_count();
+        let expected = GraphError::UnknownEdgeLabel {
+            label: unknown,
+            label_count,
+        };
+        assert_eq!(err, ViewError::Graph(expected));
+        assert_eq!(view.matches(), before);
+        assert!(Arc::ptr_eq(view.snapshot(), &pin));
+        assert_eq!(view.graph().update_stats().full_rebuilds, 0);
+        assert!(view.graph().has_edge(vs[0], redmi, recom));
     }
 
     #[test]

@@ -15,7 +15,7 @@ use qgp_core::engine::ExecOptions;
 use qgp_core::matching::reference::evaluate_reference;
 use qgp_core::matching::MatchConfig;
 use qgp_core::pattern::{library, Pattern};
-use qgp_graph::{Graph, GraphBuilder, NodeId};
+use qgp_graph::{EdgeOp, Graph, GraphBuilder, LabelSet, NodeId};
 
 fn configs() -> [(&'static str, MatchConfig); 3] {
     [
@@ -126,28 +126,35 @@ fn stratified_matching_on_g1_is_stable() {
 
 #[test]
 fn fig2_graphs_built_batch_and_incrementally_agree() {
-    // The same G1 assembled through per-edge `Graph::add_edge` must give the
-    // same answers — the two construction paths freeze identical CSR state.
+    // The same G1 assembled from the builder's nodes plus one-op
+    // `apply_edge_ops` batches must give the same answers — the two
+    // construction paths freeze identical CSR state.
     let (batch, xs, _) = g1();
-    let mut g = Graph::new();
-    let person = g.labels_mut().intern_node_label("person");
-    let redmi_label = g.labels_mut().intern_node_label("Redmi 2A");
-    let follow = g.labels_mut().intern_edge_label("follow");
-    let recom = g.labels_mut().intern_edge_label("recom");
-    let bad = g.labels_mut().intern_edge_label("bad_rating");
-    let xs2: Vec<_> = (0..3).map(|_| g.add_node(person)).collect();
-    let vs2: Vec<_> = (0..5).map(|_| g.add_node(person)).collect();
-    let redmi = g.add_node(redmi_label);
-    g.add_edge(xs2[0], vs2[0], follow).unwrap();
-    g.add_edge(xs2[1], vs2[1], follow).unwrap();
-    g.add_edge(xs2[1], vs2[2], follow).unwrap();
-    g.add_edge(xs2[2], vs2[2], follow).unwrap();
-    g.add_edge(xs2[2], vs2[3], follow).unwrap();
-    g.add_edge(xs2[2], vs2[4], follow).unwrap();
-    for &v in &vs2[..4] {
-        g.add_edge(v, redmi, recom).unwrap();
+    let mut labels = LabelSet::new();
+    let follow = labels.intern_edge_label("follow");
+    let recom = labels.intern_edge_label("recom");
+    let bad = labels.intern_edge_label("bad_rating");
+    let mut b = GraphBuilder::with_labels(labels);
+    let xs2 = b.add_nodes("person", 3);
+    let vs2 = b.add_nodes("person", 5);
+    let redmi = b.add_node("Redmi 2A");
+    let mut g = b.build();
+    let mut edges = vec![
+        (xs2[0], vs2[0], follow),
+        (xs2[1], vs2[1], follow),
+        (xs2[1], vs2[2], follow),
+        (xs2[2], vs2[2], follow),
+        (xs2[2], vs2[3], follow),
+        (xs2[2], vs2[4], follow),
+    ];
+    edges.extend(vs2[..4].iter().map(|&v| (v, redmi, recom)));
+    edges.push((vs2[4], redmi, bad));
+    for (from, to, label) in edges {
+        let report = g
+            .apply_edge_ops(&[EdgeOp::insert(from, to, label)])
+            .unwrap();
+        assert_eq!(report.inserted, 1);
     }
-    g.add_edge(vs2[4], redmi, bad).unwrap();
 
     for (name, config) in configs() {
         let a = engine_match(&batch, &library::q3_redmi_negation(2), &config);

@@ -2,8 +2,8 @@
 //!
 //! The storage crate reaches a CSR layout either from the batch loader
 //! (`GraphBuilder` stages sorted per-source rows and freezes them once at
-//! `build()`) or from incremental `Graph::add_edge` calls (one-op batches
-//! through the delta overlay, compacted past its threshold).  Both must
+//! `build()`) or from the builder's nodes plus one-op `Graph::apply_edge_ops`
+//! batches (through the delta overlay, compacted past its threshold).  Both must
 //! produce identical adjacency — same edge list, same degrees, same
 //! per-label neighbor ranges — and, downstream, identical answers — the
 //! reference oracle's — for every matcher configuration.  A third freeze,
@@ -20,7 +20,7 @@ use common::engine_match;
 use qgp_core::matching::reference::evaluate_reference;
 use qgp_core::matching::MatchConfig;
 use qgp_core::pattern::{CountingQuantifier, PatternBuilder};
-use qgp_graph::{Graph, GraphBuilder, NodeId};
+use qgp_graph::{EdgeOp, Graph, GraphBuilder, NodeId};
 
 const NODE_LABELS: &[&str] = &["A", "B", "C"];
 const EDGE_LABELS: &[&str] = &["r", "s", "t"];
@@ -64,18 +64,21 @@ fn build_batch(spec: &GraphSpec) -> Graph {
     b.build()
 }
 
-/// Builds the spec through per-edge incremental insertion on `Graph`.
+/// Builds the spec's nodes with the builder, then inserts every edge as its
+/// own one-op `Graph::apply_edge_ops` batch.
 fn build_incremental(spec: &GraphSpec) -> Graph {
-    let mut g = Graph::new();
+    let mut b = GraphBuilder::new();
     let ids: Vec<NodeId> = spec
         .node_labels
         .iter()
-        .map(|&l| g.add_node_with_name(NODE_LABELS[l as usize]))
+        .map(|&l| b.add_node(NODE_LABELS[l as usize]))
         .collect();
+    let mut g = b.build();
     for &(from, to, label) in &spec.edges {
-        let id = g.labels_mut().intern_edge_label(EDGE_LABELS[label as usize]);
-        let _ = g
-            .add_edge_dedup(ids[from as usize], ids[to as usize], id)
+        let id = g
+            .labels_mut()
+            .intern_edge_label(EDGE_LABELS[label as usize]);
+        g.apply_edge_ops(&[EdgeOp::insert(ids[from as usize], ids[to as usize], id)])
             .unwrap();
     }
     g
@@ -238,6 +241,11 @@ proptest! {
                 prop_assert_eq!(sub.out_neighbors_with_label_slice(v, l), &group(&expected, v, l)[..]);
                 prop_assert_eq!(sub.in_neighbors_with_label_slice(v, l), &group(&reversed, v, l)[..]);
             }
+        }
+        // The per-label node index is built with the subgraph, not copied.
+        for (l, _) in g.labels().node_labels() {
+            let with_label: Vec<NodeId> = sub.nodes().filter(|&v| sub.node_label(v) == l).collect();
+            prop_assert_eq!(sub.nodes_with_label(l), &with_label[..]);
         }
     }
 }

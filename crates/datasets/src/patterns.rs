@@ -387,7 +387,7 @@ mod tests {
 
     #[test]
     fn empty_graph_yields_no_pattern() {
-        let g = qgp_graph::Graph::new();
+        let g = qgp_graph::GraphBuilder::new().build();
         let config = PatternGenConfig::with_size(PatternSize::new(4, 4, 30.0, 0));
         assert!(generate_pattern(&g, &config).is_none());
     }

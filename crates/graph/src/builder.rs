@@ -1,12 +1,14 @@
 //! Ergonomic, batch-loading graph construction from string labels.
 //!
-//! The builder is the bulk-load path of the frozen CSR storage.  Nodes are
-//! appended eagerly (cheap); edges are staged in *per-source* vectors kept
-//! sorted by `(label, target)`.  Staging an edge costs a binary search plus
-//! a short memmove within one small, cache-resident vector — out-degrees are
-//! modest in real graphs even when in-degrees are not — and gives an exact,
-//! online duplicate answer without any global hash set.  The freeze at
-//! [`GraphBuilder::build`] is sort-free:
+//! The builder is the one place a graph's nodes come from: it holds the
+//! label vocabulary, the node-label table and the staged edges, and freezes
+//! them once into a [`Graph`] whose node set is fixed from then on (edges
+//! change afterwards in [`crate::EdgeOp`] batches).  Edges are staged in
+//! *per-source* vectors kept sorted by `(label, target)`.  Staging an edge
+//! costs a binary search plus a short memmove within one small,
+//! cache-resident vector — out-degrees are modest in real graphs even when
+//! in-degrees are not — and gives an exact, online duplicate answer without
+//! any global hash set.  The freeze at [`GraphBuilder::build`] is sort-free:
 //!
 //! * the out-CSR is the concatenation of the staged vectors (already in
 //!   `(node, label, target)` order),
@@ -21,10 +23,12 @@
 //! quadratic; the staged builder never touches the in-direction until the
 //! single scatter pass.
 
+use std::sync::Arc;
+
 use crate::csr::CsrAdjacency;
 use crate::error::GraphError;
-use crate::graph::{Graph, NodeId};
-use crate::labels::LabelId;
+use crate::graph::{check_node, Graph, NodeId};
+use crate::labels::{LabelId, LabelSet};
 
 /// A builder that constructs a [`Graph`] from string node and edge labels,
 /// interning the labels on the fly and freezing the CSR storage once.
@@ -41,16 +45,14 @@ use crate::labels::LabelId;
 /// ```
 #[derive(Debug, Default)]
 pub struct GraphBuilder {
-    /// Holds the label vocabulary and the nodes; its edge storage is only
-    /// rebuilt from `staged` when freezing.
-    graph: Graph,
-    /// `staged[v]` = out-edges of `v` as `(label, target)`, sorted.  This is
-    /// the single source of truth for edges until the freeze.
+    /// The label vocabulary, grown as nodes and edges name new labels.
+    labels: LabelSet,
+    /// `node_labels[v]` is the label of node `v`.
+    node_labels: Vec<LabelId>,
+    /// `staged[v]` = out-edges of `v` as `(label, target)`, sorted.
     staged: Vec<Vec<(LabelId, NodeId)>>,
     /// Total staged edges.
     staged_edges: usize,
-    /// Do `graph`'s frozen edges lag behind `staged`?
-    dirty: bool,
 }
 
 impl GraphBuilder {
@@ -63,45 +65,42 @@ impl GraphBuilder {
     /// nodes.  (Edges need no global reservation: they are staged in
     /// per-source vectors and the freeze allocates exact sizes.)
     pub fn with_capacity(nodes: usize) -> Self {
-        let mut b = Self::new();
-        b.staged.reserve(nodes);
-        b.graph.reserve_nodes(nodes);
-        b
+        GraphBuilder {
+            node_labels: Vec::with_capacity(nodes),
+            staged: Vec::with_capacity(nodes),
+            ..Self::default()
+        }
     }
 
-    /// Creates a builder seeded with an existing graph, allowing further
-    /// nodes and edges to be appended.
-    pub fn from_graph(graph: Graph) -> Self {
-        let staged: Vec<Vec<(LabelId, NodeId)>> = graph
-            .nodes()
-            .map(|v| graph.out_edges(v).map(|e| (e.label, e.to)).collect())
-            .collect();
-        let staged_edges = graph.edge_count();
-        Self {
-            graph,
-            staged,
-            staged_edges,
-            dirty: false,
+    /// Creates an empty builder that starts from an existing label
+    /// vocabulary, so the built graph's label ids are `labels`' ids.
+    pub fn with_labels(labels: LabelSet) -> Self {
+        GraphBuilder {
+            labels,
+            ..Self::default()
         }
     }
 
     /// Adds a node with the given string label.
     pub fn add_node(&mut self, label: &str) -> NodeId {
+        let id = self.labels.intern_node_label(label);
+        self.node_labels.push(id);
         self.staged.push(Vec::new());
-        self.graph.add_node_with_name(label)
+        NodeId::new(self.staged.len() - 1)
     }
 
     /// Adds `count` nodes that all carry the same label, returning their ids.
     pub fn add_nodes(&mut self, label: &str, count: usize) -> Vec<NodeId> {
-        let id = self.graph.labels_mut().intern_node_label(label);
-        self.staged
-            .extend(std::iter::repeat_with(Vec::new).take(count));
-        (0..count).map(|_| self.graph.add_node(id)).collect()
+        let id = self.labels.intern_node_label(label);
+        let first = self.staged.len();
+        self.node_labels.resize(first + count, id);
+        self.staged.resize_with(first + count, Vec::new);
+        (first..first + count).map(NodeId::new).collect()
     }
 
     /// Adds a directed edge with the given string label.  The edge is staged
-    /// (not yet visible in the frozen adjacency) but duplicates and
-    /// out-of-bounds endpoints are reported immediately.
+    /// until [`GraphBuilder::build`], but duplicates and out-of-bounds
+    /// endpoints are reported immediately.
     pub fn add_edge(&mut self, from: NodeId, to: NodeId, label: &str) -> Result<(), GraphError> {
         if self.stage_edge(from, to, label)? {
             Ok(())
@@ -122,34 +121,29 @@ impl GraphBuilder {
     }
 
     fn stage_edge(&mut self, from: NodeId, to: NodeId, label: &str) -> Result<bool, GraphError> {
-        self.graph.check_node(from)?;
-        self.graph.check_node(to)?;
-        let id = self.graph.labels_mut().intern_edge_label(label);
+        check_node(from, self.staged.len())?;
+        check_node(to, self.staged.len())?;
+        let id = self.labels.intern_edge_label(label);
         let list = &mut self.staged[from.index()];
         match list.binary_search(&(id, to)) {
             Ok(_) => Ok(false),
             Err(pos) => {
                 list.insert(pos, (id, to));
                 self.staged_edges += 1;
-                self.dirty = true;
                 Ok(true)
             }
         }
     }
 
-    /// Freezes the staged edges into the graph's CSR storage (sort-free; see
-    /// the module docs).
-    fn flush(&mut self) {
-        if !self.dirty {
-            return;
-        }
-        let label_count = self.graph.labels().edge_label_count();
+    /// Finishes construction: freezes the staged edges into the graph's CSR
+    /// storage (sort-free; see the module docs) and returns the graph.
+    pub fn build(self) -> Graph {
         // `from_rows` asks for the groups in `(node, label)` order, so each
         // staged vector is consumed front to back, one label group a call.
         let mut rest: &[(LabelId, NodeId)] = &[];
         let out = CsrAdjacency::from_rows(
             self.staged.len(),
-            label_count,
+            self.labels.edge_label_count(),
             self.staged_edges,
             |v, l, row| {
                 if l == 0 {
@@ -163,23 +157,7 @@ impl GraphBuilder {
                 rest = &rest[group..];
             },
         );
-        self.graph.set_frozen_edges(out);
-        self.dirty = false;
-    }
-
-    /// Read access to the graph under construction.  Freezes any staged
-    /// edges first (hence `&mut self`); prefer calling it sparingly — every
-    /// call after new edges were staged pays an `O(V·L + E)` freeze.
-    pub fn graph(&mut self) -> &Graph {
-        self.flush();
-        &self.graph
-    }
-
-    /// Finishes construction, freezing all staged edges, and returns the
-    /// graph.
-    pub fn build(mut self) -> Graph {
-        self.flush();
-        self.graph
+        Graph::from_frozen(Arc::new(self.labels), self.node_labels, out)
     }
 }
 
@@ -206,12 +184,13 @@ mod tests {
     #[test]
     fn frozen_adjacency_matches_incremental_insertion() {
         // The sort-free freeze must agree with the incremental `Graph` path
-        // in both directions, including label grouping and in-bucket order.
+        // (one-op `apply_edge_ops` batches over the same nodes) in both
+        // directions, including label grouping and in-bucket order.
         let mut b = GraphBuilder::new();
-        let mut g = Graph::new();
         let nodes_b = b.add_nodes("n", 6);
-        let label = g.labels_mut().intern_node_label("n");
-        let nodes_g: Vec<_> = (0..6).map(|_| g.add_node(label)).collect();
+        let mut nodes_only = GraphBuilder::new();
+        let nodes_g = nodes_only.add_nodes("n", 6);
+        let mut g = nodes_only.build();
         let edges = [
             (4usize, 0usize, "s"),
             (1, 0, "r"),
@@ -224,7 +203,8 @@ mod tests {
         for &(f, t, l) in &edges {
             b.add_edge(nodes_b[f], nodes_b[t], l).unwrap();
             let id = g.labels_mut().intern_edge_label(l);
-            g.add_edge(nodes_g[f], nodes_g[t], id).unwrap();
+            let op = crate::EdgeOp::insert(nodes_g[f], nodes_g[t], id);
+            assert_eq!(g.apply_edge_ops(&[op]).unwrap().inserted, 1);
         }
         let frozen = b.build();
         for v in frozen.nodes() {
@@ -267,50 +247,5 @@ mod tests {
             Err(GraphError::NodeOutOfBounds { .. })
         ));
         assert_eq!(b.build().edge_count(), 0);
-    }
-
-    #[test]
-    fn from_graph_appends_to_existing_graph() {
-        let mut b = GraphBuilder::new();
-        let a = b.add_node("person");
-        let g = b.build();
-
-        let mut b2 = GraphBuilder::from_graph(g);
-        let c = b2.add_node("person");
-        b2.add_edge(a, c, "follow").unwrap();
-        // Duplicates against the pre-existing graph are also detected.
-        assert_eq!(b2.add_edge_dedup(a, c, "follow"), Ok(false));
-        let g2 = b2.build();
-        assert_eq!(g2.node_count(), 2);
-        assert_eq!(g2.edge_count(), 1);
-    }
-
-    #[test]
-    fn from_graph_preserves_existing_edges() {
-        let mut b = GraphBuilder::new();
-        let a = b.add_node("person");
-        let c = b.add_node("person");
-        b.add_edge(a, c, "follow").unwrap();
-        let g = b.build();
-
-        let mut b2 = GraphBuilder::from_graph(g);
-        let d = b2.add_node("person");
-        b2.add_edge(c, d, "follow").unwrap();
-        let g2 = b2.build();
-        assert_eq!(g2.edge_count(), 2);
-        assert!(g2.has_any_edge(a, c));
-        assert!(g2.has_any_edge(c, d));
-    }
-
-    #[test]
-    fn graph_accessor_freezes_staged_edges() {
-        let mut b = GraphBuilder::new();
-        let a = b.add_node("person");
-        let c = b.add_node("person");
-        b.add_edge(a, c, "follow").unwrap();
-        assert_eq!(b.graph().edge_count(), 1);
-        assert_eq!(b.graph().out_neighbors(a).collect::<Vec<_>>(), vec![c]);
-        b.add_edge(c, a, "follow").unwrap();
-        assert_eq!(b.graph().edge_count(), 2);
     }
 }

@@ -30,7 +30,7 @@
 use crate::graph::NodeId;
 
 /// One direction of the graph's adjacency in frozen CSR form.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct CsrAdjacency {
     /// Dense range index, stride `label_count + 1` (see module docs).
     label_offsets: Vec<u32>,
@@ -44,14 +44,6 @@ pub(crate) struct CsrAdjacency {
 }
 
 impl CsrAdjacency {
-    /// An empty adjacency sized for a label vocabulary (no nodes yet).
-    pub fn with_label_count(label_count: usize) -> Self {
-        CsrAdjacency {
-            label_count,
-            ..Self::default()
-        }
-    }
-
     /// Freezes an adjacency row by row: `fill(v, l, targets)` appends the
     /// `(v, l)` group, sorted by neighbor, and is called once per pair in
     /// ascending `(v, l)` order.  `edges` only sizes the target array.
@@ -166,19 +158,6 @@ impl CsrAdjacency {
         self.targets.len()
     }
 
-    /// Reserves index capacity for `additional` more nodes.
-    pub fn reserve_nodes(&mut self, additional: usize) {
-        self.label_offsets.reserve(additional * self.stride());
-    }
-
-    /// Appends a node with no edges.
-    pub fn push_node(&mut self) {
-        let end = self.targets.len() as u32;
-        self.label_offsets
-            .extend(std::iter::repeat_n(end, self.stride()));
-        self.node_count += 1;
-    }
-
     /// The neighbors of `v` via label `l` as a sorted slice — the `O(1)`
     /// lookup at the heart of the layout.
     #[inline]
@@ -266,33 +245,27 @@ mod tests {
     }
 
     #[test]
-    fn push_node_and_label_growth_preserve_contents() {
-        let mut csr = sample();
-        csr.push_node();
-        assert_eq!(csr.node_slice(3).len(), 0);
-        assert_eq!(
-            csr,
-            freeze(4, 2, &[(0, 0, 2), (0, 0, 1), (0, 1, 1), (1, 1, 0)])
-        );
+    fn label_growth_preserves_contents() {
+        let csr = sample();
         // Refreezing the rows at a wider stride keeps every row.
-        let wider = CsrAdjacency::from_rows(4, 5, csr.edge_count(), |v, l, row| {
+        let wider = CsrAdjacency::from_rows(3, 5, csr.edge_count(), |v, l, row| {
             row.extend_from_slice(csr.slice(v, l))
         });
-        for v in 0..4 {
+        for v in 0..3 {
             assert_eq!(wider.node_slice(v), csr.node_slice(v));
             for l in 0..2 {
                 assert_eq!(wider.slice(v, l), csr.slice(v, l));
             }
         }
         assert!(wider.slice(0, 4).is_empty());
-        let grown = CsrAdjacency::from_rows(4, 5, 5, |v, l, row| {
+        let grown = CsrAdjacency::from_rows(3, 5, 5, |v, l, row| {
             row.extend_from_slice(wider.slice(v, l));
-            if (v, l) == (3, 4) {
+            if (v, l) == (2, 4) {
                 row.push(NodeId(0));
             }
         });
-        assert_eq!(grown.slice(3, 4), &[NodeId(0)]);
-        assert_eq!(grown.transpose().slice(0, 4), &[NodeId(3)]);
+        assert_eq!(grown.slice(2, 4), &[NodeId(0)]);
+        assert_eq!(grown.transpose().slice(0, 4), &[NodeId(2)]);
     }
 
     #[test]

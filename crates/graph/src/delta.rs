@@ -42,8 +42,9 @@ type Triple = (u32, u32, u32);
 ///
 /// Semantics are set-like: inserting an edge that is already present and
 /// deleting an edge that is absent are counted no-ops (see
-/// [`UpdateReport`]), not errors.  Referencing a node id that does not
-/// exist *is* an error and fails the whole batch without applying any of it.
+/// [`UpdateReport`]), not errors.  Naming a node id that does not exist or
+/// an edge label the graph never interned *is* an error and fails the whole
+/// batch without applying any of it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EdgeOp {
     /// Insert the directed edge `from → to` with the given label.
@@ -216,7 +217,8 @@ pub(crate) struct DeltaSide {
     /// non-base edges plus effective deletes of base edges.
     pending: usize,
     /// The running batch's effective ops, `triple → present`, until
-    /// `repatch` splices them into their node's row.  Empty between batches.
+    /// `repatch_staged` splices them into their nodes' rows.  Empty
+    /// between batches.
     staged: BTreeMap<Triple, bool>,
 }
 
@@ -228,17 +230,6 @@ impl DeltaSide {
                 .map(|start| empty_chunk((node_count - start).min(CHUNK)))
                 .collect(),
             ..Self::default()
-        }
-    }
-
-    fn push_node(&mut self) {
-        match self.rows.last_mut() {
-            Some(last) if last.len() < CHUNK => {
-                let mut slots = last.to_vec();
-                slots.push(None);
-                *last = slots.into();
-            }
-            _ => self.rows.push(empty_chunk(1)),
         }
     }
 
@@ -272,18 +263,25 @@ impl DeltaSide {
         true
     }
 
-    /// Splices node `v`'s staged ops into its current row (patch or base)
-    /// and installs the result as a fresh row: the runs between staged
-    /// neighbors are copied whole, `O(degree(v) + staged(v) · log degree(v))`.
-    fn repatch(&mut self, base: &CsrAdjacency, v: u32, label_count: usize) {
-        let ops: Vec<(Triple, bool)> = self
-            .staged
-            .range((v, 0, 0)..=(v, u32::MAX, u32::MAX))
-            .map(|(&t, &present)| (t, present))
-            .collect();
-        for (t, _) in &ops {
-            self.staged.remove(t);
+    /// Splices the running batch's staged ops into their nodes' rows and
+    /// returns the number of rows re-materialized.  The staged map is taken
+    /// whole; it is ordered by node first, so each node's ops are one run,
+    /// spliced in node order.
+    fn repatch_staged(&mut self, base: &CsrAdjacency, label_count: usize) -> usize {
+        let staged: Vec<(Triple, bool)> = std::mem::take(&mut self.staged).into_iter().collect();
+        let mut patched = 0;
+        for ops in staged.chunk_by(|(a, _), (b, _)| a.0 == b.0) {
+            self.repatch(base, ops, label_count);
+            patched += 1;
         }
+        patched
+    }
+
+    /// Splices one node's run of staged ops into its current row (patch or
+    /// base) and installs the result as a fresh row: the runs between staged
+    /// neighbors are copied whole, `O(degree(v) + staged(v) · log degree(v))`.
+    fn repatch(&mut self, base: &CsrAdjacency, ops: &[(Triple, bool)], label_count: usize) {
+        let v = ops[0].0 .0;
         let vi = v as usize;
         let mut offsets = Vec::with_capacity(label_count + 1);
         let mut targets = Vec::with_capacity(self.node_slice(base, vi).len() + ops.len());
@@ -382,11 +380,6 @@ impl GraphDelta {
         }
     }
 
-    pub(crate) fn push_node(&mut self) {
-        self.out.push_node();
-        self.inn.push_node();
-    }
-
     /// Stages one op in both directions.  Returns whether the edge set
     /// changed.
     pub(crate) fn apply(
@@ -412,14 +405,8 @@ impl GraphDelta {
         in_base: &CsrAdjacency,
         label_count: usize,
     ) -> usize {
-        let mut patched = 0;
-        for (side, base) in [(&mut self.out, out_base), (&mut self.inn, in_base)] {
-            while let Some(&(v, _, _)) = side.staged.keys().next() {
-                side.repatch(base, v, label_count);
-                patched += 1;
-            }
-        }
-        patched
+        self.out.repatch_staged(out_base, label_count)
+            + self.inn.repatch_staged(in_base, label_count)
     }
 
     /// Triples whose presence differs from the base (the same count in
@@ -508,7 +495,7 @@ mod tests {
         let mut side = DeltaSide::new(3);
         assert!(side.apply_insert(&base, (0, 1, 2)));
         assert!(side.apply_delete(&base, (0, 0, 1)));
-        side.repatch(&base, 0, 2);
+        side.repatch_staged(&base, 2);
         assert_eq!(side.slice(&base, 0, 0), &[NodeId(2)]);
         assert_eq!(side.slice(&base, 0, 1), &[NodeId(2)]);
         assert_eq!(side.node_slice(&base, 0), &[NodeId(2), NodeId(2)]);
@@ -538,7 +525,7 @@ mod tests {
         assert!(side.apply_delete(&base, (0, 0, 1)));
         assert!(side.apply_insert(&base, (0, 0, 1)), "tombstone removed");
         assert_eq!(side.pending(), 0);
-        side.repatch(&base, 0, 2);
+        side.repatch_staged(&base, 2);
         assert_eq!(side.slice(&base, 0, 0), base.slice(0, 0));
     }
 
@@ -549,7 +536,7 @@ mod tests {
         assert!(side.apply_insert(&base, (2, 1, 1)));
         assert!(side.apply_delete(&base, (2, 1, 1)));
         assert_eq!(side.pending(), 0);
-        side.repatch(&base, 2, 2);
+        side.repatch_staged(&base, 2);
         assert!(side.slice(&base, 2, 1).is_empty());
     }
 
@@ -567,9 +554,7 @@ mod tests {
         assert!(side.apply_delete(&base, (2, 1, 1)));
         assert!(side.apply_insert(&base, (2, 1, 1)));
         assert_eq!(side.pending(), 1);
-        for v in [0, 2] {
-            side.repatch(&base, v, 2);
-        }
+        side.repatch_staged(&base, 2);
         assert!(side.staged.is_empty());
         assert_eq!(side.node_slice(&base, 0), &[NodeId(1), NodeId(2)]);
         assert_eq!(side.slice(&base, 2, 0), &[] as &[NodeId]);
@@ -590,9 +575,7 @@ mod tests {
         assert!(side.apply_insert(&base, (2, 1, 1)));
         assert!(side.apply_delete(&base, (2, 1, 1)));
         assert_eq!(side.pending(), 1, "the non-base edge cancelled out");
-        for v in [0, 2] {
-            side.repatch(&base, v, 2);
-        }
+        side.repatch_staged(&base, 2);
         assert!(side.staged.is_empty());
         assert_eq!(side.slice(&base, 0, 0), &[NodeId(2)]);
         assert_eq!(side.node_slice(&base, 0), &[NodeId(2)]);
@@ -607,9 +590,7 @@ mod tests {
         side.apply_insert(&base, (0, 1, 2));
         side.apply_insert(&base, (2, 0, 1));
         side.apply_delete(&base, (0, 0, 2));
-        for v in [0, 2] {
-            side.repatch(&base, v, 2);
-        }
+        side.repatch_staged(&base, 2);
         let merged = freeze_rows(&side, &base);
         let mut expect = vec![(0, 0, 1), (0, 1, 2), (1, 1, 0), (2, 0, 1)];
         expect.sort_unstable();
@@ -640,9 +621,7 @@ mod tests {
                 expect.remove(&t);
             }
         }
-        for v in 0..3 {
-            side.repatch(&base, v, 2);
-        }
+        side.repatch_staged(&base, 2);
         for v in 0..3u32 {
             for l in 0..2u32 {
                 let row: Vec<NodeId> = expect
@@ -670,7 +649,10 @@ mod tests {
         assert_eq!(op.to(), NodeId(2));
         assert_eq!(op.label(), LabelId(3));
         assert!(op.is_insert());
-        assert_eq!(op.inverse(), EdgeOp::delete(NodeId(1), NodeId(2), LabelId(3)));
+        assert_eq!(
+            op.inverse(),
+            EdgeOp::delete(NodeId(1), NodeId(2), LabelId(3))
+        );
         assert_eq!(op.inverse().inverse(), op);
     }
 }

@@ -3,6 +3,7 @@
 use std::fmt;
 
 use crate::graph::NodeId;
+use crate::labels::LabelId;
 
 /// Errors raised while building or mutating a [`crate::Graph`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -21,9 +22,14 @@ pub enum GraphError {
         /// Target node of the duplicate edge.
         to: NodeId,
     },
-    /// A label string was used as a node label in one place and as an edge
-    /// label in another, in a context where the distinction matters.
-    UnknownLabel(String),
+    /// An edge op named an edge label id the graph's vocabulary never
+    /// interned.
+    UnknownEdgeLabel {
+        /// The offending label id.
+        label: LabelId,
+        /// Number of edge labels the vocabulary holds.
+        label_count: usize,
+    },
 }
 
 impl fmt::Display for GraphError {
@@ -41,7 +47,12 @@ impl fmt::Display for GraphError {
                 from.index(),
                 to.index()
             ),
-            GraphError::UnknownLabel(l) => write!(f, "unknown label `{l}`"),
+            GraphError::UnknownEdgeLabel { label, label_count } => write!(
+                f,
+                "edge label id {} is not interned (graph has {} edge labels)",
+                label.index(),
+                label_count
+            ),
         }
     }
 }
@@ -68,7 +79,12 @@ mod tests {
         };
         assert!(e.to_string().contains("duplicate"));
 
-        let e = GraphError::UnknownLabel("likes".into());
-        assert!(e.to_string().contains("likes"));
+        let e = GraphError::UnknownEdgeLabel {
+            label: LabelId(9),
+            label_count: 2,
+        };
+        let msg = e.to_string();
+        assert!(msg.contains('9'));
+        assert!(msg.contains('2'));
     }
 }

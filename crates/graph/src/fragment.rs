@@ -67,9 +67,7 @@ impl Fragment {
         }
         let mut covered: Vec<NodeId> = covered
             .into_iter()
-            .filter(|v| {
-                v.index() < local_of_global.len() && local_of_global[v.index()] != ABSENT
-            })
+            .filter(|v| v.index() < local_of_global.len() && local_of_global[v.index()] != ABSENT)
             .collect();
         covered.sort_unstable();
         covered.dedup();

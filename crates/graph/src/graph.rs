@@ -3,17 +3,20 @@
 //! Storage is a frozen CSR layout per direction (see the `csr` module): flat
 //! neighbor arrays plus a dense per-`(node, label)` range index, so the
 //! neighborhood sets `Mₑ(v)` of Table 1 and the degrees `|Mₑ(v)|` that seed
-//! the `QMatch` upper bounds are constant-time slice lookups.  Bulk
-//! construction goes through [`crate::GraphBuilder`] (stage sorted rows,
-//! freeze once).  After the freeze, updates go through the delta overlay
+//! the `QMatch` upper bounds are constant-time slice lookups.
+//!
+//! A graph's node set is fixed when it is made: [`crate::GraphBuilder`]
+//! creates the nodes and stages sorted rows, then freezes once, and
+//! [`Graph::induced_subgraph`] restricts a graph to a node list.  Edges
+//! change afterwards only in [`EdgeOp`] batches, through the delta overlay
 //! (see the `delta` module): [`Graph::apply_edge_ops`] splices each batch
 //! into the rows of the nodes it touches, installs them as fresh shared
 //! rows, and freezes the merged rows again once the overlay grows past
-//! [`Graph::compaction_threshold`].  [`Graph::add_edge`] is a one-op batch
-//! on that path.  Every freeze — builder, compaction, label widening,
-//! [`Graph::induced_subgraph`] — is the same sort-free `O(V·L + E)` row
-//! concatenation plus transpose.
+//! [`Graph::compaction_threshold`].  Every freeze — builder, compaction,
+//! label widening, induced subgraph — is the same sort-free `O(V·L + E)`
+//! row concatenation plus transpose.
 
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
 
 use crate::csr::CsrAdjacency;
@@ -27,7 +30,7 @@ pub const DEFAULT_COMPACTION_THRESHOLD: usize = 1024;
 
 /// Identifier of a node in a [`Graph`].
 ///
-/// Node ids are dense indexes assigned in insertion order; `u32` keeps the
+/// Node ids are dense indexes assigned in builder order; `u32` keeps the
 /// adjacency arrays compact (graphs of up to ~4 billion nodes are supported,
 /// far beyond what fits in memory anyway).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -74,7 +77,7 @@ pub struct EdgeRef {
 /// frozen arrays until one of them mutates ([`Arc::make_mut`] un-shares
 /// only then) — this is what makes [`crate::GraphSnapshot`] epochs and live
 /// match views memory-cheap.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Graph {
     labels: Arc<LabelSet>,
     node_labels: Arc<Vec<LabelId>>,
@@ -94,20 +97,30 @@ pub struct Graph {
 }
 
 impl Graph {
-    /// Creates an empty graph with an empty label set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an empty graph that shares an existing label vocabulary.
-    pub fn with_labels(labels: LabelSet) -> Self {
-        let edge_label_count = labels.edge_label_count();
+    /// Assembles a compacted graph from its vocabulary, its node-label table
+    /// and its frozen out-CSR: indexes the nodes by label and derives the
+    /// in-CSR as the transpose.  The one way a `Graph` is made
+    /// ([`GraphBuilder::build`](crate::GraphBuilder::build) and
+    /// [`Graph::induced_subgraph`]); from then on the node set is fixed.
+    pub(crate) fn from_frozen(
+        labels: Arc<LabelSet>,
+        node_labels: Vec<LabelId>,
+        out: CsrAdjacency,
+    ) -> Self {
+        let mut nodes_by_label = vec![Vec::new(); labels.node_label_count()];
+        for (v, label) in node_labels.iter().enumerate() {
+            nodes_by_label[label.index()].push(NodeId::new(v));
+        }
         Graph {
-            nodes_by_label: Arc::new(vec![Vec::new(); labels.node_label_count()]),
-            out: Arc::new(CsrAdjacency::with_label_count(edge_label_count)),
-            inn: Arc::new(CsrAdjacency::with_label_count(edge_label_count)),
-            labels: Arc::new(labels),
-            ..Self::default()
+            labels,
+            node_labels: Arc::new(node_labels),
+            inn: Arc::new(out.transpose()),
+            edge_count: out.edge_count(),
+            out: Arc::new(out),
+            nodes_by_label: Arc::new(nodes_by_label),
+            delta: None,
+            compaction_threshold: 0,
+            update_stats: UpdateStats::default(),
         }
     }
 
@@ -116,8 +129,8 @@ impl Graph {
         &self.labels
     }
 
-    /// Mutable access to the label vocabulary (used by builders and
-    /// generators to intern new labels).
+    /// Mutable access to the label vocabulary, to intern an edge label after
+    /// the freeze (the first batch that follows widens the frozen index).
     pub fn labels_mut(&mut self) -> &mut LabelSet {
         Arc::make_mut(&mut self.labels)
     }
@@ -153,123 +166,46 @@ impl Graph {
         self.node_labels.is_empty()
     }
 
-    /// Reserves capacity for `additional` more nodes across the node table
-    /// and both adjacency indexes.
-    pub fn reserve_nodes(&mut self, additional: usize) {
-        Arc::make_mut(&mut self.node_labels).reserve(additional);
-        Arc::make_mut(&mut self.out).reserve_nodes(additional);
-        Arc::make_mut(&mut self.inn).reserve_nodes(additional);
-    }
-
-    /// Adds a node with an already-interned node label, returning its id.
-    pub fn add_node(&mut self, label: LabelId) -> NodeId {
-        let id = NodeId::new(self.node_labels.len());
-        Arc::make_mut(&mut self.node_labels).push(label);
-        Arc::make_mut(&mut self.out).push_node();
-        Arc::make_mut(&mut self.inn).push_node();
-        if let Some(delta) = &mut self.delta {
-            delta.push_node();
-        }
-        let by_label = Arc::make_mut(&mut self.nodes_by_label);
-        if label.index() >= by_label.len() {
-            by_label.resize(label.index() + 1, Vec::new());
-        }
-        by_label[label.index()].push(id);
-        id
-    }
-
-    /// Adds a node labeled with `name`, interning the label if needed.
-    pub fn add_node_with_name(&mut self, name: &str) -> NodeId {
-        let label = self.labels_mut().intern_node_label(name);
-        self.add_node(label)
-    }
-
-    pub(crate) fn check_node(&self, node: NodeId) -> Result<(), GraphError> {
-        if node.index() >= self.node_count() {
-            Err(GraphError::NodeOutOfBounds {
-                node,
-                node_count: self.node_count(),
-            })
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Adds a directed edge `from → to` with the given (already interned)
-    /// edge label.  Returns an error if either endpoint does not exist or the
-    /// exact same labeled edge is already present.
-    ///
-    /// This is a one-op [`Graph::apply_edge_ops`] batch: the edge lands in
-    /// the delta overlay and only the two endpoint rows are re-materialized,
-    /// instead of the `O(V·L + E)` CSR splice earlier versions paid.
-    pub fn add_edge(&mut self, from: NodeId, to: NodeId, label: LabelId) -> Result<(), GraphError> {
-        let report = self.apply_edge_ops(&[EdgeOp::Insert { from, to, label }])?;
-        if report.inserted == 1 {
-            Ok(())
-        } else {
-            Err(GraphError::DuplicateEdge { from, to })
-        }
-    }
-
-    /// Adds a directed edge unless the identical `(from, to, label)` triple is
-    /// already present.  Returns `Ok(true)` if the edge was inserted and
-    /// `Ok(false)` if it was a duplicate.  This is the entry point used by
-    /// randomized generators, which may propose the same edge twice.
-    pub fn add_edge_dedup(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        label: LabelId,
-    ) -> Result<bool, GraphError> {
-        let report = self.apply_edge_ops(&[EdgeOp::Insert { from, to, label }])?;
-        Ok(report.inserted == 1)
-    }
-
-    /// Removes the directed edge `from → to` with the given label.  Returns
-    /// `Ok(true)` if the edge existed and `Ok(false)` if it did not.
-    pub fn remove_edge(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        label: LabelId,
-    ) -> Result<bool, GraphError> {
-        let report = self.apply_edge_ops(&[EdgeOp::Delete { from, to, label }])?;
-        Ok(report.deleted == 1)
-    }
-
     /// Applies a batch of edge mutations through the delta overlay — the
-    /// update path for live graphs.
+    /// only way a graph's edges change.
     ///
     /// Ops apply in order with set semantics: inserting a present edge or
     /// deleting an absent one is a counted no-op (see [`UpdateReport`]), and
     /// a delete-then-reinsert inside one batch cancels out.  If any op
-    /// references a node id that does not exist, the whole batch fails with
-    /// [`GraphError::NodeOutOfBounds`] and the graph is left untouched.
+    /// names a node id that does not exist ([`GraphError::NodeOutOfBounds`])
+    /// or an edge label the vocabulary never interned
+    /// ([`GraphError::UnknownEdgeLabel`]), the whole batch fails and the
+    /// graph, its counters included, is left untouched.
     ///
     /// Cost is `O(ops · log ops + Σ degree(touched))`: ops are staged in a
     /// map and only the touched node rows are re-materialized, each by
     /// copying its current row around the staged changes.  Once the pending
     /// count reaches [`Graph::compaction_threshold`] the overlay is folded
     /// back into the frozen CSR with one `O(V·L + E)` freeze of the merged
-    /// rows (reported via [`UpdateReport::compacted`]).  An op naming an edge
-    /// label beyond the frozen index's vocabulary forces that freeze early,
-    /// at the wider stride.
+    /// rows (reported via [`UpdateReport::compacted`]).  The first batch
+    /// after [`Graph::labels_mut`] interned an edge label forces that freeze
+    /// early, at the wider stride.
     pub fn apply_edge_ops(&mut self, ops: &[EdgeOp]) -> Result<UpdateReport, GraphError> {
+        let (node_count, label_count) = (self.node_count(), self.labels.edge_label_count());
         for op in ops {
-            self.check_node(op.from())?;
-            self.check_node(op.to())?;
+            check_node(op.from(), node_count)?;
+            check_node(op.to(), node_count)?;
+            if op.label().index() >= label_count {
+                return Err(GraphError::UnknownEdgeLabel {
+                    label: op.label(),
+                    label_count,
+                });
+            }
         }
         let mut report = UpdateReport::default();
         if ops.is_empty() {
             return Ok(report);
         }
-        let needed = ops.iter().map(|op| op.label().index() + 1).max().unwrap_or(0);
-        let capacity = self.labels.edge_label_count().max(needed);
-        if capacity > self.out.label_count() {
+        if label_count > self.out.label_count() {
             if self.pending_updates() > 0 {
                 self.update_stats.compactions += 1;
             }
-            self.refreeze(capacity);
+            self.refreeze(label_count);
             self.update_stats.full_rebuilds += 1;
         }
         let threshold = self.compaction_threshold();
@@ -323,9 +259,9 @@ impl Graph {
     }
 
     /// Freezes the current rows (base or patch, per node) into fresh CSRs at
-    /// `label_count` and installs them.  The replaced arrays are never
-    /// written: a published snapshot that shares them keeps them as they
-    /// are.
+    /// `label_count` and installs them, dropping the overlay.  The replaced
+    /// arrays are never written: a published snapshot that shares them
+    /// keeps them as they are.
     fn refreeze(&mut self, label_count: usize) {
         let out = CsrAdjacency::from_rows(
             self.node_count(),
@@ -334,7 +270,9 @@ impl Graph {
             |v, l, row| row.extend_from_slice(self.out_slice(v, l)),
         );
         debug_assert_eq!(out.edge_count(), self.edge_count, "overlay lost an edge");
-        self.set_frozen_edges(out);
+        self.inn = Arc::new(out.transpose());
+        self.out = Arc::new(out);
+        self.delta = None;
     }
 
     /// The pending count (see [`Graph::pending_updates`]) at which
@@ -362,16 +300,6 @@ impl Graph {
     /// Lifetime update-path counters (see [`UpdateStats`]).
     pub fn update_stats(&self) -> &UpdateStats {
         &self.update_stats
-    }
-
-    /// Installs `out` as the frozen out-direction, its transpose as the
-    /// in-direction, and drops the overlay — the one hand-off point of every
-    /// freeze.
-    pub(crate) fn set_frozen_edges(&mut self, out: CsrAdjacency) {
-        self.inn = Arc::new(out.transpose());
-        self.edge_count = out.edge_count();
-        self.out = Arc::new(out);
-        self.delta = None;
     }
 
     /// `Mₑ(v)` in the out direction through the overlay, raw-index form.
@@ -454,11 +382,13 @@ impl Graph {
     /// All incoming edges of `v`, grouped by edge label.
     pub fn in_edges(&self, v: NodeId) -> impl Iterator<Item = EdgeRef> + '_ {
         (0..self.inn.label_count()).flat_map(move |l| {
-            self.in_slice(v.index(), l).iter().map(move |&from| EdgeRef {
-                from,
-                to: v,
-                label: LabelId(l as u32),
-            })
+            self.in_slice(v.index(), l)
+                .iter()
+                .map(move |&from| EdgeRef {
+                    from,
+                    to: v,
+                    label: LabelId(l as u32),
+                })
         })
     }
 
@@ -506,7 +436,9 @@ impl Graph {
         v: NodeId,
         label: LabelId,
     ) -> impl Iterator<Item = NodeId> + '_ {
-        self.out_neighbors_with_label_slice(v, label).iter().copied()
+        self.out_neighbors_with_label_slice(v, label)
+            .iter()
+            .copied()
     }
 
     /// Iterator form of [`Graph::in_neighbors_with_label_slice`].
@@ -571,20 +503,20 @@ impl Graph {
     /// frozen like any other CSR (only the remapped label groups are
     /// sorted).
     pub fn induced_subgraph(&self, nodes: &[NodeId]) -> (Graph, Vec<NodeId>) {
-        let mut sub = Graph::with_labels(self.labels().clone());
         let mut global_of_local = Vec::with_capacity(nodes.len());
-        let mut local_of_global =
-            std::collections::HashMap::with_capacity(nodes.len());
+        let mut local_of_global = HashMap::with_capacity(nodes.len());
         for &v in nodes {
-            if local_of_global.contains_key(&v) {
-                continue;
+            if let Entry::Vacant(slot) = local_of_global.entry(v) {
+                slot.insert(NodeId::new(global_of_local.len()));
+                global_of_local.push(v);
             }
-            let local = sub.add_node(self.node_label(v));
-            local_of_global.insert(v, local);
-            global_of_local.push(v);
         }
-        let label_count = self.out.label_count().max(self.labels.edge_label_count());
-        let out = CsrAdjacency::from_rows(sub.node_count(), label_count, 0, |v, l, row| {
+        let node_labels = global_of_local
+            .iter()
+            .map(|&v| self.node_label(v))
+            .collect();
+        let (n, label_count) = (global_of_local.len(), self.labels.edge_label_count());
+        let out = CsrAdjacency::from_rows(n, label_count, 0, |v, l, row| {
             let start = row.len();
             row.extend(
                 self.out_slice(global_of_local[v].index(), l)
@@ -593,8 +525,17 @@ impl Graph {
             );
             row[start..].sort_unstable();
         });
-        sub.set_frozen_edges(out);
+        let sub = Graph::from_frozen(Arc::clone(&self.labels), node_labels, out);
         (sub, global_of_local)
+    }
+}
+
+/// `Ok` when `node` is one of a graph's `node_count` nodes.
+pub(crate) fn check_node(node: NodeId, node_count: usize) -> Result<(), GraphError> {
+    if node.index() < node_count {
+        Ok(())
+    } else {
+        Err(GraphError::NodeOutOfBounds { node, node_count })
     }
 }
 
@@ -612,14 +553,24 @@ mod tests {
         }
     }
 
+    /// `n` edgeless `person` nodes from the builder, over a vocabulary that
+    /// already holds the edge label `follows`.
+    fn people(n: usize) -> (Graph, Vec<NodeId>, LabelId) {
+        let mut labels = LabelSet::new();
+        let follows = labels.intern_edge_label("follows");
+        let mut b = GraphBuilder::with_labels(labels);
+        let nodes = b.add_nodes("person", n);
+        (b.build(), nodes, follows)
+    }
+
+    /// A directed 3-cycle whose edges were inserted one op at a time, so
+    /// they sit in the overlay.
     fn triangle() -> (Graph, Vec<NodeId>, LabelId) {
-        let mut g = Graph::new();
-        let person = g.labels_mut().intern_node_label("person");
-        let follows = g.labels_mut().intern_edge_label("follows");
-        let nodes: Vec<_> = (0..3).map(|_| g.add_node(person)).collect();
-        g.add_edge(nodes[0], nodes[1], follows).unwrap();
-        g.add_edge(nodes[1], nodes[2], follows).unwrap();
-        g.add_edge(nodes[2], nodes[0], follows).unwrap();
+        let (mut g, nodes, follows) = people(3);
+        for (f, t) in [(0, 1), (1, 2), (2, 0)] {
+            g.apply_edge_ops(&[EdgeOp::insert(nodes[f], nodes[t], follows)])
+                .unwrap();
+        }
         (g, nodes, follows)
     }
 
@@ -648,18 +599,17 @@ mod tests {
     #[test]
     fn duplicate_edges_are_rejected_or_deduped() {
         let (mut g, n, follows) = triangle();
-        assert_eq!(
-            g.add_edge(n[0], n[1], follows),
-            Err(GraphError::DuplicateEdge {
-                from: n[0],
-                to: n[1]
-            })
-        );
-        assert_eq!(g.add_edge_dedup(n[0], n[1], follows), Ok(false));
+        let report = g
+            .apply_edge_ops(&[EdgeOp::insert(n[0], n[1], follows)])
+            .unwrap();
+        assert_eq!((report.inserted, report.noop_inserts), (0, 1));
         assert_eq!(g.edge_count(), 3);
         // A parallel edge with a different label is allowed.
         let likes = g.labels_mut().intern_edge_label("likes");
-        assert_eq!(g.add_edge_dedup(n[0], n[1], likes), Ok(true));
+        let report = g
+            .apply_edge_ops(&[EdgeOp::insert(n[0], n[1], likes)])
+            .unwrap();
+        assert_eq!(report.inserted, 1);
         assert_eq!(g.edge_count(), 4);
     }
 
@@ -667,39 +617,35 @@ mod tests {
     fn out_of_bounds_nodes_are_rejected() {
         let (mut g, n, follows) = triangle();
         let bogus = NodeId::new(42);
-        assert!(matches!(
-            g.add_edge(n[0], bogus, follows),
-            Err(GraphError::NodeOutOfBounds { .. })
-        ));
-        assert!(matches!(
-            g.add_edge(bogus, n[0], follows),
-            Err(GraphError::NodeOutOfBounds { .. })
-        ));
+        for op in [
+            EdgeOp::insert(n[0], bogus, follows),
+            EdgeOp::insert(bogus, n[0], follows),
+            EdgeOp::delete(n[0], bogus, follows),
+        ] {
+            assert_eq!(
+                g.apply_edge_ops(&[op]),
+                Err(GraphError::NodeOutOfBounds {
+                    node: bogus,
+                    node_count: 3
+                })
+            );
+        }
         assert!(!g.has_edge(bogus, n[0], follows));
-        assert!(matches!(
-            g.apply_edge_ops(&[EdgeOp::insert(bogus, n[0], follows)]),
-            Err(GraphError::NodeOutOfBounds { .. })
-        ));
-        assert!(matches!(
-            g.remove_edge(n[0], bogus, follows),
-            Err(GraphError::NodeOutOfBounds { .. })
-        ));
     }
 
     #[test]
     fn label_filtered_neighborhoods_are_exact() {
-        let mut g = Graph::new();
-        let person = g.labels_mut().intern_node_label("person");
-        let item = g.labels_mut().intern_node_label("item");
-        let follows = g.labels_mut().intern_edge_label("follows");
-        let likes = g.labels_mut().intern_edge_label("likes");
-        let a = g.add_node(person);
-        let b = g.add_node(person);
-        let c = g.add_node(person);
-        let x = g.add_node(item);
-        g.add_edge(a, b, follows).unwrap();
-        g.add_edge(a, c, follows).unwrap();
-        g.add_edge(a, x, likes).unwrap();
+        let mut builder = GraphBuilder::new();
+        let [a, b, c] = [(); 3].map(|_| builder.add_node("person"));
+        let x = builder.add_node("item");
+        builder.add_edge(a, b, "follows").unwrap();
+        builder.add_edge(a, c, "follows").unwrap();
+        builder.add_edge(a, x, "likes").unwrap();
+        let g = builder.build();
+        let label = |name| g.labels().node_label(name).unwrap();
+        let (person, item) = (label("person"), label("item"));
+        let follows = g.labels().edge_label("follows").unwrap();
+        let likes = g.labels().edge_label("likes").unwrap();
 
         let follow_children: Vec<_> = g.out_neighbors_with_label(a, follows).collect();
         assert_eq!(follow_children, vec![b, c]);
@@ -767,7 +713,11 @@ mod tests {
     #[test]
     fn delete_of_never_inserted_edge_is_a_counted_noop() {
         let (mut g, n, follows) = triangle();
-        let edges = vec![(n[0], n[1], follows), (n[1], n[2], follows), (n[2], n[0], follows)];
+        let edges = vec![
+            (n[0], n[1], follows),
+            (n[1], n[2], follows),
+            (n[2], n[0], follows),
+        ];
         let report = g
             .apply_edge_ops(&[EdgeOp::delete(n[1], n[0], follows)])
             .unwrap();
@@ -776,15 +726,21 @@ mod tests {
         assert!(!report.changed());
         assert_eq!(g.update_stats().noop_deletes, 1);
         assert_adjacency_is(&g, &edges);
-        assert_eq!(g.remove_edge(n[1], n[0], follows), Ok(false));
-        assert_eq!(g.remove_edge(n[0], n[1], follows), Ok(true));
+        let report = g
+            .apply_edge_ops(&[EdgeOp::delete(n[0], n[1], follows)])
+            .unwrap();
+        assert_eq!((report.deleted, report.noop_deletes), (1, 0));
         assert_adjacency_is(&g, &edges[1..]);
     }
 
     #[test]
     fn duplicate_insert_via_ops_is_a_counted_noop() {
         let (mut g, n, follows) = triangle();
-        let edges = vec![(n[0], n[1], follows), (n[1], n[2], follows), (n[2], n[0], follows)];
+        let edges = vec![
+            (n[0], n[1], follows),
+            (n[1], n[2], follows),
+            (n[2], n[0], follows),
+        ];
         let report = g
             .apply_edge_ops(&[
                 EdgeOp::insert(n[0], n[1], follows),
@@ -803,7 +759,11 @@ mod tests {
     fn delete_then_reinsert_in_one_batch_cancels_out() {
         let (mut g, n, follows) = triangle();
         g.compact_updates();
-        let edges = vec![(n[0], n[1], follows), (n[1], n[2], follows), (n[2], n[0], follows)];
+        let edges = vec![
+            (n[0], n[1], follows),
+            (n[1], n[2], follows),
+            (n[2], n[0], follows),
+        ];
         let report = g
             .apply_edge_ops(&[
                 EdgeOp::delete(n[0], n[1], follows),
@@ -821,7 +781,11 @@ mod tests {
     #[test]
     fn out_of_range_ops_fail_the_whole_batch_without_mutation() {
         let (mut g, n, follows) = triangle();
-        let edges = vec![(n[0], n[1], follows), (n[1], n[2], follows), (n[2], n[0], follows)];
+        let edges = vec![
+            (n[0], n[1], follows),
+            (n[1], n[2], follows),
+            (n[2], n[0], follows),
+        ];
         let bogus = NodeId::new(42);
         let before = *g.update_stats();
         // The valid leading op must not be applied when a later op is bad.
@@ -842,10 +806,7 @@ mod tests {
 
     #[test]
     fn compaction_threshold_crossing_mid_stream_preserves_adjacency() {
-        let mut g = Graph::new();
-        let person = g.labels_mut().intern_node_label("person");
-        let follows = g.labels_mut().intern_edge_label("follows");
-        let n: Vec<_> = (0..10).map(|_| g.add_node(person)).collect();
+        let (mut g, n, follows) = people(10);
         g.set_compaction_threshold(4);
         assert_eq!(g.compaction_threshold(), 4);
         let mut expected: Vec<(NodeId, NodeId, LabelId)> = Vec::new();
@@ -916,28 +877,6 @@ mod tests {
     }
 
     #[test]
-    fn add_node_while_overlay_is_live_keeps_reads_consistent() {
-        let (mut g, n, follows) = triangle();
-        g.apply_edge_ops(&[EdgeOp::insert(n[1], n[0], follows)])
-            .unwrap();
-        assert!(g.pending_updates() > 0);
-        let person = g.labels().node_label("person").unwrap();
-        let d = g.add_node(person);
-        assert_eq!(g.out_degree(d), 0);
-        g.apply_edge_ops(&[EdgeOp::insert(d, n[0], follows)]).unwrap();
-        assert_adjacency_is(
-            &g,
-            &[
-                (n[0], n[1], follows),
-                (n[1], n[2], follows),
-                (n[2], n[0], follows),
-                (n[1], n[0], follows),
-                (d, n[0], follows),
-            ],
-        );
-    }
-
-    #[test]
     fn induced_subgraph_keeps_internal_edges_only() {
         let (g, n, follows) = triangle();
         let (sub, mapping) = g.induced_subgraph(&[n[0], n[1]]);
@@ -956,13 +895,13 @@ mod tests {
 
     /// A builder freeze of `g`'s nodes and exactly `edges`.
     fn builder_freeze(g: &Graph, edges: &BTreeSet<(NodeId, LabelId, NodeId)>) -> Graph {
-        let mut nodes = Graph::with_labels(g.labels().clone());
+        let labels = g.labels();
+        let mut b = GraphBuilder::with_labels(labels.clone());
         for v in g.nodes() {
-            nodes.add_node(g.node_label(v));
+            b.add_node(labels.node_label_name(g.node_label(v)).unwrap());
         }
-        let mut b = GraphBuilder::from_graph(nodes);
         for &(f, l, t) in edges {
-            b.add_edge(f, t, g.labels().edge_label_name(l).unwrap())
+            b.add_edge(f, t, labels.edge_label_name(l).unwrap())
                 .unwrap();
         }
         b.build()
@@ -970,8 +909,7 @@ mod tests {
 
     /// Compaction is a freeze: after it, both directions' `label_offsets` and
     /// `targets` equal a `GraphBuilder` freeze of the same edge set, at every
-    /// threshold, with a node added and an edge label interned after the
-    /// first freeze.
+    /// threshold, with an edge label interned after the first freeze.
     #[test]
     fn compaction_is_byte_identical_to_a_builder_freeze() {
         for threshold in [1, 3, 8, 0] {
@@ -994,10 +932,6 @@ mod tests {
             };
             let mut ops = Vec::new();
             for step in 0..39u32 {
-                if step == 10 {
-                    let person = g.labels().node_label("person").unwrap();
-                    g.add_node(person);
-                }
                 if step == 20 {
                     g.labels_mut().intern_edge_label("knows");
                 }

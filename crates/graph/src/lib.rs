@@ -13,11 +13,13 @@
 //!   (the children of `v` reachable via an edge with a given label, Table 1
 //!   of the paper) and its size `|Mₑ(v)|` are constant-time slice lookups,
 //! * [`LabelSet`] — string interning for node and edge labels,
-//! * [`GraphBuilder`] — the batch loader: stages edges in sorted per-source
-//!   rows and freezes the CSR layout once at `build()`, without sorting,
-//! * [`delta`] — the update path for live graphs: [`EdgeOp`] batches spliced
-//!   into an overlay of copy-on-write node rows ([`Graph::apply_edge_ops`])
-//!   that is compacted back into the CSR at a configurable threshold,
+//! * [`GraphBuilder`] — the batch loader and the only source of nodes: it
+//!   stages edges in sorted per-source rows and freezes the CSR layout once
+//!   at `build()`, without sorting; the built graph's node set is fixed,
+//! * [`delta`] — the update path for live graphs, and the only way edges
+//!   change after the build: [`EdgeOp`] batches spliced into an overlay of
+//!   copy-on-write node rows ([`Graph::apply_edge_ops`]) that is compacted
+//!   back into the CSR at a configurable threshold,
 //! * [`snapshot`] / [`store`] — the epoch architecture for serving under
 //!   updates: a [`GraphStore`] applies `EdgeOp` batches and atomically
 //!   publishes immutable, cheaply clonable [`GraphSnapshot`] epochs that

@@ -148,7 +148,13 @@ pub fn bfs_within_multi_with(
 /// `start` itself), each paired with its hop distance, in BFS order.
 pub fn bfs_within(graph: &Graph, start: NodeId, d: usize) -> Vec<(NodeId, usize)> {
     let mut order = Vec::new();
-    bfs_within_with(graph, start, d, &mut BfsScratch::for_graph(graph), &mut order);
+    bfs_within_with(
+        graph,
+        start,
+        d,
+        &mut BfsScratch::for_graph(graph),
+        &mut order,
+    );
     order
 }
 
@@ -234,7 +240,11 @@ mod tests {
             let mut count = 0;
             scratch.visit_ball(&g, &[n[0]], d, false, |_, _| count += 1);
             assert_eq!(count, ball.len());
-            let inner: Vec<_> = ball.iter().filter(|&&(_, k)| k < d).map(|&(v, _)| v).collect();
+            let inner: Vec<_> = ball
+                .iter()
+                .filter(|&&(_, k)| k < d)
+                .map(|&(v, _)| v)
+                .collect();
             assert_eq!(scratch.visited(), inner);
         }
     }

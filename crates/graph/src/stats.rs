@@ -184,7 +184,7 @@ mod tests {
 
     #[test]
     fn empty_graph_statistics_are_well_defined() {
-        let g = Graph::new();
+        let g = GraphBuilder::new().build();
         let s = GraphStats::compute(&g);
         assert_eq!(s.node_count, 0);
         assert_eq!(s.edge_count, 0);

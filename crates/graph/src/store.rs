@@ -24,8 +24,8 @@
 //! broken protocol).
 
 use std::collections::VecDeque;
-use std::sync::PoisonError;
 use std::sync::Arc;
+use std::sync::PoisonError;
 
 use qgp_runtime::sync::{AtomicU64, Mutex, Ordering};
 
@@ -339,6 +339,43 @@ mod tests {
         assert_eq!(replay(&store, 0), Some((Vec::new(), 0)));
     }
 
+    /// An op naming an edge label the vocabulary never interned fails its
+    /// batch before anything moves: no widening freeze of the index, no
+    /// counter, no epoch.
+    #[test]
+    fn unknown_edge_labels_fail_the_batch_and_publish_nothing() {
+        let (g, n, follows) = seed();
+        let store = GraphStore::new(g);
+        let stats = *store.snapshot().update_stats();
+        let unknown = LabelId(10_000);
+        let err = store.apply(&[
+            EdgeOp::insert(n[0], n[2], follows),
+            EdgeOp::insert(n[1], n[2], unknown),
+        ]);
+        assert_eq!(
+            err,
+            Err(GraphError::UnknownEdgeLabel {
+                label: unknown,
+                label_count: 1
+            })
+        );
+        assert_eq!(store.epoch(), 0);
+        let head = store.snapshot();
+        assert_eq!(*head.update_stats(), stats);
+        assert_eq!(head.update_stats().full_rebuilds, 0);
+        assert_eq!(head.edge_count(), 1);
+        assert!(!head.has_edge(n[0], n[2], follows));
+        assert_eq!(replay(&store, 0), Some((Vec::new(), 0)));
+        // The next valid batch applies as usual.
+        assert_eq!(
+            store
+                .apply(&[EdgeOp::insert(n[0], n[2], follows)])
+                .unwrap()
+                .1,
+            1
+        );
+    }
+
     #[test]
     fn ops_since_replays_exactly_the_missed_batches() {
         let (g, n, follows) = seed();
@@ -373,10 +410,7 @@ mod tests {
         rebuilt.apply_edge_ops(&all).unwrap();
         assert_eq!(rebuilt.edge_count(), head.edge_count());
         for v in rebuilt.nodes() {
-            assert_eq!(
-                rebuilt.out_neighbors_slice(v),
-                head.out_neighbors_slice(v)
-            );
+            assert_eq!(rebuilt.out_neighbors_slice(v), head.out_neighbors_slice(v));
         }
     }
 
@@ -412,9 +446,7 @@ mod tests {
                 if i == j || (i, j) == (0, 1) {
                     continue;
                 }
-                store
-                    .apply(&[EdgeOp::insert(n[i], n[j], follows)])
-                    .unwrap();
+                store.apply(&[EdgeOp::insert(n[i], n[j], follows)]).unwrap();
                 expected.push((n[i], n[j], follows));
             }
         }
@@ -447,8 +479,7 @@ mod tests {
                         );
                         // A pinned snapshot is internally consistent: the
                         // edge count matches an actual adjacency scan.
-                        let scanned: usize =
-                            snap.nodes().map(|v| snap.out_degree(v)).sum();
+                        let scanned: usize = snap.nodes().map(|v| snap.out_degree(v)).sum();
                         assert_eq!(scanned, snap.edge_count());
                     }
                 });
@@ -548,13 +579,11 @@ mod tests {
             .all(|(i, &(f, l, t))| bit(f, l, t) == i as u32));
         for base in 0u32..1 << edges.len() {
             let mut labels = crate::LabelSet::new();
-            let a = labels.intern_node_label("A");
             labels.intern_edge_label("r");
             labels.intern_edge_label("s");
-            let mut graph = Graph::with_labels(labels);
-            for _ in 0..3 {
-                graph.add_node(a);
-            }
+            let mut b = crate::GraphBuilder::with_labels(labels);
+            b.add_nodes("A", 3);
+            let mut graph = b.build();
             let inserts: Vec<EdgeOp> = (edges.iter().enumerate())
                 .filter(|&(i, _)| base >> i & 1 == 1)
                 .map(|(_, &(f, l, t))| edge_op(f, l, t, true))

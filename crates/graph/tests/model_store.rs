@@ -64,7 +64,10 @@ fn epoch_store_publishes_the_snapshot_built_before_it() {
     #[cfg(not(qgp_mutate))]
     {
         report.expect_ok("epoch_store_publishes_the_snapshot_built_before_it");
-        assert!(report.complete, "two-access protocol must be fully enumerated");
+        assert!(
+            report.complete,
+            "two-access protocol must be fully enumerated"
+        );
         assert!(
             report.executions > 1,
             "publish racing the load must branch; got {} executions",

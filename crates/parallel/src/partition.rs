@@ -654,7 +654,7 @@ mod tests {
 
     #[test]
     fn empty_graph_partitions_without_panicking() {
-        let g = Graph::new();
+        let g = GraphBuilder::new().build();
         let p = dpar_with(&g, &PartitionConfig::new(3, 2), Runtime::global());
         assert_eq!(p.len(), 3);
         assert_eq!(p.stats().total_nodes, 0);

@@ -172,16 +172,14 @@ fn edge_set(graph: &Graph) -> BTreeSet<Edge> {
 /// but exactly `edges` — the from-first-principles reference an overlay
 /// graph is compared against.
 fn rebuild(template: &Graph, edges: &BTreeSet<Edge>) -> Graph {
-    let mut g = Graph::with_labels(template.labels().clone());
+    let labels = template.labels();
+    let mut b = GraphBuilder::with_labels(labels.clone());
     for v in template.nodes() {
-        g.add_node(template.node_label(v));
+        let name = labels.node_label_name(template.node_label(v));
+        b.add_node(name.expect("interned label"));
     }
-    let mut b = GraphBuilder::from_graph(g);
     for &(from, to, label) in edges {
-        let name = template
-            .labels()
-            .edge_label_name(label)
-            .expect("interned label");
+        let name = labels.edge_label_name(label).expect("interned label");
         b.add_edge(from, to, name)
             .expect("mirror endpoints are in range");
     }
