@@ -9,8 +9,6 @@
 //!   pattern workloads,
 //! * [`experiments`] — one function per figure: Fig. 8(a) through Fig. 8(l)
 //!   and the Exp-3 QGAR study,
-//! * [`stream`] — seeded edge-update stream generation for the differential
-//!   tests,
 //! * [`report`] — plain-text / markdown tables.
 //!
 //! Run the whole experiment suite with:
@@ -27,9 +25,7 @@
 
 pub mod experiments;
 pub mod report;
-pub mod stream;
 pub mod workloads;
 
 pub use report::Table;
-pub use stream::{StreamConfig, UpdateStreamGen};
 pub use workloads::{Dataset, ExperimentScale};

@@ -99,7 +99,10 @@ fn seeded_race_replays_from_seed() {
         body,
     );
     replay.expect_race("seeded_race_replays_from_seed (replay)");
-    assert_eq!(replay.executions, 1, "the pinned seed must fail immediately");
+    assert_eq!(
+        replay.executions, 1,
+        "the pinned seed must fail immediately"
+    );
     assert_eq!(
         replay.failures[0].schedule, failure.schedule,
         "same seed must reproduce the same schedule"

@@ -1,6 +1,6 @@
 //! The one way the test suites ask the engine for `Q(x_o, G)`: shared by
 //! the unit tests of `qgp-core` and `qgp-parallel` (as `test_support`) and
-//! by their integration tests (as `common`).  What the answers are compared
+//! by the integration tests (through `qgp-testkit`).  What the answers are compared
 //! *to* is `matching::reference::evaluate_reference`, never another
 //! optimized path.
 

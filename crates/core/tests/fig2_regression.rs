@@ -8,14 +8,12 @@
 //! negation), `QMatchn` (negation from scratch) and `Enum`
 //! (enumerate-then-verify) — must return the same, correct answers.
 
-mod common;
-
-use common::{engine_match, run};
 use qgp_core::engine::ExecOptions;
 use qgp_core::matching::reference::evaluate_reference;
 use qgp_core::matching::MatchConfig;
 use qgp_core::pattern::{library, Pattern};
 use qgp_graph::{EdgeOp, Graph, GraphBuilder, LabelSet, NodeId};
+use qgp_testkit::{engine_match, run};
 
 fn configs() -> [(&'static str, MatchConfig); 3] {
     [
@@ -90,7 +88,12 @@ fn q3_negation_on_g1_matches_example_4() {
     // Q3(xo, G1) with p = 2 is {x2}: x1 follows only one recommender and x3
     // follows v4 who panned the phone.
     let (g, xs, _) = g1();
-    assert_answer(&g, &library::q3_redmi_negation(2), &[xs[1]], "Q3(p=2) on G1");
+    assert_answer(
+        &g,
+        &library::q3_redmi_negation(2),
+        &[xs[1]],
+        "Q3(p=2) on G1",
+    );
     // With p = 1 the numeric aggregate also admits x1; the negated edge
     // still excludes x3.
     assert_answer(

@@ -1,7 +1,7 @@
 //! Differential contracts of the counting (aggregate-pushdown) execution:
 //!
-//! * `CountOnly` ≡ enumerate-then-count: the counting path accepts exactly
-//!   the foci the enumerating execution accepts, for every matcher
+//! * `CountOnly` ≡ enumerate-then-count: the counting surfaces accept
+//!   exactly the oracle's foci, like the enumerating ones, for every matcher
 //!   configuration × execution mode × executor thread count, including
 //!   negated-edge patterns,
 //! * exact witness counts equal a brute-force recount on single-edge
@@ -17,117 +17,12 @@
 use proptest::prelude::*;
 
 use qgp_core::engine::{BudgetPolicy, Engine, ExecBudget, ExecOptions};
-use qgp_core::matching::MatchConfig;
-use qgp_core::pattern::{CountingQuantifier, Pattern, PatternBuilder};
+use qgp_core::matching::reference::evaluate_reference;
 use qgp_core::{FocusCount, MatchError};
-use qgp_graph::{Fragment, FragmentId, Graph, GraphBuilder, NodeId};
+use qgp_graph::{Graph, GraphBuilder, NodeId};
 use qgp_runtime::faults::{self, FaultPlan};
 use qgp_runtime::Runtime;
-
-const NODE_LABELS: &[&str] = &["A", "B", "C"];
-const EDGE_LABELS: &[&str] = &["r", "s"];
-
-#[derive(Debug, Clone)]
-struct GraphSpec {
-    node_labels: Vec<u8>,
-    edges: Vec<(u8, u8, u8)>,
-}
-
-fn graph_spec() -> impl Strategy<Value = GraphSpec> {
-    (4usize..12).prop_flat_map(|n| {
-        let nodes = proptest::collection::vec(0u8..NODE_LABELS.len() as u8, n);
-        let edges = proptest::collection::vec(
-            (0u8..n as u8, 0u8..n as u8, 0u8..EDGE_LABELS.len() as u8),
-            0..(3 * n),
-        );
-        (nodes, edges).prop_map(|(node_labels, edges)| GraphSpec { node_labels, edges })
-    })
-}
-
-fn build_graph(spec: &GraphSpec) -> Graph {
-    let mut b = GraphBuilder::new();
-    let ids: Vec<NodeId> = spec
-        .node_labels
-        .iter()
-        .map(|&l| b.add_node(NODE_LABELS[l as usize]))
-        .collect();
-    for &(from, to, label) in &spec.edges {
-        if from == to {
-            continue;
-        }
-        let _ = b.add_edge_dedup(
-            ids[from as usize],
-            ids[to as usize],
-            EDGE_LABELS[label as usize],
-        );
-    }
-    b.build()
-}
-
-/// A fixed family of patterns covering every quantifier class, including
-/// negation (kind 5) and a two-node negation whose positified pattern takes
-/// the sessionless trivial-shape shortcut (kind 6).
-fn pattern(kind: u8) -> Pattern {
-    let mut b = PatternBuilder::new();
-    let xo = b.node("A");
-    match kind % 7 {
-        0 => {
-            let y = b.node("B");
-            b.edge(xo, y, "r");
-        }
-        1 => {
-            let y = b.node("B");
-            b.quantified_edge(xo, y, "r", CountingQuantifier::at_least(2));
-        }
-        2 => {
-            let y = b.node("B");
-            let z = b.node("C");
-            b.quantified_edge(xo, y, "r", CountingQuantifier::at_least_percent(50.0));
-            b.edge(y, z, "s");
-        }
-        3 => {
-            let y = b.node("B");
-            let z = b.node("C");
-            b.quantified_edge(xo, y, "r", CountingQuantifier::universal());
-            b.edge(y, z, "s");
-        }
-        4 => {
-            let y = b.node("B");
-            b.quantified_edge(xo, y, "r", CountingQuantifier::exactly(1));
-        }
-        5 => {
-            let y = b.node("B");
-            let z = b.node("C");
-            b.quantified_edge(xo, y, "r", CountingQuantifier::at_least(1));
-            b.negated_edge(xo, z, "s");
-        }
-        _ => {
-            let z = b.node("B");
-            b.negated_edge(xo, z, "s");
-        }
-    }
-    b.focus(xo);
-    b.build().expect("fixed pattern family validates")
-}
-
-fn all_configs() -> [MatchConfig; 4] {
-    [
-        MatchConfig::qmatch(),
-        MatchConfig::qmatch_n(),
-        MatchConfig::qmatch_with_simulation(),
-        MatchConfig::enumerate(),
-    ]
-}
-
-fn whole_graph_fragment(graph: &Graph) -> Vec<Fragment> {
-    let nodes: Vec<NodeId> = graph.nodes().collect();
-    vec![Fragment::build(
-        FragmentId(0),
-        graph,
-        &nodes,
-        nodes.iter().copied(),
-    )]
-}
+use qgp_testkit::{all_configs, graph_spec, pattern, plan_for_case, surfaces, PATTERN_KINDS, RS};
 
 /// Brute-force witness recount for the single-edge pattern kinds (0, 1, 4):
 /// the distinct `B`-labelled `r`-children of `vx`, excluding `vx` itself.
@@ -146,46 +41,28 @@ fn single_edge_witnesses(graph: &Graph, vx: NodeId) -> usize {
         .count()
 }
 
-/// The armed plan for one proptest case (see `prop_faults.rs`).
-fn plan_for_case(case_seed: u64, fallback: FaultPlan) -> FaultPlan {
-    match FaultPlan::from_env() {
-        Some(env) => {
-            FaultPlan::new(env.seed ^ case_seed, env.panic_rate).with_delay_rate(env.delay_rate)
-        }
-        None => fallback,
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The counting path accepts exactly the foci the enumerating execution
-    /// accepts, under every matcher configuration, both count modes, and
-    /// sequential / parallel / partitioned execution at 1 and 4 threads.
+    /// Every surface, the counting ones included, accepts exactly the
+    /// oracle's foci under every matcher configuration and at 1 and 4
+    /// threads; a sequential count reports the full total, untruncated.
     #[test]
     fn counting_equals_enumeration_across_configs_modes_and_threads(
-        gspec in graph_spec(),
-        kind in 0u8..7,
+        gspec in graph_spec(4..12, RS),
+        kind in 0u8..PATTERN_KINDS,
     ) {
-        let graph = build_graph(&gspec);
+        let graph = gspec.build();
         let pattern = pattern(kind);
         let prepared = Engine::new(&graph).prepare(&pattern).unwrap();
-        let fragments = whole_graph_fragment(&graph);
+        let oracle = evaluate_reference(&graph, &pattern);
         for config in all_configs() {
-            let enumerated = prepared
-                .run(ExecOptions::sequential().with_config(config))
-                .unwrap();
             for opts in [
                 ExecOptions::sequential().count_only(),
                 ExecOptions::sequential().count_exact(),
             ] {
                 let counted = prepared.count(opts.with_config(config)).unwrap();
-                prop_assert_eq!(
-                    counted.matches().collect::<Vec<_>>(),
-                    enumerated.matches.clone(),
-                    "sequential count, {:?}", config
-                );
-                prop_assert_eq!(counted.total, enumerated.matches.len());
+                prop_assert_eq!(counted.total, oracle.len());
                 prop_assert!(!counted.truncated);
             }
             // `execute` with the count flag routes decisions through the
@@ -193,29 +70,13 @@ proptest! {
             let routed = prepared
                 .run(ExecOptions::sequential().with_config(config).count_only())
                 .unwrap();
-            prop_assert_eq!(&routed.matches, &enumerated.matches);
+            prop_assert_eq!(&routed.matches, &oracle);
             for threads in [1usize, 4] {
-                let par = prepared
-                    .count(ExecOptions::parallel_on(&Runtime::new(threads)).with_config(config))
-                    .unwrap();
-                prop_assert_eq!(
-                    par.matches().collect::<Vec<_>>(),
-                    enumerated.matches.clone(),
-                    "parallel({} threads) count, {:?}", threads, config
-                );
                 let runtime = Runtime::new(threads);
-                let part = prepared
-                    .count(
-                        ExecOptions::partitioned_on(&fragments, pattern.radius(), &runtime)
-                            .with_config(config)
-                            .count_exact(),
-                    )
-                    .unwrap();
-                prop_assert_eq!(
-                    part.matches().collect::<Vec<_>>(),
-                    enumerated.matches.clone(),
-                    "partitioned({} threads) count, {:?}", threads, config
-                );
+                for surface in surfaces(config) {
+                    let got = (surface.answer)(&prepared, prepared.snapshot(), &runtime).unwrap();
+                    prop_assert_eq!(&got, &oracle, "{} on {} threads", surface.name, threads);
+                }
             }
         }
     }
@@ -225,11 +86,11 @@ proptest! {
     /// and every mode agrees on witness values for the same focus.
     #[test]
     fn exact_witnesses_match_brute_force_on_single_edge_patterns(
-        gspec in graph_spec(),
+        gspec in graph_spec(4..12, RS),
         kind_ix in 0usize..3,
     ) {
         let kind = [0u8, 1, 4][kind_ix];
-        let graph = build_graph(&gspec);
+        let graph = gspec.build();
         let pattern = pattern(kind);
         let prepared = Engine::new(&graph).prepare(&pattern).unwrap();
         for config in all_configs() {
@@ -264,12 +125,12 @@ proptest! {
     /// sequential count is the k-prefix of the full per-focus answer.
     #[test]
     fn restriction_and_limit_compose_with_counting(
-        gspec in graph_spec(),
-        kind in 0u8..7,
+        gspec in graph_spec(4..12, RS),
+        kind in 0u8..PATTERN_KINDS,
         take in 0usize..8,
         k in 1usize..6,
     ) {
-        let graph = build_graph(&gspec);
+        let graph = gspec.build();
         let pattern = pattern(kind);
         let prepared = Engine::new(&graph).prepare(&pattern).unwrap();
 
@@ -312,11 +173,11 @@ proptest! {
     /// never reports a wrong witness count.
     #[test]
     fn budget_partial_counting_is_an_exact_prefix_or_subset(
-        gspec in graph_spec(),
-        kind in 0u8..7,
+        gspec in graph_spec(4..12, RS),
+        kind in 0u8..PATTERN_KINDS,
         cap in 0u64..16,
     ) {
-        let graph = build_graph(&gspec);
+        let graph = gspec.build();
         let pattern = pattern(kind);
         let prepared = Engine::new(&graph).prepare(&pattern).unwrap();
         let full = prepared
@@ -374,11 +235,11 @@ proptest! {
     /// never a wrong count — and retries clean on the same runtime.
     #[test]
     fn faulty_counting_fails_typed_and_retries_clean(
-        gspec in graph_spec(),
-        kind in 0u8..7,
+        gspec in graph_spec(4..12, RS),
+        kind in 0u8..PATTERN_KINDS,
         seed in 0u64..1_000,
     ) {
-        let graph = build_graph(&gspec);
+        let graph = gspec.build();
         let pattern = pattern(kind);
         let prepared = Engine::new(&graph).prepare(&pattern).unwrap();
         let runtime = Runtime::new(2);
@@ -440,7 +301,7 @@ fn cancelled_counting_is_empty_and_leaves_no_poisoned_state() {
 }
 
 /// The witness count of an accepted focus with no focus out-edge in `Π(Q)`
-/// is 1 (kind 6: a pure two-node negation — the trivial-shape shortcut).
+/// is 1 (kind 9: a pure two-node negation — the trivial-shape shortcut).
 #[test]
 fn pure_negation_counts_report_unit_witnesses() {
     let mut b = GraphBuilder::new();
@@ -449,7 +310,7 @@ fn pure_negation_counts_report_unit_witnesses() {
     let bad = b.add_node("B");
     b.add_edge(dirty, bad, "s").unwrap();
     let graph = b.build();
-    let prepared = Engine::new(&graph).prepare(&pattern(6)).unwrap();
+    let prepared = Engine::new(&graph).prepare(&pattern(9)).unwrap();
     let counted = prepared
         .count(ExecOptions::sequential().count_exact())
         .unwrap();

@@ -14,35 +14,14 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-mod common;
-
-use common::engine_match;
 use qgp_core::matching::reference::evaluate_reference;
 use qgp_core::matching::MatchConfig;
 use qgp_core::pattern::{CountingQuantifier, PatternBuilder};
 use qgp_graph::{EdgeOp, Graph, GraphBuilder, NodeId};
+use qgp_testkit::{engine_match, graph_spec, GraphSpec, NODE_LABELS};
 
-const NODE_LABELS: &[&str] = &["A", "B", "C"];
-const EDGE_LABELS: &[&str] = &["r", "s", "t"];
-
-/// A compact description of a random graph: node labels + labeled edges
-/// (duplicates allowed — both paths must agree on dedup behavior too).
-#[derive(Debug, Clone)]
-struct GraphSpec {
-    node_labels: Vec<u8>,
-    edges: Vec<(u8, u8, u8)>,
-}
-
-fn graph_spec() -> impl Strategy<Value = GraphSpec> {
-    (2usize..12).prop_flat_map(|n| {
-        let nodes = proptest::collection::vec(0u8..NODE_LABELS.len() as u8, n);
-        let edges = proptest::collection::vec(
-            (0u8..n as u8, 0u8..n as u8, 0u8..EDGE_LABELS.len() as u8),
-            0..(4 * n),
-        );
-        (nodes, edges).prop_map(|(node_labels, edges)| GraphSpec { node_labels, edges })
-    })
-}
+/// Three edge labels, so label ranges have a middle one.
+const RST: &[&str] = &["r", "s", "t"];
 
 /// Builds the spec through the batch loader.
 fn build_batch(spec: &GraphSpec) -> Graph {
@@ -57,7 +36,7 @@ fn build_batch(spec: &GraphSpec) -> Graph {
             .add_edge_dedup(
                 ids[from as usize],
                 ids[to as usize],
-                EDGE_LABELS[label as usize],
+                spec.edge_labels[label as usize],
             )
             .unwrap();
     }
@@ -77,7 +56,7 @@ fn build_incremental(spec: &GraphSpec) -> Graph {
     for &(from, to, label) in &spec.edges {
         let id = g
             .labels_mut()
-            .intern_edge_label(EDGE_LABELS[label as usize]);
+            .intern_edge_label(spec.edge_labels[label as usize]);
         g.apply_edge_ops(&[EdgeOp::insert(ids[from as usize], ids[to as usize], id)])
             .unwrap();
     }
@@ -87,15 +66,18 @@ fn build_incremental(spec: &GraphSpec) -> Graph {
 fn assert_same_adjacency(a: &Graph, b: &Graph) -> Result<(), TestCaseError> {
     prop_assert_eq!(a.node_count(), b.node_count());
     prop_assert_eq!(a.edge_count(), b.edge_count());
-    let edge_list =
-        |g: &Graph| g.edges().map(|e| (e.from, e.label, e.to)).collect::<Vec<_>>();
+    let edge_list = |g: &Graph| {
+        g.edges()
+            .map(|e| (e.from, e.label, e.to))
+            .collect::<Vec<_>>()
+    };
     prop_assert_eq!(edge_list(a), edge_list(b));
     for v in a.nodes() {
         prop_assert_eq!(a.out_degree(v), b.out_degree(v));
         prop_assert_eq!(a.in_degree(v), b.in_degree(v));
         prop_assert_eq!(a.out_neighbors_slice(v), b.out_neighbors_slice(v));
         prop_assert_eq!(a.in_neighbors_slice(v), b.in_neighbors_slice(v));
-        for name in EDGE_LABELS {
+        for name in RST {
             let (Some(la), Some(lb)) = (a.labels().edge_label(name), b.labels().edge_label(name))
             else {
                 prop_assert_eq!(
@@ -115,7 +97,10 @@ fn assert_same_adjacency(a: &Graph, b: &Graph) -> Result<(), TestCaseError> {
                 a.in_neighbors_with_label_slice(v, la),
                 b.in_neighbors_with_label_slice(v, lb)
             );
-            prop_assert_eq!(a.out_degree_with_label(v, la), b.out_degree_with_label(v, lb));
+            prop_assert_eq!(
+                a.out_degree_with_label(v, la),
+                b.out_degree_with_label(v, lb)
+            );
             prop_assert_eq!(a.in_degree_with_label(v, la), b.in_degree_with_label(v, lb));
         }
     }
@@ -174,7 +159,7 @@ proptest! {
 
     /// Batch and incremental construction freeze identical CSR state.
     #[test]
-    fn batch_and_incremental_graphs_are_identical(spec in graph_spec()) {
+    fn batch_and_incremental_graphs_are_identical(spec in graph_spec(2..12, RST)) {
         let batch = build_batch(&spec);
         let incremental = build_incremental(&spec);
         assert_same_adjacency(&batch, &incremental)?;
@@ -183,7 +168,7 @@ proptest! {
     /// ... and therefore the same quantified matching answers — the
     /// oracle's — for every matcher configuration.
     #[test]
-    fn batch_and_incremental_graphs_match_identically(spec in graph_spec()) {
+    fn batch_and_incremental_graphs_match_identically(spec in graph_spec(2..12, RST)) {
         let batch = build_batch(&spec);
         let incremental = build_incremental(&spec);
         for pattern in probe_patterns() {
@@ -208,7 +193,7 @@ proptest! {
     /// nodes, read through the returned local → global mapping.
     #[test]
     fn induced_subgraph_is_the_restriction_of_the_edge_set(
-        spec in graph_spec(),
+        spec in graph_spec(2..12, RST),
         picks in proptest::collection::vec(0usize..64, 0..16),
     ) {
         let g = build_batch(&spec);

@@ -1,7 +1,7 @@
 //! Property-based contracts of the prepared-query engine:
 //!
 //! * engine output ≡ the brute-force reference oracle, for every matcher
-//!   configuration × execution mode × executor thread count,
+//!   configuration × answering surface × executor thread count,
 //! * `limit(k)` yields a prefix of the unlimited answer while verifying
 //!   strictly fewer candidates (genuine early termination),
 //! * cancellation mid-run stops the execution without poisoning the
@@ -9,159 +9,39 @@
 
 use proptest::prelude::*;
 
-mod common;
-
 use qgp_core::engine::{CancelToken, Engine, ExecOptions};
 use qgp_core::matching::reference::evaluate_reference;
 use qgp_core::matching::MatchConfig;
-use qgp_core::pattern::{CountingQuantifier, Pattern, PatternBuilder};
-use qgp_graph::{Fragment, FragmentId, Graph, GraphBuilder, NodeId};
+use qgp_graph::{Fragment, FragmentId, GraphBuilder, NodeId};
 use qgp_runtime::Runtime;
-
-const NODE_LABELS: &[&str] = &["A", "B", "C"];
-const EDGE_LABELS: &[&str] = &["r", "s"];
-
-#[derive(Debug, Clone)]
-struct GraphSpec {
-    node_labels: Vec<u8>,
-    edges: Vec<(u8, u8, u8)>,
-}
-
-fn graph_spec() -> impl Strategy<Value = GraphSpec> {
-    (4usize..12).prop_flat_map(|n| {
-        let nodes = proptest::collection::vec(0u8..NODE_LABELS.len() as u8, n);
-        let edges = proptest::collection::vec(
-            (0u8..n as u8, 0u8..n as u8, 0u8..EDGE_LABELS.len() as u8),
-            0..(3 * n),
-        );
-        (nodes, edges).prop_map(|(node_labels, edges)| GraphSpec { node_labels, edges })
-    })
-}
-
-fn build_graph(spec: &GraphSpec) -> Graph {
-    let mut b = GraphBuilder::new();
-    let ids: Vec<NodeId> = spec
-        .node_labels
-        .iter()
-        .map(|&l| b.add_node(NODE_LABELS[l as usize]))
-        .collect();
-    for &(from, to, label) in &spec.edges {
-        if from == to {
-            continue;
-        }
-        let _ = b.add_edge_dedup(
-            ids[from as usize],
-            ids[to as usize],
-            EDGE_LABELS[label as usize],
-        );
-    }
-    b.build()
-}
-
-/// A fixed family of patterns covering every quantifier class.
-fn pattern(kind: u8) -> Pattern {
-    let mut b = PatternBuilder::new();
-    let xo = b.node("A");
-    match kind % 6 {
-        0 => {
-            let y = b.node("B");
-            b.edge(xo, y, "r");
-        }
-        1 => {
-            let y = b.node("B");
-            b.quantified_edge(xo, y, "r", CountingQuantifier::at_least(2));
-        }
-        2 => {
-            let y = b.node("B");
-            let z = b.node("C");
-            b.quantified_edge(xo, y, "r", CountingQuantifier::at_least_percent(50.0));
-            b.edge(y, z, "s");
-        }
-        3 => {
-            let y = b.node("B");
-            let z = b.node("C");
-            b.quantified_edge(xo, y, "r", CountingQuantifier::universal());
-            b.edge(y, z, "s");
-        }
-        4 => {
-            let y = b.node("B");
-            b.quantified_edge(xo, y, "r", CountingQuantifier::exactly(1));
-        }
-        _ => {
-            let y = b.node("B");
-            let z = b.node("C");
-            b.quantified_edge(xo, y, "r", CountingQuantifier::at_least(1));
-            b.negated_edge(xo, z, "s");
-        }
-    }
-    b.focus(xo);
-    b.build().expect("fixed pattern family validates")
-}
-
-fn all_configs() -> [MatchConfig; 4] {
-    [
-        MatchConfig::qmatch(),
-        MatchConfig::qmatch_n(),
-        MatchConfig::qmatch_with_simulation(),
-        MatchConfig::enumerate(),
-    ]
-}
-
-/// One single-fragment partition covering the whole graph — trivially d-hop
-/// preserving for any d, so the engine's partitioned mode can be exercised
-/// without depending on the partitioning crate.
-fn whole_graph_fragment(graph: &Graph) -> Vec<Fragment> {
-    let nodes: Vec<NodeId> = graph.nodes().collect();
-    vec![Fragment::build(
-        FragmentId(0),
-        graph,
-        &nodes,
-        nodes.iter().copied(),
-    )]
-}
+use qgp_testkit::{
+    all_configs, engine_match, graph_spec, pattern, surfaces, whole_graph_fragment, GraphSpec,
+    PATTERN_KINDS, RS,
+};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Engine output ≡ the reference oracle for every matcher
-    /// configuration, execution mode, and executor thread count.
+    /// configuration, every surface, and executor thread count.
     #[test]
     fn engine_equals_reference_across_configs_modes_and_threads(
-        gspec in graph_spec(),
-        kind in 0u8..6,
+        gspec in graph_spec(4..12, RS),
+        kind in 0u8..PATTERN_KINDS,
     ) {
-        let graph = build_graph(&gspec);
+        let graph = gspec.build();
         let pattern = pattern(kind);
-        let engine = Engine::new(&graph);
-        let prepared = engine.prepare(&pattern).unwrap();
-        let fragments = whole_graph_fragment(&graph);
+        let prepared = Engine::new(&graph).prepare(&pattern).unwrap();
         let oracle = evaluate_reference(&graph, &pattern);
         for config in all_configs() {
-            let one_shot = common::engine_match(&graph, &pattern, &config);
+            let one_shot = engine_match(&graph, &pattern, &config);
             prop_assert_eq!(&one_shot.matches, &oracle, "one-shot, {:?}", config);
-            let seq = prepared
-                .run(ExecOptions::sequential().with_config(config))
-                .unwrap();
-            prop_assert_eq!(&seq.matches, &oracle, "sequential, {:?}", config);
             for threads in [1usize, 2, 4] {
-                let par = prepared
-                    .run(ExecOptions::parallel_on(&Runtime::new(threads)).with_config(config))
-                    .unwrap();
-                prop_assert_eq!(
-                    &par.matches, &oracle,
-                    "parallel({} threads), {:?}", threads, config
-                );
                 let runtime = Runtime::new(threads);
-                let part = prepared
-                    .run(
-                        ExecOptions::partitioned_on(&fragments, pattern.radius(), &runtime)
-                            .with_config(config),
-                    )
-                    .unwrap();
-                prop_assert_eq!(
-                    &part.matches, &oracle,
-                    "partitioned({} threads), {:?}", threads, config
-                );
+                for surface in surfaces(config) {
+                    let got = (surface.answer)(&prepared, prepared.snapshot(), &runtime).unwrap();
+                    prop_assert_eq!(&got, &oracle, "{} on {} threads", surface.name, threads);
+                }
             }
         }
     }
@@ -171,11 +51,11 @@ proptest! {
     /// answers inside it.
     #[test]
     fn streaming_and_restriction_match_the_batch_answer(
-        gspec in graph_spec(),
-        kind in 0u8..6,
+        gspec in graph_spec(4..12, RS),
+        kind in 0u8..PATTERN_KINDS,
         take in 0usize..8,
     ) {
-        let graph = build_graph(&gspec);
+        let graph = gspec.build();
         let pattern = pattern(kind);
         let engine = Engine::new(&graph);
         let prepared = engine.prepare(&pattern).unwrap();
@@ -203,11 +83,11 @@ proptest! {
     /// of the answer.
     #[test]
     fn limit_yields_prefix_with_strictly_less_work(
-        gspec in graph_spec(),
-        kind in 0u8..6,
+        gspec in graph_spec(4..12, RS),
+        kind in 0u8..PATTERN_KINDS,
         k in 1usize..6,
     ) {
-        let graph = build_graph(&gspec);
+        let graph = gspec.build();
         let pattern = pattern(kind);
         let engine = Engine::new(&graph);
         let prepared = engine.prepare(&pattern).unwrap();
@@ -243,8 +123,11 @@ proptest! {
     /// cancelled) and leaves every component reusable: the same prepared
     /// query and the same runtime produce the complete answer afterwards.
     #[test]
-    fn cancellation_leaves_no_poisoned_state(gspec in graph_spec(), kind in 0u8..6) {
-        let graph = build_graph(&gspec);
+    fn cancellation_leaves_no_poisoned_state(
+        gspec in graph_spec(4..12, RS),
+        kind in 0u8..PATTERN_KINDS,
+    ) {
+        let graph = gspec.build();
         let pattern = pattern(kind);
         let engine = Engine::new(&graph);
         let prepared = engine.prepare(&pattern).unwrap();
@@ -378,10 +261,12 @@ fn overlapping_fragment_coverage_does_not_short_the_limit() {
 
 #[test]
 fn partitioned_mode_rejects_bad_partitions() {
-    let graph = build_graph(&GraphSpec {
+    let graph = GraphSpec {
         node_labels: vec![0, 1, 2],
         edges: vec![(0, 1, 0), (1, 2, 1)],
-    });
+        edge_labels: RS,
+    }
+    .build();
     let engine = Engine::new(&graph);
     let prepared = engine.prepare(&pattern(2)).unwrap(); // radius 2
     let fragments = whole_graph_fragment(&graph);

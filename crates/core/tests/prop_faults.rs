@@ -31,81 +31,13 @@ use qgp_core::engine::{
     ServeOutcome, ServeRequest, ViewError,
 };
 use qgp_core::matching::reference::evaluate_reference;
-use qgp_core::pattern::{CountingQuantifier, Pattern, PatternBuilder};
+use qgp_core::matching::MatchConfig;
+use qgp_core::pattern::{Pattern, PatternBuilder};
 use qgp_core::MatchError;
 use qgp_graph::{EdgeOp, Graph, GraphBuilder, NodeId};
 use qgp_runtime::faults::{self, FaultPlan};
 use qgp_runtime::Runtime;
-
-const NODE_LABELS: &[&str] = &["A", "B", "C"];
-const EDGE_LABELS: &[&str] = &["r", "s"];
-
-#[derive(Debug, Clone)]
-struct GraphSpec {
-    node_labels: Vec<u8>,
-    edges: Vec<(u8, u8, u8)>,
-}
-
-fn graph_spec() -> impl Strategy<Value = GraphSpec> {
-    (4usize..12).prop_flat_map(|n| {
-        let nodes = proptest::collection::vec(0u8..NODE_LABELS.len() as u8, n);
-        let edges = proptest::collection::vec(
-            (0u8..n as u8, 0u8..n as u8, 0u8..EDGE_LABELS.len() as u8),
-            0..(3 * n),
-        );
-        (nodes, edges).prop_map(|(node_labels, edges)| GraphSpec { node_labels, edges })
-    })
-}
-
-fn build_graph(spec: &GraphSpec) -> Graph {
-    let mut b = GraphBuilder::new();
-    let ids: Vec<NodeId> = spec
-        .node_labels
-        .iter()
-        .map(|&l| b.add_node(NODE_LABELS[l as usize]))
-        .collect();
-    for &(from, to, label) in &spec.edges {
-        if from == to {
-            continue;
-        }
-        let _ = b.add_edge_dedup(
-            ids[from as usize],
-            ids[to as usize],
-            EDGE_LABELS[label as usize],
-        );
-    }
-    b.build()
-}
-
-/// A fixed family of patterns covering every quantifier class.
-fn pattern(kind: u8) -> Pattern {
-    let mut b = PatternBuilder::new();
-    let xo = b.node("A");
-    match kind % 4 {
-        0 => {
-            let y = b.node("B");
-            b.edge(xo, y, "r");
-        }
-        1 => {
-            let y = b.node("B");
-            b.quantified_edge(xo, y, "r", CountingQuantifier::at_least(2));
-        }
-        2 => {
-            let y = b.node("B");
-            let z = b.node("C");
-            b.quantified_edge(xo, y, "r", CountingQuantifier::universal());
-            b.edge(y, z, "s");
-        }
-        _ => {
-            let y = b.node("B");
-            let z = b.node("C");
-            b.quantified_edge(xo, y, "r", CountingQuantifier::at_least(1));
-            b.negated_edge(xo, z, "s");
-        }
-    }
-    b.focus(xo);
-    b.build().expect("fixed pattern family validates")
-}
+use qgp_testkit::{graph_spec, pattern, plan_for_case, recompute, PATTERN_KINDS, RS};
 
 /// Serving shares prepared queries and the registry across worker threads
 /// by reference, with no lock around either.
@@ -114,18 +46,6 @@ const _: fn() = || {
     shared_across_threads::<PreparedQuery>();
     shared_across_threads::<QueryRegistry>();
 };
-
-/// The armed plan for one proptest case: the `QGP_FAULTS` env plan when
-/// the CI fault-injection job pins one (its seed xor-folded with the case
-/// seed so cases still explore distinct fault schedules), else `fallback`.
-fn plan_for_case(case_seed: u64, fallback: FaultPlan) -> FaultPlan {
-    match FaultPlan::from_env() {
-        Some(env) => {
-            FaultPlan::new(env.seed ^ case_seed, env.panic_rate).with_delay_rate(env.delay_rate)
-        }
-        None => fallback,
-    }
-}
 
 /// A follow-star with enough focus candidates that every parallel map has
 /// real tasks to fault.
@@ -153,11 +73,11 @@ proptest! {
     /// runtime reproduces the fault-free answer once disarmed.
     #[test]
     fn faulty_executions_fail_typed_and_retry_clean(
-        gspec in graph_spec(),
-        kind in 0u8..4,
+        gspec in graph_spec(4..12, RS),
+        kind in 0u8..PATTERN_KINDS,
         seed in 0u64..1_000,
     ) {
-        let graph = build_graph(&gspec);
+        let graph = gspec.build();
         let pattern = pattern(kind);
         let prepared = Engine::new(&graph).prepare(&pattern).unwrap();
         let runtime = Runtime::new(2);
@@ -191,11 +111,11 @@ proptest! {
     /// exactly, so no pooled session was lost or corrupted.
     #[test]
     fn serve_under_faults_is_exact_or_typed_and_recovers(
-        gspec in graph_spec(),
-        kinds in (0u8..4, 0u8..4),
+        gspec in graph_spec(4..12, RS),
+        kinds in (0u8..PATTERN_KINDS, 0u8..PATTERN_KINDS),
         seed in 0u64..1_000,
     ) {
-        let graph = build_graph(&gspec);
+        let graph = gspec.build();
         let engine = Engine::new(&graph);
         let patterns = [pattern(kinds.0), pattern(kinds.1)];
         let mut registry = QueryRegistry::new();
@@ -240,11 +160,11 @@ proptest! {
     /// early.
     #[test]
     fn budget_partial_yields_a_flagged_prefix(
-        gspec in graph_spec(),
-        kind in 0u8..4,
+        gspec in graph_spec(4..12, RS),
+        kind in 0u8..PATTERN_KINDS,
         cap in 0u64..16,
     ) {
-        let graph = build_graph(&gspec);
+        let graph = gspec.build();
         let pattern = pattern(kind);
         let prepared = Engine::new(&graph).prepare(&pattern).unwrap();
         let full = prepared.run(ExecOptions::sequential()).unwrap();
@@ -295,12 +215,12 @@ proptest! {
     /// checked against an independent recompute, and stays usable as is.
     #[test]
     fn view_apply_under_faults_is_atomic(
-        gspec in graph_spec(),
-        kind in 0u8..4,
+        gspec in graph_spec(4..12, RS),
+        kind in 0u8..PATTERN_KINDS,
         raw_ops in proptest::collection::vec((0u8..12, 0u8..12, 0u8..2, any::<bool>()), 1..5),
         seed in 0u64..1_000,
     ) {
-        let graph = build_graph(&gspec);
+        let graph = gspec.build();
         let pattern = pattern(kind);
         let mut view = Engine::new(&graph).prepare(&pattern).unwrap().view();
         let pre_matches = view.matches().to_vec();
@@ -308,13 +228,10 @@ proptest! {
 
         // Decode the raw ops against the real node/label universe.
         let n = graph.node_count();
-        let labels: Vec<_> = EDGE_LABELS
+        let labels: Vec<_> = RS
             .iter()
-            .filter_map(|l| graph.labels().edge_label(l))
+            .map(|l| graph.labels().edge_label(l).expect("the kit interns every label"))
             .collect();
-        if labels.is_empty() {
-            return Ok(());
-        }
         let ops: Vec<EdgeOp> = raw_ops
             .iter()
             .filter_map(|&(f, t, l, ins)| {
@@ -339,14 +256,7 @@ proptest! {
             let _armed = faults::install(plan_for_case(seed, FaultPlan::new(seed, 0.3)));
             view.apply(&ops)
         };
-        let recompute = |g: &Graph| -> Vec<NodeId> {
-            Engine::new(g)
-                .prepare(&pattern)
-                .unwrap()
-                .execute(ExecOptions::sequential())
-                .unwrap()
-                .collect()
-        };
+        let recompute = |g: &Graph| recompute(g, &pattern, &MatchConfig::default());
         match outcome {
             Ok(_) => {
                 // Fully applied: matches agree with a recompute over the

@@ -7,55 +7,11 @@
 
 use proptest::prelude::*;
 
-mod common;
-
-use common::{engine_match, run};
 use qgp_core::engine::ExecOptions;
 use qgp_core::matching::reference::evaluate_reference;
 use qgp_core::matching::MatchConfig;
 use qgp_core::pattern::{CountingQuantifier, Pattern, PatternBuilder};
-use qgp_graph::{Graph, GraphBuilder, NodeId};
-
-const NODE_LABELS: &[&str] = &["A", "B", "C"];
-const EDGE_LABELS: &[&str] = &["r", "s"];
-
-/// A compact description of a random graph: node labels + labeled edges.
-#[derive(Debug, Clone)]
-struct GraphSpec {
-    node_labels: Vec<u8>,
-    edges: Vec<(u8, u8, u8)>,
-}
-
-fn graph_spec() -> impl Strategy<Value = GraphSpec> {
-    (3usize..10).prop_flat_map(|n| {
-        let nodes = proptest::collection::vec(0u8..NODE_LABELS.len() as u8, n);
-        let edges = proptest::collection::vec(
-            (0u8..n as u8, 0u8..n as u8, 0u8..EDGE_LABELS.len() as u8),
-            0..(3 * n),
-        );
-        (nodes, edges).prop_map(|(node_labels, edges)| GraphSpec { node_labels, edges })
-    })
-}
-
-fn build_graph(spec: &GraphSpec) -> (Graph, Vec<NodeId>) {
-    let mut b = GraphBuilder::new();
-    let ids: Vec<NodeId> = spec
-        .node_labels
-        .iter()
-        .map(|&l| b.add_node(NODE_LABELS[l as usize]))
-        .collect();
-    for &(from, to, label) in &spec.edges {
-        if from == to {
-            continue; // patterns never contain self loops
-        }
-        let _ = b.add_edge_dedup(
-            ids[from as usize],
-            ids[to as usize],
-            EDGE_LABELS[label as usize],
-        );
-    }
-    (b.build(), ids)
-}
+use qgp_testkit::{all_configs, engine_match, graph_spec, run, NODE_LABELS, RS};
 
 /// A compact description of a random star/tree pattern rooted at the focus.
 #[derive(Debug, Clone)]
@@ -72,7 +28,7 @@ fn pattern_spec() -> impl Strategy<Value = PatternSpec> {
         let edges = proptest::collection::vec(
             (
                 0u8..(n as u8 - 1),
-                0u8..EDGE_LABELS.len() as u8,
+                0u8..RS.len() as u8,
                 any::<bool>(),
                 0u8..6,
             ),
@@ -110,7 +66,7 @@ fn build_pattern(spec: &PatternSpec) -> Option<Pattern> {
         let child = nodes[i + 1];
         // Clamp the parent to an already-created node so the pattern is a tree.
         let parent = nodes[(parent as usize).min(i)];
-        let label = EDGE_LABELS[elabel as usize];
+        let label = RS[elabel as usize];
         if outgoing {
             let q = quantifier_of(qkind, parent == nodes[0]);
             b.quantified_edge(parent, child, label, q);
@@ -129,11 +85,11 @@ proptest! {
 
     /// Every matcher configuration computes exactly the reference semantics.
     #[test]
-    fn matchers_agree_with_reference(gspec in graph_spec(), pspec in pattern_spec()) {
-        let (graph, _) = build_graph(&gspec);
+    fn matchers_agree_with_reference(gspec in graph_spec(3..10, RS), pspec in pattern_spec()) {
+        let graph = gspec.build();
         let Some(pattern) = build_pattern(&pspec) else { return Ok(()); };
         let expected = evaluate_reference(&graph, &pattern);
-        for config in [MatchConfig::qmatch(), MatchConfig::qmatch_n(), MatchConfig::enumerate()] {
+        for config in all_configs() {
             let got = engine_match(&graph, &pattern, &config);
             prop_assert_eq!(&got.matches, &expected, "config {:?}\npattern {}", config, pattern);
         }
@@ -144,10 +100,10 @@ proptest! {
     /// quantifier is existential — Section 2.2).
     #[test]
     fn conventional_patterns_reduce_to_subgraph_isomorphism(
-        gspec in graph_spec(),
+        gspec in graph_spec(3..10, RS),
         pspec in pattern_spec(),
     ) {
-        let (graph, _) = build_graph(&gspec);
+        let graph = gspec.build();
         let Some(pattern) = build_pattern(&pspec) else { return Ok(()); };
         let stratified = pattern.stratified();
         let conventional = run(&graph, &stratified.stratified(), ExecOptions::sequential()).unwrap();
@@ -158,8 +114,8 @@ proptest! {
     /// Raising a numeric threshold can only shrink the answer (the
     /// anti-monotonicity used by Lemma 10 for QGAR support).
     #[test]
-    fn raising_thresholds_shrinks_answers(gspec in graph_spec(), p in 1u32..4) {
-        let (graph, _) = build_graph(&gspec);
+    fn raising_thresholds_shrinks_answers(gspec in graph_spec(3..10, RS), p in 1u32..4) {
+        let graph = gspec.build();
         let make = |p: u32| {
             let mut b = PatternBuilder::new();
             let xo = b.node("A");
@@ -178,8 +134,8 @@ proptest! {
     /// The answer of a pattern with a negated edge is contained in the answer
     /// of its Π-projection (set-difference semantics).
     #[test]
-    fn negation_only_removes_matches(gspec in graph_spec(), pspec in pattern_spec()) {
-        let (graph, _) = build_graph(&gspec);
+    fn negation_only_removes_matches(gspec in graph_spec(3..10, RS), pspec in pattern_spec()) {
+        let graph = gspec.build();
         let Some(pattern) = build_pattern(&pspec) else { return Ok(()); };
         if pattern.is_positive() { return Ok(()); }
         let full = engine_match(&graph, &pattern, &MatchConfig::qmatch());

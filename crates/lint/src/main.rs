@@ -70,6 +70,7 @@ const CRATE_ROOTS: &[&str] = &[
     "crates/parallel/src/lib.rs",
     "crates/rules/src/lib.rs",
     "crates/runtime/src/lib.rs",
+    "crates/testkit/src/lib.rs",
 ];
 
 /// Modules ported onto the `qgp_runtime::sync` facade and explored by the

@@ -40,10 +40,7 @@ fn observed_exhaustion_implies_visible_ledger() {
                              ledger (used = {})",
                             budget.decisions_used()
                         );
-                        assert_eq!(
-                            budget.stop_reason(),
-                            Some(BudgetStop::DecisionsExhausted)
-                        );
+                        assert_eq!(budget.stop_reason(), Some(BudgetStop::DecisionsExhausted));
                     }
                 })
             };
@@ -52,7 +49,10 @@ fn observed_exhaustion_implies_visible_ledger() {
         });
     });
     report.expect_ok("observed_exhaustion_implies_visible_ledger");
-    assert!(report.complete, "two short threads must be fully enumerated");
+    assert!(
+        report.complete,
+        "two short threads must be fully enumerated"
+    );
 }
 
 /// The stronger form of the audit claim: data written before the crossing

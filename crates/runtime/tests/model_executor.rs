@@ -16,10 +16,14 @@ fn map_executes_every_index_exactly_once() {
     let report = explore(&Config::seeded(24).from_env(), || {
         // 4 tasks on 2 threads: grain 1, so every index is stealable.
         let rt = Runtime::new(2);
-        let outcome = rt.map_with(4, || 0u32, |count, i| {
-            *count += 1;
-            i * 10
-        });
+        let outcome = rt.map_with(
+            4,
+            || 0u32,
+            |count, i| {
+                *count += 1;
+                i * 10
+            },
+        );
         assert_eq!(outcome.outputs, vec![0, 10, 20, 30]);
         assert_eq!(
             outcome.states.iter().sum::<u32>(),
@@ -38,12 +42,17 @@ fn cancel_fail_fast_joins_cleanly() {
         let rt = Runtime::new(2);
         let token = CancelToken::new();
         let outcome = rt
-            .try_map_with_cancel(6, &token, || (), |(), i| {
-                if i == 0 {
-                    token.cancel();
-                }
-                i
-            })
+            .try_map_with_cancel(
+                6,
+                &token,
+                || (),
+                |(), i| {
+                    if i == 0 {
+                        token.cancel();
+                    }
+                    i
+                },
+            )
             .expect("no task panics");
         for (i, slot) in outcome.outputs.iter().enumerate() {
             if let Some(v) = slot {
@@ -66,12 +75,17 @@ fn task_panic_isolates_and_joins_cleanly() {
     let report = explore(&Config::seeded(16).from_env(), || {
         let rt = Runtime::new(2);
         let err = rt
-            .try_map_with_cancel(4, &CancelToken::new(), || (), |(), i| {
-                if i == 2 {
-                    panic!("boom at {i}");
-                }
-                i
-            })
+            .try_map_with_cancel(
+                4,
+                &CancelToken::new(),
+                || (),
+                |(), i| {
+                    if i == 2 {
+                        panic!("boom at {i}");
+                    }
+                    i
+                },
+            )
             .expect_err("task 2 panics");
         assert_eq!(err.index, Some(2));
         assert!(err.payload.contains("boom at 2"), "{err:?}");

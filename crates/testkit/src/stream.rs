@@ -28,36 +28,18 @@ use rand::{Rng, SeedableRng};
 /// A `(from, to, label)` edge in mirror form.
 type Edge = (NodeId, NodeId, LabelId);
 
-/// Tunables for one update stream.
-#[derive(Debug, Clone, Copy)]
-pub struct StreamConfig {
-    /// RNG seed; equal seeds over equal graphs yield equal streams.
-    pub seed: u64,
-    /// Fraction of ops that are deletes (the rest are inserts).
-    pub delete_fraction: f64,
-    /// Fraction of deletes that target a currently-live edge (the rest draw
-    /// random endpoints and are usually no-ops).
-    pub delete_existing_bias: f64,
-    /// Fraction of inserts that re-insert a previously deleted edge.
-    pub reinsert_fraction: f64,
-}
-
-impl Default for StreamConfig {
-    fn default() -> Self {
-        StreamConfig {
-            seed: 0x0051_6d61_7463_6821,
-            delete_fraction: 0.4,
-            delete_existing_bias: 0.9,
-            reinsert_fraction: 0.3,
-        }
-    }
-}
+/// Fraction of ops that are deletes (the rest are inserts).
+const DELETE_FRACTION: f64 = 0.4;
+/// Fraction of deletes that target a currently-live edge (the rest draw
+/// random endpoints and are usually no-ops).
+const DELETE_EXISTING_BIAS: f64 = 0.9;
+/// Fraction of inserts that re-insert a previously deleted edge.
+const REINSERT_FRACTION: f64 = 0.3;
 
 /// A seeded generator of [`EdgeOp`] batches over an evolving edge set.
 #[derive(Debug, Clone)]
 pub struct UpdateStreamGen {
     rng: StdRng,
-    config: StreamConfig,
     /// Live edges in pick-one-at-random form (swap_remove on delete).
     live: Vec<Edge>,
     /// Live edges in membership-test form, kept in sync with `live`.
@@ -71,8 +53,9 @@ pub struct UpdateStreamGen {
 }
 
 impl UpdateStreamGen {
-    /// Builds a generator whose stream starts from `graph`'s edge set.
-    pub fn new(graph: &Graph, config: StreamConfig) -> Self {
+    /// Builds a generator whose stream starts from `graph`'s edge set;
+    /// equal seeds over equal graphs yield equal streams.
+    pub fn new(graph: &Graph, seed: u64) -> Self {
         let live: Vec<Edge> = graph.edges().map(|e| (e.from, e.to, e.label)).collect();
         let live_set: HashSet<Edge> = live.iter().copied().collect();
         let mut endpoints: Vec<NodeId> = graph.nodes().collect();
@@ -81,8 +64,7 @@ impl UpdateStreamGen {
         labels.sort_unstable();
         labels.dedup();
         UpdateStreamGen {
-            rng: StdRng::seed_from_u64(config.seed),
-            config,
+            rng: StdRng::seed_from_u64(seed),
             live,
             live_set,
             removed: Vec::new(),
@@ -134,16 +116,15 @@ impl UpdateStreamGen {
             return ops;
         }
         for _ in 0..size {
-            let op = if self.rng.gen_bool(self.config.delete_fraction) && !self.live.is_empty() {
-                if self.rng.gen_bool(self.config.delete_existing_bias) {
+            let op = if self.rng.gen_bool(DELETE_FRACTION) && !self.live.is_empty() {
+                if self.rng.gen_bool(DELETE_EXISTING_BIAS) {
                     let (f, t, l) = self.live[self.rng.gen_range(0..self.live.len())];
                     EdgeOp::delete(f, t, l)
                 } else {
                     let (f, t, l) = self.random_edge();
                     EdgeOp::delete(f, t, l)
                 }
-            } else if !self.removed.is_empty() && self.rng.gen_bool(self.config.reinsert_fraction)
-            {
+            } else if !self.removed.is_empty() && self.rng.gen_bool(REINSERT_FRACTION) {
                 let (f, t, l) = self.removed[self.rng.gen_range(0..self.removed.len())];
                 EdgeOp::insert(f, t, l)
             } else {
@@ -176,22 +157,15 @@ mod tests {
         b.build()
     }
 
-    fn config(seed: u64) -> StreamConfig {
-        StreamConfig {
-            seed,
-            ..StreamConfig::default()
-        }
-    }
-
     #[test]
     fn equal_seeds_produce_equal_streams() {
         let g = small_graph();
-        let mut a = UpdateStreamGen::new(&g, config(7));
-        let mut b = UpdateStreamGen::new(&g, config(7));
+        let mut a = UpdateStreamGen::new(&g, 7);
+        let mut b = UpdateStreamGen::new(&g, 7);
         for size in [1, 10, 100] {
             assert_eq!(a.next_batch(size), b.next_batch(size));
         }
-        let mut c = UpdateStreamGen::new(&g, config(8));
+        let mut c = UpdateStreamGen::new(&g, 8);
         assert_ne!(a.next_batch(100), c.next_batch(100));
     }
 
@@ -199,7 +173,7 @@ mod tests {
     fn mirror_agrees_with_a_graph_applying_the_stream() {
         let g = small_graph();
         let mut live = g.clone();
-        let mut gen = UpdateStreamGen::new(&g, config(42));
+        let mut gen = UpdateStreamGen::new(&g, 42);
         assert_eq!(gen.live_count(), g.edge_count());
         for size in [1, 5, 50, 200] {
             let ops = gen.next_batch(size);
@@ -212,7 +186,7 @@ mod tests {
     fn streams_mix_inserts_deletes_and_noops() {
         let g = small_graph();
         let mut live = g.clone();
-        let mut gen = UpdateStreamGen::new(&g, config(3));
+        let mut gen = UpdateStreamGen::new(&g, 3);
         let ops = gen.next_batch(600);
         assert!(ops.iter().any(|op| op.is_insert()));
         assert!(ops.iter().any(|op| !op.is_insert()));

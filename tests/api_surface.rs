@@ -32,7 +32,10 @@ fn extract_re_exports(source: &str) -> Vec<String> {
     while let Some(start) = rest.find("pub use ") {
         let after = &rest[start + "pub use ".len()..];
         let end = after.find(';').expect("unterminated `pub use`");
-        let decl: String = after[..end].split_whitespace().collect::<Vec<_>>().join(" ");
+        let decl: String = after[..end]
+            .split_whitespace()
+            .collect::<Vec<_>>()
+            .join(" ");
         if let Some(brace) = decl.find('{') {
             let prefix = decl[..brace].trim_end_matches([':', ' ']);
             let inner = decl[brace + 1..]
@@ -68,9 +71,8 @@ fn facade_root_re_exports_match_the_golden_file() {
         std::fs::write(&golden_path, &current).expect("write golden file");
         return;
     }
-    let golden = std::fs::read_to_string(&golden_path).expect(
-        "tests/api_surface.txt missing — run with UPDATE_API_SURFACE=1 to generate it",
-    );
+    let golden = std::fs::read_to_string(&golden_path)
+        .expect("tests/api_surface.txt missing — run with UPDATE_API_SURFACE=1 to generate it");
     assert_eq!(
         current, golden,
         "\nthe facade's root re-exports changed.\n\
@@ -89,8 +91,5 @@ fn extraction_handles_groups_aliases_and_comments() {
         pub use p::q::R;
     ";
     let items = extract_re_exports(src);
-    assert_eq!(
-        items,
-        vec!["a::b::C", "a::b::D as E", "p::q::R", "x as y"]
-    );
+    assert_eq!(items, vec!["a::b::C", "a::b::D as E", "p::q::R", "x as y"]);
 }

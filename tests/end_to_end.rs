@@ -2,6 +2,7 @@
 //! parallel matching → association rules, exercised together the way the
 //! examples and the experiment harness use them.
 
+use qgp_testkit::engine_match;
 use quantified_graph_patterns::core::pattern::{library, CountingQuantifier, PatternBuilder};
 use quantified_graph_patterns::datasets::{
     generate_pattern, pokec_like, yago_like, KnowledgeConfig, PatternGenConfig, PatternSize,
@@ -9,18 +10,7 @@ use quantified_graph_patterns::datasets::{
 };
 use quantified_graph_patterns::parallel::{dpar_with, PartitionConfig};
 use quantified_graph_patterns::rules::{evaluate_rule, mine_qgars_with_report, MiningConfig, Qgar};
-use quantified_graph_patterns::{
-    Engine, ExecOptions, Graph, MatchConfig, Pattern, QueryAnswer, Runtime,
-};
-
-/// One sequential engine execution with an explicit config.
-fn engine_match(graph: &Graph, pattern: &Pattern, config: MatchConfig) -> QueryAnswer {
-    Engine::new(graph)
-        .prepare(pattern)
-        .expect("pattern validates")
-        .run(ExecOptions::sequential().with_config(config))
-        .expect("sequential runs succeed")
-}
+use quantified_graph_patterns::{Engine, ExecOptions, MatchConfig, Runtime};
 
 #[test]
 fn all_sequential_algorithms_agree_on_generated_social_graphs() {
@@ -30,13 +20,13 @@ fn all_sequential_algorithms_agree_on_generated_social_graphs() {
         library::q2_redmi_universal(),
         library::q3_redmi_negation(2),
     ] {
-        let reference = engine_match(&graph, &pattern, MatchConfig::enumerate()).matches;
+        let reference = engine_match(&graph, &pattern, &MatchConfig::enumerate()).matches;
         for config in [
             MatchConfig::qmatch(),
             MatchConfig::qmatch_n(),
             MatchConfig::qmatch_with_simulation(),
         ] {
-            let got = engine_match(&graph, &pattern, config);
+            let got = engine_match(&graph, &pattern, &config);
             assert_eq!(got.matches, reference, "{config:?} on {pattern}");
         }
     }
@@ -68,9 +58,13 @@ fn parallel_matching_agrees_with_sequential_on_generated_graphs() {
 fn knowledge_graph_pipeline_q4() {
     let graph = yago_like(&KnowledgeConfig::with_persons(900));
     let q4 = library::q4_uk_professors(2);
-    let sequential = engine_match(&graph, &q4, MatchConfig::qmatch());
+    let sequential = engine_match(&graph, &q4, &MatchConfig::qmatch());
     // Raising p shrinks the answer.
-    let stricter = engine_match(&graph, &library::q4_uk_professors(3), MatchConfig::qmatch());
+    let stricter = engine_match(
+        &graph,
+        &library::q4_uk_professors(3),
+        &MatchConfig::qmatch(),
+    );
     assert!(stricter.len() <= sequential.len());
     for v in &stricter.matches {
         assert!(sequential.contains(*v));
@@ -102,8 +96,8 @@ fn generated_workload_patterns_agree_across_algorithms() {
         let Some(pattern) = generate_pattern(&graph, &config) else {
             continue;
         };
-        let a = engine_match(&graph, &pattern, MatchConfig::qmatch());
-        let b = engine_match(&graph, &pattern, MatchConfig::enumerate());
+        let a = engine_match(&graph, &pattern, &MatchConfig::qmatch());
+        let b = engine_match(&graph, &pattern, &MatchConfig::enumerate());
         assert_eq!(a.matches, b.matches, "seed {seed}: {pattern}");
     }
 }

@@ -21,186 +21,14 @@
 //! draw the overlay compaction threshold from `{1, 3, 8, default}`, so the
 //! view's own overlay compacts mid-stream.
 
-use std::collections::BTreeSet;
-
 use proptest::prelude::*;
 
-use qgp_bench::{StreamConfig, UpdateStreamGen};
-use quantified_graph_patterns::graph::{LabelId, UpdateStats};
-use quantified_graph_patterns::{
-    CountingQuantifier, EdgeOp, Engine, ExecOptions, Graph, GraphBuilder, MatchConfig, NodeId,
-    Pattern, PatternBuilder, Runtime,
+use qgp_testkit::{
+    all_configs, compaction_threshold, edge_set, graph_spec, mirror, pattern, rebuild, recompute,
+    UpdateStreamGen, PATTERN_KINDS, RS,
 };
-
-const NODE_LABELS: &[&str] = &["A", "B", "C"];
-const EDGE_LABELS: &[&str] = &["r", "s"];
-
-#[derive(Debug, Clone)]
-struct GraphSpec {
-    node_labels: Vec<u8>,
-    edges: Vec<(u8, u8, u8)>,
-}
-
-fn graph_spec() -> impl Strategy<Value = GraphSpec> {
-    (4usize..10).prop_flat_map(|n| {
-        let nodes = proptest::collection::vec(0u8..NODE_LABELS.len() as u8, n);
-        let edges = proptest::collection::vec(
-            (0u8..n as u8, 0u8..n as u8, 0u8..EDGE_LABELS.len() as u8),
-            0..(3 * n),
-        );
-        (nodes, edges).prop_map(|(node_labels, edges)| GraphSpec { node_labels, edges })
-    })
-}
-
-/// Overlay compaction thresholds: the tiny ones make every stream below
-/// cross the threshold several times; `0` is the default (1024), which
-/// these streams never reach.
-fn compaction_threshold() -> impl Strategy<Value = usize> {
-    (0usize..4).prop_map(|i| [1, 3, 8, 0][i])
-}
-
-fn build_graph(spec: &GraphSpec) -> Graph {
-    let mut b = GraphBuilder::new();
-    let ids: Vec<NodeId> = spec
-        .node_labels
-        .iter()
-        .map(|&l| b.add_node(NODE_LABELS[l as usize]))
-        .collect();
-    // Intern every edge label even when the random edge list misses one, so
-    // the stream generator always has the full vocabulary to draw from.
-    for (i, name) in EDGE_LABELS.iter().enumerate() {
-        let from = ids[i % ids.len()];
-        let to = ids[(i + 1) % ids.len()];
-        let _ = b.add_edge_dedup(from, to, name);
-    }
-    for &(from, to, label) in &spec.edges {
-        if from == to {
-            continue;
-        }
-        let _ = b.add_edge_dedup(
-            ids[from as usize],
-            ids[to as usize],
-            EDGE_LABELS[label as usize],
-        );
-    }
-    b.build()
-}
-
-/// Number of kinds in the [`pattern`] family.
-const PATTERN_KINDS: u8 = 9;
-
-/// A fixed family of patterns covering every quantifier class, including
-/// negation, a ratio and an equality edge below the focus, and a negated
-/// edge that is a shortcut `Π(Q)` does not have.
-fn pattern(kind: u8) -> Pattern {
-    let mut b = PatternBuilder::new();
-    let xo = b.node("A");
-    match kind % PATTERN_KINDS {
-        0 => {
-            let y = b.node("B");
-            b.edge(xo, y, "r");
-        }
-        1 => {
-            let y = b.node("B");
-            b.quantified_edge(xo, y, "r", CountingQuantifier::at_least(2));
-        }
-        2 => {
-            let y = b.node("B");
-            let z = b.node("C");
-            b.quantified_edge(xo, y, "r", CountingQuantifier::at_least_percent(50.0));
-            b.edge(y, z, "s");
-        }
-        3 => {
-            let y = b.node("B");
-            let z = b.node("C");
-            b.quantified_edge(xo, y, "r", CountingQuantifier::universal());
-            b.edge(y, z, "s");
-        }
-        4 => {
-            let y = b.node("B");
-            b.quantified_edge(xo, y, "r", CountingQuantifier::exactly(1));
-        }
-        5 => {
-            let y = b.node("B");
-            let z = b.node("C");
-            b.quantified_edge(xo, y, "r", CountingQuantifier::at_least(1));
-            b.negated_edge(xo, z, "s");
-        }
-        6 => {
-            // A ratio on a non-focus node: `|Mₑ(y)|` moves with any `s`
-            // edge out of a `B` node.
-            let y = b.node("B");
-            let z = b.node("C");
-            b.edge(xo, y, "r");
-            b.quantified_edge(y, z, "s", CountingQuantifier::at_least_percent(50.0));
-        }
-        7 => {
-            let y = b.node("B");
-            let z = b.node("C");
-            b.edge(xo, y, "r");
-            b.quantified_edge(y, z, "s", CountingQuantifier::exactly(2));
-        }
-        _ => {
-            // Q reaches `w` in one hop through the negated edge; Π(Q) in two.
-            let y = b.node("B");
-            let w = b.node("C");
-            b.edge(xo, y, "r");
-            b.edge(y, w, "s");
-            b.negated_edge(xo, w, "s");
-        }
-    }
-    b.focus(xo);
-    b.build().expect("fixed pattern family validates")
-}
-
-fn all_configs() -> [MatchConfig; 4] {
-    [
-        MatchConfig::qmatch(),
-        MatchConfig::qmatch_n(),
-        MatchConfig::qmatch_with_simulation(),
-        MatchConfig::enumerate(),
-    ]
-}
-
-type Edge = (NodeId, NodeId, LabelId);
-
-fn edge_set(graph: &Graph) -> BTreeSet<Edge> {
-    graph.edges().map(|e| (e.from, e.to, e.label)).collect()
-}
-
-/// Rebuilds a graph from scratch with the same nodes/labels as `template`
-/// but exactly `edges` — the from-first-principles reference an overlay
-/// graph is compared against.
-fn rebuild(template: &Graph, edges: &BTreeSet<Edge>) -> Graph {
-    let labels = template.labels();
-    let mut b = GraphBuilder::with_labels(labels.clone());
-    for v in template.nodes() {
-        let name = labels.node_label_name(template.node_label(v));
-        b.add_node(name.expect("interned label"));
-    }
-    for &(from, to, label) in edges {
-        let name = labels.edge_label_name(label).expect("interned label");
-        b.add_edge(from, to, name)
-            .expect("mirror endpoints are in range");
-    }
-    b.build()
-}
-
-fn recompute(graph: &Graph, pattern: &Pattern, config: &MatchConfig) -> Vec<NodeId> {
-    Engine::new(graph)
-        .prepare(pattern)
-        .expect("pattern validates")
-        .run(ExecOptions::sequential().with_config(*config))
-        .expect("sequential runs succeed")
-        .matches
-}
-
-fn stream_config(seed: u64) -> StreamConfig {
-    StreamConfig {
-        seed,
-        ..StreamConfig::default()
-    }
-}
+use quantified_graph_patterns::graph::UpdateStats;
+use quantified_graph_patterns::{EdgeOp, Engine, MatchConfig, NodeId, Runtime};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -211,12 +39,12 @@ proptest! {
     /// accumulated deltas replay to the view's match set.
     #[test]
     fn view_apply_tracks_recompute_on_the_rebuilt_graph(
-        gspec in graph_spec(),
+        gspec in graph_spec(4..10, RS),
         kind in 0u8..PATTERN_KINDS,
         seed in 0u64..1_000_000,
         threshold in compaction_threshold(),
     ) {
-        let mut graph = build_graph(&gspec);
+        let mut graph = gspec.build();
         graph.set_compaction_threshold(threshold);
         let pattern = pattern(kind);
         let engine = Engine::new(&graph);
@@ -225,7 +53,7 @@ proptest! {
         let mut view_par = prepared.view();
         let rt1 = Runtime::new(1);
         let rt4 = Runtime::new(4);
-        let mut gen = UpdateStreamGen::new(&graph, stream_config(seed));
+        let mut gen = UpdateStreamGen::new(&graph, seed);
         let mut edges = edge_set(&graph);
         let mut replayed = view_seq.matches().to_vec();
         prop_assert_eq!(
@@ -236,14 +64,7 @@ proptest! {
         for batch_size in [1usize, 4, 12, 30] {
             let ops = gen.next_batch(batch_size);
             let before = edges.clone();
-            for op in &ops {
-                let key = (op.from(), op.to(), op.label());
-                if op.is_insert() {
-                    edges.insert(key);
-                } else {
-                    edges.remove(&key);
-                }
-            }
+            mirror(&mut edges, &ops);
             let d_seq = view_seq.apply_with(&ops, &rt1).unwrap();
             let d_par = view_par.apply_with(&ops, &rt4).unwrap();
             prop_assert_eq!(&d_seq, &d_par, "thread counts disagree");
@@ -270,12 +91,12 @@ proptest! {
     /// set and the original adjacency both come back.
     #[test]
     fn inverse_stream_restores_matches_and_adjacency(
-        gspec in graph_spec(),
+        gspec in graph_spec(4..10, RS),
         kind in 0u8..PATTERN_KINDS,
         seed in 0u64..1_000_000,
         threshold in compaction_threshold(),
     ) {
-        let mut graph = build_graph(&gspec);
+        let mut graph = gspec.build();
         graph.set_compaction_threshold(threshold);
         let pattern = pattern(kind);
         let engine = Engine::new(&graph);
@@ -288,20 +109,10 @@ proptest! {
         // (duplicate insert, delete-of-absent) has no inverse to apply.
         let mut live = original_edges.clone();
         let mut effective: Vec<EdgeOp> = Vec::new();
-        let mut gen = UpdateStreamGen::new(&graph, stream_config(seed));
+        let mut gen = UpdateStreamGen::new(&graph, seed);
         for batch_size in [5usize, 17] {
             let ops = gen.next_batch(batch_size);
-            for op in &ops {
-                let key = (op.from(), op.to(), op.label());
-                let changed = if op.is_insert() {
-                    live.insert(key)
-                } else {
-                    live.remove(&key)
-                };
-                if changed {
-                    effective.push(*op);
-                }
-            }
+            effective.extend(mirror(&mut live, &ops));
             view.apply(&ops).unwrap();
         }
         prop_assert_eq!(edge_set(view.graph()), live.clone());
@@ -371,7 +182,7 @@ fn store_stream_compaction_counters_are_pinned() {
         let mut graph = base.clone();
         graph.set_compaction_threshold(threshold);
         let store = GraphStore::new(graph);
-        let mut gen = UpdateStreamGen::new(&base, stream_config(7));
+        let mut gen = UpdateStreamGen::new(&base, 7);
         let sizes = [1usize, 4, 9, 30]
             .repeat(10)
             .into_iter()
@@ -455,7 +266,11 @@ fn yago_like_batches_redecide_under_one_percent_of_q4_candidates() {
         let ops: Vec<EdgeOp> = (0..batch_size)
             .map(|i| {
                 let p = *stride.next().expect("enough persons");
-                let (to, label) = if i % 2 == 0 { (uk, is_in) } else { (prof, is_a) };
+                let (to, label) = if i % 2 == 0 {
+                    (uk, is_in)
+                } else {
+                    (prof, is_a)
+                };
                 if edges.remove(&(p, to, label)) {
                     EdgeOp::delete(p, to, label)
                 } else {
