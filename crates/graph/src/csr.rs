@@ -17,15 +17,15 @@
 //! cheap degree check the paper's cost model assumes.
 //!
 //! The layout is *frozen*: it is built once and queried immutably
-//! afterwards.  Every freeze goes through the same two constructors, both
+//! afterwards.  A first freeze goes through two constructors, both
 //! `O(V·L + E)` and sort-free: [`CsrAdjacency::from_rows`] concatenates
 //! per-`(node, label)` groups that the caller hands over already sorted
-//! (the builder's staged rows, the delta overlay's merged rows, an induced
-//! subgraph's remapped rows), and [`CsrAdjacency::transpose`] derives the
-//! opposite direction with one stable counting scatter.  Incremental
-//! mutation never touches the frozen arrays — it goes through the delta
-//! overlay in the `delta` module, whose merged rows are frozen again at
-//! compaction time.
+//! (the builder's staged rows, an induced subgraph's remapped rows), and
+//! [`CsrAdjacency::transpose`] derives the opposite direction with one
+//! stable counting scatter.  Incremental mutation never touches the frozen
+//! arrays — it goes through the delta overlay in the `delta` module — and
+//! compaction is [`CsrAdjacency::splice`], per direction: one pass over the
+//! runs of unpatched nodes plus Σ of the patched rows.
 
 use crate::graph::NodeId;
 
@@ -90,6 +90,50 @@ impl CsrAdjacency {
             targets[*slot as usize] = NodeId::new(v);
             *slot += 1;
         });
+        Self::from_parts(n, label_count, label_offsets, targets)
+    }
+
+    /// `self` with the rows in `patches` in place of their base rows, at
+    /// stride `label_count + 1` (at least the current one).  A patch is
+    /// `(node, offsets, targets)`, shaped like one stride of this index, in
+    /// ascending node order; `edges` is the spliced edge count.  Each
+    /// maximal run of unpatched nodes is one `targets` copy plus its
+    /// `label_offsets` block shifted by a running delta, so the cost is one
+    /// pass over the runs plus the patched rows.
+    pub(crate) fn splice<'a>(
+        &self,
+        label_count: usize,
+        edges: usize,
+        patches: impl IntoIterator<Item = (usize, &'a [u32], &'a [NodeId])>,
+    ) -> Self {
+        debug_assert!(label_count >= self.label_count, "a splice never narrows");
+        let (n, old, stride) = (self.node_count, self.stride(), label_count + 1);
+        let mut label_offsets = Vec::with_capacity(n * stride);
+        let mut targets = Vec::with_capacity(edges);
+        // Appends whole rows, given as their lanes (per node, the range
+        // starts then the end) and their targets: every lane moves by one
+        // shift, and the end fills the lanes a wider stride adds.
+        let mut append = |lanes: &[u32], row: &[NodeId]| {
+            debug_assert_eq!(lanes.len() % old, 0, "a patch of another stride");
+            let shift = (targets.len() as u32).wrapping_sub(*lanes.first().unwrap_or(&0));
+            for node in lanes.chunks_exact(old) {
+                let end = std::iter::repeat_n(&node[old - 1], stride - old);
+                label_offsets.extend(node.iter().chain(end).map(|o| o.wrapping_add(shift)));
+            }
+            targets.extend_from_slice(row);
+        };
+        let mut copied = 0;
+        for (v, offsets, row) in patches.into_iter().chain([(n, &[][..], &[][..])]) {
+            let lanes = &self.label_offsets[copied * old..v * old];
+            let run = match (lanes.first(), lanes.last()) {
+                (Some(&start), Some(&end)) => &self.targets[start as usize..end as usize],
+                _ => &[],
+            };
+            append(lanes, run);
+            append(offsets, row);
+            copied = v + 1;
+        }
+        debug_assert_eq!(targets.len(), edges, "a spliced row lost or gained an edge");
         Self::from_parts(n, label_count, label_offsets, targets)
     }
 
@@ -247,10 +291,8 @@ mod tests {
     #[test]
     fn label_growth_preserves_contents() {
         let csr = sample();
-        // Refreezing the rows at a wider stride keeps every row.
-        let wider = CsrAdjacency::from_rows(3, 5, csr.edge_count(), |v, l, row| {
-            row.extend_from_slice(csr.slice(v, l))
-        });
+        // Splicing at a wider stride keeps every row.
+        let wider = csr.splice(5, csr.edge_count(), []);
         for v in 0..3 {
             assert_eq!(wider.node_slice(v), csr.node_slice(v));
             for l in 0..2 {
@@ -264,6 +306,11 @@ mod tests {
                 row.push(NodeId(0));
             }
         });
+        // The same growth as a patched row spliced in, at either stride.
+        let patch = (2, &[0, 0, 0, 0, 0, 1][..], &[NodeId(0)][..]);
+        assert_eq!(wider.splice(5, 5, [patch]), grown);
+        let patch = (2, &[0, 0, 0][..], &[][..]);
+        assert_eq!(csr.splice(5, 4, [patch]), wider);
         assert_eq!(grown.slice(2, 4), &[NodeId(0)]);
         assert_eq!(grown.transpose().slice(0, 4), &[NodeId(2)]);
     }

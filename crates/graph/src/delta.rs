@@ -18,9 +18,10 @@
 //! base; a patched node answers from its patch.  Either way `Mₑ(v)` is still
 //! a few loads and a subtraction, so the matcher's hot path is unchanged.
 //! Once the number of edges that differ from the base reaches the graph's
-//! compaction threshold, the merged rows — already grouped by label and
-//! sorted — are concatenated into a fresh CSR (`O(V·L + E)`, no sort) and
-//! the overlay is dropped.
+//! compaction threshold, each direction's patched rows — already grouped
+//! by label and sorted — are spliced into a copy of its base CSR (one pass
+//! over the runs of unpatched nodes plus Σ of the patched rows; no sort, no
+//! transpose) and the overlay is dropped.
 //!
 //! Updates arrive as [`EdgeOp`] batches via `Graph::apply_edge_ops`, which
 //! reports what actually changed in an [`UpdateReport`] (duplicate inserts
@@ -166,7 +167,7 @@ pub struct UpdateStats {
     /// including the fold a label widening does while updates are pending).
     pub compactions: usize,
     /// Label widenings: ops naming an edge label beyond the frozen index,
-    /// each of which refreezes the CSR at the wider stride.
+    /// each of which splices both CSRs into copies at the wider stride.
     pub full_rebuilds: usize,
 }
 
@@ -318,6 +319,13 @@ impl DeltaSide {
             Some(Arc::new(PatchedNode { offsets, targets }));
     }
 
+    /// Every patched row as `(node, offsets, targets)`, in node order —
+    /// what a compaction splices into the base.
+    pub(crate) fn patches(&self) -> impl Iterator<Item = (usize, &[u32], &[NodeId])> {
+        let rows = self.rows.iter().flat_map(|chunk| chunk.iter()).enumerate();
+        rows.filter_map(|(v, row)| row.as_deref().map(|r| (v, &r.offsets[..], &r.targets[..])))
+    }
+
     /// The patch of `v`, `None` when `v` reads the base.
     #[inline]
     fn row(&self, v: usize) -> Option<&PatchedNode> {
@@ -364,7 +372,7 @@ impl DeltaSide {
 /// The two-direction overlay a live `Graph` carries between compactions.
 /// Cloning it — what every published snapshot does — copies one pointer per
 /// [`CHUNK`] nodes and direction.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct GraphDelta {
     /// Out direction: triples are `(from, label, to)`.
     pub(crate) out: DeltaSide,

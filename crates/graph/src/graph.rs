@@ -11,10 +11,11 @@
 //! change afterwards only in [`EdgeOp`] batches, through the delta overlay
 //! (see the `delta` module): [`Graph::apply_edge_ops`] splices each batch
 //! into the rows of the nodes it touches, installs them as fresh shared
-//! rows, and freezes the merged rows again once the overlay grows past
-//! [`Graph::compaction_threshold`].  Every freeze — builder, compaction,
-//! label widening, induced subgraph — is the same sort-free `O(V·L + E)`
-//! row concatenation plus transpose.
+//! rows, and splices them into the frozen arrays once the overlay grows
+//! past [`Graph::compaction_threshold`].  The builder and an induced
+//! subgraph freeze by a sort-free `O(V·L + E)` row concatenation plus
+//! transpose; a compaction or a label widening splices each direction's
+//! patched rows into its base instead.
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
@@ -181,9 +182,10 @@ impl Graph {
     /// map and only the touched node rows are re-materialized, each by
     /// copying its current row around the staged changes.  Once the pending
     /// count reaches [`Graph::compaction_threshold`] the overlay is folded
-    /// back into the frozen CSR with one `O(V·L + E)` freeze of the merged
-    /// rows (reported via [`UpdateReport::compacted`]).  The first batch
-    /// after [`Graph::labels_mut`] interned an edge label forces that freeze
+    /// back into the frozen CSR (reported via [`UpdateReport::compacted`])
+    /// by a splice: one pass over the runs of unpatched nodes plus Σ of the
+    /// patched rows, per direction.  The first batch after
+    /// [`Graph::labels_mut`] interned an edge label forces that splice
     /// early, at the wider stride.
     pub fn apply_edge_ops(&mut self, ops: &[EdgeOp]) -> Result<UpdateReport, GraphError> {
         let (node_count, label_count) = (self.node_count(), self.labels.edge_label_count());
@@ -205,7 +207,7 @@ impl Graph {
             if self.pending_updates() > 0 {
                 self.update_stats.compactions += 1;
             }
-            self.refreeze(label_count);
+            self.splice_overlay(label_count);
             self.update_stats.full_rebuilds += 1;
         }
         let threshold = self.compaction_threshold();
@@ -245,34 +247,29 @@ impl Graph {
         Ok(report)
     }
 
-    /// Folds any pending overlay updates back into the frozen CSR base with
-    /// one `O(V·L + E)` freeze of the merged rows, leaving the graph fully
-    /// compacted.  A no-op when nothing is pending.
+    /// Folds any pending overlay updates back into the frozen CSR base,
+    /// leaving the graph fully compacted: per direction, one pass over the
+    /// runs of unpatched nodes plus Σ of the patched rows.  A no-op when
+    /// nothing is pending.
     pub fn compact_updates(&mut self) {
         if self.pending_updates() == 0 {
             // Every patch equals its base row; dropping the overlay suffices.
             self.delta = None;
             return;
         }
-        self.refreeze(self.out.label_count());
+        self.splice_overlay(self.out.label_count());
         self.update_stats.compactions += 1;
     }
 
-    /// Freezes the current rows (base or patch, per node) into fresh CSRs at
-    /// `label_count` and installs them, dropping the overlay.  The replaced
-    /// arrays are never written: a published snapshot that shares them
-    /// keeps them as they are.
-    fn refreeze(&mut self, label_count: usize) {
-        let out = CsrAdjacency::from_rows(
-            self.node_count(),
-            label_count,
-            self.edge_count,
-            |v, l, row| row.extend_from_slice(self.out_slice(v, l)),
-        );
-        debug_assert_eq!(out.edge_count(), self.edge_count, "overlay lost an edge");
-        self.inn = Arc::new(out.transpose());
-        self.out = Arc::new(out);
-        self.delta = None;
+    /// Splices each direction's patched rows into its base at
+    /// `label_count` and installs the results, dropping the overlay.  The
+    /// replaced arrays are never written: a published snapshot that shares
+    /// them keeps them as they are.
+    fn splice_overlay(&mut self, label_count: usize) {
+        // A graph without an overlay splices no rows.
+        let (delta, edges) = (self.delta.take().unwrap_or_default(), self.edge_count);
+        self.out = Arc::new(self.out.splice(label_count, edges, delta.out.patches()));
+        self.inn = Arc::new(self.inn.splice(label_count, edges, delta.inn.patches()));
     }
 
     /// The pending count (see [`Graph::pending_updates`]) at which
@@ -979,5 +976,97 @@ mod tests {
                 "threshold {threshold}: the widening freeze and the last one"
             );
         }
+    }
+
+    /// The same at chunk scale: four chunks of rows, ops that touch the
+    /// first and last node of a chunk and the graph's last node, runs of
+    /// adjacent patched rows, label groups emptied by a delete, a widening,
+    /// and one chunk (nodes 2048..3072) that no op touches, so its rows are
+    /// copied as one run.
+    #[test]
+    fn compaction_splices_byte_identically_at_chunk_scale() {
+        const V: usize = 3500;
+        let mut b = GraphBuilder::new();
+        let n = b.add_nodes("person", V);
+        for v in 0..V {
+            b.add_edge(n[v], n[(v * 7 + 3) % V], "follows").unwrap();
+            if v % 3 == 0 {
+                b.add_edge(n[v], n[(v * 13 + 5) % V], "likes").unwrap();
+            }
+        }
+        let mut g = b.build();
+        g.set_compaction_threshold(12);
+        let clean = 2048..3072;
+        let mut edges: BTreeSet<(NodeId, LabelId, NodeId)> =
+            g.edges().map(|e| (e.from, e.label, e.to)).collect();
+        let touched: Vec<usize> = [0, 1023, 1024, 2047, V - 1, 500, 1500, 3100]
+            .into_iter()
+            .chain(100..=110)
+            .collect();
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |k: usize| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng % k as u64) as usize
+        };
+        let (follows, likes) = (LabelId(0), LabelId(1));
+        // Node 1023's one `follows` edge, and node 0's one `likes` edge,
+        // which is also node 5's one incoming `likes` edge.
+        let mut ops = vec![
+            EdgeOp::delete(n[1023], n[164], follows),
+            EdgeOp::delete(n[0], n[5], likes),
+        ];
+        let mut freezes = 0;
+        for batch in 0..60 {
+            if batch == 30 {
+                g.labels_mut().intern_edge_label("knows");
+            }
+            let labels = g.labels().edge_label_count();
+            while ops.len() < 5 {
+                let f = n[touched[next(touched.len())]];
+                let t = n[touched[next(touched.len())]];
+                let out_of_chunk: Vec<_> = edges
+                    .range((f, LabelId(0), NodeId(0))..=(f, LabelId(u32::MAX), NodeId(u32::MAX)))
+                    .filter(|e| !clean.contains(&e.2.index()))
+                    .collect();
+                ops.push(if next(3) == 0 && !out_of_chunk.is_empty() {
+                    let &&(f, l, t) = &out_of_chunk[next(out_of_chunk.len())];
+                    EdgeOp::delete(f, t, l)
+                } else {
+                    EdgeOp::insert(f, t, LabelId(next(labels) as u32))
+                });
+            }
+            let before = edges.clone();
+            for op in &ops {
+                assert!(!clean.contains(&op.from().index()) && !clean.contains(&op.to().index()));
+                let e = (op.from(), op.label(), op.to());
+                if op.is_insert() {
+                    edges.insert(e);
+                } else {
+                    edges.remove(&e);
+                }
+            }
+            let rebuilds = g.update_stats().full_rebuilds;
+            let report = g.apply_edge_ops(&std::mem::take(&mut ops)).unwrap();
+            let frozen = if report.compacted {
+                Some(&edges)
+            } else if g.update_stats().full_rebuilds > rebuilds {
+                Some(&before)
+            } else {
+                None
+            };
+            if let Some(frozen) = frozen {
+                let reference = builder_freeze(&g, frozen);
+                assert_eq!(*g.out, *reference.out, "out CSR after batch {batch}");
+                assert_eq!(*g.inn, *reference.inn, "in CSR after batch {batch}");
+                freezes += 1;
+            }
+        }
+        g.compact_updates();
+        let reference = builder_freeze(&g, &edges);
+        assert_eq!((&*g.out, &*g.inn), (&*reference.out, &*reference.inn));
+        assert!(freezes >= 10, "{freezes} freezes");
+        assert_eq!(g.update_stats().full_rebuilds, 1);
     }
 }

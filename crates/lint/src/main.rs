@@ -16,7 +16,7 @@
 //! | `thread-raw`    | no `std::thread::spawn` / `std::sync::atomic` outside the `qgp_runtime::sync` facade |
 //! | `relaxed-doc`   | every `Ordering::Relaxed` carries a `// relaxed:` justification |
 //! | `no-unwrap`     | no `.unwrap()` in non-test runtime/engine code              |
-//! | `real-time`     | no `Instant::now` in model-checked modules (use `sync::now`) |
+//! | `real-time`     | no `Instant::now` or `std::fs` in model-checked modules (use `sync::now`) |
 //! | `forbid-unsafe` | every crate root declares `#![forbid(unsafe_code)]`         |
 //! | `engine-lifetime` | no new lifetime-parameterized public types in `qgp_core::engine` (pin `Arc<GraphSnapshot>` instead) |
 //!
@@ -75,7 +75,8 @@ const CRATE_ROOTS: &[&str] = &[
 
 /// Modules ported onto the `qgp_runtime::sync` facade and explored by the
 /// model checker: wall-clock reads here would diverge from the virtual
-/// clock, so they must go through `sync::now()`.
+/// clock, so they must go through `sync::now()`; a file read (such as a
+/// per-thread CPU clock from `/proc`) diverges from the model the same way.
 const MODEL_CHECKED: &[&str] = &[
     "crates/runtime/src/budget.rs",
     "crates/runtime/src/cancel.rs",
@@ -195,7 +196,7 @@ const RULE_CATALOGUE: &str = "\
 thread-raw     std::thread::spawn / std::sync::atomic outside qgp_runtime::sync
 relaxed-doc    Ordering::Relaxed without a `// relaxed:` justification comment
 no-unwrap      .unwrap() in non-test runtime/engine code
-real-time      Instant::now in a model-checked module (use sync::now())
+real-time      Instant::now or std::fs in a model-checked module (use sync::now())
 forbid-unsafe  crate root missing #![forbid(unsafe_code)]
 engine-lifetime  new lifetime-parameterized public type in qgp_core::engine
 ";
@@ -516,13 +517,20 @@ fn scan_file(rel: &str, source: &str, findings: &mut Vec<Finding>) {
             }
         }
 
-        if MODEL_CHECKED.contains(&rel) && code.contains("Instant::now") {
-            findings.push(Finding {
-                path: PathBuf::from(rel),
-                line: lineno,
-                rule: "real-time",
-                message: "wall-clock read in a model-checked module; use sync::now()".into(),
-            });
+        if MODEL_CHECKED.contains(&rel) {
+            for (pattern, what) in [
+                ("Instant::now", "wall-clock read"),
+                ("std::fs", "file access"),
+            ] {
+                if code.contains(pattern) {
+                    findings.push(Finding {
+                        path: PathBuf::from(rel),
+                        line: lineno,
+                        rule: "real-time",
+                        message: format!("{what} in a model-checked module; use sync::now()"),
+                    });
+                }
+            }
         }
     }
 }
@@ -599,6 +607,20 @@ mod tests {
         assert_eq!(scan("crates/runtime/src/budget.rs", src), vec!["real-time"]);
         assert!(scan("crates/runtime/src/sync.rs", src).is_empty());
         assert!(scan("crates/core/src/engine/exec.rs", src).is_empty());
+    }
+
+    #[test]
+    fn file_reads_are_flagged_in_model_checked_modules_only() {
+        for src in [
+            "fn f() { let s = std::fs::read_to_string(\"/proc/x\"); }\n",
+            "use std::fs;\n",
+        ] {
+            assert_eq!(
+                scan("crates/runtime/src/executor.rs", src),
+                vec!["real-time"]
+            );
+            assert!(scan("crates/runtime/src/sync.rs", src).is_empty());
+        }
     }
 
     #[test]

@@ -44,34 +44,6 @@ fn parse_threads(var: Option<&str>, fallback: usize) -> usize {
         .max(1)
 }
 
-/// On-CPU time of the calling thread in nanoseconds, from the kernel's
-/// scheduler accounting (`sum_exec_runtime`, the first field of
-/// `/proc/thread-self/schedstat`).  `None` when unavailable (non-Linux or
-/// `/proc` unmounted).
-///
-/// This is what makes the per-worker busy times meaningful on an
-/// oversubscribed host: wall-clock timing of concurrent workers
-/// double-counts the time a preempted worker spends waiting for a core,
-/// while CPU accounting measures the work itself.
-fn thread_cpu_ns() -> Option<u64> {
-    let stat = std::fs::read_to_string("/proc/thread-self/schedstat").ok()?;
-    stat.split_whitespace().next()?.parse().ok()
-}
-
-/// Runs `f`, measuring its busy time as on-CPU time (kernel scheduler
-/// accounting) with a wall-clock fallback — the one definition every
-/// sequential execution path shares.
-fn run_measured<R>(f: impl FnOnce() -> R) -> (R, Duration) {
-    let cpu0 = thread_cpu_ns();
-    let t0 = sync::now();
-    let result = f();
-    let busy = match (cpu0, thread_cpu_ns()) {
-        (Some(a), Some(b)) if b >= a => Duration::from_nanos(b - a),
-        _ => sync::now().saturating_duration_since(t0),
-    };
-    (result, busy)
-}
-
 /// A panic captured from one task (or one worker's state initializer),
 /// reported with enough structure to log, retry, or surface per-query.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -130,12 +102,11 @@ pub struct MapOutcome<O, S> {
     /// The per-worker scratch states, one per worker that ran (at most
     /// [`Runtime::threads`]).
     pub states: Vec<S>,
-    /// Busy time of each worker: its on-CPU time over the run (kernel
-    /// scheduler accounting, so concurrent workers on an oversubscribed
-    /// host are not double-counted), falling back to summed wall time of
-    /// its executed blocks where CPU accounting is unavailable.  The
-    /// maximum is the run's *critical path*: the wall clock a deployment
-    /// with one core per worker would observe.
+    /// Busy time of each worker: the summed wall time of the task blocks
+    /// it executed.  On an oversubscribed host this includes time a
+    /// preempted worker spent waiting for a core.  The maximum is the
+    /// run's *critical path*: the wall clock a deployment with one core
+    /// per worker would observe.
     pub worker_busy: Vec<Duration>,
     /// Number of successful steals — >0 means the initial static split was
     /// imbalanced and the executor rebalanced it dynamically.
@@ -304,32 +275,28 @@ impl Runtime {
                 }
             };
             let mut outputs: Vec<Option<O>> = Vec::with_capacity(len);
-            let mut caught = None;
-            let ((), busy) = run_measured(|| {
-                for i in 0..len {
-                    if cancel.is_some_and(CancelToken::is_cancelled) {
-                        break;
-                    }
-                    let run = catch_unwind(AssertUnwindSafe(|| {
-                        faults::fault_point("task", i);
-                        step(&mut state, i)
-                    }));
-                    match run {
-                        Ok(o) => outputs.push(Some(o)),
-                        Err(p) => {
-                            caught = Some(TaskError {
-                                worker: 0,
-                                index: Some(i),
-                                payload: payload_to_string(p),
-                            });
-                            break;
-                        }
+            // The busy time is one wall interval around the task loop.
+            let t0 = sync::now();
+            for i in 0..len {
+                if cancel.is_some_and(CancelToken::is_cancelled) {
+                    break;
+                }
+                let run = catch_unwind(AssertUnwindSafe(|| {
+                    faults::fault_point("task", i);
+                    step(&mut state, i)
+                }));
+                match run {
+                    Ok(o) => outputs.push(Some(o)),
+                    Err(p) => {
+                        return Err(TaskError {
+                            worker: 0,
+                            index: Some(i),
+                            payload: payload_to_string(p),
+                        })
                     }
                 }
-            });
-            if let Some(e) = caught {
-                return Err(e);
             }
+            let busy = sync::now().saturating_duration_since(t0);
             outputs.resize_with(len, || None);
             return Ok(MapOutcome {
                 outputs,
@@ -474,8 +441,8 @@ where
     };
     let stop = || cancel.is_some_and(CancelToken::is_cancelled) || abort.is_cancelled();
     let mut out = Vec::new();
-    let cpu_start = thread_cpu_ns();
-    let mut wall_busy = Duration::ZERO;
+    // The busy time is the summed wall time of the blocks this worker ran.
+    let mut busy = Duration::ZERO;
     'work: loop {
         while let Some((a, b)) = queues[me].claim(grain) {
             let t0 = sync::now();
@@ -493,7 +460,7 @@ where
                 }
                 true
             }));
-            wall_busy += sync::now().saturating_duration_since(t0);
+            busy += sync::now().saturating_duration_since(t0);
             match run {
                 Ok(true) => {}
                 Ok(false) => break 'work,
@@ -542,10 +509,6 @@ where
             }
         }
     }
-    let busy = match (cpu_start, thread_cpu_ns()) {
-        (Some(a), Some(b)) if b >= a => Duration::from_nanos(b - a),
-        _ => wall_busy,
-    };
     Ok((out, state, busy))
 }
 
@@ -694,6 +657,30 @@ mod tests {
         assert_eq!(outcome.outputs.len(), 300);
         assert!(!outcome.states.is_empty() && outcome.states.len() <= 3);
         assert_eq!(outcome.worker_busy.len(), outcome.states.len());
+    }
+
+    /// Busy time is the wall time of a worker's task blocks: a task that
+    /// sleeps is busy for its sleep, which on-CPU accounting would read as
+    /// about zero.
+    #[test]
+    fn busy_time_is_the_wall_time_of_the_tasks() {
+        const SLEEP: Duration = Duration::from_millis(5);
+        for threads in [1, 2] {
+            let rt = Runtime::new(threads);
+            let t0 = std::time::Instant::now();
+            let outcome = rt.map(2, |_| std::thread::sleep(SLEEP));
+            let wall = t0.elapsed();
+            let critical = outcome.critical_path();
+            assert!(
+                critical >= SLEEP,
+                "threads={threads}: {critical:?} < {SLEEP:?}"
+            );
+            assert!(
+                critical <= wall,
+                "threads={threads}: {critical:?} > map's {wall:?}"
+            );
+            assert!(outcome.total_busy() >= SLEEP * 2, "threads={threads}");
+        }
     }
 
     #[test]

@@ -25,7 +25,10 @@
 //! curves; on a single-core CI container the executor still interleaves real
 //! OS threads (so concurrency bugs surface) and the per-worker busy times in
 //! [`MapOutcome::worker_busy`] expose the *critical path* — the wall clock an
-//! n-core deployment would observe.
+//! n-core deployment would observe.  A worker's busy time is the wall time
+//! of the task blocks it executed, read through `sync::now()`, so a map
+//! reads no file to measure itself; on an oversubscribed host it
+//! includes time a preempted worker spent waiting for a core.
 //!
 //! ```
 //! use qgp_runtime::Runtime;
