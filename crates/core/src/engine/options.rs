@@ -218,7 +218,10 @@ mod tests {
         let o = ExecOptions::sequential()
             .budget_with(ExecBudget::unlimited().max_decisions(10))
             .on_budget(BudgetPolicy::Fail);
-        assert_eq!(o.budget.as_ref().and_then(ExecBudget::decision_cap), Some(10));
+        assert_eq!(
+            o.budget.as_ref().and_then(ExecBudget::decision_cap),
+            Some(10)
+        );
         assert_eq!(o.on_budget, BudgetPolicy::Fail);
 
         assert_eq!(ExecOptions::sequential().count, None);

@@ -233,7 +233,10 @@ fn session(graph: &Graph, compiled: &Arc<CompiledPattern>) -> SessionCore {
 }
 
 impl MatchView {
-    pub(crate) fn materialize(snapshot: Arc<GraphSnapshot>, compiled: Arc<CompiledPattern>) -> Self {
+    pub(crate) fn materialize(
+        snapshot: Arc<GraphSnapshot>,
+        compiled: Arc<CompiledPattern>,
+    ) -> Self {
         let graph = snapshot.graph();
         let mut core = session(graph, &compiled);
         let candidates = core.focus_candidates().to_vec();
@@ -305,7 +308,11 @@ impl MatchView {
     }
 
     /// [`MatchView::apply`] on an explicit runtime.
-    pub fn apply_with(&mut self, ops: &[EdgeOp], runtime: &Runtime) -> Result<ViewDelta, ViewError> {
+    pub fn apply_with(
+        &mut self,
+        ops: &[EdgeOp],
+        runtime: &Runtime,
+    ) -> Result<ViewDelta, ViewError> {
         self.apply_inner(ops, None, runtime)
     }
 
@@ -622,10 +629,7 @@ mod tests {
     #[test]
     fn view_starts_at_the_batch_answer() {
         let (g, _, _, _) = g1();
-        for pattern in [
-            library::q2_redmi_universal(),
-            library::q3_redmi_negation(2),
-        ] {
+        for pattern in [library::q2_redmi_universal(), library::q3_redmi_negation(2)] {
             let view = Engine::new(&g).prepare(&pattern).unwrap().view();
             assert_eq!(view.matches(), full_recompute(&g, &pattern), "{pattern}");
         }
@@ -674,7 +678,10 @@ mod tests {
         let follow = g.labels().edge_label("follow").unwrap();
         let batches = [
             vec![EdgeOp::delete(vs[0], redmi, recom)],
-            vec![EdgeOp::insert(vs[0], redmi, recom), EdgeOp::insert(vs[0], vs[1], follow)],
+            vec![
+                EdgeOp::insert(vs[0], redmi, recom),
+                EdgeOp::insert(vs[0], vs[1], follow),
+            ],
             vec![EdgeOp::delete(vs[0], vs[1], follow)],
         ];
         for ops in &batches {
@@ -840,7 +847,11 @@ mod tests {
         // The starved map was a parallel one: the batch's typed set crosses
         // the threshold.
         let delta = view.apply_with(&ops, &rt).unwrap();
-        assert!(delta.rechecked >= PARALLEL_REDECIDE_THRESHOLD, "{}", delta.rechecked);
+        assert!(
+            delta.rechecked >= PARALLEL_REDECIDE_THRESHOLD,
+            "{}",
+            delta.rechecked
+        );
     }
 
     #[test]
@@ -890,7 +901,11 @@ mod tests {
         // The disarmed retry applies cleanly and agrees with a recompute.
         let delta = view.apply_with(&ops, &rt).unwrap();
         assert_eq!(delta.removed, xs);
-        assert!(delta.rechecked >= PARALLEL_REDECIDE_THRESHOLD, "{}", delta.rechecked);
+        assert!(
+            delta.rechecked >= PARALLEL_REDECIDE_THRESHOLD,
+            "{}",
+            delta.rechecked
+        );
         assert_eq!(view.matches(), full_recompute(view.graph(), &pattern));
     }
 
@@ -905,9 +920,7 @@ mod tests {
         let mut view = Engine::new(&g).prepare(&pattern).unwrap().view();
         assert!(view.contains(xs[0]));
         let follow = g.labels().edge_label("follow").unwrap();
-        let delta = view
-            .apply(&[EdgeOp::insert(xs[0], redmi, follow)])
-            .unwrap();
+        let delta = view.apply(&[EdgeOp::insert(xs[0], redmi, follow)]).unwrap();
         let recomputed = full_recompute(view.graph(), &pattern);
         #[cfg(not(qgp_mutate))]
         {

@@ -104,7 +104,10 @@ impl fmt::Display for MatchError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             MatchError::InvalidPattern(e) => write!(f, "invalid pattern: {e}"),
-            MatchError::RadiusExceedsPartition { radius, partition_d } => write!(
+            MatchError::RadiusExceedsPartition {
+                radius,
+                partition_d,
+            } => write!(
                 f,
                 "pattern radius {radius} exceeds the d-hop partition (d = {partition_d}); \
                  re-partition with a larger d"

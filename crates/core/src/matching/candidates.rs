@@ -44,9 +44,7 @@ impl CandidateSets {
     /// universe — the form used for the long-lived, per-run candidate sets
     /// that the isomorphism engine probes in its inner loop.
     pub fn from_sorted_sets(sets: Vec<Vec<NodeId>>, universe: usize) -> Self {
-        debug_assert!(sets
-            .iter()
-            .all(|s| s.windows(2).all(|w| w[0] < w[1])));
+        debug_assert!(sets.iter().all(|s| s.windows(2).all(|w| w[0] < w[1])));
         let bits = sets
             .iter()
             .map(|s| DenseBitSet::from_members(s.iter().map(|v| v.index()), universe))
@@ -60,9 +58,7 @@ impl CandidateSets {
     /// exact-decision path — allocating and zeroing universe-sized bitmaps
     /// there would cost `O(V)` per focus.
     pub fn from_sorted_sets_sparse(sets: Vec<Vec<NodeId>>) -> Self {
-        debug_assert!(sets
-            .iter()
-            .all(|s| s.windows(2).all(|w| w[0] < w[1])));
+        debug_assert!(sets.iter().all(|s| s.windows(2).all(|w| w[0] < w[1])));
         CandidateSets {
             bits: Vec::new(),
             sets,

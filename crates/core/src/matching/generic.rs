@@ -170,7 +170,14 @@ impl<'a> IsomorphismEngine<'a> {
         let mut assignment: Vec<NodeId> = vec![NodeId(u32::MAX); self.rp.node_count()];
         let mut used: Vec<NodeId> = Vec::with_capacity(self.rp.node_count());
         matches!(
-            self.recurse(0, focus_value, &mut assignment, &mut used, stats, &mut on_match),
+            self.recurse(
+                0,
+                focus_value,
+                &mut assignment,
+                &mut used,
+                stats,
+                &mut on_match
+            ),
             ControlFlow::Break(())
         )
     }
@@ -194,7 +201,16 @@ impl<'a> IsomorphismEngine<'a> {
         let u = self.order.node_at(depth);
 
         if depth == 0 {
-            return self.try_assign(depth, u, focus_value, focus_value, assignment, used, stats, on_match);
+            return self.try_assign(
+                depth,
+                u,
+                focus_value,
+                focus_value,
+                assignment,
+                used,
+                stats,
+                on_match,
+            );
         }
 
         let anchor = self.order.anchors[depth].expect("non-root depth has an anchor");
@@ -203,9 +219,11 @@ impl<'a> IsomorphismEngine<'a> {
         // Candidates come straight from the frozen adjacency of the anchored
         // node — a contiguous slice, no per-depth allocation.
         let neighbors: &[NodeId] = if anchor.forward {
-            self.graph.out_neighbors_with_label_slice(anchor_value, label)
+            self.graph
+                .out_neighbors_with_label_slice(anchor_value, label)
         } else {
-            self.graph.in_neighbors_with_label_slice(anchor_value, label)
+            self.graph
+                .in_neighbors_with_label_slice(anchor_value, label)
         };
         for &v in neighbors {
             self.try_assign(depth, u, v, focus_value, assignment, used, stats, on_match)?;

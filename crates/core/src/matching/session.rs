@@ -357,10 +357,7 @@ mod tests {
                 let batch = engine_match(&g, &pattern, &config);
                 assert_eq!(batch.matches, evaluate_reference(&g, &pattern));
                 let mut session = MatchSession::new(&g, &pattern, &config);
-                let decided: Vec<NodeId> = g
-                    .nodes()
-                    .filter(|&v| session.decide(v))
-                    .collect();
+                let decided: Vec<NodeId> = g.nodes().filter(|&v| session.decide(v)).collect();
                 assert_eq!(decided, batch.matches, "{config:?} {pattern}");
             }
         }
@@ -413,10 +410,7 @@ mod tests {
     #[test]
     fn label_universe_core_matches_default_core_decisions() {
         let (g, _) = g1();
-        for pattern in [
-            library::q2_redmi_universal(),
-            library::q3_redmi_negation(2),
-        ] {
+        for pattern in [library::q2_redmi_universal(), library::q3_redmi_negation(2)] {
             let compiled = Arc::new(CompiledPattern::compile(&pattern));
             let config = MatchConfig::qmatch();
             let mut default_core = SessionCore::new(&g, Arc::clone(&compiled), &config);

@@ -35,9 +35,7 @@ pub(crate) fn refine_by_simulation(
     let mut alive: Vec<Vec<NodeId>> = (0..n).map(|u| candidates.set(u).to_vec()).collect();
     let mut bits: Vec<DenseBitSet> = alive
         .iter()
-        .map(|members| {
-            DenseBitSet::from_members(members.iter().map(|v| v.index()), universe)
-        })
+        .map(|members| DenseBitSet::from_members(members.iter().map(|v| v.index()), universe))
         .collect();
 
     let mut changed = true;

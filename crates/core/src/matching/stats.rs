@@ -76,11 +76,15 @@ impl Sub for MatchStats {
     /// per-execution statistics from a long-lived session.
     fn sub(self, rhs: Self) -> MatchStats {
         MatchStats {
-            initial_candidates: self.initial_candidates.saturating_sub(rhs.initial_candidates),
+            initial_candidates: self
+                .initial_candidates
+                .saturating_sub(rhs.initial_candidates),
             focus_candidates: self.focus_candidates.saturating_sub(rhs.focus_candidates),
             focus_verified: self.focus_verified.saturating_sub(rhs.focus_verified),
             verifications: self.verifications.saturating_sub(rhs.verifications),
-            isomorphisms_found: self.isomorphisms_found.saturating_sub(rhs.isomorphisms_found),
+            isomorphisms_found: self
+                .isomorphisms_found
+                .saturating_sub(rhs.isomorphisms_found),
             pruned_by_upper_bound: self
                 .pruned_by_upper_bound
                 .saturating_sub(rhs.pruned_by_upper_bound),

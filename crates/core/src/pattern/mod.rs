@@ -3,10 +3,10 @@
 //! `Q^{+e}` (Section 2 of the paper).
 
 mod builder;
+pub mod library;
 #[allow(clippy::module_inception)]
 mod pattern;
 mod quantifier;
-pub mod library;
 
 pub use builder::PatternBuilder;
 pub use pattern::{

@@ -287,8 +287,8 @@ pub fn dpar_with(graph: &Graph, config: &PartitionConfig, runtime: &Runtime) -> 
     // light items first, preferring the fragment that already holds most of
     // the neighborhood (so the marginal weight is smallest), the lowest
     // index on ties.
-    let capacity = ((config.capacity_factor * total_nodes as f64 / n as f64).ceil() as usize)
-        .max(chunk);
+    let capacity =
+        ((config.capacity_factor * total_nodes as f64 / n as f64).ceil() as usize).max(chunk);
     let mut node_counts: Vec<usize> = base_of_fragment.iter().map(Vec::len).collect();
     let mut scratch = BfsScratch::for_graph(graph);
     let mut added = vec![0usize; n];
@@ -337,7 +337,9 @@ pub fn dpar_with(graph: &Graph, config: &PartitionConfig, runtime: &Runtime) -> 
             0 => node_counts[f],
             _ => (node_counts[f] + 1).max(size),
         };
-        let f = (0..n).min_by_key(|&f| bound(f)).expect("at least one fragment");
+        let f = (0..n)
+            .min_by_key(|&f| bound(f))
+            .expect("at least one fragment");
         if holds[f] == 0 {
             covered_by[f].push(v);
             continue;
@@ -356,9 +358,11 @@ pub fn dpar_with(graph: &Graph, config: &PartitionConfig, runtime: &Runtime) -> 
     let fragments: Vec<Fragment> = (0..n)
         .map(|f| {
             let mut nodes: Vec<NodeId> = base_of_fragment[f].clone();
-            nodes.extend(graph.nodes().filter(|&w| {
-                have.contains(f, w) && fragment_of_node[w.index()] != f as u32
-            }));
+            nodes.extend(
+                graph
+                    .nodes()
+                    .filter(|&w| have.contains(f, w) && fragment_of_node[w.index()] != f as u32),
+            );
             Fragment::build(
                 FragmentId(f as u32),
                 graph,
@@ -372,7 +376,11 @@ pub fn dpar_with(graph: &Graph, config: &PartitionConfig, runtime: &Runtime) -> 
     let fragment_node_counts: Vec<usize> = fragments.iter().map(Fragment::node_count).collect();
     let max = fragment_sizes.iter().copied().max().unwrap_or(0);
     let min = fragment_sizes.iter().copied().min().unwrap_or(0);
-    let skew = if max == 0 { 1.0 } else { min as f64 / max as f64 };
+    let skew = if max == 0 {
+        1.0
+    } else {
+        min as f64 / max as f64
+    };
 
     DHopPartition {
         fragments,
@@ -458,7 +466,8 @@ mod tests {
         let mut b = GraphBuilder::new();
         let people = b.add_nodes("person", n);
         for i in 0..n {
-            b.add_edge(people[i], people[(i + 1) % n], "follow").unwrap();
+            b.add_edge(people[i], people[(i + 1) % n], "follow")
+                .unwrap();
         }
         let item = b.add_node("item");
         for i in (0..n).step_by(3) {
@@ -597,7 +606,10 @@ mod tests {
                 let config = PartitionConfig::new(n, d);
                 let stats = dpar_with(&g, &config, &Runtime::new(1)).stats().clone();
                 assert_eq!(stats.balls_sized, stats.border_nodes, "n = {n}, d = {d}");
-                assert!(stats.balls_weighed <= 2 * stats.border_nodes, "n = {n}, d = {d}");
+                assert!(
+                    stats.balls_weighed <= 2 * stats.border_nodes,
+                    "n = {n}, d = {d}"
+                );
                 if n == 1 {
                     assert_eq!((stats.balls_sized, stats.balls_weighed), (0, 0));
                 } else {
@@ -636,7 +648,11 @@ mod tests {
                 assert_eq!(erosion.insert(&g, f, w), have[f].insert(w));
                 for &x in &v {
                     let inside = d_hop_nodes(&g, x, d).iter().all(|y| have[f].contains(y));
-                    assert_eq!(erosion.level(d, x)[f] == 0, inside, "d = {d}, step {i}, {x:?}");
+                    assert_eq!(
+                        erosion.level(d, x)[f] == 0,
+                        inside,
+                        "d = {d}, step {i}, {x:?}"
+                    );
                     assert_eq!(erosion.contains(f, x), have[f].contains(&x));
                 }
             }

@@ -106,9 +106,13 @@ pub struct ParallelAnswer {
 fn to_parallel_error(e: MatchError) -> ParallelError {
     match e {
         MatchError::InvalidPattern(p) => ParallelError::InvalidPattern(p.to_string()),
-        MatchError::RadiusExceedsPartition { radius, partition_d } => {
-            ParallelError::RadiusExceedsPartition { radius, partition_d }
-        }
+        MatchError::RadiusExceedsPartition {
+            radius,
+            partition_d,
+        } => ParallelError::RadiusExceedsPartition {
+            radius,
+            partition_d,
+        },
         MatchError::EmptyPartition => ParallelError::NoWorkers,
         MatchError::BudgetExceeded
         | MatchError::TaskPanicked(_)

@@ -69,7 +69,9 @@ mod tests {
         assert!(RuleError::OverlappingEdge("x -> y".into())
             .to_string()
             .contains("x -> y"));
-        assert!(RuleError::Parallel("boom".into()).to_string().contains("boom"));
+        assert!(RuleError::Parallel("boom".into())
+            .to_string()
+            .contains("boom"));
         assert!(RuleError::InvalidPattern("bad".into())
             .to_string()
             .contains("bad"));

@@ -408,8 +408,7 @@ mod tests {
         let rt = Runtime::new(2);
         let baseline = mine(&g, &config, &rt);
         {
-            let _armed =
-                qgp_runtime::faults::install(qgp_runtime::faults::FaultPlan::new(21, 1.0));
+            let _armed = qgp_runtime::faults::install(qgp_runtime::faults::FaultPlan::new(21, 1.0));
             let err = mine_qgars_with_report(&g, &config, &rt).unwrap_err();
             match err {
                 RuleError::Parallel(msg) => assert!(msg.contains("injected fault"), "{msg}"),

@@ -258,7 +258,10 @@ impl Runtime {
         I: Fn() -> S + Sync,
         F: Fn(&mut S, usize) -> O + Sync,
     {
-        assert!(len <= u32::MAX as usize, "task list exceeds u32 index space");
+        assert!(
+            len <= u32::MAX as usize,
+            "task list exceeds u32 index space"
+        );
         let workers = self.threads.min(len.max(1));
         if workers <= 1 {
             // Inline sequential fast path: no threads, no atomics.  Panic
@@ -343,7 +346,9 @@ impl Runtime {
                 })
                 .collect();
             // The calling thread is worker 0.
-            let mut all = vec![worker_loop(0, queues, grain, cancel, abort, init, step, steals)];
+            let mut all = vec![worker_loop(
+                0, queues, grain, cancel, abort, init, step, steals,
+            )];
             all.extend(handles.into_iter().enumerate().map(|(k, h)| {
                 // Worker panics are caught inside `worker_loop`; a join
                 // error can only come from a panic that escaped it (e.g. a
@@ -551,17 +556,21 @@ mod tests {
         let rt = Runtime::new(4);
         let len = 64;
         assert_eq!(rt.default_grain(len), 1);
-        let outcome = rt.map_with(len, || (), |(), i| {
-            if i < 16 {
-                // A few hundred µs of real work per "hub" item.
-                let mut acc = 0u64;
-                for k in 0..200_000u64 {
-                    acc = acc.wrapping_mul(6364136223846793005).wrapping_add(k);
+        let outcome = rt.map_with(
+            len,
+            || (),
+            |(), i| {
+                if i < 16 {
+                    // A few hundred µs of real work per "hub" item.
+                    let mut acc = 0u64;
+                    for k in 0..200_000u64 {
+                        acc = acc.wrapping_mul(6364136223846793005).wrapping_add(k);
+                    }
+                    std::hint::black_box(acc);
                 }
-                std::hint::black_box(acc);
-            }
-            i
-        });
+                i
+            },
+        );
         assert_eq!(outcome.outputs, (0..len).collect::<Vec<_>>());
         // On any scheduler interleaving, at least one idle worker finds the
         // loaded range stealable.
@@ -607,13 +616,18 @@ mod tests {
             let token = CancelToken::new();
             let executed = AtomicUsize::new(0);
             let outcome = rt
-                .try_map_with_cancel(10_000, &token, || (), |(), i| {
-                    executed.fetch_add(1, Ordering::Relaxed);
-                    if i == 3 {
-                        token.cancel();
-                    }
-                    i
-                })
+                .try_map_with_cancel(
+                    10_000,
+                    &token,
+                    || (),
+                    |(), i| {
+                        executed.fetch_add(1, Ordering::Relaxed);
+                        if i == 3 {
+                            token.cancel();
+                        }
+                        i
+                    },
+                )
                 .expect("no task panics");
             let done = outcome.outputs.iter().flatten().count();
             assert!(done >= 1, "threads={threads}: some work ran before cancel");
@@ -688,12 +702,17 @@ mod tests {
         for threads in [1, 2, 4] {
             let rt = Runtime::new(threads);
             let err = rt
-                .try_map_with_cancel(1000, &CancelToken::new(), || (), |(), i| {
-                    if i == 137 {
-                        panic!("boom at {i}");
-                    }
-                    i
-                })
+                .try_map_with_cancel(
+                    1000,
+                    &CancelToken::new(),
+                    || (),
+                    |(), i| {
+                        if i == 137 {
+                            panic!("boom at {i}");
+                        }
+                        i
+                    },
+                )
                 .expect_err("task 137 panics");
             assert_eq!(err.index, Some(137), "threads={threads}");
             assert!(err.worker < threads, "threads={threads}: {err:?}");
@@ -738,21 +757,29 @@ mod tests {
         let started = AtomicUsize::new(0);
         let panicked = AtomicUsize::new(usize::MAX);
         let err = rt
-            .try_map_with_cancel(LEN, &CancelToken::new(), || (), |(), i| {
-                let n = started.fetch_add(1, Ordering::SeqCst);
-                if n == NTH {
-                    panicked.store(i, Ordering::SeqCst);
-                    panic!("task {NTH} to start dies");
-                }
-                if n > NTH {
-                    std::thread::sleep(Duration::from_micros(100));
-                }
-                i
-            })
+            .try_map_with_cancel(
+                LEN,
+                &CancelToken::new(),
+                || (),
+                |(), i| {
+                    let n = started.fetch_add(1, Ordering::SeqCst);
+                    if n == NTH {
+                        panicked.store(i, Ordering::SeqCst);
+                        panic!("task {NTH} to start dies");
+                    }
+                    if n > NTH {
+                        std::thread::sleep(Duration::from_micros(100));
+                    }
+                    i
+                },
+            )
             .expect_err("one task panics");
         assert_eq!(err.index, Some(panicked.load(Ordering::SeqCst)));
         let started = started.load(Ordering::SeqCst);
-        assert!(started < LEN / 2, "abort must skip most of the map: {started} of {LEN} ran");
+        assert!(
+            started < LEN / 2,
+            "abort must skip most of the map: {started} of {LEN} ran"
+        );
     }
 
     #[test]
@@ -772,12 +799,17 @@ mod tests {
     #[test]
     fn global_runtime_survives_a_task_panic() {
         let rt = Runtime::global();
-        let _ = rt.try_map_with_cancel(256, &CancelToken::new(), || (), |(), i| {
-            if i % 2 == 0 {
-                panic!("even tasks die");
-            }
-            i
-        });
+        let _ = rt.try_map_with_cancel(
+            256,
+            &CancelToken::new(),
+            || (),
+            |(), i| {
+                if i % 2 == 0 {
+                    panic!("even tasks die");
+                }
+                i
+            },
+        );
         let outcome = rt
             .try_map_with_cancel(256, &CancelToken::new(), || (), |(), i| i + 1)
             .expect("global runtime reusable after panic");

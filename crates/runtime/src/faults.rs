@@ -80,7 +80,10 @@ impl FaultPlan {
     /// The plan described by the `QGP_FAULTS` environment variable, if set
     /// and well-formed.  Reading the variable does *not* arm injection.
     pub fn from_env() -> Option<FaultPlan> {
-        std::env::var("QGP_FAULTS").ok().as_deref().and_then(FaultPlan::parse)
+        std::env::var("QGP_FAULTS")
+            .ok()
+            .as_deref()
+            .and_then(FaultPlan::parse)
     }
 }
 
