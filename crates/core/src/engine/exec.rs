@@ -8,39 +8,21 @@
 
 use qgp_runtime::sync::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use qgp_graph::{Fragment, GraphSnapshot, NodeId};
 use qgp_runtime::{CancelToken, ExecBudget};
 
 use super::count::{CountAnswer, FocusCount};
-use super::options::{BudgetPolicy, ExecMode, ExecOptions};
+use super::options::{ExecMode, ExecOptions};
 use super::{Lease, PreparedQuery};
 use crate::error::MatchError;
 use crate::matching::{CountMode, MatchStats, QueryAnswer, SessionCore};
 
-/// Scheduling telemetry of a parallel or partitioned execution, preserved
-/// so `ParallelAnswer`-style reporting keeps working through the engine.
-#[derive(Debug, Clone, Default)]
-pub struct ParallelTelemetry {
-    /// Matching time attributed to each *fragment* (partitioned mode only;
-    /// empty for whole-graph parallel runs) — the balance measure of the
-    /// paper's Exp-2.
-    pub worker_times: Vec<Duration>,
-    /// Busy time of each executor thread; the maximum is the critical path.
-    pub thread_busy: Vec<Duration>,
-    /// Candidate-range steals the executor performed.
-    pub steals: usize,
-    /// Wall-clock time of the parallel phase.
-    pub elapsed: Duration,
-}
-
-/// Shared controls of one execution: the user's cancellation token, the
-/// execution budget, the internal stop flag the runtime polls (set on user
-/// cancellation, budget exhaustion, *or* when the answer limit is
+/// Shared controls of one execution: the execution budget, the internal
+/// stop flag the runtime polls (set when the budget stops — deadline,
+/// decision cap or explicit cancellation — *or* when the answer limit is
 /// reached), and the accepted-answer counter.
 struct ExecControl {
-    user: Option<CancelToken>,
     budget: Option<ExecBudget>,
     stop: CancelToken,
     limit: Option<usize>,
@@ -48,9 +30,8 @@ struct ExecControl {
 }
 
 impl ExecControl {
-    fn new(limit: Option<usize>, user: Option<CancelToken>, budget: Option<ExecBudget>) -> Self {
+    fn new(limit: Option<usize>, budget: Option<ExecBudget>) -> Self {
         ExecControl {
-            user,
             budget,
             stop: CancelToken::new(),
             limit,
@@ -58,18 +39,11 @@ impl ExecControl {
         }
     }
 
-    /// The token the work-stealing runtime polls between tasks.
-    fn runtime_token(&self) -> &CancelToken {
-        &self.stop
-    }
-
-    /// The token polled inside `SessionCore::decide`: the
-    /// user's when present, else the budget's (so a deadline is observed
-    /// between verification phases too).
+    /// The budget's token, polled inside `SessionCore::decide` so a
+    /// deadline or a cancellation is observed between verification phases
+    /// too.
     fn decide_token(&self) -> Option<&CancelToken> {
-        self.user
-            .as_ref()
-            .or_else(|| self.budget.as_ref().map(ExecBudget::token))
+        self.budget.as_ref().map(ExecBudget::token)
     }
 
     /// Charges one decision against the budget.  `false` means the budget
@@ -86,18 +60,17 @@ impl ExecControl {
     }
 
     /// Should this execution stop scheduling new candidates?  Propagates a
-    /// fired user token or exhausted budget into the runtime stop flag.
+    /// stopped budget into the runtime stop flag.
     fn should_stop(&self) -> bool {
-        if self.user.as_ref().is_some_and(CancelToken::is_cancelled)
-            || self.budget.as_ref().is_some_and(ExecBudget::is_exhausted)
-        {
+        if self.budget_exhausted() {
             self.stop.cancel();
             return true;
         }
         self.stop.is_cancelled()
     }
 
-    /// Was the execution truncated by budget exhaustion?
+    /// Has the budget stopped the execution (deadline, decision cap or
+    /// explicit cancellation)?
     fn budget_exhausted(&self) -> bool {
         self.budget.as_ref().is_some_and(ExecBudget::is_exhausted)
     }
@@ -117,11 +90,6 @@ impl ExecControl {
                 prev < k
             }
         }
-    }
-
-    /// Tokens are latched, so observing the user token directly is exact.
-    fn was_cancelled(&self) -> bool {
-        self.user.as_ref().is_some_and(CancelToken::is_cancelled)
     }
 }
 
@@ -147,8 +115,6 @@ pub struct Matches {
     /// How many of `accepted` the iterator has yielded.
     yielded: usize,
     truncated: bool,
-    cancelled: bool,
-    fail_on_budget: bool,
     schedule: Schedule,
 }
 
@@ -167,10 +133,7 @@ enum Schedule {
         done: bool,
     },
     /// Every task was decided before `execute` returned.
-    Buffered {
-        stats: MatchStats,
-        telemetry: ParallelTelemetry,
-    },
+    Buffered { stats: MatchStats },
 }
 
 impl std::fmt::Debug for Matches {
@@ -233,13 +196,8 @@ impl Matches {
             *pos += 1;
             match session.decide(graph, vx, *count, token) {
                 None => {
-                    // Stopped mid-verification: by the user's token when
-                    // one is attached, else by the budget's.
-                    if ctl.user.is_some() {
-                        self.cancelled = true;
-                    } else {
-                        self.truncated = true;
-                    }
+                    // Stopped mid-verification by the budget's token.
+                    self.truncated = true;
                     break;
                 }
                 Some(verdict) if verdict.matched => {
@@ -266,93 +224,54 @@ impl Matches {
     pub fn stats(&self) -> MatchStats {
         match &self.schedule {
             Schedule::Streaming { lease, .. } => lease.stats(),
-            Schedule::Buffered { stats, .. } => *stats,
+            Schedule::Buffered { stats } => *stats,
         }
     }
 
-    /// Scheduling telemetry (parallel and partitioned executions only).
-    pub fn telemetry(&self) -> Option<&ParallelTelemetry> {
-        match &self.schedule {
-            Schedule::Streaming { .. } => None,
-            Schedule::Buffered { telemetry, .. } => Some(telemetry),
-        }
-    }
-
-    /// Was (or will) the execution be stopped by its cancellation token,
-    /// rather than by exhausting the candidates or reaching the limit?  A
-    /// cancelled execution's answer is a *partial* answer.
-    pub fn cancelled(&self) -> bool {
-        // A fired token counts even before iteration observes it — unless
-        // the stream already finished on its own.
-        self.cancelled
-            || matches!(&self.schedule, Schedule::Streaming { ctl, done, .. }
-                if !done && ctl.was_cancelled())
-    }
-
-    /// Was (or will) the execution be stopped by its [`ExecBudget`] running
-    /// out, rather than by exhausting the candidates, the limit, or
-    /// explicit cancellation?  A truncated execution's answer is a prefix
-    /// (sequential mode) or subset (parallel modes) of the full answer.
+    /// Was (or will) the execution be stopped by its [`ExecBudget`] —
+    /// deadline, decision cap or explicit cancellation — rather than by
+    /// exhausting the candidates or reaching the limit?  A truncated
+    /// execution's answer is a prefix (sequential mode) or subset (parallel
+    /// modes) of the full answer; the budget's
+    /// [`stop_reason`](ExecBudget::stop_reason) says why it stopped.
     pub fn truncated(&self) -> bool {
+        // A stopped budget counts even before iteration observes it —
+        // unless the stream already finished on its own.
         self.truncated
             || matches!(&self.schedule, Schedule::Streaming { ctl, done, .. }
                 if !done && ctl.budget_exhausted())
     }
 
-    /// Runs the execution to completion (respecting limit, budget and
-    /// cancellation): every accepted focus — those already yielded
-    /// included — the execution's counters, and whether it stopped early.
+    /// Runs the execution to completion (respecting limit and budget):
+    /// every accepted focus — those already yielded included — the
+    /// execution's counters, and whether it stopped early.
     fn finish(mut self) -> (Vec<FocusCount>, MatchStats, bool) {
         self.advance(false);
-        let stopped = self.truncated() || self.cancelled();
-        (std::mem::take(&mut self.accepted), self.stats(), stopped)
-    }
-
-    /// [`Matches::finish`] under the execution's budget policy.
-    fn try_finish(mut self) -> Result<(Vec<FocusCount>, MatchStats, bool), MatchError> {
-        self.advance(false);
-        if self.fail_on_budget && self.truncated() {
-            return Err(MatchError::BudgetExceeded);
-        }
-        Ok(self.finish())
+        let truncated = self.truncated();
+        (std::mem::take(&mut self.accepted), self.stats(), truncated)
     }
 
     /// Runs the execution to completion and returns the full answer —
-    /// matches already yielded included.  Budget exhaustion comes back as a
-    /// partial answer with [`QueryAnswer::truncated`] set regardless of the
-    /// [`BudgetPolicy`](super::BudgetPolicy); use
-    /// [`Matches::try_into_answer`] to honor [`BudgetPolicy::Fail`].
+    /// matches already yielded included.  A stopped budget comes back as a
+    /// partial answer with [`QueryAnswer::truncated`] set.
     pub fn into_answer(self) -> QueryAnswer {
-        project(self.finish())
+        let (accepted, stats, truncated) = self.finish();
+        QueryAnswer {
+            matches: accepted.into_iter().map(|f| f.focus).collect(),
+            stats,
+            truncated,
+        }
     }
 
-    /// [`Matches::into_answer`] under the execution's budget policy: with
-    /// [`BudgetPolicy::Fail`](super::BudgetPolicy::Fail), a run whose
-    /// budget ran out returns [`MatchError::BudgetExceeded`] instead of a
-    /// partial answer.  (Buffered executions under `Fail` already failed at
-    /// `execute`; this is where the streaming sequential path fails.)
-    pub fn try_into_answer(self) -> Result<QueryAnswer, MatchError> {
-        self.try_finish().map(project)
-    }
-
-    /// [`Matches::try_into_answer`], keeping the witness counts.
-    pub(super) fn try_into_count(self) -> Result<CountAnswer, MatchError> {
-        let (per_focus, stats, truncated) = self.try_finish()?;
-        Ok(CountAnswer {
+    /// [`Matches::into_answer`], keeping the witness counts.
+    pub(super) fn into_count(self) -> CountAnswer {
+        let (per_focus, stats, truncated) = self.finish();
+        CountAnswer {
             total: per_focus.len(),
             per_focus,
             truncated,
             stats,
-        })
-    }
-}
-
-/// Projects finished per-focus counts to the foci.
-fn project((accepted, stats, truncated): (Vec<FocusCount>, MatchStats, bool)) -> QueryAnswer {
-    QueryAnswer {
-        matches: accepted.into_iter().map(|f| f.focus).collect(),
-        stats,
-        truncated,
+        }
     }
 }
 
@@ -365,12 +284,10 @@ fn normalized(restrict: &[NodeId]) -> Vec<NodeId> {
 }
 
 /// Per-executor-thread scratch: one matcher session per site (all sharing
-/// the compiled pattern), the foci this thread accepted, and per-fragment
-/// busy accounting.
+/// the compiled pattern) and the foci this thread accepted.
 struct SiteScratch {
     sessions: Vec<Option<SessionCore>>,
     accepted: Vec<FocusCount>,
-    fragment_busy: Vec<Duration>,
 }
 
 /// The driver: one execution of `pq` against `snapshot` under `opts`.
@@ -379,18 +296,15 @@ pub(super) fn execute(
     snapshot: &Arc<GraphSnapshot>,
     opts: &ExecOptions<'_>,
 ) -> Result<Matches, MatchError> {
-    let ctl = ExecControl::new(opts.limit, opts.cancel.clone(), opts.budget.clone());
+    let ctl = ExecControl::new(opts.limit, opts.budget.clone());
     let config = opts.config;
     let count = opts.count;
     let mut matches = Matches {
         accepted: Vec::new(),
         yielded: 0,
         truncated: false,
-        cancelled: false,
-        fail_on_budget: opts.on_budget == BudgetPolicy::Fail,
         schedule: Schedule::Buffered {
             stats: MatchStats::default(),
-            telemetry: ParallelTelemetry::default(),
         },
     };
 
@@ -476,17 +390,21 @@ pub(super) fn execute(
             (&[], runtime)
         }
     };
+    // A limit of 0 asks for no answer: decide nothing.  (The limit's stop
+    // flag only rises on an accept, after a decision.)
+    if opts.limit == Some(0) {
+        tasks.clear();
+    }
     let site = |s: usize| match fragments.get(s) {
         Some(fragment) => (fragment.graph(), Some(fragment)),
         None => (snapshot.graph(), None),
     };
 
     let compiled = pq.compiled();
-    let start = Instant::now();
     let outcome = runtime
         .try_map_with_cancel(
             tasks.len(),
-            ctl.runtime_token(),
+            &ctl.stop,
             || {
                 let mut sessions: Vec<Option<SessionCore>> =
                     (0..fragments.len().max(1)).map(|_| None).collect();
@@ -498,7 +416,6 @@ pub(super) fn execute(
                 SiteScratch {
                     sessions,
                     accepted: Vec::new(),
-                    fragment_busy: vec![Duration::ZERO; fragments.len()],
                 }
             },
             |scratch, i| {
@@ -508,31 +425,16 @@ pub(super) fn execute(
                 let (s, focus) = tasks[i];
                 let s = s as usize;
                 let (graph, fragment) = site(s);
-                let SiteScratch {
-                    sessions,
-                    accepted,
-                    fragment_busy,
-                } = scratch;
-                let session = sessions[s].get_or_insert_with(|| {
-                    let t0 = Instant::now();
-                    let session = SessionCore::new(graph, Arc::clone(compiled), &config);
-                    fragment_busy[s] += t0.elapsed();
-                    session
-                });
-                // Pruned candidates exit through one bitmap probe with no
-                // clock reads — per-item timing only wraps real
-                // verifications, so the balance accounting does not tax the
-                // (common) cheap path.
+                let session = scratch.sessions[s]
+                    .get_or_insert_with(|| SessionCore::new(graph, Arc::clone(compiled), &config));
+                // Pruned candidates exit through one bitmap probe and
+                // charge the budget nothing.
                 if !session.is_focus_candidate(focus) || !ctl.charge() {
                     return;
                 }
-                let t0 = fragment.map(|_| Instant::now());
                 let verdict = session.decide(graph, focus, count, ctl.decide_token());
-                if let Some(t0) = t0 {
-                    fragment_busy[s] += t0.elapsed();
-                }
                 if let Some(v) = verdict.filter(|v| v.matched && ctl.try_accept()) {
-                    accepted.push(FocusCount {
+                    scratch.accepted.push(FocusCount {
                         focus: fragment.map_or(focus, |f| f.to_global(focus)),
                         witnesses: v.witnesses,
                     });
@@ -542,33 +444,17 @@ pub(super) fn execute(
         .map_err(MatchError::TaskPanicked)?;
 
     matches.truncated = ctl.budget_exhausted();
-    if matches.truncated && matches.fail_on_budget {
-        return Err(MatchError::BudgetExceeded);
-    }
-    matches.cancelled = ctl.was_cancelled();
 
     // Coordinator: union of the partial answers.
     let mut stats = planning;
-    let mut worker_times = vec![Duration::ZERO; fragments.len()];
     for scratch in outcome.states {
         matches.accepted.extend(scratch.accepted);
         for session in scratch.sessions.into_iter().flatten() {
             stats += session.stats();
         }
-        for (f, busy) in scratch.fragment_busy.iter().enumerate() {
-            worker_times[f] += *busy;
-        }
     }
     matches.accepted.sort_unstable_by_key(|f| f.focus);
     matches.accepted.dedup_by_key(|f| f.focus);
-    matches.schedule = Schedule::Buffered {
-        stats,
-        telemetry: ParallelTelemetry {
-            worker_times,
-            thread_busy: outcome.worker_busy,
-            steals: outcome.steals,
-            elapsed: start.elapsed(),
-        },
-    };
+    matches.schedule = Schedule::Buffered { stats };
     Ok(matches)
 }

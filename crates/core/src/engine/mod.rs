@@ -15,8 +15,9 @@
 //!    order, counter scratch) are pooled across executions,
 //! 3. [`PreparedQuery::execute`] runs it under [`ExecOptions`]: sequential
 //!    streaming, whole-graph parallel, or partitioned (`PQMatch`-style)
-//!    execution, with an answer limit, a focus-candidate restriction and a
-//!    cooperative [`CancelToken`] all available in every mode.
+//!    execution, with an answer limit, a focus-candidate restriction and an
+//!    [`ExecBudget`] (deadline, decision cap, explicit cancellation) all
+//!    available in every mode.
 //!
 //! ```
 //! use qgp_core::engine::{Engine, ExecOptions};
@@ -63,9 +64,9 @@ pub mod registry;
 mod view;
 
 pub use count::{CountAnswer, FocusCount};
-pub use exec::{Matches, ParallelTelemetry};
-pub use options::{BudgetPolicy, ExecMode, ExecOptions};
-pub use qgp_runtime::{BudgetStop, CancelToken, ExecBudget, TaskError};
+pub use exec::Matches;
+pub use options::{ExecMode, ExecOptions};
+pub use qgp_runtime::{BudgetStop, ExecBudget, TaskError};
 pub use registry::{CacheStats, QueryId, QueryRegistry, ServeOutcome, ServeRequest};
 pub use view::{MatchView, ViewDelta, ViewError};
 
@@ -272,9 +273,9 @@ impl PreparedQuery {
     ///
     /// Errors are limited to partitioned-mode misconfiguration
     /// ([`MatchError::RadiusExceedsPartition`],
-    /// [`MatchError::EmptyPartition`]), a panicking parallel task
-    /// ([`MatchError::TaskPanicked`]) and [`BudgetPolicy::Fail`];
-    /// sequential executions always succeed.
+    /// [`MatchError::EmptyPartition`]) and a panicking parallel task
+    /// ([`MatchError::TaskPanicked`]); sequential executions always
+    /// succeed.
     pub fn execute(&self, opts: ExecOptions<'_>) -> Result<Matches, MatchError> {
         self.execute_on(&self.snapshot, opts)
     }
@@ -291,13 +292,9 @@ impl PreparedQuery {
     }
 
     /// [`PreparedQuery::execute`] run to completion: the collected
-    /// [`QueryAnswer`] (matches plus this execution's work counters).
-    ///
-    /// Honors the execution's [`BudgetPolicy`]: under
-    /// [`BudgetPolicy::Fail`] a run whose [`ExecBudget`] is exhausted
-    /// returns [`MatchError::BudgetExceeded`]; under the default
-    /// [`BudgetPolicy::Partial`] it returns the matches found so far with
-    /// [`QueryAnswer::truncated`] set.
+    /// [`QueryAnswer`] (matches plus this execution's work counters).  A
+    /// run whose [`ExecBudget`] stopped returns the matches found so far
+    /// with [`QueryAnswer::truncated`] set.
     pub fn run(&self, opts: ExecOptions<'_>) -> Result<QueryAnswer, MatchError> {
         self.run_on(&self.snapshot, opts)
     }
@@ -308,7 +305,7 @@ impl PreparedQuery {
         snapshot: &Arc<GraphSnapshot>,
         opts: ExecOptions<'_>,
     ) -> Result<QueryAnswer, MatchError> {
-        exec::execute(self, snapshot, &opts)?.try_into_answer()
+        Ok(exec::execute(self, snapshot, &opts)?.into_answer())
     }
 
     /// Executes the prepared query as a *counting* query: which foci match,
@@ -321,7 +318,7 @@ impl PreparedQuery {
     /// [`CountMode`] is taken from [`ExecOptions::count`]
     /// ([`CountMode::ThresholdOnly`] when unset; use
     /// [`ExecOptions::count_exact`] for exact witness cardinalities).
-    /// `limit`, `restrict_to`, cancellation and budgets compose exactly as
+    /// `limit`, `restrict_to` and budgets compose exactly as
     /// they do for [`PreparedQuery::execute`], in all three [`ExecMode`]s.
     pub fn count(&self, opts: ExecOptions<'_>) -> Result<CountAnswer, MatchError> {
         self.count_on(&self.snapshot, opts)
@@ -334,7 +331,7 @@ impl PreparedQuery {
         mut opts: ExecOptions<'_>,
     ) -> Result<CountAnswer, MatchError> {
         opts.count = Some(opts.count.unwrap_or_default());
-        exec::execute(self, snapshot, &opts)?.try_into_count()
+        Ok(exec::execute(self, snapshot, &opts)?.into_count())
     }
 
     /// Materializes the current answer as a live [`MatchView`] that pins

@@ -5,33 +5,12 @@
 //! [mode](ExecMode), the [`MatchConfig`], an optional answer
 //! [limit](ExecOptions::limit), an optional focus-candidate
 //! [restriction](ExecOptions::restrict_to), and an optional
-//! [cancellation token](ExecOptions::cancel_with).
+//! [budget](ExecOptions::budget_with), the one way to stop it early.
 
 use qgp_graph::{Fragment, NodeId};
-use qgp_runtime::{CancelToken, ExecBudget, Runtime};
+use qgp_runtime::{ExecBudget, Runtime};
 
 use crate::matching::{CountMode, MatchConfig};
-
-/// What an execution does when its [`ExecBudget`] runs out (deadline
-/// passed or decision cap consumed) before the query completes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum BudgetPolicy {
-    /// Return the matches found so far, with
-    /// [`QueryAnswer::truncated`](crate::matching::QueryAnswer::truncated)
-    /// set — graceful degradation (the default, and the same shape a
-    /// cancelled execution has always had).
-    #[default]
-    Partial,
-    /// Fail the execution with
-    /// [`MatchError::BudgetExceeded`](crate::error::MatchError::BudgetExceeded).
-    /// Buffered (parallel/partitioned) executions fail at
-    /// [`PreparedQuery::execute`](super::PreparedQuery::execute); streaming
-    /// sequential executions fail at
-    /// [`Matches::try_into_answer`](super::Matches::try_into_answer) /
-    /// [`PreparedQuery::run`](super::PreparedQuery::run), since the budget
-    /// can only be exceeded while iterating.
-    Fail,
-}
 
 /// How a prepared query executes.
 #[derive(Debug, Clone, Copy, Default)]
@@ -70,7 +49,7 @@ pub enum ExecMode<'a> {
 /// refined with the builder methods.  Parallel work runs on the
 /// [`Runtime`] the mode is handed; pass [`Runtime::global`] for the
 /// process-wide executor.  The default is a sequential run with
-/// [`MatchConfig::qmatch`], no limit, no restriction and no cancellation.
+/// [`MatchConfig::qmatch`], no limit, no restriction and no budget.
 #[derive(Debug, Clone, Default)]
 pub struct ExecOptions<'a> {
     /// Execution mode.
@@ -83,16 +62,13 @@ pub struct ExecOptions<'a> {
     /// Restrict the focus candidates to this node set (global ids under
     /// [`ExecMode::Partitioned`]).
     pub restrict: Option<&'a [NodeId]>,
-    /// Cooperative cancellation/deadline token, polled between candidates
-    /// and between verification phases.
-    pub cancel: Option<CancelToken>,
     /// Execution budget: charged one decision per focus candidate verified,
-    /// on every path (sequential streaming, parallel, partitioned).  When
-    /// it runs out the execution stops at per-candidate granularity and
-    /// [`ExecOptions::on_budget`] decides what comes back.
+    /// on every path (sequential streaming, parallel, partitioned), and its
+    /// token polled between candidates and between verification phases.
+    /// When it stops (deadline, decision cap or explicit cancellation) the
+    /// execution stops at per-candidate granularity and returns the answer
+    /// found so far with `truncated` set.
     pub budget: Option<ExecBudget>,
-    /// Policy applied when [`ExecOptions::budget`] is exhausted.
-    pub on_budget: BudgetPolicy,
     /// Aggregate pushdown: when set, per-candidate decisions take the
     /// kernel's counting work profile instead of enumerating child matches
     /// — the accepted set is identical, only the work differs.
@@ -150,24 +126,12 @@ impl<'a> ExecOptions<'a> {
         self
     }
 
-    /// Attaches a cancellation/deadline token.
-    pub fn cancel_with(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
-    /// Attaches an execution budget (deadline and/or decision cap).  The
-    /// budget is charged once per focus candidate verified; combine with
-    /// [`ExecOptions::on_budget`] to choose failure or graceful
-    /// degradation.
+    /// Attaches an execution budget: a deadline
+    /// ([`ExecBudget::with_timeout`]), a decision cap, or a caller's
+    /// cancellation token ([`ExecBudget::from`]).  The budget is charged
+    /// once per focus candidate verified.
     pub fn budget_with(mut self, budget: ExecBudget) -> Self {
         self.budget = Some(budget);
-        self
-    }
-
-    /// Sets the policy applied when the budget runs out.
-    pub fn on_budget(mut self, policy: BudgetPolicy) -> Self {
-        self.on_budget = policy;
         self
     }
 
@@ -198,7 +162,7 @@ mod tests {
         let o = ExecOptions::sequential().limit(5);
         assert!(matches!(o.mode, ExecMode::Sequential));
         assert_eq!(o.limit, Some(5));
-        assert!(o.restrict.is_none() && o.cancel.is_none());
+        assert!(o.restrict.is_none() && o.budget.is_none());
         assert_eq!(o.config, MatchConfig::qmatch());
 
         let rt = Runtime::new(3);
@@ -207,22 +171,15 @@ mod tests {
         assert_eq!(o.config, MatchConfig::enumerate());
 
         let nodes = [NodeId::new(1)];
-        let o = ExecOptions::sequential()
-            .restrict_to(&nodes)
-            .cancel_with(CancelToken::new());
+        let o = ExecOptions::sequential().restrict_to(&nodes);
         assert_eq!(o.restrict, Some(&nodes[..]));
-        assert!(o.cancel.is_some());
         assert!(o.budget.is_none());
-        assert_eq!(o.on_budget, BudgetPolicy::Partial);
 
-        let o = ExecOptions::sequential()
-            .budget_with(ExecBudget::unlimited().max_decisions(10))
-            .on_budget(BudgetPolicy::Fail);
+        let o = ExecOptions::sequential().budget_with(ExecBudget::unlimited().max_decisions(10));
         assert_eq!(
             o.budget.as_ref().and_then(ExecBudget::decision_cap),
             Some(10)
         );
-        assert_eq!(o.on_budget, BudgetPolicy::Fail);
 
         assert_eq!(ExecOptions::sequential().count, None);
         assert_eq!(

@@ -9,8 +9,8 @@
 //! Serving a batch is one phase: the requests are fanned out on the
 //! work-stealing runtime, one task per request, and each task is a plain
 //! [`PreparedQuery::run_on`] of its query against the batch's snapshot,
-//! honoring its own [`ServeRequest::limit`], [`ExecBudget`] and
-//! [`CancelToken`].  Nothing is locked while a request runs: each checks a
+//! honoring its own [`ServeRequest::limit`] and [`ExecBudget`].  Nothing is
+//! locked while a request runs: each checks a
 //! matcher session out of its query's pool — building it on the first
 //! request of an epoch — so two requests naming the *same* query run side
 //! by side, each on a session of its own.  [`QueryRegistry::cache_stats`]
@@ -60,25 +60,23 @@ pub struct ServeRequest {
     pub config: MatchConfig,
     /// Stop after this many accepted answers.
     pub limit: Option<usize>,
-    /// Per-request execution budget (deadline and/or decision cap).
+    /// Per-request execution budget (deadline, decision cap and/or a
+    /// cancellation token).
     pub budget: Option<ExecBudget>,
-    /// Per-request cooperative cancellation.
-    pub cancel: Option<CancelToken>,
     /// When set, decisions run through the aggregate-pushdown counting
     /// path (identical accepted set, cheaper work profile).
     pub count: Option<CountMode>,
 }
 
 impl ServeRequest {
-    /// A request for `query` with the default config and no limit, budget,
-    /// or cancellation.
+    /// A request for `query` with the default config and no limit or
+    /// budget.
     pub fn new(query: QueryId) -> Self {
         ServeRequest {
             query_id: query.0,
             config: MatchConfig::default(),
             limit: None,
             budget: None,
-            cancel: None,
             count: None,
         }
     }
@@ -106,12 +104,6 @@ impl ServeRequest {
         self
     }
 
-    /// Attaches a cancellation token.
-    pub fn cancel_with(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
     /// Routes decisions through the counting path under `mode`.
     pub fn count(mut self, mode: CountMode) -> Self {
         self.count = Some(mode);
@@ -124,7 +116,7 @@ impl ServeRequest {
 pub struct ServeOutcome {
     /// The query the request named.
     pub query: QueryId,
-    /// The request's answer, or why it failed.  Budget exhaustion comes
+    /// The request's answer, or why it failed.  A stopped budget comes
     /// back as a partial answer with [`QueryAnswer::truncated`] set.
     pub result: Result<QueryAnswer, MatchError>,
 }
@@ -257,7 +249,6 @@ impl QueryRegistry {
                 let mut opts = ExecOptions::sequential().with_config(req.config);
                 opts.limit = req.limit;
                 opts.budget = req.budget.clone();
-                opts.cancel = req.cancel.clone();
                 opts.count = req.count;
                 entry.query.run_on(snapshot, opts)
             },

@@ -82,10 +82,6 @@ pub enum MatchError {
     },
     /// A partitioned execution was requested over an empty fragment list.
     EmptyPartition,
-    /// The execution's [`ExecBudget`](qgp_runtime::ExecBudget) ran out
-    /// (deadline passed or decision cap consumed) under
-    /// [`BudgetPolicy::Fail`](crate::engine::BudgetPolicy::Fail).
-    BudgetExceeded,
     /// A worker task panicked; the panic was isolated by the runtime and
     /// the execution was aborted.  The runtime and the prepared query both
     /// remain usable.
@@ -114,9 +110,6 @@ impl fmt::Display for MatchError {
             ),
             MatchError::EmptyPartition => {
                 write!(f, "partitioned execution requires at least one fragment")
-            }
-            MatchError::BudgetExceeded => {
-                write!(f, "execution budget exceeded before the query completed")
             }
             MatchError::TaskPanicked(e) => write!(f, "execution aborted: {e}"),
             MatchError::UnknownQuery { id } => {

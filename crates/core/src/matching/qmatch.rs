@@ -26,9 +26,9 @@ pub struct QueryAnswer {
     pub matches: Vec<NodeId>,
     /// Work counters accumulated over every phase of the evaluation.
     pub stats: MatchStats,
-    /// `true` when the execution stopped early — budget exhausted under
-    /// [`BudgetPolicy::Partial`](crate::engine::BudgetPolicy::Partial), or
-    /// cancelled — so `matches` is a *prefix* of the full answer (in
+    /// `true` when its [`ExecBudget`](crate::engine::ExecBudget) stopped the
+    /// execution early (deadline, decision cap or explicit cancellation), so
+    /// `matches` is a *prefix* of the full answer (in
     /// sequential mode; some subset in parallel modes).  An answer reached
     /// via [`ExecOptions::limit`](crate::engine::ExecOptions::limit) is not
     /// truncated: the limit was the request.

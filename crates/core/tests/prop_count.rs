@@ -8,21 +8,24 @@
 //!   patterns, and threshold-only counts are sound lower bounds,
 //! * `restrict_to` and `limit` compose with counting exactly as they do
 //!   with enumeration,
-//! * a budget under `BudgetPolicy::Partial` truncates a counting run to an
-//!   exact prefix (sequential) or subset (parallel modes) of the full
-//!   per-focus answer — never a wrong count,
+//! * a budget truncates a counting run to an exact prefix (sequential) or
+//!   subset (parallel modes) of the full per-focus answer — never a wrong
+//!   count,
 //! * under seeded fault injection a counting run returns the exact answer
 //!   or a typed error, and retries clean.
 
 use proptest::prelude::*;
 
-use qgp_core::engine::{BudgetPolicy, Engine, ExecBudget, ExecOptions};
+use qgp_core::engine::{Engine, ExecBudget, ExecOptions};
 use qgp_core::matching::reference::evaluate_reference;
 use qgp_core::{FocusCount, MatchError};
 use qgp_graph::{Graph, GraphBuilder, NodeId};
 use qgp_runtime::faults::{self, FaultPlan};
-use qgp_runtime::Runtime;
-use qgp_testkit::{all_configs, graph_spec, pattern, plan_for_case, surfaces, PATTERN_KINDS, RS};
+use qgp_runtime::{CancelToken, Runtime};
+use qgp_testkit::{
+    all_configs, graph_spec, pattern, plan_for_case, surfaces, whole_graph_fragment, PATTERN_KINDS,
+    RS,
+};
 
 /// Brute-force witness recount for the single-edge pattern kinds (0, 1, 4):
 /// the distinct `B`-labelled `r`-children of `vx`, excluding `vx` itself.
@@ -167,10 +170,9 @@ proptest! {
         }
     }
 
-    /// A decision-capped budget under `Partial` truncates a counting run to
-    /// an exact prefix (sequential) or subset (parallel) of the full
-    /// per-focus answer; `Fail` surfaces the typed error; a truncated run
-    /// never reports a wrong witness count.
+    /// A decision-capped budget truncates a counting run to an exact prefix
+    /// (sequential) or subset (parallel) of the full per-focus answer; a
+    /// truncated run never reports a wrong witness count.
     #[test]
     fn budget_partial_counting_is_an_exact_prefix_or_subset(
         gspec in graph_spec(4..12, RS),
@@ -213,21 +215,6 @@ proptest! {
                 "budgeted parallel count reported {:?} not in the full answer", fc
             );
         }
-
-        let budget = ExecBudget::unlimited().max_decisions(cap);
-        match prepared.count(
-            ExecOptions::sequential()
-                .count_exact()
-                .budget_with(budget)
-                .on_budget(BudgetPolicy::Fail),
-        ) {
-            Ok(answer) => {
-                prop_assert!(!answer.truncated);
-                prop_assert_eq!(&answer.per_focus, &full.per_focus);
-            }
-            Err(MatchError::BudgetExceeded) => {}
-            Err(other) => prop_assert!(false, "unexpected error: {other:?}"),
-        }
     }
 
     /// Under random injected faults a parallel counting run either returns
@@ -267,8 +254,8 @@ proptest! {
     }
 }
 
-/// A pre-cancelled token yields an empty, truncated count in every mode,
-/// and the prepared query stays fully usable afterwards.
+/// A budget on a pre-cancelled token yields an empty, truncated count in
+/// every mode, and the prepared query stays fully usable afterwards.
 #[test]
 fn cancelled_counting_is_empty_and_leaves_no_poisoned_state() {
     let mut b = GraphBuilder::new();
@@ -283,16 +270,23 @@ fn cancelled_counting_is_empty_and_leaves_no_poisoned_state() {
     let graph = b.build();
     let prepared = Engine::new(&graph).prepare(&pattern(0)).unwrap();
 
-    let dead = qgp_core::engine::CancelToken::new();
+    let dead = CancelToken::new();
     dead.cancel();
+    let cancelled = || ExecBudget::from(dead.clone());
     let seq = prepared
-        .count(ExecOptions::sequential().cancel_with(dead.clone()))
+        .count(ExecOptions::sequential().budget_with(cancelled()))
         .unwrap();
     assert!(seq.per_focus.is_empty() && seq.truncated);
+    let runtime = Runtime::new(2);
     let par = prepared
-        .count(ExecOptions::parallel_on(&Runtime::new(2)).cancel_with(dead))
+        .count(ExecOptions::parallel_on(&runtime).budget_with(cancelled()))
         .unwrap();
     assert!(par.per_focus.is_empty());
+    assert!(par.truncated);
+    let fragments = whole_graph_fragment(&graph);
+    let opts = ExecOptions::partitioned_on(&fragments, prepared.radius(), &runtime);
+    let part = prepared.count(opts.budget_with(cancelled())).unwrap();
+    assert!(part.per_focus.is_empty() && part.truncated);
 
     let full = prepared.count(ExecOptions::sequential()).unwrap();
     assert_eq!(full.matches().collect::<Vec<_>>(), spokes);

@@ -3,20 +3,22 @@
 //! * engine output ≡ the brute-force reference oracle, for every matcher
 //!   configuration × answering surface × executor thread count,
 //! * `limit(k)` yields a prefix of the unlimited answer while verifying
-//!   strictly fewer candidates (genuine early termination),
-//! * cancellation mid-run stops the execution without poisoning the
-//!   prepared query, the session cache, or the runtime.
+//!   strictly fewer candidates (genuine early termination), and `limit(0)`
+//!   decides nothing in any mode,
+//! * cancellation mid-run (through the budget's token) stops the execution
+//!   without poisoning the prepared query, the session cache, or the
+//!   runtime.
 
 use proptest::prelude::*;
 
-use qgp_core::engine::{CancelToken, Engine, ExecOptions};
+use qgp_core::engine::{BudgetStop, Engine, ExecBudget, ExecOptions};
 use qgp_core::matching::reference::evaluate_reference;
 use qgp_core::matching::MatchConfig;
 use qgp_graph::{Fragment, FragmentId, GraphBuilder, NodeId};
-use qgp_runtime::Runtime;
+use qgp_runtime::{CancelToken, Runtime};
 use qgp_testkit::{
-    all_configs, engine_match, graph_spec, pattern, surfaces, whole_graph_fragment, GraphSpec,
-    PATTERN_KINDS, RS,
+    all_configs, engine_match, graph_spec, limit_row, pattern, surfaces, whole_graph_fragment,
+    GraphSpec, PATTERN_KINDS, RS,
 };
 
 proptest! {
@@ -119,9 +121,26 @@ proptest! {
         }
     }
 
-    /// Cancellation stops executions early (partial answers, flagged as
-    /// cancelled) and leaves every component reusable: the same prepared
-    /// query and the same runtime produce the complete answer afterwards.
+    /// The `limit` row of the kit: `limit(k)` for k ∈ {0, 1, n} is the
+    /// reference's first `min(k, n)` foci sequentially, and some
+    /// `min(k, n)` of them in parallel and partitioned mode.
+    #[test]
+    fn limit_row_matches_the_reference(
+        gspec in graph_spec(4..12, RS),
+        kind in 0u8..PATTERN_KINDS,
+    ) {
+        let graph = gspec.build();
+        let pattern = pattern(kind);
+        let prepared = Engine::new(&graph).prepare(&pattern).unwrap();
+        let oracle = evaluate_reference(&graph, &pattern);
+        let checked = limit_row(&prepared, prepared.snapshot(), &Runtime::new(2), &oracle);
+        prop_assert!(checked.is_ok(), "kind {}: {:?}", kind, checked);
+    }
+
+    /// Cancellation through the budget's token stops executions early
+    /// (partial answers, flagged truncated) in every mode and leaves every
+    /// component reusable: the same prepared query and the same runtime
+    /// produce the complete answer afterwards.
     #[test]
     fn cancellation_leaves_no_poisoned_state(
         gspec in graph_spec(4..12, RS),
@@ -136,27 +155,34 @@ proptest! {
         // Pre-cancelled token: nothing is decided, in any mode.
         let dead = CancelToken::new();
         dead.cancel();
+        let cancelled = || ExecBudget::from(dead.clone());
         let seq = prepared
-            .execute(ExecOptions::sequential().cancel_with(dead.clone()))
+            .execute(ExecOptions::sequential().budget_with(cancelled()))
             .unwrap();
-        prop_assert!(seq.cancelled());
+        prop_assert!(seq.truncated());
         let seq = seq.into_answer();
         prop_assert!(seq.matches.is_empty());
         prop_assert_eq!(seq.stats.focus_candidates, 0);
         let runtime = Runtime::new(2);
         let par = prepared
-            .run(
-                ExecOptions::parallel_on(&runtime)
-                    .cancel_with(dead.clone()),
-            )
+            .run(ExecOptions::parallel_on(&runtime).budget_with(cancelled()))
             .unwrap();
         prop_assert!(par.matches.is_empty());
+        prop_assert!(par.truncated);
+        let fragments = whole_graph_fragment(&graph);
+        let partitioned = || ExecOptions::partitioned_on(&fragments, prepared.radius(), &runtime);
+        let part = prepared
+            .run(partitioned().budget_with(cancelled()))
+            .unwrap();
+        prop_assert!(part.matches.is_empty());
+        prop_assert!(part.truncated);
+        prop_assert_eq!(cancelled().stop_reason(), Some(BudgetStop::Cancelled));
 
         // Mid-stream cancellation: take one answer, cancel, and the stream
         // ends without deciding the rest.
         let token = CancelToken::new();
         let mut stream = prepared
-            .execute(ExecOptions::sequential().cancel_with(token.clone()))
+            .execute(ExecOptions::sequential().budget_with(ExecBudget::from(token.clone())))
             .unwrap();
         let first = stream.next();
         token.cancel();
@@ -173,6 +199,8 @@ proptest! {
         let again = prepared
             .run(ExecOptions::parallel_on(&runtime))
             .unwrap();
+        prop_assert_eq!(&again.matches, &full.matches);
+        let again = prepared.run(partitioned()).unwrap();
         prop_assert_eq!(&again.matches, &full.matches);
     }
 }
@@ -208,14 +236,62 @@ fn deadline_tokens_cancel_by_themselves() {
     let engine = Engine::new(&graph);
     let prepared = engine.prepare(&pattern(0)).unwrap();
     let expired = CancelToken::with_timeout(std::time::Duration::ZERO);
+    let budget = ExecBudget::from(expired);
     let m = prepared
-        .execute(ExecOptions::sequential().cancel_with(expired))
+        .execute(ExecOptions::sequential().budget_with(budget.clone()))
         .unwrap();
-    assert!(m.cancelled());
+    assert!(m.truncated());
     assert!(m.into_answer().matches.is_empty());
+    assert_eq!(budget.stop_reason(), Some(BudgetStop::DeadlineExpired));
+    // The same in parallel and partitioned mode.
+    let fragments = whole_graph_fragment(&graph);
+    for opts in [
+        ExecOptions::parallel_on(Runtime::global()),
+        ExecOptions::partitioned_on(&fragments, prepared.radius(), Runtime::global()),
+    ] {
+        let answer = prepared.run(opts.budget_with(budget.clone())).unwrap();
+        assert!(answer.truncated && answer.matches.is_empty());
+    }
     // And the prepared query still answers afterwards.
     let full = prepared.run(ExecOptions::sequential()).unwrap();
     assert_eq!(full.matches, vec![ann]);
+}
+
+/// `limit(0)` asks for no answer, so no mode decides a focus and a
+/// budget is charged nothing — enumerating or counting.
+#[test]
+fn limit_zero_decides_nothing_in_any_mode() {
+    let mut b = GraphBuilder::new();
+    let hub = b.add_node("B");
+    for _ in 0..100 {
+        let x = b.add_node("A");
+        b.add_edge(x, hub, "r").unwrap();
+    }
+    let graph = b.build();
+    let prepared = Engine::new(&graph).prepare(&pattern(0)).unwrap();
+    assert_eq!(prepared.run(ExecOptions::sequential()).unwrap().len(), 100);
+    let runtime = Runtime::new(2);
+    let fragments = whole_graph_fragment(&graph);
+    for opts in [
+        ExecOptions::sequential(),
+        ExecOptions::parallel_on(&runtime),
+        ExecOptions::partitioned_on(&fragments, prepared.radius(), &runtime),
+    ] {
+        let mode = opts.mode;
+        let budget = ExecBudget::unlimited();
+        let opts = opts.limit(0).budget_with(budget.clone());
+        let run = prepared.run(opts.clone()).unwrap();
+        let count = prepared.count(opts).unwrap();
+        for (stats, empty, truncated) in [
+            (run.stats, run.matches.is_empty(), run.truncated),
+            (count.stats, count.per_focus.is_empty(), count.truncated),
+        ] {
+            assert!(empty && !truncated, "{mode:?}");
+            assert_eq!(stats.focus_verified, 0, "{mode:?}");
+            assert_eq!(stats.verifications, 0, "{mode:?}");
+        }
+        assert_eq!(budget.decisions_used(), 0, "{mode:?}");
+    }
 }
 
 #[test]

@@ -5,10 +5,8 @@
 //!   injected faults — never an abort — and a fault-free retry on the very
 //!   same prepared query and runtime reproduces the fault-free answer
 //!   exactly,
-//! * an [`ExecBudget`] stops work at per-candidate granularity:
-//!   `BudgetPolicy::Partial` yields a prefix of the full answer flagged
-//!   [`QueryAnswer::truncated`], `BudgetPolicy::Fail` surfaces
-//!   [`MatchError::BudgetExceeded`],
+//! * an [`ExecBudget`] stops work at per-candidate granularity and yields
+//!   a prefix of the full answer flagged [`QueryAnswer::truncated`],
 //! * a [`QueryRegistry::serve`] batch under injected faults answers each
 //!   request exactly or with a typed error, and loses or corrupts no pooled
 //!   session: the next, fault-free batch answers every request exactly,
@@ -18,7 +16,6 @@
 //!
 //! [`ExecBudget`]: qgp_core::engine::ExecBudget
 //! [`QueryAnswer::truncated`]: qgp_core::matching::QueryAnswer
-//! [`MatchError::BudgetExceeded`]: qgp_core::MatchError
 //! [`MatchView`]: qgp_core::engine::MatchView
 //! [`QueryRegistry::serve`]: qgp_core::engine::QueryRegistry::serve
 
@@ -27,8 +24,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use qgp_core::engine::{
-    BudgetPolicy, CountMode, Engine, ExecBudget, ExecOptions, PreparedQuery, QueryRegistry,
-    ServeOutcome, ServeRequest, ViewError,
+    CountMode, Engine, ExecBudget, ExecOptions, PreparedQuery, QueryRegistry, ServeOutcome,
+    ServeRequest, ViewError,
 };
 use qgp_core::matching::reference::evaluate_reference;
 use qgp_core::matching::MatchConfig;
@@ -37,7 +34,9 @@ use qgp_core::MatchError;
 use qgp_graph::{EdgeOp, Graph, GraphBuilder, NodeId};
 use qgp_runtime::faults::{self, FaultPlan};
 use qgp_runtime::Runtime;
-use qgp_testkit::{graph_spec, pattern, plan_for_case, recompute, PATTERN_KINDS, RS};
+use qgp_testkit::{
+    graph_spec, pattern, plan_for_case, recompute, whole_graph_fragment, PATTERN_KINDS, RS,
+};
 
 /// Serving shares prepared queries and the registry across worker threads
 /// by reference, with no lock around either.
@@ -155,9 +154,8 @@ proptest! {
         }
     }
 
-    /// A decision-capped budget under `Partial` yields a prefix of the
-    /// fault-free sequential answer, flagged truncated iff it stopped
-    /// early.
+    /// A decision-capped budget yields a prefix of the fault-free
+    /// sequential answer, flagged truncated iff it stopped early.
     #[test]
     fn budget_partial_yields_a_flagged_prefix(
         gspec in graph_spec(4..12, RS),
@@ -192,21 +190,6 @@ proptest! {
             .unwrap();
         for v in &capped.matches {
             prop_assert!(full.matches.contains(v));
-        }
-
-        // `Fail` surfaces the typed error exactly when work was cut short.
-        let budget = ExecBudget::unlimited().max_decisions(cap);
-        match prepared.run(
-            ExecOptions::sequential()
-                .budget_with(budget)
-                .on_budget(BudgetPolicy::Fail),
-        ) {
-            Ok(answer) => {
-                prop_assert!(!answer.truncated);
-                prop_assert_eq!(&answer.matches, &full.matches);
-            }
-            Err(MatchError::BudgetExceeded) => {}
-            Err(other) => prop_assert!(false, "unexpected error: {other:?}"),
         }
     }
 
@@ -337,29 +320,24 @@ fn identical_requests_in_one_batch_both_answer_exactly() {
     }
 }
 
-/// A zero-duration deadline budget truncates immediately under `Partial`
-/// and fails under `Fail`, in sequential and parallel mode alike.
+/// A zero-duration deadline budget truncates immediately to an empty
+/// answer, in sequential, parallel and partitioned mode alike.
 #[test]
-fn expired_deadline_budget_truncates_or_fails() {
+fn expired_deadline_budget_truncates_in_every_mode() {
     let (graph, pattern) = star_graph(32);
     let prepared = Engine::new(&graph).prepare(&pattern).unwrap();
-
-    let expired = ExecBudget::with_timeout(std::time::Duration::ZERO);
-    let answer = prepared
-        .run(ExecOptions::sequential().budget_with(expired))
-        .unwrap();
-    assert!(answer.truncated);
-    assert!(answer.matches.is_empty());
-
-    let expired = ExecBudget::with_timeout(std::time::Duration::ZERO);
-    let err = prepared
-        .run(
-            ExecOptions::parallel_on(Runtime::global())
-                .budget_with(expired)
-                .on_budget(BudgetPolicy::Fail),
-        )
-        .unwrap_err();
-    assert!(matches!(err, MatchError::BudgetExceeded), "{err:?}");
+    let fragments = whole_graph_fragment(&graph);
+    for opts in [
+        ExecOptions::sequential(),
+        ExecOptions::parallel_on(Runtime::global()),
+        ExecOptions::partitioned_on(&fragments, prepared.radius(), Runtime::global()),
+    ] {
+        let mode = opts.mode;
+        let expired = ExecBudget::with_timeout(std::time::Duration::ZERO);
+        let answer = prepared.run(opts.budget_with(expired)).unwrap();
+        assert!(answer.truncated, "{mode:?}");
+        assert!(answer.matches.is_empty(), "{mode:?}");
+    }
 
     // The prepared query is unharmed.
     let full = prepared.run(ExecOptions::sequential()).unwrap();

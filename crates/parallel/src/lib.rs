@@ -62,7 +62,7 @@ pub mod pqmatch;
 
 pub use error::ParallelError;
 pub use partition::{dpar_with, DHopPartition, PartitionConfig, PartitionStats};
-pub use pqmatch::{pqmatch_on, ParallelAnswer, ParallelConfig};
+pub use pqmatch::{pqmatch_on, ParallelConfig};
 
 #[cfg(test)]
 #[path = "../../core/tests/common/mod.rs"]

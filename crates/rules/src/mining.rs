@@ -8,7 +8,7 @@
 //! substitutes a frequent-feature seed generator: the most frequent
 //! (edge label, target label) pairs out of focus-labelled nodes.
 
-use std::{cmp::Reverse, time::Duration};
+use std::cmp::Reverse;
 
 use qgp_core::engine::{Engine, ExecOptions};
 use qgp_core::matching::{MatchConfig, MatchStats};
@@ -87,8 +87,7 @@ pub struct MinedRule {
     pub strengthened_to: Option<f64>,
 }
 
-/// Work and scheduling telemetry of one mining run (see
-/// [`mine_qgars_with_report`]).
+/// Work counters of one mining run (see [`mine_qgars_with_report`]).
 #[derive(Debug, Clone, Default)]
 pub struct MiningReport {
     /// Number of (antecedent, consequent) seed pairs explored.
@@ -96,16 +95,11 @@ pub struct MiningReport {
     /// Engine executions the run made: one count per seed feature, whatever
     /// the number of pairs and ladder rungs.
     pub engine_runs: usize,
-    /// Busy time of each executor thread that participated; the maximum is
-    /// the critical path of the run.
-    pub worker_busy: Vec<Duration>,
-    /// Seed-count steals the executor performed.
-    pub steals: usize,
 }
 
 /// Mines QGARs from a graph (the Exp-3 procedure) on `runtime`, returning
-/// the rules with the run's work and scheduling telemetry (what the
-/// `mine_rules` benchmark workload records).
+/// the rules with the run's work counters (what the `mine_rules` benchmark
+/// workload records).
 ///
 /// 1. Frequent focus-incident edge features `x_o -e-> y` become candidate
 ///    antecedent and consequent building blocks (the "GPAR seeds").
@@ -152,8 +146,6 @@ pub fn mine_qgars_with_report(
     let report = MiningReport {
         pairs_explored: seeds.len() * seeds.len().saturating_sub(1),
         engine_runs: seeds.len(),
-        worker_busy: outcome.worker_busy,
-        steals: outcome.steals,
     };
 
     // Highest-confidence rules first, ties broken by support; the sort is
@@ -464,7 +456,6 @@ mod tests {
                 assert_eq!(a.strengthened_to, b.strengthened_to);
             }
             assert!(report.pairs_explored > 0);
-            assert!(!report.worker_busy.is_empty());
         }
     }
 

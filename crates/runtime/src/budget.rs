@@ -150,8 +150,8 @@ impl ExecBudget {
 }
 
 impl From<CancelToken> for ExecBudget {
-    /// Wraps an existing token as an unlimited budget sharing its flag —
-    /// the migration path for pre-budget `cancel_with` callers.
+    /// Wraps an existing token as an unlimited budget sharing its flag: how
+    /// a caller stops an execution explicitly, or by the token's deadline.
     fn from(token: CancelToken) -> Self {
         ExecBudget {
             token,

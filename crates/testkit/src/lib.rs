@@ -10,6 +10,7 @@
 //! * [`pattern`] — the fixed family of [`PATTERN_KINDS`] patterns,
 //! * [`stream`] — seeded edge-update streams,
 //! * [`surfaces`] and [`surface_table`] — every way of asking for `Q(x_o, G)`,
+//!   and [`limit_row`] — `limit(k)` in every mode against the oracle,
 //! * the edge-set mirror ([`edge_set`], [`mirror`]) with its from-scratch
 //!   [`rebuild`], and [`recompute`], [`all_configs`],
 //!   [`whole_graph_fragment`], [`plan_for_case`], [`engine_match`], [`run`].
@@ -287,18 +288,25 @@ enum Ask {
     CountExact,
 }
 
+/// The options of one execution of `q` in `mode`; a partitioned one runs
+/// on `fragments` at the pattern's radius.
+fn mode_options<'a>(
+    mode: Mode,
+    q: &PreparedQuery,
+    fragments: &'a [Fragment],
+    runtime: &'a Runtime,
+) -> ExecOptions<'a> {
+    match mode {
+        Mode::Sequential => ExecOptions::sequential(),
+        Mode::Parallel => ExecOptions::parallel_on(runtime),
+        Mode::Partitioned => ExecOptions::partitioned_on(fragments, q.radius(), runtime),
+    }
+}
+
 fn row(mode: Mode, ask: Ask, config: MatchConfig) -> Surface {
     let answer = move |q: &PreparedQuery, snapshot: &Arc<GraphSnapshot>, runtime: &Runtime| {
-        let fragments;
-        let opts = match mode {
-            Mode::Sequential => ExecOptions::sequential(),
-            Mode::Parallel => ExecOptions::parallel_on(runtime),
-            Mode::Partitioned => {
-                fragments = whole_graph_fragment(snapshot.graph());
-                ExecOptions::partitioned_on(&fragments, q.radius(), runtime)
-            }
-        }
-        .with_config(config);
+        let fragments = whole_graph_fragment(snapshot.graph());
+        let opts = mode_options(mode, q, &fragments, runtime).with_config(config);
         let opts = match ask {
             Ask::Enumerate => return q.run_on(snapshot, opts).map(|a| a.matches),
             Ask::CountThreshold => opts.count_only(),
@@ -356,4 +364,41 @@ pub fn surface_table() -> Vec<Surface> {
         serve(config),
     ];
     sequential.into_iter().chain(rest).collect()
+}
+
+/// The `limit` row: `limit(k)` for each `k` in `{0, 1, n}`, `n` the
+/// oracle's size, in every mode.  Sequentially the answer is the oracle's
+/// first `min(k, n)` foci; parallel and partitioned it is some `min(k, n)`
+/// of them, ascending.  Returns the first divergence.
+pub fn limit_row(
+    q: &PreparedQuery,
+    snapshot: &Arc<GraphSnapshot>,
+    runtime: &Runtime,
+    oracle: &[NodeId],
+) -> Result<(), String> {
+    let n = oracle.len();
+    let fragments = whole_graph_fragment(snapshot.graph());
+    let ks = BTreeSet::from([0, 1, n]);
+    for mode in [Mode::Sequential, Mode::Parallel, Mode::Partitioned] {
+        for &k in &ks {
+            let opts = mode_options(mode, q, &fragments, runtime).limit(k);
+            let got = q.run_on(snapshot, opts).map_err(|e| e.to_string())?;
+            let prefix = &oracle[..k.min(n)];
+            let holds = match mode {
+                Mode::Sequential => got.matches == prefix,
+                _ => {
+                    got.matches.len() == prefix.len()
+                        && got.matches.windows(2).all(|w| w[0] < w[1])
+                        && got.matches.iter().all(|v| oracle.binary_search(v).is_ok())
+                }
+            };
+            if !holds || got.truncated {
+                return Err(format!(
+                    "{mode:?} limit({k}): {:?} (truncated {}), oracle {oracle:?}",
+                    got.matches, got.truncated
+                ));
+            }
+        }
+    }
+    Ok(())
 }

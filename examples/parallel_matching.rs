@@ -45,29 +45,28 @@ fn main() {
         let partition_time = start.elapsed();
 
         let start = Instant::now();
-        let matches = prepared
-            .execute(ExecOptions::partitioned_on(
+        let answer = prepared
+            .run(ExecOptions::partitioned_on(
                 partition.fragments(),
                 partition.d(),
                 &two_threads,
             ))
             .expect("pattern radius fits the partition");
-        let telemetry = matches.telemetry().cloned().expect("partitioned telemetry");
-        let answer = matches.into_answer();
         let match_time = start.elapsed();
 
         assert_eq!(answer.matches, sequential.matches);
+        // The balance is the partition's own, clock-free: nodes per
+        // fragment (replicated neighborhoods included) and their skew.
+        let balance = partition.stats();
         println!(
-            "n = {n}: partition {:>7.1} ms (skew {:.2})   PQMatch {:>7.1} ms   {} matches   worker times (ms): {:?}",
+            "n = {n}: partition {:>7.1} ms (skew {:.2}, nodes per fragment {:?})   PQMatch {:>7.1} ms   {} matches   {} foci verified   {} sessions built",
             partition_time.as_secs_f64() * 1e3,
-            partition.stats().skew,
+            balance.skew,
+            balance.fragment_node_counts,
             match_time.as_secs_f64() * 1e3,
             answer.matches.len(),
-            telemetry
-                .worker_times
-                .iter()
-                .map(|d| (d.as_secs_f64() * 1e3).round() as u64)
-                .collect::<Vec<_>>()
+            answer.stats.focus_verified,
+            answer.stats.sessions_built
         );
     }
 

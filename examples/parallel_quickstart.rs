@@ -52,21 +52,20 @@ fn main() {
         .prepare(&library::q3_redmi_negation(2))
         .expect("library patterns validate");
     let t = Instant::now();
-    let matches = prepared
-        .execute(ExecOptions::partitioned_on(
+    let answer = prepared
+        .run(ExecOptions::partitioned_on(
             partition.fragments(),
             partition.d(),
             &runtime,
         ))
         .expect("pattern radius fits the partition");
-    let telemetry = matches.telemetry().cloned().expect("partitioned telemetry");
-    let stats = matches.stats();
-    let answer = matches.into_answer();
+    let stats = answer.stats;
     println!(
-        "PQMatch Q3(p=2): {} matches in {:.1} ms ({} range steals, {} sessions built)",
+        "PQMatch Q3(p=2): {} matches in {:.1} ms ({} foci verified, {} verifications, {} sessions built)",
         answer.matches.len(),
         t.elapsed().as_secs_f64() * 1e3,
-        telemetry.steals,
+        stats.focus_verified,
+        stats.verifications,
         stats.sessions_built
     );
     // The same prepared query executes sequentially (the engine guarantees
@@ -99,19 +98,12 @@ fn main() {
     let t = Instant::now();
     let (rules, report) =
         mine_qgars_with_report(&graph, &config, &runtime).expect("mining succeeds");
-    let busy: f64 = report.worker_busy.iter().map(|d| d.as_secs_f64()).sum();
-    let critical = report
-        .worker_busy
-        .iter()
-        .map(|d| d.as_secs_f64())
-        .fold(0.0, f64::max);
     println!(
-        "mined {} QGARs from {} seed pairs in {:.1} ms (busy {:.1} ms, critical path {:.1} ms)",
+        "mined {} QGARs from {} seed pairs in {:.1} ms ({} engine runs, one per seed feature)",
         rules.len(),
         report.pairs_explored,
         t.elapsed().as_secs_f64() * 1e3,
-        busy * 1e3,
-        critical * 1e3
+        report.engine_runs
     );
     for rule in &rules {
         println!(

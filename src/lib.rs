@@ -114,9 +114,9 @@ pub use qgp_runtime as runtime;
 // The one execution surface, flattened to the root so the quickstart needs
 // a single `use` line.
 pub use qgp_core::engine::{
-    BudgetPolicy, BudgetStop, CacheStats, CancelToken, CountAnswer, CountMode, Engine, ExecBudget,
-    ExecMode, ExecOptions, FocusCount, Matches, MatchView, ParallelTelemetry, PreparedQuery,
-    QueryId, QueryRegistry, ServeOutcome, ServeRequest, TaskError, ViewDelta, ViewError,
+    BudgetStop, CacheStats, CountAnswer, CountMode, Engine, ExecBudget, ExecMode, ExecOptions,
+    FocusCount, Matches, MatchView, PreparedQuery, QueryId, QueryRegistry, ServeOutcome,
+    ServeRequest, TaskError, ViewDelta, ViewError,
 };
 pub use qgp_core::matching::{MatchConfig, MatchStats, QueryAnswer};
 pub use qgp_core::pattern::{CountingQuantifier, Pattern, PatternBuilder};

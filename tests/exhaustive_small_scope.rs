@@ -13,14 +13,14 @@
 //! `advance` on even steps and by `apply` of the same op on odd steps.  After
 //! every step the view must equal `evaluate_reference`, memoised per
 //! (kind, edge set).  On an edge set's first visit every row of the surface
-//! table must equal the memo too.
+//! table must equal the memo too, and so must the `limit` row.
 //!
 //! Under `--cfg qgp_mutate` the view repair drops its ratio seeds, and the
 //! walk must find a divergence.
 
 use std::thread;
 
-use qgp_testkit::{pattern, surface_table, PATTERN_KINDS};
+use qgp_testkit::{limit_row, pattern, surface_table, PATTERN_KINDS};
 use quantified_graph_patterns::core::matching::reference::evaluate_reference;
 use quantified_graph_patterns::graph::LabelSet;
 use quantified_graph_patterns::{EdgeOp, Engine, Graph, GraphBuilder, GraphStore, NodeId, Runtime};
@@ -117,6 +117,9 @@ fn walk(kind: u8, circuit: &[usize]) -> Option<String> {
                     "kind {kind}, edge set {set:#05x}: {}",
                     surface.name
                 );
+            }
+            if let Err(e) = limit_row(&prepared, &head, &runtime, &oracle) {
+                panic!("kind {kind}, edge set {set:#05x}: {e}");
             }
             oracle
         });
