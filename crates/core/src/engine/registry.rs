@@ -10,11 +10,11 @@
 //! work-stealing runtime, one task per request, and each task is a plain
 //! [`PreparedQuery::run_on`] of its query against the batch's snapshot,
 //! honoring its own [`ServeRequest::limit`] and [`ExecBudget`].  Nothing is
-//! locked while a request runs: each checks a
-//! matcher session out of its query's pool — building it on the first
-//! request of an epoch — so two requests naming the *same* query run side
-//! by side, each on a session of its own.  [`QueryRegistry::cache_stats`]
-//! counts how often a request found its session pooled.
+//! locked while a request runs: each checks a matcher session out of its
+//! query's pool — building it on the first request of an epoch — so two
+//! requests naming the *same* query run side by side, each on a session of
+//! its own.  [`QueryRegistry::cache_stats`] counts how often a request
+//! found its session pooled.
 //!
 //! The registry never blocks writers: it executes against the snapshot it
 //! is handed, and a [`qgp_graph::GraphStore`] writer publishing new epochs

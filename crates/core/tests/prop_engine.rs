@@ -82,7 +82,8 @@ proptest! {
     /// `limit(k)` yields exactly the k smallest members of the full answer
     /// (a prefix), verifying strictly fewer candidates whenever it stops
     /// early; in parallel mode it yields exactly min(k, |answer|) members
-    /// of the answer.
+    /// of the answer.  Then the kit's `limit` row: k ∈ {0, 1, n} in every
+    /// mode against the reference.
     #[test]
     fn limit_yields_prefix_with_strictly_less_work(
         gspec in graph_spec(4..12, RS),
@@ -112,29 +113,18 @@ proptest! {
         }
 
         // Parallel limit: exactly min(k, |answer|) members of the answer.
+        let runtime = Runtime::new(2);
         let par = prepared
-            .run(ExecOptions::parallel_on(&Runtime::new(2)).limit(k))
+            .run(ExecOptions::parallel_on(&runtime).limit(k))
             .unwrap();
         prop_assert_eq!(par.matches.len(), full.matches.len().min(k));
         for v in &par.matches {
             prop_assert!(full.matches.contains(v));
         }
-    }
 
-    /// The `limit` row of the kit: `limit(k)` for k ∈ {0, 1, n} is the
-    /// reference's first `min(k, n)` foci sequentially, and some
-    /// `min(k, n)` of them in parallel and partitioned mode.
-    #[test]
-    fn limit_row_matches_the_reference(
-        gspec in graph_spec(4..12, RS),
-        kind in 0u8..PATTERN_KINDS,
-    ) {
-        let graph = gspec.build();
-        let pattern = pattern(kind);
-        let prepared = Engine::new(&graph).prepare(&pattern).unwrap();
         let oracle = evaluate_reference(&graph, &pattern);
-        let checked = limit_row(&prepared, prepared.snapshot(), &Runtime::new(2), &oracle);
-        prop_assert!(checked.is_ok(), "kind {}: {:?}", kind, checked);
+        let row = limit_row(&prepared, prepared.snapshot(), &runtime, &oracle);
+        prop_assert!(row.is_ok(), "kind {}: {:?}", kind, row);
     }
 
     /// Cancellation through the budget's token stops executions early

@@ -305,7 +305,10 @@ fn mode_options<'a>(
 
 fn row(mode: Mode, ask: Ask, config: MatchConfig) -> Surface {
     let answer = move |q: &PreparedQuery, snapshot: &Arc<GraphSnapshot>, runtime: &Runtime| {
-        let fragments = whole_graph_fragment(snapshot.graph());
+        let fragments = match mode {
+            Mode::Partitioned => whole_graph_fragment(snapshot.graph()),
+            _ => Vec::new(),
+        };
         let opts = mode_options(mode, q, &fragments, runtime).with_config(config);
         let opts = match ask {
             Ask::Enumerate => return q.run_on(snapshot, opts).map(|a| a.matches),
