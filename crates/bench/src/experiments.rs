@@ -108,7 +108,13 @@ fn pattern_or_fallback(graph: &Graph, dataset: Option<Dataset>, size: PatternSiz
 pub fn exp1_qmatch(scale: &ExperimentScale) -> Table {
     let mut table = Table::new(
         "Fig. 8(a) — sequential quantified matching, |Q|=(5,7,30%,1)",
-        &["dataset", "Enum (s)", "QMatchn (s)", "QMatch (s)", "matches"],
+        &[
+            "dataset",
+            "Enum (s)",
+            "QMatchn (s)",
+            "QMatch (s)",
+            "matches",
+        ],
     );
 
     let yago = yago_graph(scale);
@@ -157,7 +163,14 @@ pub fn exp1_qmatch(scale: &ExperimentScale) -> Table {
 fn parallel_table(title: impl Into<String>, first_column: &str) -> Table {
     Table::new(
         title,
-        &[first_column, "PEnum (s)", "PQMatchs (s)", "PQMatchn (s)", "PQMatch (s)", "matches"],
+        &[
+            first_column,
+            "PEnum (s)",
+            "PQMatchs (s)",
+            "PQMatchn (s)",
+            "PQMatch (s)",
+            "matches",
+        ],
     )
 }
 

@@ -23,14 +23,22 @@ use std::env;
 use std::process::ExitCode;
 
 use qgp_bench::experiments::{
-    exp1_qmatch, exp2_dpar, exp2_vary_graph_size, exp2_vary_n, exp2_vary_negated,
-    exp2_vary_q, exp2_vary_ratio, exp3_qgar,
+    exp1_qmatch, exp2_dpar, exp2_vary_graph_size, exp2_vary_n, exp2_vary_negated, exp2_vary_q,
+    exp2_vary_ratio, exp3_qgar,
 };
 use qgp_bench::{Dataset, ExperimentScale, Table};
 
 /// The experiment names the command line accepts.
 const EXPERIMENTS: [&str; 9] = [
-    "exp1", "exp2-n", "exp2-dpar", "exp2-q", "exp2-neg", "exp2-p", "exp2-g", "exp3", "all",
+    "exp1",
+    "exp2-n",
+    "exp2-dpar",
+    "exp2-q",
+    "exp2-neg",
+    "exp2-p",
+    "exp2-g",
+    "exp3",
+    "all",
 ];
 
 /// A parsed command line.
@@ -108,11 +116,7 @@ fn main() -> ExitCode {
     let scale = ExperimentScale::scaled(args.scale);
     println!(
         "# experiment `{}` at scale {} (pokec {} persons, yago {} persons, synthetic {} nodes)\n",
-        args.experiment,
-        args.scale,
-        scale.pokec_persons,
-        scale.yago_persons,
-        scale.synthetic_nodes
+        args.experiment, args.scale, scale.pokec_persons, scale.yago_persons, scale.synthetic_nodes
     );
 
     let wanted = |name: &str| args.experiment == name || args.experiment == "all";
@@ -195,15 +199,22 @@ mod tests {
 
     #[test]
     fn unknown_and_surplus_experiments_are_errors() {
-        assert!(parse("exp4").unwrap_err().contains("unknown experiment `exp4`"));
+        assert!(parse("exp4")
+            .unwrap_err()
+            .contains("unknown experiment `exp4`"));
         assert!(parse("--help").is_err());
-        assert!(parse("exp1 exp3").unwrap_err().contains("unexpected argument exp3"));
+        assert!(parse("exp1 exp3")
+            .unwrap_err()
+            .contains("unexpected argument exp3"));
     }
 
     #[test]
     fn the_removed_bench_subcommand_points_at_the_benchmark() {
         for line in ["bench", "bench exp1", "--scale 0.1 bench"] {
-            assert!(parse(line).unwrap_err().contains("benchmark/run.sh"), "{line}");
+            assert!(
+                parse(line).unwrap_err().contains("benchmark/run.sh"),
+                "{line}"
+            );
         }
     }
 }

@@ -69,7 +69,11 @@ impl fmt::Display for Table {
                 .join("  ")
         };
         writeln!(f, "{}", fmt_row(&self.headers))?;
-        writeln!(f, "{}", "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len()))?;
+        writeln!(
+            f,
+            "{}",
+            "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len())
+        )?;
         for row in &self.rows {
             writeln!(f, "{}", fmt_row(row))?;
         }

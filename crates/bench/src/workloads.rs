@@ -160,7 +160,10 @@ mod tests {
         assert_eq!(Dataset::PokecLike.name(), "pokec-like");
         assert_eq!(Dataset::YagoLike.name(), "yago2-like");
         let s = ExperimentScale::scaled(2.0);
-        assert_eq!(s.pokec_persons, 2 * ExperimentScale::default().pokec_persons);
+        assert_eq!(
+            s.pokec_persons,
+            2 * ExperimentScale::default().pokec_persons
+        );
         let tiny = ExperimentScale::scaled(0.0);
         assert!(tiny.pokec_persons > 0);
     }

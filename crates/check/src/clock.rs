@@ -53,10 +53,7 @@ impl VClock {
     /// Is `self` pointwise ≤ `other` (i.e. does `self` happen-before or
     /// equal `other`)?
     pub fn leq(&self, other: &VClock) -> bool {
-        self.0
-            .iter()
-            .enumerate()
-            .all(|(i, &v)| v <= other.get(i))
+        self.0.iter().enumerate().all(|(i, &v)| v <= other.get(i))
     }
 
     /// Resets to the zero clock without releasing the allocation.

@@ -247,11 +247,7 @@ fn next_prefix(trace: &[Branch]) -> Option<Vec<usize>> {
 
 /// Runs `body` once under `picker`, returning the recorded failure (if any)
 /// and the branch trace for DFS advancement.
-fn run_once(
-    picker: Picker,
-    max_steps: u64,
-    body: &impl Fn(),
-) -> (Option<Failure>, Vec<Branch>) {
+fn run_once(picker: Picker, max_steps: u64, body: &impl Fn()) -> (Option<Failure>, Vec<Branch>) {
     {
         let mut st = sched::lock_state();
         assert!(

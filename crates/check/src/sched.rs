@@ -457,10 +457,7 @@ pub(crate) fn with_op<R>(f: impl FnOnce(&mut State, usize) -> R) -> Option<R> {
             drop(st);
             abort_panic();
         }
-        st = ex
-            .cv
-            .wait(st)
-            .unwrap_or_else(PoisonError::into_inner);
+        st = ex.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
     }
     if st.aborting {
         drop(st);
@@ -572,10 +569,7 @@ pub(crate) fn final_op(tid: usize) {
         // Take the baton like a normal operation so the finish event has a
         // deterministic place in the schedule.
         while st.current != tid && !st.aborting {
-            st = ex
-                .cv
-                .wait(st)
-                .unwrap_or_else(PoisonError::into_inner);
+            st = ex.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
     }
     st.steps += 1;

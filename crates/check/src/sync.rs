@@ -394,8 +394,14 @@ mod tests {
         let a = AtomicU64::new(7);
         assert_eq!(a.fetch_add(5, Ordering::AcqRel), 7);
         assert_eq!(a.load(Ordering::Acquire), 12);
-        assert_eq!(a.compare_exchange(12, 1, Ordering::AcqRel, Ordering::Acquire), Ok(12));
-        assert_eq!(a.compare_exchange(12, 9, Ordering::AcqRel, Ordering::Acquire), Err(1));
+        assert_eq!(
+            a.compare_exchange(12, 1, Ordering::AcqRel, Ordering::Acquire),
+            Ok(12)
+        );
+        assert_eq!(
+            a.compare_exchange(12, 9, Ordering::AcqRel, Ordering::Acquire),
+            Err(1)
+        );
         let b = AtomicBool::new(false);
         assert!(!b.swap(true, Ordering::AcqRel));
         assert!(b.load(Ordering::Acquire));

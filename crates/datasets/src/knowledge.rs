@@ -69,11 +69,15 @@ pub fn yago_like(config: &KnowledgeConfig) -> Graph {
     let prof = b.add_node("prof");
     let phd = b.add_node("PhD");
     let countries: Vec<NodeId> = COUNTRIES.iter().map(|c| b.add_node(c)).collect();
-    let universities: Vec<NodeId> = (0..(n / 40).max(2)).map(|_| b.add_node("university")).collect();
+    let universities: Vec<NodeId> = (0..(n / 40).max(2))
+        .map(|_| b.add_node("university"))
+        .collect();
     let cities: Vec<NodeId> = (0..(n / 60).max(2)).map(|_| b.add_node("city")).collect();
     let prizes: Vec<NodeId> = (0..12).map(|_| b.add_node("prize")).collect();
     let fields: Vec<NodeId> = (0..15).map(|_| b.add_node("field")).collect();
-    let orgs: Vec<NodeId> = (0..(n / 100).max(2)).map(|_| b.add_node("organization")).collect();
+    let orgs: Vec<NodeId> = (0..(n / 100).max(2))
+        .map(|_| b.add_node("organization"))
+        .collect();
     let books: Vec<NodeId> = (0..(n / 10).max(2)).map(|_| b.add_node("book")).collect();
 
     // City / university placement.
@@ -211,10 +215,7 @@ mod tests {
     fn professors_advise_students() {
         let g = yago_like(&KnowledgeConfig::with_persons(400));
         let advisor = g.labels().edge_label("advisor").unwrap();
-        let total_advised: usize = g
-            .nodes()
-            .map(|v| g.out_degree_with_label(v, advisor))
-            .sum();
+        let total_advised: usize = g.nodes().map(|v| g.out_degree_with_label(v, advisor)).sum();
         assert!(total_advised > 50);
     }
 }

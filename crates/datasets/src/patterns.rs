@@ -170,7 +170,10 @@ pub fn generate_pattern(graph: &Graph, config: &PatternGenConfig) -> Option<Patt
         }
         // The first branch prefers person→person style features.
         if edges_added == 0 {
-            if let Some(pos) = candidates.iter().position(|(_, _, dst, _)| *dst == from_label) {
+            if let Some(pos) = candidates
+                .iter()
+                .position(|(_, _, dst, _)| *dst == from_label)
+            {
                 let preferred = candidates.remove(pos);
                 candidates.insert(0, preferred);
             }
@@ -295,9 +298,11 @@ pub fn generate_pattern(graph: &Graph, config: &PatternGenConfig) -> Option<Patt
         // feature (features are sorted by descending frequency, so take the
         // last): a rare condition such as "… who gave the product a bad
         // rating" removes few matches, exactly like Q3's negated branch.
-        if let Some(cont) = features.iter().rev().find(|(src, _, dst, _)| {
-            *src == pick.2 && *dst != focus_label && label_supply(dst) > 0
-        }) {
+        if let Some(cont) = features
+            .iter()
+            .rev()
+            .find(|(src, _, dst, _)| *src == pick.2 && *dst != focus_label && label_supply(dst) > 0)
+        {
             let tail = b.node(&cont.2);
             b.edge(leaf, tail, &cont.1);
         }

@@ -564,16 +564,17 @@ mod tests {
     #[test]
     fn raw_atomic_import_is_flagged_outside_the_facade() {
         assert_eq!(
-            scan("crates/core/src/x.rs", "use std::sync::atomic::AtomicU64;\n"),
+            scan(
+                "crates/core/src/x.rs",
+                "use std::sync::atomic::AtomicU64;\n"
+            ),
             vec!["thread-raw"]
         );
-        assert!(
-            scan(
-                "crates/runtime/src/sync.rs",
-                "use std::sync::atomic::AtomicU64;\n"
-            )
-            .is_empty()
-        );
+        assert!(scan(
+            "crates/runtime/src/sync.rs",
+            "use std::sync::atomic::AtomicU64;\n"
+        )
+        .is_empty());
     }
 
     #[test]

@@ -54,7 +54,10 @@ fn main() {
     );
 
     let customers = identify_entities(&graph, &r1, 0.5, &MatchConfig::qmatch()).unwrap();
-    println!("  potential customers identified at η = 0.5: {}", customers.len());
+    println!(
+        "  potential customers identified at η = 0.5: {}",
+        customers.len()
+    );
 
     // ---- Automatic QGAR mining (Exp-3) -----------------------------------
     let config = MiningConfig {

@@ -76,9 +76,7 @@ fn main() {
 
     // Top-10 serving: limit(10) stops verifying once 10 answers are found.
     let t = Instant::now();
-    let top10 = prepared
-        .run(ExecOptions::sequential().limit(10))
-        .unwrap();
+    let top10 = prepared.run(ExecOptions::sequential().limit(10)).unwrap();
     println!(
         "  first 10 answers in {:.2} ms ({} candidates verified instead of {})\n",
         t.elapsed().as_secs_f64() * 1e3,

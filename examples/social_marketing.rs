@@ -72,5 +72,8 @@ fn main() {
         .run(ExecOptions::sequential().with_config(MatchConfig::enumerate()))
         .unwrap();
     assert_eq!(a.matches, b.matches);
-    println!("\nall algorithms agree on the answer set ({} matches for Q3)", a.len());
+    println!(
+        "\nall algorithms agree on the answer set ({} matches for Q3)",
+        a.len()
+    );
 }

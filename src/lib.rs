@@ -115,7 +115,7 @@ pub use qgp_runtime as runtime;
 // a single `use` line.
 pub use qgp_core::engine::{
     BudgetStop, CacheStats, CountAnswer, CountMode, Engine, ExecBudget, ExecMode, ExecOptions,
-    FocusCount, Matches, MatchView, PreparedQuery, QueryId, QueryRegistry, ServeOutcome,
+    FocusCount, MatchView, Matches, PreparedQuery, QueryId, QueryRegistry, ServeOutcome,
     ServeRequest, TaskError, ViewDelta, ViewError,
 };
 pub use qgp_core::matching::{MatchConfig, MatchStats, QueryAnswer};
