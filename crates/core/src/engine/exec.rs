@@ -7,9 +7,9 @@
 //! work-stealing runtime before `execute` returns.
 
 use qgp_runtime::sync::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
-use qgp_graph::{Fragment, GraphSnapshot, NodeId};
+use qgp_graph::{DenseBitSet, Fragment, GraphSnapshot, NodeId};
 use qgp_runtime::{CancelToken, ExecBudget};
 
 use super::count::{CountAnswer, FocusCount};
@@ -283,10 +283,35 @@ fn normalized(restrict: &[NodeId]) -> Vec<NodeId> {
     v
 }
 
+/// A matcher session a worker decides on: the one the coordinator checked
+/// out of the query's pool or built for a fragment, or one the worker built
+/// itself.
+enum SiteSession {
+    Leased(Lease),
+    Built(Box<SessionCore>),
+}
+
+impl SiteSession {
+    fn core(&mut self) -> &mut SessionCore {
+        match self {
+            SiteSession::Leased(lease) => lease.core(),
+            SiteSession::Built(core) => core,
+        }
+    }
+
+    /// The work done on this session for this execution.
+    fn stats(&self) -> MatchStats {
+        match self {
+            SiteSession::Leased(lease) => lease.stats(),
+            SiteSession::Built(core) => core.stats(),
+        }
+    }
+}
+
 /// Per-executor-thread scratch: one matcher session per site (all sharing
 /// the compiled pattern) and the foci this thread accepted.
 struct SiteScratch {
-    sessions: Vec<Option<SessionCore>>,
+    sessions: Vec<Option<SiteSession>>,
     accepted: Vec<FocusCount>,
 }
 
@@ -299,6 +324,7 @@ pub(super) fn execute(
     let ctl = ExecControl::new(opts.limit, opts.budget.clone());
     let config = opts.config;
     let count = opts.count;
+    let compiled = pq.compiled();
     let mut matches = Matches {
         accepted: Vec::new(),
         yielded: 0,
@@ -308,11 +334,14 @@ pub(super) fn execute(
         },
     };
 
-    // The task list: (site, focus in the site's node ids).  The sites are
-    // the fragments of a partition, or — `fragments` empty — the snapshot's
-    // whole graph as the one site 0.
-    let mut planning = MatchStats::default();
+    // The task list: (site, focus candidate in the site's node ids).  The
+    // sites are the fragments of a partition, or — `fragments` empty — the
+    // snapshot's whole graph as the one site 0.  `handoff[s]` holds the
+    // session the coordinator built or checked out to plan site `s`; the
+    // first worker deciding on the site takes it, so it is never built
+    // twice.
     let mut tasks: Vec<(u32, NodeId)> = Vec::new();
+    let mut handoff: Vec<Option<SiteSession>> = Vec::new();
     let (fragments, runtime): (&[Fragment], _) = match opts.mode {
         // Partitioned execution matches inside the fragments' own graphs;
         // the snapshot only pins the candidate universe via the fragments.
@@ -331,29 +360,42 @@ pub(super) fn execute(
                     partition_d: d,
                 });
             }
-            // Fragment-major, so a worker's initial contiguous range mostly
-            // stays within one fragment (one session) and cross-fragment
-            // sessions only appear when work is stolen.  A node covered by
-            // several fragments (legal for hand-built fragments; DPar
-            // coverage is disjoint) is scheduled exactly once — otherwise
-            // each duplicate accept would consume a `limit` slot that dedup
-            // later takes back, shorting the answer below min(k, |answer|).
+            // A fragment's tasks are its covered nodes, within the
+            // restriction, that its session keeps as focus candidates;
+            // fragment-major, so a worker's initial contiguous range mostly
+            // stays within one fragment.  A node covered by several
+            // fragments (legal for hand-built fragments; DPar coverage is
+            // disjoint) is scheduled exactly once — otherwise each duplicate
+            // accept would consume a `limit` slot that dedup later takes
+            // back, shorting the answer below min(k, |answer|).  A limit of
+            // 0 plans nothing, and a fragment without a node to decide
+            // builds no session.
             let restrict = opts.restrict.map(normalized);
-            let mut seen = std::collections::HashSet::new();
+            let universe = fragments
+                .iter()
+                .flat_map(Fragment::covered_nodes)
+                .map(|v| v.index() + 1)
+                .max()
+                .unwrap_or(0);
+            let mut scheduled = DenseBitSet::new(universe);
             for (f, fragment) in fragments.iter().enumerate() {
-                for global in fragment.covered_nodes() {
-                    if restrict
-                        .as_ref()
-                        .is_some_and(|r| r.binary_search(&global).is_err())
-                    {
-                        continue;
-                    }
+                let covered: Vec<NodeId> = fragment
+                    .covered_nodes()
+                    .filter(|v| restrict.as_ref().is_none_or(|r| r.binary_search(v).is_ok()))
+                    .collect();
+                if covered.is_empty() || opts.limit == Some(0) {
+                    handoff.push(None);
+                    continue;
+                }
+                let core = SessionCore::new(fragment.graph(), Arc::clone(compiled), &config);
+                for global in covered {
                     if let Some(local) = fragment.to_local(global) {
-                        if seen.insert(global) {
+                        if core.is_focus_candidate(local) && scheduled.insert(global.index()) {
                             tasks.push((f as u32, local));
                         }
                     }
                 }
+                handoff.push(Some(SiteSession::Built(Box::new(core))));
             }
             (fragments, runtime)
         }
@@ -385,8 +427,8 @@ pub(super) fn execute(
                 };
                 return Ok(matches);
             };
-            planning = lease.stats();
             tasks.extend(candidates.into_iter().map(|v| (0, v)));
+            handoff.push(Some(SiteSession::Leased(lease)));
             (&[], runtime)
         }
     };
@@ -399,24 +441,15 @@ pub(super) fn execute(
         Some(fragment) => (fragment.graph(), Some(fragment)),
         None => (snapshot.graph(), None),
     };
+    let handoff: Vec<Mutex<Option<SiteSession>>> = handoff.into_iter().map(Mutex::new).collect();
 
-    let compiled = pq.compiled();
     let outcome = runtime
         .try_map_with_cancel(
             tasks.len(),
             &ctl.stop,
-            || {
-                let mut sessions: Vec<Option<SessionCore>> =
-                    (0..fragments.len().max(1)).map(|_| None).collect();
-                // Every worker decides on the whole graph; a fragment's
-                // session waits for the first task that lands there.
-                if fragments.is_empty() {
-                    sessions[0] = Some(SessionCore::new(site(0).0, Arc::clone(compiled), &config));
-                }
-                SiteScratch {
-                    sessions,
-                    accepted: Vec::new(),
-                }
+            || SiteScratch {
+                sessions: handoff.iter().map(|_| None).collect(),
+                accepted: Vec::new(),
             },
             |scratch, i| {
                 if ctl.should_stop() {
@@ -425,31 +458,49 @@ pub(super) fn execute(
                 let (s, focus) = tasks[i];
                 let s = s as usize;
                 let (graph, fragment) = site(s);
-                let session = scratch.sessions[s]
-                    .get_or_insert_with(|| SessionCore::new(graph, Arc::clone(compiled), &config));
-                // Pruned candidates exit through one bitmap probe and
-                // charge the budget nothing.
-                if !session.is_focus_candidate(focus) || !ctl.charge() {
-                    return;
+                // The session leaves the scratch for the decision, so one
+                // that a panicking decision leaves suspect dies in the
+                // unwinding (a lease then never returns to its pool).
+                let mut session = scratch.sessions[s].take().unwrap_or_else(|| {
+                    let handed = handoff[s]
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .take();
+                    handed.unwrap_or_else(|| {
+                        let core = SessionCore::new(graph, Arc::clone(compiled), &config);
+                        SiteSession::Built(Box::new(core))
+                    })
+                });
+                // Every task is a focus candidate, so every one is charged.
+                if ctl.charge() {
+                    let verdict = session
+                        .core()
+                        .decide(graph, focus, count, ctl.decide_token());
+                    if let Some(v) = verdict.filter(|v| v.matched && ctl.try_accept()) {
+                        scratch.accepted.push(FocusCount {
+                            focus: fragment.map_or(focus, |f| f.to_global(focus)),
+                            witnesses: v.witnesses,
+                        });
+                    }
                 }
-                let verdict = session.decide(graph, focus, count, ctl.decide_token());
-                if let Some(v) = verdict.filter(|v| v.matched && ctl.try_accept()) {
-                    scratch.accepted.push(FocusCount {
-                        focus: fragment.map_or(focus, |f| f.to_global(focus)),
-                        witnesses: v.witnesses,
-                    });
-                }
+                scratch.sessions[s] = Some(session);
             },
         )
         .map_err(MatchError::TaskPanicked)?;
 
     matches.truncated = ctl.budget_exhausted();
 
-    // Coordinator: union of the partial answers.
-    let mut stats = planning;
+    // Coordinator: union of the partial answers, and the work of every
+    // session — taken by a worker or still handed off.
+    let mut stats = MatchStats::default();
     for scratch in outcome.states {
         matches.accepted.extend(scratch.accepted);
         for session in scratch.sessions.into_iter().flatten() {
+            stats += session.stats();
+        }
+    }
+    for slot in handoff {
+        if let Some(session) = slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
             stats += session.stats();
         }
     }

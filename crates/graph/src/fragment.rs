@@ -13,7 +13,7 @@
 //! probed by binary search — both in keeping with the flat-state layout of
 //! the storage crate.
 
-use crate::graph::{Graph, NodeId};
+use crate::graph::{Graph, NodeId, ABSENT};
 
 /// Identifier of a fragment (the index of the worker that owns it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -26,10 +26,6 @@ impl FragmentId {
         self.0 as usize
     }
 }
-
-/// Sentinel marking "not present in this fragment" in the dense global →
-/// local map.
-const ABSENT: u32 = u32::MAX;
 
 /// A fragment `F_i` of a partitioned graph: the subgraph induced by a set of
 /// global nodes, with local ↔ global node id mappings and the set of covered
@@ -60,14 +56,10 @@ impl Fragment {
         nodes: &[NodeId],
         covered: impl IntoIterator<Item = NodeId>,
     ) -> Self {
-        let (graph, global_of_local) = global.induced_subgraph(nodes);
-        let mut local_of_global = vec![ABSENT; global.node_count()];
-        for (local, &g) in global_of_local.iter().enumerate() {
-            local_of_global[g.index()] = local as u32;
-        }
+        let (graph, global_of_local, local_of_global) = global.induced(nodes);
         let mut covered: Vec<NodeId> = covered
             .into_iter()
-            .filter(|v| v.index() < local_of_global.len() && local_of_global[v.index()] != ABSENT)
+            .filter(|v| local_of_global.get(v.index()).is_some_and(|&l| l != ABSENT))
             .collect();
         covered.sort_unstable();
         covered.dedup();

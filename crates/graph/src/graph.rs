@@ -17,7 +17,6 @@
 //! transpose; a compaction or a label widening splices each direction's
 //! patched rows into its base instead.
 
-use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
 
 use crate::csr::CsrAdjacency;
@@ -500,11 +499,20 @@ impl Graph {
     /// frozen like any other CSR (only the remapped label groups are
     /// sorted).
     pub fn induced_subgraph(&self, nodes: &[NodeId]) -> (Graph, Vec<NodeId>) {
+        let (sub, global_of_local, _) = self.induced(nodes);
+        (sub, global_of_local)
+    }
+
+    /// [`Graph::induced_subgraph`] plus the dense inverse of its mapping:
+    /// `local_of_global[v]` is `v`'s local id, [`ABSENT`] when `v` is not in
+    /// `nodes`.  Every edge is remapped by one array load.
+    pub(crate) fn induced(&self, nodes: &[NodeId]) -> (Graph, Vec<NodeId>, Vec<u32>) {
         let mut global_of_local = Vec::with_capacity(nodes.len());
-        let mut local_of_global = HashMap::with_capacity(nodes.len());
+        let mut local_of_global = vec![ABSENT; self.node_count()];
         for &v in nodes {
-            if let Entry::Vacant(slot) = local_of_global.entry(v) {
-                slot.insert(NodeId::new(global_of_local.len()));
+            let slot = &mut local_of_global[v.index()];
+            if *slot == ABSENT {
+                *slot = global_of_local.len() as u32;
                 global_of_local.push(v);
             }
         }
@@ -518,14 +526,19 @@ impl Graph {
             row.extend(
                 self.out_slice(global_of_local[v].index(), l)
                     .iter()
-                    .filter_map(|w| local_of_global.get(w).copied()),
+                    .map(|w| local_of_global[w.index()])
+                    .filter(|&local| local != ABSENT)
+                    .map(NodeId),
             );
             row[start..].sort_unstable();
         });
         let sub = Graph::from_frozen(Arc::clone(&self.labels), node_labels, out);
-        (sub, global_of_local)
+        (sub, global_of_local, local_of_global)
     }
 }
+
+/// Marks a node absent from a dense global → local id map.
+pub(crate) const ABSENT: u32 = u32::MAX;
 
 /// `Ok` when `node` is one of a graph's `node_count` nodes.
 pub(crate) fn check_node(node: NodeId, node_count: usize) -> Result<(), GraphError> {

@@ -24,20 +24,24 @@
 //! (`Erosion` below): level 0 is `have`, level `k` the nodes whose closed
 //! neighborhood lies inside level `k − 1`, so `N_d(v) ⊆ have` exactly when
 //! level `d` holds `v` — one array read, kept current under insertion in time
-//! linear in the edges.  A bounded BFS therefore runs only
+//! linear in the edges.  A ball is therefore visited only
 //!
 //! * once per **border node**, counting, for the `|N_d(v)|` packing key —
-//!   stealable tasks on the shared [`qgp_runtime::Runtime`] executor, one
-//!   [`BfsScratch`] per worker; a node whose ball is inside its base chunk is
-//!   never visited, so a 1-fragment or d-hop-closed partition runs no BFS;
-//! * once more for a border node that fits the capacity but is inside no
-//!   fragment's erosion at its turn: the visit counts what each fragment
-//!   would replicate and the chosen one takes the ball from the visitor;
+//!   stealable tasks on the shared [`qgp_runtime::Runtime`] executor.  The
+//!   count is exact but is no [`BfsScratch`] run: `BallCounter` marks
+//!   bitsets and ORs in a precomputed row wherever the ball reaches a hub,
+//!   instead of rescanning the hub's neighbourhood in every ball that holds
+//!   it.  A node whose ball is inside its base chunk is never visited, so a
+//!   1-fragment or d-hop-closed partition counts nothing;
+//! * once more, by a [`BfsScratch`] visit, for a border node that fits the
+//!   capacity but is inside no fragment's erosion at its turn: the visit
+//!   counts what each fragment would replicate and the chosen one takes the
+//!   ball from the visitor;
 //! * once per node of the completion phase, which needs every exact count —
 //!   unless a fragment that already holds the ball is the smallest by bounds.
 //!
 //! All bookkeeping is flat and `NodeId`-indexed — no hash maps anywhere on
-//! the partitioning path.
+//! the partitioning path, [`Fragment::build`] included.
 
 use qgp_graph::{BfsScratch, Fragment, FragmentId, Graph, NodeId};
 use qgp_runtime::Runtime;
@@ -91,7 +95,7 @@ pub struct PartitionStats {
     /// Number of border nodes whose d-hop neighborhood crossed the base
     /// partition.
     pub border_nodes: usize,
-    /// Bounded BFS runs that sized a ball (one per border node).
+    /// Balls sized for the packing key (one per border node).
     pub balls_sized: usize,
     /// Bounded BFS runs that weighed a ball against every fragment (in the
     /// knapsack and the completion phase; at most two per border node).
@@ -219,6 +223,139 @@ impl Erosion {
     }
 }
 
+/// Exact ball sizes `|N_d(v)|` over one graph: DPar's packing key.
+///
+/// A visit marks nodes in dense bitsets of `V` bits.  A node whose
+/// undirected degree exceeds the `⌈V/64⌉` words of such a bitset is a
+/// *hub*; for each hub the counter stores, once, one row per radius
+/// `k ∈ 1..d`: the bitset of `N_k(hub)`.  A node within `d` hops of `v`
+/// on a shortest path through a hub `h` at distance `k < d` lies in
+/// `N_{d−k}(h)`, so the visit ORs that row into the ball instead of
+/// expanding `h`; paths that pass no hub are followed slot by slot from
+/// `v`, hub or not, as [`BfsScratch::visit_ball`] does.  The two parts keep
+/// two bitsets: `seen`, the breadth-first visit over hub-free paths, whose
+/// marks fix each node's distance, and `ball`, the union of the rows — a
+/// node a row covers may lie nearer on a hub-free path and must still be
+/// expanded from there.  `|N_d(v)|` is the popcount of their union.
+///
+/// An OR costs `⌈V/64⌉` words: less than scanning the hub's slots, let
+/// alone the radius-`k` visit the row replaces in every ball that reaches
+/// the hub — on a power-law graph the same few hubs sit in almost every
+/// ball.  The floor is the same `⌈V/64⌉` words twice per ball (clearing
+/// both bitsets, then the popcount), far below the visit of the balls a
+/// border node has on every dataset here.  The rows are read-only and
+/// shared by every worker, each of which owns one [`BallScratch`].
+struct BallCounter<'g> {
+    graph: &'g Graph,
+    d: usize,
+    words: usize,
+    /// `hub_of[v]`: `v`'s index among the hubs, [`NOT_HUB`] for other nodes.
+    hub_of: Vec<u32>,
+    /// Hub `h`'s row for radius `k` starts at word `(h · (d − 1) + k − 1) ·
+    /// words`.
+    rows: Vec<u64>,
+}
+
+const NOT_HUB: u32 = u32::MAX;
+
+/// One worker's visit state: the two bitsets and two frontier levels.
+struct BallScratch {
+    seen: Vec<u64>,
+    ball: Vec<u64>,
+    frontier: Vec<NodeId>,
+    next: Vec<NodeId>,
+}
+
+impl<'g> BallCounter<'g> {
+    /// Finds the hubs of `graph` and builds their rows.
+    fn new(graph: &'g Graph, d: usize) -> Self {
+        let words = graph.node_count().div_ceil(64);
+        let mut hub_of = vec![NOT_HUB; graph.node_count()];
+        let mut rows = Vec::new();
+        let mut bfs = BfsScratch::for_graph(graph);
+        let mut hubs = 0;
+        for h in graph.nodes() {
+            if graph.out_degree(h) + graph.in_degree(h) <= words {
+                continue;
+            }
+            hub_of[h.index()] = hubs;
+            hubs += 1;
+            for k in 1..d {
+                let start = rows.len();
+                rows.resize(start + words, 0);
+                let row = &mut rows[start..];
+                bfs.visit_ball(graph, &[h], k, false, |w, _| {
+                    row[w.index() / 64] |= 1 << (w.index() % 64);
+                });
+            }
+        }
+        BallCounter {
+            graph,
+            d,
+            words,
+            hub_of,
+            rows,
+        }
+    }
+
+    fn scratch(&self) -> BallScratch {
+        BallScratch {
+            seen: vec![0; self.words],
+            ball: vec![0; self.words],
+            frontier: Vec::new(),
+            next: Vec::new(),
+        }
+    }
+
+    /// `N_k(h)` of hub number `h`, `1 ≤ k < d`.
+    fn row(&self, h: u32, k: usize) -> &[u64] {
+        let at = (h as usize * (self.d - 1) + k - 1) * self.words;
+        &self.rows[at..at + self.words]
+    }
+
+    /// `|N_d(v)|`.
+    fn size(&self, scratch: &mut BallScratch, v: NodeId) -> usize {
+        let BallScratch {
+            seen,
+            ball,
+            frontier,
+            next,
+        } = scratch;
+        seen.fill(0);
+        ball.fill(0);
+        seen[v.index() / 64] |= 1 << (v.index() % 64);
+        frontier.clear();
+        frontier.push(v);
+        for dist in 1..=self.d {
+            let last = dist == self.d;
+            next.clear();
+            for &u in frontier.iter() {
+                let slots = self.graph.out_neighbors_slice(u).iter();
+                for &w in slots.chain(self.graph.in_neighbors_slice(u)) {
+                    let (word, bit) = (&mut seen[w.index() / 64], 1 << (w.index() % 64));
+                    // The last level only marks: no test, no branch.
+                    if !last && *word & bit == 0 {
+                        match self.hub_of[w.index()] {
+                            NOT_HUB => next.push(w),
+                            h => {
+                                let row = self.row(h, self.d - dist);
+                                ball.iter_mut().zip(row).for_each(|(b, &r)| *b |= r);
+                            }
+                        }
+                    }
+                    *word |= bit;
+                }
+            }
+            std::mem::swap(frontier, next);
+            if frontier.is_empty() {
+                break;
+            }
+        }
+        let union = seen.iter().zip(ball.iter()).map(|(s, b)| s | b);
+        union.map(|w| w.count_ones() as usize).sum()
+    }
+}
+
 /// Builds a d-hop preserving partition of `graph` (`DPar`) on `runtime`
 /// (pass [`Runtime::global`] for the process-wide executor).
 ///
@@ -268,16 +405,19 @@ pub fn dpar_with(graph: &Graph, config: &PartitionConfig, runtime: &Runtime) -> 
             }
         }
     }
-    let sized = runtime.map_with(
-        border.len(),
-        || BfsScratch::for_graph(graph),
-        |scratch, i| {
-            let mut size = 0;
-            scratch.visit_ball(graph, &[border[i]], d, false, |_, _| size += 1);
-            size
-        },
-    );
-    let mut border: Vec<(NodeId, usize)> = border.into_iter().zip(sized.outputs).collect();
+    // The hub rows are built only when some ball needs sizing.
+    let sizes = if border.is_empty() {
+        Vec::new()
+    } else {
+        let counter = BallCounter::new(graph, d);
+        let sized = runtime.map_with(
+            border.len(),
+            || counter.scratch(),
+            |scratch, i| counter.size(scratch, border[i]),
+        );
+        sized.outputs
+    };
+    let mut border: Vec<(NodeId, usize)> = border.into_iter().zip(sizes).collect();
     let border_count = border.len();
     let mut balls_weighed = 0;
 
@@ -458,7 +598,9 @@ fn bfs_visit_order(graph: &Graph) -> Vec<NodeId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use qgp_graph::{d_hop_nodes, GraphBuilder};
+    use qgp_testkit::{graph_spec, RS};
     use std::collections::HashSet;
 
     /// A ring of people with a few attribute nodes hanging off it.
@@ -664,6 +806,39 @@ mod tests {
                 let ball = d_hop_nodes(&g, x, d);
                 let lowest = (0..2).find(|&f| ball.iter().all(|y| have[f].contains(y)));
                 assert_eq!(erosion.first_inside(x), lowest);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The bitset counter sizes every ball exactly as `visit_ball` does,
+        /// on kit graphs plus isolated nodes and a hub joined to every
+        /// `stride`-th node (itself included: a self-loop), which is always
+        /// above the row threshold.
+        #[test]
+        fn ball_counter_equals_visit_ball(
+            spec in graph_spec(1..200, RS),
+            isolated in 1usize..4,
+            stride in 2usize..5,
+        ) {
+            let (mut b, ids) = spec.builder();
+            b.add_nodes("A", isolated);
+            for &w in ids.iter().step_by(stride) {
+                b.add_edge_dedup(ids[0], w, RS[0]).unwrap();
+            }
+            let g = b.build();
+            let mut bfs = BfsScratch::for_graph(&g);
+            for d in 0..4 {
+                let counter = BallCounter::new(&g, d);
+                prop_assert!(counter.hub_of[ids[0].index()] != NOT_HUB);
+                let mut scratch = counter.scratch();
+                for v in g.nodes() {
+                    let mut want = 0;
+                    bfs.visit_ball(&g, &[v], d, false, |_, _| want += 1);
+                    prop_assert_eq!(counter.size(&mut scratch, v), want, "{:?} d = {}", v, d);
+                }
             }
         }
     }

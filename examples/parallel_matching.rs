@@ -56,13 +56,21 @@ fn main() {
 
         assert_eq!(answer.matches, sequential.matches);
         // The balance is the partition's own, clock-free: nodes per
-        // fragment (replicated neighborhoods included) and their skew.
+        // fragment (replicated neighborhoods included), the nodes each one
+        // covers (decides) and their skew.  A fragment can hold many nodes
+        // and cover none: it only replicates the balls of its neighbours'.
         let balance = partition.stats();
+        let covered: Vec<usize> = partition
+            .fragments()
+            .iter()
+            .map(|f| f.covered_count())
+            .collect();
         println!(
-            "n = {n}: partition {:>7.1} ms (skew {:.2}, nodes per fragment {:?})   PQMatch {:>7.1} ms   {} matches   {} foci verified   {} sessions built",
+            "n = {n}: partition {:>7.1} ms (skew {:.2}, nodes per fragment {:?}, covered {:?})   PQMatch {:>7.1} ms   {} matches   {} foci verified   {} sessions built",
             partition_time.as_secs_f64() * 1e3,
             balance.skew,
             balance.fragment_node_counts,
+            covered,
             match_time.as_secs_f64() * 1e3,
             answer.matches.len(),
             answer.stats.focus_verified,
