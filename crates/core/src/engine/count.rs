@@ -3,7 +3,7 @@
 //!
 //! [`PreparedQuery::count`](super::PreparedQuery::count) is the aggregate
 //! face of the engine: the same driver as
-//! [`PreparedQuery::execute`](super::PreparedQuery::execute) — same modes,
+//! [`PreparedQuery::run`](super::PreparedQuery::run) — same modes,
 //! same `limit` / `restrict` / cancellation / budget semantics, the same
 //! accepted focus set by construction — with every decision taking the
 //! kernel's counting work profile, folded into a [`CountAnswer`]: one
@@ -54,7 +54,7 @@ pub struct CountAnswer {
 
 impl CountAnswer {
     /// The accepted focus nodes, in ascending order — the same sequence
-    /// the enumerating execution yields.
+    /// as the enumerating execution's [`QueryAnswer::matches`](crate::matching::QueryAnswer).
     pub fn matches(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.per_focus.iter().map(|f| f.focus)
     }

@@ -2,21 +2,21 @@
 //! list of `(site, focus)` tasks — the pinned snapshot is one site, each
 //! fragment of a partition is one — and folds the verdicts of the one
 //! decision kernel, `SessionCore::decide`, into per-focus counts.  The
-//! modes differ only in the schedule: a sequential execution decides its
-//! tasks lazily as [`Matches`] is iterated, the others on the
-//! work-stealing runtime before `execute` returns.
+//! modes differ only in the runtime the tasks run on: a sequential
+//! execution runs them on one inline worker, in ascending candidate order,
+//! the others on the work-stealing runtime they name.
 
 use qgp_runtime::sync::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use qgp_graph::{DenseBitSet, Fragment, GraphSnapshot, NodeId};
-use qgp_runtime::{CancelToken, ExecBudget};
+use qgp_runtime::{CancelToken, ExecBudget, Runtime};
 
 use super::count::{CountAnswer, FocusCount};
 use super::options::{ExecMode, ExecOptions};
 use super::{Lease, PreparedQuery};
 use crate::error::MatchError;
-use crate::matching::{CountMode, MatchStats, QueryAnswer, SessionCore};
+use crate::matching::{MatchStats, SessionCore};
 
 /// Shared controls of one execution: the execution budget, the internal
 /// stop flag the runtime polls (set when the budget stops — deadline,
@@ -93,188 +93,6 @@ impl ExecControl {
     }
 }
 
-/// The lazy answer stream of one [`PreparedQuery::execute`] call.
-///
-/// Under [`ExecMode::Sequential`] each call to [`Iterator::next`] verifies
-/// focus candidates until the next accepted one — the first answers arrive
-/// before later candidates are even looked at, and dropping the iterator
-/// early (or setting [`ExecOptions::limit`]) genuinely skips their
-/// verification.  Parallel and partitioned executions run when `execute`
-/// is called (their answers come back through a barrier) and iterate a
-/// buffered, sorted result.
-///
-/// A sequential stream owns the matcher session it checked out of its
-/// query's pool and returns it when dropped.
-///
-/// [`Matches::into_answer`] drains whatever is still pending and returns
-/// the complete [`QueryAnswer`] of the execution, including the matches
-/// already yielded.
-pub struct Matches {
-    /// The accepted foci so far, each with its witness count.
-    accepted: Vec<FocusCount>,
-    /// How many of `accepted` the iterator has yielded.
-    yielded: usize,
-    truncated: bool,
-    schedule: Schedule,
-}
-
-enum Schedule {
-    /// Tasks still to decide, lazily, on the checked-out session.
-    Streaming {
-        /// The pinned snapshot every decision reads.
-        snapshot: Arc<GraphSnapshot>,
-        lease: Lease,
-        candidates: Vec<NodeId>,
-        pos: usize,
-        ctl: ExecControl,
-        /// When set, decisions take the counting work profile (identical
-        /// accepted set).
-        count: Option<CountMode>,
-        done: bool,
-    },
-    /// Every task was decided before `execute` returned.
-    Buffered { stats: MatchStats },
-}
-
-impl std::fmt::Debug for Matches {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mode = match &self.schedule {
-            Schedule::Streaming { .. } => "streaming",
-            Schedule::Buffered { .. } => "buffered",
-        };
-        f.debug_struct("Matches")
-            .field("mode", &mode)
-            .field("accepted", &self.accepted.len())
-            .field("yielded", &self.yielded)
-            .finish_non_exhaustive()
-    }
-}
-
-impl Iterator for Matches {
-    type Item = NodeId;
-
-    fn next(&mut self) -> Option<NodeId> {
-        if self.yielded == self.accepted.len() {
-            self.advance(true);
-        }
-        let v = self.accepted.get(self.yielded)?.focus;
-        self.yielded += 1;
-        Some(v)
-    }
-}
-
-impl Matches {
-    /// Streaming schedule: decides candidates, pushing the accepted ones
-    /// onto `accepted`, until the stream ends — or, with `one_answer`, until
-    /// the next accepted one.
-    fn advance(&mut self, one_answer: bool) {
-        let Schedule::Streaming {
-            snapshot,
-            lease,
-            candidates,
-            pos,
-            ctl,
-            count,
-            done,
-        } = &mut self.schedule
-        else {
-            return;
-        };
-        if *done || ctl.limit.is_some_and(|k| self.accepted.len() >= k) {
-            return;
-        }
-        let (session, graph, token) = (lease.core(), snapshot.graph(), ctl.decide_token());
-        while *pos < candidates.len() {
-            // Per-candidate budget polling: the charge that finds the
-            // budget empty (deadline or decision cap) stops the stream
-            // before the candidate is verified.
-            if !ctl.charge() {
-                self.truncated = true;
-                break;
-            }
-            let vx = candidates[*pos];
-            *pos += 1;
-            match session.decide(graph, vx, *count, token) {
-                None => {
-                    // Stopped mid-verification by the budget's token.
-                    self.truncated = true;
-                    break;
-                }
-                Some(verdict) if verdict.matched => {
-                    self.accepted.push(FocusCount {
-                        focus: vx,
-                        witnesses: verdict.witnesses,
-                    });
-                    if ctl.limit.is_some_and(|k| self.accepted.len() >= k) {
-                        break;
-                    }
-                    if one_answer {
-                        return;
-                    }
-                }
-                Some(_) => {}
-            }
-        }
-        *done = true;
-    }
-
-    /// Work counters of this execution so far (final once the iterator is
-    /// exhausted; parallel and partitioned executions are complete as soon
-    /// as `execute` returns).
-    pub fn stats(&self) -> MatchStats {
-        match &self.schedule {
-            Schedule::Streaming { lease, .. } => lease.stats(),
-            Schedule::Buffered { stats } => *stats,
-        }
-    }
-
-    /// Was (or will) the execution be stopped by its [`ExecBudget`] —
-    /// deadline, decision cap or explicit cancellation — rather than by
-    /// exhausting the candidates or reaching the limit?  A truncated
-    /// execution's answer is a prefix (sequential mode) or subset (parallel
-    /// modes) of the full answer; the budget's
-    /// [`stop_reason`](ExecBudget::stop_reason) says why it stopped.
-    pub fn truncated(&self) -> bool {
-        // A stopped budget counts even before iteration observes it —
-        // unless the stream already finished on its own.
-        self.truncated
-            || matches!(&self.schedule, Schedule::Streaming { ctl, done, .. }
-                if !done && ctl.budget_exhausted())
-    }
-
-    /// Runs the execution to completion (respecting limit and budget):
-    /// every accepted focus — those already yielded included — the
-    /// execution's counters, and whether it stopped early.
-    fn finish(mut self) -> (Vec<FocusCount>, MatchStats, bool) {
-        self.advance(false);
-        let truncated = self.truncated();
-        (std::mem::take(&mut self.accepted), self.stats(), truncated)
-    }
-
-    /// Runs the execution to completion and returns the full answer —
-    /// matches already yielded included.  A stopped budget comes back as a
-    /// partial answer with [`QueryAnswer::truncated`] set.
-    pub fn into_answer(self) -> QueryAnswer {
-        let (accepted, stats, truncated) = self.finish();
-        QueryAnswer {
-            matches: accepted.into_iter().map(|f| f.focus).collect(),
-            stats,
-            truncated,
-        }
-    }
-
-    /// [`Matches::into_answer`], keeping the witness counts.
-    pub(super) fn into_count(self) -> CountAnswer {
-        let (per_focus, stats, truncated) = self.finish();
-        CountAnswer {
-            total: per_focus.len(),
-            per_focus,
-            truncated,
-            stats,
-        }
-    }
-}
-
 /// Sorted, duplicate-free copy of a focus restriction.
 fn normalized(restrict: &[NodeId]) -> Vec<NodeId> {
     let mut v = restrict.to_vec();
@@ -316,23 +134,21 @@ struct SiteScratch {
 }
 
 /// The driver: one execution of `pq` against `snapshot` under `opts`.
+/// Returns every accepted focus with its witness count, in ascending
+/// order, the work of every session the execution decided on, and whether
+/// the budget stopped it.
 pub(super) fn execute(
     pq: &PreparedQuery,
     snapshot: &Arc<GraphSnapshot>,
     opts: &ExecOptions<'_>,
-) -> Result<Matches, MatchError> {
+) -> Result<CountAnswer, MatchError> {
     let ctl = ExecControl::new(opts.limit, opts.budget.clone());
     let config = opts.config;
     let count = opts.count;
     let compiled = pq.compiled();
-    let mut matches = Matches {
-        accepted: Vec::new(),
-        yielded: 0,
-        truncated: false,
-        schedule: Schedule::Buffered {
-            stats: MatchStats::default(),
-        },
-    };
+    // Sequential mode's runtime: one worker, which runs inline on the
+    // calling thread and takes the tasks in order.
+    let inline = Runtime::new(1);
 
     // The task list: (site, focus candidate in the site's node ids).  The
     // sites are the fragments of a partition, or — `fragments` empty — the
@@ -413,22 +229,15 @@ pub(super) fn execute(
                     v
                 }
             };
-            let ExecMode::Parallel(runtime) = mode else {
-                // Sequential: the same tasks, decided lazily on the pooled
-                // session as the stream is iterated.
-                matches.schedule = Schedule::Streaming {
-                    snapshot: Arc::clone(snapshot),
-                    lease,
-                    candidates,
-                    pos: 0,
-                    ctl,
-                    count,
-                    done: false,
-                };
-                return Ok(matches);
-            };
             tasks.extend(candidates.into_iter().map(|v| (0, v)));
             handoff.push(Some(SiteSession::Leased(lease)));
+            // The candidates are sorted, so on the one inline worker a
+            // sequential execution decides them in ascending order: a
+            // limit or a decision cap stops it at a prefix of the answer.
+            let runtime = match mode {
+                ExecMode::Parallel(runtime) => runtime,
+                _ => &inline,
+            };
             (&[], runtime)
         }
     };
@@ -488,13 +297,12 @@ pub(super) fn execute(
         )
         .map_err(MatchError::TaskPanicked)?;
 
-    matches.truncated = ctl.budget_exhausted();
-
     // Coordinator: union of the partial answers, and the work of every
     // session — taken by a worker or still handed off.
+    let mut per_focus = Vec::new();
     let mut stats = MatchStats::default();
     for scratch in outcome.states {
-        matches.accepted.extend(scratch.accepted);
+        per_focus.extend(scratch.accepted);
         for session in scratch.sessions.into_iter().flatten() {
             stats += session.stats();
         }
@@ -504,8 +312,12 @@ pub(super) fn execute(
             stats += session.stats();
         }
     }
-    matches.accepted.sort_unstable_by_key(|f| f.focus);
-    matches.accepted.dedup_by_key(|f| f.focus);
-    matches.schedule = Schedule::Buffered { stats };
-    Ok(matches)
+    per_focus.sort_unstable_by_key(|f| f.focus);
+    per_focus.dedup_by_key(|f| f.focus);
+    Ok(CountAnswer {
+        total: per_focus.len(),
+        per_focus,
+        truncated: ctl.budget_exhausted(),
+        stats,
+    })
 }

@@ -1,5 +1,5 @@
 //! The prepared-query engine: compile a pattern once, execute it many
-//! times, stream the answers.
+//! times.
 //!
 //! This module is the **one execution surface** of the QGP stack:
 //! sequential, parallel, partitioned and counting executions, view repair
@@ -13,11 +13,11 @@
 //!    negation patterns and the pattern radius are derived exactly once,
 //!    and per-[`MatchConfig`] matcher sessions (candidate analysis, search
 //!    order, counter scratch) are pooled across executions,
-//! 3. [`PreparedQuery::execute`] runs it under [`ExecOptions`]: sequential
-//!    streaming, whole-graph parallel, or partitioned (`PQMatch`-style)
-//!    execution, with an answer limit, a focus-candidate restriction and an
-//!    [`ExecBudget`] (deadline, decision cap, explicit cancellation) all
-//!    available in every mode.
+//! 3. [`PreparedQuery::run`] (or [`PreparedQuery::count`]) runs it under
+//!    [`ExecOptions`]: sequential, whole-graph parallel, or partitioned
+//!    (`PQMatch`-style) execution, with an answer limit, a focus-candidate
+//!    restriction and an [`ExecBudget`] (deadline, decision cap, explicit
+//!    cancellation) all available in every mode.
 //!
 //! ```
 //! use qgp_core::engine::{Engine, ExecOptions};
@@ -47,9 +47,9 @@
 //!
 //! let engine = Engine::new(&graph);
 //! let prepared = engine.prepare(&pattern).unwrap();
-//! // Stream the answers; `prepared` is reusable for the next execution.
-//! let matches: Vec<_> = prepared.execute(ExecOptions::sequential()).unwrap().collect();
-//! assert_eq!(matches, vec![ann]);
+//! // `prepared` is reusable for the next execution.
+//! let answer = prepared.run(ExecOptions::sequential()).unwrap();
+//! assert_eq!(answer.matches, vec![ann]);
 //! ```
 
 // The engine is serving-path code: `unwrap()` is banned from its library
@@ -64,7 +64,6 @@ pub mod registry;
 mod view;
 
 pub use count::{CountAnswer, FocusCount};
-pub use exec::Matches;
 pub use options::{ExecMode, ExecOptions};
 pub use qgp_runtime::{BudgetStop, ExecBudget, TaskError};
 pub use registry::{CacheStats, QueryId, QueryRegistry, ServeOutcome, ServeRequest};
@@ -107,7 +106,7 @@ impl Engine {
     /// shares the frozen CSR storage, so this is a handful of
     /// reference-count bumps, not a graph copy.  To serve a graph that
     /// changes over time, use [`Engine::from_store`] and re-execute against
-    /// fresh snapshots with [`PreparedQuery::execute_on`].
+    /// fresh snapshots with [`PreparedQuery::run_on`].
     pub fn new(graph: &Graph) -> Self {
         Engine::on(Arc::new(GraphSnapshot::new(graph.clone())))
     }
@@ -227,10 +226,9 @@ impl Drop for Lease {
 /// (`'static`) and `Sync`, storable in long-lived registries and executable
 /// from several threads at once through `&self`.
 ///
-/// Executions go through [`PreparedQuery::execute`] (streaming
-/// [`Matches`]) or the [`PreparedQuery::run`] convenience (collected
-/// [`QueryAnswer`]); the `*_on` variants ([`PreparedQuery::execute_on`],
-/// [`PreparedQuery::run_on`], [`PreparedQuery::count_on`]) run the same
+/// Executions go through [`PreparedQuery::run`] (the [`QueryAnswer`]) or
+/// [`PreparedQuery::count`] (the [`CountAnswer`]); the `*_on` variants
+/// ([`PreparedQuery::run_on`], [`PreparedQuery::count_on`]) run the same
 /// compiled pattern against a *different* snapshot — typically a fresher
 /// epoch of the same [`GraphStore`] — without recompiling.  The first
 /// execution against a given (snapshot, [`MatchConfig`]) pair builds that
@@ -246,8 +244,8 @@ pub struct PreparedQuery {
     snapshot: Arc<GraphSnapshot>,
     compiled: Arc<CompiledPattern>,
     /// Idle matcher sessions of one snapshot, at most
-    /// [`MAX_CACHED_SESSIONS`]; shared with
-    /// the [`Matches`] streams that hold a checked-out one.
+    /// [`MAX_CACHED_SESSIONS`]; shared with the leases of the executions
+    /// that hold a checked-out one.
     pool: Arc<SessionPool>,
 }
 
@@ -268,44 +266,33 @@ impl PreparedQuery {
         &self.snapshot
     }
 
-    /// Executes the prepared query against its pinned snapshot, returning
-    /// the lazy [`Matches`] stream.
-    ///
-    /// Errors are limited to partitioned-mode misconfiguration
-    /// ([`MatchError::RadiusExceedsPartition`],
-    /// [`MatchError::EmptyPartition`]) and a panicking parallel task
-    /// ([`MatchError::TaskPanicked`]); sequential executions always
-    /// succeed.
-    pub fn execute(&self, opts: ExecOptions<'_>) -> Result<Matches, MatchError> {
-        self.execute_on(&self.snapshot, opts)
-    }
-
-    /// [`PreparedQuery::execute`] against an explicit snapshot — the
-    /// serve-under-updates form: prepare once, then execute against each
-    /// fresh epoch a [`GraphStore`] publishes.
-    pub fn execute_on(
-        &self,
-        snapshot: &Arc<GraphSnapshot>,
-        opts: ExecOptions<'_>,
-    ) -> Result<Matches, MatchError> {
-        exec::execute(self, snapshot, &opts)
-    }
-
-    /// [`PreparedQuery::execute`] run to completion: the collected
+    /// Executes the prepared query against its pinned snapshot: the
     /// [`QueryAnswer`] (matches plus this execution's work counters).  A
     /// run whose [`ExecBudget`] stopped returns the matches found so far
     /// with [`QueryAnswer::truncated`] set.
+    ///
+    /// Errors are limited to partitioned-mode misconfiguration
+    /// ([`MatchError::RadiusExceedsPartition`],
+    /// [`MatchError::EmptyPartition`]) and a panicking task
+    /// ([`MatchError::TaskPanicked`]).
     pub fn run(&self, opts: ExecOptions<'_>) -> Result<QueryAnswer, MatchError> {
         self.run_on(&self.snapshot, opts)
     }
 
-    /// [`PreparedQuery::run`] against an explicit snapshot.
+    /// [`PreparedQuery::run`] against an explicit snapshot — the
+    /// serve-under-updates form: prepare once, then run against each fresh
+    /// epoch a [`GraphStore`] publishes.
     pub fn run_on(
         &self,
         snapshot: &Arc<GraphSnapshot>,
         opts: ExecOptions<'_>,
     ) -> Result<QueryAnswer, MatchError> {
-        Ok(exec::execute(self, snapshot, &opts)?.into_answer())
+        let counted = exec::execute(self, snapshot, &opts)?;
+        Ok(QueryAnswer {
+            matches: counted.matches().collect(),
+            stats: counted.stats,
+            truncated: counted.truncated,
+        })
     }
 
     /// Executes the prepared query as a *counting* query: which foci match,
@@ -313,13 +300,13 @@ impl PreparedQuery {
     ///
     /// The accepted focus set equals [`PreparedQuery::run`]'s on the same
     /// options; only the work differs — every quantifier is decided by an
-    /// early-exit intersection over ranked adjacency slices, and trivially
-    /// shaped negated edges skip session construction entirely.  The
+    /// early-exit intersection over ranked adjacency slices, and a negated
+    /// edge is decided as membership, stopping at its first witness.  The
     /// [`CountMode`] is taken from [`ExecOptions::count`]
     /// ([`CountMode::ThresholdOnly`] when unset; use
     /// [`ExecOptions::count_exact`] for exact witness cardinalities).
     /// `limit`, `restrict_to` and budgets compose exactly as
-    /// they do for [`PreparedQuery::execute`], in all three [`ExecMode`]s.
+    /// they do for [`PreparedQuery::run`], in all three [`ExecMode`]s.
     pub fn count(&self, opts: ExecOptions<'_>) -> Result<CountAnswer, MatchError> {
         self.count_on(&self.snapshot, opts)
     }
@@ -331,7 +318,7 @@ impl PreparedQuery {
         mut opts: ExecOptions<'_>,
     ) -> Result<CountAnswer, MatchError> {
         opts.count = Some(opts.count.unwrap_or_default());
-        Ok(exec::execute(self, snapshot, &opts)?.into_count())
+        exec::execute(self, snapshot, &opts)
     }
 
     /// Materializes the current answer as a live [`MatchView`] that pins

@@ -1,7 +1,8 @@
 //! Execution options: the one description of *how* a prepared query runs.
 //!
 //! [`ExecOptions`] is the single value handed to
-//! [`PreparedQuery::execute`](super::PreparedQuery::execute): the execution
+//! [`PreparedQuery::run`](super::PreparedQuery::run) and
+//! [`PreparedQuery::count`](super::PreparedQuery::count): the execution
 //! [mode](ExecMode), the [`MatchConfig`], an optional answer
 //! [limit](ExecOptions::limit), an optional focus-candidate
 //! [restriction](ExecOptions::restrict_to), and an optional
@@ -15,8 +16,9 @@ use crate::matching::{CountMode, MatchConfig};
 /// How a prepared query executes.
 #[derive(Debug, Clone, Copy, Default)]
 pub enum ExecMode<'a> {
-    /// One thread, streaming: [`Matches`](super::Matches) yields each
-    /// accepted focus candidate as soon as it is decided.
+    /// One thread: the focus candidates are decided in ascending order on
+    /// the calling thread, so a [limit](ExecOptions::limit) or a decision
+    /// cap stops the execution at a prefix of the answer.
     #[default]
     Sequential,
     /// Whole-graph data parallelism: one task per focus candidate on a
@@ -63,7 +65,7 @@ pub struct ExecOptions<'a> {
     /// [`ExecMode::Partitioned`]).
     pub restrict: Option<&'a [NodeId]>,
     /// Execution budget: charged one decision per focus candidate verified,
-    /// on every path (sequential streaming, parallel, partitioned), and its
+    /// in every mode (sequential, parallel, partitioned), and its
     /// token polled between candidates and between verification phases.
     /// When it stops (deadline, decision cap or explicit cancellation) the
     /// execution stops at per-candidate granularity and returns the answer
@@ -79,7 +81,7 @@ pub struct ExecOptions<'a> {
 }
 
 impl<'a> ExecOptions<'a> {
-    /// A sequential, streaming execution (the default).
+    /// A sequential execution (the default).
     pub fn sequential() -> Self {
         Self::default()
     }

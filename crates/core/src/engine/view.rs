@@ -1,7 +1,7 @@
 //! Live match views: materialized answers maintained under edge streams.
 //!
 //! A [`MatchView`] is the incremental counterpart of
-//! [`PreparedQuery::execute`](super::PreparedQuery::execute): it materializes
+//! [`PreparedQuery::run`](super::PreparedQuery::run): it materializes
 //! `Q(x_o, G)` once and then keeps it exact while the graph moves on.  The
 //! view owns no graph.  It *pins* one [`GraphSnapshot`], the version its
 //! answer is exact for, and moves that pin in one of two ways:
@@ -621,9 +621,9 @@ mod tests {
         Engine::new(graph)
             .prepare(pattern)
             .unwrap()
-            .execute(ExecOptions::sequential())
+            .run(ExecOptions::sequential())
             .unwrap()
-            .collect()
+            .matches
     }
 
     #[test]

@@ -62,7 +62,7 @@ extern crate self as qgp_core;
 #[path = "../tests/common/mod.rs"]
 pub(crate) mod test_support;
 
-pub use engine::{CountAnswer, Engine, ExecMode, ExecOptions, FocusCount, Matches, PreparedQuery};
+pub use engine::{CountAnswer, Engine, ExecMode, ExecOptions, FocusCount, PreparedQuery};
 pub use error::{MatchError, PatternError};
 pub use matching::{CountMode, MatchConfig, MatchStats, QueryAnswer};
 pub use pattern::{CountingQuantifier, Pattern, PatternBuilder, PatternEdgeId, PatternNodeId};

@@ -12,44 +12,6 @@
 
 use crate::pattern::Pattern;
 
-/// A positified pattern `Π(Q^{+e})` trivial enough to decide straight off
-/// graph adjacency: two nodes, one existential edge out of the focus.  For
-/// this shape, `vx ∈ Π(Q^{+e})(x_o, G)` reduces to "does `vx` carry the
-/// focus label and have at least one correctly-labelled out-neighbour other
-/// than itself" — the counting decision path answers that from the CSR
-/// slice without ever building a child [`MatchSession`](super::MatchSession).
-#[derive(Debug, Clone)]
-pub(crate) struct TrivialShape {
-    /// Label required of the focus node.
-    pub(crate) focus_label: String,
-    /// Label required of the single child node.
-    pub(crate) child_label: String,
-    /// Label of the single (existential) edge.
-    pub(crate) edge_label: String,
-}
-
-impl TrivialShape {
-    /// Recognizes the trivial shape, or `None` when `pattern` needs the full
-    /// session machinery.
-    fn of(pattern: &Pattern) -> Option<TrivialShape> {
-        if pattern.node_count() != 2 || pattern.edge_count() != 1 {
-            return None;
-        }
-        let (_, edge) = pattern.edges().next()?;
-        if edge.from != pattern.focus()
-            || edge.to == pattern.focus()
-            || !edge.quantifier.is_existential()
-        {
-            return None;
-        }
-        Some(TrivialShape {
-            focus_label: pattern.node(edge.from).label.clone(),
-            child_label: pattern.node(edge.to).label.clone(),
-            edge_label: edge.label.clone(),
-        })
-    }
-}
-
 /// Graph-independent compilation of one QGP: the pattern itself plus every
 /// derived pattern the matching pipeline needs.
 #[derive(Debug, Clone)]
@@ -62,10 +24,6 @@ pub(crate) struct CompiledPattern {
     /// [`Pattern::negated_edges`] order — the patterns whose matches the
     /// set-difference semantics of negation subtracts.
     pub(crate) positified: Vec<Pattern>,
-    /// For each positified pattern, its [`TrivialShape`] when the counting
-    /// decision path can bypass the session machinery for it (same order as
-    /// [`CompiledPattern::positified`]).
-    pub(crate) trivial_positified: Vec<Option<TrivialShape>>,
     /// Undirected hop distance from each node of `Π(Q)` to its focus, along
     /// `Π(Q)`'s own edges.  Not `Q`'s distances: a negated edge can be a
     /// shortcut that `Π(Q)` does not have.
@@ -91,14 +49,12 @@ impl CompiledPattern {
             .into_iter()
             .map(|e| pattern.pi_positified(e).pattern)
             .collect();
-        let trivial_positified = positified.iter().map(TrivialShape::of).collect();
         CompiledPattern {
             pattern: pattern.clone(),
             pi_distances: pi.focus_distances(),
             positified_distances: positified.iter().map(Pattern::focus_distances).collect(),
             pi,
             positified,
-            trivial_positified,
             radius: pattern.radius(),
         }
     }
@@ -158,28 +114,5 @@ mod tests {
         let q2 = library::q2_redmi_universal();
         let c = CompiledPattern::compile(&q2);
         assert!(c.positified.is_empty());
-        assert!(c.trivial_positified.is_empty());
-    }
-
-    #[test]
-    fn trivial_shape_recognized_only_for_two_node_positified_patterns() {
-        use crate::pattern::PatternBuilder;
-        // `x —(follow = 0)→ z` positifies to the trivial two-node shape.
-        let mut b = PatternBuilder::new();
-        let x = b.node("person");
-        let z = b.node("spammer");
-        b.negated_edge(x, z, "follow");
-        b.focus(x);
-        let q = b.build().expect("two-node negation is well-formed");
-        let c = CompiledPattern::compile(&q);
-        assert_eq!(c.trivial_positified.len(), 1);
-        let shape = c.trivial_positified[0].as_ref().expect("trivial shape");
-        assert_eq!(shape.focus_label, "person");
-        assert_eq!(shape.child_label, "spammer");
-        assert_eq!(shape.edge_label, "follow");
-
-        // Q3's positified pattern keeps all four nodes — not trivial.
-        let c3 = CompiledPattern::compile(&library::q3_redmi_negation(2));
-        assert!(c3.trivial_positified.iter().all(Option::is_none));
     }
 }

@@ -33,7 +33,7 @@ use qgp_graph::{Graph, NodeId};
 use qgp_runtime::CancelToken;
 
 use super::candidates::CandidateFilter;
-use super::compiled::{CompiledPattern, TrivialShape};
+use super::compiled::CompiledPattern;
 use super::config::MatchConfig;
 use super::quantified::PositiveSession;
 use super::stats::MatchStats;
@@ -151,8 +151,8 @@ impl SessionCore {
     /// the positive phase counts instead of enumerating (see
     /// [`PositiveSession::decide`]), negated edges are decided as set
     /// membership in `Π(Q^{+e})` — existence short-circuits at the first
-    /// witness — and trivial two-node positified patterns are answered
-    /// from the adjacency lists without building a child session at all.
+    /// witness, and a two-node positified pattern is one ranked
+    /// intersection (see [`PositiveSession::decide`]).
     ///
     /// The two negation strategies of the paper keep their distinct costs:
     ///
@@ -196,28 +196,21 @@ impl SessionCore {
                 return None;
             }
             let stats = &mut self.stats;
-            let hit = match (&self.compiled.trivial_positified[k], &mut self.negated[k]) {
-                (Some(shape), None) if counting.is_some() => {
-                    trivial_positified_hit(graph, shape, vx)
-                }
-                (_, slot) => {
-                    let neg = slot.get_or_insert_with(|| {
-                        PositiveSession::with_filter(
-                            graph,
-                            &self.compiled.positified[k],
-                            &self.config,
-                            self.filter,
-                            stats,
-                        )
-                    });
-                    neg.is_focus_candidate(vx) && {
-                        stats.focus_candidates += 1;
-                        // Membership is all the set difference needs, so a
-                        // counting decision stops at the first witness.
-                        let membership = counting.map(|_| CountMode::ThresholdOnly);
-                        neg.decide(graph, vx, membership, stats).0
-                    }
-                }
+            let neg = self.negated[k].get_or_insert_with(|| {
+                PositiveSession::with_filter(
+                    graph,
+                    &self.compiled.positified[k],
+                    &self.config,
+                    self.filter,
+                    stats,
+                )
+            });
+            let hit = neg.is_focus_candidate(vx) && {
+                stats.focus_candidates += 1;
+                // Membership is all the set difference needs, so a
+                // counting decision stops at the first witness.
+                let membership = counting.map(|_| CountMode::ThresholdOnly);
+                neg.decide(graph, vx, membership, stats).0
             };
             if hit {
                 excluded = true;
@@ -242,28 +235,6 @@ impl SessionCore {
     pub fn stats(&self) -> MatchStats {
         self.stats
     }
-}
-
-/// Decides `vx ∈ Π(Q^{+e})(x_o, G)` for a [`TrivialShape`] positified
-/// pattern straight off the CSR adjacency.  For the two-node existential
-/// shape this is exactly what session-based verification computes: the focus
-/// must carry the focus label, and injectivity excludes only `vx` itself
-/// from the child role.  A label absent from the graph's label set can match
-/// nothing, so the decision is `false`.
-fn trivial_positified_hit(graph: &Graph, shape: &TrivialShape, vx: NodeId) -> bool {
-    let labels = graph.labels();
-    let (Some(focus_label), Some(child_label), Some(edge_label)) = (
-        labels.node_label(&shape.focus_label),
-        labels.node_label(&shape.child_label),
-        labels.edge_label(&shape.edge_label),
-    ) else {
-        return false;
-    };
-    graph.node_label(vx) == focus_label
-        && graph
-            .out_neighbors_with_label_slice(vx, edge_label)
-            .iter()
-            .any(|&c| c != vx && graph.node_label(c) == child_label)
 }
 
 /// A reusable matching session for one (pattern, graph) pair, deciding

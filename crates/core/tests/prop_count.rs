@@ -68,8 +68,8 @@ proptest! {
                 prop_assert_eq!(counted.total, oracle.len());
                 prop_assert!(!counted.truncated);
             }
-            // `execute` with the count flag routes decisions through the
-            // counting path but must stream the identical answer.
+            // `run` with the count flag routes decisions through the
+            // counting path but must return the identical answer.
             let routed = prepared
                 .run(ExecOptions::sequential().with_config(config).count_only())
                 .unwrap();
@@ -295,7 +295,7 @@ fn cancelled_counting_is_empty_and_leaves_no_poisoned_state() {
 }
 
 /// The witness count of an accepted focus with no focus out-edge in `Π(Q)`
-/// is 1 (kind 9: a pure two-node negation — the trivial-shape shortcut).
+/// is 1 (kind 9: a pure two-node negation).
 #[test]
 fn pure_negation_counts_report_unit_witnesses() {
     let mut b = GraphBuilder::new();
@@ -315,6 +315,11 @@ fn pure_negation_counts_report_unit_witnesses() {
             witnesses: 1
         }]
     );
-    // The trivial positified shortcut never built a negation session.
+    // The negated body is decided by the single-edge ranked intersection
+    // of its lazily built sub-session: `dirty`'s one `s` child is counted
+    // and membership exits there.  The sub-session is part of the query's
+    // one session.
+    assert_eq!(counted.stats.children_counted, 1);
+    assert_eq!(counted.stats.threshold_exits, 1);
     assert_eq!(counted.stats.sessions_built, 1);
 }

@@ -2,18 +2,18 @@
 //!
 //! * engine output ≡ the brute-force reference oracle, for every matcher
 //!   configuration × answering surface × executor thread count,
-//! * `limit(k)` yields a prefix of the unlimited answer while verifying
-//!   strictly fewer candidates (genuine early termination), and `limit(0)`
-//!   decides nothing in any mode,
-//! * cancellation mid-run (through the budget's token) stops the execution
-//!   without poisoning the prepared query, the session cache, or the
-//!   runtime.
+//! * `limit(k)` yields a prefix of the unlimited answer and does exactly
+//!   the work of deciding the candidates up to its k-th answer (genuine
+//!   early termination), and `limit(0)` decides nothing in any mode,
+//! * a budget that stops an execution mid-run (decision cap or
+//!   cancellation through its token) stops it without poisoning the
+//!   prepared query, the session cache, or the runtime.
 
 use proptest::prelude::*;
 
 use qgp_core::engine::{BudgetStop, Engine, ExecBudget, ExecOptions};
 use qgp_core::matching::reference::evaluate_reference;
-use qgp_core::matching::MatchConfig;
+use qgp_core::matching::{MatchConfig, MatchStats};
 use qgp_graph::{Fragment, FragmentId, GraphBuilder, NodeId};
 use qgp_runtime::{CancelToken, Runtime};
 use qgp_testkit::{
@@ -48,11 +48,11 @@ proptest! {
         }
     }
 
-    /// The streaming iterator yields the same answers as the collected run,
-    /// in the same order, and a restriction yields exactly the oracle's
-    /// answers inside it.
+    /// A sequential run equals the oracle, the counting run accepts the
+    /// same foci in the same order, and a restriction — in any order, with
+    /// duplicates — yields exactly the oracle's answers inside it.
     #[test]
-    fn streaming_and_restriction_match_the_batch_answer(
+    fn restriction_and_count_match_the_batch_answer(
         gspec in graph_spec(4..12, RS),
         kind in 0u8..PATTERN_KINDS,
         take in 0usize..8,
@@ -62,28 +62,28 @@ proptest! {
         let engine = Engine::new(&graph);
         let prepared = engine.prepare(&pattern).unwrap();
         let full = prepared.run(ExecOptions::sequential()).unwrap();
-        let streamed: Vec<NodeId> = prepared
-            .execute(ExecOptions::sequential())
-            .unwrap()
-            .collect();
-        prop_assert_eq!(&streamed, &full.matches);
+        let mut oracle = evaluate_reference(&graph, &pattern);
+        prop_assert_eq!(&full.matches, &oracle);
+        let counted = prepared.count(ExecOptions::sequential()).unwrap();
+        prop_assert_eq!(counted.matches().collect::<Vec<_>>(), full.matches);
 
-        // Restriction: an arbitrary prefix of the node space.
-        let restriction: Vec<NodeId> = graph.nodes().take(take).collect();
+        // Restriction: an arbitrary prefix of the node space, reversed and
+        // listed twice.
+        let prefix: Vec<NodeId> = graph.nodes().take(take).collect();
+        let restriction: Vec<NodeId> = prefix.iter().rev().chain(&prefix).copied().collect();
         let restricted = prepared
             .run(ExecOptions::sequential().restrict_to(&restriction))
             .unwrap();
-        let mut oracle = evaluate_reference(&graph, &pattern);
-        prop_assert_eq!(&full.matches, &oracle);
-        oracle.retain(|v| restriction.contains(v));
+        oracle.retain(|v| prefix.contains(v));
         prop_assert_eq!(&restricted.matches, &oracle);
     }
 
     /// `limit(k)` yields exactly the k smallest members of the full answer
-    /// (a prefix), verifying strictly fewer candidates whenever it stops
-    /// early; in parallel mode it yields exactly min(k, |answer|) members
-    /// of the answer.  Then the kit's `limit` row: k ∈ {0, 1, n} in every
-    /// mode against the reference.
+    /// (a prefix) and does exactly the work of a run restricted to the
+    /// candidates up to its k-th answer: it stops at that answer.  In
+    /// parallel mode it yields exactly min(k, |answer|) members of the
+    /// answer.  Then the kit's `limit` row: k ∈ {0, 1, n} in every mode
+    /// against the reference.
     #[test]
     fn limit_yields_prefix_with_strictly_less_work(
         gspec in graph_spec(4..12, RS),
@@ -100,17 +100,23 @@ proptest! {
             .unwrap();
         let expect = &full.matches[..full.matches.len().min(k)];
         prop_assert_eq!(&limited.matches[..], expect);
-        if k < full.matches.len() {
-            // Stopping at the k-th accepted answer must skip at least the
-            // remaining accepted candidates.
-            prop_assert!(
-                limited.stats.focus_candidates < full.stats.focus_candidates,
-                "limit({}) decided {} candidates, unlimited decided {}",
-                k,
-                limited.stats.focus_candidates,
-                full.stats.focus_candidates
-            );
-        }
+        // The candidates up to the k-th answer (all of them when there are
+        // fewer than k answers), decided on the same warm pool.
+        let upto: Vec<NodeId> = match full.matches.get(k - 1) {
+            Some(&kth) => graph.nodes().filter(|&v| v <= kth).collect(),
+            None => graph.nodes().collect(),
+        };
+        let restricted = prepared
+            .run(ExecOptions::sequential().restrict_to(&upto))
+            .unwrap();
+        prop_assert_eq!(&restricted.matches[..], expect);
+        let work = |s: MatchStats| (s.focus_candidates, s.focus_verified, s.verifications);
+        prop_assert_eq!(
+            work(limited.stats),
+            work(restricted.stats),
+            "limit({}) against the candidates up to its last answer",
+            k
+        );
 
         // Parallel limit: exactly min(k, |answer|) members of the answer.
         let runtime = Runtime::new(2);
@@ -147,10 +153,9 @@ proptest! {
         dead.cancel();
         let cancelled = || ExecBudget::from(dead.clone());
         let seq = prepared
-            .execute(ExecOptions::sequential().budget_with(cancelled()))
+            .run(ExecOptions::sequential().budget_with(cancelled()))
             .unwrap();
-        prop_assert!(seq.truncated());
-        let seq = seq.into_answer();
+        prop_assert!(seq.truncated);
         prop_assert!(seq.matches.is_empty());
         prop_assert_eq!(seq.stats.focus_candidates, 0);
         let runtime = Runtime::new(2);
@@ -168,19 +173,35 @@ proptest! {
         prop_assert!(part.truncated);
         prop_assert_eq!(cancelled().stop_reason(), Some(BudgetStop::Cancelled));
 
-        // Mid-stream cancellation: take one answer, cancel, and the stream
-        // ends without deciding the rest.
-        let token = CancelToken::new();
-        let mut stream = prepared
-            .execute(ExecOptions::sequential().budget_with(ExecBudget::from(token.clone())))
-            .unwrap();
-        let first = stream.next();
-        token.cancel();
-        prop_assert_eq!(stream.next(), None);
-        if let Some(v) = first {
-            prop_assert_eq!(v, full.matches[0]);
+        // Mid-run stop: a cap funding exactly the decisions `limit(1)`
+        // made stops the run right after the first answer, flagged
+        // truncated iff candidates were left; spent, the same budget stops
+        // the next run before it decides anything, and so does its token.
+        if let Some(&first) = full.matches.first() {
+            let decisions = |opts: ExecOptions<'_>| {
+                let probe = ExecBudget::unlimited();
+                prepared.run(opts.budget_with(probe.clone())).unwrap();
+                probe.decisions_used()
+            };
+            let to_first = decisions(ExecOptions::sequential().limit(1));
+            let all = decisions(ExecOptions::sequential());
+            let cap = ExecBudget::unlimited().max_decisions(to_first);
+            let capped = prepared
+                .run(ExecOptions::sequential().budget_with(cap.clone()))
+                .unwrap();
+            prop_assert_eq!(&capped.matches, &vec![first]);
+            prop_assert_eq!(capped.truncated, all > to_first);
+            let spent = prepared
+                .run(ExecOptions::sequential().budget_with(cap.clone()))
+                .unwrap();
+            prop_assert!(spent.matches.is_empty() && spent.truncated);
+            // Its token now stops every run that shares it.
+            let shared = ExecBudget::from(cap.token().clone());
+            let shared = prepared
+                .run(ExecOptions::parallel_on(&runtime).budget_with(shared))
+                .unwrap();
+            prop_assert!(shared.matches.is_empty() && shared.truncated);
         }
-        drop(stream);
 
         // No poisoned state: the same prepared query (and the same runtime)
         // still produce the complete answer.
@@ -228,10 +249,10 @@ fn deadline_tokens_cancel_by_themselves() {
     let expired = CancelToken::with_timeout(std::time::Duration::ZERO);
     let budget = ExecBudget::from(expired);
     let m = prepared
-        .execute(ExecOptions::sequential().budget_with(budget.clone()))
+        .run(ExecOptions::sequential().budget_with(budget.clone()))
         .unwrap();
-    assert!(m.truncated());
-    assert!(m.into_answer().matches.is_empty());
+    assert!(m.truncated);
+    assert!(m.matches.is_empty());
     assert_eq!(budget.stop_reason(), Some(BudgetStop::DeadlineExpired));
     // The same in parallel and partitioned mode.
     let fragments = whole_graph_fragment(&graph);
@@ -338,7 +359,7 @@ fn partitioned_mode_rejects_bad_partitions() {
     let fragments = whole_graph_fragment(&graph);
     // d smaller than the radius.
     let err = prepared
-        .execute(ExecOptions::partitioned_on(
+        .run(ExecOptions::partitioned_on(
             &fragments,
             1,
             Runtime::global(),
@@ -353,7 +374,7 @@ fn partitioned_mode_rejects_bad_partitions() {
     ));
     // Empty fragment list.
     let err = prepared
-        .execute(ExecOptions::partitioned_on(&[], 2, Runtime::global()))
+        .run(ExecOptions::partitioned_on(&[], 2, Runtime::global()))
         .unwrap_err();
     assert!(matches!(err, qgp_core::MatchError::EmptyPartition));
 }

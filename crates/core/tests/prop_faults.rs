@@ -66,10 +66,10 @@ fn star_graph(spokes: usize) -> (Graph, Pattern) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Under random injected faults, parallel execution either completes
-    /// with the exact fault-free answer or fails with the typed
-    /// `TaskPanicked` error — and the same prepared query on the same
-    /// runtime reproduces the fault-free answer once disarmed.
+    /// Under random injected faults, sequential and parallel execution
+    /// either complete with the exact fault-free answer or fail with the
+    /// typed `TaskPanicked` error — and the same prepared query (on the
+    /// same runtime) reproduces the fault-free answer once disarmed.
     #[test]
     fn faulty_executions_fail_typed_and_retry_clean(
         gspec in graph_spec(4..12, RS),
@@ -84,23 +84,29 @@ proptest! {
             .run(ExecOptions::parallel_on(&runtime))
             .unwrap();
 
-        {
-            let plan = plan_for_case(seed, FaultPlan::new(seed, 0.2).with_delay_rate(0.1));
-            let _armed = faults::install(plan);
-            match prepared.run(ExecOptions::parallel_on(&runtime)) {
-                // No fault fired inside this run: the answer is exact.
-                Ok(answer) => prop_assert_eq!(&answer.matches, &baseline.matches),
-                Err(MatchError::TaskPanicked(e)) => {
-                    prop_assert!(e.payload.contains("injected fault"), "{}", e);
+        for opts in [ExecOptions::sequential(), ExecOptions::parallel_on(&runtime)] {
+            let mode = opts.mode;
+            {
+                let plan = plan_for_case(seed, FaultPlan::new(seed, 0.2).with_delay_rate(0.1));
+                let _armed = faults::install(plan);
+                match prepared.run(opts.clone()) {
+                    // No fault fired inside this run: the answer is exact.
+                    Ok(answer) => {
+                        prop_assert_eq!(&answer.matches, &baseline.matches, "{:?}", mode)
+                    }
+                    Err(MatchError::TaskPanicked(e)) => {
+                        prop_assert!(e.payload.contains("injected fault"), "{:?}: {}", mode, e);
+                    }
+                    Err(other) => prop_assert!(false, "{:?}: unexpected error: {other:?}", mode),
                 }
-                Err(other) => prop_assert!(false, "unexpected error: {other:?}"),
             }
-        }
 
-        // Fault-free retry: same prepared query, same runtime, exact answer.
-        let again = prepared.run(ExecOptions::parallel_on(&runtime)).unwrap();
-        prop_assert_eq!(&again.matches, &baseline.matches);
-        prop_assert!(!again.truncated);
+            // Fault-free retry: same prepared query, same runtime, exact
+            // answer.
+            let again = prepared.run(opts).unwrap();
+            prop_assert_eq!(&again.matches, &baseline.matches, "{:?}", mode);
+            prop_assert!(!again.truncated);
+        }
     }
 
     /// A `serve` batch naming one query twice (plus a counting request for
@@ -296,6 +302,34 @@ fn global_runtime_serves_queries_after_an_injected_panic() {
         .run(ExecOptions::parallel_on(Runtime::global()))
         .unwrap();
     assert_eq!(again.matches, full.matches);
+}
+
+/// A sequential execution's tasks pass the executor's fault points on the
+/// calling thread: an armed run fails at its first candidate as a typed
+/// `TaskPanicked` from worker 0, and the pooled session, never handed to a
+/// decision, goes back to the pool — the retry builds nothing.
+#[test]
+fn a_sequential_fault_is_typed_and_keeps_the_pooled_session() {
+    let (graph, pattern) = star_graph(16);
+    let prepared = Engine::new(&graph).prepare(&pattern).unwrap();
+    let full = prepared.run(ExecOptions::sequential()).unwrap();
+    assert_eq!(full.stats.sessions_built, 1);
+
+    let err = {
+        let _armed = faults::install(FaultPlan::new(7, 1.0));
+        prepared.run(ExecOptions::sequential())
+    };
+    match err {
+        Err(MatchError::TaskPanicked(e)) => {
+            assert_eq!((e.worker, e.index), (0, Some(0)), "{e}");
+            assert!(e.payload.contains("injected fault"), "{e}");
+        }
+        other => panic!("expected TaskPanicked, got {other:?}"),
+    }
+
+    let again = prepared.run(ExecOptions::sequential()).unwrap();
+    assert_eq!(again.matches, full.matches);
+    assert_eq!(again.stats.sessions_built, 0);
 }
 
 /// Two requests for the same query in one batch need no turn-taking: on two

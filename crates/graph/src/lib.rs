@@ -71,9 +71,7 @@ pub use error::GraphError;
 pub use fragment::{Fragment, FragmentId};
 pub use graph::{EdgeRef, Graph, NodeId, DEFAULT_COMPACTION_THRESHOLD};
 pub use labels::{LabelId, LabelSet};
-pub use neighborhood::{
-    bfs_within, bfs_within_multi_with, bfs_within_with, d_hop_nodes, BfsScratch,
-};
+pub use neighborhood::{d_hop_nodes, BfsScratch};
 pub use snapshot::GraphSnapshot;
 pub use stats::GraphStats;
 pub use store::{publish_ordering, GraphStore, DEFAULT_LOG_RETENTION};

@@ -113,51 +113,6 @@ impl BfsScratch {
     }
 }
 
-/// Bounded undirected BFS using caller-provided scratch state.  Appends every
-/// node within `d` hops of `start` (including `start`), paired with its hop
-/// distance, to `out` in BFS order.
-pub fn bfs_within_with(
-    graph: &Graph,
-    start: NodeId,
-    d: usize,
-    scratch: &mut BfsScratch,
-    out: &mut Vec<(NodeId, usize)>,
-) {
-    bfs_within_multi_with(graph, &[start], d, scratch, out);
-}
-
-/// Bounded undirected BFS from *several* start nodes at once: appends every
-/// node within `d` hops of any node in `starts` (including the starts
-/// themselves), paired with the hop distance to the *nearest* start, to
-/// `out` in BFS order.  Duplicate start nodes are visited once.
-///
-/// This is the "affected ball" primitive of incremental matching: the union
-/// `⋃ N_d(s)` over an update batch's endpoints, computed in one traversal
-/// instead of one BFS per endpoint.
-pub fn bfs_within_multi_with(
-    graph: &Graph,
-    starts: &[NodeId],
-    d: usize,
-    scratch: &mut BfsScratch,
-    out: &mut Vec<(NodeId, usize)>,
-) {
-    scratch.visit_ball(graph, starts, d, false, |v, dist| out.push((v, dist)));
-}
-
-/// Returns every node within `d` undirected hops of `start` (including
-/// `start` itself), each paired with its hop distance, in BFS order.
-pub fn bfs_within(graph: &Graph, start: NodeId, d: usize) -> Vec<(NodeId, usize)> {
-    let mut order = Vec::new();
-    bfs_within_with(
-        graph,
-        start,
-        d,
-        &mut BfsScratch::for_graph(graph),
-        &mut order,
-    );
-    order
-}
-
 /// The node set of `N_d(v)`: all nodes within `d` undirected hops of `v`.
 pub fn d_hop_nodes(graph: &Graph, v: NodeId, d: usize) -> Vec<NodeId> {
     let mut nodes = Vec::new();
@@ -170,6 +125,19 @@ mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
     use std::collections::HashMap;
+
+    /// Every node within `d` hops of any start, with its distance to the
+    /// nearest one, in visit order.
+    fn bfs(
+        g: &Graph,
+        starts: &[NodeId],
+        d: usize,
+        scratch: &mut BfsScratch,
+    ) -> Vec<(NodeId, usize)> {
+        let mut out = Vec::new();
+        scratch.visit_ball(g, starts, d, false, |v, dist| out.push((v, dist)));
+        out
+    }
 
     /// A path a -> b -> c -> d plus an isolated node.
     fn path_graph() -> (Graph, Vec<NodeId>) {
@@ -204,7 +172,8 @@ mod tests {
     #[test]
     fn distances_are_correct() {
         let (g, n) = path_graph();
-        let dist: HashMap<_, _> = bfs_within(&g, n[0], 3).into_iter().collect();
+        let mut scratch = BfsScratch::for_graph(&g);
+        let dist: HashMap<_, _> = bfs(&g, &[n[0]], 3, &mut scratch).into_iter().collect();
         assert_eq!(dist[&n[0]], 0);
         assert_eq!(dist[&n[1]], 1);
         assert_eq!(dist[&n[2]], 2);
@@ -218,9 +187,11 @@ mod tests {
         let mut scratch = BfsScratch::for_graph(&g);
         for &start in &n {
             for d in 0..3 {
-                let mut reused = Vec::new();
-                bfs_within_with(&g, start, d, &mut scratch, &mut reused);
-                assert_eq!(reused, bfs_within(&g, start, d), "start {start:?} d {d}");
+                let reused = bfs(&g, &[start], d, &mut scratch);
+                let fresh = bfs(&g, &[start], d, &mut BfsScratch::for_graph(&g));
+                assert_eq!(reused, fresh, "start {start:?} d {d}");
+                let nodes: Vec<_> = fresh.iter().map(|&(v, _)| v).collect();
+                assert_eq!(nodes, d_hop_nodes(&g, start, d), "start {start:?} d {d}");
             }
         }
     }
@@ -230,7 +201,7 @@ mod tests {
         let (g, n) = path_graph();
         let mut scratch = BfsScratch::for_graph(&g);
         for d in 0..4 {
-            let ball = bfs_within(&g, n[0], d);
+            let ball = bfs(&g, &[n[0]], d, &mut BfsScratch::for_graph(&g));
             let mut seen = Vec::new();
             scratch.visit_ball(&g, &[n[0]], d, true, |v, dist| seen.push((v, dist)));
             assert_eq!(seen, ball);
@@ -255,8 +226,7 @@ mod tests {
         let mut scratch = BfsScratch::for_graph(&g);
         scratch.epoch = u32::MAX - 1;
         for _ in 0..4 {
-            let mut ball = Vec::new();
-            bfs_within_with(&g, n[1], 1, &mut scratch, &mut ball);
+            let ball = bfs(&g, &[n[1]], 1, &mut scratch);
             assert_eq!(ball.len(), 3, "epoch {}", scratch.epoch);
         }
     }
@@ -278,8 +248,7 @@ mod tests {
     fn multi_source_bfs_is_the_union_of_single_source_balls() {
         let (g, n) = path_graph();
         let mut scratch = BfsScratch::for_graph(&g);
-        let mut out = Vec::new();
-        bfs_within_multi_with(&g, &[n[0], n[4], n[0]], 1, &mut scratch, &mut out);
+        let out = bfs(&g, &[n[0], n[4], n[0]], 1, &mut scratch);
         let mut got: Vec<_> = out.iter().map(|&(v, _)| v).collect();
         got.sort_unstable();
         let mut want = vec![n[0], n[1], n[4]];
@@ -292,9 +261,7 @@ mod tests {
         assert_eq!(dist[&n[1]], 1);
 
         // Empty start set visits nothing.
-        let mut none = Vec::new();
-        bfs_within_multi_with(&g, &[], 3, &mut scratch, &mut none);
-        assert!(none.is_empty());
+        assert!(bfs(&g, &[], 3, &mut scratch).is_empty());
     }
 
     #[test]

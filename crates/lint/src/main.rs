@@ -631,9 +631,12 @@ mod tests {
             scan("crates/core/src/engine/x.rs", bad),
             vec!["engine-lifetime"]
         );
-        // `Matches` owns its session; it must not grow a borrow back.
+        // A `MatchView` owns its snapshot; it must not grow a borrow back.
         assert_eq!(
-            scan("crates/core/src/engine/x.rs", "pub struct Matches<'q> {\n"),
+            scan(
+                "crates/core/src/engine/x.rs",
+                "pub struct MatchView<'q> {\n"
+            ),
             vec!["engine-lifetime"]
         );
         // An execution names its executor as a `&Runtime`; a separate

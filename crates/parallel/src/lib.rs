@@ -56,11 +56,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod error;
 pub mod partition;
 pub mod pqmatch;
 
-pub use error::ParallelError;
 pub use partition::{dpar_with, DHopPartition, PartitionConfig, PartitionStats};
 pub use pqmatch::{pqmatch_on, ParallelConfig};
 

@@ -20,7 +20,6 @@ use qgp_core::pattern::Pattern;
 use qgp_core::MatchError;
 use qgp_runtime::Runtime;
 
-use crate::error::ParallelError;
 use crate::partition::DHopPartition;
 
 /// Configuration of a parallel matching run.
@@ -78,24 +77,6 @@ impl Default for ParallelConfig {
     }
 }
 
-/// Translates engine errors into this crate's error vocabulary.
-fn to_parallel_error(e: MatchError) -> ParallelError {
-    match e {
-        MatchError::InvalidPattern(p) => ParallelError::InvalidPattern(p.to_string()),
-        MatchError::RadiusExceedsPartition {
-            radius,
-            partition_d,
-        } => ParallelError::RadiusExceedsPartition {
-            radius,
-            partition_d,
-        },
-        MatchError::EmptyPartition => ParallelError::NoWorkers,
-        MatchError::TaskPanicked(_) | MatchError::UnknownQuery { .. } => {
-            ParallelError::Execution(e.to_string())
-        }
-    }
-}
-
 /// Runs `PQMatch` over an existing d-hop preserving partition on
 /// `runtime`: prepares `pattern` and executes it once in
 /// [`ExecMode::Partitioned`](qgp_core::engine::ExecMode::Partitioned):
@@ -104,25 +85,26 @@ fn to_parallel_error(e: MatchError) -> ParallelError {
 /// thread count is `runtime`'s.  To run one pattern many times, prepare it
 /// once with [`Engine::prepare`] instead.
 ///
-/// Returns an error when the pattern is invalid, when its radius exceeds
-/// the partition's `d` — the covering guarantee would no longer imply that
-/// local evaluation is complete — or when the partition has no fragments.
+/// Returns the engine's error: [`MatchError::InvalidPattern`] when the
+/// pattern is invalid, [`MatchError::RadiusExceedsPartition`] when its
+/// radius exceeds the partition's `d` — the covering guarantee would no
+/// longer imply that local evaluation is complete —
+/// [`MatchError::EmptyPartition`] when the partition has no fragments, and
+/// [`MatchError::TaskPanicked`] when a task panicked.
 pub fn pqmatch_on(
     pattern: &Pattern,
     partition: &DHopPartition,
     config: &ParallelConfig,
     runtime: &Runtime,
-) -> Result<QueryAnswer, ParallelError> {
+) -> Result<QueryAnswer, MatchError> {
     let fragments = partition.fragments();
     // The engine graph is not consulted in partitioned mode (sessions run
     // on the fragment subgraphs); bind it to the first fragment's.
-    let first = fragments.first().ok_or(ParallelError::NoWorkers)?;
-    let prepared = Engine::new(first.graph())
-        .prepare(pattern)
-        .map_err(to_parallel_error)?;
+    let first = fragments.first().ok_or(MatchError::EmptyPartition)?;
+    let prepared = Engine::new(first.graph()).prepare(pattern)?;
     let opts = ExecOptions::partitioned_on(fragments, partition.d(), runtime)
         .with_config(config.match_config);
-    prepared.run(opts).map_err(to_parallel_error)
+    prepared.run(opts)
 }
 
 #[cfg(test)]
@@ -266,11 +248,33 @@ mod tests {
         .unwrap_err();
         assert!(matches!(
             err,
-            ParallelError::RadiusExceedsPartition {
+            MatchError::RadiusExceedsPartition {
                 radius: 2,
                 partition_d: 1
             }
         ));
+    }
+
+    #[test]
+    fn a_panicking_task_comes_back_as_its_task_error() {
+        use qgp_runtime::faults::{self, FaultPlan};
+        let g = social_graph(6);
+        let pattern = library::q3_redmi_negation(2);
+        let partition = dpar_with(&g, &PartitionConfig::new(2, 2), Runtime::global());
+        let runtime = Runtime::new(1);
+        let run = || pqmatch_on(&pattern, &partition, &ParallelConfig::default(), &runtime);
+        let err = {
+            let _armed = faults::install(FaultPlan::new(3, 1.0));
+            run()
+        };
+        match err {
+            Err(MatchError::TaskPanicked(e)) => {
+                assert_eq!((e.worker, e.index), (0, Some(0)), "{e}");
+                assert!(e.payload.contains("injected fault"), "{e}");
+            }
+            other => panic!("expected TaskPanicked, got {other:?}"),
+        }
+        assert_eq!(run().unwrap().matches, evaluate_reference(&g, &pattern));
     }
 
     #[test]
@@ -285,7 +289,7 @@ mod tests {
         let p = b.build_unchecked();
         assert!(matches!(
             pqmatch_on(&p, &partition, &ParallelConfig::default(), &Runtime::new(1)),
-            Err(ParallelError::InvalidPattern(_))
+            Err(MatchError::InvalidPattern(_))
         ));
     }
 }

@@ -7,9 +7,8 @@
 //! *decisions* — the number of focus candidates a query execution is
 //! allowed to verify.  Every execution path charges the budget once per
 //! candidate via [`ExecBudget::charge`]; the first charge past the cap (or
-//! past the deadline) trips the shared token, so parallel workers, the
-//! sequential `Matches` stream, and view repair all stop at per-candidate
-//! granularity.
+//! past the deadline) trips the shared token, so every execution mode and
+//! view repair stop at per-candidate granularity.
 //!
 //! Clones share one ledger: charging any clone charges them all, which is
 //! what lets a parallel fan-out enforce a single global cap.

@@ -167,8 +167,8 @@ pub fn pattern(kind: u8) -> Pattern {
             b.edge(y, w, "s");
             b.negated_edge(xo, w, "s")
         }
-        // A two-node pure negation: the positified pattern takes the
-        // sessionless trivial-shape shortcut.
+        // A two-node pure negation: under counting, the positified body is
+        // decided by its sub-session's single-edge ranked intersection.
         _ => b.negated_edge(xo, y, "s"),
     };
     b.focus(xo);

@@ -59,13 +59,10 @@ fn main() {
         answer.len()
     );
 
-    // Stream a few example entities for Q4 with p = 2: `limit(5)` stops
-    // verifying candidates as soon as 5 answers are found.
+    // A few example entities for Q4 with p = 2: `limit(5)` stops verifying
+    // candidates as soon as 5 answers are found.
     let q4 = engine.prepare(&library::q4_uk_professors(2)).unwrap();
-    let preview: Vec<_> = q4
-        .execute(ExecOptions::sequential().limit(5))
-        .unwrap()
-        .collect();
+    let preview = q4.run(ExecOptions::sequential().limit(5)).unwrap().matches;
     println!("example Q4 matches (node ids): {preview:?}");
 
     // A live view of Q4 on a versioned store.  Each published batch deletes

@@ -68,9 +68,8 @@ fn main() {
     let engine = Engine::new(&graph);
     let prepared = engine.prepare(&pattern).expect("pattern validates");
 
-    // Execute, streaming the matches as they are decided.
-    let matches = prepared.execute(ExecOptions::sequential()).unwrap();
-    let found: Vec<_> = matches.collect();
+    // Execute: the first run builds the matcher session.
+    let found = prepared.run(ExecOptions::sequential()).unwrap().matches;
     println!("matches of the query focus: {found:?}");
 
     // The prepared query is reusable; a second execution on the same

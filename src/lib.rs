@@ -62,7 +62,7 @@
 //! b.focus(xo);
 //! let pattern = b.build().expect("pattern is well-formed");
 //!
-//! // Compile once; execute as often as needed (streaming the answers).
+//! // Compile once; execute as often as needed.
 //! let engine = Engine::new(&graph);
 //! let prepared = engine.prepare(&pattern).expect("pattern validates");
 //! let answer = prepared.run(ExecOptions::sequential()).unwrap();
@@ -71,12 +71,10 @@
 //! // bob fails the numeric aggregate; cai fails the negation.
 //! assert_eq!(answer.matches, vec![ann]);
 //!
-//! // The prepared query is reusable — e.g. stream just the first answer.
-//! let first = prepared
-//!     .execute(ExecOptions::sequential().limit(1))
-//!     .unwrap()
-//!     .next();
-//! assert_eq!(first, Some(ann));
+//! // The prepared query is reusable — e.g. decide foci only until the
+//! // first answer.
+//! let first = prepared.run(ExecOptions::sequential().limit(1)).unwrap();
+//! assert_eq!(first.matches, vec![ann]);
 //!
 //! // Or keep the answer live under edge updates: materialize a view and
 //! // apply update batches to it.
@@ -115,8 +113,8 @@ pub use qgp_runtime as runtime;
 // a single `use` line.
 pub use qgp_core::engine::{
     BudgetStop, CacheStats, CountAnswer, CountMode, Engine, ExecBudget, ExecMode, ExecOptions,
-    FocusCount, MatchView, Matches, PreparedQuery, QueryId, QueryRegistry, ServeOutcome,
-    ServeRequest, TaskError, ViewDelta, ViewError,
+    FocusCount, MatchView, PreparedQuery, QueryId, QueryRegistry, ServeOutcome, ServeRequest,
+    TaskError, ViewDelta, ViewError,
 };
 pub use qgp_core::matching::{MatchConfig, MatchStats, QueryAnswer};
 pub use qgp_core::pattern::{CountingQuantifier, Pattern, PatternBuilder};

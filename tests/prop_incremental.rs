@@ -1,7 +1,7 @@
 //! Differential contracts of the live match view:
 //!
 //! * after every update batch, `MatchView::apply` leaves the view equal to
-//!   a full `PreparedQuery::execute` on a graph *rebuilt from scratch* with
+//!   a full `PreparedQuery::run` on a graph *rebuilt from scratch* with
 //!   the post-batch edge set — for every matcher configuration, and for
 //!   repairs run at 1 and 4 executor threads,
 //! * the accumulated `ViewDelta`s replay the initial match set to the final
