@@ -22,7 +22,7 @@
 //! incremental `MatchView` drives cores directly, deciding against
 //! whichever snapshot it repairs onto without rebuilding state.
 //!
-//! Every execution surface of [`crate::engine`] — sequential streaming,
+//! Every execution surface of [`crate::engine`] — sequential,
 //! parallel, partitioned, counting, view repair, registry serving — reaches
 //! the one deciding body, `SessionCore::decide`, so the paths cannot drift
 //! apart semantically.
