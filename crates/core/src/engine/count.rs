@@ -19,8 +19,7 @@ use crate::matching::MatchStats;
 /// Per-focus result of a counting execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FocusCount {
-    /// The accepted focus node (a global id under
-    /// [`ExecMode::Partitioned`](super::ExecMode::Partitioned)).
+    /// The accepted focus node.
     pub focus: NodeId,
     /// Witness count of the focus's first out-edge (the number of distinct
     /// children matched by it): exact under

@@ -1,10 +1,10 @@
 //! Execution of prepared queries: one driver turns [`ExecOptions`] into a
-//! list of `(site, focus)` tasks — the pinned snapshot is one site, each
-//! fragment of a partition is one — and folds the verdicts of the one
+//! list of focus tasks on the snapshot and folds the verdicts of the one
 //! decision kernel, `SessionCore::decide`, into per-focus counts.  The
-//! modes differ only in the runtime the tasks run on: a sequential
-//! execution runs them on one inline worker, in ascending candidate order,
-//! the others on the work-stealing runtime they name.
+//! modes differ only in which foci they plan and the runtime the tasks run
+//! on: a sequential execution runs the focus candidates on one inline
+//! worker, in ascending order, a parallel one on the work-stealing runtime
+//! it names, and a partitioned one runs the candidates its fragments cover.
 
 use qgp_runtime::sync::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -102,34 +102,33 @@ fn normalized(restrict: &[NodeId]) -> Vec<NodeId> {
 }
 
 /// A matcher session a worker decides on: the one the coordinator checked
-/// out of the query's pool or built for a fragment, or one the worker built
-/// itself.
-enum SiteSession {
+/// out of the query's pool, or one the worker built itself.
+enum WorkerSession {
     Leased(Lease),
     Built(Box<SessionCore>),
 }
 
-impl SiteSession {
+impl WorkerSession {
     fn core(&mut self) -> &mut SessionCore {
         match self {
-            SiteSession::Leased(lease) => lease.core(),
-            SiteSession::Built(core) => core,
+            WorkerSession::Leased(lease) => lease.core(),
+            WorkerSession::Built(core) => core,
         }
     }
 
     /// The work done on this session for this execution.
     fn stats(&self) -> MatchStats {
         match self {
-            SiteSession::Leased(lease) => lease.stats(),
-            SiteSession::Built(core) => core.stats(),
+            WorkerSession::Leased(lease) => lease.stats(),
+            WorkerSession::Built(core) => core.stats(),
         }
     }
 }
 
-/// Per-executor-thread scratch: one matcher session per site (all sharing
-/// the compiled pattern) and the foci this thread accepted.
-struct SiteScratch {
-    sessions: Vec<Option<SiteSession>>,
+/// Per-executor-thread scratch: the thread's matcher session (all sharing
+/// the compiled pattern) and the foci it accepted.
+struct WorkerScratch {
+    session: Option<WorkerSession>,
     accepted: Vec<FocusCount>,
 }
 
@@ -145,22 +144,12 @@ pub(super) fn execute(
     let ctl = ExecControl::new(opts.limit, opts.budget.clone());
     let config = opts.config;
     let count = opts.count;
-    let compiled = pq.compiled();
     // Sequential mode's runtime: one worker, which runs inline on the
     // calling thread and takes the tasks in order.
     let inline = Runtime::new(1);
-
-    // The task list: (site, focus candidate in the site's node ids).  The
-    // sites are the fragments of a partition, or — `fragments` empty — the
-    // snapshot's whole graph as the one site 0.  `handoff[s]` holds the
-    // session the coordinator built or checked out to plan site `s`; the
-    // first worker deciding on the site takes it, so it is never built
-    // twice.
-    let mut tasks: Vec<(u32, NodeId)> = Vec::new();
-    let mut handoff: Vec<Option<SiteSession>> = Vec::new();
-    let (fragments, runtime): (&[Fragment], _) = match opts.mode {
-        // Partitioned execution matches inside the fragments' own graphs;
-        // the snapshot only pins the candidate universe via the fragments.
+    let runtime = match opts.mode {
+        ExecMode::Sequential => &inline,
+        ExecMode::Parallel(runtime) => runtime,
         ExecMode::Partitioned {
             fragments,
             d,
@@ -176,69 +165,36 @@ pub(super) fn execute(
                     partition_d: d,
                 });
             }
-            // A fragment's tasks are its covered nodes, within the
-            // restriction, that its session keeps as focus candidates;
-            // fragment-major, so a worker's initial contiguous range mostly
-            // stays within one fragment.  A node covered by several
-            // fragments (legal for hand-built fragments; DPar coverage is
-            // disjoint) is scheduled exactly once — otherwise each duplicate
-            // accept would consume a `limit` slot that dedup later takes
-            // back, shorting the answer below min(k, |answer|).  A limit of
-            // 0 plans nothing, and a fragment without a node to decide
-            // builds no session.
-            let restrict = opts.restrict.map(normalized);
-            let universe = fragments
-                .iter()
-                .flat_map(Fragment::covered_nodes)
-                .map(|v| v.index() + 1)
-                .max()
-                .unwrap_or(0);
-            let mut scheduled = DenseBitSet::new(universe);
-            for (f, fragment) in fragments.iter().enumerate() {
-                let covered: Vec<NodeId> = fragment
-                    .covered_nodes()
-                    .filter(|v| restrict.as_ref().is_none_or(|r| r.binary_search(v).is_ok()))
-                    .collect();
-                if covered.is_empty() || opts.limit == Some(0) {
-                    handoff.push(None);
-                    continue;
-                }
-                let core = SessionCore::new(fragment.graph(), Arc::clone(compiled), &config);
-                for global in covered {
-                    if let Some(local) = fragment.to_local(global) {
-                        if core.is_focus_candidate(local) && scheduled.insert(global.index()) {
-                            tasks.push((f as u32, local));
-                        }
-                    }
-                }
-                handoff.push(Some(SiteSession::Built(Box::new(core))));
-            }
-            (fragments, runtime)
+            runtime
         }
-        mode => {
-            // The pooled session provides the (deterministic, sorted)
-            // candidate list; its build cost — if this execution triggered
-            // it — lands in this execution's stats.
-            let mut lease = pq.checkout(snapshot, &config);
-            let session = lease.core();
-            let candidates = match opts.restrict {
-                None => session.focus_candidates().to_vec(),
-                Some(r) => {
-                    let mut v = normalized(r);
-                    v.retain(|&vx| session.is_focus_candidate(vx));
-                    v
-                }
-            };
-            tasks.extend(candidates.into_iter().map(|v| (0, v)));
-            handoff.push(Some(SiteSession::Leased(lease)));
-            // The candidates are sorted, so on the one inline worker a
-            // sequential execution decides them in ascending order: a
-            // limit or a decision cap stops it at a prefix of the answer.
-            let runtime = match mode {
-                ExecMode::Parallel(runtime) => runtime,
-                _ => &inline,
-            };
-            (&[], runtime)
+    };
+
+    // The pooled session plans the tasks and is handed to the first
+    // worker; its build cost, if this execution triggered it, lands in this
+    // execution's stats.
+    let mut lease = pq.checkout(snapshot, &config);
+    let session = lease.core();
+    let restrict = opts.restrict.map(normalized);
+    let mut tasks: Vec<NodeId> = match (opts.mode, restrict) {
+        // A partition only plans: its tasks are the fragments' covered
+        // candidates, within the restriction, fragment-major, so a worker's
+        // initial contiguous range mostly stays within one fragment.  Each
+        // is decided on the snapshot, whose `N_d(v)` the kernel visits
+        // exactly as a fragment holding it would.  A node covered by
+        // several fragments (legal for hand-built fragments; DPar coverage
+        // is disjoint) is scheduled once, so it is accepted once: a second
+        // accept would list it twice and take a second `limit` slot.
+        (ExecMode::Partitioned { fragments, .. }, restrict) => {
+            let mut scheduled = DenseBitSet::new(snapshot.node_count());
+            (fragments.iter().flat_map(Fragment::covered_nodes))
+                .filter(|v| restrict.as_ref().is_none_or(|r| r.binary_search(v).is_ok()))
+                .filter(|&v| session.is_focus_candidate(v) && scheduled.insert(v.index()))
+                .collect()
+        }
+        (_, None) => session.focus_candidates().to_vec(),
+        (_, Some(mut r)) => {
+            r.retain(|&v| session.is_focus_candidate(v));
+            r
         }
     };
     // A limit of 0 asks for no answer: decide nothing.  (The limit's stop
@@ -246,38 +202,33 @@ pub(super) fn execute(
     if opts.limit == Some(0) {
         tasks.clear();
     }
-    let site = |s: usize| match fragments.get(s) {
-        Some(fragment) => (fragment.graph(), Some(fragment)),
-        None => (snapshot.graph(), None),
-    };
-    let handoff: Vec<Mutex<Option<SiteSession>>> = handoff.into_iter().map(Mutex::new).collect();
+    let handoff = Mutex::new(Some(WorkerSession::Leased(lease)));
+    let graph = snapshot.graph();
 
     let outcome = runtime
         .try_map_with_cancel(
             tasks.len(),
             &ctl.stop,
-            || SiteScratch {
-                sessions: handoff.iter().map(|_| None).collect(),
+            || WorkerScratch {
+                session: None,
                 accepted: Vec::new(),
             },
             |scratch, i| {
                 if ctl.should_stop() {
                     return;
                 }
-                let (s, focus) = tasks[i];
-                let s = s as usize;
-                let (graph, fragment) = site(s);
+                let focus = tasks[i];
                 // The session leaves the scratch for the decision, so one
                 // that a panicking decision leaves suspect dies in the
                 // unwinding (a lease then never returns to its pool).
-                let mut session = scratch.sessions[s].take().unwrap_or_else(|| {
-                    let handed = handoff[s]
+                let mut session = scratch.session.take().unwrap_or_else(|| {
+                    let handed = handoff
                         .lock()
                         .unwrap_or_else(PoisonError::into_inner)
                         .take();
                     handed.unwrap_or_else(|| {
-                        let core = SessionCore::new(graph, Arc::clone(compiled), &config);
-                        SiteSession::Built(Box::new(core))
+                        let core = SessionCore::new(graph, Arc::clone(pq.compiled()), &config);
+                        WorkerSession::Built(Box::new(core))
                     })
                 });
                 // Every task is a focus candidate, so every one is charged.
@@ -287,33 +238,28 @@ pub(super) fn execute(
                         .decide(graph, focus, count, ctl.decide_token());
                     if let Some(v) = verdict.filter(|v| v.matched && ctl.try_accept()) {
                         scratch.accepted.push(FocusCount {
-                            focus: fragment.map_or(focus, |f| f.to_global(focus)),
+                            focus,
                             witnesses: v.witnesses,
                         });
                     }
                 }
-                scratch.sessions[s] = Some(session);
+                scratch.session = Some(session);
             },
         )
         .map_err(MatchError::TaskPanicked)?;
 
-    // Coordinator: union of the partial answers, and the work of every
-    // session — taken by a worker or still handed off.
-    let mut per_focus = Vec::new();
+    // Coordinator: the work of every session — taken by a worker or still
+    // handed off — and the union of the partial answers.
+    let handed = handoff.into_inner().unwrap_or_else(PoisonError::into_inner);
     let mut stats = MatchStats::default();
-    for scratch in outcome.states {
-        per_focus.extend(scratch.accepted);
-        for session in scratch.sessions.into_iter().flatten() {
-            stats += session.stats();
-        }
+    let taken = outcome.states.iter().filter_map(|s| s.session.as_ref());
+    for session in taken.chain(&handed) {
+        stats += session.stats();
     }
-    for slot in handoff {
-        if let Some(session) = slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
-            stats += session.stats();
-        }
-    }
+    let mut per_focus: Vec<FocusCount> = (outcome.states.into_iter())
+        .flat_map(|s| s.accepted)
+        .collect();
     per_focus.sort_unstable_by_key(|f| f.focus);
-    per_focus.dedup_by_key(|f| f.focus);
     Ok(CountAnswer {
         total: per_focus.len(),
         per_focus,

@@ -26,14 +26,14 @@ pub enum ExecMode<'a> {
     /// the shared compiled pattern.
     Parallel(&'a Runtime),
     /// `PQMatch`-style execution over a d-hop preserving partition: one
-    /// task per covered focus candidate per fragment, answers reported in
-    /// global node ids.
+    /// task per focus candidate a fragment covers, on the work-stealing
+    /// executor, with the pooled session like [`ExecMode::Parallel`].
     ///
-    /// Matching runs entirely against the fragments' subgraphs; the
-    /// engine's own graph is **not** consulted in this mode (and must not
-    /// be, so wrappers without access to the global graph can drive it).
-    /// The fragments are the caller's assertion that they form a d-hop
-    /// preserving partition of the queried graph.
+    /// The fragments only plan the tasks: every task is decided on the
+    /// snapshot the query runs on, so the answer is `Q(x_o, snapshot)` on
+    /// the covered nodes.  When the fragments cover every node — as a
+    /// `DPar` partition does — that is the whole answer, even when the
+    /// partition was cut from an older epoch of the graph.
     Partitioned {
         /// The partition's fragments (e.g. `DHopPartition::fragments()`).
         fragments: &'a [Fragment],
@@ -61,8 +61,7 @@ pub struct ExecOptions<'a> {
     /// Stop after this many accepted answers (genuine early termination:
     /// remaining candidates are never verified).
     pub limit: Option<usize>,
-    /// Restrict the focus candidates to this node set (global ids under
-    /// [`ExecMode::Partitioned`]).
+    /// Restrict the focus candidates to this node set.
     pub restrict: Option<&'a [NodeId]>,
     /// Execution budget: charged one decision per focus candidate verified,
     /// in every mode (sequential, parallel, partitioned), and its

@@ -1,19 +1,22 @@
 //! Fragments of a partitioned graph.
 //!
 //! The parallel algorithms of Section 5 distribute a graph `G` over `n`
-//! workers.  Each worker manages one [`Fragment`]: the subgraph of `G`
-//! induced by the node set assigned to that worker, plus bookkeeping that
-//! records which nodes the fragment *covers* (their whole d-hop neighborhood
-//! resides in the fragment, so matches anchored at them can be computed
-//! without communication — the "covering" property of a d-hop preserving
-//! partition).
+//! workers.  Each worker manages one [`Fragment`]: a set of nodes of `G`
+//! plus the subset it *covers* — nodes whose whole d-hop neighborhood lies
+//! inside the set, so matches anchored at them can be decided without
+//! communication (the "covering" property of a d-hop preserving partition).
 //!
-//! The global → local translation is a dense array indexed by global node id
-//! (one load per lookup, no hashing), and the covered set is a sorted vector
-//! probed by binary search — both in keeping with the flat-state layout of
-//! the storage crate.
+//! A fragment is a task plan, not a copy of the graph: it holds node ids of
+//! `G` only.  A partitioned execution decides each covered node on the
+//! snapshot it runs on, so its answer is `Q(x_o, snapshot)` restricted to
+//! the covered nodes whatever graph the fragments were cut from; a
+//! partition cut from an older epoch costs locality, never correctness.
+//!
+//! Both node lists are sorted and probed by binary search, in keeping with
+//! the flat-state layout of the storage crate.
 
-use crate::graph::{Graph, NodeId, ABSENT};
+use crate::bitset::DenseBitSet;
+use crate::graph::{Graph, NodeId};
 
 /// Identifier of a fragment (the index of the worker that owns it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -27,47 +30,51 @@ impl FragmentId {
     }
 }
 
-/// A fragment `F_i` of a partitioned graph: the subgraph induced by a set of
-/// global nodes, with local ↔ global node id mappings and the set of covered
-/// (anchor) nodes.
+/// A fragment `F_i` of a partitioned graph: a set of nodes of the graph it
+/// was cut from, the covered (anchor) subset, and its size.
 #[derive(Debug, Clone)]
 pub struct Fragment {
     id: FragmentId,
-    graph: Graph,
-    global_of_local: Vec<NodeId>,
-    /// Dense map over global node ids; [`ABSENT`] when the node is not in
-    /// the fragment.
-    local_of_global: Vec<u32>,
-    /// Covered global node ids, sorted.
+    /// The fragment's node ids, sorted.
+    nodes: Vec<NodeId>,
+    /// Covered node ids, sorted.
     covered: Vec<NodeId>,
+    /// Nodes plus the edges between them, counted at build.
+    size: usize,
 }
 
 impl Fragment {
-    /// Builds a fragment from the global graph.
+    /// Builds a fragment of `global`.
     ///
-    /// * `nodes` — the global node ids whose induced subgraph forms the
-    ///   fragment,
-    /// * `covered` — the subset of global node ids this fragment is
-    ///   responsible for (i.e. whose matches it must report); every covered
-    ///   node must be in `nodes`.
+    /// * `nodes` — the node ids the fragment holds,
+    /// * `covered` — the subset of them this fragment is responsible for
+    ///   (i.e. whose matches it must report); a node outside `nodes` is
+    ///   dropped.
     pub fn build(
         id: FragmentId,
         global: &Graph,
         nodes: &[NodeId],
         covered: impl IntoIterator<Item = NodeId>,
     ) -> Self {
-        let (graph, global_of_local, local_of_global) = global.induced(nodes);
+        let members =
+            DenseBitSet::from_members(nodes.iter().map(|v| v.index()), global.node_count());
+        let nodes: Vec<NodeId> = members.iter().map(NodeId::new).collect();
+        let edges: usize = (nodes.iter())
+            .map(|&v| {
+                let inside = |w: &&NodeId| members.contains(w.index());
+                global.out_neighbors_slice(v).iter().filter(inside).count()
+            })
+            .sum();
         let mut covered: Vec<NodeId> = covered
             .into_iter()
-            .filter(|v| local_of_global.get(v.index()).is_some_and(|&l| l != ABSENT))
+            .filter(|v| v.index() < global.node_count() && members.contains(v.index()))
             .collect();
         covered.sort_unstable();
         covered.dedup();
         Self {
             id,
-            graph,
-            global_of_local,
-            local_of_global,
+            size: nodes.len() + edges,
+            nodes,
             covered,
         }
     }
@@ -77,49 +84,35 @@ impl Fragment {
         self.id
     }
 
-    /// The local subgraph managed by this fragment.
-    pub fn graph(&self) -> &Graph {
-        &self.graph
+    /// The fragment's node ids, in ascending order.
+    pub fn nodes(&self) -> &[NodeId] {
+        &self.nodes
     }
 
-    /// Number of global nodes present in this fragment.
+    /// Number of nodes in this fragment.
     pub fn node_count(&self) -> usize {
-        self.global_of_local.len()
+        self.nodes.len()
     }
 
-    /// Fragment size `|F_i|` measured as nodes + edges, the balance metric of
-    /// the d-hop preserving partition.
+    /// Fragment size `|F_i|` measured as nodes + the edges between them,
+    /// the balance metric of the d-hop preserving partition.
     pub fn size(&self) -> usize {
-        self.graph.size()
+        self.size
     }
 
-    /// Maps a local node id back to its global id.
-    pub fn to_global(&self, local: NodeId) -> NodeId {
-        self.global_of_local[local.index()]
-    }
-
-    /// Maps a global node id to its local id, if the node is present.
+    /// Returns `true` when the given node is in the fragment.
     #[inline]
-    pub fn to_local(&self, global: NodeId) -> Option<NodeId> {
-        match self.local_of_global.get(global.index()) {
-            Some(&local) if local != ABSENT => Some(NodeId(local)),
-            _ => None,
-        }
-    }
-
-    /// Returns `true` when the given global node is present in the fragment.
-    #[inline]
-    pub fn contains(&self, global: NodeId) -> bool {
-        self.to_local(global).is_some()
+    pub fn contains(&self, v: NodeId) -> bool {
+        self.nodes.binary_search(&v).is_ok()
     }
 
     /// Returns `true` when this fragment covers (is responsible for) the
-    /// given global node.
-    pub fn covers(&self, global: NodeId) -> bool {
-        self.covered.binary_search(&global).is_ok()
+    /// given node.
+    pub fn covers(&self, v: NodeId) -> bool {
+        self.covered.binary_search(&v).is_ok()
     }
 
-    /// Iterates over the covered global nodes (in ascending id order).
+    /// Iterates over the covered nodes (in ascending id order).
     pub fn covered_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.covered.iter().copied()
     }
@@ -127,15 +120,6 @@ impl Fragment {
     /// Number of covered nodes.
     pub fn covered_count(&self) -> usize {
         self.covered.len()
-    }
-
-    /// The covered nodes translated to local ids (the focus candidate scope a
-    /// worker restricts its matching to).
-    pub fn covered_local_nodes(&self) -> Vec<NodeId> {
-        self.covered
-            .iter()
-            .filter_map(|v| self.to_local(*v))
-            .collect()
     }
 }
 
@@ -154,15 +138,14 @@ mod tests {
     }
 
     #[test]
-    fn fragment_contains_induced_edges_and_mappings() {
+    fn fragment_holds_its_sorted_node_set_and_induced_edge_count() {
         let (g, n) = sample();
-        let frag = Fragment::build(FragmentId(0), &g, &n[0..3], vec![n[1]]);
-        assert_eq!(frag.node_count(), 3);
-        assert_eq!(frag.graph().edge_count(), 2);
+        let frag = Fragment::build(FragmentId(0), &g, &[n[2], n[0], n[1], n[0]], vec![n[1]]);
         assert_eq!(frag.id(), FragmentId(0));
-
-        let local = frag.to_local(n[2]).unwrap();
-        assert_eq!(frag.to_global(local), n[2]);
+        assert_eq!(frag.nodes(), &n[0..3]);
+        assert_eq!(frag.node_count(), 3);
+        // n0 → n1 → n2 lie inside; n2 → n3 leaves the fragment.
+        assert_eq!(frag.size(), 3 + 2);
         assert!(frag.contains(n[0]));
         assert!(!frag.contains(n[5]));
     }
@@ -175,7 +158,7 @@ mod tests {
         assert!(frag.covers(n[0]));
         assert!(!frag.covers(n[5]));
         assert_eq!(frag.covered_count(), 1);
-        assert_eq!(frag.covered_local_nodes().len(), 1);
+        assert!(frag.covered_nodes().all(|v| frag.contains(v)));
     }
 
     #[test]
@@ -191,6 +174,7 @@ mod tests {
         let (g, n) = sample();
         let frag = Fragment::build(FragmentId(0), &g, &n[0..4], Vec::<NodeId>::new());
         assert_eq!(frag.size(), 4 + 3);
+        assert_eq!(frag.size(), g.induced_subgraph(&n[0..4]).0.size());
         assert_eq!(frag.covered_count(), 0);
     }
 }

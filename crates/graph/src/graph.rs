@@ -499,14 +499,7 @@ impl Graph {
     /// frozen like any other CSR (only the remapped label groups are
     /// sorted).
     pub fn induced_subgraph(&self, nodes: &[NodeId]) -> (Graph, Vec<NodeId>) {
-        let (sub, global_of_local, _) = self.induced(nodes);
-        (sub, global_of_local)
-    }
-
-    /// [`Graph::induced_subgraph`] plus the dense inverse of its mapping:
-    /// `local_of_global[v]` is `v`'s local id, [`ABSENT`] when `v` is not in
-    /// `nodes`.  Every edge is remapped by one array load.
-    pub(crate) fn induced(&self, nodes: &[NodeId]) -> (Graph, Vec<NodeId>, Vec<u32>) {
+        const ABSENT: u32 = u32::MAX;
         let mut global_of_local = Vec::with_capacity(nodes.len());
         let mut local_of_global = vec![ABSENT; self.node_count()];
         for &v in nodes {
@@ -533,12 +526,9 @@ impl Graph {
             row[start..].sort_unstable();
         });
         let sub = Graph::from_frozen(Arc::clone(&self.labels), node_labels, out);
-        (sub, global_of_local, local_of_global)
+        (sub, global_of_local)
     }
 }
-
-/// Marks a node absent from a dense global → local id map.
-pub(crate) const ABSENT: u32 = u32::MAX;
 
 /// `Ok` when `node` is one of a graph's `node_count` nodes.
 pub(crate) fn check_node(node: NodeId, node_count: usize) -> Result<(), GraphError> {

@@ -26,8 +26,8 @@
 //!   readers pin without ever blocking on (or being blocked by) the writer,
 //! * [`neighborhood`] — d-hop neighborhoods `N_d(v)` and BFS utilities used
 //!   by the d-hop preserving partition of Section 5,
-//! * [`fragment`] — fragments of a partitioned graph with local/global id
-//!   mappings, used by the parallel algorithms,
+//! * [`fragment`] — fragments of a partitioned graph: node sets and the
+//!   covered nodes each decides, used by the parallel algorithms,
 //! * [`stats`] — degree and label statistics used by the synthetic dataset
 //!   generators and the pattern generator of Section 7.
 //!

@@ -19,6 +19,7 @@
 //! | `real-time`     | no `Instant::now` or `std::fs` in model-checked modules (use `sync::now`) |
 //! | `forbid-unsafe` | every crate root declares `#![forbid(unsafe_code)]`         |
 //! | `engine-lifetime` | no new lifetime-parameterized public types in `qgp_core::engine` (pin `Arc<GraphSnapshot>` instead) |
+//! | `typed-error`   | no tuple variant with a bare `String` payload in a crate's `src/error.rs` |
 //!
 //! Test code (`#[cfg(test)]` modules and `tests/` trees) is exempt from
 //! the per-line rules: tests may use raw primitives and `.unwrap()`
@@ -106,6 +107,34 @@ fn unwrap_scoped(rel: &str) -> bool {
 /// possible at all.  These are the grandfathered exceptions: the
 /// options/execution-mode family borrows a `Runtime` and fragments.
 const ENGINE_LIFETIME_ALLOWED: &[&str] = &["ExecOptions", "ExecMode"];
+
+/// Is `rel` a crate's error module, where every variant carries typed data?
+fn error_module(rel: &str) -> bool {
+    rel.strip_prefix("crates/")
+        .and_then(|rest| rest.split_once('/'))
+        .is_some_and(|(_, path)| path == "src/error.rs")
+}
+
+/// Returns the name of a tuple variant declared on this (stripped) line
+/// with a bare `String` among its fields: `Name(String)` or
+/// `Name(usize, String)`.  A caller matching on such a variant can only
+/// compare text.
+fn string_payload_variant(code: &str) -> Option<String> {
+    let code = code.trim_start();
+    let name: String = code
+        .chars()
+        .take_while(|c| c.is_alphanumeric() || *c == '_')
+        .collect();
+    if !name.starts_with(|c: char| c.is_ascii_uppercase()) {
+        return None;
+    }
+    let fields = code[name.len()..].strip_prefix('(')?;
+    let fields = &fields[..fields.find(')')?];
+    fields
+        .split(',')
+        .any(|field| field.trim() == "String")
+        .then_some(name)
+}
 
 /// Returns the name of a lifetime-parameterized public type declared on
 /// this (stripped) line of an engine module, unless allowlisted.
@@ -199,6 +228,7 @@ no-unwrap      .unwrap() in non-test runtime/engine code
 real-time      Instant::now or std::fs in a model-checked module (use sync::now())
 forbid-unsafe  crate root missing #![forbid(unsafe_code)]
 engine-lifetime  new lifetime-parameterized public type in qgp_core::engine
+typed-error    tuple variant with a bare String payload in crates/*/src/error.rs
 ";
 
 /// Walk up from the current directory to the first `Cargo.toml` declaring
@@ -517,6 +547,20 @@ fn scan_file(rel: &str, source: &str, findings: &mut Vec<Finding>) {
             }
         }
 
+        if error_module(rel) {
+            if let Some(name) = string_payload_variant(code) {
+                findings.push(Finding {
+                    path: PathBuf::from(rel),
+                    line: lineno,
+                    rule: "typed-error",
+                    message: format!(
+                        "error variant `{name}` carries a bare String; hold the typed \
+                         error or value it describes"
+                    ),
+                });
+            }
+        }
+
         if MODEL_CHECKED.contains(&rel) {
             for (pattern, what) in [
                 ("Instant::now", "wall-clock read"),
@@ -662,6 +706,33 @@ mod tests {
                 "{ok} must not be flagged"
             );
         }
+    }
+
+    #[test]
+    fn string_payloads_are_flagged_in_error_modules_only() {
+        for bad in [
+            "    Parallel(String),\n",
+            "    InvalidPattern(String),\n",
+            "    Io(usize, String),\n",
+        ] {
+            assert_eq!(scan("crates/rules/src/error.rs", bad), vec!["typed-error"]);
+        }
+        for ok in [
+            "    Match(MatchError),\n",
+            "    InvalidConfidenceThreshold(f64),\n",
+            "    FocusLabelMismatch {\n        antecedent: String,\n    },\n",
+            "    Name(Vec<String>),\n",
+            "    fn label(s: String) {}\n",
+            "    /// Was `Parallel(String)` once.\n",
+        ] {
+            assert!(
+                scan("crates/rules/src/error.rs", ok).is_empty(),
+                "{ok} must not be flagged"
+            );
+        }
+        // Outside a crate's error module the rule does not apply.
+        assert!(scan("crates/rules/src/rule.rs", "    Parallel(String),\n").is_empty());
+        assert!(scan("crates/rules/tests/error.rs", "    Parallel(String),\n").is_empty());
     }
 
     #[test]

@@ -41,7 +41,10 @@
 //!   unless a fragment that already holds the ball is the smallest by bounds.
 //!
 //! All bookkeeping is flat and `NodeId`-indexed — no hash maps anywhere on
-//! the partitioning path, [`Fragment::build`] included.
+//! the partitioning path, [`Fragment::build`] included, and no fragment
+//! copies the graph: a fragment is a node set and its covered nodes, and a
+//! partitioned execution decides each covered node on the snapshot it runs
+//! on, so its answer is `Q(x_o, snapshot)` on the covered nodes.
 
 use qgp_graph::{BfsScratch, Fragment, FragmentId, Graph, NodeId};
 use qgp_runtime::Runtime;
@@ -102,9 +105,13 @@ pub struct PartitionStats {
     pub balls_weighed: usize,
 }
 
-/// A d-hop preserving partition of a graph.
+/// A d-hop preserving partition of a graph: the fragments that plan a
+/// partitioned execution's tasks, and the graph they were cut from.
 #[derive(Debug, Clone)]
 pub struct DHopPartition {
+    /// The graph the partition was built from — a clone sharing its arrays
+    /// — which [`crate::pqmatch_on`] runs on.
+    pub(crate) graph: Graph,
     fragments: Vec<Fragment>,
     d: usize,
     stats: PartitionStats,
@@ -377,13 +384,10 @@ pub fn dpar_with(graph: &Graph, config: &PartitionConfig, runtime: &Runtime) -> 
     let visit_order = bfs_visit_order(graph);
     let chunk = total_nodes.div_ceil(n).max(1);
     let mut base_of_fragment: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-    // Dense node → base-fragment assignment (every node gets one).
-    let mut fragment_of_node: Vec<u32> = vec![0; total_nodes];
     let mut have = Erosion::new(graph, n, d);
     for (i, &v) in visit_order.iter().enumerate() {
         let f = (i / chunk).min(n - 1);
         base_of_fragment[f].push(v);
-        fragment_of_node[v.index()] = f as u32;
         have.insert(graph, f, v);
     }
 
@@ -493,16 +497,10 @@ pub fn dpar_with(graph: &Graph, config: &PartitionConfig, runtime: &Runtime) -> 
         covered_by[f].push(v);
     }
 
-    // ---- Step 5: materialize fragments ----------------------------------
-    // Base nodes in visit order, then the replicated ones by ascending id.
+    // ---- Step 5: the fragments' node sets --------------------------------
     let fragments: Vec<Fragment> = (0..n)
         .map(|f| {
-            let mut nodes: Vec<NodeId> = base_of_fragment[f].clone();
-            nodes.extend(
-                graph
-                    .nodes()
-                    .filter(|&w| have.contains(f, w) && fragment_of_node[w.index()] != f as u32),
-            );
+            let nodes: Vec<NodeId> = graph.nodes().filter(|&w| have.contains(f, w)).collect();
             Fragment::build(
                 FragmentId(f as u32),
                 graph,
@@ -523,6 +521,7 @@ pub fn dpar_with(graph: &Graph, config: &PartitionConfig, runtime: &Runtime) -> 
     };
 
     DHopPartition {
+        graph: graph.clone(),
         fragments,
         d,
         stats: PartitionStats {

@@ -18,7 +18,7 @@ const EDGE_LABELS: &[&str] = &["r", "s", "t"];
 const FRAGMENTS: &[usize] = &[1, 2, 3, 4, 7];
 const CAPACITY_FACTORS: &[f64] = &[1.0, 1.2, 2.0];
 
-/// What a partition is compared by: per fragment the global node order and
+/// What a partition is compared by: per fragment the sorted node list and
 /// the covered list, then sizes, border count and knapsack coverage.
 #[derive(Debug, PartialEq)]
 struct Outcome {
@@ -124,6 +124,7 @@ fn dpar_reference(graph: &Graph, config: &PartitionConfig) -> Outcome {
         let mut nodes = base[f].clone();
         nodes.extend(graph.nodes().filter(|w| extra[f][w.index()]));
         fragment_sizes.push(graph.induced_subgraph(&nodes).0.size());
+        nodes.sort_unstable();
         covered_by[f].sort_unstable();
         fragments.push((nodes, std::mem::take(&mut covered_by[f])));
     }
@@ -144,10 +145,7 @@ fn outcome_of(graph: &Graph, config: &PartitionConfig, threads: usize) -> Outcom
         fragments: partition
             .fragments()
             .iter()
-            .map(|frag| {
-                let nodes = (0..frag.node_count()).map(|l| frag.to_global(NodeId::new(l)));
-                (nodes.collect(), frag.covered_nodes().collect())
-            })
+            .map(|frag| (frag.nodes().to_vec(), frag.covered_nodes().collect()))
             .collect(),
         fragment_sizes: stats.fragment_sizes.clone(),
         border_nodes: stats.border_nodes,

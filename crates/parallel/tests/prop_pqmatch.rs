@@ -3,16 +3,20 @@
 //! hub owns most edges — the engine's partitioned mode over a `DPar`
 //! partition must compute exactly the reference oracle's answer for every
 //! partition size, executor thread count, and matcher configuration — as
-//! must the sequential mode and the `pqmatch_on` convenience.
+//! must the sequential mode and the `pqmatch_on` convenience.  A partition
+//! only plans the tasks, so one cut before an update batch must still
+//! answer the snapshot it runs on.
 
 use proptest::prelude::*;
 
 use qgp_core::engine::{Engine, ExecOptions};
 use qgp_core::matching::reference::evaluate_reference;
-use qgp_graph::Graph;
+use qgp_graph::{Graph, GraphStore};
 use qgp_parallel::{dpar_with, pqmatch_on, ParallelConfig, PartitionConfig};
 use qgp_runtime::Runtime;
-use qgp_testkit::{all_configs, engine_match, graph_spec, pattern, GraphSpec, PATTERN_KINDS, RS};
+use qgp_testkit::{
+    all_configs, engine_match, graph_spec, pattern, GraphSpec, UpdateStreamGen, PATTERN_KINDS, RS,
+};
 
 /// The spec's graph, plus, when `hub` is set, a node owning an edge to (and
 /// from half of) every other node — the skew case where static chunking
@@ -114,6 +118,45 @@ proptest! {
                 ))
                 .unwrap();
             prop_assert_eq!(&parallel.matches, &oracle, "kind={}", kind);
+        }
+    }
+
+    /// A `DPar` partition cut before an update batch, run through `run_on`
+    /// and `count_on` on the snapshot after it, answers that snapshot.
+    #[test]
+    fn a_partition_cut_before_an_update_answers_the_later_snapshot(
+        gspec in graph_spec(4..12, RS),
+        kind in 0u8..PATTERN_KINDS,
+        seed in 0u64..1_000_000,
+        batch in 1usize..24,
+    ) {
+        let graph = gspec.build();
+        let pattern = pattern(kind);
+        let store = GraphStore::new(graph.clone());
+        let prepared = Engine::from_store(&store).prepare(&pattern).unwrap();
+        let partitions: Vec<_> = [1, 2, 3]
+            .map(|n| {
+                let config = PartitionConfig::new(n, pattern.radius());
+                dpar_with(&graph, &config, &Runtime::new(1))
+            })
+            .into();
+        let mut gen = UpdateStreamGen::new(&graph, seed);
+        store.apply(&gen.next_batch(batch)).unwrap();
+        let head = store.snapshot();
+        let oracle = evaluate_reference(head.graph(), &pattern);
+        for partition in &partitions {
+            for threads in [1usize, 2] {
+                let runtime = Runtime::new(threads);
+                let opts = || {
+                    ExecOptions::partitioned_on(partition.fragments(), partition.d(), &runtime)
+                };
+                let run = prepared.run_on(&head, opts()).unwrap();
+                let n = partition.len();
+                prop_assert_eq!(&run.matches, &oracle, "run_on, n={} threads={}", n, threads);
+                let count = prepared.count_on(&head, opts()).unwrap();
+                let counted: Vec<_> = count.matches().collect();
+                prop_assert_eq!(&counted, &oracle, "count_on, n={} threads={}", n, threads);
+            }
         }
     }
 }

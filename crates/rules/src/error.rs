@@ -2,12 +2,15 @@
 
 use std::fmt;
 
+use qgp_core::pattern::PatternEdgeId;
+use qgp_core::{MatchError, PatternError};
+
 /// Errors raised while constructing or evaluating quantified graph
 /// association rules.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RuleError {
     /// One of the rule's patterns failed QGP validation.
-    InvalidPattern(String),
+    InvalidPattern(PatternError),
     /// A rule pattern has no edges (rules must be non-trivial, Section 6).
     EmptyPattern,
     /// Antecedent and consequent designate focuses with different labels.
@@ -17,12 +20,19 @@ pub enum RuleError {
         /// Focus label of the consequent.
         consequent: String,
     },
-    /// Antecedent and consequent share a focus-incident edge.
-    OverlappingEdge(String),
+    /// Antecedent and consequent share a focus-incident edge: same
+    /// direction, edge label, endpoint label and negation.
+    OverlappingEdge {
+        /// The shared edge in the antecedent.
+        antecedent: PatternEdgeId,
+        /// The shared edge in the consequent.
+        consequent: PatternEdgeId,
+    },
     /// The confidence threshold must lie in (0, 1].
     InvalidConfidenceThreshold(f64),
-    /// Error propagated from the parallel matching layer.
-    Parallel(String),
+    /// Matching one of the rule's patterns failed: a partition that does
+    /// not fit the rule, or a panicking task.
+    Match(MatchError),
 }
 
 impl fmt::Display for RuleError {
@@ -37,21 +47,42 @@ impl fmt::Display for RuleError {
                 f,
                 "antecedent focus label `{antecedent}` differs from consequent focus label `{consequent}`"
             ),
-            RuleError::OverlappingEdge(sig) => {
-                write!(f, "antecedent and consequent share the edge {sig}")
-            }
+            RuleError::OverlappingEdge {
+                antecedent,
+                consequent,
+            } => write!(
+                f,
+                "antecedent edge {} and consequent edge {} are the same focus-incident edge",
+                antecedent.0, consequent.0
+            ),
             RuleError::InvalidConfidenceThreshold(eta) => {
                 write!(f, "confidence threshold {eta} must lie in (0, 1]")
             }
-            RuleError::Parallel(e) => write!(f, "parallel evaluation failed: {e}"),
+            RuleError::Match(e) => write!(f, "rule evaluation failed: {e}"),
         }
     }
 }
 
-impl std::error::Error for RuleError {}
+impl std::error::Error for RuleError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            RuleError::InvalidPattern(e) => Some(e),
+            RuleError::Match(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
+impl From<MatchError> for RuleError {
+    fn from(e: MatchError) -> Self {
+        RuleError::Match(e)
+    }
+}
 
 #[cfg(test)]
 mod tests {
+    use std::error::Error;
+
     use super::*;
 
     #[test]
@@ -66,14 +97,20 @@ mod tests {
         }
         .to_string()
         .contains("robot"));
-        assert!(RuleError::OverlappingEdge("x -> y".into())
-            .to_string()
-            .contains("x -> y"));
-        assert!(RuleError::Parallel("boom".into())
-            .to_string()
-            .contains("boom"));
-        assert!(RuleError::InvalidPattern("bad".into())
-            .to_string()
-            .contains("bad"));
+        let overlap = RuleError::OverlappingEdge {
+            antecedent: PatternEdgeId(3),
+            consequent: PatternEdgeId(1),
+        };
+        assert!(overlap.to_string().contains("edge 3"));
+        assert!(overlap.to_string().contains("edge 1"));
+        let partition = RuleError::Match(MatchError::EmptyPartition);
+        assert!(partition.to_string().contains("at least one fragment"));
+        assert_eq!(
+            partition.source().map(ToString::to_string),
+            Some(MatchError::EmptyPartition.to_string())
+        );
+        let invalid = RuleError::InvalidPattern(PatternError::Disconnected);
+        assert!(invalid.to_string().contains("not connected"));
+        assert!(invalid.source().is_some());
     }
 }

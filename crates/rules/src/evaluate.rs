@@ -88,9 +88,8 @@ pub fn evaluate_rule(
     rule: &Qgar,
     config: &MatchConfig,
 ) -> Result<RuleEvaluation, RuleError> {
-    let engine = Engine::new(graph);
     let opts = ExecOptions::sequential().with_config(*config);
-    evaluate_with(graph, rule, &engine, opts, RuleError::InvalidPattern)
+    evaluate_with(graph, rule, opts)
 }
 
 /// `dgarMatch`: parallel evaluation of a QGAR over a d-hop preserving
@@ -104,28 +103,23 @@ pub fn evaluate_rule_parallel(
     config: &MatchConfig,
     runtime: &Runtime,
 ) -> Result<RuleEvaluation, RuleError> {
-    let fragments = partition.fragments();
-    let first = fragments.first();
-    let first = first.ok_or_else(|| RuleError::Parallel("empty partition".to_owned()))?;
-    let engine = Engine::new(first.graph());
-    let opts = ExecOptions::partitioned_on(fragments, partition.d(), runtime).with_config(*config);
-    evaluate_with(graph, rule, &engine, opts, RuleError::Parallel)
+    let opts = ExecOptions::partitioned_on(partition.fragments(), partition.d(), runtime)
+        .with_config(*config);
+    evaluate_with(graph, rule, opts)
 }
 
-/// Runs both patterns of `rule` through `engine`.  Support and confidence
-/// are *counting* aggregates, so every focus candidate is decided through
-/// the aggregate-pushdown work profile ([`ExecOptions::count_only`]): the
+/// Runs both patterns of `rule` on `graph`.  Support and confidence are
+/// *counting* aggregates, so every focus candidate is decided through the
+/// aggregate-pushdown work profile ([`ExecOptions::count_only`]): the
 /// matched foci are those of an enumerating run, but no child match is ever
 /// materialized — the per-candidate saving Exp-3 support counting lives on.
 fn evaluate_with(
     graph: &Graph,
     rule: &Qgar,
-    engine: &Engine,
     opts: ExecOptions,
-    error: fn(String) -> RuleError,
 ) -> Result<RuleEvaluation, RuleError> {
-    let run = |p| engine.prepare(p)?.run(opts.clone().count_only());
-    let answer = |p| run(p).map_err(|e| error(e.to_string()));
+    let engine = Engine::new(graph);
+    let answer = |p| engine.prepare(p)?.run(opts.clone().count_only());
     let (q1, q2) = (answer(rule.antecedent())?, answer(rule.consequent())?);
     let mut stats = q1.stats;
     stats += q2.stats;
@@ -185,6 +179,7 @@ fn lcwa_candidates(graph: &Graph, consequent: &Pattern, q1: &[NodeId]) -> usize 
 mod tests {
     use super::*;
     use qgp_core::pattern::{CountingQuantifier, PatternBuilder};
+    use qgp_core::MatchError;
     use qgp_graph::GraphBuilder;
     use qgp_parallel::{dpar_with, PartitionConfig};
 
@@ -335,7 +330,35 @@ mod tests {
         let partition = dpar_with(&g, &PartitionConfig::new(2, 1), &rt);
         assert!(matches!(
             evaluate_rule_parallel(&g, &rule, &partition, &MatchConfig::qmatch(), &rt),
-            Err(RuleError::Parallel(_))
+            Err(RuleError::Match(MatchError::RadiusExceedsPartition {
+                radius: 2,
+                partition_d: 1
+            }))
         ));
+    }
+
+    #[test]
+    fn a_panicking_sequential_decision_is_a_match_error() {
+        // Sequential decisions are executor tasks too: an injected panic
+        // must reach the caller as the task error, not as a bad pattern.
+        use qgp_runtime::faults::{self, FaultPlan};
+        let (g, _) = marketing_graph();
+        let rule = phone_rule();
+        let err = {
+            let _armed = faults::install(FaultPlan::new(5, 1.0));
+            evaluate_rule(&g, &rule, &MatchConfig::qmatch())
+        };
+        match err {
+            Err(RuleError::Match(MatchError::TaskPanicked(e))) => {
+                assert!(e.payload.contains("injected fault"), "{e}");
+            }
+            other => panic!("expected Match(TaskPanicked), got {other:?}"),
+        }
+        assert_eq!(
+            evaluate_rule(&g, &rule, &MatchConfig::qmatch())
+                .unwrap()
+                .support,
+            2
+        );
     }
 }

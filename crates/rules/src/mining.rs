@@ -13,6 +13,7 @@ use std::cmp::Reverse;
 use qgp_core::engine::{Engine, ExecOptions};
 use qgp_core::matching::{MatchConfig, MatchStats};
 use qgp_core::pattern::{CountingQuantifier, Pattern, PatternBuilder};
+use qgp_core::MatchError;
 use qgp_graph::{Graph, LabelId, NodeId};
 use qgp_runtime::{CancelToken, Runtime};
 
@@ -129,13 +130,13 @@ pub fn mine_qgars_with_report(
     let seeds = seed_features(graph, focus_label, config.max_seed_features);
     let rungs = rungs(config.ratio_step);
     // Fault-isolating map: a panic inside any seed count (including an
-    // injected one) surfaces as `RuleError::Parallel` instead of unwinding
+    // injected one) surfaces as `RuleError::Match` instead of unwinding
     // through the miner, and the runtime stays reusable.
     let engine = Engine::new(graph);
     let count = |_: &mut (), i| count_seed(&engine, config, &seeds[i], &rungs);
     let outcome = runtime
         .try_map_with_cancel(seeds.len(), &CancelToken::new(), || (), count)
-        .map_err(|e| RuleError::Parallel(e.to_string()))?;
+        .map_err(|e| RuleError::Match(MatchError::TaskPanicked(e)))?;
     // The token never fires, so every slot is `Some`.
     let counts: Vec<SeedCount> = outcome.outputs.into_iter().flatten().flatten().collect();
     let mut mined: Vec<MinedRule> = (counts.iter())
@@ -403,8 +404,14 @@ mod tests {
             let _armed = qgp_runtime::faults::install(qgp_runtime::faults::FaultPlan::new(21, 1.0));
             let err = mine_qgars_with_report(&g, &config, &rt).unwrap_err();
             match err {
-                RuleError::Parallel(msg) => assert!(msg.contains("injected fault"), "{msg}"),
-                other => panic!("expected RuleError::Parallel, got {other:?}"),
+                RuleError::Match(MatchError::TaskPanicked(e)) => {
+                    assert!(
+                        e.index.is_some(),
+                        "a seed count panicked, not a worker: {e}"
+                    );
+                    assert!(e.payload.contains("injected fault"), "{e}");
+                }
+                other => panic!("expected RuleError::Match(TaskPanicked), got {other:?}"),
             }
         }
         // Disarmed, the same runtime mines the same rules.

@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use qgp_core::pattern::Pattern;
+use qgp_core::pattern::{Pattern, PatternEdgeId};
 
 use crate::error::RuleError;
 
@@ -31,12 +31,8 @@ impl Qgar {
         antecedent: Pattern,
         consequent: Pattern,
     ) -> Result<Self, RuleError> {
-        antecedent
-            .validate()
-            .map_err(|e| RuleError::InvalidPattern(format!("antecedent: {e}")))?;
-        consequent
-            .validate()
-            .map_err(|e| RuleError::InvalidPattern(format!("consequent: {e}")))?;
+        antecedent.validate().map_err(RuleError::InvalidPattern)?;
+        consequent.validate().map_err(RuleError::InvalidPattern)?;
         if antecedent.edge_count() == 0 || consequent.edge_count() == 0 {
             return Err(RuleError::EmptyPattern);
         }
@@ -48,8 +44,11 @@ impl Qgar {
                 consequent: focus_c.clone(),
             });
         }
-        if let Some(sig) = shared_focus_edge(&antecedent, &consequent) {
-            return Err(RuleError::OverlappingEdge(sig));
+        if let Some((antecedent, consequent)) = shared_focus_edge(&antecedent, &consequent) {
+            return Err(RuleError::OverlappingEdge {
+                antecedent,
+                consequent,
+            });
         }
         Ok(Qgar {
             name: name.into(),
@@ -99,40 +98,31 @@ impl fmt::Display for Qgar {
 /// signature because an antecedent edge and a *negated* consequent edge over
 /// the same relationship express different (complementary) constraints and
 /// are not "the same edge" in the sense of Section 6.
-fn focus_edge_signatures(p: &Pattern) -> Vec<(bool, String, String, bool)> {
+type Signature<'p> = (bool, &'p str, &'p str, bool);
+
+/// Every focus-incident edge of `p` with its signature.
+fn focus_edge_signatures(p: &Pattern) -> Vec<(PatternEdgeId, Signature<'_>)> {
     let focus = p.focus();
-    let mut sigs = Vec::new();
-    for &eid in p.out_edges_of(focus) {
-        let e = p.edge(eid);
-        sigs.push((
-            true,
-            e.label.clone(),
-            p.node(e.to).label.clone(),
-            e.quantifier.is_negated(),
-        ));
-    }
-    for &eid in p.in_edges_of(focus) {
-        let e = p.edge(eid);
-        sigs.push((
-            false,
-            e.label.clone(),
-            p.node(e.from).label.clone(),
-            e.quantifier.is_negated(),
-        ));
-    }
-    sigs
+    let outgoing = p.out_edges_of(focus).iter().map(|&e| (e, true));
+    let incoming = p.in_edges_of(focus).iter().map(|&e| (e, false));
+    (outgoing.chain(incoming))
+        .map(|(eid, out)| {
+            let e = p.edge(eid);
+            let other = if out { e.to } else { e.from };
+            let negated = e.quantifier.is_negated();
+            (eid, (out, &e.label[..], &p.node(other).label[..], negated))
+        })
+        .collect()
 }
 
-fn shared_focus_edge(a: &Pattern, b: &Pattern) -> Option<String> {
-    let sigs_a = focus_edge_signatures(a);
+/// The first antecedent edge whose signature a consequent edge repeats,
+/// with that consequent edge.
+fn shared_focus_edge(a: &Pattern, b: &Pattern) -> Option<(PatternEdgeId, PatternEdgeId)> {
     let sigs_b = focus_edge_signatures(b);
-    for sa in &sigs_a {
-        if sigs_b.contains(sa) {
-            let dir = if sa.0 { "->" } else { "<-" };
-            return Some(format!("x_o {dir} [{}] {}", sa.1, sa.2));
-        }
-    }
-    None
+    focus_edge_signatures(a).into_iter().find_map(|(ea, sa)| {
+        let shared = sigs_b.iter().find(|(_, sb)| *sb == sa);
+        shared.map(|&(eb, _)| (ea, eb))
+    })
 }
 
 #[cfg(test)]
@@ -222,9 +212,13 @@ mod tests {
         b.edge(xo, club, "in");
         b.focus(xo);
         let consequent = b.build().unwrap();
-        assert!(matches!(
-            Qgar::new("bad", antecedent_like_r1(), consequent),
-            Err(RuleError::OverlappingEdge(_))
-        ));
+        // The antecedent's edge 0 is `xo -in-> club`; so is the consequent's.
+        assert_eq!(
+            Qgar::new("bad", antecedent_like_r1(), consequent).unwrap_err(),
+            RuleError::OverlappingEdge {
+                antecedent: PatternEdgeId(0),
+                consequent: PatternEdgeId(0),
+            }
+        );
     }
 }

@@ -59,6 +59,9 @@ fn main() {
         // fragment (replicated neighborhoods included), the nodes each one
         // covers (decides) and their skew.  A fragment can hold many nodes
         // and cover none: it only replicates the balls of its neighbours'.
+        // Every run decides on the graph itself with the query's pooled
+        // session, which the sequential run built, so `sessions built` is
+        // at most one per worker besides it — 0 or 1 here, whatever n.
         let balance = partition.stats();
         let covered: Vec<usize> = partition
             .fragments()

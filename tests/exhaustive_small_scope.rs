@@ -13,7 +13,9 @@
 //! `advance` on even steps and by `apply` of the same op on odd steps.  After
 //! every step the view must equal `evaluate_reference`, memoised per
 //! (kind, edge set).  On an edge set's first visit every row of the surface
-//! table must equal the memo too, and so must the `limit` row.
+//! table must equal the memo too, and so must the `limit` row and the
+//! partitioned runs over `DPar` partitions cut from the edgeless start: a
+//! partition only plans the tasks, so it is never stale.
 //!
 //! Under `--cfg qgp_mutate` the view repair drops its ratio seeds, and the
 //! walk must find a divergence.
@@ -23,7 +25,10 @@ use std::thread;
 use qgp_testkit::{limit_row, pattern, surface_table, PATTERN_KINDS};
 use quantified_graph_patterns::core::matching::reference::evaluate_reference;
 use quantified_graph_patterns::graph::LabelSet;
-use quantified_graph_patterns::{EdgeOp, Engine, Graph, GraphBuilder, GraphStore, NodeId, Runtime};
+use quantified_graph_patterns::parallel::{dpar_with, PartitionConfig};
+use quantified_graph_patterns::{
+    EdgeOp, Engine, ExecOptions, Graph, GraphBuilder, GraphStore, NodeId, Runtime,
+};
 
 /// The possible edges: bit `2p + l` is the `p`-th ordered pair of distinct
 /// nodes under label `l` (`r` = 0, `s` = 1).
@@ -86,6 +91,13 @@ fn walk(kind: u8, circuit: &[usize]) -> Option<String> {
     let prepared = Engine::from_store(&store).prepare(&pattern).unwrap();
     let mut view = prepared.view();
     let surfaces = surface_table();
+    let partitions = [1, 2, 3].map(|n| {
+        dpar_with(
+            &graph_of(0),
+            &PartitionConfig::new(n, pattern.radius()),
+            &runtime,
+        )
+    });
     let labels = LABELS.map(|name| store.snapshot().graph().labels().edge_label(name).unwrap());
     let mut memo: Vec<Option<Vec<NodeId>>> = vec![None; 1 << EDGES];
     let mut set = 0;
@@ -120,6 +132,22 @@ fn walk(kind: u8, circuit: &[usize]) -> Option<String> {
             }
             if let Err(e) = limit_row(&prepared, &head, &runtime, &oracle) {
                 panic!("kind {kind}, edge set {set:#05x}: {e}");
+            }
+            for partition in &partitions {
+                let opts =
+                    ExecOptions::partitioned_on(partition.fragments(), partition.d(), &runtime);
+                let run = prepared.run_on(&head, opts.clone()).unwrap().matches;
+                let count: Vec<NodeId> =
+                    prepared.count_on(&head, opts).unwrap().matches().collect();
+                let n = partition.len();
+                assert_eq!(
+                    run, oracle,
+                    "kind {kind}, edge set {set:#05x}: partitioned run, n = {n}"
+                );
+                assert_eq!(
+                    count, oracle,
+                    "kind {kind}, edge set {set:#05x}: partitioned count, n = {n}"
+                );
             }
             oracle
         });
