@@ -1,5 +1,4 @@
-//! Standard datasets and pattern workloads shared by the experiment harness
-//! and the integration tests.
+//! Standard datasets and pattern workloads of the experiment harness.
 
 use qgp_core::pattern::Pattern;
 use qgp_datasets::{

@@ -757,7 +757,6 @@ mod tests {
         assert_eq!(err, ViewError::Graph(expected));
         assert_eq!(view.matches(), before);
         assert!(Arc::ptr_eq(view.snapshot(), &pin));
-        assert_eq!(view.graph().update_stats().full_rebuilds, 0);
         assert!(view.graph().has_edge(vs[0], redmi, recom));
     }
 

@@ -134,11 +134,6 @@ impl Pattern {
         (0..self.nodes.len()).map(|i| PatternNodeId(i as u16))
     }
 
-    /// Iterates over pattern edge ids.
-    pub fn edge_ids(&self) -> impl Iterator<Item = PatternEdgeId> {
-        (0..self.edges.len()).map(|i| PatternEdgeId(i as u16))
-    }
-
     /// Iterates over `(id, edge)` pairs.
     pub fn edges(&self) -> impl Iterator<Item = (PatternEdgeId, &PatternEdge)> {
         self.edges
@@ -213,16 +208,12 @@ impl Pattern {
     /// connectivity is taken along *directed* paths "from or to" the focus:
     /// a node is kept iff a directed path of non-negated edges leads from the
     /// focus to it, or from it to the focus.  A positive pattern is returned
-    /// unchanged (`Π(Q) = Q` when `E⁻_Q = ∅`).
-    ///
-    /// Returns the projected pattern together with, for each node of the new
-    /// pattern, the id it had in `self` (so cached per-node matches can be
-    /// carried between the two).
+    /// unchanged (`Π(Q) = Q` when `E⁻_Q = ∅`).  The kept nodes keep their
+    /// relative order, renumbered densely.
     pub fn pi(&self) -> ProjectedPattern {
         if self.is_positive() {
             return ProjectedPattern {
                 pattern: self.clone(),
-                original_node: self.node_ids().collect(),
             };
         }
         // Forward reachability: focus → node via non-negated edges.
@@ -288,7 +279,6 @@ impl Pattern {
 
         ProjectedPattern {
             pattern: Pattern::from_parts(nodes, edges, new_id_of_old[&self.focus]),
-            original_node: kept_nodes,
         }
     }
 
@@ -461,31 +451,11 @@ impl fmt::Display for Pattern {
     }
 }
 
-/// The result of projecting a pattern (`Π(Q)` or `Π(Q^{+e})`): the projected
-/// pattern and, for each of its nodes, the corresponding node of the original
-/// pattern.
+/// The result of projecting a pattern (`Π(Q)` or `Π(Q^{+e})`).
 #[derive(Debug, Clone)]
 pub struct ProjectedPattern {
     /// The projected pattern.
     pub pattern: Pattern,
-    /// `original_node[i]` is the id, in the original pattern, of node `i` of
-    /// the projected pattern.
-    pub original_node: Vec<PatternNodeId>,
-}
-
-impl ProjectedPattern {
-    /// Maps a node of the projected pattern back to the original pattern.
-    pub fn to_original(&self, node: PatternNodeId) -> PatternNodeId {
-        self.original_node[node.index()]
-    }
-
-    /// Maps an original-pattern node to the projected pattern, if it was kept.
-    pub fn from_original(&self, node: PatternNodeId) -> Option<PatternNodeId> {
-        self.original_node
-            .iter()
-            .position(|&o| o == node)
-            .map(|i| PatternNodeId(i as u16))
-    }
 }
 
 #[cfg(test)]
@@ -541,11 +511,13 @@ mod tests {
         assert_eq!(pi.pattern.node_count(), 3);
         assert_eq!(pi.pattern.edge_count(), 2);
         assert!(pi.pattern.is_positive());
-        // Focus is preserved and maps back to the original focus.
-        assert_eq!(pi.to_original(pi.pattern.focus()), q.focus());
-        // The dropped node has no image.
-        let z2 = PatternNodeId(2);
-        assert!(pi.from_original(z2).is_none());
+        // The focus is preserved; the kept nodes keep their order.
+        let name = |p: &Pattern, v: PatternNodeId| p.node(v).name.clone().unwrap();
+        assert_eq!(name(&pi.pattern, pi.pattern.focus()), "xo");
+        let kept: Vec<_> = (pi.pattern.node_ids())
+            .map(|v| name(&pi.pattern, v))
+            .collect();
+        assert_eq!(kept, ["xo", "z1", "redmi"]);
     }
 
     #[test]

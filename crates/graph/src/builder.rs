@@ -1,14 +1,14 @@
 //! Ergonomic, batch-loading graph construction from string labels.
 //!
-//! The builder is the one place a graph's nodes come from: it holds the
-//! label vocabulary, the node-label table and the staged edges, and freezes
-//! them once into a [`Graph`] whose node set is fixed from then on (edges
-//! change afterwards in [`crate::EdgeOp`] batches).  Edges are staged in
-//! *per-source* vectors kept sorted by `(label, target)`.  Staging an edge
-//! costs a binary search plus a short memmove within one small,
-//! cache-resident vector — out-degrees are modest in real graphs even when
-//! in-degrees are not — and gives an exact, online duplicate answer without
-//! any global hash set.  The freeze at [`GraphBuilder::build`] is sort-free:
+//! The builder is the one way a [`Graph`] is made: it holds the label
+//! vocabulary, the node-label table and the staged edges, and freezes them
+//! once into a graph whose node set and vocabulary are fixed from then on
+//! (edges change afterwards in [`crate::EdgeOp`] batches, over the labels
+//! interned here).  Edges are staged in *per-source* vectors kept sorted by
+//! `(label, target)`.  Staging an edge costs a binary search plus a short
+//! memmove within one small, cache-resident vector — out-degrees are modest
+//! in real graphs even when in-degrees are not — and gives an exact, online
+//! duplicate answer without any global hash set.  The freeze at [`GraphBuilder::build`] is sort-free:
 //!
 //! * the out-CSR is the concatenation of the staged vectors (already in
 //!   `(node, label, target)` order),
@@ -73,7 +73,9 @@ impl GraphBuilder {
     }
 
     /// Creates an empty builder that starts from an existing label
-    /// vocabulary, so the built graph's label ids are `labels`' ids.
+    /// vocabulary, so the built graph's label ids are `labels`' ids.  An
+    /// edge label that no staged edge carries is how a graph gets a label
+    /// for its later [`crate::EdgeOp`]s.
     pub fn with_labels(labels: LabelSet) -> Self {
         GraphBuilder {
             labels,
@@ -185,10 +187,16 @@ mod tests {
     fn frozen_adjacency_matches_incremental_insertion() {
         // The sort-free freeze must agree with the incremental `Graph` path
         // (one-op `apply_edge_ops` batches over the same nodes) in both
-        // directions, including label grouping and in-bucket order.
+        // directions, including label grouping and in-bucket order.  The
+        // edge labels are interned up front, in the order the batch loader
+        // meets them.
         let mut b = GraphBuilder::new();
         let nodes_b = b.add_nodes("n", 6);
-        let mut nodes_only = GraphBuilder::new();
+        let mut labels = LabelSet::new();
+        for name in ["s", "r"] {
+            labels.intern_edge_label(name);
+        }
+        let mut nodes_only = GraphBuilder::with_labels(labels);
         let nodes_g = nodes_only.add_nodes("n", 6);
         let mut g = nodes_only.build();
         let edges = [
@@ -202,7 +210,7 @@ mod tests {
         ];
         for &(f, t, l) in &edges {
             b.add_edge(nodes_b[f], nodes_b[t], l).unwrap();
-            let id = g.labels_mut().intern_edge_label(l);
+            let id = g.labels().edge_label(l).unwrap();
             let op = crate::EdgeOp::insert(nodes_g[f], nodes_g[t], id);
             assert_eq!(g.apply_edge_ops(&[op]).unwrap().inserted, 1);
         }

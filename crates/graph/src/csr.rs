@@ -17,15 +17,16 @@
 //! cheap degree check the paper's cost model assumes.
 //!
 //! The layout is *frozen*: it is built once and queried immutably
-//! afterwards.  A first freeze goes through two constructors, both
+//! afterwards.  The builder's freeze goes through two constructors, both
 //! `O(V·L + E)` and sort-free: [`CsrAdjacency::from_rows`] concatenates
-//! per-`(node, label)` groups that the caller hands over already sorted
-//! (the builder's staged rows, an induced subgraph's remapped rows), and
-//! [`CsrAdjacency::transpose`] derives the opposite direction with one
-//! stable counting scatter.  Incremental mutation never touches the frozen
-//! arrays — it goes through the delta overlay in the `delta` module — and
-//! compaction is [`CsrAdjacency::splice`], per direction: one pass over the
-//! runs of unpatched nodes plus Σ of the patched rows.
+//! the per-`(node, label)` groups of the builder's staged rows, already
+//! sorted, and [`CsrAdjacency::transpose`] derives the opposite direction
+//! with one stable counting scatter.  The stride is fixed there too: a
+//! graph's edge-label vocabulary never grows after the build.  Incremental
+//! mutation never touches the frozen arrays — it goes through the delta
+//! overlay in the `delta` module — and compaction is
+//! [`CsrAdjacency::splice`], per direction: one pass over the runs of
+//! unpatched nodes plus Σ of the patched rows, at the same stride.
 
 use crate::graph::NodeId;
 
@@ -93,38 +94,32 @@ impl CsrAdjacency {
         Self::from_parts(n, label_count, label_offsets, targets)
     }
 
-    /// `self` with the rows in `patches` in place of their base rows, at
-    /// stride `label_count + 1` (at least the current one).  A patch is
-    /// `(node, offsets, targets)`, shaped like one stride of this index, in
-    /// ascending node order; `edges` is the spliced edge count.  Each
-    /// maximal run of unpatched nodes is one `targets` copy plus its
+    /// `self` with the rows in `patches` in place of their base rows.  A
+    /// patch is `(node, offsets, targets)`, shaped like one stride of this
+    /// index, in ascending node order; `edges` is the spliced edge count.
+    /// Each maximal run of unpatched nodes is one `targets` copy plus its
     /// `label_offsets` block shifted by a running delta, so the cost is one
     /// pass over the runs plus the patched rows.
     pub(crate) fn splice<'a>(
         &self,
-        label_count: usize,
         edges: usize,
         patches: impl IntoIterator<Item = (usize, &'a [u32], &'a [NodeId])>,
     ) -> Self {
-        debug_assert!(label_count >= self.label_count, "a splice never narrows");
-        let (n, old, stride) = (self.node_count, self.stride(), label_count + 1);
+        let (n, stride) = (self.node_count, self.stride());
         let mut label_offsets = Vec::with_capacity(n * stride);
         let mut targets = Vec::with_capacity(edges);
         // Appends whole rows, given as their lanes (per node, the range
         // starts then the end) and their targets: every lane moves by one
-        // shift, and the end fills the lanes a wider stride adds.
+        // shift.
         let mut append = |lanes: &[u32], row: &[NodeId]| {
-            debug_assert_eq!(lanes.len() % old, 0, "a patch of another stride");
+            debug_assert_eq!(lanes.len() % stride, 0, "a patch of another stride");
             let shift = (targets.len() as u32).wrapping_sub(*lanes.first().unwrap_or(&0));
-            for node in lanes.chunks_exact(old) {
-                let end = std::iter::repeat_n(&node[old - 1], stride - old);
-                label_offsets.extend(node.iter().chain(end).map(|o| o.wrapping_add(shift)));
-            }
+            label_offsets.extend(lanes.iter().map(|o| o.wrapping_add(shift)));
             targets.extend_from_slice(row);
         };
         let mut copied = 0;
         for (v, offsets, row) in patches.into_iter().chain([(n, &[][..], &[][..])]) {
-            let lanes = &self.label_offsets[copied * old..v * old];
+            let lanes = &self.label_offsets[copied * stride..v * stride];
             let run = match (lanes.first(), lanes.last()) {
                 (Some(&start), Some(&end)) => &self.targets[start as usize..end as usize],
                 _ => &[],
@@ -134,7 +129,7 @@ impl CsrAdjacency {
             copied = v + 1;
         }
         debug_assert_eq!(targets.len(), edges, "a spliced row lost or gained an edge");
-        Self::from_parts(n, label_count, label_offsets, targets)
+        Self::from_parts(n, self.label_count, label_offsets, targets)
     }
 
     /// Calls `f(node, label, neighbor)` for every edge, in storage order.
@@ -230,13 +225,6 @@ impl CsrAdjacency {
     pub fn contains(&self, v: usize, l: usize, w: NodeId) -> bool {
         self.slice(v, l).binary_search(&w).is_ok()
     }
-
-    /// Is `w` a neighbor of `v` via *any* label?  Binary-searches each label
-    /// range: `O(L · log d)` instead of the linear `O(d)` scan a flat
-    /// adjacency list would need.
-    pub fn contains_any(&self, v: usize, w: NodeId) -> bool {
-        (0..self.label_count).any(|l| self.contains(v, l, w))
-    }
 }
 
 #[cfg(test)]
@@ -282,8 +270,6 @@ mod tests {
         let csr = sample();
         assert!(csr.contains(0, 0, NodeId(2)));
         assert!(!csr.contains(0, 1, NodeId(2)));
-        assert!(csr.contains_any(0, NodeId(2)));
-        assert!(!csr.contains_any(1, NodeId(2)));
         // Out-of-range labels behave like empty ranges.
         assert!(csr.slice(0, 7).is_empty());
     }
@@ -291,28 +277,20 @@ mod tests {
     #[test]
     fn label_growth_preserves_contents() {
         let csr = sample();
-        // Splicing at a wider stride keeps every row.
-        let wider = csr.splice(5, csr.edge_count(), []);
-        for v in 0..3 {
-            assert_eq!(wider.node_slice(v), csr.node_slice(v));
-            for l in 0..2 {
-                assert_eq!(wider.slice(v, l), csr.slice(v, l));
-            }
-        }
-        assert!(wider.slice(0, 4).is_empty());
-        let grown = CsrAdjacency::from_rows(3, 5, 5, |v, l, row| {
-            row.extend_from_slice(wider.slice(v, l));
-            if (v, l) == (2, 4) {
+        // Node 2 gains a label-1 neighbor: the patched row replaces its base
+        // row and every other row is copied as it was.
+        let grown = CsrAdjacency::from_rows(3, 2, 5, |v, l, row| {
+            row.extend_from_slice(csr.slice(v, l));
+            if (v, l) == (2, 1) {
                 row.push(NodeId(0));
             }
         });
-        // The same growth as a patched row spliced in, at either stride.
-        let patch = (2, &[0, 0, 0, 0, 0, 1][..], &[NodeId(0)][..]);
-        assert_eq!(wider.splice(5, 5, [patch]), grown);
-        let patch = (2, &[0, 0, 0][..], &[][..]);
-        assert_eq!(csr.splice(5, 4, [patch]), wider);
-        assert_eq!(grown.slice(2, 4), &[NodeId(0)]);
-        assert_eq!(grown.transpose().slice(0, 4), &[NodeId(2)]);
+        let patch = (2, &[0, 0, 1][..], &[NodeId(0)][..]);
+        assert_eq!(csr.splice(5, [patch]), grown);
+        assert_eq!(grown.slice(2, 1), &[NodeId(0)]);
+        assert_eq!(grown.transpose().slice(0, 1), &[NodeId(1), NodeId(2)]);
+        // No patch copies every row.
+        assert_eq!(csr.splice(csr.edge_count(), []), csr);
     }
 
     #[test]

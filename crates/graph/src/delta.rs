@@ -163,12 +163,10 @@ pub struct UpdateStats {
     pub noop_deletes: usize,
     /// Per-direction node adjacencies re-materialized.
     pub nodes_patched: usize,
-    /// Overlay-to-CSR compactions (threshold crossings and forced folds,
-    /// including the fold a label widening does while updates are pending).
+    /// Overlay-to-CSR compactions: threshold crossings and calls of
+    /// `Graph::compact_updates` with updates pending, each of which splices
+    /// both directions' patched rows into copies of their CSRs.
     pub compactions: usize,
-    /// Label widenings: ops naming an edge label beyond the frozen index,
-    /// each of which splices both CSRs into copies at the wider stride.
-    pub full_rebuilds: usize,
 }
 
 /// Nodes per chunk of row slots.  A publish clones one pointer per chunk;
@@ -268,21 +266,22 @@ impl DeltaSide {
     /// returns the number of rows re-materialized.  The staged map is taken
     /// whole; it is ordered by node first, so each node's ops are one run,
     /// spliced in node order.
-    fn repatch_staged(&mut self, base: &CsrAdjacency, label_count: usize) -> usize {
+    fn repatch_staged(&mut self, base: &CsrAdjacency) -> usize {
         let staged: Vec<(Triple, bool)> = std::mem::take(&mut self.staged).into_iter().collect();
         let mut patched = 0;
         for ops in staged.chunk_by(|(a, _), (b, _)| a.0 == b.0) {
-            self.repatch(base, ops, label_count);
+            self.repatch(base, ops);
             patched += 1;
         }
         patched
     }
 
     /// Splices one node's run of staged ops into its current row (patch or
-    /// base) and installs the result as a fresh row: the runs between staged
-    /// neighbors are copied whole, `O(degree(v) + staged(v) · log degree(v))`.
-    fn repatch(&mut self, base: &CsrAdjacency, ops: &[(Triple, bool)], label_count: usize) {
-        let v = ops[0].0 .0;
+    /// base) and installs the result as a fresh row, at the base's stride:
+    /// the runs between staged neighbors are copied whole,
+    /// `O(degree(v) + staged(v) · log degree(v))`.
+    fn repatch(&mut self, base: &CsrAdjacency, ops: &[(Triple, bool)]) {
+        let (v, label_count) = (ops[0].0 .0, base.label_count());
         let vi = v as usize;
         let mut offsets = Vec::with_capacity(label_count + 1);
         let mut targets = Vec::with_capacity(self.node_slice(base, vi).len() + ops.len());
@@ -356,23 +355,12 @@ impl DeltaSide {
     pub(crate) fn contains(&self, base: &CsrAdjacency, v: usize, l: usize, w: NodeId) -> bool {
         self.slice(base, v, l).binary_search(&w).is_ok()
     }
-
-    /// Any-label membership test through the overlay.
-    pub(crate) fn contains_any(&self, base: &CsrAdjacency, v: usize, w: NodeId) -> bool {
-        match self.row(v) {
-            None => base.contains_any(v, w),
-            Some(row) => {
-                let labels = row.offsets.len().saturating_sub(1);
-                (0..labels).any(|l| row.slice(l).binary_search(&w).is_ok())
-            }
-        }
-    }
 }
 
 /// The two-direction overlay a live `Graph` carries between compactions.
 /// Cloning it — what every published snapshot does — copies one pointer per
 /// [`CHUNK`] nodes and direction.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub(crate) struct GraphDelta {
     /// Out direction: triples are `(from, label, to)`.
     pub(crate) out: DeltaSide,
@@ -407,14 +395,8 @@ impl GraphDelta {
 
     /// Splices the staged ops into their nodes' rows, in both directions,
     /// and returns the number of rows re-materialized.
-    pub(crate) fn repatch_all(
-        &mut self,
-        out_base: &CsrAdjacency,
-        in_base: &CsrAdjacency,
-        label_count: usize,
-    ) -> usize {
-        self.out.repatch_staged(out_base, label_count)
-            + self.inn.repatch_staged(in_base, label_count)
+    pub(crate) fn repatch_all(&mut self, out_base: &CsrAdjacency, in_base: &CsrAdjacency) -> usize {
+        self.out.repatch_staged(out_base) + self.inn.repatch_staged(in_base)
     }
 
     /// Triples whose presence differs from the base (the same count in
@@ -503,7 +485,7 @@ mod tests {
         let mut side = DeltaSide::new(3);
         assert!(side.apply_insert(&base, (0, 1, 2)));
         assert!(side.apply_delete(&base, (0, 0, 1)));
-        side.repatch_staged(&base, 2);
+        side.repatch_staged(&base);
         assert_eq!(side.slice(&base, 0, 0), &[NodeId(2)]);
         assert_eq!(side.slice(&base, 0, 1), &[NodeId(2)]);
         assert_eq!(side.node_slice(&base, 0), &[NodeId(2), NodeId(2)]);
@@ -511,8 +493,6 @@ mod tests {
         assert_eq!(side.slice(&base, 1, 1), &[NodeId(0)]);
         assert!(side.contains(&base, 0, 1, NodeId(2)));
         assert!(!side.contains(&base, 0, 0, NodeId(1)));
-        assert!(side.contains_any(&base, 0, NodeId(2)));
-        assert!(!side.contains_any(&base, 0, NodeId(1)));
     }
 
     #[test]
@@ -533,7 +513,7 @@ mod tests {
         assert!(side.apply_delete(&base, (0, 0, 1)));
         assert!(side.apply_insert(&base, (0, 0, 1)), "tombstone removed");
         assert_eq!(side.pending(), 0);
-        side.repatch_staged(&base, 2);
+        side.repatch_staged(&base);
         assert_eq!(side.slice(&base, 0, 0), base.slice(0, 0));
     }
 
@@ -544,7 +524,7 @@ mod tests {
         assert!(side.apply_insert(&base, (2, 1, 1)));
         assert!(side.apply_delete(&base, (2, 1, 1)));
         assert_eq!(side.pending(), 0);
-        side.repatch_staged(&base, 2);
+        side.repatch_staged(&base);
         assert!(side.slice(&base, 2, 1).is_empty());
     }
 
@@ -562,7 +542,7 @@ mod tests {
         assert!(side.apply_delete(&base, (2, 1, 1)));
         assert!(side.apply_insert(&base, (2, 1, 1)));
         assert_eq!(side.pending(), 1);
-        side.repatch_staged(&base, 2);
+        side.repatch_staged(&base);
         assert!(side.staged.is_empty());
         assert_eq!(side.node_slice(&base, 0), &[NodeId(1), NodeId(2)]);
         assert_eq!(side.slice(&base, 2, 0), &[] as &[NodeId]);
@@ -583,7 +563,7 @@ mod tests {
         assert!(side.apply_insert(&base, (2, 1, 1)));
         assert!(side.apply_delete(&base, (2, 1, 1)));
         assert_eq!(side.pending(), 1, "the non-base edge cancelled out");
-        side.repatch_staged(&base, 2);
+        side.repatch_staged(&base);
         assert!(side.staged.is_empty());
         assert_eq!(side.slice(&base, 0, 0), &[NodeId(2)]);
         assert_eq!(side.node_slice(&base, 0), &[NodeId(2)]);
@@ -598,7 +578,7 @@ mod tests {
         side.apply_insert(&base, (0, 1, 2));
         side.apply_insert(&base, (2, 0, 1));
         side.apply_delete(&base, (0, 0, 2));
-        side.repatch_staged(&base, 2);
+        side.repatch_staged(&base);
         let merged = freeze_rows(&side, &base);
         let mut expect = vec![(0, 0, 1), (0, 1, 2), (1, 1, 0), (2, 0, 1)];
         expect.sort_unstable();
@@ -629,7 +609,7 @@ mod tests {
                 expect.remove(&t);
             }
         }
-        side.repatch_staged(&base, 2);
+        side.repatch_staged(&base);
         for v in 0..3u32 {
             for l in 0..2u32 {
                 let row: Vec<NodeId> = expect

@@ -5,17 +5,15 @@
 //! neighborhood sets `Mₑ(v)` of Table 1 and the degrees `|Mₑ(v)|` that seed
 //! the `QMatch` upper bounds are constant-time slice lookups.
 //!
-//! A graph's node set is fixed when it is made: [`crate::GraphBuilder`]
-//! creates the nodes and stages sorted rows, then freezes once, and
-//! [`Graph::induced_subgraph`] restricts a graph to a node list.  Edges
-//! change afterwards only in [`EdgeOp`] batches, through the delta overlay
-//! (see the `delta` module): [`Graph::apply_edge_ops`] splices each batch
-//! into the rows of the nodes it touches, installs them as fresh shared
-//! rows, and splices them into the frozen arrays once the overlay grows
-//! past [`Graph::compaction_threshold`].  The builder and an induced
-//! subgraph freeze by a sort-free `O(V·L + E)` row concatenation plus
-//! transpose; a compaction or a label widening splices each direction's
-//! patched rows into its base instead.
+//! A graph's node set and label vocabulary are fixed when it is made:
+//! [`crate::GraphBuilder`] interns the labels, creates the nodes and stages
+//! sorted rows, then freezes once, by a sort-free `O(V·L + E)` row
+//! concatenation plus transpose.  Only edges change afterwards, in
+//! [`EdgeOp`] batches through the delta overlay (see the `delta` module):
+//! [`Graph::apply_edge_ops`] splices each batch into the rows of the nodes
+//! it touches, installs them as fresh shared rows, and splices them into
+//! the frozen arrays, at the build's stride, once the overlay grows past
+//! [`Graph::compaction_threshold`].
 
 use std::sync::Arc;
 
@@ -71,12 +69,12 @@ pub struct EdgeRef {
 ///
 /// Cloning is cheap: the frozen storage (both CSR directions, the node
 /// table, the per-label node index and the label vocabulary) lives behind
-/// [`Arc`]s with copy-on-write semantics, so a clone is a handful of
+/// [`Arc`]s that are never written, so a clone is a handful of
 /// reference-count bumps plus one pointer per 1,024 nodes of the delta
 /// overlay, whose rows are shared the same way.  Two clones share the
-/// frozen arrays until one of them mutates ([`Arc::make_mut`] un-shares
-/// only then) — this is what makes [`crate::GraphSnapshot`] epochs and live
-/// match views memory-cheap.
+/// frozen arrays until one of them compacts, which installs fresh arrays
+/// — this is what makes [`crate::GraphSnapshot`] epochs and live match
+/// views memory-cheap.
 #[derive(Debug, Clone)]
 pub struct Graph {
     labels: Arc<LabelSet>,
@@ -99,9 +97,9 @@ pub struct Graph {
 impl Graph {
     /// Assembles a compacted graph from its vocabulary, its node-label table
     /// and its frozen out-CSR: indexes the nodes by label and derives the
-    /// in-CSR as the transpose.  The one way a `Graph` is made
-    /// ([`GraphBuilder::build`](crate::GraphBuilder::build) and
-    /// [`Graph::induced_subgraph`]); from then on the node set is fixed.
+    /// in-CSR as the transpose.  The one way a `Graph` is made, called by
+    /// [`GraphBuilder::build`](crate::GraphBuilder::build) alone; from then
+    /// on the node set and the vocabulary are fixed.
     pub(crate) fn from_frozen(
         labels: Arc<LabelSet>,
         node_labels: Vec<LabelId>,
@@ -127,12 +125,6 @@ impl Graph {
     /// Read access to the label vocabulary.
     pub fn labels(&self) -> &LabelSet {
         &self.labels
-    }
-
-    /// Mutable access to the label vocabulary, to intern an edge label after
-    /// the freeze (the first batch that follows widens the frozen index).
-    pub fn labels_mut(&mut self) -> &mut LabelSet {
-        Arc::make_mut(&mut self.labels)
     }
 
     /// Whether `self` and `other` still share their frozen storage (both
@@ -183,9 +175,7 @@ impl Graph {
     /// count reaches [`Graph::compaction_threshold`] the overlay is folded
     /// back into the frozen CSR (reported via [`UpdateReport::compacted`])
     /// by a splice: one pass over the runs of unpatched nodes plus Σ of the
-    /// patched rows, per direction.  The first batch after
-    /// [`Graph::labels_mut`] interned an edge label forces that splice
-    /// early, at the wider stride.
+    /// patched rows, per direction.
     pub fn apply_edge_ops(&mut self, ops: &[EdgeOp]) -> Result<UpdateReport, GraphError> {
         let (node_count, label_count) = (self.node_count(), self.labels.edge_label_count());
         for op in ops {
@@ -201,13 +191,6 @@ impl Graph {
         let mut report = UpdateReport::default();
         if ops.is_empty() {
             return Ok(report);
-        }
-        if label_count > self.out.label_count() {
-            if self.pending_updates() > 0 {
-                self.update_stats.compactions += 1;
-            }
-            self.splice_overlay(label_count);
-            self.update_stats.full_rebuilds += 1;
         }
         let threshold = self.compaction_threshold();
         let n = self.node_count();
@@ -229,7 +212,7 @@ impl Graph {
                 report.noop_deletes += 1;
             }
         }
-        report.nodes_patched = delta.repatch_all(&self.out, &self.inn, self.out.label_count());
+        report.nodes_patched = delta.repatch_all(&self.out, &self.inn);
         let pending = delta.pending();
 
         self.update_stats.ops_applied += ops.len();
@@ -248,27 +231,20 @@ impl Graph {
 
     /// Folds any pending overlay updates back into the frozen CSR base,
     /// leaving the graph fully compacted: per direction, one pass over the
-    /// runs of unpatched nodes plus Σ of the patched rows.  A no-op when
+    /// runs of unpatched nodes plus Σ of the patched rows, spliced into
+    /// fresh arrays.  The replaced arrays are never written, so a published
+    /// snapshot that shares them keeps them as they are.  A no-op when
     /// nothing is pending.
     pub fn compact_updates(&mut self) {
-        if self.pending_updates() == 0 {
-            // Every patch equals its base row; dropping the overlay suffices.
-            self.delta = None;
+        // With nothing pending every patch equals its base row, so dropping
+        // the overlay suffices.
+        let Some(delta) = self.delta.take().filter(|d| d.pending() > 0) else {
             return;
-        }
-        self.splice_overlay(self.out.label_count());
+        };
+        let edges = self.edge_count;
+        self.out = Arc::new(self.out.splice(edges, delta.out.patches()));
+        self.inn = Arc::new(self.inn.splice(edges, delta.inn.patches()));
         self.update_stats.compactions += 1;
-    }
-
-    /// Splices each direction's patched rows into its base at
-    /// `label_count` and installs the results, dropping the overlay.  The
-    /// replaced arrays are never written: a published snapshot that shares
-    /// them keeps them as they are.
-    fn splice_overlay(&mut self, label_count: usize) {
-        // A graph without an overlay splices no rows.
-        let (delta, edges) = (self.delta.take().unwrap_or_default(), self.edge_count);
-        self.out = Arc::new(self.out.splice(label_count, edges, delta.out.patches()));
-        self.inn = Arc::new(self.inn.splice(label_count, edges, delta.inn.patches()));
     }
 
     /// The pending count (see [`Graph::pending_updates`]) at which
@@ -402,16 +378,6 @@ impl Graph {
         self.in_node_slice(v.index())
     }
 
-    /// All out-neighbors of `v` regardless of edge label.
-    pub fn out_neighbors(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.out_neighbors_slice(v).iter().copied()
-    }
-
-    /// All in-neighbors of `v` regardless of edge label.
-    pub fn in_neighbors(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.in_neighbors_slice(v).iter().copied()
-    }
-
     /// The children of `v` reachable via an edge labeled `label` as a sorted
     /// slice: `Mₑ(v) = {v' | (v, v') ∈ E, L(v, v') = label}` (Table 1).
     /// Constant-time via the dense per-`(node, label)` range index.
@@ -424,26 +390,6 @@ impl Graph {
     #[inline]
     pub fn in_neighbors_with_label_slice(&self, v: NodeId, label: LabelId) -> &[NodeId] {
         self.in_slice(v.index(), label.index())
-    }
-
-    /// Iterator form of [`Graph::out_neighbors_with_label_slice`].
-    pub fn out_neighbors_with_label(
-        &self,
-        v: NodeId,
-        label: LabelId,
-    ) -> impl Iterator<Item = NodeId> + '_ {
-        self.out_neighbors_with_label_slice(v, label)
-            .iter()
-            .copied()
-    }
-
-    /// Iterator form of [`Graph::in_neighbors_with_label_slice`].
-    pub fn in_neighbors_with_label(
-        &self,
-        v: NodeId,
-        label: LabelId,
-    ) -> impl Iterator<Item = NodeId> + '_ {
-        self.in_neighbors_with_label_slice(v, label).iter().copied()
     }
 
     /// `|Mₑ(v)|` — number of children of `v` connected by an edge labeled
@@ -471,62 +417,9 @@ impl Graph {
         }
     }
 
-    /// Tests whether *some* edge from `from` to `to` exists, with any label.
-    /// Binary-searches each label range: `O(L · log d)` on high-degree nodes
-    /// instead of a linear scan of the whole adjacency.
-    pub fn has_any_edge(&self, from: NodeId, to: NodeId) -> bool {
-        if from.index() >= self.node_count() {
-            return false;
-        }
-        match &self.delta {
-            None => self.out.contains_any(from.index(), to),
-            Some(d) => d.out.contains_any(&self.out, from.index(), to),
-        }
-    }
-
     /// Iterates over every edge of the graph.
     pub fn edges(&self) -> impl Iterator<Item = EdgeRef> + '_ {
         self.nodes().flat_map(move |v| self.out_edges(v))
-    }
-
-    /// Returns the subgraph induced by a set of nodes, together with the
-    /// mapping from new (local) node ids to the original (global) ids.
-    ///
-    /// The induced subgraph contains all edges of `self` whose endpoints are
-    /// both in `nodes` (Section 2.1, "subgraph induced by a set of nodes").
-    /// Construction is deterministic: nodes keep their first-occurrence
-    /// order, and each local row is the global row filtered and remapped,
-    /// frozen like any other CSR (only the remapped label groups are
-    /// sorted).
-    pub fn induced_subgraph(&self, nodes: &[NodeId]) -> (Graph, Vec<NodeId>) {
-        const ABSENT: u32 = u32::MAX;
-        let mut global_of_local = Vec::with_capacity(nodes.len());
-        let mut local_of_global = vec![ABSENT; self.node_count()];
-        for &v in nodes {
-            let slot = &mut local_of_global[v.index()];
-            if *slot == ABSENT {
-                *slot = global_of_local.len() as u32;
-                global_of_local.push(v);
-            }
-        }
-        let node_labels = global_of_local
-            .iter()
-            .map(|&v| self.node_label(v))
-            .collect();
-        let (n, label_count) = (global_of_local.len(), self.labels.edge_label_count());
-        let out = CsrAdjacency::from_rows(n, label_count, 0, |v, l, row| {
-            let start = row.len();
-            row.extend(
-                self.out_slice(global_of_local[v].index(), l)
-                    .iter()
-                    .map(|w| local_of_global[w.index()])
-                    .filter(|&local| local != ABSENT)
-                    .map(NodeId),
-            );
-            row[start..].sort_unstable();
-        });
-        let sub = Graph::from_frozen(Arc::clone(&self.labels), node_labels, out);
-        (sub, global_of_local)
     }
 }
 
@@ -554,10 +447,11 @@ mod tests {
     }
 
     /// `n` edgeless `person` nodes from the builder, over a vocabulary that
-    /// already holds the edge label `follows`.
+    /// already holds the edge labels `follows` (returned) and `likes`.
     fn people(n: usize) -> (Graph, Vec<NodeId>, LabelId) {
         let mut labels = LabelSet::new();
         let follows = labels.intern_edge_label("follows");
+        labels.intern_edge_label("likes");
         let mut b = GraphBuilder::with_labels(labels);
         let nodes = b.add_nodes("person", n);
         (b.build(), nodes, follows)
@@ -586,14 +480,13 @@ mod tests {
     #[test]
     fn adjacency_is_consistent_in_both_directions() {
         let (g, n, follows) = triangle();
-        assert_eq!(g.out_neighbors(n[0]).collect::<Vec<_>>(), vec![n[1]]);
-        assert_eq!(g.in_neighbors(n[0]).collect::<Vec<_>>(), vec![n[2]]);
+        assert_eq!(g.out_neighbors_slice(n[0]), &[n[1]]);
+        assert_eq!(g.in_neighbors_slice(n[0]), &[n[2]]);
         assert_eq!(g.out_degree_with_label(n[0], follows), 1);
         assert_eq!(g.in_degree_with_label(n[0], follows), 1);
         assert!(g.has_edge(n[0], n[1], follows));
         assert!(!g.has_edge(n[1], n[0], follows));
-        assert!(g.has_any_edge(n[0], n[1]));
-        assert!(!g.has_any_edge(n[0], n[2]));
+        assert!(!g.has_edge(n[0], n[2], follows));
     }
 
     #[test]
@@ -605,7 +498,7 @@ mod tests {
         assert_eq!((report.inserted, report.noop_inserts), (0, 1));
         assert_eq!(g.edge_count(), 3);
         // A parallel edge with a different label is allowed.
-        let likes = g.labels_mut().intern_edge_label("likes");
+        let likes = g.labels().edge_label("likes").unwrap();
         let report = g
             .apply_edge_ops(&[EdgeOp::insert(n[0], n[1], likes)])
             .unwrap();
@@ -647,10 +540,8 @@ mod tests {
         let follows = g.labels().edge_label("follows").unwrap();
         let likes = g.labels().edge_label("likes").unwrap();
 
-        let follow_children: Vec<_> = g.out_neighbors_with_label(a, follows).collect();
-        assert_eq!(follow_children, vec![b, c]);
-        let like_children: Vec<_> = g.out_neighbors_with_label(a, likes).collect();
-        assert_eq!(like_children, vec![x]);
+        assert_eq!(g.out_neighbors_with_label_slice(a, follows), &[b, c]);
+        assert_eq!(g.out_neighbors_with_label_slice(a, likes), &[x]);
         assert_eq!(g.out_degree(a), 3);
         assert_eq!(g.out_degree_with_label(a, follows), 2);
         assert_eq!(g.nodes_with_label(person), &[a, b, c]);
@@ -706,7 +597,6 @@ mod tests {
         }
         for &(f, t, l) in expected {
             assert!(g.has_edge(f, t, l), "missing edge {f:?}->{t:?}");
-            assert!(g.has_any_edge(f, t));
         }
     }
 
@@ -851,40 +741,8 @@ mod tests {
         g.apply_edge_ops(&[EdgeOp::insert(n[1], n[0], follows)])
             .unwrap();
         let after = *g.update_stats();
-        assert_eq!(after.full_rebuilds, before.full_rebuilds, "no CSR rebuild");
         assert_eq!(after.compactions, before.compactions);
         assert_eq!(after.nodes_patched - before.nodes_patched, 2);
-    }
-
-    #[test]
-    fn new_label_beyond_the_frozen_index_forces_a_widening_rebuild() {
-        let (mut g, n, follows) = triangle();
-        let likes = g.labels_mut().intern_edge_label("likes");
-        let before = g.update_stats().full_rebuilds;
-        g.apply_edge_ops(&[EdgeOp::insert(n[0], n[1], likes)])
-            .unwrap();
-        assert_eq!(g.update_stats().full_rebuilds, before + 1);
-        assert!(g.has_edge(n[0], n[1], likes));
-        assert_adjacency_is(
-            &g,
-            &[
-                (n[0], n[1], follows),
-                (n[1], n[2], follows),
-                (n[2], n[0], follows),
-                (n[0], n[1], likes),
-            ],
-        );
-    }
-
-    #[test]
-    fn induced_subgraph_keeps_internal_edges_only() {
-        let (g, n, follows) = triangle();
-        let (sub, mapping) = g.induced_subgraph(&[n[0], n[1]]);
-        assert_eq!(sub.node_count(), 2);
-        assert_eq!(sub.edge_count(), 1); // only 0 -> 1 survives
-        assert_eq!(mapping.len(), 2);
-        let local_follows = sub.labels().edge_label("follows").unwrap();
-        assert_eq!(local_follows, follows);
     }
 
     #[test]
@@ -907,13 +765,23 @@ mod tests {
         b.build()
     }
 
+    /// A builder over a vocabulary whose edge label `knows` (id 2) no build
+    /// edge carries, so ops fill a lane that was empty at the freeze.
+    fn three_label_builder() -> GraphBuilder {
+        let mut labels = LabelSet::new();
+        for name in ["follows", "likes", "knows"] {
+            labels.intern_edge_label(name);
+        }
+        GraphBuilder::with_labels(labels)
+    }
+
     /// Compaction is a freeze: after it, both directions' `label_offsets` and
     /// `targets` equal a `GraphBuilder` freeze of the same edge set, at every
-    /// threshold, with an edge label interned after the first freeze.
+    /// threshold, with an edge label that no edge carried at the build.
     #[test]
     fn compaction_is_byte_identical_to_a_builder_freeze() {
         for threshold in [1, 3, 8, 0] {
-            let mut b = GraphBuilder::new();
+            let mut b = three_label_builder();
             let n = b.add_nodes("person", 7);
             for i in 0..7 {
                 b.add_edge(n[i], n[(i * 3 + 1) % 7], "follows").unwrap();
@@ -932,9 +800,6 @@ mod tests {
             };
             let mut ops = Vec::new();
             for step in 0..39u32 {
-                if step == 20 {
-                    g.labels_mut().intern_edge_label("knows");
-                }
                 let labels = g.labels().edge_label_count() as u32;
                 let nodes = g.node_count() as u32;
                 let (f, t) = (
@@ -950,8 +815,6 @@ mod tests {
                 if step % 3 != 2 {
                     continue;
                 }
-                let rebuilds = g.update_stats().full_rebuilds;
-                let before = edges.clone();
                 for op in &ops {
                     let e = (op.from(), op.label(), op.to());
                     if op.is_insert() {
@@ -964,32 +827,29 @@ mod tests {
                 if report.compacted {
                     assert_eq!(g.pending_updates(), 0);
                     check(&g, &edges);
-                } else if g.update_stats().full_rebuilds > rebuilds {
-                    // The widening froze the edges from before this batch,
-                    // whose ops then went to a fresh overlay.
-                    check(&g, &before);
                 }
                 let expected: Vec<_> = edges.iter().map(|&(f, l, t)| (f, t, l)).collect();
                 assert_adjacency_is(&g, &expected);
             }
             g.compact_updates();
             check(&g, &edges);
+            // Below the default threshold the stream compacts mid-way too.
             assert!(
-                freezes >= 2,
-                "threshold {threshold}: the widening freeze and the last one"
+                threshold == 0 || freezes >= 2,
+                "threshold {threshold}: {freezes} freezes"
             );
         }
     }
 
     /// The same at chunk scale: four chunks of rows, ops that touch the
     /// first and last node of a chunk and the graph's last node, runs of
-    /// adjacent patched rows, label groups emptied by a delete, a widening,
-    /// and one chunk (nodes 2048..3072) that no op touches, so its rows are
+    /// adjacent patched rows, label groups emptied by a delete, a label no
+    /// build edge carries, and one chunk (nodes 2048..3072) that no op touches, so its rows are
     /// copied as one run.
     #[test]
     fn compaction_splices_byte_identically_at_chunk_scale() {
         const V: usize = 3500;
-        let mut b = GraphBuilder::new();
+        let mut b = three_label_builder();
         let n = b.add_nodes("person", V);
         for v in 0..V {
             b.add_edge(n[v], n[(v * 7 + 3) % V], "follows").unwrap();
@@ -1021,11 +881,8 @@ mod tests {
             EdgeOp::delete(n[0], n[5], likes),
         ];
         let mut freezes = 0;
+        let labels = g.labels().edge_label_count();
         for batch in 0..60 {
-            if batch == 30 {
-                g.labels_mut().intern_edge_label("knows");
-            }
-            let labels = g.labels().edge_label_count();
             while ops.len() < 5 {
                 let f = n[touched[next(touched.len())]];
                 let t = n[touched[next(touched.len())]];
@@ -1040,7 +897,6 @@ mod tests {
                     EdgeOp::insert(f, t, LabelId(next(labels) as u32))
                 });
             }
-            let before = edges.clone();
             for op in &ops {
                 assert!(!clean.contains(&op.from().index()) && !clean.contains(&op.to().index()));
                 let e = (op.from(), op.label(), op.to());
@@ -1050,17 +906,9 @@ mod tests {
                     edges.remove(&e);
                 }
             }
-            let rebuilds = g.update_stats().full_rebuilds;
             let report = g.apply_edge_ops(&std::mem::take(&mut ops)).unwrap();
-            let frozen = if report.compacted {
-                Some(&edges)
-            } else if g.update_stats().full_rebuilds > rebuilds {
-                Some(&before)
-            } else {
-                None
-            };
-            if let Some(frozen) = frozen {
-                let reference = builder_freeze(&g, frozen);
+            if report.compacted {
+                let reference = builder_freeze(&g, &edges);
                 assert_eq!(*g.out, *reference.out, "out CSR after batch {batch}");
                 assert_eq!(*g.inn, *reference.inn, "in CSR after batch {batch}");
                 freezes += 1;
@@ -1070,6 +918,5 @@ mod tests {
         let reference = builder_freeze(&g, &edges);
         assert_eq!((&*g.out, &*g.inn), (&*reference.out, &*reference.inn));
         assert!(freezes >= 10, "{freezes} freezes");
-        assert_eq!(g.update_stats().full_rebuilds, 1);
     }
 }

@@ -43,22 +43,6 @@ impl LabelSet {
         Self::default()
     }
 
-    /// Rebuilds the string → id indexes from the name lists.
-    pub fn rebuild_index(&mut self) {
-        self.node_index = self
-            .node_names
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.clone(), LabelId(i as u32)))
-            .collect();
-        self.edge_index = self
-            .edge_names
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.clone(), LabelId(i as u32)))
-            .collect();
-    }
-
     /// Interns a node label, returning its id.
     pub fn intern_node_label(&mut self, name: &str) -> LabelId {
         if let Some(&id) = self.node_index.get(name) {
@@ -174,23 +158,5 @@ mod tests {
         assert_eq!(ids, vec![LabelId(0), LabelId(1), LabelId(2), LabelId(3)]);
         let names: Vec<_> = ls.edge_labels().map(|(_, n)| n.to_owned()).collect();
         assert_eq!(names, vec!["a", "b", "c", "d"]);
-    }
-
-    #[test]
-    fn rebuild_index_restores_lookups() {
-        let mut ls = LabelSet::new();
-        ls.intern_node_label("person");
-        ls.intern_edge_label("follows");
-        // Simulate a round trip that loses the (skipped) hash maps.
-        let mut copy = LabelSet {
-            node_names: ls.node_names.clone(),
-            edge_names: ls.edge_names.clone(),
-            node_index: HashMap::new(),
-            edge_index: HashMap::new(),
-        };
-        assert!(copy.node_label("person").is_none());
-        copy.rebuild_index();
-        assert_eq!(copy.node_label("person"), ls.node_label("person"));
-        assert_eq!(copy.edge_label("follows"), ls.edge_label("follows"));
     }
 }

@@ -13,9 +13,10 @@
 //!   (the children of `v` reachable via an edge with a given label, Table 1
 //!   of the paper) and its size `|Mₑ(v)|` are constant-time slice lookups,
 //! * [`LabelSet`] — string interning for node and edge labels,
-//! * [`GraphBuilder`] — the batch loader and the only source of nodes: it
-//!   stages edges in sorted per-source rows and freezes the CSR layout once
-//!   at `build()`, without sorting; the built graph's node set is fixed,
+//! * [`GraphBuilder`] — the batch loader and the only way a [`Graph`] is
+//!   made: it interns the labels, stages edges in sorted per-source rows and
+//!   freezes the CSR layout once at `build()`, without sorting; the built
+//!   graph's node set and label vocabulary are fixed,
 //! * [`delta`] — the update path for live graphs, and the only way edges
 //!   change after the build: [`EdgeOp`] batches spliced into an overlay of
 //!   copy-on-write node rows ([`Graph::apply_edge_ops`]) that is compacted
@@ -45,7 +46,7 @@
 //! assert_eq!(g.node_count(), 2);
 //! assert_eq!(g.edge_count(), 1);
 //! let recommends = g.labels().edge_label("recommends").unwrap();
-//! assert_eq!(g.out_neighbors_with_label(alice, recommends).count(), 1);
+//! assert_eq!(g.out_neighbors_with_label_slice(alice, recommends).len(), 1);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use crate::graph::{Graph, NodeId};
+use crate::graph::Graph;
 use crate::labels::LabelId;
 
 /// A labeled edge "feature": source node label, edge label, target node
@@ -102,20 +102,6 @@ impl GraphStats {
         features.truncate(k);
         features
     }
-
-    /// Frequency of one edge feature (0 when absent).
-    pub fn feature_count(&self, feature: &EdgeFeature) -> usize {
-        self.edge_feature_counts.get(feature).copied().unwrap_or(0)
-    }
-
-    /// Nodes with the highest out-degree, useful for picking well-connected
-    /// focus candidates in examples and sanity checks.
-    pub fn top_out_degree_nodes(graph: &Graph, k: usize) -> Vec<(NodeId, usize)> {
-        let mut nodes: Vec<_> = graph.nodes().map(|v| (v, graph.out_degree(v))).collect();
-        nodes.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        nodes.truncate(k);
-        nodes
-    }
 }
 
 #[cfg(test)]
@@ -171,15 +157,7 @@ mod tests {
             edge_label: LabelId(99),
             dst_label: LabelId(99),
         };
-        assert_eq!(s.feature_count(&bogus), 0);
-    }
-
-    #[test]
-    fn top_out_degree_nodes_ranks_hub_first() {
-        let g = sample();
-        let top = GraphStats::top_out_degree_nodes(&g, 2);
-        assert_eq!(top[0].1, 2);
-        assert_eq!(top.len(), 2);
+        assert!(!s.edge_feature_counts.contains_key(&bogus));
     }
 
     #[test]

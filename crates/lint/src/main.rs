@@ -2,7 +2,8 @@
 //!
 //! A dependency-free source scanner (no `syn`, the build is offline) that
 //! enforces the concurrency-hygiene contract the model checker
-//! (`qgp-check`) relies on.  Run from anywhere inside the workspace:
+//! (`qgp-check`) relies on, and ratchets the library crates' size.  Run
+//! from anywhere inside the workspace:
 //!
 //! ```text
 //! cargo run -p qgp-lint            # scan, exit 1 on findings
@@ -20,6 +21,7 @@
 //! | `forbid-unsafe` | every crate root declares `#![forbid(unsafe_code)]`         |
 //! | `engine-lifetime` | no new lifetime-parameterized public types in `qgp_core::engine` (pin `Arc<GraphSnapshot>` instead) |
 //! | `typed-error`   | no tuple variant with a bare `String` payload in a crate's `src/error.rs` |
+//! | `line-ceiling`  | no library crate's non-test `src` lines above its entry in `LINE_COUNTS` plus 1 % |
 //!
 //! Test code (`#[cfg(test)]` modules and `tests/` trees) is exempt from
 //! the per-line rules: tests may use raw primitives and `.unwrap()`
@@ -157,6 +159,62 @@ fn engine_lifetime_offender(code: &str) -> Option<String> {
     None
 }
 
+/// Non-test `src` lines of each library crate: per `.rs` file, the lines
+/// before its first `#[cfg(test)]`, summed over the directory, after
+/// `cargo fmt`.  A crate whose count exceeds its entry plus
+/// [`LINE_SLACK_PERCENT`] is a `line-ceiling` finding.  A change that lowers
+/// a count lowers its entry; raising one needs its own reason in
+/// CHANGES.md.
+const LINE_COUNTS: &[(&str, usize)] = &[
+    ("crates/graph/src/", 2243),
+    ("crates/core/src/", 4983),
+    ("crates/parallel/src/", 761),
+    ("crates/rules/src/", 791),
+    ("crates/runtime/src/", 1216),
+    ("crates/datasets/src/", 817),
+    ("crates/check/src/", 1637),
+    ("src/", 125),
+];
+
+/// Growth a crate may take over its [`LINE_COUNTS`] entry, in percent
+/// (rounded up to whole lines).
+const LINE_SLACK_PERCENT: usize = 1;
+
+/// Lines of `source` before its first `#[cfg(test)]` line.
+fn non_test_lines(source: &str) -> usize {
+    source
+        .lines()
+        .take_while(|line| line.trim() != "#[cfg(test)]")
+        .count()
+}
+
+/// Adds `rel`'s non-test lines to the total of the `table` crate it
+/// belongs to, if any.
+fn count_lines(table: &[(&str, usize)], rel: &str, source: &str, totals: &mut [usize]) {
+    if let Some(i) = table.iter().position(|(dir, _)| rel.starts_with(dir)) {
+        totals[i] += non_test_lines(source);
+    }
+}
+
+/// One finding per `table` crate whose total is above its ceiling.
+fn check_line_ceilings(table: &[(&str, usize)], totals: &[usize], findings: &mut Vec<Finding>) {
+    for (&(dir, count), &total) in table.iter().zip(totals) {
+        let ceiling = count + (count * LINE_SLACK_PERCENT).div_ceil(100);
+        if total > ceiling {
+            findings.push(Finding {
+                path: PathBuf::from(dir),
+                line: 1,
+                rule: "line-ceiling",
+                message: format!(
+                    "{total} non-test lines, over the ceiling of {ceiling} ({count} in \
+                     LINE_COUNTS plus {LINE_SLACK_PERCENT} %); delete code or give the \
+                     raise its own reason in CHANGES.md"
+                ),
+            });
+        }
+    }
+}
+
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     if let Some(flag) = args.next() {
@@ -182,13 +240,16 @@ fn main() -> ExitCode {
     collect_rs_files(&root, &root, &mut files);
     files.sort();
 
+    let mut totals = vec![0; LINE_COUNTS.len()];
     for rel in &files {
         let path = root.join(rel);
         let Ok(source) = fs::read_to_string(&path) else {
             continue;
         };
         scan_file(rel, &source, &mut findings);
+        count_lines(LINE_COUNTS, rel, &source, &mut totals);
     }
+    check_line_ceilings(LINE_COUNTS, &totals, &mut findings);
 
     for rel in CRATE_ROOTS {
         let path = root.join(rel);
@@ -229,6 +290,7 @@ real-time      Instant::now or std::fs in a model-checked module (use sync::now(
 forbid-unsafe  crate root missing #![forbid(unsafe_code)]
 engine-lifetime  new lifetime-parameterized public type in qgp_core::engine
 typed-error    tuple variant with a bare String payload in crates/*/src/error.rs
+line-ceiling   library crate's non-test src lines above LINE_COUNTS plus 1 %
 ";
 
 /// Walk up from the current directory to the first `Cargo.toml` declaring
@@ -733,6 +795,43 @@ mod tests {
         // Outside a crate's error module the rule does not apply.
         assert!(scan("crates/rules/src/rule.rs", "    Parallel(String),\n").is_empty());
         assert!(scan("crates/rules/tests/error.rs", "    Parallel(String),\n").is_empty());
+    }
+
+    #[test]
+    fn line_ceilings_allow_the_slack_and_not_one_line_more() {
+        let table = [("crates/x/src/", 200), ("src/", 50)];
+        let file = |lines: usize| "fn f() {}\n".repeat(lines);
+        let tests = "#[cfg(test)]\nmod tests {\n    fn g() {}\n}\n";
+        let ceiling_findings = |sources: &[(&str, String)]| {
+            let mut totals = vec![0; table.len()];
+            for (rel, source) in sources {
+                count_lines(&table, rel, source, &mut totals);
+            }
+            let mut findings = Vec::new();
+            check_line_ceilings(&table, &totals, &mut findings);
+            (findings.iter())
+                .map(|f| format!("{} {}", f.rule, f.path.display()))
+                .collect::<Vec<_>>()
+        };
+        // 200 + 1 % = 202 lines, split over two files; tests do not count,
+        // and neither does a file outside every listed crate.
+        let at_ceiling = [
+            ("crates/x/src/a.rs", file(150) + tests),
+            ("crates/x/src/b/c.rs", file(52)),
+            ("src/lib.rs", file(51)),
+            ("crates/y/src/lib.rs", file(999)),
+        ];
+        assert!(ceiling_findings(&at_ceiling).is_empty());
+        let one_over = [
+            ("crates/x/src/a.rs", file(151) + tests),
+            ("crates/x/src/b/c.rs", file(52)),
+            ("src/lib.rs", file(52)),
+        ];
+        assert_eq!(
+            ceiling_findings(&one_over),
+            ["line-ceiling crates/x/src/", "line-ceiling src/"]
+        );
+        assert_eq!(non_test_lines(&(file(3) + tests + &file(4))), 3);
     }
 
     #[test]

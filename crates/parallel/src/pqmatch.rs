@@ -46,13 +46,6 @@ impl ParallelConfig {
         }
     }
 
-    /// `PQMatchs`: `PQMatch` with a thread count of 1.  The variants differ
-    /// only in the executor they run on, so [`pqmatch_on`] gives a
-    /// single-threaded run only on a single-threaded [`Runtime`].
-    pub fn pqmatch_s() -> Self {
-        Self::pqmatch(1)
-    }
-
     /// `PQMatchn`: negated edges recomputed from scratch on every worker.
     pub fn pqmatch_n(threads: usize) -> Self {
         ParallelConfig {
@@ -174,7 +167,7 @@ mod tests {
         let runtime = Runtime::new(2);
         for config in [
             ParallelConfig::pqmatch(2),
-            ParallelConfig::pqmatch_s(),
+            ParallelConfig::pqmatch(1),
             ParallelConfig::pqmatch_n(2),
             ParallelConfig::penum(2),
             ParallelConfig::default(),

@@ -123,8 +123,13 @@ fn dpar_reference(graph: &Graph, config: &PartitionConfig) -> Outcome {
     for f in 0..n {
         let mut nodes = base[f].clone();
         nodes.extend(graph.nodes().filter(|w| extra[f][w.index()]));
-        fragment_sizes.push(graph.induced_subgraph(&nodes).0.size());
         nodes.sort_unstable();
+        // Nodes plus the edges with both endpoints among them.
+        let inside = |w: &&NodeId| nodes.binary_search(w).is_ok();
+        let edges: usize = (nodes.iter())
+            .map(|&v| graph.out_neighbors_slice(v).iter().filter(inside).count())
+            .sum();
+        fragment_sizes.push(nodes.len() + edges);
         covered_by[f].sort_unstable();
         fragments.push((nodes, std::mem::take(&mut covered_by[f])));
     }

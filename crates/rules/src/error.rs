@@ -9,8 +9,10 @@ use qgp_core::{MatchError, PatternError};
 /// association rules.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RuleError {
-    /// One of the rule's patterns failed QGP validation.
-    InvalidPattern(PatternError),
+    /// The antecedent failed QGP validation.
+    InvalidAntecedent(PatternError),
+    /// The consequent failed QGP validation.
+    InvalidConsequent(PatternError),
     /// A rule pattern has no edges (rules must be non-trivial, Section 6).
     EmptyPattern,
     /// Antecedent and consequent designate focuses with different labels.
@@ -38,7 +40,8 @@ pub enum RuleError {
 impl fmt::Display for RuleError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RuleError::InvalidPattern(e) => write!(f, "invalid rule pattern: {e}"),
+            RuleError::InvalidAntecedent(e) => write!(f, "invalid rule antecedent: {e}"),
+            RuleError::InvalidConsequent(e) => write!(f, "invalid rule consequent: {e}"),
             RuleError::EmptyPattern => write!(f, "rule patterns must contain at least one edge"),
             RuleError::FocusLabelMismatch {
                 antecedent,
@@ -66,7 +69,7 @@ impl fmt::Display for RuleError {
 impl std::error::Error for RuleError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            RuleError::InvalidPattern(e) => Some(e),
+            RuleError::InvalidAntecedent(e) | RuleError::InvalidConsequent(e) => Some(e),
             RuleError::Match(e) => Some(e),
             _ => None,
         }
@@ -109,8 +112,22 @@ mod tests {
             partition.source().map(ToString::to_string),
             Some(MatchError::EmptyPartition.to_string())
         );
-        let invalid = RuleError::InvalidPattern(PatternError::Disconnected);
-        assert!(invalid.to_string().contains("not connected"));
-        assert!(invalid.source().is_some());
+        for (invalid, side) in [
+            (
+                RuleError::InvalidAntecedent(PatternError::Disconnected),
+                "antecedent",
+            ),
+            (
+                RuleError::InvalidConsequent(PatternError::Disconnected),
+                "consequent",
+            ),
+        ] {
+            assert!(invalid.to_string().contains("not connected"));
+            assert!(invalid.to_string().contains(side));
+            assert_eq!(
+                invalid.source().map(ToString::to_string),
+                Some(PatternError::Disconnected.to_string())
+            );
+        }
     }
 }

@@ -31,8 +31,12 @@ impl Qgar {
         antecedent: Pattern,
         consequent: Pattern,
     ) -> Result<Self, RuleError> {
-        antecedent.validate().map_err(RuleError::InvalidPattern)?;
-        consequent.validate().map_err(RuleError::InvalidPattern)?;
+        antecedent
+            .validate()
+            .map_err(RuleError::InvalidAntecedent)?;
+        consequent
+            .validate()
+            .map_err(RuleError::InvalidConsequent)?;
         if antecedent.edge_count() == 0 || consequent.edge_count() == 0 {
             return Err(RuleError::EmptyPattern);
         }
@@ -129,6 +133,7 @@ fn shared_focus_edge(a: &Pattern, b: &Pattern) -> Option<(PatternEdgeId, Pattern
 mod tests {
     use super::*;
     use qgp_core::pattern::{CountingQuantifier, PatternBuilder};
+    use qgp_core::PatternError;
 
     fn antecedent_like_r1() -> Pattern {
         // xo in a music club, ≥80% of followees like album y.
@@ -199,8 +204,26 @@ mod tests {
         let consequent = b.build_unchecked();
         assert!(matches!(
             Qgar::new("bad", antecedent_like_r1(), consequent),
-            Err(RuleError::InvalidPattern(_)) | Err(RuleError::EmptyPattern)
+            Err(RuleError::InvalidConsequent(_)) | Err(RuleError::EmptyPattern)
         ));
+    }
+
+    #[test]
+    fn a_validation_error_names_the_side_that_failed() {
+        // Two nodes and no edge: not connected.
+        let mut b = PatternBuilder::new();
+        let xo = b.node("person");
+        b.node("album");
+        b.focus(xo);
+        let disconnected = b.build_unchecked();
+        assert_eq!(
+            Qgar::new("bad", antecedent_like_r1(), disconnected.clone()).unwrap_err(),
+            RuleError::InvalidConsequent(PatternError::Disconnected)
+        );
+        assert_eq!(
+            Qgar::new("bad", disconnected, buy_consequent()).unwrap_err(),
+            RuleError::InvalidAntecedent(PatternError::Disconnected)
+        );
     }
 
     #[test]

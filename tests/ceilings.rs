@@ -7,12 +7,16 @@
 //! the first worker.  So a run builds one session on a cold prepared query
 //! and none on the next, whether it is parallel or partitioned, and however
 //! many fragments the partition has.
+//!
+//! The store: a seeded update stream leaves every `UpdateStats` counter at
+//! a pinned value.
 
+use qgp_testkit::UpdateStreamGen;
 use quantified_graph_patterns::core::pattern::{library, Pattern};
 use quantified_graph_patterns::datasets::{pokec_like, SocialConfig};
-use quantified_graph_patterns::graph::{Fragment, FragmentId, Graph, NodeId};
+use quantified_graph_patterns::graph::{Fragment, FragmentId, Graph, NodeId, UpdateStats};
 use quantified_graph_patterns::parallel::{dpar_with, PartitionConfig};
-use quantified_graph_patterns::{Engine, ExecOptions, Runtime};
+use quantified_graph_patterns::{Engine, ExecOptions, GraphStore, Runtime};
 
 fn patterns() -> Vec<Pattern> {
     vec![
@@ -103,5 +107,41 @@ fn a_parallel_run_builds_one_session_then_none() {
         let second = prepared.run(ExecOptions::parallel_on(&rt)).unwrap();
         assert_eq!(second.stats.sessions_built, 0, "{pattern}");
         assert_eq!(second.matches, first.matches, "{pattern}");
+    }
+}
+
+/// The store's write path on a seeded stream over the small pokec-like
+/// graph: every `UpdateStats` counter is pinned exactly at compaction
+/// thresholds 8 and the default (only `compactions` differs between them).
+/// Clock-free: the counters depend only on the seed.
+#[test]
+fn store_stream_compaction_counters_are_pinned() {
+    let base = graph();
+    for (threshold, compactions) in [(8, 22), (0, 1)] {
+        let mut graph = base.clone();
+        graph.set_compaction_threshold(threshold);
+        let store = GraphStore::new(graph);
+        let mut gen = UpdateStreamGen::new(&base, 7);
+        let sizes = [1usize, 4, 9, 30]
+            .repeat(10)
+            .into_iter()
+            .chain([1000, 600, 2]);
+        for size in sizes {
+            store.apply(&gen.next_batch(size)).unwrap();
+        }
+        let stats = *store.snapshot().graph().update_stats();
+        assert_eq!(
+            stats,
+            UpdateStats {
+                ops_applied: 2042,
+                edges_inserted: 1216,
+                edges_deleted: 754,
+                noop_inserts: 7,
+                noop_deletes: 65,
+                nodes_patched: 1989,
+                compactions,
+            },
+            "threshold {threshold}"
+        );
     }
 }
