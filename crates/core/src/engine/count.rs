@@ -7,7 +7,7 @@
 //! same `limit` / `restrict` / cancellation / budget semantics, the same
 //! accepted focus set by construction — with every decision taking the
 //! kernel's counting work profile, folded into a [`CountAnswer`]: one
-//! [`FocusCount`] per accepted focus plus the total.  Per-quantifier work
+//! [`FocusCount`] per accepted focus.  Per-quantifier work
 //! stops at the verdict under [`CountMode::ThresholdOnly`](super::CountMode);
 //! [`CountMode::Exact`](super::CountMode) scans each child list to the end
 //! so witness counts are exact cardinalities.
@@ -34,10 +34,6 @@ pub struct FocusCount {
 pub struct CountAnswer {
     /// One entry per accepted focus, in ascending node-id order.
     pub per_focus: Vec<FocusCount>,
-    /// `|Q(x_o, G)|` — the number of entries in
-    /// [`CountAnswer::per_focus`] (of the partial answer, when truncated or
-    /// limited).
-    pub total: usize,
     /// Stopped early by budget exhaustion or cancellation: `per_focus` is
     /// an exact prefix (sequential) or subset (parallel modes) of the full
     /// answer.  Reaching an

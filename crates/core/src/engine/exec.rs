@@ -5,9 +5,12 @@
 //! on: a sequential execution runs the focus candidates on one inline
 //! worker, in ascending order, a parallel one on the work-stealing runtime
 //! it names, and a partitioned one runs the candidates its fragments cover.
+//! The session that plans and every worker's session are leased from the
+//! query's pool.  A `MatchView`'s materialization and repairs are
+//! executions of the view's query like any other.
 
 use qgp_runtime::sync::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 use qgp_graph::{DenseBitSet, Fragment, GraphSnapshot, NodeId};
 use qgp_runtime::{CancelToken, ExecBudget, Runtime};
@@ -16,7 +19,6 @@ use super::count::{CountAnswer, FocusCount};
 use super::options::{ExecMode, ExecOptions};
 use super::{Lease, PreparedQuery};
 use crate::error::MatchError;
-use crate::matching::{MatchStats, SessionCore};
 
 /// Shared controls of one execution: the execution budget, the internal
 /// stop flag the runtime polls (set when the budget stops — deadline,
@@ -101,35 +103,20 @@ fn normalized(restrict: &[NodeId]) -> Vec<NodeId> {
     v
 }
 
-/// A matcher session a worker decides on: the one the coordinator checked
-/// out of the query's pool, or one the worker built itself.
-enum WorkerSession {
-    Leased(Lease),
-    Built(Box<SessionCore>),
-}
-
-impl WorkerSession {
-    fn core(&mut self) -> &mut SessionCore {
-        match self {
-            WorkerSession::Leased(lease) => lease.core(),
-            WorkerSession::Built(core) => core,
-        }
-    }
-
-    /// The work done on this session for this execution.
-    fn stats(&self) -> MatchStats {
-        match self {
-            WorkerSession::Leased(lease) => lease.stats(),
-            WorkerSession::Built(core) => core.stats(),
-        }
-    }
-}
-
-/// Per-executor-thread scratch: the thread's matcher session (all sharing
-/// the compiled pattern) and the foci it accepted.
+/// Per-executor-thread scratch: the thread's leased matcher session, the
+/// foci it accepted and the number of tasks it decided.
 struct WorkerScratch {
-    session: Option<WorkerSession>,
+    session: Option<Lease>,
     accepted: Vec<FocusCount>,
+    decided: usize,
+}
+
+/// One execution: its answer, the focus tasks it planned, and how many of
+/// them it decided (fewer when a budget or a limit stopped it).
+pub(super) struct Execution {
+    pub(super) answer: CountAnswer,
+    pub(super) planned: usize,
+    pub(super) decided: usize,
 }
 
 /// The driver: one execution of `pq` against `snapshot` under `opts`.
@@ -140,7 +127,7 @@ pub(super) fn execute(
     pq: &PreparedQuery,
     snapshot: &Arc<GraphSnapshot>,
     opts: &ExecOptions<'_>,
-) -> Result<CountAnswer, MatchError> {
+) -> Result<Execution, MatchError> {
     let ctl = ExecControl::new(opts.limit, opts.budget.clone());
     let config = opts.config;
     let count = opts.count;
@@ -169,10 +156,11 @@ pub(super) fn execute(
         }
     };
 
-    // The pooled session plans the tasks and is handed to the first
-    // worker; its build cost, if this execution triggered it, lands in this
-    // execution's stats.
+    // A pooled session plans the tasks; its build cost, if this execution
+    // triggered it, lands in this execution's stats, and it goes back to
+    // the pool for the first worker to check out.
     let mut lease = pq.checkout(snapshot, &config);
+    let mut stats = lease.stats();
     let session = lease.core();
     let restrict = opts.restrict.map(normalized);
     let mut tasks: Vec<NodeId> = match (opts.mode, restrict) {
@@ -197,12 +185,12 @@ pub(super) fn execute(
             r
         }
     };
+    drop(lease);
     // A limit of 0 asks for no answer: decide nothing.  (The limit's stop
     // flag only rises on an accept, after a decision.)
     if opts.limit == Some(0) {
         tasks.clear();
     }
-    let handoff = Mutex::new(Some(WorkerSession::Leased(lease)));
     let graph = snapshot.graph();
 
     let outcome = runtime
@@ -212,58 +200,53 @@ pub(super) fn execute(
             || WorkerScratch {
                 session: None,
                 accepted: Vec::new(),
+                decided: 0,
             },
             |scratch, i| {
                 if ctl.should_stop() {
                     return;
                 }
                 let focus = tasks[i];
-                // The session leaves the scratch for the decision, so one
-                // that a panicking decision leaves suspect dies in the
-                // unwinding (a lease then never returns to its pool).
-                let mut session = scratch.session.take().unwrap_or_else(|| {
-                    let handed = handoff
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .take();
-                    handed.unwrap_or_else(|| {
-                        let core = SessionCore::new(graph, Arc::clone(pq.compiled()), &config);
-                        WorkerSession::Built(Box::new(core))
-                    })
-                });
+                // The lease leaves the scratch for the decision, so one that
+                // a panicking decision leaves suspect dies in the unwinding
+                // and never returns to its pool.
+                let mut lease =
+                    (scratch.session.take()).unwrap_or_else(|| pq.checkout(snapshot, &config));
                 // Every task is a focus candidate, so every one is charged.
                 if ctl.charge() {
-                    let verdict = session
-                        .core()
-                        .decide(graph, focus, count, ctl.decide_token());
-                    if let Some(v) = verdict.filter(|v| v.matched && ctl.try_accept()) {
-                        scratch.accepted.push(FocusCount {
-                            focus,
-                            witnesses: v.witnesses,
-                        });
+                    let verdict = lease.core().decide(graph, focus, count, ctl.decide_token());
+                    if let Some(v) = verdict {
+                        scratch.decided += 1;
+                        if v.matched && ctl.try_accept() {
+                            scratch.accepted.push(FocusCount {
+                                focus,
+                                witnesses: v.witnesses,
+                            });
+                        }
                     }
                 }
-                scratch.session = Some(session);
+                scratch.session = Some(lease);
             },
         )
         .map_err(MatchError::TaskPanicked)?;
 
-    // Coordinator: the work of every session — taken by a worker or still
-    // handed off — and the union of the partial answers.
-    let handed = handoff.into_inner().unwrap_or_else(PoisonError::into_inner);
-    let mut stats = MatchStats::default();
-    let taken = outcome.states.iter().filter_map(|s| s.session.as_ref());
-    for session in taken.chain(&handed) {
-        stats += session.stats();
+    // Coordinator: the work of every worker's session and the union of the
+    // partial answers; the leases go back to the pool as the states drop.
+    let mut decided = 0;
+    let mut per_focus = Vec::new();
+    for state in outcome.states {
+        stats += state.session.as_ref().map(Lease::stats).unwrap_or_default();
+        decided += state.decided;
+        per_focus.extend(state.accepted);
     }
-    let mut per_focus: Vec<FocusCount> = (outcome.states.into_iter())
-        .flat_map(|s| s.accepted)
-        .collect();
     per_focus.sort_unstable_by_key(|f| f.focus);
-    Ok(CountAnswer {
-        total: per_focus.len(),
-        per_focus,
-        truncated: ctl.budget_exhausted(),
-        stats,
+    Ok(Execution {
+        answer: CountAnswer {
+            per_focus,
+            truncated: ctl.budget_exhausted(),
+            stats,
+        },
+        planned: tasks.len(),
+        decided,
     })
 }

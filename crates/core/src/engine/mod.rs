@@ -77,12 +77,12 @@ use qgp_graph::{Graph, GraphSnapshot, GraphStore};
 
 use crate::error::MatchError;
 use crate::matching::compiled::CompiledPattern;
-use crate::matching::{MatchConfig, MatchStats, QueryAnswer, SessionCore};
+use crate::matching::{CandidateFilter, MatchConfig, MatchStats, QueryAnswer, SessionCore};
 use crate::pattern::Pattern;
 
-/// Upper bound on the idle matcher sessions a [`PreparedQuery`] pools.  They
-/// are all pinned to one snapshot: a session's candidate sets hold only on
-/// the graph they were built on, and serving moves forward through epochs,
+/// Upper bound on the idle matcher sessions a [`PreparedQuery`] pools.  A
+/// session's candidate sets hold only on the graph they were built on (an
+/// update-stable pool's excepted), and serving moves forward through epochs,
 /// so a check-out or check-in for snapshot S first drops the idle sessions
 /// of every other snapshot.
 const MAX_CACHED_SESSIONS: usize = 8;
@@ -153,33 +153,38 @@ impl Engine {
     }
 }
 
-/// One pooled matcher session: the snapshot and config it was built for,
-/// and the graph-independent session state itself.
+/// One pooled matcher session: the snapshot it was built for (none in an
+/// update-stable pool), its config, and the graph-independent session state
+/// itself.
 struct SessionEntry {
-    snapshot: Arc<GraphSnapshot>,
+    snapshot: Option<Arc<GraphSnapshot>>,
     config: MatchConfig,
     /// Boxed: check-out and check-in move a pointer, not a session.
     core: Box<SessionCore>,
 }
 
-/// The idle matcher sessions of one [`PreparedQuery`], all pinned to one
-/// snapshot.  An execution checks the session for its (snapshot, config)
-/// out — building it when none is idle — and checks it back in when done;
-/// the lock is held only for those two list operations, never while
-/// matching, so any number of executions of one query run side by side,
-/// each on its own session.
+/// The idle matcher sessions of one [`PreparedQuery`].  An execution checks
+/// the session for its (snapshot, config) out — building it when none is
+/// idle — and checks it back in when done; the lock is held only for those
+/// two list operations, never while matching, so any number of executions
+/// of one query run side by side, each on its own session.
 #[derive(Default)]
 struct SessionPool {
     idle: Mutex<Vec<SessionEntry>>,
+    /// Fixed at construction, set for a [`MatchView`]'s query: sessions
+    /// built over [`CandidateFilter::LabelUniverse`], whose sets depend only
+    /// on node labels, hold on every version of the graph, so they are
+    /// stored with no snapshot and never retired.
+    update_stable: bool,
 }
 
 impl SessionPool {
-    /// The idle list, rid of every session pinned to a snapshot other than
-    /// `snapshot`.
-    fn lock_for(&self, snapshot: &Arc<GraphSnapshot>) -> MutexGuard<'_, Vec<SessionEntry>> {
+    /// The idle list, rid of every session whose snapshot is not `snapshot`
+    /// (`None` in an update-stable pool, which retires none).
+    fn lock_for(&self, snapshot: Option<&Arc<GraphSnapshot>>) -> MutexGuard<'_, Vec<SessionEntry>> {
         // Every critical section leaves the list valid at every step.
         let mut idle = self.idle.lock().unwrap_or_else(PoisonError::into_inner);
-        idle.retain(|e| Arc::ptr_eq(&e.snapshot, snapshot));
+        idle.retain(|e| e.snapshot.as_ref().map(Arc::as_ptr) == snapshot.map(Arc::as_ptr));
         idle
     }
 }
@@ -214,7 +219,7 @@ impl Drop for Lease {
         if std::thread::panicking() {
             return;
         }
-        let mut idle = self.pool.lock_for(&entry.snapshot);
+        let mut idle = self.pool.lock_for(entry.snapshot.as_ref());
         if idle.len() < MAX_CACHED_SESSIONS {
             idle.push(entry);
         }
@@ -287,7 +292,7 @@ impl PreparedQuery {
         snapshot: &Arc<GraphSnapshot>,
         opts: ExecOptions<'_>,
     ) -> Result<QueryAnswer, MatchError> {
-        let counted = exec::execute(self, snapshot, &opts)?;
+        let counted = exec::execute(self, snapshot, &opts)?.answer;
         Ok(QueryAnswer {
             matches: counted.matches().collect(),
             stats: counted.stats,
@@ -318,27 +323,38 @@ impl PreparedQuery {
         mut opts: ExecOptions<'_>,
     ) -> Result<CountAnswer, MatchError> {
         opts.count = Some(opts.count.unwrap_or_default());
-        exec::execute(self, snapshot, &opts)
+        Ok(exec::execute(self, snapshot, &opts)?.answer)
     }
 
     /// Materializes the current answer as a live [`MatchView`] that pins
     /// this query's snapshot.  A view on a [`GraphStore`] epoch follows the
     /// store with [`MatchView::advance`]; [`MatchView::apply`] moves it to a
     /// private copy-on-write clone instead, so updates applied to it never
-    /// affect this prepared query, the engine, or other views.
+    /// affect this prepared query, the engine, or other views.  The view
+    /// executes a query of its own: this one's compiled pattern, with an
+    /// update-stable session pool.
     pub fn view(&self) -> MatchView {
-        MatchView::materialize(Arc::clone(&self.snapshot), Arc::clone(&self.compiled))
-    }
-
-    /// The compiled pattern (crate-internal: shared with the driver).
-    pub(crate) fn compiled(&self) -> &Arc<CompiledPattern> {
-        &self.compiled
+        MatchView::materialize(PreparedQuery {
+            snapshot: Arc::clone(&self.snapshot),
+            compiled: Arc::clone(&self.compiled),
+            pool: Arc::new(SessionPool {
+                update_stable: true,
+                ..SessionPool::default()
+            }),
+        })
     }
 
     /// Checks the session for `(snapshot, config)` out of the pool,
     /// building it if none is idle.
     pub(crate) fn checkout(&self, snapshot: &Arc<GraphSnapshot>, config: &MatchConfig) -> Lease {
-        let mut idle = self.pool.lock_for(snapshot);
+        let (pin, filter) = if self.pool.update_stable {
+            // The simulation pre-filter would prune against one version.
+            debug_assert!(!config.use_simulation_filter, "{config:?}");
+            (None, CandidateFilter::LabelUniverse)
+        } else {
+            (Some(snapshot), CandidateFilter::implied_by(config))
+        };
+        let mut idle = self.pool.lock_for(pin);
         let pooled = idle.iter().position(|e| e.config == *config);
         let pooled = pooled.map(|idx| idle.swap_remove(idx));
         // A build runs outside the lock: other executions of this query
@@ -350,9 +366,10 @@ impl PreparedQuery {
                 (entry, baseline)
             }
             None => {
-                let core = SessionCore::new(snapshot.graph(), Arc::clone(&self.compiled), config);
+                let compiled = Arc::clone(&self.compiled);
+                let core = SessionCore::with_filter(snapshot.graph(), compiled, config, filter);
                 let entry = SessionEntry {
-                    snapshot: Arc::clone(snapshot),
+                    snapshot: pin.cloned(),
                     config: *config,
                     core: Box::new(core),
                 };
@@ -387,7 +404,10 @@ mod tests {
     /// `snapshot`.
     fn idle_on(pq: &PreparedQuery, snapshot: &Arc<GraphSnapshot>) -> usize {
         let idle = pq.pool.idle.lock().unwrap();
-        assert!(idle.iter().all(|e| Arc::ptr_eq(&e.snapshot, snapshot)));
+        assert!(idle.iter().all(|e| e
+            .snapshot
+            .as_ref()
+            .is_some_and(|s| Arc::ptr_eq(s, snapshot))));
         idle.len()
     }
 

@@ -177,10 +177,8 @@ mod tests {
         assert!(o.budget.is_none());
 
         let o = ExecOptions::sequential().budget_with(ExecBudget::unlimited().max_decisions(10));
-        assert_eq!(
-            o.budget.as_ref().and_then(ExecBudget::decision_cap),
-            Some(10)
-        );
+        let budget = o.budget.unwrap();
+        assert!((0..10).all(|_| budget.charge(1)) && !budget.charge(1));
 
         assert_eq!(ExecOptions::sequential().count, None);
         assert_eq!(

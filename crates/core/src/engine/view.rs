@@ -33,32 +33,34 @@
 //! distances are `CompiledPattern`'s per-sub-pattern tables, never `Q`'s: a
 //! negated edge can be a shortcut the sub-pattern does not have.
 //!
-//! Re-decisions run on sessions built with
-//! [`CandidateFilter::LabelUniverse`] — every node carrying the pattern
-//! node's label, with no degree-based pruning — precisely so one session is
-//! valid for every version (a [`Graph`]'s node set and node labels are fixed
-//! when it is built; versions differ in edges only).  Idle sessions are
-//! pooled across repairs; large repair sets fan out on the work-stealing
-//! runtime with one pooled session per worker.
+//! A view is a [`PreparedQuery`] whose snapshot is the pin.  Materializing
+//! is a sequential execution of it, and a repair is an execution on the
+//! next version restricted to the foci the walk reached, sequential below
+//! `PARALLEL_REDECIDE_THRESHOLD` foci and parallel on the caller's
+//! [`Runtime`] above.  The query's session pool is update-stable: its
+//! sessions are built with every node carrying the pattern node's label as a
+//! candidate, with no degree-based pruning, so one session is valid for
+//! every version (a [`Graph`]'s node set and node labels are fixed when it
+//! is built; versions differ in edges only) and serves every repair.
 //!
 //! ## Failure keeps the old pin
 //!
 //! Every decision is computed before the view changes, so a repair that
 //! fails — budget exhausted, or a panic in a re-decision — leaves the pin and
 //! the match set untouched, and the view is reusable as it is.  A session
-//! whose decision panicked is dropped with the failed map and never returns
-//! to the pool (the engine's lease rule), so no suspect scratch outlives the
-//! failure.
+//! whose decision panicked never returns to the pool (the engine's lease
+//! rule), so no suspect scratch outlives the failure.
 
 use std::cmp::Ordering;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 use qgp_graph::{EdgeOp, Graph, GraphError, GraphSnapshot, GraphStore, NodeId, UpdateReport};
-use qgp_runtime::{CancelToken, ExecBudget, Runtime, TaskError};
+use qgp_runtime::{ExecBudget, Runtime, TaskError};
 
+use super::{exec, ExecOptions, PreparedQuery};
+use crate::error::MatchError;
 use crate::matching::compiled::CompiledPattern;
 use crate::matching::resolved::ResolvedPattern;
-use crate::matching::{CandidateFilter, MatchConfig, SessionCore};
 use crate::pattern::{CountingQuantifier, Pattern};
 
 /// Errors raised by [`MatchView::apply`], [`MatchView::advance`] and their
@@ -201,10 +203,10 @@ impl ViewDelta {
 /// assert!(view.matches().is_empty());
 /// ```
 pub struct MatchView {
-    /// The snapshot the answer is exact for: the materialized snapshot, a
-    /// store head after [`MatchView::advance`], or the view's own sealed
-    /// clone after [`MatchView::apply`].
-    pin: Arc<GraphSnapshot>,
+    /// The view's query; its snapshot is the pin the answer is exact for
+    /// (the materialized snapshot, a store head after [`MatchView::advance`],
+    /// or the view's own sealed clone after [`MatchView::apply`]).
+    query: PreparedQuery,
     /// The last [`GraphStore`] epoch this view has incorporated; advanced
     /// by [`MatchView::advance`].
     anchor: u64,
@@ -212,45 +214,21 @@ pub struct MatchView {
     /// exactly on the store head, superseding them, so their edges join its
     /// repair starts.
     local: Vec<EdgeOp>,
-    compiled: Arc<CompiledPattern>,
     /// The materialized answer, sorted ascending.
     matches: Vec<NodeId>,
-    /// Idle maintenance sessions, kept across repairs so candidate analysis
-    /// is paid once per worker, not once per batch.
-    pool: Mutex<Vec<SessionCore>>,
-}
-
-/// A maintenance session: plain `QMatch` over update-stable candidate sets.
-/// The simulation pre-filter stays off — it would prune candidate sets
-/// against one graph version.
-fn session(graph: &Graph, compiled: &Arc<CompiledPattern>) -> SessionCore {
-    SessionCore::with_filter(
-        graph,
-        Arc::clone(compiled),
-        &MatchConfig::qmatch(),
-        CandidateFilter::LabelUniverse,
-    )
 }
 
 impl MatchView {
-    pub(crate) fn materialize(
-        snapshot: Arc<GraphSnapshot>,
-        compiled: Arc<CompiledPattern>,
-    ) -> Self {
-        let graph = snapshot.graph();
-        let mut core = session(graph, &compiled);
-        let candidates = core.focus_candidates().to_vec();
-        let matches = candidates
-            .into_iter()
-            .filter(|&v| core.accepts(graph, v))
-            .collect();
+    /// Materializes `query`'s answer on its snapshot.  A decision that
+    /// panics re-raises: there is no error to return.
+    pub(crate) fn materialize(query: PreparedQuery) -> Self {
+        let run = exec::execute(&query, query.snapshot(), &ExecOptions::sequential());
+        let answer = run.unwrap_or_else(|e| panic!("{e}")).answer;
         MatchView {
-            anchor: snapshot.epoch(),
-            pin: snapshot,
+            anchor: query.snapshot().epoch(),
+            query,
             local: Vec::new(),
-            compiled,
-            matches,
-            pool: Mutex::new(vec![core]),
+            matches: answer.matches().collect(),
         }
     }
 
@@ -276,7 +254,7 @@ impl MatchView {
 
     /// The graph the answer is exact for: the pinned snapshot's graph.
     pub fn graph(&self) -> &Graph {
-        self.pin.graph()
+        self.query.snapshot.graph()
     }
 
     /// The pinned snapshot the answer is exact for.  After a successful
@@ -284,7 +262,7 @@ impl MatchView {
     /// a local [`MatchView::apply`] it is the view's own snapshot, which no
     /// store published.
     pub fn snapshot(&self) -> &Arc<GraphSnapshot> {
-        &self.pin
+        &self.query.snapshot
     }
 
     /// The last [`GraphStore`] epoch this view has incorporated: the
@@ -296,7 +274,7 @@ impl MatchView {
 
     /// The pattern the view maintains.
     pub fn pattern(&self) -> &Pattern {
-        &self.compiled.pattern
+        self.query.pattern()
     }
 
     /// Applies a batch of edge updates and repairs the match set, returning
@@ -377,7 +355,7 @@ impl MatchView {
         budget: Option<&ExecBudget>,
         runtime: &Runtime,
     ) -> Result<ViewDelta, ViewError> {
-        let mut graph = self.pin.graph().clone();
+        let mut graph = self.graph().clone();
         let report = graph.apply_edge_ops(ops)?;
         let delta = self.repair(Arc::new(GraphSnapshot::from(graph)), ops, budget, runtime)?;
         self.local.extend_from_slice(ops);
@@ -396,7 +374,7 @@ impl MatchView {
         budget: Option<&ExecBudget>,
         runtime: &Runtime,
     ) -> Result<ViewDelta, ViewError> {
-        let (old, new) = (self.pin.graph(), next.graph());
+        let (old, new) = (self.graph(), next.graph());
         let changed: Vec<EdgeOp> = ops
             .iter()
             .filter(|op| {
@@ -407,61 +385,42 @@ impl MatchView {
             .collect();
         if changed.is_empty() {
             // Equal edge sets: no decision can differ.
-            self.pin = next;
+            self.query.snapshot = next;
             return Ok(ViewDelta::default());
         }
 
-        let mut affected = typed_foci(&self.compiled, old, new, &changed);
-        let pool = self.pool.get_mut().unwrap_or_else(PoisonError::into_inner);
-        if pool.is_empty() {
-            pool.push(session(new, &self.compiled));
-        }
-        affected.retain(|&v| pool[0].is_focus_candidate(v));
-
-        let inline = Runtime::new(1);
-        let runtime = if affected.len() < PARALLEL_REDECIDE_THRESHOLD {
-            &inline
+        let affected = typed_foci(&self.query.compiled, old, new, &changed);
+        let mode = if affected.len() < PARALLEL_REDECIDE_THRESHOLD {
+            ExecOptions::sequential()
         } else {
-            runtime
+            ExecOptions::parallel_on(runtime)
         };
-        // The runtime polls the budget's token (so a deadline stops workers
-        // between tasks); without a budget, a token that never fires.
-        let token = budget.map_or_else(CancelToken::new, |b| b.token().clone());
-        let (pool, compiled) = (&self.pool, &self.compiled);
-        let outcome = runtime
-            .try_map_with_cancel(
-                affected.len(),
-                &token,
-                || {
-                    pool.lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .pop()
-                        .unwrap_or_else(|| session(new, compiled))
-                },
-                |core, i| {
-                    budget
-                        .is_none_or(|b| b.charge(1))
-                        .then(|| core.accepts(new, affected[i]))
-                },
-            )
-            .map_err(ViewError::TaskPanicked)?;
-        // A failed map drops its sessions; a completed one returns them.
-        pool.lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .extend(outcome.states);
-        // Any skipped or refused slot means the budget ran out mid-repair.
-        let decisions: Vec<bool> = outcome
-            .outputs
-            .into_iter()
-            .map(Option::flatten)
-            .collect::<Option<_>>()
-            .ok_or(ViewError::BudgetExceeded)?;
+        let opts = ExecOptions {
+            restrict: Some(&affected),
+            budget: budget.cloned(),
+            ..mode
+        };
+        // A whole-graph execution has no partition to misconfigure: a
+        // panicking task is its one way to fail.
+        let run = match exec::execute(&self.query, &next, &opts) {
+            Ok(run) => run,
+            Err(MatchError::TaskPanicked(e)) => return Err(ViewError::TaskPanicked(e)),
+            Err(other) => unreachable!("a whole-graph execution failed: {other}"),
+        };
+        // Any undecided focus means the budget ran out mid-repair.
+        if run.decided < run.planned {
+            return Err(ViewError::BudgetExceeded);
+        }
 
+        // A focus the walk reached that is no candidate is neither accepted
+        // nor a match, so walking all of them reads the same changes.
+        let accepted = &run.answer.per_focus;
         let mut delta = ViewDelta {
-            rechecked: affected.len(),
+            rechecked: run.planned,
             ..ViewDelta::default()
         };
-        for (v, now) in affected.into_iter().zip(decisions) {
+        for v in affected {
+            let now = accepted.binary_search_by_key(&v, |f| f.focus).is_ok();
             match (now, self.contains(v)) {
                 (true, false) => delta.added.push(v),
                 (false, true) => delta.removed.push(v),
@@ -469,7 +428,7 @@ impl MatchView {
             }
         }
         delta.apply_to(&mut self.matches);
-        self.pin = next;
+        self.query.snapshot = next;
         Ok(delta)
     }
 }
@@ -810,18 +769,30 @@ mod tests {
             EdgeOp::delete(vs[4], redmi, bad),
             EdgeOp::insert(vs[4], redmi, recom),
         ];
-        let starved = ExecBudget::unlimited().max_decisions(0);
-        let err = view
-            .apply_budgeted(&ops, &starved, Runtime::global())
-            .unwrap_err();
-        assert_eq!(err, ViewError::BudgetExceeded);
-        // The view kept its old pin and match set.
-        assert!(Arc::ptr_eq(view.snapshot(), &pin));
-        assert_eq!(view.matches(), before);
-        assert!(view.graph().has_edge(vs[4], redmi, bad));
-        assert!(!view.graph().has_edge(vs[4], redmi, recom));
-        // An adequate budget then applies the same batch exactly.
-        let ample = ExecBudget::unlimited().max_decisions(100_000);
+        // The batch's repair set, read off a twin view that applies it.
+        let twin = Engine::new(&g)
+            .prepare(&pattern)
+            .unwrap()
+            .view()
+            .apply(&ops);
+        let rechecked = twin.unwrap().rechecked as u64;
+        assert!(rechecked > 0);
+        // No budget, and one decision short of the repair set.
+        for cap in [0, rechecked - 1] {
+            let starved = ExecBudget::unlimited().max_decisions(cap);
+            let err = view
+                .apply_budgeted(&ops, &starved, Runtime::global())
+                .unwrap_err();
+            assert_eq!(err, ViewError::BudgetExceeded, "cap {cap}");
+            // The view kept its old pin and match set.
+            assert!(Arc::ptr_eq(view.snapshot(), &pin));
+            assert_eq!(view.matches(), before);
+            assert!(view.graph().has_edge(vs[4], redmi, bad));
+            assert!(!view.graph().has_edge(vs[4], redmi, recom));
+        }
+        // An adequate budget — exactly one decision per focus of the repair
+        // set — then applies the same batch exactly.
+        let ample = ExecBudget::unlimited().max_decisions(rechecked);
         let delta = view
             .apply_budgeted(&ops, &ample, Runtime::global())
             .unwrap();

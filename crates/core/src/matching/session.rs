@@ -8,9 +8,9 @@
 //!
 //! This is the task API the `qgp-runtime` work-stealing executor runs on.
 //! Because a "task" is just a focus candidate index, a steal victim splits
-//! its remaining candidates for free, and each worker thread keeps exactly
-//! one session per (fragment, pattern) pair — candidate sets, search order
-//! and counter scratch are reused across every task the worker executes
+//! its remaining candidates for free, and each worker thread decides every
+//! task it executes on the one session it leased from the prepared query's
+//! pool — candidate sets, search order and counter scratch are reused
 //! instead of being rebuilt per chunk (tracked by
 //! [`MatchStats::sessions_built`]).
 //!
@@ -18,9 +18,8 @@
 //! [`SessionCore`] holds everything graph-*independent* (candidate sets,
 //! search order, counter scratch, negation sessions) and takes the graph as
 //! an argument per decision.  [`MatchSession`] pairs a core with a borrowed
-//! graph — the ergonomic form for one-shot execution — while the
-//! incremental `MatchView` drives cores directly, deciding against
-//! whichever snapshot it repairs onto without rebuilding state.
+//! graph — the ergonomic form for one-shot execution — while the engine
+//! pools cores and hands each decision the snapshot its execution runs on.
 //!
 //! Every execution surface of [`crate::engine`] — sequential,
 //! parallel, partitioned, counting, view repair, registry serving — reaches
@@ -72,11 +71,10 @@ pub(crate) struct Verdict {
 /// The graph-independent state of one matching session: candidate sets,
 /// search order, counter scratch and lazily-built negation sessions.  Every
 /// decision takes the graph as an argument, so one core can serve every
-/// version of a graph (the incremental `MatchView` path, which decides
-/// against successive snapshots) as long as its candidate sets remain
-/// valid — guaranteed by construction with
-/// [`CandidateFilter::LabelUniverse`], whose sets depend only on node
-/// labels.
+/// version of a graph (a `MatchView`'s repairs decide on successive
+/// snapshots) as long as its candidate sets remain valid — guaranteed by
+/// construction with [`CandidateFilter::LabelUniverse`], whose sets depend
+/// only on node labels.
 pub(crate) struct SessionCore {
     config: MatchConfig,
     /// Candidate filter used for the positive session and every
@@ -103,9 +101,10 @@ impl SessionCore {
         Self::with_filter(graph, compiled, config, CandidateFilter::implied_by(config))
     }
 
-    /// Builds a core with an explicit candidate filter.  The incremental
-    /// `MatchView` passes [`CandidateFilter::LabelUniverse`] so the sets
-    /// hold for every snapshot its pin moves through.
+    /// Builds a core with an explicit candidate filter.  An update-stable
+    /// session pool (a `MatchView`'s) passes
+    /// [`CandidateFilter::LabelUniverse`] so the sets hold for every
+    /// snapshot the view's pin moves through.
     pub fn with_filter(
         graph: &Graph,
         compiled: Arc<CompiledPattern>,
@@ -225,12 +224,6 @@ impl SessionCore {
         })
     }
 
-    /// [`SessionCore::decide`] as a plain enumerating membership test.
-    pub fn accepts(&mut self, graph: &Graph, vx: NodeId) -> bool {
-        self.decide(graph, vx, None, None)
-            .is_some_and(|v| v.matched)
-    }
-
     /// Work counters accumulated so far (including session construction).
     pub fn stats(&self) -> MatchStats {
         self.stats
@@ -276,7 +269,8 @@ impl<'g> MatchSession<'g> {
     /// each positified pattern `Π(Q^{+e})`, under the negation strategy
     /// (`IncQMatch` / `QMatchn`) the session's [`MatchConfig`] selects.
     pub fn decide(&mut self, vx: NodeId) -> bool {
-        self.core.accepts(self.graph, vx)
+        let verdict = self.core.decide(self.graph, vx, None, None);
+        verdict.is_some_and(|v| v.matched)
     }
 
     /// Work counters accumulated so far (including session construction).
@@ -392,9 +386,11 @@ mod tests {
                 CandidateFilter::LabelUniverse,
             );
             for v in g.nodes() {
+                let accepts =
+                    |core: &mut SessionCore| core.decide(&g, v, None, None).map(|d| d.matched);
                 assert_eq!(
-                    default_core.accepts(&g, v),
-                    universe_core.accepts(&g, v),
+                    accepts(&mut default_core),
+                    accepts(&mut universe_core),
                     "{pattern} at {v:?}"
                 );
             }

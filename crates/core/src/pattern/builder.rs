@@ -145,10 +145,13 @@ mod tests {
         b.focus(xo);
         let q2 = b.build().unwrap();
         assert!(q2.is_positive());
-        assert!(!q2.is_conventional());
+        assert!(!q2.edges().all(|(_, e)| e.quantifier.is_existential()));
         assert_eq!(q2.focus(), xo);
         assert_eq!(q2.node(z).label, "person");
-        assert!(q2.edge(q2.out_edges_of(xo)[0]).quantifier.is_universal());
+        assert_eq!(
+            q2.edge(q2.out_edges_of(xo)[0]).quantifier,
+            CountingQuantifier::universal()
+        );
     }
 
     #[test]

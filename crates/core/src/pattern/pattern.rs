@@ -173,11 +173,6 @@ impl Pattern {
         self.edges.iter().all(|e| !e.quantifier.is_negated())
     }
 
-    /// Is this a conventional pattern (every quantifier existential)?
-    pub fn is_conventional(&self) -> bool {
-        self.edges.iter().all(|e| e.quantifier.is_existential())
-    }
-
     /// The stratified pattern `Q_π(x_o)`: the conventional pattern obtained by
     /// stripping all quantifiers off (every edge becomes `σ(e) ≥ 1`).
     pub fn stratified(&self) -> Pattern {
@@ -485,7 +480,7 @@ mod tests {
         assert_eq!(q.node_count(), 4);
         assert_eq!(q.edge_count(), 4);
         assert!(!q.is_positive());
-        assert!(!q.is_conventional());
+        assert!(!q.edges().all(|(_, e)| e.quantifier.is_existential()));
         assert_eq!(q.negated_edges().len(), 1);
         assert_eq!(q.radius(), 2);
         assert!(q.is_connected());
@@ -496,7 +491,7 @@ mod tests {
     fn stratified_pattern_drops_all_quantifiers() {
         let q = q3(2);
         let s = q.stratified();
-        assert!(s.is_conventional());
+        assert!(s.edges().all(|(_, e)| e.quantifier.is_existential()));
         assert!(s.is_positive());
         assert_eq!(s.node_count(), q.node_count());
         assert_eq!(s.edge_count(), q.edge_count());

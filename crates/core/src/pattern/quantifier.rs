@@ -120,14 +120,6 @@ impl CountingQuantifier {
         )
     }
 
-    /// Is this the universal quantifier `σ(e) = 100%`?
-    pub fn is_universal(&self) -> bool {
-        matches!(
-            self,
-            CountingQuantifier::Ratio { op: CmpOp::Eq, percent } if *percent == 100.0
-        )
-    }
-
     /// Is this a negated edge (`σ(e) = 0`)?
     pub fn is_negated(&self) -> bool {
         matches!(self, CountingQuantifier::Negated)
@@ -245,7 +237,10 @@ mod tests {
     #[test]
     fn universal_requires_every_child() {
         let q = CountingQuantifier::universal();
-        assert!(q.is_universal());
+        assert!(matches!(
+            q,
+            CountingQuantifier::Ratio { op: CmpOp::Eq, percent } if percent == 100.0
+        ));
         assert!(!q.is_monotone());
         assert!(q.check(4, 4));
         assert!(!q.check(3, 4));

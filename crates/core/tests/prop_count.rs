@@ -65,7 +65,7 @@ proptest! {
                 ExecOptions::sequential().count_exact(),
             ] {
                 let counted = prepared.count(opts.with_config(config)).unwrap();
-                prop_assert_eq!(counted.total, oracle.len());
+                prop_assert_eq!(counted.per_focus.len(), oracle.len());
                 prop_assert!(!counted.truncated);
             }
             // `run` with the count flag routes decisions through the
@@ -290,7 +290,7 @@ fn cancelled_counting_is_empty_and_leaves_no_poisoned_state() {
 
     let full = prepared.count(ExecOptions::sequential()).unwrap();
     assert_eq!(full.matches().collect::<Vec<_>>(), spokes);
-    assert_eq!(full.total, 8);
+    assert_eq!(full.per_focus.len(), 8);
     assert!(!full.truncated);
 }
 

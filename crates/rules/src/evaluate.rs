@@ -319,7 +319,7 @@ mod tests {
         let rule = Qgar::new("no-album", antecedent, consequent).unwrap();
         let eval = evaluate_rule(&g, &rule, &MatchConfig::qmatch()).unwrap();
         assert!(eval.support <= eval.antecedent_matches.len());
-        assert!(rule.is_negative());
+        assert!(!rule.consequent().is_positive());
     }
 
     #[test]

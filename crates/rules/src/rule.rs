@@ -81,12 +81,6 @@ impl Qgar {
     pub fn radius(&self) -> usize {
         self.antecedent.radius().max(self.consequent.radius())
     }
-
-    /// Whether the consequent contains a negated edge (a "negative" rule such
-    /// as R2 of Fig. 7, predicting that an event will *not* happen).
-    pub fn is_negative(&self) -> bool {
-        !self.consequent.is_positive()
-    }
 }
 
 impl fmt::Display for Qgar {
@@ -165,7 +159,7 @@ mod tests {
         assert_eq!(r.antecedent().edge_count(), 3);
         assert_eq!(r.consequent().edge_count(), 1);
         assert_eq!(r.radius(), 2);
-        assert!(!r.is_negative());
+        assert!(r.consequent().is_positive());
         assert!(r.to_string().contains("R1"));
     }
 
@@ -178,7 +172,7 @@ mod tests {
         b.focus(xo);
         let consequent = b.build().unwrap();
         let r = Qgar::new("R2", antecedent_like_r1(), consequent).unwrap();
-        assert!(r.is_negative());
+        assert!(!r.consequent().is_positive());
     }
 
     #[test]

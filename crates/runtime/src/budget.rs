@@ -136,11 +136,6 @@ impl ExecBudget {
         self.used.load(Ordering::Relaxed)
     }
 
-    /// The decision cap, when one was set.
-    pub fn decision_cap(&self) -> Option<u64> {
-        self.max_decisions
-    }
-
     /// The underlying stop token: what the executor and matcher sessions
     /// poll.  Cancelling the token stops the budget and vice versa.
     pub fn token(&self) -> &CancelToken {

@@ -3,8 +3,8 @@
 //! The harness is *off* unless a test (or the chaos bench) explicitly arms
 //! it: the disarmed fast path is a single relaxed atomic load, so shipping
 //! the instrumentation costs nothing.  When armed with a [`FaultPlan`],
-//! every [`fault_point`] the executor and the view-repair loop pass through
-//! rolls a deterministic per-event die (splitmix64 over `seed ^ sequence`)
+//! every [`fault_point`] the executor's task loop passes through rolls a
+//! deterministic per-event die (splitmix64 over `seed ^ sequence`)
 //! and either panics with an `"injected fault …"` payload, sleeps a few
 //! hundred microseconds, or does nothing.
 //!
@@ -182,9 +182,8 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A fault point: call sites in the executor's task loop and the view's
-/// repair loop pass through here once per unit of work.  Disarmed, this is
-/// one relaxed load.  Armed, it may panic (with an `"injected fault …"`
+/// A fault point: the executor's task loop passes through here once per
+/// task.  Disarmed, this is one relaxed load.  Armed, it may panic (with an `"injected fault …"`
 /// string payload, caught by the executor's isolation layer) or sleep.
 #[inline]
 pub fn fault_point(site: &str, index: usize) {

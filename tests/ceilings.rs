@@ -3,10 +3,15 @@
 //! deterministic).
 //!
 //! Sessions: every mode decides on the snapshot with the query's pooled
-//! session, which the coordinator checks out to plan the tasks and hands to
-//! the first worker.  So a run builds one session on a cold prepared query
-//! and none on the next, whether it is parallel or partitioned, and however
-//! many fragments the partition has.
+//! session, which the coordinator checks out to plan the tasks and returns
+//! to the pool, where the first worker checks it out again.  So a run
+//! builds one session on a cold prepared query and none on the next,
+//! whether it is parallel or partitioned, and however many fragments the
+//! partition has.
+//!
+//! Views: a view re-decides only the foci an update batch can reach, so a
+//! seeded update stream costs each batch size a pinned number of
+//! re-decisions.
 //!
 //! The store: a seeded update stream leaves every `UpdateStats` counter at
 //! a pinned value.
@@ -108,6 +113,39 @@ fn a_parallel_run_builds_one_session_then_none() {
         assert_eq!(second.stats.sessions_built, 0, "{pattern}");
         assert_eq!(second.matches, first.matches, "{pattern}");
     }
+}
+
+/// One view per pattern follows a store fed by a seeded stream, in batches
+/// of 1, 10 and 100 ops: Σ `ViewDelta::rechecked` per batch size is pinned
+/// exactly, and every view ends equal to a run on the store's head.
+/// Clock-free: the repair sets depend only on the seed.
+#[test]
+fn view_repair_rechecks_are_pinned_per_batch_size() {
+    let graph = graph();
+    let rt = Runtime::new(1);
+    let mut rechecked = Vec::new();
+    for size in [1, 10, 100] {
+        let store = GraphStore::new(graph.clone());
+        let engine = Engine::from_store(&store);
+        let prepared: Vec<_> = (patterns().iter())
+            .map(|p| engine.prepare(p).unwrap())
+            .collect();
+        let mut views: Vec<_> = prepared.iter().map(|pq| pq.view()).collect();
+        let mut gen = UpdateStreamGen::new(&graph, 11);
+        let mut sum = 0;
+        for _ in 0..10 {
+            store.apply(&gen.next_batch(size)).unwrap();
+            for view in &mut views {
+                sum += view.advance_with(&store, &rt).unwrap().rechecked;
+            }
+        }
+        rechecked.push(sum);
+        for (view, pq) in views.iter().zip(&prepared) {
+            let head = pq.run_on(&store.snapshot(), ExecOptions::sequential());
+            assert_eq!(view.matches(), head.unwrap().matches, "{}", pq.pattern());
+        }
+    }
+    assert_eq!(rechecked, [20, 192, 1114]);
 }
 
 /// The store's write path on a seeded stream over the small pokec-like
